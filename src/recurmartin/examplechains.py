@@ -541,14 +541,3 @@ def exact_martin_boundary(chain: ChainSpec, x0, x, alpha) -> Fraction:
             f"chain {chain.name!r} publishes no closed-form boundary kernel"
         )
     return method(x, alpha, base=x0)
-
-
-def exact_phi(chain: ChainSpec, x0, alpha, x) -> Fraction:
-    """Closed-form harmonic profile: the boundary kernel scaled by the
-    reciprocal base weight and pinned to zero at the base state."""
-    method = getattr(chain, "exact_profile", None)
-    if method is None:
-        raise NotImplementedError(
-            f"chain {chain.name!r} publishes no closed-form harmonic profile"
-        )
-    return method(x, alpha, base=x0)

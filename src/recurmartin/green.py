@@ -5,7 +5,9 @@ counting time 0, strictly before the first return to the base state x0.
 Three routes are provided:
 
 * ``green_solve`` — linear solve of the killed one-step system on a finite
-  window, in exact rational or floating arithmetic;
+  window, in exact rational arithmetic (sparse elimination in minimum
+  Markowitz order, fill-free on the line, the half line and trees) or in
+  floating point (sparse LU);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
   the base state, with vectorized fast lanes for the built-in chains;
 * ``martin_kernel`` — the ratio G_{x0}(x,y) / G_{x0}(x0,y).
@@ -26,6 +28,7 @@ Window truncation policies:
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +45,10 @@ from .errors import (
 from .examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
 from .rng import trajectory_generator
 
-#: Exact solves above this window size are refused (cubic Fraction cost).
+#: Exact solves above this window size are refused: tree-shaped windows
+#: eliminate without fill, but 2-D windows fill in and their Fraction
+#: entries grow, so large planar exact solves take seconds to minutes.
 EXACT_SOLVE_LIMIT = 1200
-#: Dense float factorization below this size, sparse LU above.
-DENSE_LIMIT = 2000
 
 DEFAULT_STEP_CAP = 10_000_000
 
@@ -125,6 +128,83 @@ def window_rows(
     return index, rows
 
 
+def _eliminate(a: list, b: list, ncols: int) -> list:
+    """Solve A X = B exactly by sparse elimination on diagonal pivots.
+
+    ``a[i]`` maps column -> nonzero coefficient of row i and ``b[i]`` maps
+    right-hand-side column -> nonzero entry; both are consumed. Pivots are
+    taken in order of least Markowitz count, (row nonzeros - 1) x (column
+    nonzeros - 1), from a heap with lazy re-push, so tree-shaped systems
+    (line, half line, k-ary tree) eliminate leaves first with no fill.
+    Returns X as ``ncols`` lists of length n.
+
+    Callers pass I - M with M substochastic (possibly after scaling rows).
+    Such a matrix is singular exactly when rho(M) = 1 and is otherwise a
+    nonsingular M-matrix, whose Schur complements keep positive diagonals
+    in every pivot order; a zero diagonal pivot therefore proves the
+    system singular.
+    """
+    n = len(a)
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+
+    def markowitz(v):
+        return (len(a[v]) - 1) * (len(cols[v]) - 1)
+
+    heap = [(markowitz(v), v) for v in range(n)]
+    heapq.heapify(heap)
+    pivots = [None] * n
+    order = []
+    while heap:
+        count, k = heapq.heappop(heap)
+        if pivots[k] is not None or count != markowitz(k):
+            continue
+        rowk = a[k]
+        pivot = rowk.pop(k, None)
+        if pivot is None:
+            raise SingularSystemError("window system has a zero pivot; window unusable")
+        pivots[k] = pivot
+        order.append(k)
+        cols[k].discard(k)
+        for j in rowk:
+            cols[j].discard(k)
+        bk = b[k]
+        touched = set(rowk)
+        for i in cols[k]:
+            rowi, bi = a[i], b[i]
+            f = rowi.pop(k) / pivot
+            for j, v in rowk.items():
+                w = rowi.get(j, 0) - f * v
+                if w:
+                    rowi[j] = w
+                    cols[j].add(i)
+                else:
+                    del rowi[j]
+                    cols[j].discard(i)
+            for c, v in bk.items():
+                w = bi.get(c, 0) - f * v
+                if w:
+                    bi[c] = w
+                else:
+                    del bi[c]
+            touched.add(i)
+        cols[k] = set()
+        for v in touched:
+            heapq.heappush(heap, (markowitz(v), v))
+    x = [[Fraction(0)] * n for _ in range(ncols)]
+    for k in reversed(order):
+        rowk, bk, pivot = a[k], b[k], pivots[k]
+        for c, xc in enumerate(x):
+            s = bk.get(c, Fraction(0))
+            for j, v in rowk.items():
+                if xc[j]:
+                    s -= v * xc[j]
+            xc[k] = s / pivot
+    return x
+
+
 def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fraction]]:
     """Solve (I - M) g = e_c for each column c, exactly."""
     n = len(rows)
@@ -133,67 +213,45 @@ def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fractio
             f"window of {n} states is too large for the exact lane "
             f"(limit {EXACT_SOLVE_LIMIT}); use the floating solver"
         )
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = Fraction(1)
-        for j, p in rows[i]:
-            a[i][j] -= p
-    b = [[Fraction(0)] * len(columns) for _ in range(n)]
+    a = []
+    for i, row in enumerate(rows):
+        entries = {i: Fraction(1)}
+        for j, p in row:
+            w = entries.get(j, 0) - p
+            if w:
+                entries[j] = w
+            else:
+                del entries[j]
+        a.append(entries)
+    b = [{} for _ in range(n)]
     for c_ix, c in enumerate(columns):
         b[c][c_ix] = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError("window system has no pivot; window unusable")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = [v * inv for v in b[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                arow, acol = a[r], a[col]
-                a[r] = [arow[j] - f * acol[j] for j in range(n)]
-                brow, bcol = b[r], b[col]
-                b[r] = [brow[j] - f * bcol[j] for j in range(len(columns))]
-    return [[b[r][c_ix] for r in range(n)] for c_ix in range(len(columns))]
+    return _eliminate(a, b, len(columns))
 
 
 def _solve_columns_float(rows: list, columns: list[int]) -> list[np.ndarray]:
-    """Float counterpart of the exact column solve (dense or sparse LU)."""
+    """Float counterpart of the exact column solve, by sparse LU."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     n = len(rows)
     rhs = np.zeros((n, len(columns)))
     for c_ix, c in enumerate(columns):
         rhs[c, c_ix] = 1.0
-    if n < DENSE_LIMIT:
-        a = np.eye(n)
-        for i in range(n):
-            for j, p in rows[i]:
-                a[i, j] -= float(p)
-        try:
-            sol = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-    else:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        data, ri, ci = [], [], []
-        for i in range(n):
-            data.append(1.0)
+    data, ri, ci = [], [], []
+    for i in range(n):
+        data.append(1.0)
+        ri.append(i)
+        ci.append(i)
+        for j, p in rows[i]:
+            data.append(-float(p))
             ri.append(i)
-            ci.append(i)
-            for j, p in rows[i]:
-                data.append(-float(p))
-                ri.append(i)
-                ci.append(j)
-        a = csc_matrix((data, (ri, ci)), shape=(n, n))
-        try:
-            sol = splu(a.tocsc()).solve(rhs)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
+            ci.append(j)
+    a = csc_matrix((data, (ri, ci)), shape=(n, n))
+    try:
+        sol = splu(a).solve(rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
     return [sol[:, c_ix] for c_ix in range(len(columns))]
 
 
@@ -526,11 +584,13 @@ def _fast_grid_lane(
     if runs < 512:
         return None
     if isinstance(chain, ZWalk):
+        # translation invariance: run the base-0 walk in coordinates shifted
+        # by x0, where the closed forms of the tails are anchored
         out = {}
+        shifted_targets = [t - x0 for t in targets]
         for k, x in enumerate(starts):
-            shifted_targets = [t - x0 for t in targets]
             box, plus, minus = _line_tails(
-                chain, x0, x - x0, shifted_targets, targets, escape_radius
+                chain, x - x0, shifted_targets, escape_radius
             )
             res = _line_ensemble(
                 0.5, x - x0, shifted_targets, runs, seed, tag + k, cap, on_cap,
@@ -542,9 +602,7 @@ def _fast_grid_lane(
     if isinstance(chain, BangBangWalk) and x0 == 0:
         out = {}
         for k, x in enumerate(starts):
-            box, plus, minus = _line_tails(
-                chain, 0, x, list(targets), list(targets), escape_radius
-            )
+            box, plus, minus = _line_tails(chain, x, list(targets), escape_radius)
             res = _line_ensemble(
                 float(chain.q), x, list(targets), runs, seed, tag + k, cap, on_cap,
                 box, plus, minus,
@@ -581,26 +639,23 @@ _SLAB = 10_000
 _BLOCK = 512
 
 
-def _line_tails(chain, x0, start, shifted_targets, targets, escape_radius):
+def _line_tails(chain, start, targets, escape_radius):
     """Escape box and per-target analytic remainders for line walks.
 
     Beyond every target (same side), the expected future visits before the
     return to the base no longer depend on the position, so a run exiting
     the box at +-R is finished in expectation by the closed-form Green
     value at the exit point. Nearest-neighbour steps land exactly on +-R.
+    Coordinates are relative to the base, which is 0.
     """
     if escape_radius is None:
         return None, None, None
-    r = max(escape_radius, max(abs(int(start)), max(abs(int(t)) for t in shifted_targets)) + 2)
-    plus = np.asarray(
-        [float(chain.exact_green(x0 + r, t, base=x0)) for t in targets]
-    )
+    r = max(escape_radius, max(abs(int(start)), max(abs(int(t)) for t in targets)) + 2)
+    plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
     if isinstance(chain, BangBangWalk):
         minus = np.zeros(len(targets))  # the minus side is unreachable
     else:
-        minus = np.asarray(
-            [float(chain.exact_green(x0 - r, t, base=x0)) for t in targets]
-        )
+        minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
     return r, plus, minus
 
 

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .errors import SingularSystemError
 from .rng import trajectory_generator
 
 _PRECISION_DIGITS = 50
@@ -313,15 +312,15 @@ def _patch_oracle_matches(table: PotentialTable) -> bool:
     only admits multiples of the patch Green function at the origin, which
     the pin kills, so the solution is unique and must reproduce the table.
     """
+    from .green import _eliminate
+
     interior = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     index = {pt: k for k, pt in enumerate(interior)}
-    m = len(interior)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [ZERO for _ in range(m)]
+    rows = [{} for _ in interior]
+    rhs = [ZERO for _ in interior]
     for pt, k in index.items():
         if pt == (0, 0):
             rows[k][k] = Fraction(1)
-            rhs[k] = ZERO
             continue
         rows[k][k] = Fraction(4)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -330,41 +329,13 @@ def _patch_oracle_matches(table: PotentialTable) -> bool:
             if kk is None:
                 rhs[k] = rhs[k] + table.value(nb)
             else:
-                rows[k][kk] -= Fraction(1)
-    solution = _solve_pirational(rows, rhs)
-    return solution[index[(3, 1)]] == table.value((3, 1))
-
-
-def _solve_pirational(rows: list, rhs: list) -> list:
-    """Dense exact solve A x = b with rational A and PiRational b.
-
-    The pair (p, q) components never mix under rational row operations, so
-    one elimination on the augmented pair columns solves both at once.
-    """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    bp = [v.p for v in rhs]
-    bq = [v.q for v in rhs]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError("patch system singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            bp[col], bp[pivot] = bp[pivot], bp[col]
-            bq[col], bq[pivot] = bq[pivot], bq[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        bp[col] *= inv
-        bq[col] *= inv
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                arow, acol = a[r], a[col]
-                a[r] = [arow[t] - f * acol[t] for t in range(m)]
-                bp[r] -= f * bp[col]
-                bq[r] -= f * bq[col]
-    return [PiRational(bp[k], bq[k]) for k in range(m)]
+                rows[k][kk] = Fraction(-1)
+    # the p and q parts never mix under rational row operations: solve both
+    # as two right-hand-side columns of one elimination
+    b = [{c: v for c, v in enumerate((r.p, r.q)) if v} for r in rhs]
+    p_part, q_part = _eliminate(rows, b, 2)
+    k = index[(3, 1)]
+    return PiRational(p_part[k], q_part[k]) == table.value((3, 1))
 
 
 def potential_mc(

@@ -22,17 +22,3 @@ def trajectory_generator(seed: int, index: int = 0) -> np.random.Generator:
         raise ValueError("trajectory index must be nonnegative")
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def uniform_block(seed: int, indices: np.ndarray, length: int) -> np.ndarray:
-    """Uniform(0,1) block for many trajectories at once.
-
-    Returns an array of shape (len(indices), length) whose row t is the next
-    `length` uniforms of trajectory indices[t], starting from the beginning of
-    its stream. Callers that consume streams in chunks should use
-    `trajectory_generator` directly and keep the generator alive instead.
-    """
-    out = np.empty((len(indices), length), dtype=np.float64)
-    for row, idx in enumerate(indices):
-        out[row] = trajectory_generator(seed, int(idx)).random(length)
-    return out

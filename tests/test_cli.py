@@ -42,6 +42,16 @@ class TestGreen:
         assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["result"]["window"]["radius"] <= 8
 
+    def test_mc_line_off_the_base_point(self, capsys):
+        code, doc = invoke_json(
+            capsys, "green", "--chain", "z", "--x0", "3", "--x", "5",
+            "--y", "6", "--method", "mc", "--seed", "1",
+            "--trajectories", "2000",
+        )
+        assert code == 0
+        res = doc["result"]
+        assert abs(res["value"] - 4.0) <= 5 * res["stderr"]
+
     def test_mc_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["green", "--chain", "z", "--x0", "0", "--x", "1",

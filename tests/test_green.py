@@ -6,7 +6,9 @@ bounds, monotone in the radius) is asserted on explicit value sequences;
 the discounted solver is tied to the killed solver through the algebraic
 identity W = G + (r/(1-r)) G(base, .); Monte Carlo estimates must land
 within four standard errors of exact values at fixed seeds, and vectorized
-lanes are cross-checked against the generic per-step sampler.
+lanes are cross-checked against the generic per-step sampler. The sparse
+exact elimination is checked against a dense Gauss-Jordan oracle kept in
+this module, on random sparse substochastic systems.
 """
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurmartin.errors import RunawayRunError
+from recurmartin.errors import RunawayRunError, SingularSystemError
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -27,6 +29,8 @@ from recurmartin.green import (
     EXACT_SOLVE_LIMIT,
     GreenResult,
     Truncation,
+    _solve_columns_float,
+    _solve_columns_fraction,
     default_radius,
     green_mc,
     green_mc_grid,
@@ -134,11 +138,134 @@ def test_exact_lane_refuses_oversized_windows():
         green_value(PLANE, (0, 0), (1, 0), (2, 0), radius=20, exact=True)
 
 
+def test_exact_lane_matches_closed_forms_on_long_line():
+    # 401 states: out of reach of a cubic dense solve, fill-free here
+    ys = [-150, -7, 1, 60, 199]
+    queries = [(x, y) for x in (-200, -3, 0, 5, 120, 200) for y in ys]
+    results = green_solve(Z, 0, queries, Truncation(radius=200), exact=True)
+    for (x, y), res in zip(queries, results):
+        assert res.value == exact_green(Z, 0, x, y)
+
+
+def test_exact_lane_matches_closed_forms_on_deep_tree():
+    # 255 states of the binary tree
+    nodes = [ROOT, (0,), (1, 1), (0, 1, 0), (1, 0, 1, 1, 0, 0), (0,) * 7]
+    queries = [(x, y) for x in nodes for y in nodes]
+    results = green_solve(TREE, ROOT, queries, Truncation(radius=7), exact=True)
+    for (x, y), res in zip(queries, results):
+        assert res.value == exact_green(TREE, ROOT, x, y)
+
+
+def test_exact_planar_kill_lane_matches_float_lane():
+    # 169 states; 2-D windows fill in under elimination but stay exact
+    queries = [((1, 0), (2, 1)), ((3, -2), (0, 1)), ((-6, 6), (1, 0))]
+    trunc = Truncation(radius=6, policy="kill")
+    exact = green_solve(PLANE, (0, 0), queries, trunc, exact=True)
+    floats = green_solve(PLANE, (0, 0), queries, trunc, exact=False)
+    for e, f in zip(exact, floats):
+        assert isinstance(e.value, Fraction)
+        assert float(e.value) == pytest.approx(f.value, abs=1e-12)
+
+
 def test_float_lane_matches_exact_lane():
     for x, y in ((2, 5), (-3, -1), (4, 4)):
         f = green_value(Z, 0, x, y, radius=12, exact=False).value
         e = green_value(Z, 0, x, y, radius=12, exact=True).value
         assert f == pytest.approx(float(e), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Sparse exact elimination against a dense oracle
+
+
+def _dense_solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fraction]]:
+    """Solve (I - M) g = e_c for each column c, exactly."""
+    n = len(rows)
+    if n > EXACT_SOLVE_LIMIT:
+        raise ValueError(
+            f"window of {n} states is too large for the exact lane "
+            f"(limit {EXACT_SOLVE_LIMIT}); use the floating solver"
+        )
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = Fraction(1)
+        for j, p in rows[i]:
+            a[i][j] -= p
+    b = [[Fraction(0)] * len(columns) for _ in range(n)]
+    for c_ix, c in enumerate(columns):
+        b[c][c_ix] = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystemError("window system has no pivot; window unusable")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        b[col] = [v * inv for v in b[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                arow, acol = a[r], a[col]
+                a[r] = [arow[j] - f * acol[j] for j in range(n)]
+                brow, bcol = b[r], b[col]
+                b[r] = [brow[j] - f * bcol[j] for j in range(len(columns))]
+    return [[b[r][c_ix] for r in range(n)] for c_ix in range(len(columns))]
+
+
+@st.composite
+def substochastic_systems(draw):
+    """Sparse substochastic rows in window_rows format, plus solve columns.
+
+    Each row puts integer weights on up to three states plus an optional
+    exit weight, and divides by their total, so the exit weight is the
+    mass leaving the system. When ``closed`` > 0 the first ``closed``
+    states form a class with no exit, so I - M is singular; singular
+    systems also arise when no exit is reachable.
+    """
+    n = draw(st.integers(1, 25))
+    closed = draw(st.integers(0, min(n, 4)))
+    rows = []
+    for i in range(n):
+        inside = i < closed
+        targets = draw(st.lists(
+            st.integers(0, (closed if inside else n) - 1),
+            min_size=1 if inside else 0, max_size=3,
+        ))
+        weights = [draw(st.integers(1, 4)) for _ in targets]
+        exit_weight = 0 if inside else draw(st.integers(0, 3))
+        total = sum(weights) + exit_weight
+        entries: dict = {}
+        for j, w in zip(targets, weights):
+            entries[j] = entries.get(j, Fraction(0)) + Fraction(w, total)
+        rows.append(sorted(entries.items()))
+    columns = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    return rows, columns
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(system=substochastic_systems())
+def test_sparse_elimination_matches_dense_oracle(system):
+    rows, columns = system
+    try:
+        expected = _dense_solve_columns_fraction(rows, columns)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            _solve_columns_fraction(rows, columns)
+        return
+    got = _solve_columns_fraction(rows, columns)
+    assert got == expected
+    assert all(type(v) is Fraction for col in got for v in col)
+
+
+def test_sparse_elimination_detects_closed_class():
+    # states 0 and 1 swap forever: (I - M) is singular in both lanes
+    rows = [[(1, Fraction(1))], [(0, Fraction(1))], [(0, Fraction(1, 2))]]
+    with pytest.raises(SingularSystemError):
+        _solve_columns_fraction(rows, [2])
+    with pytest.raises(SingularSystemError):
+        _solve_columns_float(rows, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +387,17 @@ def test_mc_generic_lane_agrees_with_fast_lane():
     # below the vectorization threshold the per-step sampler runs instead
     res = green_mc(Z, 0, 2, 5, 400, seed=77, step_cap=10**5, on_cap="truncate")
     assert abs(res.value - 4.0) <= 4 * res.stderr
+
+
+def test_mc_line_lane_off_the_base_point():
+    # the line lane runs in coordinates shifted by the base, where the
+    # closed forms of its escape tails are anchored: G_3(5, 6) = G_0(2, 3)
+    res = green_mc(Z, 3, 5, 6, 2000, seed=1)
+    assert res.runs == 2000
+    assert abs(res.value - float(exact_green(Z, 0, 2, 3))) <= 5 * res.stderr
+    # both sides of the base: G_{-4}(-2, 1) = G_0(2, 5)
+    res = green_mc(Z, -4, -2, 1, 2000, seed=2)
+    assert abs(res.value - float(exact_green(Z, 0, 2, 5))) <= 5 * res.stderr
 
 
 def test_mc_halfline_within_four_stderr():
