@@ -32,7 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
-from .rng import trajectory_generator
+from .rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys, trajectory_generator
 
 #: Exact solves above this window size are refused: tree-shaped windows
 #: eliminate without fill, but 2-D windows fill in and their Fraction
@@ -81,6 +81,9 @@ class GreenResult:
     runs: Optional[int] = None
     truncated_runs: int = 0
     note: Optional[str] = None
+    #: Monte Carlo sampler that ran: fast-line, fast-plane, fast-tree, generic
+    lane: Optional[str] = None
+    escaped_runs: int = 0  # runs finished by an analytic tail
 
     def __float__(self) -> float:
         return float(self.value)
@@ -450,6 +453,8 @@ def martin_kernel(
             stderr=abs(v) * math.sqrt(rel),
             runs=trajectories,
             truncated_runs=num.truncated_runs + den.truncated_runs,
+            lane=num.lane,
+            escaped_runs=num.escaped_runs + den.escaped_runs,
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -478,21 +483,22 @@ def green_mc(
     ``on_cap='truncate'`` (the reported value is then a lower-biased
     estimate; the number of truncated runs is reported).
 
-    On the planar walk, runs that leave the ``escape_radius`` box are
-    completed analytically through the potential kernel instead of being
-    simulated to the (log-tailed) return time; pass ``escape_radius=None``
-    to force plain truncation.
+    On the line and the planar walk, runs that leave the ``escape_radius``
+    box are completed analytically through closed forms (the potential
+    kernel on the plane) instead of being simulated to the heavy-tailed
+    return time; pass ``escape_radius=None`` to force plain truncation.
+    ``lane`` on the result names the sampler that ran.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     if on_cap not in ("error", "truncate"):
         raise ValueError("on_cap must be 'error' or 'truncate'")
-    grid = _fast_grid_lane(
-        chain, x0, [x], [y], trajectories, seed, step_cap, on_cap,
+    fast = _fast_lane(
+        chain, x0, x, [y], trajectories, seed, step_cap, on_cap,
         index_offset, escape_radius,
     )
-    if grid is not None:
-        return grid[(x, y)]
+    if fast is not None:
+        return fast[0]
     totals = np.empty(trajectories)
     cdf_cache: dict = {}
     truncated = 0
@@ -514,7 +520,7 @@ def green_mc(
                 truncated += 1
                 break
         totals[i] = visits
-    return _mc_result(totals, trajectories, truncated)
+    return _mc_result(totals, trajectories, truncated, "generic")
 
 
 def green_mc_grid(
@@ -537,24 +543,25 @@ def green_mc_grid(
     """
     out = {}
     for k, x in enumerate(starts):
-        lane = _fast_grid_lane(
-            chain, x0, [x], list(targets), trajectories, seed, step_cap,
-            on_cap, k * (trajectories + 1), escape_radius,
+        offset = k * (trajectories + 1)
+        res = _fast_lane(
+            chain, x0, x, list(targets), trajectories, seed, step_cap,
+            on_cap, offset, escape_radius,
         )
-        if lane is None:
-            for t in targets:
-                out[(x, t)] = green_mc(
+        if res is None:
+            res = [
+                green_mc(
                     chain, x0, x, t, trajectories, seed,
-                    step_cap=step_cap, on_cap=on_cap,
-                    index_offset=k * (trajectories + 1),
+                    step_cap=step_cap, on_cap=on_cap, index_offset=offset,
                     escape_radius=escape_radius,
                 )
-        else:
-            out.update(lane)
+                for t in targets
+            ]
+        out.update({(x, t): r for t, r in zip(targets, res)})
     return out
 
 
-def _mc_result(totals, runs, truncated, note=None):
+def _mc_result(totals, runs, truncated, lane, escaped=0, note=None):
     stderr = float(totals.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return GreenResult(
         value=float(totals.mean()),
@@ -563,6 +570,8 @@ def _mc_result(totals, runs, truncated, note=None):
         runs=runs,
         truncated_runs=truncated,
         note=note,
+        lane=lane,
+        escaped_runs=escaped,
     )
 
 
@@ -577,66 +586,137 @@ def _cached_step(chain, state, u, cache):
     return targets[min(int(np.searchsorted(cdf, u, side="right")), len(targets) - 1)]
 
 
-def _fast_grid_lane(
-    chain, x0, starts, targets, runs, seed, cap, on_cap, tag, escape_radius
-):
-    """Dispatch to a vectorized ensemble when the chain shape allows it."""
-    if runs < 512:
-        return None
-    if isinstance(chain, ZWalk):
-        # translation invariance: run the base-0 walk in coordinates shifted
-        # by x0, where the closed forms of the tails are anchored
-        out = {}
-        shifted_targets = [t - x0 for t in targets]
-        for k, x in enumerate(starts):
-            box, plus, minus = _line_tails(
-                chain, x - x0, shifted_targets, escape_radius
-            )
-            res = _line_ensemble(
-                0.5, x - x0, shifted_targets, runs, seed, tag + k, cap, on_cap,
-                box, plus, minus,
-            )
-            for t, r in zip(targets, res):
-                out[(x, t)] = r
-        return out
-    if isinstance(chain, BangBangWalk) and x0 == 0:
-        out = {}
-        for k, x in enumerate(starts):
-            box, plus, minus = _line_tails(chain, x, list(targets), escape_radius)
-            res = _line_ensemble(
-                float(chain.q), x, list(targets), runs, seed, tag + k, cap, on_cap,
-                box, plus, minus,
-            )
-            for t, r in zip(targets, res):
-                out[(x, t)] = r
-        return out
-    if isinstance(chain, Z2Walk) and x0 == (0, 0):
-        out = {}
-        for k, x in enumerate(starts):
-            res = _plane_ensemble(
-                x, list(targets), runs, seed, tag + k, cap, on_cap, escape_radius
-            )
-            for t, r in zip(targets, res):
-                out[(x, t)] = r
-        return out
-    if isinstance(chain, KaryTree) and x0 == ROOT:
+def _fast_lane(chain, x0, x, targets, runs, seed, cap, on_cap, offset, escape_radius):
+    """Vectorized ensemble for one start, or None where only the generic lane fits.
+
+    The line and the plane are translation invariant, so they run at any
+    base in coordinates shifted by x0; the half line runs at its base 0 and
+    the tree at its root, with every target on one spine. Returns the
+    results in target order.
+    """
+    if isinstance(chain, (ZWalk, BangBangWalk)):
+        if isinstance(chain, BangBangWalk) and x0 != 0:
+            return None
+        walk = _line_walk(chain, x - x0, [t - x0 for t in targets], escape_radius)
+    elif isinstance(chain, Z2Walk):
+        start = (x[0] - x0[0], x[1] - x0[1])
+        shifted = [(t[0] - x0[0], t[1] - x0[1]) for t in targets]
+        walk = _plane_walk(start, shifted, escape_radius)
+    elif isinstance(chain, KaryTree) and x0 == ROOT:
         spine = max(targets, key=len, default=ROOT)
         if any(t != spine[: len(t)] for t in targets):
-            return None  # targets must sit on one spine
-        out = {}
-        for k, x in enumerate(starts):
-            res = _tree_ensemble(
-                chain, x, spine, [len(t) for t in targets], runs, seed,
-                tag + k, cap, on_cap,
-            )
-            for t, r in zip(targets, res):
-                out[(x, t)] = r
-        return out
-    return None
+            return None
+        walk = _tree_walk(chain, x, spine, targets)
+        if walk is None:
+            # an excursion below the root ends at the root: no spine visits
+            return [_mc_result(np.zeros(runs), runs, 0, "fast-tree") for _ in targets]
+    else:
+        return None
+    return _ensemble(walk, runs, seed, offset, cap, on_cap)
 
 
+# ---------------------------------------------------------------------------
+# The ensemble driver and the walks it runs
+
+#: Runs simulated together; their draws depend on the trajectory index only.
 _SLAB = 10_000
-_BLOCK = 512
+#: Steps in a slab's first block; each later block is twice as long. Half the
+#: tree's runs from the root end at their first step: a 16-step first block
+#: doubled the time of a 200,000-run tree ensemble.
+_FIRST_BLOCK = 4
+#: Bound on live rows x block length, the uniforms held at once.
+_BLOCK_CELLS = 10_000 * 512
+
+
+@dataclass
+class _Walk:
+    """A chain as the ensemble driver runs it, with the base at the origin.
+
+    ``start`` and each target are integer coordinate tuples. ``block``
+    maps the coordinates of n live runs (a tuple of (n,) int64 arrays) and
+    their uniforms for the next b steps (an (n, b) array) to the coordinates
+    after each of those steps ((n, b) arrays); a run still at the origin is
+    at its time 0 and takes the base row. ``dead`` marks, in the same
+    shape, the steps that end a run: arrival at the origin, or a step out
+    of the escape box. ``tail`` maps the exit states of escaped runs ((m,)
+    arrays) to the expected visits still to come, shape (m, len(targets)).
+    """
+
+    lane: str
+    start: tuple
+    targets: list
+    block: Callable
+    dead: Callable
+    tail: Optional[Callable] = None
+    note: Optional[str] = None
+
+
+def _ends(norm, r):
+    """Steps with norm 0 (the origin) or norm >= r (out of the box).
+
+    Shifting by one moves norm 0 to the top of the unsigned range, so one
+    unsigned comparison tests both; ``norm`` is overwritten.
+    """
+    norm -= 1
+    return norm.view(np.uint64) >= np.uint64(r - 1)
+
+
+def _ensemble(walk, runs, seed, offset, cap, on_cap):
+    """Run trajectories offset .. offset + runs - 1 until they return to the base.
+
+    Step n of trajectory i draws counter_uniforms(key_i, n), so each run's
+    path, and with it every result, is the same whatever the slab size,
+    the block schedule, the run count or the set of runs still alive. Each
+    slab starts with _FIRST_BLOCK-step blocks that double while live rows x
+    block stays within _BLOCK_CELLS: most runs of a recurrent walk end after
+    a few steps, and a long first block would be simulated in vain for them.
+    """
+    tgt = np.asarray(walk.targets, dtype=np.int64)
+    tgt = tgt.reshape(len(walk.targets), len(walk.start))
+    visits = np.zeros((runs, len(tgt)))
+    visits[:] = np.all(tgt == np.asarray(walk.start), axis=1)  # time 0
+    truncated = escaped = 0
+    for lo in range(0, runs, _SLAB):
+        size = min(_SLAB, runs - lo)
+        index = np.arange(offset + lo, offset + lo + size)
+        keys = stream_keys(seed, GREEN_ENSEMBLE, index)
+        vis = visits[lo : lo + size]
+        rows = np.arange(size)  # slab rows still running
+        coords = tuple(np.full(size, c, dtype=np.int64) for c in walk.start)
+        steps, b = 0, _FIRST_BLOCK
+        while rows.size and steps < cap:
+            b = min(b, cap - steps, max(1, _BLOCK_CELLS // rows.size))
+            counters = np.arange(steps, steps + b)[None, :]
+            paths = walk.block(coords, counter_uniforms(keys[rows, None], counters))
+            dead = walk.dead(paths)
+            ended = dead.any(axis=1)
+            first = np.where(ended, dead.argmax(axis=1), b)
+            live = np.arange(b) < first[:, None]
+            for ti, t in enumerate(tgt):
+                hit = live
+                for p, c in zip(paths, t):
+                    hit = hit & (p == c)
+                vis[rows, ti] += hit.sum(axis=1)
+            if walk.tail is not None:
+                e = np.nonzero(ended)[0]
+                ends = [p[e, first[e]] for p in paths]
+                away = np.any(ends, axis=0)  # escaped, not absorbed at the origin
+                if away.any():
+                    vis[rows[e[away]]] += walk.tail(tuple(c[away] for c in ends))
+                    escaped += int(away.sum())
+            going = ~ended
+            coords = tuple(p[going, -1] for p in paths)
+            rows = rows[going]
+            steps += b
+            b *= 2
+        if rows.size:
+            if on_cap == "error":
+                raise RunawayRunError(cap, lo + size - rows.size)
+            truncated += rows.size
+    return [
+        _mc_result(visits[:, ti], runs, truncated, walk.lane, escaped, walk.note)
+        for ti in range(len(tgt))
+    ]
 
 
 def _line_tails(chain, start, targets, escape_radius):
@@ -659,169 +739,95 @@ def _line_tails(chain, start, targets, escape_radius):
     return r, plus, minus
 
 
-def _line_ensemble(
-    p_up, start, targets, runs, seed, tag, cap, on_cap,
-    escape_radius=None, tail_plus=None, tail_minus=None,
-):
+def _line_walk(chain, start, targets, escape_radius):
     """Nearest-neighbour walk on the integers, absorbed at 0.
 
-    Valid whenever the up-probability is constant away from the absorbing
-    state (the forced kick at 0 never fires because arrival at 0 ends the
-    run), so both the symmetric and the half-line walks qualify. With an
-    escape box, runs leaving it are completed analytically through the
-    tail values (removing the heavy-tail truncation bias of null-recurrent
-    returns); the half-line walk never reaches the minus side, continuity
-    forcing absorption at 0 first.
+    Valid whenever the up-probability is constant away from the base,
+    so both the symmetric and the half-line walks qualify; a run starting
+    at the base takes the base row first (the half line's forced up-step).
+    With an escape box, runs leaving it are completed analytically through
+    the tail values (removing the heavy-tail truncation bias of
+    null-recurrent returns); the half-line walk never reaches the minus
+    side, continuity forcing absorption at 0 first.
     """
-    gen = trajectory_generator(seed, tag)
-    visits = np.zeros((runs, len(targets)))
-    truncated = 0
-    tarr = np.asarray(targets, dtype=np.int64)
-    note = None
-    if escape_radius is not None:
-        note = f"analytic tail beyond radius {escape_radius}"
-    for lo in range(0, runs, _SLAB):
-        size = min(_SLAB, runs - lo)
-        pos = np.full(size, start, dtype=np.int64)
-        vis = np.zeros((size, len(targets)))
-        vis[:, :] = (start == tarr)[None, :]
-        alive = np.ones(size, dtype=bool)
-        steps = 0
-        while steps < cap:
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            b = min(_BLOCK, cap - steps)
-            u = gen.random((idx.size, b))
-            inc = np.where(u < p_up, 1, -1).astype(np.int64)
-            paths = pos[idx, None] + np.cumsum(inc, axis=1)
-            hit = paths == 0
-            if escape_radius is not None:
-                dead = hit | (np.abs(paths) >= escape_radius)
-            else:
-                dead = hit
-            dead_any = dead.any(axis=1)
-            first = np.where(dead_any, dead.argmax(axis=1), b)
-            live_mask = np.arange(b)[None, :] < first[:, None]
-            for ti in range(len(targets)):
-                vis[idx, ti] += ((paths == tarr[ti]) & live_mask).sum(axis=1)
-            if escape_radius is not None and dead_any.any():
-                rows = np.nonzero(dead_any)[0]
-                end = paths[rows, first[rows]]
-                esc_plus = end >= escape_radius
-                esc_minus = end <= -escape_radius
-                if esc_plus.any():
-                    vis[idx[rows[esc_plus]]] += tail_plus[None, :]
-                if esc_minus.any():
-                    vis[idx[rows[esc_minus]]] += tail_minus[None, :]
-            survivors = ~dead_any
-            pos[idx[survivors]] = paths[survivors, -1]
-            alive[idx[dead_any]] = False
-            steps += b
-        n_alive = int(alive.sum())
-        if n_alive:
-            if on_cap == "error":
-                raise RunawayRunError(cap, runs - n_alive)
-            truncated += n_alive
-        visits[lo : lo + size] = vis
-    return [
-        _mc_result(visits[:, ti], runs, truncated, note=note)
-        for ti in range(len(targets))
-    ]
+    p_up = 0.5 if isinstance(chain, ZWalk) else float(chain.q)
+    p_base = float(sum(p for t, p in chain.successors(0) if t == 1))
+    r, plus, minus = _line_tails(chain, start, targets, escape_radius)
+
+    def block(coords, u):
+        (pos,) = coords
+        up = u < p_up
+        at_base = pos == 0
+        if at_base.any():
+            up[at_base, 0] = u[at_base, 0] < p_base
+        path = np.cumsum(up, axis=1)  # ups so far; the rest are downs
+        path *= 2
+        path += pos[:, None] - np.arange(1, u.shape[1] + 1)
+        return (path,)
+
+    targets = [(t,) for t in targets]
+    if r is None:
+        return _Walk(
+            "fast-line", (start,), targets, block, lambda paths: paths[0] == 0
+        )
+    return _Walk(
+        "fast-line", (start,), targets, block,
+        dead=lambda paths: _ends(np.abs(paths[0]), r),
+        tail=lambda end: np.where((end[0] > 0)[:, None], plus, minus),
+        note=f"analytic tail beyond radius {r}",
+    )
 
 
-def _plane_ensemble(start, targets, runs, seed, tag, cap, on_cap, escape_radius):
+_PLANE_DX = np.array([-1, 1, 0, 0])
+_PLANE_DY = np.array([0, 0, -1, 1])
+
+
+def _plane_walk(start, targets, escape_radius):
     """Planar walk absorbed at the origin, with optional analytic tails.
 
     When ``escape_radius`` is set, a run leaving the box is finished in
     expectation: the remaining visits to y before hitting the origin from
     the exit state v equal a(v) + a(y) - a(v - y) by the potential-kernel
     balance (both sides kill the same one-step defect; see the potential
-    module). This removes the logarithmic-tail truncation bias.
+    module). This removes the logarithmic-tail truncation bias. Targets
+    may lie outside the box: direct visits then never occur and the whole
+    estimate rides on the analytic closure.
     """
     from .potential import potential_float_array
 
-    gen = trajectory_generator(seed, tag)
-    note = None
-    afloat = None
-    if escape_radius is not None:
-        # targets may lie outside the escape box: direct visits then never
-        # occur and the whole estimate rides on the analytic closure
-        tmax = max((max(abs(t[0]), abs(t[1])) for t in targets), default=0)
-        afloat = potential_float_array(escape_radius + tmax + 2)
-        note = f"analytic tail beyond radius {escape_radius}"
+    def block(coords, u):
+        px, py = coords
+        move = (u * 4).astype(np.int64)  # west, east, south, north
+        return (
+            px[:, None] + np.cumsum(_PLANE_DX[move], axis=1),
+            py[:, None] + np.cumsum(_PLANE_DY[move], axis=1),
+        )
 
+    if escape_radius is None:
+        return _Walk(
+            "fast-plane", start, targets, block,
+            lambda paths: (paths[0] == 0) & (paths[1] == 0),
+        )
+    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1)
+    tmax = max((max(abs(t[0]), abs(t[1])) for t in targets), default=0)
+    afloat = potential_float_array(r + tmax + 2)
     tx = np.asarray([t[0] for t in targets], dtype=np.int64)
     ty = np.asarray([t[1] for t in targets], dtype=np.int64)
-    visits = np.zeros((runs, len(targets)))
-    truncated = 0
-    for lo in range(0, runs, _SLAB):
-        size = min(_SLAB, runs - lo)
-        px = np.full(size, start[0], dtype=np.int64)
-        py = np.full(size, start[1], dtype=np.int64)
-        vis = np.zeros((size, len(targets)))
-        vis[:, :] = ((start[0] == tx) & (start[1] == ty))[None, :]
-        alive = np.ones(size, dtype=bool)
-        exit_x = np.zeros(size, dtype=np.int64)
-        exit_y = np.zeros(size, dtype=np.int64)
-        escaped = np.zeros(size, dtype=bool)
-        steps = 0
-        while steps < cap:
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            b = min(_BLOCK, cap - steps)
-            u = gen.random((idx.size, b))
-            dx = np.where(u < 0.25, -1, 0) + np.where((u >= 0.25) & (u < 0.5), 1, 0)
-            dy = np.where((u >= 0.5) & (u < 0.75), -1, 0) + np.where(u >= 0.75, 1, 0)
-            cx = px[idx, None] + np.cumsum(dx, axis=1)
-            cy = py[idx, None] + np.cumsum(dy, axis=1)
-            absorbed = (cx == 0) & (cy == 0)
-            if escape_radius is not None:
-                out = np.maximum(np.abs(cx), np.abs(cy)) >= escape_radius
-            else:
-                out = np.zeros_like(absorbed)
-            dead = absorbed | out
-            dead_any = dead.any(axis=1)
-            first = np.where(dead_any, dead.argmax(axis=1), b)
-            live_mask = np.arange(b)[None, :] < first[:, None]
-            for ti in range(len(targets)):
-                vis[idx, ti] += ((cx == tx[ti]) & (cy == ty[ti]) & live_mask).sum(
-                    axis=1
-                )
-            rows = np.arange(idx.size)
-            stop_at = np.minimum(first, b - 1)
-            end_x = cx[rows, stop_at]
-            end_y = cy[rows, stop_at]
-            esc_now = dead_any & out[rows, np.minimum(first, b - 1)]
-            exit_x[idx[esc_now]] = end_x[esc_now]
-            exit_y[idx[esc_now]] = end_y[esc_now]
-            escaped[idx[esc_now]] = True
-            survivors = ~dead_any
-            px[idx[survivors]] = end_x[survivors]
-            py[idx[survivors]] = end_y[survivors]
-            alive[idx[dead_any]] = False
-            steps += b
-        n_alive = int(alive.sum())
-        if n_alive:
-            if on_cap == "error":
-                raise RunawayRunError(cap, runs - n_alive)
-            truncated += n_alive
-        if escape_radius is not None and escaped.any():
-            ex = exit_x[escaped]
-            ey = exit_y[escaped]
-            for ti in range(len(targets)):
-                a_v = _a_lookup(afloat, ex, ey)
-                a_y = _a_lookup(
-                    afloat, np.full_like(ex, tx[ti]), np.full_like(ey, ty[ti])
-                )
-                a_vy = _a_lookup(afloat, ex - tx[ti], ey - ty[ti])
-                vis[escaped, ti] += a_v + a_y - a_vy
-        visits[lo : lo + size] = vis
-    return [
-        _mc_result(visits[:, ti], runs, truncated, note=note)
-        for ti in range(len(targets))
-    ]
+
+    def tail(end):
+        ex, ey = end[0][:, None], end[1][:, None]
+        return (
+            _a_lookup(afloat, ex, ey)
+            + _a_lookup(afloat, tx, ty)
+            - _a_lookup(afloat, ex - tx, ey - ty)
+        )
+
+    return _Walk(
+        "fast-plane", start, targets, block,
+        dead=lambda p: _ends(np.maximum(np.abs(p[0]), np.abs(p[1])), r),
+        tail=tail,
+        note=f"analytic tail beyond radius {r}",
+    )
 
 
 def _a_lookup(afloat, vx, vy):
@@ -830,7 +836,7 @@ def _a_lookup(afloat, vx, vy):
     return afloat[np.maximum(i, j), np.minimum(i, j)]
 
 
-def _tree_ensemble(tree, start, spine, target_depths, runs, seed, tag, cap, on_cap):
+def _tree_walk(tree, start, spine, targets):
     """Tree walk reduced to its embedded spine-visit chain.
 
     Spine = ancestor path of the deepest target; visits to any target are
@@ -847,63 +853,29 @@ def _tree_ensemble(tree, start, spine, target_depths, runs, seed, tag, cap, on_c
       j = 0     : only at embedded time 0 (start at the root): depth 1
                   w.p. 1/k if p >= 1, otherwise return/absorb at the root.
     A start off the spine first walks its excursion back to its meet point
-    (certain arrival, one visit there) unless the meet is the root, in
-    which case it is absorbed without any visit.
+    (certain arrival, one visit there); returns None when that meet point
+    is the root, where the run is absorbed without any visit.
     """
     k = tree.k
     p_len = len(spine)
     j0 = tree.meet_depth(start, spine)
-    h0 = len(start) - j0
-    gen = trajectory_generator(seed, tag)
-    tdep = np.asarray(target_depths, dtype=np.int64)
-
-    if j0 == 0 and h0 > 0:
-        # excursion from below the root ends at the root: no spine visits
-        zero = np.zeros(runs)
-        return [_mc_result(zero.copy(), runs, 0) for _ in target_depths]
-
-    visits = np.zeros((runs, len(target_depths)))
-    truncated = 0
+    if j0 == 0 and len(start) > 0:
+        return None
     inv2k = 0.5 / k
-    for lo in range(0, runs, _SLAB):
-        size = min(_SLAB, runs - lo)
-        j = np.full(size, j0, dtype=np.int64)
-        vis = np.zeros((size, len(target_depths)))
-        vis[:, :] = (j0 == tdep)[None, :]
-        alive = np.ones(size, dtype=bool)
-        if j0 == 0:
-            u = gen.random(size)
-            if p_len >= 1:
-                up = u < 1.0 / k
-                j[up] = 1
-                alive[~up] = False
-                vis[up] += (j[up][:, None] == tdep[None, :])
-            else:
-                alive[:] = False
-        steps = 0
-        while steps < cap:
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            u = gen.random(idx.size)
-            jj = j[idx]
-            down = u < 0.5
-            up = (u >= 0.5) & (u < 0.5 + inv2k) & (jj < p_len)
-            jj = np.where(down, jj - 1, np.where(up, jj + 1, jj))
-            j[idx] = jj
-            dead = jj == 0
-            alive[idx[dead]] = False
-            live_rows = idx[~dead]
-            if live_rows.size:
-                vis[live_rows] += (j[live_rows][:, None] == tdep[None, :])
-            steps += 1
-        n_alive = int(alive.sum())
-        if n_alive:
-            if on_cap == "error":
-                raise RunawayRunError(cap, runs - n_alive)
-            truncated += n_alive
-        visits[lo : lo + size] = vis
-    return [
-        _mc_result(visits[:, ti], runs, truncated)
-        for ti in range(len(target_depths))
-    ]
+
+    def block(coords, u):
+        (j,) = coords
+        inc = (u < 0.5 + inv2k).astype(np.int64)
+        inc -= 2 * (u < 0.5)
+        at_root = j == 0
+        if at_root.any():
+            inc[at_root, 0] = u[at_root, 0] < 1.0 / k
+        # j_{t+1} = min(j_t + inc_t, p): the running sum less its overshoot of p
+        path = j[:, None] + np.cumsum(inc, axis=1)
+        over = np.maximum.accumulate(path - p_len, axis=1)
+        return (path - np.maximum(over, 0),)
+
+    return _Walk(
+        "fast-tree", (j0,), [(len(t),) for t in targets], block,
+        lambda paths: paths[0] == 0,
+    )

@@ -55,17 +55,18 @@ from .green import (
     martin_kernel,
     state_norm,
 )
-from .rng import trajectory_generator
+from .rng import (
+    CONVERGENCE_WITNESS,
+    TRANSIENCE_WITNESS,
+    counter_uniforms,
+    stream_keys,
+)
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
 #: Simulation ratio tables are exact below this index and constant above it
 #: (the ratios converge geometrically, far past float resolution by then).
 _TABLE_CUTOFF = 64
-
-#: Stream tags separating the random draws of the two ensemble witnesses.
-_CONVERGENCE_TAG = 0
-_TRANSIENCE_TAG = 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +630,9 @@ def convergence_stats(
     chosen end on the line, position on the half line, agreement length
     with the target ray on the tree, Euclidean norm on the plane. All
     trajectories start at the base state. Snapshots record quartiles and
-    threshold exceedance at intermediate times; draws come from one
-    counter-based stream per call, so results are reproducible for a seed.
+    threshold exceedance at intermediate times; trajectory i draws its step
+    t from the counter-based stream (seed, i, t), so results are
+    reproducible for a seed and do not depend on the trajectory count.
     """
     if trajectories < 1 or steps < 1:
         raise ValueError("trajectories and steps must be positive")
@@ -740,6 +742,21 @@ def _witness_lane(chain: ChainSpec, params: TransformParams):
     raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
 
 
+def _witness_draws(seed, n, steps, track):
+    """Each step's uniforms for trajectories 0 .. n-1, in step order.
+
+    Step t of trajectory i draws counter_uniforms(key_i, t - 1). The draws
+    are made for up to 64 steps per call, within 2^20 uniforms, one
+    contiguous row per step.
+    """
+    purpose = CONVERGENCE_WITNESS if track is None else TRANSIENCE_WITNESS
+    keys = stream_keys(seed, purpose, np.arange(n))[None, :]
+    chunk = max(1, min(64, (1 << 20) // n))
+    for lo in range(0, steps, chunk):
+        block = np.arange(lo, min(lo + chunk, steps))[:, None]
+        yield from counter_uniforms(keys, block)
+
+
 def _track_hits(track, at_base, step):
     if track is not None:
         track["counts"] += at_base
@@ -762,14 +779,12 @@ def _line_lane(chain, params, n, steps, seed, marks, track):
     c = float(params.odds)
     r = float(params.r)
     at_base = (2.0 - r) / 2.0
-    tag = _CONVERGENCE_TAG if track is None else _TRANSIENCE_TAG
-    gen = trajectory_generator(seed, tag)
+    draws = _witness_draws(seed, n, steps, track)
     v = np.zeros(n, dtype=np.int64)
     _init_track(track, n)
     markset = set(marks)
     out = {}
-    for step in range(1, steps + 1):
-        u = gen.random(n)
+    for step, u in zip(range(1, steps + 1), draws):
         up = np.full(n, 0.5)
         up[v == 0] = at_base
         pos = v >= 1
@@ -792,14 +807,12 @@ def _halfline_lane(chain, params, n, steps, seed, marks, track):
     for x in range(1, cut + 1):
         table[x] = float(chain.q * psi[x + 1] / psi[x])
     tail = float(1 - chain.q)
-    tag = _CONVERGENCE_TAG if track is None else _TRANSIENCE_TAG
-    gen = trajectory_generator(seed, tag)
+    draws = _witness_draws(seed, n, steps, track)
     pos = np.zeros(n, dtype=np.int64)
     _init_track(track, n)
     markset = set(marks)
     out = {}
-    for step in range(1, steps + 1):
-        u = gen.random(n)
+    for step, u in zip(range(1, steps + 1), draws):
         up = np.where(pos <= cut, table[np.minimum(pos, cut)], tail)
         pos += np.where(u < up, 1, -1).astype(np.int64)
         _track_hits(track, pos == 0, step)
@@ -830,15 +843,13 @@ def _tree_lane(chain, params, n, steps, seed, marks, track):
     up_deep = 1.0 / (2 * k)
     adv_deep = 0.5
     root_adv = float(params.r / k + (1 - params.r))
-    tag = _CONVERGENCE_TAG if track is None else _TRANSIENCE_TAG
-    gen = trajectory_generator(seed, tag)
+    draws = _witness_draws(seed, n, steps, track)
     agreement = np.zeros(n, dtype=np.int64)
     overhang = np.zeros(n, dtype=np.int64)
     _init_track(track, n)
     markset = set(marks)
     out = {}
-    for step in range(1, steps + 1):
-        u = gen.random(n)
+    for step, u in zip(range(1, steps + 1), draws):
         on_ray = overhang == 0
         off = np.nonzero(~on_ray)[0]
         root = np.nonzero(on_ray & (agreement == 0))[0]
@@ -896,19 +907,18 @@ def _plane_lane(chain, params, n, steps, seed, marks, track):
             vals[far] = np.log(norm2) / np.pi + kappa
         return c + vals
 
-    tag = _CONVERGENCE_TAG if track is None else _TRANSIENCE_TAG
-    gen = trajectory_generator(seed, tag)
+    draws = _witness_draws(seed, n, steps, track)
     px = np.zeros(n, dtype=np.int64)
     py = np.zeros(n, dtype=np.int64)
     _init_track(track, n)
     markset = set(marks)
     out = {}
-    for step in range(1, steps + 1):
+    for step, u in zip(range(1, steps + 1), draws):
         w_e = weights(px + 1, py)
         w_w = weights(px - 1, py)
         w_n = weights(px, py + 1)
         w_s = weights(px, py - 1)
-        u = gen.random(n) * (w_e + w_w + w_n + w_s)
+        u = u * (w_e + w_w + w_n + w_s)
         east = u < w_e
         west = ~east & (u < w_e + w_w)
         north = ~east & ~west & (u < w_e + w_w + w_n)

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .rng import trajectory_generator
 
 _PRECISION_DIGITS = 50
 
@@ -353,12 +352,12 @@ def potential_mc(
     result objects (value, stderr, truncated run count) in y_list order.
     Estimates should approach a(x) as the targets move far away.
     """
-    from .green import _plane_ensemble
+    from .green import _ensemble, _plane_walk
 
     x = (int(x[0]), int(x[1]))
     if x == (0, 0):
         raise ValueError("start must differ from the origin")
     targets = [(int(y[0]), int(y[1])) for y in y_list]
-    return _plane_ensemble(
-        x, targets, trajectories, seed, 0, step_cap, on_cap, escape_radius
+    return _ensemble(
+        _plane_walk(x, targets, escape_radius), trajectories, seed, 0, step_cap, on_cap
     )

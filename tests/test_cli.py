@@ -5,6 +5,8 @@ Each test drives ``cli.run`` through real argv lists and inspects the JSON
 are all exercised exactly as a shell user would see them.
 """
 import json
+import math
+import time
 
 import pytest
 
@@ -51,6 +53,22 @@ class TestGreen:
         assert code == 0
         res = doc["result"]
         assert abs(res["value"] - 4.0) <= 5 * res["stderr"]
+
+    def test_mc_plane_off_the_origin(self, capsys):
+        # the per-step lane did not finish this call in 600 s
+        t0 = time.perf_counter()
+        code, doc = invoke_json(
+            capsys, "green", "--chain", "z2", "--x0", "1,0", "--x", "2,0",
+            "--y", "2,1", "--method", "mc", "--seed", "3",
+            "--trajectories", "2000",
+        )
+        assert time.perf_counter() - t0 < 30
+        assert code == 0
+        res = doc["result"]
+        assert abs(res["value"] - 4 / math.pi) <= 5 * res["stderr"]
+        assert res["truncated_runs"] == 0
+        # lane provenance stays off the default payload
+        assert set(res) == {"value", "stderr", "method", "runs", "truncated_runs", "note"}
 
     def test_mc_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,16 +6,21 @@ bounds, monotone in the radius) is asserted on explicit value sequences;
 the discounted solver is tied to the killed solver through the algebraic
 identity W = G + (r/(1-r)) G(base, .); Monte Carlo estimates must land
 within four standard errors of exact values at fixed seeds, and vectorized
-lanes are cross-checked against the generic per-step sampler. The sparse
+lanes are cross-checked against the generic per-step sampler. The ensemble
+driver's runs must not depend on the run count, the block schedule or the
+slab size, since every draw is keyed by trajectory and step. The sparse
 exact elimination is checked against a dense Gauss-Jordan oracle kept in
 this module, on random sparse substochastic systems.
 """
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurmartin import green as green_module
 from recurmartin.errors import RunawayRunError, SingularSystemError
 from recurmartin.examplechains import (
     ROOT,
@@ -40,7 +45,7 @@ from recurmartin.green import (
     martin_kernel,
     state_norm,
 )
-from recurmartin.potential import origin_killed_green, potential_table
+from recurmartin.potential import origin_killed_green, potential_mc, potential_table
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -384,9 +389,27 @@ def test_mc_line_analytic_tail_is_unbiased_and_untruncated():
 
 
 def test_mc_generic_lane_agrees_with_fast_lane():
-    # below the vectorization threshold the per-step sampler runs instead
+    # the fast lanes serve any run count, so these 400 runs take the line
+    # lane; test_mc_generic_lane_off_the_half_line_base keeps the per-step
+    # sampler checked against a closed form
     res = green_mc(Z, 0, 2, 5, 400, seed=77, step_cap=10**5, on_cap="truncate")
     assert abs(res.value - 4.0) <= 4 * res.stderr
+
+
+def test_mc_generic_lane_off_the_half_line_base():
+    # above the base 2 the half-line walk is the base-0 walk shifted by 2,
+    # but no vectorized lane serves that base: G_2(3, y) = G_0(1, y - 2)
+    for y in (3, 4):
+        res = green_mc(BB, 2, 3, y, 2000, seed=31)
+        assert res.lane == "generic"
+        assert abs(res.value - float(exact_green(BB, 0, 1, y - 2))) <= 4 * res.stderr
+
+
+def test_mc_halfline_start_at_the_base_takes_the_base_row():
+    # the reflecting base forces the first step up, whatever the drift
+    for y in (1, 2):
+        res = green_mc(BB, 0, 0, y, 4000, seed=33)
+        assert abs(res.value - float(exact_green(BB, 0, 0, y))) <= 4 * res.stderr
 
 
 def test_mc_line_lane_off_the_base_point():
@@ -458,6 +481,93 @@ def test_mc_grid_tree_spine_and_fallback():
     # off-spine targets cannot share one spine: the generic sampler takes over
     grid = green_mc_grid(TREE, ROOT, [(0,)], [(0,), (1,)], 600, seed=708)
     assert set(grid) == {((0,), (0,)), ((0,), (1,))}
+
+
+# ---------------------------------------------------------------------------
+# Ensemble driver: lanes, counter-based draws, step caps
+
+
+def test_mc_plane_off_the_origin_runs_on_the_plane_lane():
+    # translation invariance: G_(1,0)((2,0), (2,1)) = G_0((1,0), (1,1)) = 4/pi;
+    # the per-step lane took over 600 s for this call
+    t0 = time.perf_counter()
+    res = green_mc(PLANE, (1, 0), (2, 0), (2, 1), 2000, seed=3)
+    assert time.perf_counter() - t0 < 30
+    exact = float(origin_killed_green(potential_table(4), (1, 0), (1, 1)))
+    assert res.lane == "fast-plane"
+    assert res.truncated_runs == 0
+    assert res.escaped_runs > 0
+    assert abs(res.value - exact) <= 5 * res.stderr
+
+
+def test_mc_results_name_their_lane():
+    assert green_mc(Z, 3, 5, 6, 50, seed=1).lane == "fast-line"
+    assert green_mc(BB, 0, 1, 2, 50, seed=1).lane == "fast-line"
+    assert green_mc(TREE, ROOT, (0,), (0,), 50, seed=1).lane == "fast-tree"
+    assert green_mc(TREE, ROOT, (1,), (0,), 50, seed=1).lane == "fast-tree"
+    assert green_mc(PLANE, (0, 0), (1, 0), (1, 0), 50, seed=1).lane == "fast-plane"
+    grid = green_mc_grid(TREE, ROOT, [(0,)], [(0,), (1,)], 50, seed=1)
+    assert {r.lane for r in grid.values()} == {"fast-tree"}
+    (res,) = potential_mc((1, 0), [(3, 0)], 50, seed=1)
+    assert res.lane == "fast-plane"
+
+
+def _captured_totals(monkeypatch):
+    """Record the per-run totals behind every Monte Carlo result."""
+    captured = []
+    original = green_module._mc_result
+
+    def record(totals, *args, **kwargs):
+        captured.append(totals.copy())
+        return original(totals, *args, **kwargs)
+
+    monkeypatch.setattr(green_module, "_mc_result", record)
+    return captured
+
+
+LAYOUT_CASES = [
+    (Z, 0, 2, [1, 5, -3]),
+    (BB, 0, 0, [1, 4]),
+    (TREE, ROOT, (0, 1), [(0,), (0, 0, 1)]),
+    (PLANE, (0, 0), (2, 1), [(1, 0), (2, 1)]),
+]
+
+
+LAYOUT_IDS = ["line", "halfline-from-base", "tree", "plane"]
+
+
+@pytest.mark.parametrize("chain, x0, x, ys", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_runs_do_not_depend_on_the_run_count(monkeypatch, chain, x0, x, ys):
+    captured = _captured_totals(monkeypatch)
+    green_mc_grid(chain, x0, [x], ys, 3000, seed=12, escape_radius=16)
+    green_mc_grid(chain, x0, [x], ys, 700, seed=12, escape_radius=16)
+    n = len(ys)
+    for big, small in zip(captured[:n], captured[n:]):
+        assert np.array_equal(big[:700], small)
+
+
+@pytest.mark.parametrize("chain, x0, x, ys", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_results_do_not_depend_on_blocks_or_slabs(monkeypatch, chain, x0, x, ys):
+    def run():
+        return green_mc_grid(chain, x0, [x], ys, 3000, seed=13, escape_radius=16)
+
+    reference = run()
+    for first, slab, cells in ((1, 10_000, 10_000 * 512), (512, 10_000, 10_000 * 512),
+                               (16, 257, 4000), (3, 1000, 1)):
+        monkeypatch.setattr(green_module, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(green_module, "_SLAB", slab)
+        monkeypatch.setattr(green_module, "_BLOCK_CELLS", cells)
+        assert run() == reference
+
+
+def test_runaway_error_counts_only_finished_runs():
+    # 25,000 runs fill three slabs; the first slab already has runs past the
+    # cap, so the later slabs never start and none of their runs finished
+    with pytest.raises(RunawayRunError) as info:
+        green_mc(Z, 0, 2, 5, 25_000, seed=5, step_cap=8, on_cap="error")
+    first_slab = green_mc(Z, 0, 2, 5, 10_000, seed=5, step_cap=8, on_cap="truncate")
+    assert 0 < first_slab.truncated_runs < 10_000
+    assert info.value.completed_runs == 10_000 - first_slab.truncated_runs
 
 
 # ---------------------------------------------------------------------------

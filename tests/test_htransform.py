@@ -33,6 +33,7 @@ from recurmartin.examplechains import (
 from recurmartin.htransform import (
     TransformParams,
     TransformedChain,
+    _witness_draws,
     convergence_stats,
     k_kernel,
     k_kernel_numeric,
@@ -46,6 +47,7 @@ from recurmartin.htransform import (
     verify_row_sums,
 )
 from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_boundary
+from recurmartin.rng import CONVERGENCE_WITNESS, counter_uniforms, stream_keys
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -485,6 +487,20 @@ def test_transience_witness_other_lanes():
     tree = transience_witness(TREE, P_TREE, trajectories=1000, steps=2000, seed=3)
     assert bb.fraction_settled_by_half >= 0.95
     assert tree.fraction_settled_by_half >= 0.95
+
+
+def test_witness_draws_are_per_trajectory_and_step():
+    # 20,000 trajectories draw 52 steps per call, 100 trajectories 64: the
+    # numbers of trajectory i at step t must not depend on that layout
+    big = np.stack(list(_witness_draws(7, 20_000, 130, None)))
+    small = np.stack(list(_witness_draws(7, 100, 130, None)))
+    assert big.shape == (130, 20_000) and small.shape == (130, 100)
+    assert np.array_equal(big[:, :100], small)
+    keys = stream_keys(7, CONVERGENCE_WITNESS, np.arange(100))
+    assert np.array_equal(small[129], counter_uniforms(keys, 129))
+    # the transience witness has its own streams
+    other = np.stack(list(_witness_draws(7, 100, 130, {})))
+    assert not np.array_equal(other, small)
 
 
 def test_transience_witness_is_deterministic():

@@ -1,0 +1,72 @@
+"""Tests for the counter-based draw of the vectorized ensembles.
+
+A draw is a pure function of (seed, purpose, trajectory, step): the tests
+check that it broadcasts consistently, that distinct key parts give
+distinct streams, and that a million draws pass cheap moment and 2-bit
+chi-square checks, single and serial.
+"""
+import numpy as np
+import pytest
+
+from recurmartin.rng import (
+    CONVERGENCE_WITNESS,
+    GREEN_ENSEMBLE,
+    TRANSIENCE_WITNESS,
+    counter_uniforms,
+    stream_keys,
+)
+
+PURPOSES = (GREEN_ENSEMBLE, CONVERGENCE_WITNESS, TRANSIENCE_WITNESS)
+
+
+def test_a_draw_depends_on_its_key_and_step_only():
+    keys = stream_keys(7, GREEN_ENSEMBLE, np.arange(50))
+    block = counter_uniforms(keys[:, None], np.arange(20)[None, :])
+    assert block.shape == (50, 20)
+    for i in (0, 17, 49):
+        for t in (0, 5, 19):
+            assert block[i, t] == counter_uniforms(keys[i : i + 1], t)[0]
+    assert np.array_equal(stream_keys(7, GREEN_ENSEMBLE, np.arange(20, 30)), keys[20:30])
+    assert np.array_equal(counter_uniforms(keys, 3), block[:, 3])
+
+
+def test_distinct_key_parts_give_distinct_streams():
+    n = 20_000
+    keys = np.concatenate([stream_keys(11, p, np.arange(n)) for p in PURPOSES])
+    assert np.unique(keys).size == len(keys)
+    firsts = counter_uniforms(keys[:, None], np.arange(4)[None, :])
+    assert np.unique(firsts, axis=0).shape[0] == len(keys)
+    # the purpose is its own key part: purpose 1, trajectory 2 and purpose 2,
+    # trajectory 1 are different streams
+    a = stream_keys(11, 1, [2])
+    b = stream_keys(11, 2, [1])
+    assert a[0] != b[0]
+    assert stream_keys(11, 1, [0])[0] != stream_keys(12, 1, [0])[0]
+
+
+def test_negative_trajectory_index_is_rejected():
+    with pytest.raises(ValueError):
+        stream_keys(1, GREEN_ENSEMBLE, [-1])
+
+
+def test_a_million_draws_pass_moment_and_chi_square_checks():
+    keys = stream_keys(2024, GREEN_ENSEMBLE, np.arange(1000))
+    u = counter_uniforms(keys[:, None], np.arange(1000)[None, :])
+    assert u.min() >= 0.0 and u.max() < 1.0
+    n = u.size
+    # mean and variance within 5 standard errors of 1/2 and 1/12
+    assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / n)
+    assert abs(u.var() - 1 / 12) < 5 * np.sqrt(1 / 180 / n)
+    # top two bits: 4 cells (3 dof), and serial pairs along each stream and
+    # across neighbouring streams: 16 cells (15 dof); bounds are the 1e-6
+    # upper quantiles of the chi-square law
+    bits = (u * 4).astype(np.int64)
+
+    def chi2(cells, k):
+        counts = np.bincount(cells.ravel(), minlength=k)
+        expected = cells.size / k
+        return float(((counts - expected) ** 2 / expected).sum())
+
+    assert chi2(bits, 4) < 30.7
+    assert chi2(4 * bits[:, :-1] + bits[:, 1:], 16) < 56.5
+    assert chi2(4 * bits[:-1, :] + bits[1:, :], 16) < 56.5
