@@ -15,6 +15,7 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import MissingPredecessorsError, PathBudgetExceededError
 from .rng import trajectory_generator
+from .window import SuccessorTable
 
 StateId = Hashable
 
@@ -75,11 +76,39 @@ class ChainSpec(ABC):
         """True when every path from x to x0 must pass through y."""
         return False
 
+    def hull(self, states: Sequence[StateId]) -> Optional[list[StateId]]:
+        """Smallest connected set of states containing ``states``, canonically
+        ordered, or None when the chain does not know its graph's hulls."""
+        return None
+
+    def code_table(self, states: Sequence[StateId], reach: int = 1):
+        """Integer state codes and the one-step law over them (see ``window``).
+
+        The table names ``states`` and, as far as its range allows, every
+        state within ``reach`` steps of them. It is the vectorized table of
+        the class whose own ``successors`` gives this chain's law, when that
+        class defines ``_vector_table(states, reach)`` and it returns one;
+        otherwise the ``SuccessorTable`` derived from ``successors()``.
+        """
+        vector = law_class(self).__dict__.get("_vector_table")
+        table = None if vector is None else vector(self, states, reach)
+        return SuccessorTable(self) if table is None else table
+
     def sorted_states(self, states) -> list[StateId]:
         return sorted(states, key=self.state_key)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def law_class(chain: ChainSpec) -> type:
+    """The class whose own ``successors`` method gives ``chain``'s law.
+
+    A vectorized description of a law (a code table, a Monte Carlo lane)
+    belongs to this class: a subclass that overrides ``successors`` changes
+    the law, so it runs the generic, ``successors``-driven paths.
+    """
+    return next(c for c in type(chain).__mro__ if "successors" in c.__dict__)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .chains import ChainSpec, StateId
 from .errors import UnsupportedBasePointError
+from .window import UNNAMED
 
 # ---------------------------------------------------------------------------
 # Boundary points
@@ -138,6 +142,12 @@ class ZWalk(ChainSpec):
     def separating(self, y: int, x: int, x0: int) -> bool:
         return min(x, x0) <= y <= max(x, x0)
 
+    def hull(self, states):
+        return list(range(min(states), max(states) + 1))
+
+    def _vector_table(self, states, reach):
+        return _LineTable(2, 1, 1)
+
     # -- closed forms, anchored at base point 0 --
 
     def _require_base(self, base: int) -> None:
@@ -246,6 +256,13 @@ class BangBangWalk(ChainSpec):
 
     def separating(self, y: int, x: int, x0: int) -> bool:
         return min(x, x0) <= y <= max(x, x0)
+
+    def hull(self, states):
+        return list(range(min(states), max(states) + 1))
+
+    def _vector_table(self, states, reach):
+        den = self.q.denominator
+        return _LineTable(den, den - self.q.numerator, self.q.numerator, reflect=True)
 
     def _require_base(self, base: int) -> None:
         if base != 0:
@@ -367,6 +384,30 @@ class KaryTree(ChainSpec):
         # geodesic between them.
         return y in _geodesic(x, x0)
 
+    def hull(self, states):
+        nodes = set()
+        for s in states:
+            nodes.update(_geodesic(states[0], s))
+        return self.sorted_states(nodes)
+
+    def _vector_table(self, states, reach):
+        """Heap codes below the states' deepest common ancestor, lifted by
+        up to ``reach`` levels while half the spare code depth allows."""
+        k = self.k
+        limit = _tree_depth_limit(k)
+        anchor = tuple(states[0])
+        deepest = len(anchor)
+        for s in states:
+            deepest = max(deepest, len(s))
+            if s[: len(anchor)] != anchor:
+                anchor = anchor[: self.meet_depth(anchor, s)]
+        if deepest - len(anchor) > limit:
+            return None
+        if any(not (0 <= c < k) for c in anchor):
+            raise ValueError(f"{anchor!r} is not a node of the {k}-ary tree")
+        lift = min(len(anchor), reach, (limit - deepest + len(anchor)) // 2)
+        return _TreeTable(k, anchor[: len(anchor) - lift], limit)
+
     def meet_depth(self, x: tuple, y: tuple) -> int:
         """Depth of the deepest common ancestor."""
         j = 0
@@ -418,6 +459,15 @@ class KaryTree(ChainSpec):
         if x == ROOT:
             return Fraction(0)
         return Fraction(self.k ** alpha.agreement(x) - 1)
+
+
+def _tree_depth_limit(k: int) -> int:
+    """Deepest level below an anchor whose nodes' children have int64 heap
+    codes: the first code at depth d is (k^d - 1) / (k - 1)."""
+    d = 0
+    while (k ** (d + 3) - 1) // (k - 1) <= 2**63:
+        d += 1
+    return d
 
 
 def _geodesic(x: tuple, y: tuple) -> list:
@@ -479,11 +529,131 @@ class Z2Walk(ChainSpec):
         rng = range(-radius, radius + 1)
         return sorted(((a, b) for a in rng for b in rng), key=self.state_key)
 
+    def _vector_table(self, states, reach):
+        top = max((max(abs(a), abs(b)) for a, b in states), default=0)
+        return _PlaneTable() if top + reach < _PlaneTable.HALF else None
+
     def boundary_points(self):
         return []
 
     def parse_boundary(self, text: str):
         raise ValueError(f"{self.name} has no named boundary points")
+
+
+# ---------------------------------------------------------------------------
+# Vectorized code tables of the built-in laws (see the window module)
+
+
+class _LineTable:
+    """Nearest-neighbour walk on the integers; a state's code is itself.
+
+    Rows are (x - 1, x + 1) with numerators (down, up) over ``den``; with
+    ``reflect`` the walk lives on {0, 1, ...} and the row at 0 moves up
+    with probability one.
+    """
+
+    def __init__(self, den: int, down: int, up: int, reflect: bool = False):
+        self.den, self.down, self.up, self.reflect = den, down, up, reflect
+
+    def encode(self, states) -> np.ndarray:
+        codes = np.asarray(states, dtype=np.int64).reshape(len(states))
+        if self.reflect and codes.size and codes.min() < 0:
+            raise ValueError(f"{int(codes.min())} is not a half-line state")
+        return codes
+
+    def decode(self, codes) -> list:
+        return codes.tolist()
+
+    def step(self, codes):
+        succ = np.stack([codes - 1, codes + 1], axis=1)
+        num = np.empty_like(succ)
+        num[:, 0], num[:, 1] = self.down, self.up
+        if self.reflect:
+            num[codes == 0] = (0, self.den)
+        return succ, num, self.den
+
+
+class _TreeTable:
+    """k-ary tree nodes below ``anchor`` in heap order: the anchor is 0 and
+    child c of code h is h k + c + 1. Rows are (father, child 0, ...,
+    child k-1) over 2k. Children below ``limit`` levels, and the anchor's
+    father unless the anchor is the root, are UNNAMED.
+    """
+
+    def __init__(self, k: int, anchor: tuple, limit: int):
+        self.k, self.anchor, self.limit, self.den = k, anchor, limit, 2 * k
+        self._firsts = np.array(
+            [(k**d - 1) // (k - 1) for d in range(limit + 2)], dtype=np.int64
+        )
+
+    def encode(self, states) -> np.ndarray:
+        k, anchor, a = self.k, self.anchor, len(self.anchor)
+        codes = np.empty(len(states), dtype=np.int64)
+        for i, s in enumerate(states):
+            h = 0
+            for c in s[a:]:
+                if not 0 <= c < k:
+                    raise ValueError(f"{s!r} is not a node of the {k}-ary tree")
+                h = h * k + c + 1
+            named = s[:a] == anchor and len(s) - a <= self.limit
+            codes[i] = h if named else UNNAMED
+        return codes
+
+    def decode(self, codes) -> list:
+        k, anchor = self.k, self.anchor
+        depth = np.searchsorted(self._firsts, codes, side="right") - 1
+        out = [None] * len(codes)
+        for d in np.unique(depth).tolist():
+            at = np.flatnonzero(depth == d)
+            h = codes[at]
+            digits = []
+            for _ in range(d):  # peel digits from the deepest
+                h = h - 1
+                digits.append((h % k).tolist())
+                h = h // k
+            columns = [repeat(c, len(at)) for c in anchor] + digits[::-1]
+            nodes = zip(*columns) if columns else repeat((), len(at))
+            for i, node in zip(at.tolist(), nodes):
+                out[i] = node
+        return out
+
+    def step(self, codes):
+        k = self.k
+        succ = np.empty((len(codes), k + 1), dtype=np.int64)
+        succ[:, 0] = (codes - 1) // k
+        succ[:, 1:] = codes[:, None] * k + np.arange(1, k + 1)
+        succ[codes >= self._firsts[self.limit], 1:] = UNNAMED
+        num = np.ones_like(succ)
+        num[:, 0] = k
+        top = codes == 0
+        if self.anchor == ROOT:
+            num[top] = [0] + [2] * k
+        else:
+            succ[top, 0] = UNNAMED
+        return succ, num, self.den
+
+
+class _PlaneTable:
+    """Planar walk; state (a, b) has code a 2^32 + b. Rows are
+    (a+1, b), (a-1, b), (a, b+1), (a, b-1) over 4."""
+
+    SHIFT = 32
+    HALF = 2**30  # coordinates below this in size keep codes unique
+    den = 4
+    _MOVES = np.array([1 << SHIFT, -(1 << SHIFT), 1, -1], dtype=np.int64)
+
+    def encode(self, states) -> np.ndarray:
+        xy = np.asarray(states, dtype=np.int64).reshape(len(states), 2)
+        return (xy[:, 0] << self.SHIFT) + xy[:, 1]
+
+    def decode(self, codes) -> list:
+        a = (codes + (1 << (self.SHIFT - 1))) >> self.SHIFT
+        b = codes - (a << self.SHIFT)
+        return list(zip(a.tolist(), b.tolist()))
+
+    def step(self, codes):
+        succ = codes[:, None] + self._MOVES
+        return succ, np.ones_like(succ), self.den
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId
+from .chains import ChainSpec, StateId, law_class
 from .errors import (
     RunawayRunError,
     SingularSystemError,
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
 from .rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys, trajectory_generator
+from .window import WindowOperator, window_operator
 
 #: Exact solves above this window size are refused: tree-shaped windows
 #: eliminate without fill, but 2-D windows fill in and their Fraction
@@ -100,35 +101,25 @@ def window_rows(
     kill_into: Optional[StateId] = None,
     row_scale: Optional[dict] = None,
     policy: str = "loop",
-) -> tuple[dict, list]:
+) -> tuple[dict, WindowOperator]:
     """Substochastic transition rows restricted to a window.
 
     Transitions into ``kill_into`` are deleted; transitions leaving the
     window are deleted (``kill``) or folded into a self-loop (``loop``).
     ``row_scale`` multiplies the entire outgoing row of selected states.
-    Returns (state index map, rows as lists of (column, probability)).
+    Returns (state index map, operator): one vectorized step of the
+    chain's code table over the window, in window order.
     """
+    table = chain.code_table(window)
     index = {s: i for i, s in enumerate(window)}
-    rows = []
-    for s in window:
-        scale = Fraction(1) if row_scale is None else row_scale.get(s, Fraction(1))
-        entries: dict = {}
-        escaped = Fraction(0)
-        for t, p in chain.successors(s):
-            if kill_into is not None and t == kill_into:
-                continue
-            j = index.get(t)
-            if j is None:
-                escaped += p
-            else:
-                entries[j] = entries.get(j, Fraction(0)) + p
-        if policy == "loop" and escaped:
-            i = index[s]
-            entries[i] = entries.get(i, Fraction(0)) + escaped
-        if scale != 1:
-            entries = {j: scale * p for j, p in entries.items()}
-        rows.append(sorted(entries.items()))
-    return index, rows
+    kill = None if kill_into is None else int(table.encode([kill_into])[0])
+    scale = None
+    if row_scale:
+        scale = {index[s]: f for s, f in row_scale.items() if s in index and f != 1}
+    op = window_operator(
+        table, table.encode(window), kill=kill, policy=policy, scale=scale
+    )
+    return index, op
 
 
 def _eliminate(a: list, b: list, ncols: int) -> list:
@@ -232,24 +223,30 @@ def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fractio
     return _eliminate(a, b, len(columns))
 
 
-def _solve_columns_float(rows: list, columns: list[int]) -> list[np.ndarray]:
-    """Float counterpart of the exact column solve, by sparse LU."""
+def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
+    """Float counterpart of the exact column solve, by sparse LU.
+
+    ``rows`` is a WindowOperator or lists of (column, probability). I - M
+    is assembled as triplets, each row's unit diagonal before its entries,
+    so that a diagonal entry is 1 - p exactly as a per-row assembly of the
+    same rows gives it.
+    """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    n = len(rows)
+    op = rows if isinstance(rows, WindowOperator) else WindowOperator.from_rows(rows)
+    n = len(op)
     rhs = np.zeros((n, len(columns)))
     for c_ix, c in enumerate(columns):
         rhs[c, c_ix] = 1.0
-    data, ri, ci = [], [], []
-    for i in range(n):
-        data.append(1.0)
-        ri.append(i)
-        ci.append(i)
-        for j, p in rows[i]:
-            data.append(-float(p))
-            ri.append(i)
-            ci.append(j)
+    diag = op.indptr[:-1] + np.arange(n)
+    ri = np.repeat(np.arange(n), np.diff(op.indptr) + 1)
+    ci = np.empty(len(ri), dtype=np.int64)
+    data = np.empty(len(ri))
+    off = np.ones(len(ri), dtype=bool)
+    off[diag] = False
+    ci[diag], data[diag] = np.arange(n), 1.0
+    ci[off], data[off] = op.indices, -op.float_values()
     a = csc_matrix((data, (ri, ci)), shape=(n, n))
     try:
         sol = splu(a).solve(rhs)
@@ -260,12 +257,12 @@ def _solve_columns_float(rows: list, columns: list[int]) -> list[np.ndarray]:
 
 def _killed_column_values(chain, x0, window, ys, policy, exact):
     """g_y vectors over the window for each y, with transitions into x0 killed."""
-    index, rows = window_rows(chain, window, kill_into=x0, policy=policy)
+    index, op = window_rows(chain, window, kill_into=x0, policy=policy)
     cols = [index[y] for y in ys]
     if exact:
-        vecs = _solve_columns_fraction(rows, cols)
+        vecs = _solve_columns_fraction(op.fraction_rows(), cols)
     else:
-        vecs = _solve_columns_float(rows, cols)
+        vecs = _solve_columns_float(op, cols)
     return index, {y: vec for y, vec in zip(ys, vecs)}
 
 
@@ -358,15 +355,15 @@ def green_solve_discounted(
     missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
     if missing:
         raise ValueError("query states outside window")
-    index, rows = window_rows(
+    index, op = window_rows(
         chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
     )
     ys = sorted({y for _, y in queries}, key=chain.state_key)
     cols = [index[y] for y in ys]
     vecs = (
-        _solve_columns_fraction(rows, cols)
+        _solve_columns_fraction(op.fraction_rows(), cols)
         if exact
-        else _solve_columns_float(rows, cols)
+        else _solve_columns_float(op, cols)
     )
     col = {y: vec for y, vec in zip(ys, vecs)}
     return [col[y][index[x]] for x, y in queries]
@@ -591,18 +588,21 @@ def _fast_lane(chain, x0, x, targets, runs, seed, cap, on_cap, offset, escape_ra
 
     The line and the plane are translation invariant, so they run at any
     base in coordinates shifted by x0; the half line runs at its base 0 and
-    the tree at its root, with every target on one spine. Returns the
-    results in target order.
+    the tree at its root, with every target on one spine. A lane runs only
+    the law of its own class (``law_class``): a subclass that overrides
+    ``successors`` takes the generic lane. Returns the results in target
+    order.
     """
-    if isinstance(chain, (ZWalk, BangBangWalk)):
-        if isinstance(chain, BangBangWalk) and x0 != 0:
+    law = law_class(chain)
+    if law in (ZWalk, BangBangWalk):
+        if law is BangBangWalk and x0 != 0:
             return None
         walk = _line_walk(chain, x - x0, [t - x0 for t in targets], escape_radius)
-    elif isinstance(chain, Z2Walk):
+    elif law is Z2Walk:
         start = (x[0] - x0[0], x[1] - x0[1])
         shifted = [(t[0] - x0[0], t[1] - x0[1]) for t in targets]
         walk = _plane_walk(start, shifted, escape_radius)
-    elif isinstance(chain, KaryTree) and x0 == ROOT:
+    elif law is KaryTree and x0 == ROOT:
         spine = max(targets, key=len, default=ROOT)
         if any(t != spine[: len(t)] for t in targets):
             return None

@@ -11,6 +11,7 @@ certified two-sided bracket.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -19,7 +20,8 @@ import numpy as np
 
 from .chains import ChainSpec, StateId, enumerate_paths
 from .examplechains import Z2Walk
-from .green import EXACT_SOLVE_LIMIT, Truncation, green_solve, state_norm
+from .green import EXACT_SOLVE_LIMIT, _killed_column_values, state_norm
+from .window import UNNAMED, SuccessorTable, sum_by_key, window_operator
 
 #: Ceiling on window states materialized by the avoidance dynamic programs.
 DP_STATE_BUDGET = 400_000
@@ -216,19 +218,10 @@ def cylinder_measure(
     if not horizons or horizons[0] < event.horizon:
         raise ValueError(f"horizons must start at or after {event.horizon}")
     get = _phi_eval(phi)
-    weights = {x: Fraction(1)} if event.allowed(0, x) else {}
-    values = []
-    t = 0
-    for n in horizons:
-        while t < n:
-            nxt: dict = {}
-            for s, w in weights.items():
-                for s2, p in chain.successors(s):
-                    if event.allowed(t + 1, s2):
-                        nxt[s2] = nxt.get(s2, Fraction(0)) + w * p
-            weights = nxt
-            t += 1
-        values.append(sum((w * get(s) for s, w in weights.items()), Fraction(0)))
+    try:
+        values = _cylinder_values(chain.code_table([x], horizons[-1]), get, x, event, horizons)
+    except LookupError:  # the walk left the vectorized table's range
+        values = _cylinder_values(SuccessorTable(chain), get, x, event, horizons)
     return MeasureValue(
         value=values[-1],
         mode="monotone-sequence",
@@ -236,6 +229,55 @@ def cylinder_measure(
         verdict=_sequence_verdict(values),
         note=event.description,
     )
+
+
+def _cylinder_values(table, get, x, event, horizons):
+    """The forward program over state codes with integer weights.
+
+    After t steps the weight of a state is its numerator over the product
+    of the steps' denominators; each horizon's value is one Fraction.
+    Raises LookupError when a step reaches a state the table cannot name.
+    """
+    codes = table.encode([x]) if event.allowed(0, x) else np.zeros(0, dtype=np.int64)
+    weights = np.ones(len(codes), dtype=object)
+    states = table.decode(codes)
+    scale = 1
+    phis: dict = {}
+    values = []
+    t = 0
+    for n in horizons:
+        while t < n:
+            succ, num, den = table.step(codes)
+            live = num > 0
+            flat = succ[live]
+            if (flat == UNNAMED).any():
+                raise LookupError("state outside the code table's range")
+            codes, weights = sum_by_key(flat, (weights[:, None] * num)[live])
+            states = table.decode(codes)
+            keep = np.fromiter(
+                (event.allowed(t + 1, s) for s in states), dtype=bool, count=len(states)
+            )
+            codes, weights = codes[keep], weights[keep]
+            states = [s for s, k in zip(states, keep) if k]
+            scale *= den
+            t += 1
+        for s in states:
+            if s not in phis:
+                phis[s] = get(s)
+        values.append(_weighted_sum(weights.tolist(), [phis[s] for s in states], scale))
+    return values
+
+
+def _weighted_sum(weights, phis, scale):
+    """sum(w * phi) / scale, as one Fraction when every phi is rational."""
+    if all(isinstance(v, (int, Fraction)) for v in phis):
+        lcd = math.lcm(1, *(Fraction(v).denominator for v in phis))
+        total = sum(
+            w * v.numerator * (lcd // v.denominator)
+            for w, v in zip(weights, map(Fraction, phis))
+        )
+        return Fraction(total, scale * lcd)
+    return sum((Fraction(w, scale) * v for w, v in zip(weights, phis)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -359,50 +401,55 @@ def _finite_phi(get, s):
 
 
 def _reachable_ball(chain, start, get, max_layers, budget):
-    """States reachable from ``start`` in complete BFS layers.
+    """States reachable from ``start`` in complete BFS layers, with the
+    forward kernel and the profile over them.
 
-    Returns (states, completed_layers). Growth stops at ``max_layers``,
-    when the next layer would push the count past ``budget``, or when the
-    profile stops being float-representable on the next layer (fast-growing
-    profiles on slim chains); within ``completed_layers`` steps no
-    probability mass can leave the ball.
+    One vectorized breadth-first search over state codes: each layer lists
+    the successors of the previous one in order of first occurrence.
+    Growth stops at ``max_layers``, when the next layer would push the
+    count past ``budget``, when the profile stops being float-representable
+    on the next layer (fast-growing profiles on slim chains), or when the
+    next layer leaves the code table's range; within ``completed_layers``
+    steps no probability mass can leave the ball. The profile is evaluated
+    once per state. Returns (states, completed_layers, kernel, phi_vec):
+    ``kernel`` maps mass w to w P restricted to the ball.
     """
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    layers = 0
-    while layers < max_layers and frontier:
-        nxt = []
-        for s in frontier:
-            for t, _ in chain.successors(s):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if len(order) + len(nxt) > budget:
-            break
-        if any(_finite_phi(get, s) is None for s in nxt):
-            break
-        order.extend(nxt)
-        frontier = nxt
-        layers += 1
-    return order, layers
-
-
-def _forward_kernel(chain, states, index):
-    """Sparse operator mapping mass w to w P, restricted to ``states``."""
     from scipy.sparse import csr_matrix
 
-    data, rows, cols = [], [], []
-    for s in states:
-        i = index[s]
-        for t, pr in chain.successors(s):
-            j = index.get(t)
-            if j is not None:
-                data.append(float(pr))
-                rows.append(j)
-                cols.append(i)
+    table = chain.code_table([start], max_layers)
+    states, codes, phi, layers = _bfs(table, start, get, max_layers, budget)
+    op = window_operator(table, codes)
     n = len(states)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    kernel = csr_matrix((op.float_values(), (op.indices, op.rows)), shape=(n, n))
+    return states, layers, kernel, np.array(phi)
+
+
+def _bfs(table, start, get, max_layers, budget):
+    """Breadth-first layers over codes: (states, codes, phi, layers)."""
+    frontier = table.encode([start])
+    states, layer_codes = [start], [frontier]
+    phi = [float(get(start))]
+    seen = set(frontier.tolist())
+    layers = 0
+    while layers < max_layers and frontier.size:
+        succ, num, _ = table.step(frontier)
+        nxt = []
+        for c in succ[num > 0].tolist():  # frontier order, then successor order
+            if c not in seen:
+                seen.add(c)
+                nxt.append(c)
+        if UNNAMED in seen or len(states) + len(nxt) > budget:
+            break
+        frontier = np.array(nxt, dtype=np.int64)
+        nxt_states = table.decode(frontier)
+        values = [_finite_phi(get, s) for s in nxt_states]
+        if any(v is None for v in values):
+            break
+        states.extend(nxt_states)
+        phi.extend(values)
+        layer_codes.append(frontier)
+        layers += 1
+    return states, np.concatenate(layer_codes), phi, layers
 
 
 def _trim_horizons(horizons, usable):
@@ -412,13 +459,11 @@ def _trim_horizons(horizons, usable):
 
 def _avoidance_separating(chain, x0, get, x, y, config):
     """Separation branch: one killing site, constant certified lower bound."""
-    states, usable = _reachable_ball(
+    states, usable, kernel, phi_vec = _reachable_ball(
         chain, x, get, max(config.horizons), config.state_budget
     )
     horizons = _trim_horizons(config.horizons, usable)
     index = {s: i for i, s in enumerate(states)}
-    kernel = _forward_kernel(chain, states, index)
-    phi_vec = np.array([float(get(s)) for s in states])
     phi_y = float(get(y))
     iy = index.get(y)
     w = np.zeros(len(states))
@@ -442,14 +487,12 @@ def _avoidance_separating(chain, x0, get, x, y, config):
 
 def _avoidance_generic(chain, x0, get, x, y, config):
     """Generic branch: doubly restricted lower bound, visit-bound upper."""
-    states, usable = _reachable_ball(
+    states, usable, kernel, phi_vec = _reachable_ball(
         chain, x, get, max(config.horizons), config.state_budget
     )
     horizons = _trim_horizons(config.horizons, usable)
     n_switch = max(1, int(config.restriction_split * horizons[0]))
     index = {s: i for i, s in enumerate(states)}
-    kernel = _forward_kernel(chain, states, index)
-    phi_vec = np.array([float(get(s)) for s in states])
     phi_y = float(get(y))
     iy, ix0 = index.get(y), index.get(x0)
 
@@ -498,8 +541,11 @@ def _base_visits_before(chain, x, y, x0):
     """E_x[# visits to x0 strictly before hitting y] and its certification.
 
     On chains whose beyond-window excursions re-enter where they left,
-    loop truncation at any containing radius is exact; the planar walk
-    gets the potential-kernel closed form. Anything else falls back to a
+    loop truncation at any connected window containing x, y and x0 is
+    exact: the solve runs on their hull when the chain knows it (the
+    interval on the line and the half line, the union of geodesics on the
+    tree), else on a window of the containing radius. The planar walk gets
+    the potential-kernel closed form. Anything else falls back to a
     generously windowed loop solve, flagged as uncertified.
     """
     if isinstance(chain, Z2Walk):
@@ -511,11 +557,11 @@ def _base_visits_before(chain, x, y, x0):
         table = potential_table(radius)
         return float(origin_killed_green(table, dx, d0)), True
     certified = bool(getattr(chain, "loop_truncation_exact", False))
-    margin = 2 if certified else 25
-    radius = max(state_norm(chain, s) for s in (x, y, x0)) + margin
-    window = chain.window(radius)
+    window = chain.hull([x, y, x0]) if certified else None
+    if window is None:
+        margin = 2 if certified else 25
+        radius = max(state_norm(chain, s) for s in (x, y, x0)) + margin
+        window = chain.window(radius)
     exact = len(window) <= EXACT_SOLVE_LIMIT
-    result = green_solve(
-        chain, y, [(x, x0)], Truncation(radius=radius, policy="loop"), exact=exact
-    )[0]
-    return float(result.value), certified
+    index, col = _killed_column_values(chain, y, window, [x0], "loop", exact)
+    return float(col[x0][index[x]]), certified

@@ -512,6 +512,31 @@ def test_mc_results_name_their_lane():
     assert res.lane == "fast-plane"
 
 
+class LazyBangBang(BangBangWalk):
+    """The half-line walk holding with probability 1/2 at every step: its
+    own successors, so no built-in vectorized law describes it."""
+
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]
+
+
+def test_subclass_overriding_successors_takes_the_generic_lane():
+    lazy = LazyBangBang()
+    exact = green_solve(lazy, 0, [(2, 3)], Truncation(20), exact=True)[0].value
+    assert exact == Fraction(9, 4)  # twice the walk's G_0(2, 3) = 9/8
+    res = green_mc(lazy, 0, 2, 3, 2000, seed=41)
+    assert res.lane == "generic"
+    assert abs(res.value - float(exact)) <= 5 * res.stderr
+    grid = green_mc_grid(lazy, 0, [2], [3], 300, seed=41)
+    assert grid[(2, 3)].lane == "generic"
+
+
+def test_float_solve_of_a_subclass_reads_its_successors():
+    lazy = LazyBangBang()
+    (res,) = green_solve(lazy, 0, [(2, 3)], Truncation(20))
+    assert res.value == pytest.approx(2.25, rel=1e-12)
+
+
 def _captured_totals(monkeypatch):
     """Record the per-run totals behind every Monte Carlo result."""
     captured = []

@@ -6,6 +6,7 @@ Cylinder sequences must grow monotonically with the documented verdicts;
 avoidance brackets must enclose the closed-form values with certified
 sides.
 """
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from recurmartin.martin import profile_from_boundary
 from recurmartin.potential import origin_killed_green, potential_table
 from recurmartin.sigma import (
     AvoidanceConfig,
+    _base_visits_before,
     avoid_states,
     avoidance_function,
     constant_one,
@@ -194,6 +196,48 @@ def test_cylinder_horizon_validation():
         cylinder_measure(Z, 0, PHI, 0, opaque, [2, 4])
 
 
+def reference_cylinder(chain, phi, x, event, horizons):
+    """The forward program in Fractions over successors(), state by state."""
+    weights = {x: Fraction(1)} if event.allowed(0, x) else {}
+    values, t = [], 0
+    for n in horizons:
+        while t < n:
+            nxt: dict = {}
+            for s, w in weights.items():
+                for s2, p in chain.successors(s):
+                    if event.allowed(t + 1, s2):
+                        nxt[s2] = nxt.get(s2, Fraction(0)) + w * p
+            weights, t = nxt, t + 1
+        values.append(sum((w * phi(s) for s, w in weights.items()), Fraction(0)))
+    return values
+
+
+TREE2 = KaryTree(2)
+PHI_TREE = profile_from_boundary(TREE2, ROOT, TreeRay((), (0,)))
+BB3 = BangBangWalk(Fraction(1, 3))
+PHI_BB = profile_from_boundary(BB3, 0, HalfLineEnd())
+
+
+@pytest.mark.parametrize("chain, phi, x, event, horizons", [
+    (Z, PHI, 0, state_at_time(3, 1), [50, 100, 150]),
+    (Z, PHI, 2, avoid_states({0, 5}, 30), [30, 40]),
+    (BB3, PHI_BB, 0, constant_one(0), [0, 3, 10, 30]),
+    (TREE2, PHI_TREE, ROOT, avoid_states({(1,)}, 6), [6, 8, 10]),
+    (TREE2, PHI_TREE, (0, 1), state_at_time(2, (0,)), [2, 5]),
+], ids=["z-pinned", "z-avoid", "halfline", "tree-avoid", "tree-pinned"])
+def test_cylinder_values_equal_the_fraction_program(chain, phi, x, event, horizons):
+    mv = cylinder_measure(chain, ROOT if x == ROOT else 0, phi, x, event, horizons)
+    assert [v for _, v in mv.sequence] == reference_cylinder(chain, phi, x, event, horizons)
+    assert all(type(v) is Fraction for _, v in mv.sequence)
+
+
+def test_cylinder_beyond_the_tree_code_range_falls_back_to_successors():
+    # 70 steps down the leftmost ray leave the range of int64 heap codes
+    path = [(0,) * i for i in range(71)]
+    mv = cylinder_measure(TREE2, ROOT, PHI_TREE, ROOT, path_indicator(path), [70])
+    assert mv.value == Fraction(1, 2) * Fraction(1, 4) ** 69 * (2**70 - 1)
+
+
 # ---------------------------------------------------------------------------
 # Concatenation consistency
 
@@ -310,3 +354,49 @@ def test_avoidance_inconclusive_is_reported_not_raised():
     assert mv.verdict == "inconclusive"
     lo, up = mv.bracket
     assert lo - 1e-9 <= 4 <= up + 1e-9
+
+
+# The brackets below are pinned, bit for bit, to the values a ball search
+# over successors() rows gives, with the profile evaluated state by state.
+PINNED_BRACKETS = [
+    (Z, 0, PHI, 3, 1,
+     ("0x1.0000000000000p+2", "0x1.0660139015ffcp+2"),
+     [(128, "0x1.ffffffffffffep+1"), (256, "0x1.fffffffffffffp+1"),
+      (512, "0x1.ffffffffffffbp+1"), (1024, "0x1.0000000000000p+2")]),
+    (Z, 0, PHI, 3, -2,
+     ("0x1.04f047c6ef649p+3", "0x1.4000000000000p+3"),
+     [(m, "0x1.04f047c6ef649p+3") for m in (128, 256, 512, 1024)]),
+    (TREE2, ROOT, PHI_TREE, (0,), (1,),
+     ("0x1.7400000000000p+0", "0x1.0000000000000p+1"), [(13, "0x1.7400000000000p+0")]),
+    (TREE2, ROOT, PHI_TREE, (0, 0, 1), (0,),
+     ("0x1.0000000000000p+1", "0x1.35a0000000000p+1"), [(13, "0x1.0000000000000p+1")]),
+]
+
+
+@pytest.mark.parametrize(
+    "chain, x0, phi, x, y, bracket, sequence", PINNED_BRACKETS,
+    ids=["z-separating", "z-generic", "tree-generic", "tree-separating"],
+)
+def test_avoidance_brackets_are_pinned_bit_for_bit(chain, x0, phi, x, y, bracket, sequence):
+    mv = avoidance_function(chain, x0, phi, x, y, AvoidanceConfig(state_budget=40_000))
+    assert tuple(v.hex() for v in mv.bracket) == bracket
+    assert [(m, v.hex()) for m, v in mv.sequence] == sequence
+
+
+def test_base_visits_on_deep_tree_nodes_solve_on_the_hull():
+    # the hull of (0,)^70, (1,) and the root has 72 states; the radius-72
+    # window the solve used to take has 2^73 - 1
+    assert _base_visits_before(TREE2, (0,) * 70, (1,), ROOT) == (2.0, True)
+    config = AvoidanceConfig(state_budget=40_000)
+    start = time.perf_counter()
+    mv = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 70, (1,), config)
+    assert mv.bracket[1] == float(2**70)
+    assert time.perf_counter() - start < 10
+    mv8 = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 8, (1,), config)
+    assert mv8.bracket == (255.0, 256.0)
+
+
+def test_base_visits_on_the_line_solve_on_the_interval():
+    # visits to 0 from 3 before hitting -2: by translation G_0(5, 2) = 4
+    assert _base_visits_before(Z, 3, -2, 0) == (4.0, True)
+    assert _base_visits_before(BangBangWalk(), 4, 1, 0) == (0.0, True)
