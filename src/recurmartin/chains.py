@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import MissingPredecessorsError, PathBudgetExceededError
-from .rng import trajectory_generator
+from .rng import SIMULATION, counter_uniforms, stream_keys
 from .window import SuccessorTable
 
 StateId = Hashable
@@ -231,27 +233,27 @@ def simulate(
 ) -> Trajectory:
     """Simulate `steps` transitions from x on trajectory stream `index`.
 
-    Deterministic in (chain, x, steps, seed, index): the same call always
-    returns the same path.
+    Deterministic in (chain, x, steps, seed, index): step n draws
+    ``counter_uniforms(key, n)`` with the key of (seed, SIMULATION, index),
+    so the same call always returns the same path.
     """
-    gen = trajectory_generator(seed, index)
+    draws = counter_uniforms(stream_keys(seed, SIMULATION, [index]), np.arange(steps))
     states = [x]
     current = x
-    for _ in range(steps):
-        current = _sample_successor(chain, current, gen.random())
+    for u in draws.tolist():
+        current = _sample_successor(chain, current, u)
         states.append(current)
     return Trajectory(states, seed=seed, index=index)
 
 
 def _sample_successor(chain: ChainSpec, x: StateId, u: float) -> StateId:
     """Map a uniform draw to a successor through the canonical ordering."""
-    moves = sorted(chain.successors(x), key=lambda sp: chain.state_key(sp[0]))
     acc = 0.0
-    for t, p in moves:
+    for t, p in step_distribution(chain, x):
         acc += float(p)
         if u < acc:
             return t
-    return moves[-1][0]
+    return t
 
 
 def row_sum(chain: ChainSpec, x: StateId) -> Fraction:

@@ -9,7 +9,8 @@ Three routes are provided:
   Markowitz order, fill-free on the line, the half line and trees) or in
   floating point (sparse LU);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
-  the base state, with vectorized fast lanes for the built-in chains;
+  the base state on one ensemble driver, ``_ensemble``: vectorized lanes
+  for the built-in laws, and for any chain a lane over its successor table;
 * ``martin_kernel`` — the ratio G_{x0}(x,y) / G_{x0}(x0,y).
 
 Window truncation policies:
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -43,8 +45,14 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
-from .rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys, trajectory_generator
-from .window import WindowOperator, window_operator
+from .rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys
+from .window import (
+    UNNAMED,
+    SuccessorTable,
+    WindowOperator,
+    exact_floats,
+    window_operator,
+)
 
 #: Exact solves above this window size are refused: tree-shaped windows
 #: eliminate without fill, but 2-D windows fill in and their Fraction
@@ -255,15 +263,28 @@ def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
     return [sol[:, c_ix] for c_ix in range(len(columns))]
 
 
+def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
+    """Solve (I - M) g = e_c for each column c, exactly or in floats."""
+    if exact:
+        return _solve_columns_fraction(op.fraction_rows(), columns)
+    return _solve_columns_float(op, columns)
+
+
+def _window(chain, radius, states):
+    """The radius window, refusing by name the states outside it."""
+    window = chain.window(radius)
+    present = set(window)
+    missing = [s for s in dict.fromkeys(states) if s not in present]
+    if missing:
+        names = ", ".join(chain.format_state(s) for s in missing)
+        raise ValueError(f"states outside the radius-{radius} window: {names}")
+    return window
+
+
 def _killed_column_values(chain, x0, window, ys, policy, exact):
     """g_y vectors over the window for each y, with transitions into x0 killed."""
     index, op = window_rows(chain, window, kill_into=x0, policy=policy)
-    cols = [index[y] for y in ys]
-    if exact:
-        vecs = _solve_columns_fraction(op.fraction_rows(), cols)
-    else:
-        vecs = _solve_columns_float(op, cols)
-    return index, {y: vec for y, vec in zip(ys, vecs)}
+    return index, dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
 
 
 def green_solve(
@@ -281,12 +302,7 @@ def green_solve(
     A positive ``trunc.margin`` re-solves on an enlarged window and reports
     the difference as ``delta``.
     """
-    window = chain.window(trunc.radius)
-    present = set(window)
-    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
-    if missing:
-        names = ", ".join(chain.format_state(s) for s in missing)
-        raise ValueError(f"states outside the radius-{trunc.radius} window: {names}")
+    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
     ys = sorted({y for _, y in queries}, key=chain.state_key)
     index, col = _killed_column_values(chain, x0, window, ys, trunc.policy, exact)
     deltas = None
@@ -314,23 +330,6 @@ def green_solve(
     return results
 
 
-def green_value(
-    chain: ChainSpec,
-    x0: StateId,
-    x: StateId,
-    y: StateId,
-    radius: Optional[int] = None,
-    policy: str = "loop",
-    exact: bool = False,
-    margin: int = 0,
-) -> GreenResult:
-    """Single-query convenience wrapper around green_solve."""
-    if radius is None:
-        radius = default_radius(chain, [x0, x, y])
-    trunc = Truncation(radius=radius, policy=policy, margin=margin)
-    return green_solve(chain, x0, [(x, y)], trunc, exact=exact)[0]
-
-
 def green_solve_discounted(
     chain: ChainSpec,
     x0: StateId,
@@ -350,22 +349,12 @@ def green_solve_discounted(
     """
     if not (0 < r < 1):
         raise ValueError("discount must satisfy 0 < r < 1")
-    window = chain.window(trunc.radius)
-    present = set(window)
-    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
-    if missing:
-        raise ValueError("query states outside window")
+    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
     index, op = window_rows(
         chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
     )
     ys = sorted({y for _, y in queries}, key=chain.state_key)
-    cols = [index[y] for y in ys]
-    vecs = (
-        _solve_columns_fraction(op.fraction_rows(), cols)
-        if exact
-        else _solve_columns_float(op, cols)
-    )
-    col = {y: vec for y, vec in zip(ys, vecs)}
+    col = dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
     return [col[y][index[x]] for x, y in queries]
 
 
@@ -407,16 +396,8 @@ def martin_kernel(
         if radius is None:
             radius = default_radius(chain, [x0, x, y])
         trunc = Truncation(radius=radius, policy=policy)
-        window = chain.window(trunc.radius)
-        present = set(window)
-        for s in (x0, x, y):
-            if s not in present:
-                raise ValueError(
-                    f"state {chain.format_state(s)} outside the radius-{radius} window"
-                )
-        index, col = _killed_column_values(
-            chain, x0, window, [y], trunc.policy, exact
-        )
+        window = _window(chain, radius, [x0, x, y])
+        index, col = _killed_column_values(chain, x0, window, [y], trunc.policy, exact)
         num = col[y][index[x]]
         den = col[y][index[x0]]
         if (den == 0) if exact else (abs(float(den)) <= 1e-12):
@@ -428,13 +409,9 @@ def martin_kernel(
     if method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo kernel needs a seed")
-        num = green_mc(
-            chain, x0, x, y, trajectories, seed,
-            step_cap=step_cap, on_cap=on_cap, index_offset=0,
-        )
-        den = green_mc(
-            chain, x0, x0, y, trajectories, seed,
-            step_cap=step_cap, on_cap=on_cap, index_offset=trajectories,
+        num, den = (
+            green_mc(chain, x0, s, y, trajectories, seed, step_cap, on_cap, offset)
+            for s, offset in ((x, 0), (x0, trajectories))
         )
         d = float(den.value)
         if abs(d) <= 1e-12:
@@ -490,34 +467,8 @@ def green_mc(
         raise ValueError("need at least one trajectory")
     if on_cap not in ("error", "truncate"):
         raise ValueError("on_cap must be 'error' or 'truncate'")
-    fast = _fast_lane(
-        chain, x0, x, [y], trajectories, seed, step_cap, on_cap,
-        index_offset, escape_radius,
-    )
-    if fast is not None:
-        return fast[0]
-    totals = np.empty(trajectories)
-    cdf_cache: dict = {}
-    truncated = 0
-    for i in range(trajectories):
-        gen = trajectory_generator(seed, index_offset + i)
-        state = x
-        visits = 1 if state == y else 0
-        steps = 0
-        while True:
-            state = _cached_step(chain, state, gen.random(), cdf_cache)
-            steps += 1
-            if state == x0:
-                break
-            if state == y:
-                visits += 1
-            if steps >= step_cap:
-                if on_cap == "error":
-                    raise RunawayRunError(step_cap, i)
-                truncated += 1
-                break
-        totals[i] = visits
-    return _mc_result(totals, trajectories, truncated, "generic")
+    walk = _fast_lane(chain, x0, x, [y], escape_radius) or _table_walk(chain, x0, x, [y])
+    return _ensemble(walk, trajectories, seed, index_offset, step_cap, on_cap)[0]
 
 
 def green_mc_grid(
@@ -536,25 +487,21 @@ def green_mc_grid(
     One trajectory ensemble per start serves every target simultaneously,
     so a runs-per-pair budget costs len(starts) ensembles instead of
     len(starts) * len(targets). Estimates sharing a start are correlated
-    across targets but each is individually the green_mc estimator.
+    across targets but each is individually the green_mc estimator. The
+    tree lane follows one spine, so on the tree at its root targets off
+    one spine get one ensemble each.
     """
+    targets = list(targets)
+    split = law_class(chain) is KaryTree and x0 == ROOT and _spine(targets) is None
+    groups = [[t] for t in targets] if split else [targets]
     out = {}
     for k, x in enumerate(starts):
         offset = k * (trajectories + 1)
-        res = _fast_lane(
-            chain, x0, x, list(targets), trajectories, seed, step_cap,
-            on_cap, offset, escape_radius,
-        )
-        if res is None:
-            res = [
-                green_mc(
-                    chain, x0, x, t, trajectories, seed,
-                    step_cap=step_cap, on_cap=on_cap, index_offset=offset,
-                    escape_radius=escape_radius,
-                )
-                for t in targets
-            ]
-        out.update({(x, t): r for t, r in zip(targets, res)})
+        for group in groups:
+            walk = _fast_lane(chain, x0, x, group, escape_radius)
+            walk = walk or _table_walk(chain, x0, x, group)
+            res = _ensemble(walk, trajectories, seed, offset, step_cap, on_cap)
+            out.update({(x, t): r for t, r in zip(group, res)})
     return out
 
 
@@ -572,47 +519,30 @@ def _mc_result(totals, runs, truncated, lane, escaped=0, note=None):
     )
 
 
-def _cached_step(chain, state, u, cache):
-    entry = cache.get(state)
-    if entry is None:
-        moves = sorted(chain.successors(state), key=lambda sp: chain.state_key(sp[0]))
-        cdf = np.cumsum([float(p) for _, p in moves])
-        entry = ([t for t, _ in moves], cdf)
-        cache[state] = entry
-    targets, cdf = entry
-    return targets[min(int(np.searchsorted(cdf, u, side="right")), len(targets) - 1)]
+def _spine(targets):
+    """The deepest tree target when every other target is its ancestor, else None."""
+    spine = max(targets, key=len, default=ROOT)
+    return spine if all(t == spine[: len(t)] for t in targets) else None
 
 
-def _fast_lane(chain, x0, x, targets, runs, seed, cap, on_cap, offset, escape_radius):
-    """Vectorized ensemble for one start, or None where only the generic lane fits.
+def _fast_lane(chain, x0, x, targets, escape_radius):
+    """The walk of a vectorized lane for one start, or None where none fits.
 
     The line and the plane are translation invariant, so they run at any
     base in coordinates shifted by x0; the half line runs at its base 0 and
     the tree at its root, with every target on one spine. A lane runs only
     the law of its own class (``law_class``): a subclass that overrides
-    ``successors`` takes the generic lane. Returns the results in target
-    order.
+    ``successors`` takes the generic lane, ``_table_walk``.
     """
     law = law_class(chain)
-    if law in (ZWalk, BangBangWalk):
-        if law is BangBangWalk and x0 != 0:
-            return None
-        walk = _line_walk(chain, x - x0, [t - x0 for t in targets], escape_radius)
-    elif law is Z2Walk:
+    if law is ZWalk or (law is BangBangWalk and x0 == 0):
+        return _line_walk(chain, x - x0, [t - x0 for t in targets], escape_radius)
+    if law is Z2Walk:
         start = (x[0] - x0[0], x[1] - x0[1])
         shifted = [(t[0] - x0[0], t[1] - x0[1]) for t in targets]
-        walk = _plane_walk(start, shifted, escape_radius)
-    elif law is KaryTree and x0 == ROOT:
-        spine = max(targets, key=len, default=ROOT)
-        if any(t != spine[: len(t)] for t in targets):
-            return None
-        walk = _tree_walk(chain, x, spine, targets)
-        if walk is None:
-            # an excursion below the root ends at the root: no spine visits
-            return [_mc_result(np.zeros(runs), runs, 0, "fast-tree") for _ in targets]
-    else:
-        return None
-    return _ensemble(walk, runs, seed, offset, cap, on_cap)
+        return _plane_walk(start, shifted, escape_radius)
+    spine = _spine(targets) if law is KaryTree and x0 == ROOT else None
+    return None if spine is None else _tree_walk(chain, x, spine, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -719,40 +649,34 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
     ]
 
 
-def _line_tails(chain, start, targets, escape_radius):
-    """Escape box and per-target analytic remainders for line walks.
-
-    Beyond every target (same side), the expected future visits before the
-    return to the base no longer depend on the position, so a run exiting
-    the box at +-R is finished in expectation by the closed-form Green
-    value at the exit point. Nearest-neighbour steps land exactly on +-R.
-    Coordinates are relative to the base, which is 0.
-    """
-    if escape_radius is None:
-        return None, None, None
-    r = max(escape_radius, max(abs(int(start)), max(abs(int(t)) for t in targets)) + 2)
-    plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
-    if isinstance(chain, BangBangWalk):
-        minus = np.zeros(len(targets))  # the minus side is unreachable
-    else:
-        minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
-    return r, plus, minus
-
-
 def _line_walk(chain, start, targets, escape_radius):
     """Nearest-neighbour walk on the integers, absorbed at 0.
 
     Valid whenever the up-probability is constant away from the base,
     so both the symmetric and the half-line walks qualify; a run starting
     at the base takes the base row first (the half line's forced up-step).
-    With an escape box, runs leaving it are completed analytically through
-    the tail values (removing the heavy-tail truncation bias of
-    null-recurrent returns); the half-line walk never reaches the minus
-    side, continuity forcing absorption at 0 first.
+    Both probabilities are read off the law: the up-mass of the row at 1
+    and of the base row. With an escape box, runs leaving it are completed
+    analytically through the tail values (removing the heavy-tail
+    truncation bias of null-recurrent returns); a walk whose base row goes
+    up with certainty (the half line) never reaches the minus side,
+    continuity forcing absorption at 0 first.
     """
-    p_up = 0.5 if isinstance(chain, ZWalk) else float(chain.q)
-    p_base = float(sum(p for t, p in chain.successors(0) if t == 1))
-    r, plus, minus = _line_tails(chain, start, targets, escape_radius)
+    def up_mass(v):
+        return sum(p for t, p in chain.successors(v) if t == v + 1)
+
+    p_up = float(up_mass(1))
+    base_up = up_mass(0)
+    p_base = float(base_up)
+    if escape_radius is not None:
+        # beyond every target (same side) the expected visits still to come
+        # no longer depend on the position: the closed form at the exit
+        # point +-r, where nearest-neighbour steps land exactly
+        r = max(escape_radius, max(abs(int(t)) for t in [start, *targets]) + 2)
+        plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
+        minus = np.zeros(len(targets))  # unreachable when base_up == 1
+        if base_up != 1:
+            minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
 
     def block(coords, u):
         (pos,) = coords
@@ -766,7 +690,7 @@ def _line_walk(chain, start, targets, escape_radius):
         return (path,)
 
     targets = [(t,) for t in targets]
-    if r is None:
+    if escape_radius is None:
         return _Walk(
             "fast-line", (start,), targets, block, lambda paths: paths[0] == 0
         )
@@ -853,14 +777,21 @@ def _tree_walk(tree, start, spine, targets):
       j = 0     : only at embedded time 0 (start at the root): depth 1
                   w.p. 1/k if p >= 1, otherwise return/absorb at the root.
     A start off the spine first walks its excursion back to its meet point
-    (certain arrival, one visit there); returns None when that meet point
-    is the root, where the run is absorbed without any visit.
+    (certain arrival, one visit there); when that meet point is the root,
+    the run is absorbed without any visit.
     """
     k = tree.k
     p_len = len(spine)
+    depths = [(len(t),) for t in targets]
     j0 = tree.meet_depth(start, spine)
     if j0 == 0 and len(start) > 0:
-        return None
+        # the excursion ends at the root without a spine visit: its first
+        # step stands for it, from depth -1 (no target) to the root
+        return _Walk(
+            "fast-tree", (-1,), depths,
+            lambda coords, u: (np.zeros(u.shape, dtype=np.int64),),
+            lambda paths: paths[0] == 0,
+        )
     inv2k = 0.5 / k
 
     def block(coords, u):
@@ -875,7 +806,105 @@ def _tree_walk(tree, start, spine, targets):
         over = np.maximum.accumulate(path - p_len, axis=1)
         return (path - np.maximum(over, 0),)
 
-    return _Walk(
-        "fast-tree", (j0,), [(len(t),) for t in targets], block,
-        lambda paths: paths[0] == 0,
-    )
+    return _Walk("fast-tree", (j0,), depths, block, lambda paths: paths[0] == 0)
+
+
+#: Live runs of the generic lane below which each steps alone.
+_LONE_RUNS = 16
+
+
+class _TableRows:
+    """The rows of a ``SuccessorTable`` as padded arrays, filled on first visit.
+
+    Row c holds the successor codes of code c and their CDF, each entry the
+    correctly rounded cumulative num / den, so a row does not depend on the
+    batch that filled it. Entries from the row's last real one on read
+    +inf, so a step that counts the entries <= u never passes the row's
+    end. A row is filled when a run first stands at its code, not when the
+    table first names it: filling every named code would chase children
+    without end on an infinite graph.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.filled = np.zeros(64, dtype=bool)
+        self.succ = np.zeros((64, 1), dtype=np.int64)
+        self.cdf = np.full((64, 1), np.inf)
+        self.lists: dict = {}  # code -> the row as lists, for lone runs
+
+    def fill(self, codes):
+        """Cache the rows of ``codes``, distinct codes not cached yet."""
+        succ, num, den = self.table.step(codes)
+        n, cap, width = len(self.table.states), len(self.filled), succ.shape[1]
+        extra = max(n, 2 * cap) - cap if n > cap else 0
+        wider = max(0, width - self.succ.shape[1])
+        if extra or wider:
+            self.filled = np.pad(self.filled, (0, extra))
+            self.succ = np.pad(self.succ, ((0, extra), (0, wider)))
+            self.cdf = np.pad(self.cdf, ((0, extra), (0, wider)), constant_values=np.inf)
+        cdf = exact_floats(np.cumsum(num, axis=1), den)
+        last = (succ != UNNAMED).sum(axis=1) - 1
+        cdf[np.arange(width) >= last[:, None]] = np.inf
+        self.succ[codes, :width] = succ
+        self.cdf[codes, :width] = cdf
+        self.filled[codes] = True
+
+    def run(self, c, u):
+        """One run's codes from code c through the draws u, 0 from its arrival
+        at code 0 on: the vectorized step's result, at a scalar step's cost."""
+        path = np.zeros(len(u), dtype=np.int64)
+        for lo in range(0, len(u), 4096):
+            codes = []
+            for v in u[lo : lo + 4096].tolist():
+                row = self.lists.get(c)
+                if row is None:
+                    if not self.filled[c]:
+                        self.fill(np.array([c]))
+                    row = self.lists[c] = (self.cdf[c].tolist(), self.succ[c].tolist())
+                c = row[1][bisect_right(row[0], v)]
+                codes.append(c)
+                if not c:
+                    break
+            path[lo : lo + len(codes)] = codes
+            if not c:
+                break
+        return path
+
+
+def _table_walk(chain, x0, x, targets):
+    """Any chain's walk over the codes of a ``SuccessorTable``, absorbed at x0.
+
+    x0 takes code 0, the origin of the ensemble driver; the codes name every
+    state. One step of the live runs is one gather of their rows and one
+    count of the CDF entries <= u per run. Once at most _LONE_RUNS runs are
+    live, numpy's per-call cost outweighs its per-entry gain, and each
+    finishes its block alone, in scalar steps that pick the same entries.
+    A run that arrives at x0 stays there, unstepped, for the rest of its
+    block.
+    """
+    table = SuccessorTable(chain)
+    codes = table.encode([x0, x, *targets]).tolist()
+    rows = _TableRows(table)
+
+    def block(coords, u):
+        (cur,) = coords
+        path = np.zeros(u.shape, dtype=np.int64)
+        live = np.arange(len(cur))
+        for t in range(u.shape[1]):
+            if live.size <= _LONE_RUNS:
+                for i, c in zip(live.tolist(), cur.tolist()):
+                    path[i, t:] = rows.run(c, u[i, t:])
+                break
+            new = cur[~rows.filled[cur]]
+            if new.size:
+                rows.fill(np.unique(new))
+            count = (rows.cdf[cur] <= u[live, t][:, None]).sum(axis=1)
+            cur = rows.succ[cur, count]
+            path[live, t] = cur
+            going = cur != 0
+            if not going.all():
+                live, cur = live[going], cur[going]
+        return (path,)
+
+    targets = [(c,) for c in codes[2:]]
+    return _Walk("generic", (codes[1],), targets, block, lambda paths: paths[0] == 0)

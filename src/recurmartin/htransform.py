@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, enumerate_paths
+from .chains import ChainSpec, StateId, enumerate_paths, law_class
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -397,6 +397,7 @@ def transformed_green(
     its parent probability, so the transient Green function equals
     (psi(y)/psi(x)) W_r(x, y) with W_r the damped-visit kernel of
     ``green_solve_discounted``. Exact on chains with loop-exact windows.
+    It stays public as the conditioned chain's own Green function.
     """
     if radius is None:
         radius = _solve_radius(chain, [params.x0, x, y])
@@ -420,7 +421,8 @@ def k_kernel_numeric(
     Computes G(x,y)/G(x0,y) of the transformed chain without the ratio
     kernel's closed form: only the tilting weight and the linear solve of
     the damped-visit system enter, giving an independent route to compare
-    ``k_kernel`` against.
+    ``k_kernel`` against. It stays public as that route: the tests check
+    ``k_kernel`` against it.
     """
     if radius is None:
         radius = _solve_radius(chain, [params.x0, x, y])
@@ -638,7 +640,7 @@ def convergence_stats(
         raise ValueError("trajectories and steps must be positive")
     marks = sorted({int(s) for s in snapshots if 0 < int(s) < steps} | {steps})
     lane, witness, kind = _witness_lane(chain, params)
-    stats = lane(chain, params, trajectories, steps, seed, marks, None)
+    stats = _run_lane(lane, chain, params, trajectories, steps, seed, marks, None)
     thr = float(_DEFAULT_THRESHOLDS[kind] if threshold is None else threshold)
     snaps = {}
     for m in marks:
@@ -684,7 +686,7 @@ def transience_witness(
         raise ValueError("trajectories and steps must be positive")
     lane, _, _ = _witness_lane(chain, params)
     track: dict = {}
-    lane(chain, params, trajectories, steps, seed, [steps], track)
+    _run_lane(lane, chain, params, trajectories, steps, seed, [steps], track)
     counts = track["counts"]
     last = track["last"]
     return TransienceReport(
@@ -705,41 +707,22 @@ def _alpha_label(params: TransformParams) -> str:
     return "point" if params.alpha is None else str(params.alpha)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 def _witness_lane(chain: ChainSpec, params: TransformParams):
-    if isinstance(chain, ZWalk):
-        _require(params.x0 == 0, "the line witness is anchored at base 0")
-        _require(
-            isinstance(params.alpha, LineEnd),
-            "the line witness needs a line-end target",
-        )
-        return _line_lane, "signed position toward the target end", "line"
-    if isinstance(chain, BangBangWalk):
-        _require(params.x0 == 0, "the half-line witness is anchored at base 0")
-        _require(
-            isinstance(params.alpha, HalfLineEnd),
-            "the half-line witness needs the half-line end",
-        )
-        return _halfline_lane, "position on the half line", "halfline"
-    if isinstance(chain, KaryTree):
-        _require(params.x0 == ROOT, "the tree witness is anchored at the root")
-        _require(
-            isinstance(params.alpha, TreeRay),
-            "the tree witness needs a ray target",
-        )
-        return _tree_lane, "agreement length with the target ray", "tree"
-    if isinstance(chain, Z2Walk):
-        _require(params.x0 == (0, 0), "the plane witness is anchored at the origin")
-        _require(
-            params.alpha is None,
-            "the plane has a single anonymous boundary point; pass alpha=None",
-        )
-        return _plane_lane, "euclidean norm of the position", "plane"
-    raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
+    """The witness lane of the chain's law, its statistic and its kind.
+
+    A lane simulates the conditioned walk of one built-in law, so it is
+    looked up by ``law_class``: a chain with any other law, a subclass that
+    overrides ``successors`` included, has no witness lane.
+    """
+    spec = _WITNESS_LANES.get(law_class(chain))
+    if spec is None:
+        raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
+    lane, witness, kind, base, target, base_message, target_message = spec
+    if params.x0 != base:
+        raise ValueError(base_message)
+    if not isinstance(params.alpha, target):
+        raise ValueError(target_message)
+    return lane, witness, kind
 
 
 def _witness_draws(seed, n, steps, track):
@@ -757,19 +740,29 @@ def _witness_draws(seed, n, steps, track):
         yield from counter_uniforms(keys, block)
 
 
-def _track_hits(track, at_base, step):
-    if track is not None:
-        track["counts"] += at_base
-        track["last"][at_base] = step
+def _run_lane(lane, chain, params, n, steps, seed, marks, track):
+    """Run a witness lane for ``steps`` steps: its statistic at each mark.
 
-
-def _init_track(track, n):
+    A lane is a generator over the steps' uniforms that yields, per step,
+    the mask of runs now at the base and a function giving the statistic.
+    A ``track`` dict receives each run's base visits ("counts") and the
+    time of its last one ("last").
+    """
     if track is not None:
         track["counts"] = np.zeros(n, dtype=np.int64)
         track["last"] = np.zeros(n, dtype=np.int64)
+    markset, out = set(marks), {}
+    draws = _witness_draws(seed, n, steps, track)
+    for step, (at_base, stat) in enumerate(lane(chain, params, n, draws), 1):
+        if track is not None:
+            track["counts"] += at_base
+            track["last"][at_base] = step
+        if step in markset:
+            out[step] = stat()
+    return out
 
 
-def _line_lane(chain, params, n, steps, seed, marks, track):
+def _line_lane(chain, params, n, draws):
     """Conditioned line walk, in coordinates pointing at the target end.
 
     Up-probability (c + 2v + 2) / (2(c + 2v)) above the base, (2 - r)/2 at
@@ -779,12 +772,8 @@ def _line_lane(chain, params, n, steps, seed, marks, track):
     c = float(params.odds)
     r = float(params.r)
     at_base = (2.0 - r) / 2.0
-    draws = _witness_draws(seed, n, steps, track)
     v = np.zeros(n, dtype=np.int64)
-    _init_track(track, n)
-    markset = set(marks)
-    out = {}
-    for step, u in zip(range(1, steps + 1), draws):
+    for u in draws:
         up = np.full(n, 0.5)
         up[v == 0] = at_base
         pos = v >= 1
@@ -792,13 +781,10 @@ def _line_lane(chain, params, n, steps, seed, marks, track):
             vp = v[pos].astype(np.float64)
             up[pos] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
         v += np.where(u < up, 1, -1).astype(np.int64)
-        _track_hits(track, v == 0, step)
-        if step in markset:
-            out[step] = v.astype(np.float64)
-    return out
+        yield v == 0, lambda: v.astype(np.float64)
 
 
-def _halfline_lane(chain, params, n, steps, seed, marks, track):
+def _halfline_lane(chain, params, n, draws):
     """Conditioned half-line walk; the reflecting base forces an up-step."""
     cut = _TABLE_CUTOFF
     psi = [psi_weight(chain, params, x) for x in range(cut + 2)]
@@ -807,21 +793,14 @@ def _halfline_lane(chain, params, n, steps, seed, marks, track):
     for x in range(1, cut + 1):
         table[x] = float(chain.q * psi[x + 1] / psi[x])
     tail = float(1 - chain.q)
-    draws = _witness_draws(seed, n, steps, track)
     pos = np.zeros(n, dtype=np.int64)
-    _init_track(track, n)
-    markset = set(marks)
-    out = {}
-    for step, u in zip(range(1, steps + 1), draws):
+    for u in draws:
         up = np.where(pos <= cut, table[np.minimum(pos, cut)], tail)
         pos += np.where(u < up, 1, -1).astype(np.int64)
-        _track_hits(track, pos == 0, step)
-        if step in markset:
-            out[step] = pos.astype(np.float64)
-    return out
+        yield pos == 0, lambda: pos.astype(np.float64)
 
 
-def _tree_lane(chain, params, n, steps, seed, marks, track):
+def _tree_lane(chain, params, n, draws):
     """Conditioned tree walk, projected to (agreement j, overhang m).
 
     The weight depends only on the agreement length with the target ray,
@@ -843,13 +822,9 @@ def _tree_lane(chain, params, n, steps, seed, marks, track):
     up_deep = 1.0 / (2 * k)
     adv_deep = 0.5
     root_adv = float(params.r / k + (1 - params.r))
-    draws = _witness_draws(seed, n, steps, track)
     agreement = np.zeros(n, dtype=np.int64)
     overhang = np.zeros(n, dtype=np.int64)
-    _init_track(track, n)
-    markset = set(marks)
-    out = {}
-    for step, u in zip(range(1, steps + 1), draws):
+    for u in draws:
         on_ray = overhang == 0
         off = np.nonzero(~on_ray)[0]
         root = np.nonzero(on_ray & (agreement == 0))[0]
@@ -874,13 +849,10 @@ def _tree_lane(chain, params, n, steps, seed, marks, track):
             agreement[deep[go_up]] -= 1
             agreement[deep[go_adv]] += 1
             overhang[deep[go_off]] = 1
-        _track_hits(track, (agreement == 0) & (overhang == 0), step)
-        if step in markset:
-            out[step] = agreement.astype(np.float64)
-    return out
+        yield (agreement == 0) & (overhang == 0), lambda: agreement.astype(np.float64)
 
 
-def _plane_lane(chain, params, n, steps, seed, marks, track):
+def _plane_lane(chain, params, n, draws):
     """Conditioned planar walk; neighbor weights are c + a(neighbor).
 
     Values of the potential kernel come from the exact table inside its
@@ -907,13 +879,9 @@ def _plane_lane(chain, params, n, steps, seed, marks, track):
             vals[far] = np.log(norm2) / np.pi + kappa
         return c + vals
 
-    draws = _witness_draws(seed, n, steps, track)
     px = np.zeros(n, dtype=np.int64)
     py = np.zeros(n, dtype=np.int64)
-    _init_track(track, n)
-    markset = set(marks)
-    out = {}
-    for step, u in zip(range(1, steps + 1), draws):
+    for u in draws:
         w_e = weights(px + 1, py)
         w_w = weights(px - 1, py)
         w_n = weights(px, py + 1)
@@ -925,9 +893,24 @@ def _plane_lane(chain, params, n, steps, seed, marks, track):
         south = ~(east | west | north)
         px += east.astype(np.int64) - west.astype(np.int64)
         py += north.astype(np.int64) - south.astype(np.int64)
-        _track_hits(track, (px == 0) & (py == 0), step)
-        if step in markset:
-            out[step] = np.sqrt(
-                px.astype(np.float64) ** 2 + py.astype(np.float64) ** 2
-            )
-    return out
+        yield (px == 0) & (py == 0), lambda: np.sqrt(
+            px.astype(np.float64) ** 2 + py.astype(np.float64) ** 2
+        )
+
+
+#: law class -> (lane, witness statistic, kind, base, target type, and the
+#: messages refusing another base or target)
+_WITNESS_LANES = {
+    ZWalk: (_line_lane, "signed position toward the target end", "line", 0, LineEnd,
+            "the line witness is anchored at base 0",
+            "the line witness needs a line-end target"),
+    BangBangWalk: (_halfline_lane, "position on the half line", "halfline", 0, HalfLineEnd,
+                   "the half-line witness is anchored at base 0",
+                   "the half-line witness needs the half-line end"),
+    KaryTree: (_tree_lane, "agreement length with the target ray", "tree", ROOT, TreeRay,
+               "the tree witness is anchored at the root",
+               "the tree witness needs a ray target"),
+    Z2Walk: (_plane_lane, "euclidean norm of the position", "plane", (0, 0), type(None),
+             "the plane witness is anchored at the origin",
+             "the plane has a single anonymous boundary point; pass alpha=None"),
+}

@@ -1,21 +1,19 @@
 """Splittable counter-based random streams.
 
 Every stochastic routine in the package draws from a stream keyed by
-(master seed, trajectory index). Trajectory i always sees the same stream no
-matter how many trajectories run, in what order, in what blocks or slabs, in
-how many processes, or which other trajectories are still running, which is
-what makes seeded runs byte-reproducible.
+(master seed, purpose, trajectory index). Trajectory i always sees the same
+stream no matter how many trajectories run, in what order, in what blocks
+or slabs, in how many processes, or which other trajectories are still
+running, which is what makes seeded runs byte-reproducible.
 
-Two forms serve the two kinds of sampler:
-
-* ``trajectory_generator`` — one Philox generator per trajectory, for the
-  samplers that walk one trajectory at a time;
-* ``stream_keys`` and ``counter_uniforms`` — the draw of a vectorized
-  ensemble, u = mix(seed, purpose, trajectory, step), a SplitMix64
-  finalizer over numpy ``uint64`` (Salmon et al., "Parallel random numbers:
-  as easy as 1, 2, 3", SC'11). The step is a plain counter, so a block of
-  steps for a set of live trajectories is one vectorized call, and
-  ``purpose`` is its own key part, apart from the trajectory index.
+There is one draw scheme for every sampler, vectorized or not:
+u = mix(seed, purpose, trajectory, step), a SplitMix64 finalizer over numpy
+``uint64`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11). ``stream_keys`` absorbs the first three parts into one key per
+trajectory and ``counter_uniforms`` mixes in the step. The step is a plain
+counter, so a block of steps for a set of live trajectories is one
+vectorized call, and ``purpose`` is its own key part, apart from the
+trajectory index.
 """
 from __future__ import annotations
 
@@ -27,24 +25,13 @@ _MASK64 = (1 << 64) - 1
 GREEN_ENSEMBLE = 1
 CONVERGENCE_WITNESS = 2
 TRANSIENCE_WITNESS = 3
+SIMULATION = 4
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S12 = (np.uint64(s) for s in (30, 27, 31, 12))
 _ONE = np.uint64(0x3FF0000000000000)
-
-
-def trajectory_generator(seed: int, index: int = 0) -> np.random.Generator:
-    """Return the dedicated generator for one trajectory.
-
-    The Philox key is the pair (seed mod 2^64, index mod 2^64); distinct
-    pairs give statistically independent streams.
-    """
-    if index < 0:
-        raise ValueError("trajectory index must be nonnegative")
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:

@@ -114,11 +114,7 @@ class WindowOperator:
 
     def float_values(self) -> np.ndarray:
         """Entries as float64, each the correctly rounded num / den."""
-        if self.den < _EXACT_FLOAT and (
-            not self.num.size or int(np.abs(self.num).max()) < _EXACT_FLOAT
-        ):
-            return self.num.astype(np.float64) / self.den
-        return np.array([v / self.den for v in self.num.tolist()], dtype=np.float64)
+        return exact_floats(self.num, self.den)
 
     def fraction_rows(self) -> list:
         """Rows as lists of (column, Fraction), the exact solver's input."""
@@ -150,6 +146,13 @@ class WindowOperator:
             den,
             np.zeros(len(rows), dtype=np.int64),
         )
+
+
+def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as float64, each entry correctly rounded."""
+    if den < _EXACT_FLOAT and (not num.size or int(np.abs(num).max()) < _EXACT_FLOAT):
+        return num.astype(np.float64) / den
+    return np.array([v / den for v in num.ravel().tolist()]).reshape(num.shape)
 
 
 def _int_array(values) -> np.ndarray:

@@ -5,10 +5,11 @@ independent hand closed forms; the kill-policy contract (certified lower
 bounds, monotone in the radius) is asserted on explicit value sequences;
 the discounted solver is tied to the killed solver through the algebraic
 identity W = G + (r/(1-r)) G(base, .); Monte Carlo estimates must land
-within four standard errors of exact values at fixed seeds, and vectorized
-lanes are cross-checked against the generic per-step sampler. The ensemble
-driver's runs must not depend on the run count, the block schedule or the
-slab size, since every draw is keyed by trajectory and step. The sparse
+within four standard errors of exact values at fixed seeds, on the
+vectorized lanes and on the generic lane that walks any chain's successor
+table. The ensemble driver's runs must not depend on the run count, the
+block schedule or the slab size, since every draw is keyed by trajectory and
+step. The sparse
 exact elimination is checked against a dense Gauss-Jordan oracle kept in
 this module, on random sparse substochastic systems.
 """
@@ -41,11 +42,11 @@ from recurmartin.green import (
     green_mc_grid,
     green_solve,
     green_solve_discounted,
-    green_value,
     martin_kernel,
     state_norm,
 )
 from recurmartin.potential import origin_killed_green, potential_mc, potential_table
+from recurmartin.window import SuccessorTable
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -70,14 +71,14 @@ def test_truncation_validation():
 def test_exact_solve_matches_line_closed_form():
     pairs = [(2, 5), (5, 2), (-3, -1), (-1, -3), (3, -3), (0, 4), (4, 0), (4, 4), (0, 0)]
     for x, y in pairs:
-        got = green_value(Z, 0, x, y, radius=12, exact=True).value
+        got = green_solve(Z, 0, [(x, y)], Truncation(12), exact=True)[0].value
         assert got == exact_green(Z, 0, x, y)
 
 
 def test_exact_solve_matches_halfline_closed_form():
     for x in range(0, 7):
         for y in range(0, 7):
-            got = green_value(BB, 0, x, y, radius=12, exact=True).value
+            got = green_solve(BB, 0, [(x, y)], Truncation(12), exact=True)[0].value
             assert got == exact_green(BB, 0, x, y)
 
 
@@ -94,13 +95,13 @@ def test_exact_solve_matches_tree_closed_form(tree):
 @settings(max_examples=20, deadline=None)
 @given(x=st.integers(-10, 10), y=st.integers(-10, 10))
 def test_solver_agrees_with_closed_form_on_random_pairs(x, y):
-    got = green_value(Z, 0, x, y, radius=14, exact=True).value
+    got = green_solve(Z, 0, [(x, y)], Truncation(14), exact=True)[0].value
     assert got == exact_green(Z, 0, x, y)
 
 
 def test_kill_policy_certified_lower_bounds():
     values = [
-        green_value(Z, 0, 2, 5, radius=rad, policy="kill", exact=True).value
+        green_solve(Z, 0, [(2, 5)], Truncation(rad, "kill"), exact=True)[0].value
         for rad in (6, 8, 10, 12)
     ]
     assert values == [
@@ -119,28 +120,28 @@ def test_loop_policy_is_radius_invariant_on_exact_chains():
         (BB, 0, 3, 1, (5, 25)),
         (TREE, ROOT, (0, 0), (0,), (3, 5)),
     ):
-        small = green_value(chain, x0, x, y, radius=radii[0], exact=True).value
-        large = green_value(chain, x0, x, y, radius=radii[1], exact=True).value
+        small = green_solve(chain, x0, [(x, y)], Truncation(radii[0]), exact=True)[0].value
+        large = green_solve(chain, x0, [(x, y)], Truncation(radii[1]), exact=True)[0].value
         assert small == large
 
 
 def test_margin_reports_window_sensitivity():
-    looped = green_value(Z, 0, 2, 5, radius=8, exact=True, margin=4)
+    (looped,) = green_solve(Z, 0, [(2, 5)], Truncation(8, margin=4), exact=True)
     assert looped.delta == 0.0
-    killed = green_value(Z, 0, 2, 5, radius=8, policy="kill", exact=True, margin=4)
+    (killed,) = green_solve(Z, 0, [(2, 5)], Truncation(8, "kill", 4), exact=True)
     assert killed.delta > 0
 
 
 def test_states_outside_window_are_rejected_by_name():
     with pytest.raises(ValueError, match="30"):
-        green_value(Z, 0, 30, 2, radius=5, exact=True)
+        green_solve(Z, 0, [(30, 2)], Truncation(5), exact=True)
 
 
 def test_exact_lane_refuses_oversized_windows():
     window = PLANE.window(20)
     assert len(window) > EXACT_SOLVE_LIMIT
     with pytest.raises(ValueError, match="exact"):
-        green_value(PLANE, (0, 0), (1, 0), (2, 0), radius=20, exact=True)
+        green_solve(PLANE, (0, 0), [((1, 0), (2, 0))], Truncation(20), exact=True)
 
 
 def test_exact_lane_matches_closed_forms_on_long_line():
@@ -174,8 +175,8 @@ def test_exact_planar_kill_lane_matches_float_lane():
 
 def test_float_lane_matches_exact_lane():
     for x, y in ((2, 5), (-3, -1), (4, 4)):
-        f = green_value(Z, 0, x, y, radius=12, exact=False).value
-        e = green_value(Z, 0, x, y, radius=12, exact=True).value
+        f = green_solve(Z, 0, [(x, y)], Truncation(12), exact=False)[0].value
+        e = green_solve(Z, 0, [(x, y)], Truncation(12), exact=True)[0].value
         assert f == pytest.approx(float(e), abs=1e-12)
 
 
@@ -390,8 +391,8 @@ def test_mc_line_analytic_tail_is_unbiased_and_untruncated():
 
 def test_mc_generic_lane_agrees_with_fast_lane():
     # the fast lanes serve any run count, so these 400 runs take the line
-    # lane; test_mc_generic_lane_off_the_half_line_base keeps the per-step
-    # sampler checked against a closed form
+    # lane; test_mc_generic_lane_off_the_half_line_base keeps the generic
+    # lane checked against a closed form
     res = green_mc(Z, 0, 2, 5, 400, seed=77, step_cap=10**5, on_cap="truncate")
     assert abs(res.value - 4.0) <= 4 * res.stderr
 
@@ -478,7 +479,7 @@ def test_mc_grid_tree_spine_and_fallback():
         assert abs(res.value - float(exact_green(TREE, ROOT, x, y))) <= 4 * max(
             res.stderr, 1e-9
         )
-    # off-spine targets cannot share one spine: the generic sampler takes over
+    # off-spine targets cannot share one spine: one tree ensemble per target
     grid = green_mc_grid(TREE, ROOT, [(0,)], [(0,), (1,)], 600, seed=708)
     assert set(grid) == {((0,), (0,)), ((0,), (1,))}
 
@@ -531,6 +532,44 @@ def test_subclass_overriding_successors_takes_the_generic_lane():
     assert grid[(2, 3)].lane == "generic"
 
 
+def test_generic_lane_on_the_tree_off_its_root(monkeypatch):
+    # no vectorized lane serves the tree away from its root; the successor
+    # table fills a row only where a run stands, so its states grow with the
+    # steps taken, each filled row naming at most k + 1 new states
+    tables, taken = [], []
+
+    class RecordedTable(SuccessorTable):
+        def __init__(self, chain):
+            super().__init__(chain)
+            tables.append(self)
+
+    def counted_walk(*args):
+        walk = table_walk(*args)
+        block = walk.block
+
+        def counted(coords, u):
+            (path,) = block(coords, u)
+            ended = path == 0
+            steps = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, u.shape[1])
+            taken.append(int(steps.sum()))
+            return (path,)
+
+        walk.block = counted
+        return walk
+
+    table_walk = green_module._table_walk
+    monkeypatch.setattr(green_module, "SuccessorTable", RecordedTable)
+    monkeypatch.setattr(green_module, "_table_walk", counted_walk)
+    x0, x, y = (0,), ROOT, (1,)
+    (exact,) = green_solve(TREE, x0, [(x, y)], Truncation(4), exact=True)
+    res = green_mc(TREE, x0, x, y, 300, seed=8)
+    assert res.lane == "generic"
+    assert res.truncated_runs == 0
+    assert abs(res.value - float(exact.value)) <= 5 * res.stderr
+    (table,) = tables
+    assert len(table.states) <= (TREE.k + 1) * sum(taken) + 3  # + x0, x, y
+
+
 def test_float_solve_of_a_subclass_reads_its_successors():
     lazy = LazyBangBang()
     (res,) = green_solve(lazy, 0, [(2, 3)], Truncation(20))
@@ -550,38 +589,53 @@ def _captured_totals(monkeypatch):
     return captured
 
 
+# (chain, base, start, targets, step cap): the generic lane's tree runs
+# from off the root are heavy-tailed, so a cap truncates some of them, the
+# same ones in every layout
 LAYOUT_CASES = [
-    (Z, 0, 2, [1, 5, -3]),
-    (BB, 0, 0, [1, 4]),
-    (TREE, ROOT, (0, 1), [(0,), (0, 0, 1)]),
-    (PLANE, (0, 0), (2, 1), [(1, 0), (2, 1)]),
+    (Z, 0, 2, [1, 5, -3], 10**7),
+    (BB, 0, 0, [1, 4], 10**7),
+    (TREE, ROOT, (0, 1), [(0,), (0, 0, 1)], 10**7),
+    (PLANE, (0, 0), (2, 1), [(1, 0), (2, 1)], 10**7),
+    (LazyBangBang(), 0, 2, [1, 3], 10**7),
+    (BB, 2, 3, [2, 4, 6], 10**7),
+    (TREE, (0,), ROOT, [(1,), (0, 1), ROOT], 500),
 ]
 
 
-LAYOUT_IDS = ["line", "halfline-from-base", "tree", "plane"]
+LAYOUT_IDS = [
+    "line", "halfline-from-base", "tree", "plane",
+    "generic-lazy", "generic-halfline-base-2", "generic-tree-off-root",
+]
 
 
-@pytest.mark.parametrize("chain, x0, x, ys", LAYOUT_CASES, ids=LAYOUT_IDS)
-def test_mc_runs_do_not_depend_on_the_run_count(monkeypatch, chain, x0, x, ys):
+@pytest.mark.parametrize("chain, x0, x, ys, cap", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_runs_do_not_depend_on_the_run_count(monkeypatch, chain, x0, x, ys, cap):
     captured = _captured_totals(monkeypatch)
-    green_mc_grid(chain, x0, [x], ys, 3000, seed=12, escape_radius=16)
-    green_mc_grid(chain, x0, [x], ys, 700, seed=12, escape_radius=16)
+    green_mc_grid(chain, x0, [x], ys, 3000, seed=12, step_cap=cap, escape_radius=16)
+    green_mc_grid(chain, x0, [x], ys, 700, seed=12, step_cap=cap, escape_radius=16)
     n = len(ys)
     for big, small in zip(captured[:n], captured[n:]):
         assert np.array_equal(big[:700], small)
 
 
-@pytest.mark.parametrize("chain, x0, x, ys", LAYOUT_CASES, ids=LAYOUT_IDS)
-def test_mc_results_do_not_depend_on_blocks_or_slabs(monkeypatch, chain, x0, x, ys):
+@pytest.mark.parametrize("chain, x0, x, ys, cap", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_results_do_not_depend_on_blocks_or_slabs(monkeypatch, chain, x0, x, ys, cap):
     def run():
-        return green_mc_grid(chain, x0, [x], ys, 3000, seed=13, escape_radius=16)
+        return green_mc_grid(
+            chain, x0, [x], ys, 3000, seed=13, step_cap=cap, escape_radius=16
+        )
 
     reference = run()
-    for first, slab, cells in ((1, 10_000, 10_000 * 512), (512, 10_000, 10_000 * 512),
-                               (16, 257, 4000), (3, 1000, 1)):
+    # _LONE_RUNS 0 steps the generic lane's runs together to the end of each
+    # block, 10**9 steps each run alone from the start
+    for first, slab, cells, lone in ((1, 10_000, 10_000 * 512, 16),
+                                     (512, 10_000, 10_000 * 512, 0),
+                                     (16, 257, 4000, 10**9), (3, 1000, 1, 16)):
         monkeypatch.setattr(green_module, "_FIRST_BLOCK", first)
         monkeypatch.setattr(green_module, "_SLAB", slab)
         monkeypatch.setattr(green_module, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(green_module, "_LONE_RUNS", lone)
         assert run() == reference
 
 

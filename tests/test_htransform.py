@@ -474,6 +474,22 @@ def test_witness_rejects_off_base_anchors():
         convergence_stats(Z, P_Z, 0, 10, seed=0)
 
 
+class LazyZ(ZWalk):
+    """The line walk holding with probability 1/2: a law of its own."""
+
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]
+
+
+def test_witness_refuses_a_subclass_with_its_own_law():
+    # the line lane simulates ZWalk's rows, which are not this chain's law
+    lazy = LazyZ()
+    with pytest.raises(NotImplementedError, match="no witness lane"):
+        convergence_stats(lazy, P_Z, 10, 10, seed=0)
+    with pytest.raises(NotImplementedError, match="no witness lane"):
+        transience_witness(lazy, P_Z, 10, 10, seed=0)
+
+
 def test_transience_witness_settles_early():
     report = transience_witness(Z, P_Z, trajectories=2000, steps=4000, seed=20260819)
     assert report.fraction_settled_by_half >= 0.95

@@ -1,22 +1,36 @@
-"""Tests for the counter-based draw of the vectorized ensembles.
+"""Tests for the counter-based draw, the package's one draw scheme.
 
 A draw is a pure function of (seed, purpose, trajectory, step): the tests
 check that it broadcasts consistently, that distinct key parts give
 distinct streams, and that a million draws pass cheap moment and 2-bit
-chi-square checks, single and serial.
+chi-square checks, single and serial. No module draws from another
+generator.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import recurmartin
 from recurmartin.rng import (
     CONVERGENCE_WITNESS,
     GREEN_ENSEMBLE,
+    SIMULATION,
     TRANSIENCE_WITNESS,
     counter_uniforms,
     stream_keys,
 )
 
-PURPOSES = (GREEN_ENSEMBLE, CONVERGENCE_WITNESS, TRANSIENCE_WITNESS)
+PURPOSES = (GREEN_ENSEMBLE, CONVERGENCE_WITNESS, TRANSIENCE_WITNESS, SIMULATION)
+
+
+def test_no_module_draws_from_numpy_random():
+    package = Path(recurmartin.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
 
 
 def test_a_draw_depends_on_its_key_and_step_only():
