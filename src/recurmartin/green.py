@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -263,28 +262,15 @@ def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
     return [sol[:, c_ix] for c_ix in range(len(columns))]
 
 
-def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
-    """Solve (I - M) g = e_c for each column c, exactly or in floats."""
-    if exact:
-        return _solve_columns_fraction(op.fraction_rows(), columns)
-    return _solve_columns_float(op, columns)
-
-
-def _window(chain, radius, states):
-    """The radius window, refusing by name the states outside it."""
-    window = chain.window(radius)
-    present = set(window)
-    missing = [s for s in dict.fromkeys(states) if s not in present]
-    if missing:
-        names = ", ".join(chain.format_state(s) for s in missing)
-        raise ValueError(f"states outside the radius-{radius} window: {names}")
-    return window
-
-
 def _killed_column_values(chain, x0, window, ys, policy, exact):
     """g_y vectors over the window for each y, with transitions into x0 killed."""
     index, op = window_rows(chain, window, kill_into=x0, policy=policy)
-    return index, dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
+    cols = [index[y] for y in ys]
+    if exact:
+        vecs = _solve_columns_fraction(op.fraction_rows(), cols)
+    else:
+        vecs = _solve_columns_float(op, cols)
+    return index, {y: vec for y, vec in zip(ys, vecs)}
 
 
 def green_solve(
@@ -302,7 +288,12 @@ def green_solve(
     A positive ``trunc.margin`` re-solves on an enlarged window and reports
     the difference as ``delta``.
     """
-    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
+    window = chain.window(trunc.radius)
+    present = set(window)
+    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
+    if missing:
+        names = ", ".join(chain.format_state(s) for s in missing)
+        raise ValueError(f"states outside the radius-{trunc.radius} window: {names}")
     ys = sorted({y for _, y in queries}, key=chain.state_key)
     index, col = _killed_column_values(chain, x0, window, ys, trunc.policy, exact)
     deltas = None
@@ -349,12 +340,22 @@ def green_solve_discounted(
     """
     if not (0 < r < 1):
         raise ValueError("discount must satisfy 0 < r < 1")
-    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
+    window = chain.window(trunc.radius)
+    present = set(window)
+    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
+    if missing:
+        raise ValueError("query states outside window")
     index, op = window_rows(
         chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
     )
     ys = sorted({y for _, y in queries}, key=chain.state_key)
-    col = dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
+    cols = [index[y] for y in ys]
+    vecs = (
+        _solve_columns_fraction(op.fraction_rows(), cols)
+        if exact
+        else _solve_columns_float(op, cols)
+    )
+    col = {y: vec for y, vec in zip(ys, vecs)}
     return [col[y][index[x]] for x, y in queries]
 
 
@@ -396,8 +397,16 @@ def martin_kernel(
         if radius is None:
             radius = default_radius(chain, [x0, x, y])
         trunc = Truncation(radius=radius, policy=policy)
-        window = _window(chain, radius, [x0, x, y])
-        index, col = _killed_column_values(chain, x0, window, [y], trunc.policy, exact)
+        window = chain.window(trunc.radius)
+        present = set(window)
+        for s in (x0, x, y):
+            if s not in present:
+                raise ValueError(
+                    f"state {chain.format_state(s)} outside the radius-{radius} window"
+                )
+        index, col = _killed_column_values(
+            chain, x0, window, [y], trunc.policy, exact
+        )
         num = col[y][index[x]]
         den = col[y][index[x0]]
         if (den == 0) if exact else (abs(float(den)) <= 1e-12):
@@ -409,9 +418,13 @@ def martin_kernel(
     if method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo kernel needs a seed")
-        num, den = (
-            green_mc(chain, x0, s, y, trajectories, seed, step_cap, on_cap, offset)
-            for s, offset in ((x, 0), (x0, trajectories))
+        num = green_mc(
+            chain, x0, x, y, trajectories, seed,
+            step_cap=step_cap, on_cap=on_cap, index_offset=0,
+        )
+        den = green_mc(
+            chain, x0, x0, y, trajectories, seed,
+            step_cap=step_cap, on_cap=on_cap, index_offset=trajectories,
         )
         d = float(den.value)
         if abs(d) <= 1e-12:
@@ -487,13 +500,9 @@ def green_mc_grid(
     One trajectory ensemble per start serves every target simultaneously,
     so a runs-per-pair budget costs len(starts) ensembles instead of
     len(starts) * len(targets). Estimates sharing a start are correlated
-    across targets but each is individually the green_mc estimator. The
-    tree lane follows one spine, so on the tree at its root targets off
-    one spine get one ensemble each.
+    across targets but each is individually the green_mc estimator.
     """
-    targets = list(targets)
-    split = law_class(chain) is KaryTree and x0 == ROOT and _spine(targets) is None
-    groups = [[t] for t in targets] if split else [targets]
+    groups = _target_groups(chain, x0, list(targets))
     out = {}
     for k, x in enumerate(starts):
         offset = k * (trajectories + 1)
@@ -519,10 +528,18 @@ def _mc_result(totals, runs, truncated, lane, escaped=0, note=None):
     )
 
 
-def _spine(targets):
-    """The deepest tree target when every other target is its ancestor, else None."""
-    spine = max(targets, key=len, default=ROOT)
-    return spine if all(t == spine[: len(t)] for t in targets) else None
+def _target_groups(chain, x0, targets):
+    """The groups of targets that share one ensemble per start.
+
+    The tree lane follows one spine, the deepest target's path from the
+    root: on the tree at its root, targets that are not all ancestors of
+    the deepest get one ensemble each. Elsewhere all targets share one.
+    """
+    if law_class(chain) is KaryTree and x0 == ROOT:
+        spine = max(targets, key=len, default=ROOT)
+        if any(t != spine[: len(t)] for t in targets):
+            return [[t] for t in targets]
+    return [targets]
 
 
 def _fast_lane(chain, x0, x, targets, escape_radius):
@@ -530,7 +547,8 @@ def _fast_lane(chain, x0, x, targets, escape_radius):
 
     The line and the plane are translation invariant, so they run at any
     base in coordinates shifted by x0; the half line runs at its base 0 and
-    the tree at its root, with every target on one spine. A lane runs only
+    the tree at its root, with every target on one spine (``_target_groups``
+    keeps them so). A lane runs only
     the law of its own class (``law_class``): a subclass that overrides
     ``successors`` takes the generic lane, ``_table_walk``.
     """
@@ -541,8 +559,9 @@ def _fast_lane(chain, x0, x, targets, escape_radius):
         start = (x[0] - x0[0], x[1] - x0[1])
         shifted = [(t[0] - x0[0], t[1] - x0[1]) for t in targets]
         return _plane_walk(start, shifted, escape_radius)
-    spine = _spine(targets) if law is KaryTree and x0 == ROOT else None
-    return None if spine is None else _tree_walk(chain, x, spine, targets)
+    if law is KaryTree and x0 == ROOT:
+        return _tree_walk(chain, x, max(targets, key=len, default=ROOT), targets)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +828,6 @@ def _tree_walk(tree, start, spine, targets):
     return _Walk("fast-tree", (j0,), depths, block, lambda paths: paths[0] == 0)
 
 
-#: Live runs of the generic lane below which each steps alone.
-_LONE_RUNS = 16
-
-
 class _TableRows:
     """The rows of a ``SuccessorTable`` as padded arrays, filled on first visit.
 
@@ -830,7 +845,6 @@ class _TableRows:
         self.filled = np.zeros(64, dtype=bool)
         self.succ = np.zeros((64, 1), dtype=np.int64)
         self.cdf = np.full((64, 1), np.inf)
-        self.lists: dict = {}  # code -> the row as lists, for lone runs
 
     def fill(self, codes):
         """Cache the rows of ``codes``, distinct codes not cached yet."""
@@ -849,38 +863,14 @@ class _TableRows:
         self.cdf[codes, :width] = cdf
         self.filled[codes] = True
 
-    def run(self, c, u):
-        """One run's codes from code c through the draws u, 0 from its arrival
-        at code 0 on: the vectorized step's result, at a scalar step's cost."""
-        path = np.zeros(len(u), dtype=np.int64)
-        for lo in range(0, len(u), 4096):
-            codes = []
-            for v in u[lo : lo + 4096].tolist():
-                row = self.lists.get(c)
-                if row is None:
-                    if not self.filled[c]:
-                        self.fill(np.array([c]))
-                    row = self.lists[c] = (self.cdf[c].tolist(), self.succ[c].tolist())
-                c = row[1][bisect_right(row[0], v)]
-                codes.append(c)
-                if not c:
-                    break
-            path[lo : lo + len(codes)] = codes
-            if not c:
-                break
-        return path
-
 
 def _table_walk(chain, x0, x, targets):
     """Any chain's walk over the codes of a ``SuccessorTable``, absorbed at x0.
 
     x0 takes code 0, the origin of the ensemble driver; the codes name every
     state. One step of the live runs is one gather of their rows and one
-    count of the CDF entries <= u per run. Once at most _LONE_RUNS runs are
-    live, numpy's per-call cost outweighs its per-entry gain, and each
-    finishes its block alone, in scalar steps that pick the same entries.
-    A run that arrives at x0 stays there, unstepped, for the rest of its
-    block.
+    count of the CDF entries <= u per run. A run that arrives at x0 stays
+    there, unstepped, for the rest of its block.
     """
     table = SuccessorTable(chain)
     codes = table.encode([x0, x, *targets]).tolist()
@@ -891,9 +881,7 @@ def _table_walk(chain, x0, x, targets):
         path = np.zeros(u.shape, dtype=np.int64)
         live = np.arange(len(cur))
         for t in range(u.shape[1]):
-            if live.size <= _LONE_RUNS:
-                for i, c in zip(live.tolist(), cur.tolist()):
-                    path[i, t:] = rows.run(c, u[i, t:])
+            if not live.size:
                 break
             new = cur[~rows.filled[cur]]
             if new.size:

@@ -21,6 +21,11 @@ import numpy as np
 _PRECISION_DIGITS = 50
 
 
+def _mp_pi():
+    with mpmath.workdps(_PRECISION_DIGITS):
+        return +mpmath.pi
+
+
 @dataclass(frozen=True)
 class PiRational:
     """Exact number p + q/pi with rational p and q."""
@@ -71,21 +76,20 @@ class PiRational:
         )
         return max(_PRECISION_DIGITS, digits) + int(bits * 0.30103) + 10
 
-    def _mpf(self):
-        """p + q/pi as an mpmath number at the working precision."""
-        p, q = self.p, self.q
-        pi_part = mpmath.mpf(q.numerator) / q.denominator / mpmath.pi
-        return mpmath.mpf(p.numerator) / p.denominator + pi_part
-
     def __float__(self) -> float:
         with mpmath.workdps(self._dps(20)):
-            return float(self._mpf())
+            return float(mpmath.mpf(self.p.numerator) / self.p.denominator
+                         + (mpmath.mpf(self.q.numerator) / self.q.denominator)
+                         / mpmath.pi)
 
     def decimal(self, digits: int = 30) -> str:
         """Decimal rendering at the requested precision (>= 30 digits)."""
         digits = max(digits, 30)
         with mpmath.workdps(self._dps(digits)):
-            return mpmath.nstr(self._mpf(), digits)
+            val = (mpmath.mpf(self.p.numerator) / self.p.denominator
+                   + (mpmath.mpf(self.q.numerator) / self.q.denominator)
+                   / mpmath.pi)
+            return mpmath.nstr(val, digits)
 
 
 def _coerce(v) -> PiRational:
@@ -205,7 +209,8 @@ def asymptotic_residual(table: PotentialTable, x) -> float:
         raise ValueError("residual undefined at the origin")
     exact = table.value((i, j))
     with mpmath.workdps(exact._dps(20)):
-        val = exact._mpf()
+        val = (mpmath.mpf(exact.p.numerator) / exact.p.denominator
+               + (mpmath.mpf(exact.q.numerator) / exact.q.denominator) / mpmath.pi)
         norm2 = mpmath.mpf(i) ** 2 + mpmath.mpf(j) ** 2
         asym = (mpmath.log(norm2) / mpmath.pi
                 + (2 * mpmath.euler + mpmath.log(8)) / mpmath.pi)
