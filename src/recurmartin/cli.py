@@ -787,7 +787,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--window-radius", type=int, default=None)
     g.add_argument("--policy", choices=("loop", "kill"), default="loop")
     g.add_argument("--trajectories", type=int, default=10_000)
-    g.add_argument("--step-cap", type=int, default=10**6)
+    g.add_argument(
+        "--step-cap", type=int, default=10**6,
+        help="draws per Monte Carlo run before it is truncated: one per step, "
+        "on z2 one per jump across a square holding neither --x0 nor --y",
+    )
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_green)
 

@@ -22,15 +22,18 @@ class MissingPredecessorsError(RecurMartinError):
 
 
 class RunawayRunError(RecurMartinError):
-    """A Monte Carlo trajectory exceeded the step cap without terminating."""
+    """A Monte Carlo trajectory exceeded the step cap without terminating.
+
+    The cap counts draws: steps, or jumps on the planar lane.
+    """
 
     def __init__(self, cap: int, completed_runs: int):
         self.cap = cap
         self.completed_runs = completed_runs
         super().__init__(
-            f"trajectory exceeded the {cap}-step cap without reaching the stopping "
-            f"state ({completed_runs} runs had completed); raise the cap or use "
-            f"on_cap='truncate'"
+            f"trajectory exceeded the step cap of {cap} draws without reaching "
+            f"the stopping state ({completed_runs} runs had completed); raise the "
+            f"cap or use on_cap='truncate'"
         )
 
 

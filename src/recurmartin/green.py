@@ -29,7 +29,9 @@ Window truncation policies:
 """
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +94,9 @@ class GreenResult:
     #: Monte Carlo sampler that ran: fast-line, fast-plane, fast-tree, generic
     lane: Optional[str] = None
     escaped_runs: int = 0  # runs finished by an analytic tail
+    #: draws the runs took before they ended: one per step, on the plane
+    #: lane one per jump across an empty square (or single step)
+    draws: int = 0
 
     def __float__(self) -> float:
         return float(self.value)
@@ -262,6 +267,20 @@ def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
     return [sol[:, c_ix] for c_ix in range(len(columns))]
 
 
+def _window(chain, radius, states):
+    """The chain's radius window, refusing states outside it by name.
+
+    The error names every missing state once, in ``state_key`` order.
+    """
+    window = chain.window(radius)
+    present = set(window)
+    missing = sorted({s for s in states if s not in present}, key=chain.state_key)
+    if missing:
+        names = ", ".join(chain.format_state(s) for s in missing)
+        raise ValueError(f"states outside the radius-{radius} window: {names}")
+    return window
+
+
 def _killed_column_values(chain, x0, window, ys, policy, exact):
     """g_y vectors over the window for each y, with transitions into x0 killed."""
     index, op = window_rows(chain, window, kill_into=x0, policy=policy)
@@ -288,12 +307,7 @@ def green_solve(
     A positive ``trunc.margin`` re-solves on an enlarged window and reports
     the difference as ``delta``.
     """
-    window = chain.window(trunc.radius)
-    present = set(window)
-    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
-    if missing:
-        names = ", ".join(chain.format_state(s) for s in missing)
-        raise ValueError(f"states outside the radius-{trunc.radius} window: {names}")
+    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
     ys = sorted({y for _, y in queries}, key=chain.state_key)
     index, col = _killed_column_values(chain, x0, window, ys, trunc.policy, exact)
     deltas = None
@@ -340,11 +354,7 @@ def green_solve_discounted(
     """
     if not (0 < r < 1):
         raise ValueError("discount must satisfy 0 < r < 1")
-    window = chain.window(trunc.radius)
-    present = set(window)
-    missing = [s for s in {x0} | {s for q in queries for s in q} if s not in present]
-    if missing:
-        raise ValueError("query states outside window")
+    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
     index, op = window_rows(
         chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
     )
@@ -397,13 +407,7 @@ def martin_kernel(
         if radius is None:
             radius = default_radius(chain, [x0, x, y])
         trunc = Truncation(radius=radius, policy=policy)
-        window = chain.window(trunc.radius)
-        present = set(window)
-        for s in (x0, x, y):
-            if s not in present:
-                raise ValueError(
-                    f"state {chain.format_state(s)} outside the radius-{radius} window"
-                )
+        window = _window(chain, trunc.radius, [x0, x, y])
         index, col = _killed_column_values(
             chain, x0, window, [y], trunc.policy, exact
         )
@@ -442,6 +446,7 @@ def martin_kernel(
             truncated_runs=num.truncated_runs + den.truncated_runs,
             lane=num.lane,
             escaped_runs=num.escaped_runs + den.escaped_runs,
+            draws=num.draws + den.draws,
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -466,14 +471,18 @@ def green_mc(
 
     Each run starts at x, counts a visit at time 0, and stops on arrival
     at x0 at time >= 1 (arrival not counted). A run exceeding ``step_cap``
-    raises RunawayRunError when ``on_cap='error'`` or is kept as-is when
-    ``on_cap='truncate'`` (the reported value is then a lower-biased
-    estimate; the number of truncated runs is reported).
+    draws raises RunawayRunError when ``on_cap='error'`` or is kept as-is
+    when ``on_cap='truncate'`` (the reported value is then a lower-biased
+    estimate; the number of truncated runs is reported). A draw is one
+    step, except on the planar walk, where one draw carries a run across
+    a square holding neither x0 nor a target (``_plane_walk``); visit
+    counts keep their law exactly. ``draws`` on the result counts them.
 
     On the line and the planar walk, runs that leave the ``escape_radius``
     box are completed analytically through closed forms (the potential
     kernel on the plane) instead of being simulated to the heavy-tailed
-    return time; pass ``escape_radius=None`` to force plain truncation.
+    return time; pass ``escape_radius=None`` to force plain truncation
+    (the planar walk then steps one cell per draw).
     ``lane`` on the result names the sampler that ran.
     """
     if trajectories < 1:
@@ -514,7 +523,7 @@ def green_mc_grid(
     return out
 
 
-def _mc_result(totals, runs, truncated, lane, escaped=0, note=None):
+def _mc_result(totals, runs, truncated, lane, escaped=0, note=None, draws=0):
     stderr = float(totals.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return GreenResult(
         value=float(totals.mean()),
@@ -525,6 +534,7 @@ def _mc_result(totals, runs, truncated, lane, escaped=0, note=None):
         note=note,
         lane=lane,
         escaped_runs=escaped,
+        draws=draws,
     )
 
 
@@ -583,12 +593,13 @@ class _Walk:
 
     ``start`` and each target are integer coordinate tuples. ``block``
     maps the coordinates of n live runs (a tuple of (n,) int64 arrays) and
-    their uniforms for the next b steps (an (n, b) array) to the coordinates
-    after each of those steps ((n, b) arrays); a run still at the origin is
-    at its time 0 and takes the base row. ``dead`` marks, in the same
-    shape, the steps that end a run: arrival at the origin, or a step out
-    of the escape box. ``tail`` maps the exit states of escaped runs ((m,)
-    arrays) to the expected visits still to come, shape (m, len(targets)).
+    their uniforms for the next b draws (an (n, b) array) to the coordinates
+    after each of those draws ((n, b) arrays); a draw is a step, or on the
+    plane lane a jump. A run still at the origin is at its time 0 and takes
+    the base row. ``dead`` marks, in the same shape, the draws that end a
+    run: arrival at the origin, or a move out of the escape box. ``tail``
+    maps the exit states of escaped runs ((m,) arrays) to the expected
+    visits still to come, shape (m, len(targets)).
     """
 
     lane: str
@@ -613,18 +624,19 @@ def _ends(norm, r):
 def _ensemble(walk, runs, seed, offset, cap, on_cap):
     """Run trajectories offset .. offset + runs - 1 until they return to the base.
 
-    Step n of trajectory i draws counter_uniforms(key_i, n), so each run's
+    Draw n of trajectory i is counter_uniforms(key_i, n), so each run's
     path, and with it every result, is the same whatever the slab size,
     the block schedule, the run count or the set of runs still alive. Each
     slab starts with _FIRST_BLOCK-step blocks that double while live rows x
     block stays within _BLOCK_CELLS: most runs of a recurrent walk end after
     a few steps, and a long first block would be simulated in vain for them.
+    ``cap`` bounds the draws of a run; each result reports the draws taken.
     """
     tgt = np.asarray(walk.targets, dtype=np.int64)
     tgt = tgt.reshape(len(walk.targets), len(walk.start))
     visits = np.zeros((runs, len(tgt)))
     visits[:] = np.all(tgt == np.asarray(walk.start), axis=1)  # time 0
-    truncated = escaped = 0
+    truncated = escaped = draws = 0
     for lo in range(0, runs, _SLAB):
         size = min(_SLAB, runs - lo)
         index = np.arange(offset + lo, offset + lo + size)
@@ -641,6 +653,7 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
             ended = dead.any(axis=1)
             first = np.where(ended, dead.argmax(axis=1), b)
             live = np.arange(b) < first[:, None]
+            draws += int(live.sum()) + int(ended.sum())  # the ending draw too
             for ti, t in enumerate(tgt):
                 hit = live
                 for p, c in zip(paths, t):
@@ -663,7 +676,7 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
                 raise RunawayRunError(cap, lo + size - rows.size)
             truncated += rows.size
     return [
-        _mc_result(visits[:, ti], runs, truncated, walk.lane, escaped, walk.note)
+        _mc_result(visits[:, ti], runs, truncated, walk.lane, escaped, walk.note, draws)
         for ti in range(len(tgt))
     ]
 
@@ -721,12 +734,24 @@ def _line_walk(chain, start, targets, escape_radius):
     )
 
 
-_PLANE_DX = np.array([-1, 1, 0, 0])
-_PLANE_DY = np.array([0, 0, -1, 1])
+#: A draw u is a multiple of 2^-52 (``rng.counter_uniforms``), so u 2^52 is
+#: an integer, and u < c exactly when u 2^52 is below c 2^52 rounded up.
+_DRAW_BITS = 52
 
 
 def _plane_walk(start, targets, escape_radius):
-    """Planar walk absorbed at the origin, with optional analytic tails.
+    """Planar walk absorbed at the origin, on squares, with optional analytic tails.
+
+    A run at v draws its next point from the jump table: when the square
+    [v - m, v + m]^2 holds neither the origin nor a target and lies inside
+    the escape box (|v|_inf + m <= r - 1), the run cannot visit a target,
+    be absorbed or escape before it leaves the square, so only its exit
+    point matters, and one draw picks that point from the exit law of the
+    square's centre (``_square_exit_law``), the same law for every v. m is
+    the largest power of two that fits; where none fits (next to the
+    origin or a target, or on a target) m = 0 and the draw is one step.
+    Visit counts and exit states keep their law exactly; the number of
+    draws is not the number of steps, and the step cap counts draws.
 
     When ``escape_radius`` is set, a run leaving the box is finished in
     expectation: the remaining visits to y before hitting the origin from
@@ -734,24 +759,57 @@ def _plane_walk(start, targets, escape_radius):
     balance (both sides kill the same one-step defect; see the potential
     module). This removes the logarithmic-tail truncation bias. Targets
     may lie outside the box: direct visits then never occur and the whole
-    estimate rides on the analytic closure.
+    estimate rides on the analytic closure. With no box no square is
+    bounded, and the lane steps one cell per draw.
     """
     from .potential import potential_float_array
 
-    def block(coords, u):
-        px, py = coords
-        move = (u * 4).astype(np.int64)  # west, east, south, north
-        return (
-            px[:, None] + np.cumsum(_PLANE_DX[move], axis=1),
-            py[:, None] + np.cumsum(_PLANE_DY[move], axis=1),
-        )
+    boxed = escape_radius is not None
+    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1) if boxed else 0
+    # over the box, shifted by r: the level of the largest square that fits
+    # around each cell (as its offset among the table's keys), and the
+    # cells where a run goes on
+    side = np.arange(-r, r + 1)
+    gx, gy = np.meshgrid(side, side, indexing="ij")
+    norm = np.maximum(np.abs(gx), np.abs(gy))
+    room = np.minimum(norm - 1, r - 1 - norm)
+    for tx, ty in targets:
+        room = np.minimum(room, np.maximum(np.abs(gx - tx), np.abs(gy - ty)) - 1)
+    level = np.frexp(np.maximum(room, 0))[1].astype(np.int64)
+    offset = level << _DRAW_BITS
+    inside = (norm > 0) & (norm < r)
+    levels = [_exit_level(k) for k in range(int(level.max()) + 1 if boxed else 1)]
+    keys, jx, jy = (np.concatenate(parts) for parts in zip(*levels))
 
-    if escape_radius is None:
+    def block(coords, u):
+        sx, sy = coords[0] + r, coords[1] + r
+        path_x = np.full(u.shape, r, dtype=np.int64)  # a finished run's later
+        path_y = np.full(u.shape, r, dtype=np.int64)  # draws: the origin
+        draws = (u * 2.0**_DRAW_BITS).astype(np.int64)
+        live = np.arange(len(sx))
+        for t in range(u.shape[1]):
+            key = draws[live, t]
+            if boxed:
+                key += offset[sx, sy]
+            j = np.searchsorted(keys, key, side="right")
+            sx = sx + jx[j]
+            sy = sy + jy[j]
+            path_x[live, t] = sx
+            path_y[live, t] = sy
+            going = inside[sx, sy] if boxed else (sx != 0) | (sy != 0)
+            if not going.all():
+                live, sx, sy = live[going], sx[going], sy[going]
+                if not live.size:
+                    break
+        path_x -= r
+        path_y -= r
+        return path_x, path_y
+
+    if not boxed:
         return _Walk(
             "fast-plane", start, targets, block,
             lambda paths: (paths[0] == 0) & (paths[1] == 0),
         )
-    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1)
     tmax = max((max(abs(t[0]), abs(t[1])) for t in targets), default=0)
     afloat = potential_float_array(r + tmax + 2)
     tx = np.asarray([t[0] for t in targets], dtype=np.int64)
@@ -771,6 +829,65 @@ def _plane_walk(start, targets, escape_radius):
         tail=tail,
         note=f"analytic tail beyond radius {r}",
     )
+
+
+def _square_exit_law(m):
+    """Exit points of the square [-m, m]^2 and the walk's exit law from its centre.
+
+    Returns (dx, dy, p): the points just outside the west, east, south and
+    north edges in turn, each edge in increasing order, and the probability
+    of leaving the square through each. m = 0 gives the four 1/4 steps.
+
+    p is the square's killed Green function at the centre (the ``kill``
+    window solve on ``Z2Walk().window(m)``) times the 1/4 step across the
+    edge, evaluated as the discrete Poisson kernel of the square in closed
+    form (Lawler & Limic, *Random Walk: A Modern Introduction*, 2010, on
+    exit distributions of boxes). With L = 2m + 2 and t = 1 .. L - 1 along
+    the west edge, the sine modes k that vanish at the centre drop out:
+
+        p(t) = (1/L) sum over odd k < L of (-1)^((k-1)/2) sin(k pi t / L)
+               / cosh((m + 1) beta_k),  where cosh(beta_k) = 2 - cos(k pi / L).
+
+    The other edges take the same values by symmetry. The series needs no
+    sparse solver, so a sampling process imports no scipy for it; the tests
+    hold it to the exact window solve.
+    """
+    big = 2 * m + 2
+    k = np.arange(1, big, 2)
+    with np.errstate(over="ignore"):  # cosh overflows for large m: 1 / inf = 0
+        weight = np.where(k % 4 == 1, 1.0, -1.0) / np.cosh(
+            (m + 1) * np.arccosh(2 - np.cos(k * (np.pi / big)))
+        )
+    t = np.arange(1, big)
+    edge = (np.sin(np.outer(t, k) * (np.pi / big)) * weight).sum(axis=1) / big
+    edge = (edge + edge[::-1]) / 2  # exactly symmetric along the edge
+    along = np.arange(-m, m + 1)
+    out = np.full(2 * m + 1, m + 1)
+    dx = np.concatenate([-out, out, along, along])
+    dy = np.concatenate([along, along, -out, out])
+    return dx, dy, np.tile(edge, 4)
+
+
+@functools.cache
+def _exit_level(k):
+    """Level k of the plane lane's jump table, built on first use.
+
+    Level 0 is the single step, level k >= 1 the exit from the square of
+    half-side m = 2^(k-1). Returns read-only (keys, dx, dy): the exit law's
+    CDF, each entry the correctly rounded cumulative probability, times
+    2^52 rounded up (at most 2^52), plus k 2^52; the last entry is
+    (k + 1) 2^52. Over the levels' keys in turn, a sorted search for
+    k 2^52 + u 2^52 with u < 1 lands in level k and counts the entries <= u
+    of its CDF, which picks exit point j with probability cdf[j] - cdf[j - 1].
+    """
+    dx, dy, p = _square_exit_law((1 << k) // 2)
+    cdf = np.array([float(c) for c in itertools.accumulate(map(Fraction, p.tolist()))])
+    keys = np.ceil(np.minimum(cdf, 1.0) * 2.0**_DRAW_BITS).astype(np.int64)
+    keys[-1] = 1 << _DRAW_BITS
+    keys += k << _DRAW_BITS
+    for a in (keys, dx, dy):
+        a.flags.writeable = False
+    return keys, dx, dy
 
 
 def _a_lookup(afloat, vx, vy):

@@ -348,9 +348,12 @@ def potential_mc(
 ):
     """Monte Carlo visit counts E_x[L^y before hitting the origin].
 
-    One trajectory ensemble serves every y. Returns the green-solver
-    result objects (value, stderr, truncated run count) in y_list order.
-    Estimates should approach a(x) as the targets move far away.
+    One trajectory ensemble of the plane lane (``green._plane_walk``)
+    serves every y: a run jumps across squares that hold neither the
+    origin nor a target, and ``step_cap`` counts those draws. Returns the
+    green-solver result objects (value, stderr, truncated run count, draws)
+    in y_list order. Estimates should approach a(x) as the targets move
+    far away.
     """
     from .green import _ensemble, _plane_walk
 

@@ -13,8 +13,13 @@ step. The sparse
 exact elimination is checked against a dense Gauss-Jordan oracle kept in
 this module, on random sparse substochastic systems.
 """
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +40,10 @@ from recurmartin.green import (
     EXACT_SOLVE_LIMIT,
     GreenResult,
     Truncation,
+    _exit_level,
     _solve_columns_float,
     _solve_columns_fraction,
+    _square_exit_law,
     default_radius,
     green_mc,
     green_mc_grid,
@@ -44,8 +51,10 @@ from recurmartin.green import (
     green_solve_discounted,
     martin_kernel,
     state_norm,
+    window_rows,
 )
 from recurmartin.potential import origin_killed_green, potential_mc, potential_table
+from recurmartin.rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys
 from recurmartin.window import SuccessorTable
 
 Z = ZWalk()
@@ -135,6 +144,22 @@ def test_margin_reports_window_sensitivity():
 def test_states_outside_window_are_rejected_by_name():
     with pytest.raises(ValueError, match="30"):
         green_solve(Z, 0, [(30, 2)], Truncation(5), exact=True)
+
+
+def test_window_errors_name_every_missing_state_in_order():
+    # one check serves every window solve: each missing state once, in
+    # state_key order
+    names = r"states outside the radius-5 window: -9, 30$"
+    with pytest.raises(ValueError, match=names):
+        green_solve_discounted(
+            Z, 0, Fraction(1, 2), [(30, -9), (-9, 30), (2, 3)], Truncation(5)
+        )
+    with pytest.raises(ValueError, match=names):
+        green_solve(Z, 0, [(30, -9), (2, 3)], Truncation(5))
+    with pytest.raises(ValueError, match=names):
+        martin_kernel(Z, 0, 30, -9, radius=5)
+    with pytest.raises(ValueError, match=r"radius-2 window: 0,3, 3,0$"):
+        green_solve(PLANE, (0, 0), [((3, 0), (0, 3))], Truncation(2, "kill"))
 
 
 def test_exact_lane_refuses_oversized_windows():
@@ -594,41 +619,47 @@ def _captured_totals(monkeypatch):
     return captured
 
 
-# (chain, base, start, targets, step cap): the generic lane's tree runs
-# from off the root are heavy-tailed, so a cap truncates some of them, the
-# same ones in every layout
+# (chain, base, start, targets, step cap, escape radius): the generic lane's
+# tree runs from off the root are heavy-tailed, so a cap truncates some of
+# them, the same ones in every layout; at escape radius 40 the plane lane's
+# squares reach half-side 16, its top level
 LAYOUT_CASES = [
-    (Z, 0, 2, [1, 5, -3], 10**7),
-    (BB, 0, 0, [1, 4], 10**7),
-    (TREE, ROOT, (0, 1), [(0,), (0, 0, 1)], 10**7),
-    (PLANE, (0, 0), (2, 1), [(1, 0), (2, 1)], 10**7),
-    (LazyBangBang(), 0, 2, [1, 3], 10**7),
-    (BB, 2, 3, [2, 4, 6], 10**7),
-    (TREE, (0,), ROOT, [(1,), (0, 1), ROOT], 500),
+    (Z, 0, 2, [1, 5, -3], 10**7, 16),
+    (BB, 0, 0, [1, 4], 10**7, 16),
+    (TREE, ROOT, (0, 1), [(0,), (0, 0, 1)], 10**7, 16),
+    (PLANE, (0, 0), (2, 1), [(1, 0), (2, 1)], 10**7, 16),
+    (PLANE, (0, 0), (9, 4), [(1, 0), (9, 4)], 10**7, 40),
+    (LazyBangBang(), 0, 2, [1, 3], 10**7, 16),
+    (BB, 2, 3, [2, 4, 6], 10**7, 16),
+    (TREE, (0,), ROOT, [(1,), (0, 1), ROOT], 500, 16),
 ]
 
 
 LAYOUT_IDS = [
-    "line", "halfline-from-base", "tree", "plane",
+    "line", "halfline-from-base", "tree", "plane", "plane-large-squares",
     "generic-lazy", "generic-halfline-base-2", "generic-tree-off-root",
 ]
 
 
-@pytest.mark.parametrize("chain, x0, x, ys, cap", LAYOUT_CASES, ids=LAYOUT_IDS)
-def test_mc_runs_do_not_depend_on_the_run_count(monkeypatch, chain, x0, x, ys, cap):
+@pytest.mark.parametrize("chain, x0, x, ys, cap, esc", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_runs_do_not_depend_on_the_run_count(
+    monkeypatch, chain, x0, x, ys, cap, esc
+):
     captured = _captured_totals(monkeypatch)
-    green_mc_grid(chain, x0, [x], ys, 3000, seed=12, step_cap=cap, escape_radius=16)
-    green_mc_grid(chain, x0, [x], ys, 700, seed=12, step_cap=cap, escape_radius=16)
+    green_mc_grid(chain, x0, [x], ys, 3000, seed=12, step_cap=cap, escape_radius=esc)
+    green_mc_grid(chain, x0, [x], ys, 700, seed=12, step_cap=cap, escape_radius=esc)
     n = len(ys)
     for big, small in zip(captured[:n], captured[n:]):
         assert np.array_equal(big[:700], small)
 
 
-@pytest.mark.parametrize("chain, x0, x, ys, cap", LAYOUT_CASES, ids=LAYOUT_IDS)
-def test_mc_results_do_not_depend_on_blocks_or_slabs(monkeypatch, chain, x0, x, ys, cap):
+@pytest.mark.parametrize("chain, x0, x, ys, cap, esc", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_mc_results_do_not_depend_on_blocks_or_slabs(
+    monkeypatch, chain, x0, x, ys, cap, esc
+):
     def run():
         return green_mc_grid(
-            chain, x0, [x], ys, 3000, seed=13, step_cap=cap, escape_radius=16
+            chain, x0, [x], ys, 3000, seed=13, step_cap=cap, escape_radius=esc
         )
 
     reference = run()
@@ -648,6 +679,137 @@ def test_runaway_error_counts_only_finished_runs():
     first_slab = green_mc(Z, 0, 2, 5, 10_000, seed=5, step_cap=8, on_cap="truncate")
     assert 0 < first_slab.truncated_runs < 10_000
     assert info.value.completed_runs == 10_000 - first_slab.truncated_runs
+
+
+# ---------------------------------------------------------------------------
+# Plane lane: jumps across empty squares
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_square_exit_law_matches_the_exact_window_solve(m):
+    # G of the killed square is symmetric, so the centre's column is its
+    # row; leaving through w, a run steps across the edge (1/4) from the
+    # square's state z next to w
+    dx, dy, p = _square_exit_law(m)
+    index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
+    (g,) = _solve_columns_fraction(op.fraction_rows(), [index[(0, 0)]])
+    for x, y, q in zip(dx.tolist(), dy.tolist(), p.tolist()):
+        z = (max(-m, min(m, x)), max(-m, min(m, y)))
+        assert abs(q - float(g[index[z]] / 4)) <= 1e-13
+
+
+def test_square_exit_law_matches_the_float_window_solve_at_the_top_levels():
+    for m in (8, 16):
+        dx, dy, p = _square_exit_law(m)
+        index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
+        (g,) = _solve_columns_float(op, [index[(0, 0)]])
+        inner = [index[(max(-m, min(m, x)), max(-m, min(m, y)))]
+                 for x, y in zip(dx.tolist(), dy.tolist())]
+        assert np.abs(p - g[inner] / 4).max() <= 1e-13
+
+
+def test_exit_levels_are_laws_with_the_square_symmetries():
+    for k in range(7):
+        m = (1 << k) // 2
+        dx, dy, p = _square_exit_law(m)
+        assert abs(p.sum() - 1) <= 1e-13
+        law = dict(zip(zip(dx.tolist(), dy.tolist()), p.tolist()))
+        assert len(law) == 4 * (2 * m + 1)
+        assert all(max(abs(x), abs(y)) == m + 1 for x, y in law)
+        for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
+            image = {}
+            for (x, y), q in law.items():
+                x, y = sx * x, sy * y
+                image[(y, x) if swap else (x, y)] = q
+            assert image == law
+        keys, kx, ky = _exit_level(k)
+        assert np.array_equal(kx, dx) and np.array_equal(ky, dy)
+        assert np.all(np.diff(keys) >= 0)
+        assert keys[0] > k << 52 and keys[-1] == (k + 1) << 52
+    # the keys rank a draw exactly because every draw is a multiple of 2^-52
+    keys = stream_keys(1, GREEN_ENSEMBLE, np.arange(1000))
+    scaled = counter_uniforms(keys[:, None], np.arange(8)[None, :]) * 2.0**52
+    assert np.array_equal(scaled, np.floor(scaled))
+    # the bottom level is the single step: west, east, south, north
+    dx, dy, p = _square_exit_law(0)
+    assert list(zip(dx.tolist(), dy.tolist())) == [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    assert p.tolist() == [0.25] * 4
+    assert _exit_level(0)[0].tolist() == [2**50, 2**51, 3 * 2**50, 2**52]
+
+
+def test_exit_tables_build_on_the_first_plane_ensemble():
+    code = (
+        "import sys\n"
+        "import recurmartin.cli\n"
+        "from recurmartin import green\n"
+        "print(green._exit_level.cache_info().currsize)\n"
+        "green.green_mc(green.Z2Walk(), (0, 0), (1, 0), (1, 0), 20, seed=1,"
+        " escape_radius=16)\n"
+        "print(green._exit_level.cache_info().currsize)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = str(Path(green_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    # nothing at import; radius 16 fits squares up to half-side 4 (levels
+    # 0-3), built without the sparse solver
+    assert out.stdout.split() == ["0", "4", "False"]
+
+
+def test_plane_lane_jumps_from_criterion_2_start():
+    table = potential_table(8)
+    res = green_mc(PLANE, (0, 0), (2, 1), (1, 0), 2000, seed=21, escape_radius=32)
+    assert res.lane == "fast-plane"
+    assert res.draws <= 80 * res.runs
+    exact = float(origin_killed_green(table, (2, 1), (1, 0)))
+    assert abs(res.value - exact) <= 4 * res.stderr
+
+
+def test_plane_lane_without_a_box_steps_one_cell_per_draw():
+    walk = green_module._plane_walk((3, 1), [(1, 0)], None)
+    keys = stream_keys(5, GREEN_ENSEMBLE, np.arange(200))
+    u = counter_uniforms(keys[:, None], np.arange(64)[None, :])
+    start = tuple(np.full(200, c, dtype=np.int64) for c in (3, 1))
+    px, py = walk.block(start, u)
+    ended = walk.dead((px, py))
+    last = np.where(ended.any(axis=1), ended.argmax(axis=1), 64)
+    live = np.arange(64) <= last[:, None]  # up to and with the ending draw
+    moves = np.abs(np.diff(px, prepend=3)) + np.abs(np.diff(py, prepend=1))
+    assert np.all(moves[live] == 1)
+    # the single step reads u as before: west, east, south, north by 4u
+    move = (u[:, 0] * 4).astype(np.int64)
+    assert np.array_equal(px[:, 0], 3 + np.array([-1, 1, 0, 0])[move])
+    assert np.array_equal(py[:, 0], 1 + np.array([0, 0, -1, 1])[move])
+
+
+def test_line_lane_draws_are_its_steps(monkeypatch):
+    taken = []
+    line_walk = green_module._line_walk
+
+    def counted_walk(*args):
+        walk = line_walk(*args)
+        block, dead = walk.block, walk.dead
+
+        def counted(coords, u):
+            paths = block(coords, u)
+            ended = dead(paths)
+            steps = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, u.shape[1])
+            taken.append(int(steps.sum()))
+            return paths
+
+        walk.block = counted
+        return walk
+
+    monkeypatch.setattr(green_module, "_line_walk", counted_walk)
+    for cap in (10**7, 40):
+        taken.clear()
+        res = green_mc(Z, 0, 2, 5, 3000, seed=17, step_cap=cap, on_cap="truncate",
+                       escape_radius=32)
+        assert res.lane == "fast-line"
+        assert res.draws == sum(taken) > 0
+    assert res.truncated_runs > 0
 
 
 # ---------------------------------------------------------------------------
