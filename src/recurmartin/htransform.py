@@ -19,7 +19,11 @@ arithmetic, a pathwise check of the change-of-measure identity, the ratio
 kernel of the transformed chain both in closed form and through the
 damped-visit linear system, the correspondence between harmonic profiles of
 the killed parent and harmonic functions of the transform, and vectorized
-ensemble witnesses of boundary convergence and transience.
+ensemble witnesses of boundary convergence and transience. A witness lane
+is a transition table over one integer state per run, so a step of all runs
+is one table lookup; each entry is the float expression a per-run
+evaluation of the transformed row computes, so no report depends on the
+tabulation.
 
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
@@ -636,11 +640,9 @@ def convergence_stats(
     t from the counter-based stream (seed, i, t), so results are
     reproducible for a seed and do not depend on the trajectory count.
     """
-    if trajectories < 1 or steps < 1:
-        raise ValueError("trajectories and steps must be positive")
+    table, witness, kind = _witness_lane(chain, params, trajectories, steps)
     marks = sorted({int(s) for s in snapshots if 0 < int(s) < steps} | {steps})
-    lane, witness, kind = _witness_lane(chain, params)
-    stats = _run_lane(lane, chain, params, trajectories, steps, seed, marks, None)
+    stats = _run_lane(table, trajectories, steps, seed, marks, None)
     thr = float(_DEFAULT_THRESHOLDS[kind] if threshold is None else threshold)
     snaps = {}
     for m in marks:
@@ -682,13 +684,10 @@ def transience_witness(
     visit happened in the first half of the horizon. Soft evidence only:
     a recurrent chain would keep returning all the way to the horizon.
     """
-    if trajectories < 1 or steps < 1:
-        raise ValueError("trajectories and steps must be positive")
-    lane, _, _ = _witness_lane(chain, params)
+    table, _, _ = _witness_lane(chain, params, trajectories, steps)
     track: dict = {}
-    _run_lane(lane, chain, params, trajectories, steps, seed, [steps], track)
-    counts = track["counts"]
-    last = track["last"]
+    _run_lane(table, trajectories, steps, seed, [steps], track)
+    counts, last = track["counts"], track["last"]
     return TransienceReport(
         chain=chain.name,
         alpha=_alpha_label(params),
@@ -707,100 +706,137 @@ def _alpha_label(params: TransformParams) -> str:
     return "point" if params.alpha is None else str(params.alpha)
 
 
-def _witness_lane(chain: ChainSpec, params: TransformParams):
-    """The witness lane of the chain's law, its statistic and its kind.
+def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, steps: int):
+    """The witness table of the chain's law, its statistic and its kind.
 
     A lane simulates the conditioned walk of one built-in law, so it is
     looked up by ``law_class``: a chain with any other law, a subclass that
     overrides ``successors`` included, has no witness lane.
     """
+    if trajectories < 1 or steps < 1:
+        raise ValueError("trajectories and steps must be positive")
     spec = _WITNESS_LANES.get(law_class(chain))
     if spec is None:
         raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
-    lane, witness, kind, base, target, base_message, target_message = spec
+    build, witness, kind, base, target, base_message, target_message = spec
     if params.x0 != base:
         raise ValueError(base_message)
     if not isinstance(params.alpha, target):
         raise ValueError(target_message)
-    return lane, witness, kind
+    return build(chain, params, steps), witness, kind
 
 
 def _witness_draws(seed, n, steps, track):
     """Each step's uniforms for trajectories 0 .. n-1, in step order.
 
     Step t of trajectory i draws counter_uniforms(key_i, t - 1). The draws
-    are made for up to 64 steps per call, within 2^20 uniforms, one
-    contiguous row per step.
+    are made for up to 64 steps per call, within 2^15 uniforms so that the
+    block's temporaries stay in cache, one contiguous row per step.
     """
     purpose = CONVERGENCE_WITNESS if track is None else TRANSIENCE_WITNESS
     keys = stream_keys(seed, purpose, np.arange(n))[None, :]
-    chunk = max(1, min(64, (1 << 20) // n))
+    chunk = max(1, min(64, (1 << 15) // n))
     for lo in range(0, steps, chunk):
         block = np.arange(lo, min(lo + chunk, steps))[:, None]
         yield from counter_uniforms(keys, block)
 
 
-def _run_lane(lane, chain, params, n, steps, seed, marks, track):
+@dataclass
+class _Table:
+    """A witness lane's transition table; ``_run_lane`` steps by it."""
+
+    cdf: np.ndarray
+    move: np.ndarray
+    start: int
+    stat: Callable
+    row: Optional[Callable] = None
+    scale: Optional[np.ndarray] = None
+    fit: Optional[Callable] = None
+
+
+def _run_lane(table, n, steps, seed, marks, track):
     """Run a witness lane for ``steps`` steps: its statistic at each mark.
 
-    A lane is a generator over the steps' uniforms that yields, per step,
-    the mask of runs now at the base and a function giving the statistic.
-    A ``track`` dict receives each run's base visits ("counts") and the
-    time of its last one ("last").
+    Each run holds one int64 state, from ``table.start``. A step is one
+    table lookup per run: with u its draw and r = row(state) (no ``row``:
+    the state), k is the number of entries of cdf[r] <= u scale[r] (no
+    ``scale``: 1), and the state moves by move[k]. A cdf row ends in +inf;
+    its entries are the float expressions of the transformed row's
+    cumulative weights that a per-run evaluation computes, in its order of
+    operations (a row lacking outcome k repeats the entry before it, or has
+    0 for k = 0), and k counts the comparisons u < cdf[r, j] that fail, so a
+    run takes exactly the step of comparing u entry by entry: no report
+    depends on the tabulation. ``fit(state)``, if set, returns a wider
+    table or None and the number of steps until its next call. A ``track``
+    dict receives each run's base visits ("counts") and the time of its
+    last ("last"); ``stat`` gives the statistic.
     """
     if track is not None:
         track["counts"] = np.zeros(n, dtype=np.int64)
         track["last"] = np.zeros(n, dtype=np.int64)
     markset, out = set(marks), {}
-    draws = _witness_draws(seed, n, steps, track)
-    for step, (at_base, stat) in enumerate(lane(chain, params, n, draws), 1):
+    state = np.full(n, table.start, dtype=np.int64)
+    refit = 1 if table.fit else steps + 1
+    for step, u in enumerate(_witness_draws(seed, n, steps, track), 1):
+        if step == refit:
+            wider, hold = table.fit(state)
+            table, refit = wider or table, step + hold
+        row = state if table.row is None else table.row(state)
+        if table.scale is not None:
+            u = u * table.scale.take(row)
+        cdf = table.cdf.take(row, axis=0)
+        k = (cdf[:, 0] <= u).view(np.int8)
+        for j in range(1, cdf.shape[1] - 1):
+            k += (cdf[:, j] <= u).view(np.int8)
+        state += table.move.take(k)
         if track is not None:
+            at_base = state == table.start
             track["counts"] += at_base
             track["last"][at_base] = step
         if step in markset:
-            out[step] = stat()
+            out[step] = table.stat(state)
     return out
 
 
-def _line_lane(chain, params, n, draws):
+def _cdf(*columns):
+    """Cumulative-weight columns of a table, with the closing +inf column."""
+    return np.column_stack(columns + (np.full(len(columns[0]), np.inf),))
+
+
+def _line_table(chain, params, steps):
     """Conditioned line walk, in coordinates pointing at the target end.
 
     Up-probability (c + 2v + 2) / (2(c + 2v)) above the base, (2 - r)/2 at
     it, and 1/2 on the far side, with c = r/(1-r); these are the exact row
-    entries of the transformed chain, evaluated in floating point.
+    entries of the transformed chain, evaluated in floating point. The rows
+    are the positions v reachable in ``steps`` steps, the state v + steps + 1:
+    2 steps + 3 rows of 16 bytes, built per call.
     """
     c = float(params.odds)
-    r = float(params.r)
-    at_base = (2.0 - r) / 2.0
-    v = np.zeros(n, dtype=np.int64)
-    for u in draws:
-        up = np.full(n, 0.5)
-        up[v == 0] = at_base
-        pos = v >= 1
-        if pos.any():
-            vp = v[pos].astype(np.float64)
-            up[pos] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
-        v += np.where(u < up, 1, -1).astype(np.int64)
-        yield v == 0, lambda: v.astype(np.float64)
+    v = np.arange(-steps - 1, steps + 2)
+    vp = v[v >= 1].astype(np.float64)
+    up = np.full(v.size, 0.5)
+    up[v == 0] = (2.0 - float(params.r)) / 2.0
+    up[v >= 1] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
+    base = steps + 1
+    return _Table(_cdf(up), np.array([1, -1]), base, lambda s: (s - base).astype(np.float64))
 
 
-def _halfline_lane(chain, params, n, draws):
-    """Conditioned half-line walk; the reflecting base forces an up-step."""
+def _halfline_table(chain, params, steps):
+    """Conditioned half-line walk; the reflecting base forces an up-step.
+
+    The state is the position; rows 0 .. 64 are exact and row 65 serves
+    every position past 64 with the limit 1 - q of the up-probability.
+    """
     cut = _TABLE_CUTOFF
     psi = [psi_weight(chain, params, x) for x in range(cut + 2)]
-    table = np.empty(cut + 1)
-    table[0] = 1.0
-    for x in range(1, cut + 1):
-        table[x] = float(chain.q * psi[x + 1] / psi[x])
-    tail = float(1 - chain.q)
-    pos = np.zeros(n, dtype=np.int64)
-    for u in draws:
-        up = np.where(pos <= cut, table[np.minimum(pos, cut)], tail)
-        pos += np.where(u < up, 1, -1).astype(np.int64)
-        yield pos == 0, lambda: pos.astype(np.float64)
+    up = [1.0] + [float(chain.q * psi[x + 1] / psi[x]) for x in range(1, cut + 1)]
+    up.append(float(1 - chain.q))
+    return _Table(_cdf(np.array(up)), np.array([1, -1]), 0, lambda s: s.astype(np.float64),
+                  row=lambda s: np.minimum(s, cut + 1))
 
 
-def _tree_lane(chain, params, n, draws):
+def _tree_table(chain, params, steps):
     """Conditioned tree walk, projected to (agreement j, overhang m).
 
     The weight depends only on the agreement length with the target ray,
@@ -808,109 +844,95 @@ def _tree_lane(chain, params, n, draws):
     Markov chain: on the ray, step to the father with probability
     psi_{j-1}/(2 psi_j), to the next ray node with psi_{j+1}/(2k psi_j),
     and off the ray with (k-1)/(2k); off the ray all weight ratios are 1,
-    leaving the symmetric up/down move of the parent.
+    leaving the symmetric up/down move of the parent. The state j - m 2^32
+    clipped to [-1, 65] is its row: the root 0, the ray nodes 1 .. 64, the
+    deeper ray 65, and the off-ray row last (-1). The outcomes are: to the
+    father on the ray, to the next ray node, up toward the ray, down off it.
     """
     k = chain.k
     gamma = params.odds * Fraction(k - 1, k)
     cut = _TABLE_CUTOFF
     psi = [gamma + k**j - 1 for j in range(cut + 2)]
-    up_t = np.zeros(cut + 1)
-    adv_t = np.zeros(cut + 1)
+    root = float(params.r / k + (1 - params.r))
+    rows = [(0.0, root, root)]
     for j in range(1, cut + 1):
-        up_t[j] = float(Fraction(1, 2) * psi[j - 1] / psi[j])
-        adv_t[j] = float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])
-    up_deep = 1.0 / (2 * k)
-    adv_deep = 0.5
-    root_adv = float(params.r / k + (1 - params.r))
-    agreement = np.zeros(n, dtype=np.int64)
-    overhang = np.zeros(n, dtype=np.int64)
-    for u in draws:
-        on_ray = overhang == 0
-        off = np.nonzero(~on_ray)[0]
-        root = np.nonzero(on_ray & (agreement == 0))[0]
-        deep = np.nonzero(on_ray & (agreement >= 1))[0]
-        if off.size:
-            step_up = u[off] < 0.5
-            overhang[off[step_up]] -= 1
-            overhang[off[~step_up]] += 1
-        if root.size:
-            onto_ray = u[root] < root_adv
-            agreement[root[onto_ray]] = 1
-            overhang[root[~onto_ray]] = 1
-        if deep.size:
-            jj = agreement[deep]
-            clamped = np.minimum(jj, cut)
-            upj = np.where(jj <= cut, up_t[clamped], up_deep)
-            advj = np.where(jj <= cut, adv_t[clamped], adv_deep)
-            uu = u[deep]
-            go_up = uu < upj
-            go_adv = ~go_up & (uu < upj + advj)
-            go_off = ~(go_up | go_adv)
-            agreement[deep[go_up]] -= 1
-            agreement[deep[go_adv]] += 1
-            overhang[deep[go_off]] = 1
-        yield (agreement == 0) & (overhang == 0), lambda: agreement.astype(np.float64)
+        up = float(Fraction(1, 2) * psi[j - 1] / psi[j])
+        ahead = up + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])
+        rows.append((up, ahead, ahead))
+    up = 1.0 / (2 * k)
+    rows += [(up, up + 0.5, up + 0.5), (0.0, 0.0, 0.5)]
+    big = 1 << 32
+    return _Table(_cdf(*np.array(rows).T), np.array([-1, 1, big, -big]), 0,
+                  lambda s: (s & (big - 1)).astype(np.float64),
+                  row=lambda s: np.minimum(np.maximum(s, -1), cut + 1))
 
 
-def _plane_lane(chain, params, n, draws):
-    """Conditioned planar walk; neighbor weights are c + a(neighbor).
+def _plane_table(chain, params, steps, reach=32):
+    """Conditioned planar walk on the cells of [-reach, reach]^2.
 
-    Values of the potential kernel come from the exact table inside its
-    radius and from the logarithmic asymptote outside (relative error below
-    1e-4 there); each row is renormalized, which also absorbs the damping
-    factor at the origin.
+    A neighbor's weight is c + a(neighbor), with the potential kernel's
+    exact table inside its radius and the logarithmic asymptote outside
+    (relative error below 1e-4 there); each row is renormalized, which also
+    absorbs the damping factor at the origin. Cell (x, y) is state
+    x 2^32 + y in every square and row (x + reach)(2 reach + 1) + y + reach,
+    with cumulative weights c1 = w_e, c2 = c1 + w_w, c3 = c2 + w_n and
+    scale c3 + w_s. Each planar witness builds it for [-32, 32]^2; ``fit``
+    rebuilds it twice as wide once a run comes within one cell of the edge,
+    and holds the table until the farthest run could first stand on the
+    edge, so every lookup is from a cell of the square.
     """
     from .potential import potential_float_array
 
-    cut = _TABLE_CUTOFF
+    c, cut = float(params.odds), _TABLE_CUTOFF
     tbl = potential_float_array(cut)
     kappa = (2.0 * np.euler_gamma + np.log(8.0)) / np.pi
-    c = float(params.odds)
+    side, big = 2 * reach + 1, 1 << 32
+    ax, ay = np.meshgrid(*[np.abs(np.arange(-reach - 1, reach + 2))] * 2, indexing="ij")
+    vals = np.empty(ax.shape)
+    inside = (ax <= cut) & (ay <= cut)
+    vals[inside] = tbl[ax[inside], ay[inside]]
+    far = ~inside
+    vals[far] = np.log((ax[far] ** 2 + ay[far] ** 2).astype(np.float64)) / np.pi + kappa
+    w = c + vals
+    c1 = w[2:, 1:-1].ravel()
+    c2 = c1 + w[:-2, 1:-1].ravel()
+    c3 = c2 + w[1:-1, 2:].ravel()
 
-    def weights(ix, iy):
-        ax = np.abs(ix)
-        ay = np.abs(iy)
-        vals = np.empty(ax.shape)
-        inside = (ax <= cut) & (ay <= cut)
-        vals[inside] = tbl[ax[inside], ay[inside]]
-        far = ~inside
-        if far.any():
-            norm2 = (ax[far] ** 2 + ay[far] ** 2).astype(np.float64)
-            vals[far] = np.log(norm2) / np.pi + kappa
-        return c + vals
+    def xy(s):
+        y = ((s + big // 2) & (big - 1)) - big // 2
+        return (s - y) >> 32, y
 
-    px = np.zeros(n, dtype=np.int64)
-    py = np.zeros(n, dtype=np.int64)
-    for u in draws:
-        w_e = weights(px + 1, py)
-        w_w = weights(px - 1, py)
-        w_n = weights(px, py + 1)
-        w_s = weights(px, py - 1)
-        u = u * (w_e + w_w + w_n + w_s)
-        east = u < w_e
-        west = ~east & (u < w_e + w_w)
-        north = ~east & ~west & (u < w_e + w_w + w_n)
-        south = ~(east | west | north)
-        px += east.astype(np.int64) - west.astype(np.int64)
-        py += north.astype(np.int64) - south.astype(np.int64)
-        yield (px == 0) & (py == 0), lambda: np.sqrt(
-            px.astype(np.float64) ** 2 + py.astype(np.float64) ** 2
-        )
+    def stat(s):
+        x, y = xy(s)
+        return np.sqrt(x.astype(np.float64) ** 2 + y.astype(np.float64) ** 2)
+
+    def row(s):
+        s = s + (reach * big + reach)
+        return (s >> 32) * side + (s & (big - 1))
+
+    def fit(s):
+        near = int(max(np.abs(axis).max() for axis in xy(s)))
+        if near < reach - 1:
+            return None, reach - near
+        return _plane_table(chain, params, steps, 2 * reach), 2 * reach - near
+
+    return _Table(_cdf(c1, c2, c3), np.array([big, -big, 1, -1]), 0, stat, row=row,
+                  scale=c3 + w[1:-1, :-2].ravel(), fit=fit)
 
 
-#: law class -> (lane, witness statistic, kind, base, target type, and the
-#: messages refusing another base or target)
+#: law class -> (its table function, witness statistic, kind, base, target type,
+#: and the messages refusing another base or target)
 _WITNESS_LANES = {
-    ZWalk: (_line_lane, "signed position toward the target end", "line", 0, LineEnd,
+    ZWalk: (_line_table, "signed position toward the target end", "line", 0, LineEnd,
             "the line witness is anchored at base 0",
             "the line witness needs a line-end target"),
-    BangBangWalk: (_halfline_lane, "position on the half line", "halfline", 0, HalfLineEnd,
+    BangBangWalk: (_halfline_table, "position on the half line", "halfline", 0, HalfLineEnd,
                    "the half-line witness is anchored at base 0",
                    "the half-line witness needs the half-line end"),
-    KaryTree: (_tree_lane, "agreement length with the target ray", "tree", ROOT, TreeRay,
+    KaryTree: (_tree_table, "agreement length with the target ray", "tree", ROOT, TreeRay,
                "the tree witness is anchored at the root",
                "the tree witness needs a ray target"),
-    Z2Walk: (_plane_lane, "euclidean norm of the position", "plane", (0, 0), type(None),
+    Z2Walk: (_plane_table, "euclidean norm of the position", "plane", (0, 0), type(None),
              "the plane witness is anchored at the origin",
              "the plane has a single anonymous boundary point; pass alpha=None"),
 }

@@ -21,11 +21,6 @@ import numpy as np
 _PRECISION_DIGITS = 50
 
 
-def _mp_pi():
-    with mpmath.workdps(_PRECISION_DIGITS):
-        return +mpmath.pi
-
-
 @dataclass(frozen=True)
 class PiRational:
     """Exact number p + q/pi with rational p and q."""

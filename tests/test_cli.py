@@ -7,6 +7,7 @@ are all exercised exactly as a shell user would see them.
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +307,30 @@ class TestDeterminism:
         cfg = doc["config"]
         assert cfg["subcommand"] == "green"
         assert cfg["options"]["chain"] == "z"
+
+
+class TestWitnessGolden:
+    """Witness stdout pinned byte for byte.
+
+    Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
+    with the argv below, recorded before the witness lanes became transition
+    tables. The planar runs leave the lane's first table square [-32, 32]^2.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden"
+    SIZE = ("--trajectories", "300", "--steps", "400", "--seed", "11", "--transience")
+    CASES = {
+        "simulate_z": ("simulate", "--chain", "z", "--x0", "0", "--alpha", "+inf") + SIZE,
+        "simulate_bangbang": ("simulate", "--chain", "bangbang:q=1/3", "--x0", "0",
+                              "--alpha", "inf") + SIZE,
+        "simulate_tree": ("simulate", "--chain", "tree:k=2", "--x0", "@",
+                          "--alpha", "(0)*") + SIZE,
+        "simulate_z2": ("simulate", "--chain", "z2", "--x0", "0,0") + SIZE,
+        "verify_mc_seed7": ("verify", "--suite", "mc", "--seed", "7"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches_recorded_bytes(self, capsys, name):
+        code, out = invoke(capsys, *self.CASES[name])
+        assert code == 0
+        assert out == (self.GOLDEN / f"{name}.out").read_text()

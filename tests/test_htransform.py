@@ -10,8 +10,14 @@ independent routes (closed form vs the damped-visit linear system) that
 must agree exactly; ensemble witnesses are smoke-checked at reduced scale
 against coarse, seed-stable expectations.
 """
+import gc
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +36,14 @@ from recurmartin.examplechains import (
     ZWalk,
     exact_green,
 )
+from recurmartin import htransform as htransform_module
 from recurmartin.htransform import (
     TransformParams,
     TransformedChain,
+    _Table,
+    _run_lane,
     _witness_draws,
+    _witness_lane,
     convergence_stats,
     k_kernel,
     k_kernel_numeric,
@@ -506,7 +516,7 @@ def test_transience_witness_other_lanes():
 
 
 def test_witness_draws_are_per_trajectory_and_step():
-    # 20,000 trajectories draw 52 steps per call, 100 trajectories 64: the
+    # 20,000 trajectories draw 1 step per call, 100 trajectories 64: the
     # numbers of trajectory i at step t must not depend on that layout
     big = np.stack(list(_witness_draws(7, 20_000, 130, None)))
     small = np.stack(list(_witness_draws(7, 100, 130, None)))
@@ -524,3 +534,134 @@ def test_transience_witness_is_deterministic():
     first = transience_witness(Z, P_Z, **kwargs)
     second = transience_witness(Z, P_Z, **kwargs)
     assert first.as_dict() == second.as_dict()
+
+
+def _with_states(table, grown=None):
+    """The table with the runs' states as its statistic, kept when it grows;
+    ``grown`` receives the row count of each wider table."""
+    def fit(s):
+        wider, hold = table.fit(s)
+        if wider is not None:
+            if grown is not None:
+                grown.append(wider.cdf.shape[0])
+            wider = _with_states(wider, grown)
+        return wider, hold
+    return replace(table, stat=np.copy, fit=fit if table.fit else None)
+
+
+@pytest.mark.parametrize(
+    "chain,params", [(Z, P_Z), (BB, P_BB), (TREE, P_TREE), (PLANE, P_PLANE)],
+    ids=["line", "halfline", "tree", "plane"],
+)
+def test_lane_runs_do_not_depend_on_the_trajectory_count(chain, params):
+    # the first 100 of 1000 runs are the runs of a 100-run ensemble: their
+    # states, base visits and last visit times agree at every mark
+    marks, steps = [1, 37, 100, 250], 250
+    for track in (False, True):
+        runs = []
+        for n in (100, 1000):
+            table, _, _ = _witness_lane(chain, params, n, steps)
+            table = _with_states(table)
+            tracked = {} if track else None
+            runs.append((_run_lane(table, n, steps, 3, marks, tracked), tracked))
+        (small, small_track), (big, big_track) = runs
+        for t in marks:
+            assert np.array_equal(small[t], big[t][:100])
+        if track:
+            for key in ("counts", "last"):
+                assert np.array_equal(small_track[key], big_track[key][:100])
+
+
+def test_halfline_table_does_not_grow_with_the_horizon():
+    # rows 0 .. 64 and one row for every position past 64
+    short, _, _ = _witness_lane(BB, P_BB, 10, 10)
+    long, _, _ = _witness_lane(BB, P_BB, 10, 10**7)
+    assert short.cdf.shape == long.cdf.shape == (66, 2)
+
+
+def _plane_reference(n, steps, seed):
+    """Planar runs stepped cell by cell from the transformed row's weights.
+
+    No table: each step evaluates w = c + a(neighbor) for the four
+    neighbors of every run and compares u (w_e + w_w + w_n + w_s) with
+    w_e, w_e + w_w and w_e + w_w + w_n. Yields the positions after each step.
+    """
+    from recurmartin.potential import potential_float_array
+
+    c, tbl = float(P_PLANE.odds), potential_float_array(64)
+    kappa = (2.0 * np.euler_gamma + np.log(8.0)) / np.pi
+
+    def weight(ix, iy):
+        ax, ay = np.abs(ix), np.abs(iy)
+        vals = np.empty(ax.shape)
+        inside = (ax <= 64) & (ay <= 64)
+        vals[inside] = tbl[ax[inside], ay[inside]]
+        far = ~inside
+        vals[far] = np.log((ax[far] ** 2 + ay[far] ** 2).astype(np.float64)) / np.pi + kappa
+        return c + vals
+
+    x, y = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for u in _witness_draws(seed, n, steps, None):
+        w_e, w_w = weight(x + 1, y), weight(x - 1, y)
+        w_n, w_s = weight(x, y + 1), weight(x, y - 1)
+        u = u * (w_e + w_w + w_n + w_s)
+        east = u < w_e
+        west = ~east & (u < w_e + w_w)
+        north = ~east & ~west & (u < w_e + w_w + w_n)
+        south = ~(east | west | north)
+        x = x + east - west
+        y = y + north - south
+        yield x, y
+
+
+def test_plane_table_steps_every_run_exactly_while_it_grows():
+    # a first square of half-width 4 is left and rebuilt again and again;
+    # every run's position must equal the reference step's at every step
+    # (a run that stepped past the square's edge before a rebuild would be
+    # looked up in a wrong cell)
+    n, steps, grown = 1000, 300, []
+    table = _with_states(htransform_module._plane_table(PLANE, P_PLANE, steps, 4), grown)
+    states = _run_lane(table, n, steps, 0, range(1, steps + 1), None)
+    for t, (x, y) in enumerate(_plane_reference(n, steps, 0), 1):
+        low = ((states[t] + 2**31) & (2**32 - 1)) - 2**31
+        assert np.array_equal(low, y) and np.array_equal((states[t] - low) >> 32, x), t
+    assert grown == [(2 * r + 1) ** 2 for r in (8, 16, 32, 64)]
+
+
+def test_plane_table_is_built_by_each_plane_witness_and_grows():
+    # a profile hook set before the import records every plane table build
+    code = (
+        "import sys\n"
+        "built = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '_plane_table':\n"
+        "        built.append(frame.f_locals['reach'])\n"
+        "sys.setprofile(watch)\n"
+        "import recurmartin.cli\n"
+        "from recurmartin import htransform as h\n"
+        "print(len(built))\n"
+        "h.convergence_stats(h.Z2Walk(), h.TransformParams((0, 0), None), 300, 400, seed=11)\n"
+        "sys.setprofile(None)\n"
+        "print(*built)\n"
+    )
+    src = str(Path(htransform_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    # nothing at import; the runs leave the first square [-32, 32]^2, so the
+    # table is rebuilt on [-64, 64]^2
+    assert out.stdout.split() == ["0", "32", "64"]
+
+
+def test_plane_tables_are_freed_on_return():
+    # a table that refers back to itself would wait for the cycle collector,
+    # and the tables of successive witnesses would pile up in memory
+    gc.collect()
+    gc.disable()
+    try:
+        convergence_stats(PLANE, P_PLANE, 300, 400, seed=11)
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, _Table)]
+    finally:
+        gc.enable()
+    assert alive == []
