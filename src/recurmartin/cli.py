@@ -352,6 +352,8 @@ def cmd_simulate(args, parser):
 
 
 def cmd_potential(args, parser):
+    if args.radius < 1:
+        parser.error("--radius must be >= 1")
     if args.check is None:
         table = potential_table(args.radius)
         rows = [
@@ -385,16 +387,17 @@ def cmd_potential(args, parser):
         }
         ok = report.all_ok
     elif args.check == "asymptotics":
+        if args.radius < 5:
+            parser.error("--check asymptotics needs --radius >= 5 (it samples (5, 0), (10, 0), ...)")
         table = potential_table(args.radius)
-        points = [(n, 0) for n in range(5, args.radius + 1, 5)]
-        rows = [
-            {
-                "x": list(x),
-                "residual": asymptotic_residual(table, x),
-                "residual_times_norm2": asymptotic_residual(table, x) * (x[0] ** 2 + x[1] ** 2),
-            }
-            for x in points
-        ]
+        rows = []
+        for n in range(5, args.radius + 1, 5):
+            residual = asymptotic_residual(table, (n, 0))
+            rows.append({
+                "x": [n, 0],
+                "residual": residual,
+                "residual_times_norm2": residual * n**2,
+            })
         bound = max(abs(r["residual_times_norm2"]) for r in rows)
         payload = {"radius": args.radius, "samples": rows, "bound": bound, "bounded": bound < 1.0}
         ok = bound < 1.0

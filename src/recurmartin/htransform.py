@@ -28,11 +28,12 @@ tabulation.
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
 transformed chain exists. Its row-sum identity is still verified exactly in
-pi-rational arithmetic (``verify_row_sums``) and its convergence witness
+p + q/pi numerators (``verify_row_sums``) and its convergence witness
 runs in floating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -228,8 +229,8 @@ def verify_row_sums(
     """Check r^{1_{x=x0}} * sum_y p_{x,y} psi(y) == psi(x) on a window.
 
     Exact Fraction arithmetic on chains with rational boundary kernels;
-    exact pi-rational arithmetic on the planar walk, whose weight is
-    r/(1-r) + a(x) with a the potential kernel. The computation here never
+    exact integer arithmetic on the p + q/pi numerators of the planar walk,
+    whose weight is r/(1-r) + a(x) with a the potential kernel. The computation here never
     goes through ``TransformedChain`` rows, so it cross-checks their
     construction-time validation.
     """
@@ -259,21 +260,38 @@ def verify_row_sums(
 
 
 def _plane_row_sums(chain, params, radius):
+    """The row identity on the plane, in integers.
+
+    psi(x) = odds + a(x) is (R(x) + S(x)/pi) / (odds.denominator * L) with
+    R = odds.numerator * L + odds.denominator * P and S = odds.denominator
+    * Q, the table's numerators over L; a row holds when its integer
+    weights (probabilities, times r at the base, over their common
+    denominator) carry R and S to den * R(x) and den * S(x).
+    """
     from .potential import potential_table
 
     table = potential_table(radius + 1)
-    odds = params.odds
+    top, bottom = params.odds.numerator * table.scale, params.odds.denominator
     report = RowSumReport(chain.name, params.r, radius)
     base = chain.base_point
+
+    def psi(s):
+        p, q = table.numerators(s)
+        return top + bottom * p, bottom * q
+
     for x in chain.window(radius):
-        acc = None
-        for y, p in chain.successors(x):
-            term = (odds + table.value(y)) * p
-            acc = term if acc is None else acc + term
-        if x == base:
-            acc = acc * params.r
+        damp = params.r if x == base else 1
+        row = [(y, Fraction(p) * damp) for y, p in chain.successors(x)]
+        den = math.lcm(*(p.denominator for _, p in row))
+        rational = pi_part = 0
+        for y, p in row:
+            weight = p.numerator * (den // p.denominator)
+            r_y, s_y = psi(y)
+            rational += weight * r_y
+            pi_part += weight * s_y
+        r_x, s_x = psi(x)
         report.checked += 1
-        if acc != odds + table.value(x):
+        if (rational, pi_part) != (den * r_x, den * s_x):
             report.violations.append(
                 (chain.format_state(x), "row identity failed")
             )

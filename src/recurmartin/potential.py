@@ -1,24 +1,40 @@
 """Exact potential kernel of the simple random walk on the square lattice.
 
-Every value a(i, j) lies in Q + Q/pi, so the table stores exact pairs
-(p, q) meaning p + q/pi. Exactness matters: the defining recurrences
-amplify floating-point error geometrically along octant shells, while the
-pair arithmetic is closed under every operation the construction needs.
+Every value a(i, j) lies in Q + Q/pi: a(i, j) = p + q/pi with rational p
+and q. Up to L-infinity radius N they share one scale,
+
+    a(i, j) = (P(i, j) + Q(i, j)/pi) / L_N,   L_N = lcm(1, 3, ..., 2N - 1),
+
+with integers P and Q: the diagonal closed form a(n, n) = (4/pi) * sum of
+1/(2j - 1) over j <= n has denominators dividing L_N, and the column
+recurrence that fills the rest of the octant has integer coefficients. So
+the table stores the integer pairs (P, Q); the build, the harmonicity
+check and the float rendering run in Python ints, and ``value`` returns
+the reduced ``PiRational`` on demand. Since L_N is a product of odd
+primes, every reduced denominator is odd. Exactness matters: the
+recurrences amplify floating-point error geometrically along octant
+shells, and P/L_N reaches about 2^500 at N = 200 while a is about 4.
 
 Normalization: a(0,0) = 0, a is discretely harmonic everywhere except at
 the origin, where the one-step average exceeds the value by exactly 1.
 """
 from __future__ import annotations
 
+import functools
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 
 _PRECISION_DIGITS = 50
+
+#: Bits of pi * 2**b beyond the operands' own bits in a float rendering;
+#: about the 60 guard digits the decimal rendering keeps.
+_GUARD_BITS = 200
 
 
 @dataclass(frozen=True)
@@ -62,29 +78,20 @@ class PiRational:
     def __bool__(self):
         return bool(self.p) or bool(self.q)
 
-    def _dps(self, digits: int) -> int:
-        # p and q can be huge while p + q/pi is small; precision must cover
-        # the cancellation, so scale it with the operand magnitudes
-        bits = max(
-            self.p.numerator.bit_length(), self.p.denominator.bit_length(),
-            self.q.numerator.bit_length(), self.q.denominator.bit_length(),
-        )
-        return max(_PRECISION_DIGITS, digits) + int(bits * 0.30103) + 10
-
     def __float__(self) -> float:
-        with mpmath.workdps(self._dps(20)):
-            return float(mpmath.mpf(self.p.numerator) / self.p.denominator
-                         + (mpmath.mpf(self.q.numerator) / self.q.denominator)
-                         / mpmath.pi)
+        p, q = self.p, self.q
+        scale = math.lcm(p.denominator, q.denominator)
+        return _floats(
+            [p.numerator * (scale // p.denominator)],
+            [q.numerator * (scale // q.denominator)],
+            scale,
+        )[0]
 
     def decimal(self, digits: int = 30) -> str:
         """Decimal rendering at the requested precision (>= 30 digits)."""
         digits = max(digits, 30)
-        with mpmath.workdps(self._dps(digits)):
-            val = (mpmath.mpf(self.p.numerator) / self.p.denominator
-                   + (mpmath.mpf(self.q.numerator) / self.q.denominator)
-                   / mpmath.pi)
-            return mpmath.nstr(val, digits)
+        with _mp_value(self, digits) as (mp, value):
+            return mp.nstr(value, digits)
 
 
 def _coerce(v) -> PiRational:
@@ -96,26 +103,85 @@ def _coerce(v) -> PiRational:
 ZERO = PiRational.of(0, 0)
 
 
-def _diagonal_value(n: int) -> PiRational:
-    """a(n, n) = (4/pi) * sum of reciprocals of the first n odd integers."""
-    acc = Fraction(0)
-    for j in range(1, n + 1):
-        acc += Fraction(1, 2 * j - 1)
-    return PiRational(Fraction(0), 4 * acc)
+@contextmanager
+def _mp_value(v: PiRational, digits: int):
+    """Yield (mpmath, p + q/pi) inside one mpmath context.
+
+    p and q can be huge while p + q/pi is small, so the working precision
+    covers the operands' digits on top of ``digits`` (at least 50).
+    """
+    import mpmath
+
+    bits = max(
+        v.p.numerator.bit_length(), v.p.denominator.bit_length(),
+        v.q.numerator.bit_length(), v.q.denominator.bit_length(),
+    )
+    with mpmath.workdps(max(_PRECISION_DIGITS, digits) + int(bits * 0.30103) + 10):
+        yield mpmath, (mpmath.mpf(v.p.numerator) / v.p.denominator
+                       + (mpmath.mpf(v.q.numerator) / v.q.denominator) / mpmath.pi)
+
+
+def _floats(ps: Sequence[int], qs: Sequence[int], scale: int) -> list:
+    """The floats of (P + Q/pi) / scale: one int/int division each.
+
+    With Pi within 2 of pi * 2**b, (P*Pi + Q*2**b) / (scale*Pi) differs from
+    the value by less than 2**-b * |Q| / scale, and Python rounds the
+    int/int quotient correctly. P and Q can exceed the value by hundreds of
+    bits (they cancel), so b is their bit count plus ``_GUARD_BITS``.
+    """
+    b = _GUARD_BITS + max(
+        scale.bit_length(), *(v.bit_length() for v in ps), *(v.bit_length() for v in qs)
+    )
+    pi = _scaled_pi(b)
+    den = scale * pi
+    return [(P * pi + (Q << b)) / den for P, Q in zip(ps, qs)]
+
+
+def _scaled_pi(bits: int) -> int:
+    """An integer within 2 of pi * 2**bits, the same one for every call."""
+    top = 1 << max(10, (bits - 1).bit_length())  # few distinct precisions
+    return _machin_pi(top) >> (top - bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _machin_pi(bits: int) -> int:
+    """pi * 2**bits to within 1, from Machin's formula in integers.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239); each series runs in fixed point
+    with 32 guard bits, which absorb the one-unit truncation of every term.
+    """
+    one = 1 << (bits + 32)
+
+    def arctan_inv(x: int) -> int:
+        power, total, k, sign = one // x, 0, 1, 1
+        while power:
+            total += sign * (power // k)
+            power //= x * x
+            k += 2
+            sign = -sign
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> 32
 
 
 class PotentialTable:
     """Octant table of exact potential-kernel values up to L-infinity radius N.
 
-    Stores a(i, j) for 0 <= j <= i <= N; the rest of the plane follows from
-    the dihedral symmetry a(i, j) = a(j, i) = a(|i|, |j|).
+    Stores a(i, j) for 0 <= j <= i <= N as integer numerators over the
+    common odd scale L_N = lcm(1, 3, ..., 2N - 1): column i of the lists
+    ``p`` and ``q`` holds P(i, j) and Q(i, j) for j = 0..i, and
+    a(i, j) = (P + Q/pi) / L_N. The rest of the plane follows from the
+    dihedral symmetry a(i, j) = a(j, i) = a(|i|, |j|).
     """
 
-    def __init__(self, radius: int, entries: dict):
+    def __init__(self, radius: int, scale: int, p: list, q: list):
         self.radius = radius
-        self._entries = entries
+        self.scale = scale
+        self._p = p
+        self._q = q
 
-    def value(self, x: Sequence[int]) -> PiRational:
+    def numerators(self, x: Sequence[int]) -> tuple:
+        """(P, Q) with a(x) = (P + Q/pi) / scale."""
         i, j = abs(int(x[0])), abs(int(x[1]))
         if j > i:
             i, j = j, i
@@ -123,44 +189,69 @@ class PotentialTable:
             raise ValueError(
                 f"point {tuple(x)} outside the radius-{self.radius} table"
             )
-        return self._entries[(i, j)]
+        return self._p[i][j], self._q[i][j]
+
+    def _exact(self, P: int, Q: int) -> PiRational:
+        return PiRational(Fraction(P, self.scale), Fraction(Q, self.scale))
+
+    def value(self, x: Sequence[int]) -> PiRational:
+        return self._exact(*self.numerators(x))
 
     def float_value(self, x: Sequence[int]) -> float:
         return float(self.value(x))
 
     def octant_items(self):
-        return sorted(self._entries.items())
+        """((i, j), a(i, j)) for 0 <= j <= i <= N, sorted by (i, j)."""
+        return [
+            ((i, j), self._exact(P, Q))
+            for i, (ps, qs) in enumerate(zip(self._p, self._q))
+            for j, (P, Q) in enumerate(zip(ps, qs))
+        ]
 
     def float_array(self) -> np.ndarray:
         """Dense (N+1, N+1) float rendering, symmetrized across the diagonal."""
         n = self.radius
+        rows, cols = np.tril_indices(n + 1)  # the octant's (i, j), column by column
         arr = np.zeros((n + 1, n + 1))
-        for (i, j), v in self._entries.items():
-            arr[i, j] = float(v)
-            arr[j, i] = arr[i, j]
+        arr[rows, cols] = arr[cols, rows] = _floats(
+            [v for col in self._p for v in col], [v for col in self._q for v in col], self.scale
+        )
         return arr
 
 
 def potential_table(radius: int) -> PotentialTable:
-    """Build the exact octant table column by column.
+    """Build the exact octant table column by column, in integers over L_N.
 
-    Start from a(0,0)=0, a(1,0)=1 and the diagonal closed form; each new
-    column n+1 is produced by harmonicity at (n,n) combined with symmetry,
+    Start from a(0,0)=0, a(1,0)=1 and the diagonal closed form, whose
+    numerator Q(n, n) = 4 * sum over j <= n of L_N/(2j - 1) is an integer;
+    each new column n+1 is produced by harmonicity at (n,n) combined with
+    symmetry,
     a(n+1, n) = 2 a(n,n) - a(n,n-1),
-    then by harmonicity at (n, j) descending from j = n-1 to 0,
+    then by harmonicity at (n, j) for j = n-1 down to 0,
     a(n+1, j) = 4 a(n,j) - a(n-1,j) - a(n,j+1) - a(n,j-1),
-    where the j = 0 case reads a(n,-1) as a(n,1) by symmetry.
+    where the j = 0 case reads a(n,-1) as a(n,1) by symmetry. The P and Q
+    numerators follow the same recurrence separately.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    a = {(0, 0): ZERO, (1, 0): PiRational.of(1, 0), (1, 1): _diagonal_value(1)}
+    scale = math.lcm(*range(1, 2 * radius, 2))
+    diagonal = 4 * scale
+    p = [[0], [scale, 0]]
+    q = [[0], [0, diagonal]]
     for n in range(1, radius):
-        a[(n + 1, n + 1)] = _diagonal_value(n + 1)
-        a[(n + 1, n)] = 2 * a[(n, n)] - a[(n, n - 1)]
-        for j in range(n - 1, -1, -1):
-            below = a[(n, 1)] if j == 0 else a[(n, j - 1)]
-            a[(n + 1, j)] = 4 * a[(n, j)] - a[(n - 1, j)] - a[(n, j + 1)] - below
-    return PotentialTable(radius, a)
+        diagonal += 4 * scale // (2 * n + 1)
+        p.append(_next_column(p[n - 1], p[n], 0))
+        q.append(_next_column(q[n - 1], q[n], diagonal))
+    return PotentialTable(radius, scale, p, q)
+
+
+def _next_column(prev: list, cur: list, diagonal: int) -> list:
+    """Column n + 1 of one numerator part from columns n - 1 and n."""
+    n = len(cur) - 1
+    below = [cur[1]] + cur[: n - 1]  # a(n, j - 1), reading a(n, -1) as a(n, 1)
+    return [
+        4 * c - b - up - down for c, b, up, down in zip(cur, prev, cur[1:], below)
+    ] + [2 * cur[n] - cur[n - 1], diagonal]
 
 
 _FLOAT_CACHE: dict = {}
@@ -202,14 +293,10 @@ def asymptotic_residual(table: PotentialTable, x) -> float:
     i, j = int(x[0]), int(x[1])
     if (i, j) == (0, 0):
         raise ValueError("residual undefined at the origin")
-    exact = table.value((i, j))
-    with mpmath.workdps(exact._dps(20)):
-        val = (mpmath.mpf(exact.p.numerator) / exact.p.denominator
-               + (mpmath.mpf(exact.q.numerator) / exact.q.denominator) / mpmath.pi)
-        norm2 = mpmath.mpf(i) ** 2 + mpmath.mpf(j) ** 2
-        asym = (mpmath.log(norm2) / mpmath.pi
-                + (2 * mpmath.euler + mpmath.log(8)) / mpmath.pi)
-        return float(val - asym)
+    with _mp_value(table.value((i, j)), 20) as (mp, value):
+        norm2 = mp.mpf(i) ** 2 + mp.mpf(j) ** 2
+        asym = mp.log(norm2) / mp.pi + (2 * mp.euler + mp.log(8)) / mp.pi
+        return float(value - asym)
 
 
 @dataclass
@@ -237,33 +324,36 @@ def verify_harmonicity(table: PotentialTable) -> HarmonicityReport:
 
     Checks 4 a(x) = sum of the four neighbour values at every point with
     all neighbours inside the table, except the origin, where the defect
-    (one-step average minus the value) must be exactly 1. Also re-derives
-    a(3,1) by solving the harmonicity equations on a 9x9 patch whose outer
-    ring is pinned to table values, and reports whether the rational parts
-    keep denominators dividing a product of odd integers.
+    (one-step average minus the value) must be exactly 1; both run on the
+    integer numerators, P and Q separately. Also re-derives a(3,1) by
+    solving the harmonicity equations on a 9x9 patch whose outer ring is
+    pinned to table values, and reports whether the rational parts keep
+    odd denominators: each reduced denominator divides the odd scale L_N.
     """
-    n = table.radius
-    violations = []
-    checked = 0
-    for i in range(-(n - 1), n):
-        for j in range(-(n - 1), n):
-            if (i, j) == (0, 0):
-                continue
-            checked += 1
-            s = (
-                table.value((i + 1, j))
-                + table.value((i - 1, j))
-                + table.value((i, j + 1))
-                + table.value((i, j - 1))
-                - 4 * table.value((i, j))
-            )
-            if s:
-                violations.append(((i, j), s))
-    defect = (
-        table.value((1, 0)) + table.value((-1, 0))
-        + table.value((0, 1)) + table.value((0, -1))
-    ) / 4 - table.value((0, 0))
-    origin_defect = defect.p if defect.q == 0 else Fraction(-1)
+    n, scale = table.radius, table.scale
+    defects: dict = {}
+    for part, col in enumerate((table._p, table._q)):
+        # grid[n + i][n + j] = the part's numerator at (i, j), |i|, |j| <= n
+        half = [[col[max(i, j)][min(i, j)] for j in range(n + 1)] for i in range(n + 1)]
+        rows = [row[:0:-1] + row for row in half]
+        grid = rows[:0:-1] + rows
+        for i in range(1, 2 * n):
+            up, mid, down = grid[i + 1], grid[i], grid[i - 1]
+            for k, (u, d, left, c, right) in enumerate(
+                zip(up[1:], down[1:], mid, mid[1:], mid[2:]), 1
+            ):
+                s = u + d + left + right - 4 * c
+                if s and (i, k) != (n, n):
+                    defects.setdefault((i - n, k - n), [0, 0])[part] = s
+    violations = [(x, table._exact(*defects[x])) for x in sorted(defects)]
+
+    neighbours = [table.numerators(x) for x in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    p0, q0 = table.numerators((0, 0))
+    defect_q = sum(q for _, q in neighbours) - 4 * q0
+    origin_defect = (
+        Fraction(sum(p for p, _ in neighbours) - 4 * p0, 4 * scale)
+        if defect_q == 0 else Fraction(-1)
+    )
 
     symmetry_ok = all(
         table.value((i, j)) == table.value((j, i)) == table.value((-i, j))
@@ -273,28 +363,20 @@ def verify_harmonicity(table: PotentialTable) -> HarmonicityReport:
 
     patch_ok = _patch_oracle_matches(table) if n >= 5 else None
 
-    odd_ok = all(
-        _odd_denominator(v.p) and _odd_denominator(v.q)
-        for _, v in table.octant_items()
-    )
     note = (
         "rational parts have odd denominators throughout"
-        if odd_ok
+        if scale % 2 == 1
         else "WARNING: an entry has an even denominator"
     )
     return HarmonicityReport(
         radius=n,
-        checked=checked,
+        checked=(2 * n - 1) ** 2 - 1,
         violations=violations,
         origin_defect=origin_defect,
         symmetry_ok=symmetry_ok,
         patch_oracle_ok=patch_ok,
         odd_denominator_note=note,
     )
-
-
-def _odd_denominator(f: Fraction) -> bool:
-    return f.denominator % 2 == 1
 
 
 def _patch_oracle_matches(table: PotentialTable) -> bool:

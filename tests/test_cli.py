@@ -6,6 +6,9 @@ are all exercised exactly as a shell user would see them.
 """
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -239,6 +242,67 @@ class TestPotential:
             run(["potential", "--radius", "10", "--check", "mc"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--radius", "0"),
+        ("--radius", "-2", "--check", "harmonicity"),
+        ("--radius", "3", "--check", "asymptotics"),
+        ("--radius", "4", "--check", "asymptotics"),
+    ])
+    def test_radius_out_of_range_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["potential", *argv])
+        assert exc.value.code == 2
+        assert "--radius" in capsys.readouterr().err
+
+    def test_asymptotics_at_the_smallest_radius(self, capsys):
+        code, doc = invoke_json(capsys, "potential", "--radius", "5", "--check", "asymptotics")
+        assert code == 0
+        assert [s["x"] for s in doc["result"]["samples"]] == [[5, 0]]
+
+
+class TestPotentialGolden:
+    """Potential-table stdout pinned byte for byte.
+
+    Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
+    with the argv below, recorded while the table was still built in
+    ``Fraction`` pairs and rendered to floats through mpmath.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "potential_r40_csv": ("--radius", "40", "--emit", "csv"),
+        "potential_r3_json": ("--radius", "3", "--emit", "json"),
+        "potential_r20_harmonicity": ("--radius", "20", "--check", "harmonicity"),
+        "potential_r25_asymptotics": ("--radius", "25", "--check", "asymptotics"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches_recorded_bytes(self, capsys, name):
+        code, out = invoke(capsys, "potential", *self.CASES[name])
+        assert code == 0
+        assert out == (self.GOLDEN / f"{name}.out").read_text()
+
+
+def test_import_and_float_rendering_leave_mpmath_unloaded():
+    code = (
+        "import sys\n"
+        "import recurmartin.cli\n"
+        "from recurmartin import potential\n"
+        "print('mpmath' in sys.modules)\n"
+        "table = potential.potential_table(30)\n"
+        "table.float_array(), float(table.value((7, 3)))\n"
+        "print('mpmath' in sys.modules)\n"
+        "table.value((7, 3)).decimal()\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    # only the decimal rendering (and the asymptotic residual) need mpmath
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestVerify:

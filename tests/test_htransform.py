@@ -205,6 +205,26 @@ def test_row_sums_hold_for_arbitrary_damping(num, den, pick):
     assert report.all_ok
 
 
+@pytest.mark.parametrize("part", ["rational", "pi"])
+def test_plane_row_sums_catch_a_corrupted_table_entry(monkeypatch, part):
+    # one octant entry moved by 1 (or 1/pi): its eight images and their
+    # neighbours break the row identity in that part alone
+    from recurmartin import potential
+
+    build = potential.potential_table
+
+    def corrupted(radius):
+        table = build(radius)
+        (table._p if part == "rational" else table._q)[3][1] += table.scale
+        return table
+
+    monkeypatch.setattr(potential, "potential_table", corrupted)
+    report = verify_row_sums(PLANE, P_PLANE, 6)
+    bad = {state for state, _ in report.violations}
+    assert {"3,1", "-1,3", "2,1", "3,0", "4,1"} <= bad
+    assert "0,0" not in bad and "6,6" not in bad
+
+
 class _NonHarmonicKernel(ZWalk):
     """Negative control: a corrupted boundary kernel (x^2 is not harmonic)."""
 

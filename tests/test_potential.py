@@ -6,11 +6,14 @@ mean property exactly, with the origin carrying a defect of exactly one;
 an independent Dirichlet solve on a small patch must reproduce a table
 entry; the large-distance residual against the logarithmic asymptote must
 approach the known +-1/(6 pi) direction-dependent correction; Monte Carlo
-visit counts are held to four standard errors at a fixed seed.
+visit counts are held to four standard errors at a fixed seed. The
+integer table is held to a reference recurrence in ``Fraction`` pairs and
+its floats to a per-entry mpmath rendering.
 """
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from recurmartin.potential import (
     PiRational,
+    _scaled_pi,
     asymptotic_residual,
     origin_killed_green,
     potential_float_array,
@@ -56,6 +60,40 @@ def test_pirational_float_and_decimal():
     assert float(PiRational.of(0, 4)) == pytest.approx(4 / math.pi, rel=1e-15)
     text = PiRational.of(0, 4).decimal(30)
     assert text.startswith("1.2732395447351626861510701069")
+
+
+def _mp_float(v: PiRational) -> float:
+    """p + q/pi rendered in one mpmath context, 60 digits beyond the operands."""
+    bits = max(
+        v.p.numerator.bit_length(), v.p.denominator.bit_length(),
+        v.q.numerator.bit_length(), v.q.denominator.bit_length(),
+    )
+    with mpmath.workdps(60 + int(bits * 0.30103)):
+        return float(mpmath.mpf(v.p.numerator) / v.p.denominator
+                     + (mpmath.mpf(v.q.numerator) / v.q.denominator) / mpmath.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.fractions(max_denominator=10**30).filter(lambda f: abs(f) < 10**40),
+    q=st.fractions(max_denominator=10**30).filter(lambda f: abs(f) < 10**40),
+)
+def test_pirational_float_is_the_rounded_value(p, q):
+    assert float(PiRational(p, q)) == _mp_float(PiRational(p, q))
+
+
+def test_float_survives_cancellation():
+    # 355/113 is within 3e-7 of pi: p + q/pi cancels to below 1e-7 of |p|
+    v = PiRational.of(-113 * 10**80, 355 * 10**80)
+    assert float(v) == _mp_float(v)
+    assert 0 < float(v) < 1e-7 * 113 * 10**80
+
+
+@pytest.mark.parametrize("bits", [1, 53, 700, 3000])
+def test_scaled_pi_is_within_two_units(bits):
+    with mpmath.workprec(bits + 64):
+        exact = mpmath.pi * mpmath.mpf(2) ** bits
+        assert abs(_scaled_pi(bits) - exact) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +145,69 @@ def test_four_neighbour_mean_property(i, j):
             PiRational.of(0, 0),
         )
         assert s == 4 * TABLE.value((i, j))
+
+
+# ---------------------------------------------------------------------------
+# Integer table against the Fraction recurrence
+
+
+def _fraction_table(radius: int) -> dict:
+    """The octant built in reduced PiRational pairs, one Fraction per entry."""
+    def diagonal(n):
+        return PiRational.of(0, 4 * sum(Fraction(1, 2 * j - 1) for j in range(1, n + 1)))
+
+    a = {(0, 0): PiRational.of(0, 0), (1, 0): PiRational.of(1, 0), (1, 1): diagonal(1)}
+    for n in range(1, radius):
+        a[(n + 1, n + 1)] = diagonal(n + 1)
+        a[(n + 1, n)] = 2 * a[(n, n)] - a[(n, n - 1)]
+        for j in range(n - 1, -1, -1):
+            below = a[(n, 1)] if j == 0 else a[(n, j - 1)]
+            a[(n + 1, j)] = 4 * a[(n, j)] - a[(n - 1, j)] - a[(n, j + 1)] - below
+    return a
+
+
+def test_integer_table_equals_the_fraction_recurrence():
+    reference = _fraction_table(60)
+    items = potential_table(60).octant_items()
+    assert [x for x, _ in items] == sorted(reference)
+    for x, v in items:
+        assert (v.p, v.q) == (reference[x].p, reference[x].q)
+
+
+def test_float_array_equals_the_per_entry_mpmath_rendering():
+    table = potential_table(106)
+    expected = np.zeros((107, 107))
+    for (i, j), v in table.octant_items():
+        expected[i, j] = expected[j, i] = _mp_float(v)
+    arr = table.float_array()
+    assert np.array_equal(arr, expected)
+    assert table.float_value((106, 7)) == expected[106, 7] == float(table.value((7, -106)))
+
+
+def test_reduced_denominators_divide_the_odd_scale():
+    scale = math.lcm(*range(1, 240, 2))
+    table = potential_table(120)
+    assert table.scale == scale
+    for _, v in table.octant_items():
+        assert scale % v.p.denominator == 0
+        assert scale % v.q.denominator == 0
+    # the bound is attained: the diagonal a(120, 120) needs all of L_120
+    assert table.value((120, 120)).q.denominator == scale
+
+
+def test_harmonicity_report_names_each_defect():
+    table = potential_table(9)
+    table._q[4][2] += 3 * table.scale  # a(4, 2) gains 3/pi, and so do its images
+    report = verify_harmonicity(table)
+    assert not report.all_ok
+    assert report.checked == 17 * 17 - 1
+    defects = dict(report.violations)
+    assert defects[(4, 2)] == PiRational.of(0, -12)
+    assert defects[(-2, 4)] == PiRational.of(0, -12)
+    assert defects[(5, 2)] == PiRational.of(0, 3)
+    assert len(defects) == 8 * 5
+    assert [x for x, _ in report.violations] == sorted(defects)
+    assert report.origin_defect == 1
 
 
 # ---------------------------------------------------------------------------
