@@ -41,6 +41,20 @@ class ChainSpec(ABC):
     #: outside the window exactly (every excursion re-enters where it left).
     loop_truncation_exact: bool = False
 
+    #: Radius a solve window takes beyond its farthest state
+    #: (``green.default_radius``).
+    radius_margin: int = 20
+
+    #: Radius of the window a harmonicity check covers when none is given.
+    check_radius: int = 25
+
+    #: Separator between the states of a path's text form.
+    path_separator: str = "."
+
+    def norm(self, s: StateId) -> int:
+        """Distance scale of a state: |x| for integers, length for tuples."""
+        return len(s) if isinstance(s, tuple) else abs(int(s))
+
     @property
     @abstractmethod
     def base_point(self) -> StateId:

@@ -194,9 +194,7 @@ def _profile(chain, x0, phi_text, parser, flag):
 
 
 def _path_states(chain, text, parser, flag):
-    # tree state texts contain dots, so tree paths separate with slashes
-    sep = "/" if isinstance(chain, KaryTree) else "."
-    parts = [p for p in text.split(sep) if p != ""]
+    parts = [p for p in text.split(chain.path_separator) if p != ""]
     if not parts:
         parser.error(f"{flag}: empty path")
     return [_state(chain, p, parser, flag) for p in parts]
@@ -211,12 +209,8 @@ def cmd_green(args, parser):
     x0 = _state(chain, args.x0, parser, "--x0")
     x = _state(chain, args.x, parser, "--x")
     y = _state(chain, args.y, parser, "--y")
-    if args.window_radius is not None:
-        radius = args.window_radius
-    elif isinstance(chain, KaryTree):
-        # tree windows grow exponentially in the radius
-        radius = max(len(s) for s in (x0, x, y)) + 4
-    else:
+    radius = args.window_radius
+    if radius is None:
         radius = default_radius(chain, [x0, x, y])
     if args.method == "exact":
         window = chain.window(radius)
@@ -260,7 +254,7 @@ def cmd_martin(args, parser):
         phi = mixture_profile(chain, x0, _mixture(chain, args.mixture, parser, "--mixture"))
     states = [_state(chain, t, parser, "--eval") for t in args.eval.split(",")]
     evaluations = {chain.format_state(s): phi.evaluate(s) for s in states}
-    radius = args.window_radius or (5 if isinstance(chain, KaryTree) else 25)
+    radius = args.window_radius or chain.check_radius
     report = check_harmonic_except(chain, phi, x0, chain.window(radius))
     payload = {
         "profile": phi.description,
@@ -328,7 +322,7 @@ def cmd_measure(args, parser):
 def cmd_simulate(args, parser):
     chain = _chain(args.chain, parser)
     x0 = _state(chain, args.x0, parser, "--x0")
-    if isinstance(chain, Z2Walk):
+    if not chain.boundary_points():
         alpha = None
         if args.alpha is not None:
             parser.error("--alpha: the planar walk has a single anonymous boundary point; omit the flag")

@@ -179,11 +179,11 @@ class ZWalk(ChainSpec):
         raise ValueError(f"unknown boundary point {text!r} for {self.name}")
 
     def exact_boundary_kernel(self, x: int, alpha: LineEnd, base: int = 0) -> Fraction:
-        """Limit of the visit ratio toward one end of the line."""
-        self._require_base(base)
-        if x == 0:
+        """Limit of the visit ratio toward one end of the line; the walk is
+        translation invariant, so any base shifts to 0."""
+        if x == base:
             return Fraction(1)
-        v = x if alpha.sign > 0 else -x
+        v = (x - base) * alpha.sign
         return Fraction(2 * v) if v > 0 else Fraction(0)
 
     def exact_profile(self, x: int, alpha: LineEnd, base: int = 0) -> Fraction:
@@ -318,6 +318,12 @@ class KaryTree(ChainSpec):
     """
 
     loop_truncation_exact = True
+    #: tree windows grow exponentially with depth, and any containing
+    #: radius is already exact under frontier loops
+    radius_margin = 2
+    check_radius = 7
+    #: node texts contain dots
+    path_separator = "/"
 
     def __init__(self, k: int = 2):
         if k < 2:
@@ -512,6 +518,9 @@ class Z2Walk(ChainSpec):
 
     def stationary(self, x: tuple) -> Fraction:
         return Fraction(1)
+
+    def norm(self, x: tuple) -> int:
+        return max(abs(x[0]), abs(x[1]))
 
     def state_key(self, x: tuple):
         return (max(abs(x[0]), abs(x[1])), x)

@@ -267,6 +267,13 @@ def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
     return [sol[:, c_ix] for c_ix in range(len(columns))]
 
 
+def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
+    """Solve (I - M) g = e_c for each column c, exactly or in floats."""
+    if exact:
+        return _solve_columns_fraction(op.fraction_rows(), columns)
+    return _solve_columns_float(op, columns)
+
+
 def _window(chain, radius, states):
     """The chain's radius window, refusing states outside it by name.
 
@@ -284,12 +291,7 @@ def _window(chain, radius, states):
 def _killed_column_values(chain, x0, window, ys, policy, exact):
     """g_y vectors over the window for each y, with transitions into x0 killed."""
     index, op = window_rows(chain, window, kill_into=x0, policy=policy)
-    cols = [index[y] for y in ys]
-    if exact:
-        vecs = _solve_columns_fraction(op.fraction_rows(), cols)
-    else:
-        vecs = _solve_columns_float(op, cols)
-    return index, {y: vec for y, vec in zip(ys, vecs)}
+    return index, dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
 
 
 def green_solve(
@@ -359,29 +361,14 @@ def green_solve_discounted(
         chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
     )
     ys = sorted({y for _, y in queries}, key=chain.state_key)
-    cols = [index[y] for y in ys]
-    vecs = (
-        _solve_columns_fraction(op.fraction_rows(), cols)
-        if exact
-        else _solve_columns_float(op, cols)
-    )
-    col = {y: vec for y, vec in zip(ys, vecs)}
+    col = dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
     return [col[y][index[x]] for x, y in queries]
 
 
-def state_norm(chain: ChainSpec, s: StateId) -> int:
-    """Distance scale of a state: |x| on lines, depth on trees, sup norm on grids."""
-    if isinstance(s, tuple):
-        if s and all(isinstance(c, int) for c in s) and isinstance(chain, Z2Walk):
-            return max(abs(c) for c in s)
-        return len(s)
-    return abs(int(s))
-
-
 def default_radius(chain: ChainSpec, states: Sequence[StateId]) -> int:
-    """A window radius comfortably containing the given states."""
-    base = max((state_norm(chain, s) for s in states), default=0)
-    return base + 20
+    """A solve window's radius: the states' largest norm plus the chain's
+    ``radius_margin``."""
+    return max((chain.norm(s) for s in states), default=0) + chain.radius_margin
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,7 @@ from .examplechains import (
     ZWalk,
     exact_martin_boundary,
 )
-from .green import (
-    Truncation,
-    default_radius,
-    green_solve_discounted,
-    martin_kernel,
-    state_norm,
-)
+from .green import Truncation, default_radius, green_solve_discounted, martin_kernel
 from .rng import (
     CONVERGENCE_WITNESS,
     TRANSIENCE_WITNESS,
@@ -121,8 +115,9 @@ class TransformedChain(ChainSpec):
     """A recurrent chain tilted toward a boundary point, made transient.
 
     Rows are q_{x,y} = (psi(y)/psi(x)) p_{x,y}, with the whole row at the
-    base state scaled by r. Structural hooks (ordering, formatting,
-    parsing, windows, separation) delegate to the parent, so solvers,
+    base state scaled by r. The tilt never creates or removes transitions,
+    so structural hooks (ordering, formatting, parsing, windows, norm and
+    radii, path texts, separation) delegate to the parent, and solvers,
     enumeration, and simulation accept the transformed chain unchanged.
     Every produced row is validated to sum to exactly 1; a violation would
     mean the boundary kernel is not harmonic off the base or its one-step
@@ -137,6 +132,9 @@ class TransformedChain(ChainSpec):
         self.parent = parent
         self.params = params
         self.name = f"{parent.name}-to-{params.alpha}:r={params.r}"
+        self.radius_margin = parent.radius_margin
+        self.check_radius = parent.check_radius
+        self.path_separator = parent.path_separator
         self._psi: dict = {}
 
     def weight(self, x: StateId) -> Fraction:
@@ -175,6 +173,9 @@ class TransformedChain(ChainSpec):
             (x, self._row_scale(x) * p * wy / self.weight(x)) for x, p in preds
         ]
 
+    def norm(self, x: StateId) -> int:
+        return self.parent.norm(x)
+
     def state_key(self, x: StateId):
         return self.parent.state_key(x)
 
@@ -188,13 +189,12 @@ class TransformedChain(ChainSpec):
         return self.parent.window(radius)
 
     def separating(self, y, x, x0) -> bool:
-        # the tilt never creates or removes transitions
         return self.parent.separating(y, x, x0)
 
 
 def transformed_chain(chain: ChainSpec, params: TransformParams) -> TransformedChain:
     """Build the conditioned chain with exact rational rows."""
-    if isinstance(chain, Z2Walk):
+    if law_class(chain) is Z2Walk:
         raise NotImplementedError(
             "the planar walk's tilting weight r/(1-r) + a(x) is not rational, "
             "so its conditioned rows cannot be exact fractions; use "
@@ -234,7 +234,7 @@ def verify_row_sums(
     goes through ``TransformedChain`` rows, so it cross-checks their
     construction-time validation.
     """
-    if isinstance(chain, Z2Walk):
+    if law_class(chain) is Z2Walk:
         return _plane_row_sums(chain, params, radius)
     report = RowSumReport(chain.name, params.r, radius)
     cache: dict = {}
@@ -340,11 +340,15 @@ def rn_identity_check(
     transformed = transformed_chain(chain, params)
     report = RnIdentityReport(chain.name, chain.format_state(x), n, params.r)
     px = transformed.weight(x)
+    rows: dict = {}
     for pw in enumerate_paths(chain, x, n, budget=budget):
         states = pw.states
         lhs = Fraction(1)
         for a, b in zip(states, states[1:]):
-            lhs *= _row_probability(transformed, a, b)
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = dict(transformed.successors(a))
+            lhs *= row.get(b, 0)
         visits = sum(1 for s in states[:-1] if s == params.x0)
         rhs = (
             pw.probability
@@ -359,13 +363,6 @@ def rn_identity_check(
             if gap > report.max_discrepancy:
                 report.max_discrepancy = gap
     return report
-
-
-def _row_probability(chain: ChainSpec, a: StateId, b: StateId) -> Fraction:
-    for y, p in chain.successors(a):
-        if y == b:
-            return p
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,7 @@ def k_kernel(
         ell = Fraction(0)
     else:
         if radius is None:
-            radius = _solve_radius(chain, [x0, x, target])
+            radius = default_radius(chain, [x0, x, target])
         ell = martin_kernel(
             chain, x0, x, target, method="exact", radius=radius, exact=True
         ).value
@@ -422,7 +419,7 @@ def transformed_green(
     It stays public as the conditioned chain's own Green function.
     """
     if radius is None:
-        radius = _solve_radius(chain, [params.x0, x, y])
+        radius = default_radius(chain, [params.x0, x, y])
     w = green_solve_discounted(
         chain, params.x0, params.r, [(x, y)], Truncation(radius), exact=exact
     )[0]
@@ -447,7 +444,7 @@ def k_kernel_numeric(
     ``k_kernel`` against it.
     """
     if radius is None:
-        radius = _solve_radius(chain, [params.x0, x, y])
+        radius = default_radius(chain, [params.x0, x, y])
     wx, w0 = green_solve_discounted(
         chain,
         params.x0,
@@ -458,15 +455,6 @@ def k_kernel_numeric(
     )
     ratio = psi_weight(chain, params, params.x0) / psi_weight(chain, params, x)
     return ratio * wx / w0 if exact else float(ratio) * wx / w0
-
-
-def _solve_radius(chain: ChainSpec, states: Sequence[StateId]) -> int:
-    top = max(state_norm(chain, s) for s in states)
-    if isinstance(chain, KaryTree):
-        # tree windows grow exponentially with depth; any containing
-        # radius is already exact under frontier loops
-        return top + 2
-    return default_radius(chain, states)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +477,7 @@ def r_map(
     ``PreconditionViolationError`` listing the offending states.
     """
     get = phi.evaluate if hasattr(phi, "evaluate") else phi
-    radius = _check_radius(chain, radius)
+    radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
     x0 = params.x0
     violations = []
@@ -533,7 +521,7 @@ def r_map_inverse(
     The output vanishes at the base and is harmonic off it.
     """
     get = h.evaluate if hasattr(h, "evaluate") else h
-    radius = _check_radius(chain, radius)
+    radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
     violations = []
     for x in chain.window(radius):
@@ -556,12 +544,6 @@ def r_map_inverse(
         return transformed.weight(x) * get(x) - drop
 
     return mapped
-
-
-def _check_radius(chain: ChainSpec, radius: Optional[int]) -> int:
-    if radius is not None:
-        return radius
-    return 7 if isinstance(chain, KaryTree) else 25
 
 
 # ---------------------------------------------------------------------------

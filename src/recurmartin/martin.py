@@ -62,14 +62,9 @@ class BoundaryMixture:
 
 
 def _boundary_kernel(chain: ChainSpec, x0: StateId, x: StateId, alpha) -> Fraction:
-    """Visit-ratio kernel against a boundary point, any supported base.
-
-    The integer-line walk is translation invariant, so an arbitrary base
-    reduces to the canonical one by shifting; other chains publish closed
-    forms at their canonical base only.
-    """
-    if isinstance(chain, ZWalk):
-        return chain.exact_boundary_kernel(x - x0, alpha, base=0)
+    """Visit-ratio kernel against a boundary point, at any base the chain's
+    closed form supports (every base on the line, the canonical one
+    elsewhere)."""
     method = getattr(chain, "exact_boundary_kernel", None)
     if method is None:
         raise UnsupportedBasePointError(

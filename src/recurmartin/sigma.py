@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, enumerate_paths
+from .chains import ChainSpec, StateId, enumerate_paths, law_class
 from .examplechains import Z2Walk
-from .green import EXACT_SOLVE_LIMIT, _killed_column_values, state_norm
+from .green import EXACT_SOLVE_LIMIT, _killed_column_values
 from .window import UNNAMED, SuccessorTable, sum_by_key, window_operator
 
 #: Ceiling on window states materialized by the avoidance dynamic programs.
@@ -544,11 +544,11 @@ def _base_visits_before(chain, x, y, x0):
     loop truncation at any connected window containing x, y and x0 is
     exact: the solve runs on their hull when the chain knows it (the
     interval on the line and the half line, the union of geodesics on the
-    tree), else on a window of the containing radius. The planar walk gets
-    the potential-kernel closed form. Anything else falls back to a
+    tree), else on a window of the containing radius. The planar walk's
+    law gets the potential-kernel closed form. Anything else falls back to a
     generously windowed loop solve, flagged as uncertified.
     """
-    if isinstance(chain, Z2Walk):
+    if law_class(chain) is Z2Walk:
         from .potential import origin_killed_green, potential_table
 
         dx = (x[0] - y[0], x[1] - y[1])
@@ -560,7 +560,7 @@ def _base_visits_before(chain, x, y, x0):
     window = chain.hull([x, y, x0]) if certified else None
     if window is None:
         margin = 2 if certified else 25
-        radius = max(state_norm(chain, s) for s in (x, y, x0)) + margin
+        radius = max(chain.norm(s) for s in (x, y, x0)) + margin
         window = chain.window(radius)
     exact = len(window) <= EXACT_SOLVE_LIMIT
     index, col = _killed_column_values(chain, y, window, [x0], "loop", exact)

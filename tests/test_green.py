@@ -50,7 +50,6 @@ from recurmartin.green import (
     green_solve,
     green_solve_discounted,
     martin_kernel,
-    state_norm,
     window_rows,
 )
 from recurmartin.potential import origin_killed_green, potential_mc, potential_table
@@ -816,13 +815,20 @@ def test_line_lane_draws_are_its_steps(monkeypatch):
 # Geometry helpers
 
 
-def test_state_norm_per_chain():
-    assert state_norm(Z, -7) == 7
-    assert state_norm(BB, 4) == 4
-    assert state_norm(TREE, (0, 1, 0)) == 3
-    assert state_norm(PLANE, (3, -5)) == 5
+def test_norm_per_chain():
+    assert Z.norm(-7) == 7
+    assert BB.norm(4) == 4
+    assert TREE.norm((0, 1, 0)) == 3
+    assert PLANE.norm((3, -5)) == 5
 
 
 def test_default_radius_contains_states():
     assert default_radius(Z, [0, 2, -9]) == 29
-    assert default_radius(TREE, [ROOT, (0, 1)]) == 22
+    assert default_radius(TREE, [ROOT, (0, 1)]) == 4
+
+
+def test_tree_kernel_default_window_stays_shallow():
+    # a depth-21 window (the line's margin of 20) has 4 million nodes
+    assert default_radius(TREE, [ROOT, (0,), (1,)]) == 3
+    res = martin_kernel(TREE, ROOT, (0,), (1,))
+    assert (res.value, res.radius) == (0, 3)

@@ -160,6 +160,14 @@ def test_transformed_chain_delegates_structure():
         chain.stationary(0)
 
 
+def test_transformed_chain_reports_parent_geometry():
+    chain = transformed_chain(TREE, P_TREE)
+    assert chain.norm((0, 1, 0)) == TREE.norm((0, 1, 0)) == 3
+    assert (chain.radius_margin, chain.check_radius, chain.path_separator) == (
+        TREE.radius_margin, TREE.check_radius, TREE.path_separator,
+    ) == (2, 7, "/")
+
+
 def test_transformed_predecessors_match_successor_entries():
     chain = transformed_chain(Z, P_Z)
     for y in range(-4, 5):

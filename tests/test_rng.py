@@ -6,6 +6,7 @@ distinct streams, and that a million draws pass cheap moment and 2-bit
 chi-square checks, single and serial. No module draws from another
 generator.
 """
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ def test_no_module_draws_from_numpy_random():
     for path in modules:
         text = path.read_text()
         assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
+def test_no_module_asks_a_chain_for_its_example_class():
+    # chain-specific decisions are chain capabilities (norm, radii, closed
+    # forms) or follow law_class: a type test hands a subclass that changes
+    # the law its parent's closed forms
+    ladder = re.compile(r"isinstance\(chain, \(?(ZWalk|BangBangWalk|KaryTree|Z2Walk)\b")
+    for path in sorted(Path(recurmartin.__file__).parent.glob("*.py")):
+        assert not ladder.search(path.read_text()), path.name
 
 
 def test_a_draw_depends_on_its_key_and_step_only():

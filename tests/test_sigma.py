@@ -396,6 +396,22 @@ def test_base_visits_on_deep_tree_nodes_solve_on_the_hull():
     assert mv8.bracket == (255.0, 256.0)
 
 
+class LazyPlane(Z2Walk):
+    """The planar walk holding with probability 1/2: another law."""
+
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(y, p / 2) for y, p in super().successors(x)]
+
+
+def test_base_visits_closed_form_follows_the_planar_law():
+    assert _base_visits_before(Z2Walk(), (1, 0), (2, 0), (0, 0)) == (1.4535209105296747, True)
+    # holding doubles every visit count; the generic radius-27 loop solve
+    # gives the simple walk 1.45497 there
+    visits, certified = _base_visits_before(LazyPlane(), (1, 0), (2, 0), (0, 0))
+    assert not certified
+    assert visits == pytest.approx(2 * 1.454970663242994, rel=1e-9)
+
+
 def test_base_visits_on_the_line_solve_on_the_interval():
     # visits to 0 from 3 before hitting -2: by translation G_0(5, 2) = 4
     assert _base_visits_before(Z, 3, -2, 0) == (4.0, True)
