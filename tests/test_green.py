@@ -815,7 +815,7 @@ def test_line_lane_draws_are_its_steps(monkeypatch):
 # Geometry helpers
 
 
-def test_norm_per_chain():
+def test_state_norm_per_chain():
     assert Z.norm(-7) == 7
     assert BB.norm(4) == 4
     assert TREE.norm((0, 1, 0)) == 3
