@@ -127,6 +127,22 @@ def law_class(chain: ChainSpec) -> type:
     return next(c for c in type(chain).__mro__ if "successors" in c.__dict__)
 
 
+def law_capability(chain: ChainSpec, name: str):
+    """``chain``'s attribute ``name`` when its law vouches for it.
+
+    A capability stating a fact about the law (``loop_truncation_exact``,
+    ``separating``, ``hull``) holds only where ``law_class(chain)`` or one
+    of its subclasses defines it; one inherited from above the law class
+    described another law, so ``ChainSpec``'s default is returned instead.
+    """
+    law = law_class(chain)
+    for cls in type(chain).__mro__:
+        if name in cls.__dict__ and (cls is ChainSpec or issubclass(cls, law)):
+            value = cls.__dict__[name]
+            return value.__get__(chain, type(chain)) if hasattr(value, "__get__") else value
+    raise AttributeError(name)
+
+
 @dataclass(frozen=True)
 class PathWeight:
     """One finite path with its exact probability."""

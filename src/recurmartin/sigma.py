@@ -1,13 +1,28 @@
 """Sigma-finite path measures induced by a harmonic profile.
 
 A profile phi vanishing at a base state x0 and harmonic elsewhere defines
-a measure on paths through the restricted-weight formula: the measure of
-{F_n happens and the walk never revisits x0 from time n on} equals
-E_x[F_n * phi(X_n)]. Restricted weights are exact rational expectations;
-plain cylinder events can carry infinite measure, so the cylinder
-evaluator reports a monotone horizon sequence with an explicit verdict
-instead of a single number, and the avoidance evaluator reports a
-certified two-sided bracket.
+a measure W on paths through the restricted-weight formula: the measure
+of {F_n happens and the walk never revisits x0 from time n on} equals
+E_x[F_n * phi(X_n)]. Restricted weights are exact rational expectations.
+
+One martingale settles the rest on a recurrent chain. With the balance
+b = sum_z P(x0, z) phi(z), M_n = phi(X_n) - b * #{k < n : X_k = x0} is a
+martingale from any start: phi is harmonic off x0 and averages to b from
+x0, where it vanishes.
+
+- Cylinders. For an event F fixed by time m and n >= m,
+  E_x[1_F phi(X_n)] = E_x[1_F (phi(X_m) + b * E_{X_m}[visits to x0 in
+  n - m steps])], and recurrence sends the visit count to infinity. So
+  W(F) is infinite exactly when b > 0 and P_x(F) > 0 (a nonzero profile
+  has b > 0: with b = 0 it is harmonic everywhere, hence constant, hence
+  0). The cylinder evaluator reports the monotone horizon sequence with
+  that verdict.
+- Avoidance. Stopping M at m ^ T_y gives U_m = E_x[phi(X_m); T_y > m] =
+  phi(x) + b * E_x[visits to x0 before m ^ T_y] - phi(y) P_x(T_y <= m),
+  which tends to
+  W_x(T_y = oo) = phi(x) - phi(y) + b * E_x[visits to x0 before T_y].
+  The avoidance evaluator returns this value wherever the visit count is
+  certified, and a two-sided bracket elsewhere.
 """
 from __future__ import annotations
 
@@ -18,20 +33,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, enumerate_paths, law_class
+from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
 from .green import EXACT_SOLVE_LIMIT, _killed_column_values
 from .window import UNNAMED, SuccessorTable, sum_by_key, window_operator
 
-#: Ceiling on window states materialized by the avoidance dynamic programs.
+#: Ceiling on states in the ball of the uncertified avoidance bracket.
 DP_STATE_BUDGET = 400_000
-
-#: Relative increment below which a monotone sequence is called converged.
-CONVERGED_REL = 1e-9
-
-#: Ratio of successive increments above which a growing sequence is called
-#: divergent (three positive increments required).
-DIVERGES_RATIO = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +151,9 @@ class MeasureValue:
     """A measure evaluation: exact, or a monotone horizon sequence.
 
     ``sequence`` entries are (horizon, value) pairs, nondecreasing in the
-    value; ``bracket`` is a certified (lower, upper) enclosure when one
-    is available. An inconclusive bracket is reported, never raised.
+    value; ``bracket`` is a (lower, upper) enclosure of an avoidance value,
+    a single point when the value is exact. An inconclusive bracket is
+    reported, never raised.
     """
 
     value: object
@@ -180,17 +189,9 @@ def restricted_measure(
     return MeasureValue(value=total, mode="exact", note=f.description)
 
 
-def _sequence_verdict(values) -> str:
-    if len(values) >= 2:
-        last = float(values[-1])
-        inc = float(values[-1] - values[-2])
-        if last != 0 and abs(inc) < CONVERGED_REL * abs(last):
-            return "converged"
-    if len(values) >= 4:
-        d = [float(b - a) for a, b in zip(values[:-1], values[1:])]
-        if min(d[-3:]) > 0 and d[-1] > DIVERGES_RATIO * d[-2]:
-            return "diverges"
-    return "undetermined"
+def _balance(chain, x0, get):
+    """b = sum_z P(x0, z) phi(z), the profile's one-step average from x0."""
+    return sum((p * get(s) for s, p in chain.successors(x0)), Fraction(0))
 
 
 def cylinder_measure(
@@ -205,10 +206,11 @@ def cylinder_measure(
 
     For each horizon n >= the event horizon, the weight
     E_x[1_event * phi(X_n)] is computed by an exact forward dynamic
-    program; these weights increase to the event's measure, which may be
-    infinite. Verdict: «diverges» after three positive increments whose
-    last ratio exceeds 0.9, «converged» when the last increment drops
-    below 1e-9 of the value, else «undetermined».
+    program; these weights increase to the event's measure. On a
+    recurrent chain that measure is infinite exactly when the balance b
+    at the base and P_x(event) are both positive (module docstring), so
+    the verdict is «diverges» then and «converged» otherwise. P_x(event)
+    is the program's total weight at the event horizon.
     """
     if event.allowed is None:
         raise ValueError("cylinder_measure needs an indicator-type functional")
@@ -219,14 +221,17 @@ def cylinder_measure(
         raise ValueError(f"horizons must start at or after {event.horizon}")
     get = _phi_eval(phi)
     try:
-        values = _cylinder_values(chain.code_table([x], horizons[-1]), get, x, event, horizons)
+        values, mass = _cylinder_values(
+            chain.code_table([x], horizons[-1]), get, x, event, horizons
+        )
     except LookupError:  # the walk left the vectorized table's range
-        values = _cylinder_values(SuccessorTable(chain), get, x, event, horizons)
+        values, mass = _cylinder_values(SuccessorTable(chain), get, x, event, horizons)
+    diverges = mass > 0 and _balance(chain, x0, get) > 0
     return MeasureValue(
         value=values[-1],
         mode="monotone-sequence",
         sequence=list(zip(horizons, values)),
-        verdict=_sequence_verdict(values),
+        verdict="diverges" if diverges else "converged",
         note=event.description,
     )
 
@@ -236,7 +241,9 @@ def _cylinder_values(table, get, x, event, horizons):
 
     After t steps the weight of a state is its numerator over the product
     of the steps' denominators; each horizon's value is one Fraction.
-    Raises LookupError when a step reaches a state the table cannot name.
+    Returns the values and P_x(event), the total weight at the event
+    horizon. Raises LookupError when a step reaches a state the table
+    cannot name.
     """
     codes = table.encode([x]) if event.allowed(0, x) else np.zeros(0, dtype=np.int64)
     weights = np.ones(len(codes), dtype=object)
@@ -244,6 +251,7 @@ def _cylinder_values(table, get, x, event, horizons):
     scale = 1
     phis: dict = {}
     values = []
+    mass = Fraction(len(codes))
     t = 0
     for n in horizons:
         while t < n:
@@ -261,11 +269,13 @@ def _cylinder_values(table, get, x, event, horizons):
             states = [s for s, k in zip(states, keep) if k]
             scale *= den
             t += 1
+            if t == event.horizon:
+                mass = Fraction(int(weights.sum()), scale)
         for s in states:
             if s not in phis:
                 phis[s] = get(s)
         values.append(_weighted_sum(weights.tolist(), [phis[s] for s in states], scale))
-    return values
+    return values, mass
 
 
 def _weighted_sum(weights, phis, scale):
@@ -340,15 +350,16 @@ def verify_concatenation(
 
 @dataclass(frozen=True)
 class AvoidanceConfig:
-    """Tuning for the avoidance bracket.
+    """Tuning for the uncertified avoidance bracket.
 
-    ``restriction_split`` places the base-barring time of the lower-bound
-    program at that fraction of the first horizon; the bracket is called
-    closed when its width is within ``tolerance`` of the midpoint.
+    Chains whose visit count is certified get the exact identity and
+    ignore it. For the others, the lower side is a forward program over a
+    ball of at most ``state_budget`` states, run to each of ``horizons``,
+    with the base barred from ``restriction_split`` of the first horizon
+    on.
     """
 
     horizons: tuple = (128, 256, 512, 1024)
-    tolerance: float = 0.05
     restriction_split: float = 0.5
     state_budget: int = DP_STATE_BUDGET
 
@@ -363,17 +374,30 @@ def avoidance_function(
 ) -> MeasureValue:
     """Measure of the paths from x that never visit y.
 
-    Exact shortcuts: the event is empty for x = y, and for y = x0 the
-    value is phi(x). When y separates x from x0, killing at y alone
-    gives the weight U_m = E_x[1_{T_y > m} phi(X_m)], and optional
-    stopping pins U_m - phi(y) P_x(T_y > m) = phi(x) - phi(y): a
-    certified constant lower bound, with bracket width phi(y) P(T_y > m)
-    shrinking to zero on recurrent chains. Otherwise the lower bound
-    comes from doubly restricted weights (y barred throughout, x0 barred
-    from a fixed intermediate time on), nondecreasing in the horizon,
-    and the upper bound is the exact
-    phi(x) + balance * E_x[visits to x0 before T_y]. A bracket wider
-    than the tolerance is reported with verdict "inconclusive".
+    The event is empty for x = y, and for y = x0 the value is phi(x).
+    Otherwise, on a recurrent chain,
+
+        W_x(T_y = oo) = phi(x) - phi(y) + b * E_x[visits to x0 before T_y]
+
+    with b = sum_z P(x0, z) phi(z). Proof sketch: M_n = phi(X_n) -
+    b * #{k < n : X_k = x0} is a martingale (phi is harmonic off x0 and
+    averages to b from x0, where it vanishes); stopping it at m ^ T_y
+    gives E_x[phi(X_m); T_y > m] = phi(x) + b * E_x[visits before m ^ T_y]
+    - phi(y) P_x(T_y <= m). That is the measure of {T_y > m, no base
+    visit from m on}; the part of it that reaches y later weighs at most
+    phi(y) P_x(T_y > m), so recurrence sends it to the left side, and the
+    right side to the identity. When y separates x from x0 the visit term
+    is 0; otherwise it is ``_base_visits_before``, exact on the chains whose
+    law certifies it (a ``Fraction`` for rational profiles; a float on the
+    plane). The result is exact, with verdict "bracket-closed" and the
+    one-point bracket (value, value).
+
+    Chains without a certified visit count (user chains, laws changed by
+    a subclass) get a bracket: the lower side comes from doubly
+    restricted weights (y barred throughout, x0 barred from a fixed
+    intermediate time on), nondecreasing in the horizon, and the upper
+    side is the identity with an uncertified visit count, so the verdict
+    is "inconclusive".
     """
     get = _phi_eval(phi)
     if x == y:
@@ -386,9 +410,17 @@ def avoidance_function(
             get(x), "exact", verdict="exact",
             note="barred state is the base point",
         )
-    if chain.separating(y, x, x0):
-        return _avoidance_separating(chain, x0, get, x, y, config)
-    return _avoidance_generic(chain, x0, get, x, y, config)
+    if not _visits_certified(chain):
+        return _avoidance_generic(chain, x0, get, x, y, config)
+    if law_capability(chain, "separating")(y, x, x0):
+        visits, note = 0, "; no base visits, the barred state separates"
+    else:
+        visits, note = _base_visits_before(chain, x, y, x0)[0], ""
+    value = get(x) - get(y) + _balance(chain, x0, get) * visits
+    return MeasureValue(
+        value, "exact", verdict="bracket-closed", bracket=(float(value), float(value)),
+        note="identity phi(x) - phi(y) + balance * E_x[visits to base before T_y]" + note,
+    )
 
 
 def _finite_phi(get, s):
@@ -457,36 +489,8 @@ def _trim_horizons(horizons, usable):
     return kept or [max(1, usable)]
 
 
-def _avoidance_separating(chain, x0, get, x, y, config):
-    """Separation branch: one killing site, constant certified lower bound."""
-    states, usable, kernel, phi_vec = _reachable_ball(
-        chain, x, get, max(config.horizons), config.state_budget
-    )
-    horizons = _trim_horizons(config.horizons, usable)
-    index = {s: i for i, s in enumerate(states)}
-    phi_y = float(get(y))
-    iy = index.get(y)
-    w = np.zeros(len(states))
-    w[index[x]] = 1.0
-    seq = []
-    t = 0
-    for m in horizons:
-        while t < m:
-            w = kernel @ w
-            if iy is not None:
-                w[iy] = 0.0
-            t += 1
-        seq.append((m, float(w @ phi_vec) - phi_y * float(w.sum())))
-    lower = seq[-1][1]
-    upper = float(w @ phi_vec)
-    return _bracket_value(
-        seq, lower, upper, config.tolerance, True,
-        "separation: reaching the base from here requires passing the barred state",
-    )
-
-
 def _avoidance_generic(chain, x0, get, x, y, config):
-    """Generic branch: doubly restricted lower bound, visit-bound upper."""
+    """Uncertified bracket: doubly restricted lower bound, visit-bound upper."""
     states, usable, kernel, phi_vec = _reachable_ball(
         chain, x, get, max(config.horizons), config.state_budget
     )
@@ -511,30 +515,21 @@ def _avoidance_generic(chain, x0, get, x, y, config):
         seq.append((m, float(w @ phi_vec) - phi_y * float(w.sum())))
 
     lower = max(max(v for _, v in seq), 0.0)
-    balance = float(sum((p * get(s) for s, p in chain.successors(x0)), Fraction(0)))
-    visits, certified = _base_visits_before(chain, x, y, x0)
-    upper = float(get(x)) + balance * visits
-    return _bracket_value(
-        seq, lower, upper, config.tolerance, certified,
-        "generic bracket: doubly restricted lower bound, visit-bound upper",
-    )
-
-
-def _bracket_value(seq, lower, upper, tolerance, certified, note):
-    value = 0.5 * (lower + upper)
-    closed = (
-        certified
-        and upper >= lower - 1e-12
-        and upper - lower <= tolerance * max(abs(value), 1e-12)
-    )
+    visits, _ = _base_visits_before(chain, x, y, x0)
+    upper = float(get(x)) + float(_balance(chain, x0, get)) * float(visits)
     return MeasureValue(
-        value=value,
+        value=0.5 * (lower + upper),
         mode="monotone-sequence",
         sequence=seq,
-        verdict="bracket-closed" if closed else "inconclusive",
+        verdict="inconclusive",
         bracket=(lower, upper),
-        note=note,
+        note="generic bracket: doubly restricted lower bound, visit-bound upper",
     )
+
+
+def _visits_certified(chain) -> bool:
+    """Whether ``_base_visits_before`` is exact for the infinite chain."""
+    return law_class(chain) is Z2Walk or bool(law_capability(chain, "loop_truncation_exact"))
 
 
 def _base_visits_before(chain, x, y, x0):
@@ -544,9 +539,12 @@ def _base_visits_before(chain, x, y, x0):
     loop truncation at any connected window containing x, y and x0 is
     exact: the solve runs on their hull when the chain knows it (the
     interval on the line and the half line, the union of geodesics on the
-    tree), else on a window of the containing radius. The planar walk's
-    law gets the potential-kernel closed form. Anything else falls back to a
-    generously windowed loop solve, flagged as uncertified.
+    tree), else on a window of the containing radius, and returns a
+    ``Fraction`` while the window is within the exact solve limit. The
+    planar walk's law gets the potential-kernel closed form, as a float.
+    Anything else falls back to a generously windowed loop solve (see
+    ``ChainSpec.radius_margin``), flagged as uncertified. Each capability
+    counts only where the chain's law vouches for it (``law_capability``).
     """
     if law_class(chain) is Z2Walk:
         from .potential import origin_killed_green, potential_table
@@ -556,12 +554,15 @@ def _base_visits_before(chain, x, y, x0):
         radius = max(abs(c) for c in (*dx, *d0, dx[0] - d0[0], dx[1] - d0[1]))
         table = potential_table(radius)
         return float(origin_killed_green(table, dx, d0)), True
-    certified = bool(getattr(chain, "loop_truncation_exact", False))
-    window = chain.hull([x, y, x0]) if certified else None
+    certified = _visits_certified(chain)
+    window = law_capability(chain, "hull")([x, y, x0]) if certified else None
     if window is None:
-        margin = 2 if certified else 25
+        # an uncertified solve reaches five levels past the chain's own
+        # solve margin: 25 on the line, 7 on the fast-growing tree
+        margin = 2 if certified else chain.radius_margin + 5
         radius = max(chain.norm(s) for s in (x, y, x0)) + margin
         window = chain.window(radius)
     exact = len(window) <= EXACT_SOLVE_LIMIT
     index, col = _killed_column_values(chain, y, window, [x0], "loop", exact)
-    return float(col[x0][index[x]]), certified
+    visits = col[x0][index[x]]
+    return (visits if exact else float(visits)), certified

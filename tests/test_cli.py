@@ -159,7 +159,20 @@ class TestMeasure:
         assert code == 0
         lo, hi = doc["result"]["bracket"]
         assert lo <= 4.0 <= hi
-        assert hi - lo < 0.05 * doc["result"]["value"]
+        assert hi - lo < 0.05 * doc["result"]["numeric"]
+        assert doc["result"]["value"] == "4"
+
+    def test_avoid_event_on_the_tree_is_exact(self, capsys):
+        start = time.perf_counter()
+        code, doc = invoke_json(
+            capsys, "measure", "--chain", "tree:k=2", "--x0", "@",
+            "--phi", "boundary:(0)*", "--x", "0", "--event", "avoid:1",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        res = doc["result"]
+        assert res["value"] == "2" and res["verdict"] == "bracket-closed"
+        assert res["mode"] == "exact" and res["bracket"] == [2.0, 2.0]
 
     def test_tree_paths_use_slashes(self, capsys):
         code, doc = invoke_json(

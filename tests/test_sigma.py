@@ -2,9 +2,9 @@
 
 Restricted weights are pinned to hand-computed rationals and to the
 defining formula evaluated through an independent distribution route.
-Cylinder sequences must grow monotonically with the documented verdicts;
-avoidance brackets must enclose the closed-form values with certified
-sides.
+Cylinder sequences must grow monotonically, with the divergence theorem's
+verdict; avoidance values must equal the martingale identity exactly on
+certified chains, and brackets elsewhere must enclose the truth.
 """
 import time
 from fractions import Fraction
@@ -24,7 +24,8 @@ from recurmartin.examplechains import (
     Z2Walk,
     ZWalk,
 )
-from recurmartin.martin import profile_from_boundary
+from recurmartin.chains import law_capability
+from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_boundary
 from recurmartin.potential import origin_killed_green, potential_table
 from recurmartin.sigma import (
     AvoidanceConfig,
@@ -147,7 +148,7 @@ def test_cylinder_growth_along_initial_path():
         Fraction(9, 8),
     ]
     assert_nondecreasing(mv.sequence)
-    assert mv.verdict == "undetermined"
+    assert mv.verdict == "diverges"
 
 
 def test_cylinder_divergence_verdict():
@@ -164,13 +165,18 @@ def test_weight_with_base_barred_is_constant(m):
     assert mv.value == PHI.evaluate(2)
 
 
-def test_sequence_verdict_thresholds():
-    from recurmartin.sigma import _sequence_verdict
-
-    assert _sequence_verdict([Fraction(4), Fraction(4)]) == "converged"
-    assert _sequence_verdict([1, 2, 3, Fraction(399, 100)]) == "diverges"
-    assert _sequence_verdict([1, 2, 3, Fraction(31, 10)]) == "undetermined"
-    assert _sequence_verdict([Fraction(1)]) == "undetermined"
+def test_cylinder_verdict_is_the_divergence_theorem():
+    """W(F) is infinite exactly when the balance and P_x(F) are positive."""
+    # no path from 0 starts 1, 2: P_0(F) = 0
+    assert cylinder_measure(Z, 0, PHI, 0, path_indicator([1, 2]), [1, 3]).verdict == "converged"
+    # the zero profile has balance 0
+    zero = cylinder_measure(Z, 0, lambda s: 0, 0, path_indicator([0, 1, 2]), [2, 9])
+    assert zero.verdict == "converged" and zero.value == 0
+    # pinned at 2 at time 3 from 0: impossible by parity
+    assert cylinder_measure(Z, 0, PHI, 0, state_at_time(3, 2), [3, 8]).verdict == "converged"
+    # the mass counts at the event horizon even when phi vanishes there
+    away = cylinder_measure(Z, 0, PHI, 0, state_at_time(2, -2), [2])
+    assert away.value == 0 and away.verdict == "diverges"
 
 
 def test_cylinder_from_disallowed_start_is_zero():
@@ -264,7 +270,7 @@ def test_concatenation_counts_all_paths():
 
 
 # ---------------------------------------------------------------------------
-# Avoidance brackets
+# Avoidance values
 
 
 def test_avoidance_exact_shortcuts():
@@ -282,118 +288,135 @@ def test_avoidance_exact_shortcuts():
 def test_avoidance_separation_brackets_the_linear_profile_gap(x):
     """Never hitting 1 from x > 1 carries measure phi(x) - phi(1) = 2(x-1)."""
     mv = avoidance_function(Z, 0, PHI, x, 1)
-    lo, up = mv.bracket
-    truth = 2 * (x - 1)
-    assert lo - 1e-9 <= truth <= up + 1e-9
+    assert mv.value == 2 * (x - 1) and mv.mode == "exact"
     assert mv.verdict == "bracket-closed"
-    assert (up - lo) <= 0.05 * float(mv.value)
-    assert lo == pytest.approx(truth, abs=1e-9)
-    assert_nondecreasing(mv.sequence)
+    assert mv.bracket == (2.0 * (x - 1), 2.0 * (x - 1))
 
 
 def test_avoidance_separation_closes_fast_under_drift():
     bb = BangBangWalk()
     pbb = profile_from_boundary(bb, 0, HalfLineEnd())
     mv = avoidance_function(bb, 0, pbb, 4, 2)
-    lo, up = mv.bracket
-    truth = float(pbb.evaluate(4) - pbb.evaluate(2))
+    assert mv.value == pbb.evaluate(4) - pbb.evaluate(2)
     assert mv.verdict == "bracket-closed"
-    assert lo == pytest.approx(truth, abs=1e-9)
-    assert up == pytest.approx(truth, abs=1e-6)
-
-
-def test_avoidance_separation_on_the_tree_reports_honest_width():
-    """The ball budget caps tree horizons; the lower side is still exact."""
-    tree = KaryTree(2)
-    phi = profile_from_boundary(tree, ROOT, TreeRay.parse("(0)*"))
-    cfg = AvoidanceConfig(horizons=(8, 16), state_budget=40_000)
-    mv = avoidance_function(tree, ROOT, phi, (0, 0, 0), (0,), cfg)
-    lo, up = mv.bracket
-    truth = float(phi.evaluate((0, 0, 0)) - phi.evaluate((0,)))
-    assert lo - 1e-9 <= truth <= up + 1e-9
-    assert lo == pytest.approx(truth, abs=1e-9)
-    assert mv.verdict == "inconclusive"  # short horizons leave a wide top side
 
 
 def test_avoidance_generic_branch_on_the_line():
-    """y = -2 does not cut 3 off from 0: the two-sided bracket applies."""
+    """y = -2 does not cut 3 off from 0: the visit term counts."""
     mv = avoidance_function(Z, 0, PHI, 3, -2)
-    lo, up = mv.bracket
     # phi(3) + balance * visits-to-0-before-hitting(-2) = 6 + 1 * 4
-    assert up == pytest.approx(10.0, abs=1e-9)
-    assert 0 <= lo <= up
-    assert_nondecreasing(mv.sequence)
-
-
-def test_avoidance_generic_branch_tightens_with_later_base_barring():
-    early = avoidance_function(
-        Z, 0, PHI, 3, -2, AvoidanceConfig(horizons=(256, 1024), restriction_split=0.25)
-    )
-    late = avoidance_function(
-        Z, 0, PHI, 3, -2, AvoidanceConfig(horizons=(256, 1024), restriction_split=0.9)
-    )
-    assert late.bracket[0] >= early.bracket[0] - 1e-12
+    assert mv.value == 10 and type(mv.value) is Fraction
+    assert mv.bracket == (10.0, 10.0)
 
 
 def test_avoidance_generic_branch_on_the_plane():
-    """Upper side must match the independent potential-kernel closure."""
-    z2 = Z2Walk()
+    """The visit term is the potential-kernel closed form; the balance is a(1,0) = 1."""
     table = potential_table(40)
-    cfg = AvoidanceConfig(horizons=(16, 32), state_budget=120_000)
-    mv = avoidance_function(z2, (0, 0), table.float_value, (3, 0), (1, 0), cfg)
-    lo, up = mv.bracket
+    a = table.float_value
+    mv = avoidance_function(Z2Walk(), (0, 0), a, (3, 0), (1, 0))
     closure = float(origin_killed_green(table, (2, 0), (-1, 0)))
-    assert up == pytest.approx(table.float_value((3, 0)) + closure, rel=1e-12)
-    assert 0 <= lo <= up
-    assert_nondecreasing(mv.sequence)
+    assert mv.value == a((3, 0)) - a((1, 0)) + closure
+    assert mv.verdict == "bracket-closed" and mv.bracket == (mv.value, mv.value)
 
 
-def test_avoidance_inconclusive_is_reported_not_raised():
-    cfg = AvoidanceConfig(horizons=(4, 8), tolerance=1e-6)
-    mv = avoidance_function(Z, 0, PHI, 3, 1, cfg)
-    assert mv.verdict == "inconclusive"
-    lo, up = mv.bracket
-    assert lo - 1e-9 <= 4 <= up + 1e-9
-
-
-# The brackets below are pinned, bit for bit, to the values a ball search
-# over successors() rows gives, with the profile evaluated state by state.
-PINNED_BRACKETS = [
-    (Z, 0, PHI, 3, 1,
-     ("0x1.0000000000000p+2", "0x1.0660139015ffcp+2"),
-     [(128, "0x1.ffffffffffffep+1"), (256, "0x1.fffffffffffffp+1"),
-      (512, "0x1.ffffffffffffbp+1"), (1024, "0x1.0000000000000p+2")]),
-    (Z, 0, PHI, 3, -2,
-     ("0x1.04f047c6ef649p+3", "0x1.4000000000000p+3"),
-     [(m, "0x1.04f047c6ef649p+3") for m in (128, 256, 512, 1024)]),
-    (TREE2, ROOT, PHI_TREE, (0,), (1,),
-     ("0x1.7400000000000p+0", "0x1.0000000000000p+1"), [(13, "0x1.7400000000000p+0")]),
-    (TREE2, ROOT, PHI_TREE, (0, 0, 1), (0,),
-     ("0x1.0000000000000p+1", "0x1.35a0000000000p+1"), [(13, "0x1.0000000000000p+1")]),
+# phi(x) - phi(y) + balance * E_x[visits to the base before T_y], by hand:
+# the line's balance is 1, the half line's (q = 1/3) 4, the tree's 1/2.
+PINNED_VALUES = [
+    (Z, 0, PHI, 3, 1, 4),  # 1 separates: 6 - 2
+    (Z, 0, PHI, 3, -2, 10),  # 6 - 0 + 1 * G_0(5, 2) = 6 + 4
+    (TREE2, ROOT, PHI_TREE, (0,), (1,), 2),  # 1 - 0 + 1/2 * 2
+    (TREE2, ROOT, PHI_TREE, (0, 0, 1), (0,), 2),  # (0,) separates: 3 - 1
+    (Z, 0, PHI, -2, 1, 0),  # 0 - 2 + 1 * 2
+    (Z, 0, PHI, 0, -2, 4),  # from the base: 0 - 0 + 1 * 4 visits
+    (BB3, 0, PHI_BB, 5, 2, 112),  # 2 separates: 124 - 12
+    (BB3, 0, PHI_BB, 1, 3, 0),  # 4 - 28 + 4 * 6
+    (TREE2, ROOT, PHI_TREE, (0, 0), (0, 1), 4),  # 3 - 1 + 1/2 * 4
+    (TREE2, ROOT, PHI_TREE, (0, 1), (0, 0), 0),  # 1 - 3 + 1/2 * 4
 ]
 
 
 @pytest.mark.parametrize(
-    "chain, x0, phi, x, y, bracket, sequence", PINNED_BRACKETS,
-    ids=["z-separating", "z-generic", "tree-generic", "tree-separating"],
+    "chain, x0, phi, x, y, value", PINNED_VALUES,
+    ids=["z-separating", "z-generic", "tree-generic", "tree-separating", "z-past-base",
+         "z-from-base", "halfline-separating", "halfline-beyond", "tree-cousin", "tree-back"],
 )
-def test_avoidance_brackets_are_pinned_bit_for_bit(chain, x0, phi, x, y, bracket, sequence):
-    mv = avoidance_function(chain, x0, phi, x, y, AvoidanceConfig(state_budget=40_000))
-    assert tuple(v.hex() for v in mv.bracket) == bracket
-    assert [(m, v.hex()) for m, v in mv.sequence] == sequence
+def test_avoidance_brackets_are_pinned_bit_for_bit(chain, x0, phi, x, y, value):
+    mv = avoidance_function(chain, x0, phi, x, y)
+    assert type(mv.value) is Fraction and mv.value == value
+    assert mv.mode == "exact" and mv.verdict == "bracket-closed"
+    assert mv.bracket == (float(value), float(value)) and mv.sequence is None
+    assert "identity" in mv.note
+
+
+@pytest.mark.parametrize("m, weight", [(100, 8.4831), (1000, 9.4980)])
+def test_singly_restricted_weights_stay_below_the_identity(m, weight):
+    """U_m = E_3[phi(X_m); T_-2 > m] increases (phi(-2) = 0) to the
+    identity's 10 like 1/sqrt(m)."""
+    u = cylinder_measure(Z, 0, PHI, 3, avoid_states([-2], m), [m]).value
+    assert float(u) == pytest.approx(weight, abs=5e-5)
+    assert u < avoidance_function(Z, 0, PHI, 3, -2).value
+
+
+def _killed_at(chain, x0, phi, x, y, m):
+    """U_m = E_x[phi(X_m); T_y > m], E_x[visits to x0 before m ^ T_y] and
+    P_x(T_y <= m), by a Fraction forward program over successors()."""
+    weights, visits, hit = {x: Fraction(1)}, Fraction(0), Fraction(0)
+    for _ in range(m):
+        visits += weights.get(x0, 0)
+        nxt: dict = {}
+        for s, w in weights.items():
+            for s2, p in chain.successors(s):
+                nxt[s2] = nxt.get(s2, 0) + w * p
+        hit += nxt.pop(y, 0)
+        weights = nxt
+    return sum((w * phi(s) for s, w in weights.items()), Fraction(0)), visits, hit
+
+
+NODES = [ROOT, (0,), (1,), (0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 1, 1)]
+CHAINS = {
+    "z": (Z, 0, PHI, list(range(-3, 5))),
+    "halfline": (BB3, 0, PHI_BB, list(range(0, 6))),
+    "tree": (TREE2, ROOT, PHI_TREE, NODES),
+}
+
+
+@given(name=st.sampled_from(sorted(CHAINS)), i=st.integers(0, 7), j=st.integers(0, 7),
+       m=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_avoidance_identity_against_the_singly_restricted_program(name, i, j, m):
+    """The stopped martingale holds exactly at every m. U_m tends to the
+    identity's value; with phi(y) = 0 it increases, so it stays below."""
+    chain, x0, phi, states = CHAINS[name]
+    x, y = states[i % len(states)], states[j % len(states)]
+    if x == y or y == x0:
+        return
+    u, visits, hit = _killed_at(chain, x0, phi.evaluate, x, y, m)
+    balance = sum(p * phi.evaluate(s) for s, p in chain.successors(x0))
+    assert u == phi.evaluate(x) + balance * visits - phi.evaluate(y) * hit
+    if phi.evaluate(y) == 0:
+        assert u <= avoidance_function(chain, x0, phi, x, y).value
+
+
+def test_avoidance_identity_is_linear_in_the_profile():
+    mixture = BoundaryMixture([(LineEnd(1), Fraction(1, 3)), (LineEnd(-1), Fraction(2, 3))])
+    both = mixture_profile(Z, 0, mixture)
+    minus = profile_from_boundary(Z, 0, LineEnd(-1))
+    for x, y in ((3, -2), (-4, 1), (2, 5)):
+        parts = [avoidance_function(Z, 0, p, x, y).value for p in (PHI, minus)]
+        value = avoidance_function(Z, 0, both, x, y).value
+        assert value == Fraction(1, 3) * parts[0] + Fraction(2, 3) * parts[1]
 
 
 def test_base_visits_on_deep_tree_nodes_solve_on_the_hull():
     # the hull of (0,)^70, (1,) and the root has 72 states; the radius-72
     # window the solve used to take has 2^73 - 1
-    assert _base_visits_before(TREE2, (0,) * 70, (1,), ROOT) == (2.0, True)
-    config = AvoidanceConfig(state_budget=40_000)
+    assert _base_visits_before(TREE2, (0,) * 70, (1,), ROOT) == (2, True)
     start = time.perf_counter()
-    mv = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 70, (1,), config)
-    assert mv.bracket[1] == float(2**70)
+    mv = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 70, (1,))
+    assert mv.value == 2**70  # 2^70 - 1 - 0 + 1/2 * 2
     assert time.perf_counter() - start < 10
-    mv8 = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 8, (1,), config)
-    assert mv8.bracket == (255.0, 256.0)
+    mv8 = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 8, (1,))
+    assert mv8.bracket == (256.0, 256.0)
 
 
 class LazyPlane(Z2Walk):
@@ -414,5 +437,97 @@ def test_base_visits_closed_form_follows_the_planar_law():
 
 def test_base_visits_on_the_line_solve_on_the_interval():
     # visits to 0 from 3 before hitting -2: by translation G_0(5, 2) = 4
-    assert _base_visits_before(Z, 3, -2, 0) == (4.0, True)
-    assert _base_visits_before(BangBangWalk(), 4, 1, 0) == (0.0, True)
+    assert _base_visits_before(Z, 3, -2, 0) == (Fraction(4), True)
+    assert _base_visits_before(BangBangWalk(), 4, 1, 0) == (Fraction(0), True)
+
+
+class JumpZ(ZWalk):
+    """Steps of +-1 and +-2, each with probability 1/4: another law on Z."""
+
+    def successors(self, x):
+        return [(x + d, Fraction(1, 4)) for d in (-2, -1, 1, 2)]
+
+
+def test_law_capabilities_follow_the_law():
+    """Interval hulls, separation and exact loop truncation are facts of the
+    nearest-neighbour law; a jump of 2 skips a state, so none carries over."""
+    jump = JumpZ()
+    assert law_capability(jump, "loop_truncation_exact") is False
+    assert law_capability(jump, "hull")([3, -2, 0]) is None
+    assert law_capability(jump, "separating")(1, 3, 0) is False
+    assert law_capability(Z, "separating")(1, 3, 0) is True
+
+    class Renamed(ZWalk):  # same law: the line's capabilities still hold
+        name = "z-renamed"
+
+    assert law_capability(Renamed(), "hull")([3, -2, 0]) == list(range(-2, 4))
+    assert _base_visits_before(Renamed(), 3, -2, 0) == (4, True)
+    visits, certified = _base_visits_before(jump, 3, -2, 0)
+    assert not certified
+    assert float(visits) < 2  # the hull solve gave 2.18; a radius-200 kill solve 1.837
+    mv = avoidance_function(jump, 0, PHI, 3, 1)
+    assert mv.verdict == "inconclusive" and mv.mode == "monotone-sequence"
+
+
+# ---------------------------------------------------------------------------
+# The uncertified bracket
+
+
+class LazyZ(ZWalk):
+    """The line walk holding with probability 1/2: same profiles, same
+    avoidance values, but a law the library does not certify."""
+
+    def successors(self, x):
+        return [(x - 1, Fraction(1, 4)), (x, Fraction(1, 2)), (x + 1, Fraction(1, 4))]
+
+
+LAZY = LazyZ()
+
+
+def test_uncertified_bracket_on_the_lazy_line():
+    """The balance halves and the visits double: the truth is still 10."""
+    mv = avoidance_function(LAZY, 0, PHI, 3, -2, AvoidanceConfig(state_budget=40_000))
+    assert mv.verdict == "inconclusive" and mv.mode == "monotone-sequence"
+    assert tuple(v.hex() for v in mv.bracket) == ("0x1.e2d2455cc08b1p+2", "0x1.4000000000000p+3")
+    assert [(m, v.hex()) for m, v in mv.sequence] == [
+        (128, "0x1.e2d2455cc08b0p+2"), (256, "0x1.e2d2455cc08b0p+2"),
+        (512, "0x1.e2d2455cc08b1p+2"), (1024, "0x1.e2d2455cc08adp+2"),
+    ]
+
+
+class LazyTree(KaryTree):
+    """The tree walk holding with probability 1/2: another law."""
+
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(y, p / 2) for y, p in super().successors(x)]
+
+
+def test_avoidance_separation_on_the_tree_reports_honest_width():
+    """The ball budget caps tree horizons; the lower side is still exact,
+    and without a certified visit count the bracket stays open."""
+    cfg = AvoidanceConfig(horizons=(8, 16), state_budget=4_000)
+    mv = avoidance_function(LazyTree(2), ROOT, PHI_TREE, (0, 0, 0), (0,), cfg)
+    lo, up = mv.bracket
+    truth = float(PHI_TREE.evaluate((0, 0, 0)) - PHI_TREE.evaluate((0,)))
+    assert lo - 1e-9 <= truth <= up + 1e-9
+    assert lo == pytest.approx(truth, abs=1e-9)
+    assert mv.verdict == "inconclusive"
+    assert_nondecreasing(mv.sequence)
+
+
+def test_avoidance_generic_branch_tightens_with_later_base_barring():
+    early = avoidance_function(
+        LAZY, 0, PHI, 3, -2, AvoidanceConfig(horizons=(256, 1024), restriction_split=0.25)
+    )
+    late = avoidance_function(
+        LAZY, 0, PHI, 3, -2, AvoidanceConfig(horizons=(256, 1024), restriction_split=0.9)
+    )
+    assert late.bracket[0] >= early.bracket[0] - 1e-12
+    assert late.bracket[0] <= 10 <= late.bracket[1]
+
+
+def test_avoidance_inconclusive_is_reported_not_raised():
+    mv = avoidance_function(LAZY, 0, PHI, 3, 1, AvoidanceConfig(horizons=(4, 8)))
+    assert mv.verdict == "inconclusive"
+    lo, up = mv.bracket
+    assert lo - 1e-9 <= 4 <= up + 1e-9
