@@ -55,8 +55,9 @@ from .window import (
     window_operator,
 )
 
-#: Exact solves above this window size are refused: tree-shaped windows
-#: eliminate without fill, but 2-D windows fill in and their Fraction
+#: Exact solves above this window size are refused unless the window is a
+#: forest: tree-shaped windows (the line, the half line, trees) eliminate
+#: without fill at any size, but 2-D windows fill in and their Fraction
 #: entries grow, so large planar exact solves take seconds to minutes.
 EXACT_SOLVE_LIMIT = 1200
 
@@ -211,13 +212,33 @@ def _eliminate(a: list, b: list, ncols: int) -> list:
     return x
 
 
+def _forest(rows: list) -> bool:
+    """Whether the transition graph of ``rows``, read undirected and
+    without self-loops, has no cycle."""
+    root = list(range(len(rows)))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    edges = {(min(i, j), max(i, j)) for i, row in enumerate(rows) for j, _ in row if i != j}
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return False
+        root[ri] = rj
+    return True
+
+
 def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fraction]]:
     """Solve (I - M) g = e_c for each column c, exactly."""
     n = len(rows)
-    if n > EXACT_SOLVE_LIMIT:
+    if n > EXACT_SOLVE_LIMIT and not _forest(rows):
         raise ValueError(
             f"window of {n} states is too large for the exact lane "
-            f"(limit {EXACT_SOLVE_LIMIT}); use the floating solver"
+            f"(limit {EXACT_SOLVE_LIMIT} unless the window is a forest); "
+            "use the floating solver"
         )
     a = []
     for i, row in enumerate(rows):

@@ -54,6 +54,7 @@ from .examplechains import (
     exact_martin_boundary,
 )
 from .green import Truncation, default_radius, green_solve_discounted, martin_kernel
+from .martin import check_harmonic_except
 from .rng import (
     CONVERGENCE_WITNESS,
     TRANSIENCE_WITNESS,
@@ -473,31 +474,29 @@ def r_map(
         (phi(x) + (r/(1-r)) E_{x0}[phi(X_1)]) / psi(x).
 
     ``phi`` must vanish at the base and be harmonic off it; both are
-    validated on ``window(radius)`` and failures raise
+    validated on ``window(radius)`` (``martin.check_harmonic_except``, which
+    also gives the balance at the base) and failures raise
     ``PreconditionViolationError`` listing the offending states.
     """
     get = phi.evaluate if hasattr(phi, "evaluate") else phi
     radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
     x0 = params.x0
+    window = chain.window(radius)
+    report = check_harmonic_except(chain, get, x0, window if x0 in window else [*window, x0])
     violations = []
     base_value = get(x0)
     if base_value != 0:
         violations.append(
             (chain.format_state(x0), f"value {base_value} at the base, expected 0")
         )
-    for x in chain.window(radius):
-        if x == x0:
-            continue
-        avg = sum((p * get(y) for y, p in chain.successors(x)), Fraction(0))
-        if avg != get(x):
-            violations.append(
-                (chain.format_state(x), f"one-step average {avg} != {get(x)}")
-            )
+    violations += [
+        (chain.format_state(x), f"one-step average {residual + get(x)} != {get(x)}")
+        for x, residual in report.violations
+    ]
     if violations:
         raise PreconditionViolationError("profile precondition failed", violations)
-    balance = sum((p * get(y) for y, p in chain.successors(x0)), Fraction(0))
-    shift = params.odds * balance
+    shift = params.odds * report.balance_at_base
 
     def mapped(x):
         return (get(x) + shift) / transformed.weight(x)

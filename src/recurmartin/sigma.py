@@ -22,7 +22,8 @@ x0, where it vanishes.
   which tends to
   W_x(T_y = oo) = phi(x) - phi(y) + b * E_x[visits to x0 before T_y].
   The avoidance evaluator returns this value wherever the visit count is
-  certified, and a two-sided bracket elsewhere.
+  certified. Elsewhere it brackets the value with the same identity, by
+  visit counts solved on one window under each truncation policy.
 """
 from __future__ import annotations
 
@@ -36,10 +37,10 @@ import numpy as np
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
 from .green import EXACT_SOLVE_LIMIT, _killed_column_values
-from .window import UNNAMED, SuccessorTable, sum_by_key, window_operator
+from .window import UNNAMED, SuccessorTable, sum_by_key
 
-#: Ceiling on states in the ball of the uncertified avoidance bracket.
-DP_STATE_BUDGET = 400_000
+#: Ceiling on states in the window of the uncertified avoidance bracket.
+WINDOW_STATE_BUDGET = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +149,16 @@ def with_no_base_visits(
 
 @dataclass
 class MeasureValue:
-    """A measure evaluation: exact, or a monotone horizon sequence.
+    """A measure evaluation: exact, a monotone horizon sequence, or a bracket.
 
-    ``sequence`` entries are (horizon, value) pairs, nondecreasing in the
-    value; ``bracket`` is a (lower, upper) enclosure of an avoidance value,
-    a single point when the value is exact. An inconclusive bracket is
-    reported, never raised.
+    ``sequence`` entries are (horizon, value) pairs of a cylinder program,
+    nondecreasing in the value; ``bracket`` is a (lower, upper) enclosure
+    of an avoidance value, a single point when the value is exact. An
+    inconclusive bracket is reported, never raised.
     """
 
     value: object
-    mode: str  # "exact" | "monotone-sequence"
+    mode: str  # "exact" | "monotone-sequence" | "bracket"
     sequence: Optional[list] = None
     verdict: Optional[str] = None
     bracket: Optional[tuple] = None
@@ -353,15 +354,12 @@ class AvoidanceConfig:
     """Tuning for the uncertified avoidance bracket.
 
     Chains whose visit count is certified get the exact identity and
-    ignore it. For the others, the lower side is a forward program over a
-    ball of at most ``state_budget`` states, run to each of ``horizons``,
-    with the base barred from ``restriction_split`` of the first horizon
-    on.
+    ignore it. For the others, ``state_budget`` is the most states the
+    bracket's solve window may hold; a larger window raises ValueError
+    before any solve.
     """
 
-    horizons: tuple = (128, 256, 512, 1024)
-    restriction_split: float = 0.5
-    state_budget: int = DP_STATE_BUDGET
+    state_budget: int = WINDOW_STATE_BUDGET
 
 
 def avoidance_function(
@@ -393,11 +391,15 @@ def avoidance_function(
     one-point bracket (value, value).
 
     Chains without a certified visit count (user chains, laws changed by
-    a subclass) get a bracket: the lower side comes from doubly
-    restricted weights (y barred throughout, x0 barred from a fixed
-    intermediate time on), nondecreasing in the horizon, and the upper
-    side is the identity with an uncertified visit count, so the verdict
-    is "inconclusive".
+    a subclass) get a bracket from the same identity, with visit counts
+    solved on one window around x, y and x0 under each truncation policy.
+    A walk killed at the window edge makes no visits after it, so for
+    b >= 0 the lower side max(0, phi(x) - phi(y) + b * V_kill) is
+    certified (exact while the window is within the exact solve limit);
+    the upper side phi(x) + b * V_loop drops phi(y) and takes the looped
+    count, which no killed walk exceeds, so the bracket cannot invert for
+    a nonnegative phi. The verdict is "inconclusive", the mode "bracket"
+    and the value the midpoint.
     """
     get = _phi_eval(phi)
     if x == y:
@@ -410,120 +412,26 @@ def avoidance_function(
             get(x), "exact", verdict="exact",
             note="barred state is the base point",
         )
+    balance = _balance(chain, x0, get)
     if not _visits_certified(chain):
-        return _avoidance_generic(chain, x0, get, x, y, config)
+        budget = config.state_budget
+        v_kill = _base_visits_before(chain, x, y, x0, "kill", budget)[0]
+        v_loop = _base_visits_before(chain, x, y, x0, "loop", budget)[0]
+        lower = float(max(0, get(x) - get(y) + balance * v_kill))
+        upper = float(get(x)) + float(balance) * float(v_loop)
+        return MeasureValue(
+            0.5 * (lower + upper), "bracket", verdict="inconclusive",
+            bracket=(lower, upper),
+            note="uncertified bracket: identity with killed and looped visit counts",
+        )
     if law_capability(chain, "separating")(y, x, x0):
         visits, note = 0, "; no base visits, the barred state separates"
     else:
         visits, note = _base_visits_before(chain, x, y, x0)[0], ""
-    value = get(x) - get(y) + _balance(chain, x0, get) * visits
+    value = get(x) - get(y) + balance * visits
     return MeasureValue(
         value, "exact", verdict="bracket-closed", bracket=(float(value), float(value)),
         note="identity phi(x) - phi(y) + balance * E_x[visits to base before T_y]" + note,
-    )
-
-
-def _finite_phi(get, s):
-    """float(get(s)), or None when s is outside the profile's float range."""
-    try:
-        out = float(get(s))
-    except (OverflowError, ValueError):
-        return None
-    return out if np.isfinite(out) else None
-
-
-def _reachable_ball(chain, start, get, max_layers, budget):
-    """States reachable from ``start`` in complete BFS layers, with the
-    forward kernel and the profile over them.
-
-    One vectorized breadth-first search over state codes: each layer lists
-    the successors of the previous one in order of first occurrence.
-    Growth stops at ``max_layers``, when the next layer would push the
-    count past ``budget``, when the profile stops being float-representable
-    on the next layer (fast-growing profiles on slim chains), or when the
-    next layer leaves the code table's range; within ``completed_layers``
-    steps no probability mass can leave the ball. The profile is evaluated
-    once per state. Returns (states, completed_layers, kernel, phi_vec):
-    ``kernel`` maps mass w to w P restricted to the ball.
-    """
-    from scipy.sparse import csr_matrix
-
-    table = chain.code_table([start], max_layers)
-    states, codes, phi, layers = _bfs(table, start, get, max_layers, budget)
-    op = window_operator(table, codes)
-    n = len(states)
-    kernel = csr_matrix((op.float_values(), (op.indices, op.rows)), shape=(n, n))
-    return states, layers, kernel, np.array(phi)
-
-
-def _bfs(table, start, get, max_layers, budget):
-    """Breadth-first layers over codes: (states, codes, phi, layers)."""
-    frontier = table.encode([start])
-    states, layer_codes = [start], [frontier]
-    phi = [float(get(start))]
-    seen = set(frontier.tolist())
-    layers = 0
-    while layers < max_layers and frontier.size:
-        succ, num, _ = table.step(frontier)
-        nxt = []
-        for c in succ[num > 0].tolist():  # frontier order, then successor order
-            if c not in seen:
-                seen.add(c)
-                nxt.append(c)
-        if UNNAMED in seen or len(states) + len(nxt) > budget:
-            break
-        frontier = np.array(nxt, dtype=np.int64)
-        nxt_states = table.decode(frontier)
-        values = [_finite_phi(get, s) for s in nxt_states]
-        if any(v is None for v in values):
-            break
-        states.extend(nxt_states)
-        phi.extend(values)
-        layer_codes.append(frontier)
-        layers += 1
-    return states, np.concatenate(layer_codes), phi, layers
-
-
-def _trim_horizons(horizons, usable):
-    kept = [m for m in sorted(horizons) if m <= usable]
-    return kept or [max(1, usable)]
-
-
-def _avoidance_generic(chain, x0, get, x, y, config):
-    """Uncertified bracket: doubly restricted lower bound, visit-bound upper."""
-    states, usable, kernel, phi_vec = _reachable_ball(
-        chain, x, get, max(config.horizons), config.state_budget
-    )
-    horizons = _trim_horizons(config.horizons, usable)
-    n_switch = max(1, int(config.restriction_split * horizons[0]))
-    index = {s: i for i, s in enumerate(states)}
-    phi_y = float(get(y))
-    iy, ix0 = index.get(y), index.get(x0)
-
-    w = np.zeros(len(states))
-    w[index[x]] = 1.0
-    seq = []
-    t = 0
-    for m in horizons:
-        while t < m:
-            w = kernel @ w
-            if iy is not None:
-                w[iy] = 0.0
-            if t + 1 >= n_switch and ix0 is not None:
-                w[ix0] = 0.0
-            t += 1
-        seq.append((m, float(w @ phi_vec) - phi_y * float(w.sum())))
-
-    lower = max(max(v for _, v in seq), 0.0)
-    visits, _ = _base_visits_before(chain, x, y, x0)
-    upper = float(get(x)) + float(_balance(chain, x0, get)) * float(visits)
-    return MeasureValue(
-        value=0.5 * (lower + upper),
-        mode="monotone-sequence",
-        sequence=seq,
-        verdict="inconclusive",
-        bracket=(lower, upper),
-        note="generic bracket: doubly restricted lower bound, visit-bound upper",
     )
 
 
@@ -532,7 +440,7 @@ def _visits_certified(chain) -> bool:
     return law_class(chain) is Z2Walk or bool(law_capability(chain, "loop_truncation_exact"))
 
 
-def _base_visits_before(chain, x, y, x0):
+def _base_visits_before(chain, x, y, x0, policy="loop", budget=WINDOW_STATE_BUDGET):
     """E_x[# visits to x0 strictly before hitting y] and its certification.
 
     On chains whose beyond-window excursions re-enter where they left,
@@ -542,9 +450,11 @@ def _base_visits_before(chain, x, y, x0):
     tree), else on a window of the containing radius, and returns a
     ``Fraction`` while the window is within the exact solve limit. The
     planar walk's law gets the potential-kernel closed form, as a float.
-    Anything else falls back to a generously windowed loop solve (see
-    ``ChainSpec.radius_margin``), flagged as uncertified. Each capability
-    counts only where the chain's law vouches for it (``law_capability``).
+    Anything else falls back to a generously windowed solve (see
+    ``ChainSpec.radius_margin``) under truncation ``policy``, flagged as
+    uncertified; a window of more than ``budget`` states raises ValueError
+    before the solve. Each capability counts only where the chain's law
+    vouches for it (``law_capability``).
     """
     if law_class(chain) is Z2Walk:
         from .potential import origin_killed_green, potential_table
@@ -562,7 +472,12 @@ def _base_visits_before(chain, x, y, x0):
         margin = 2 if certified else chain.radius_margin + 5
         radius = max(chain.norm(s) for s in (x, y, x0)) + margin
         window = chain.window(radius)
-    exact = len(window) <= EXACT_SOLVE_LIMIT
-    index, col = _killed_column_values(chain, y, window, [x0], "loop", exact)
+    if not certified and len(window) > budget:
+        raise ValueError(
+            f"the uncertified avoidance window has {len(window)} states, "
+            f"more than the state budget of {budget}"
+        )
+    exact = certified or len(window) <= EXACT_SOLVE_LIMIT
+    index, col = _killed_column_values(chain, y, window, [x0], policy, exact)
     visits = col[x0][index[x]]
     return (visits if exact else float(visits)), certified

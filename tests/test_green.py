@@ -168,6 +168,16 @@ def test_exact_lane_refuses_oversized_windows():
         green_solve(PLANE, (0, 0), [((1, 0), (2, 0))], Truncation(20), exact=True)
 
 
+def test_exact_lane_solves_forest_windows_past_the_limit():
+    # 1,401 states of the line: past the limit, but a path eliminates
+    # leaves first with no fill, so the exact lane takes it
+    assert len(Z.window(700)) > EXACT_SOLVE_LIMIT
+    queries = [(5, 650), (-690, -3), (0, 700)]
+    results = green_solve(Z, 0, queries, Truncation(radius=700), exact=True)
+    for (x, y), res in zip(queries, results):
+        assert type(res.value) is Fraction and res.value == exact_green(Z, 0, x, y)
+
+
 def test_exact_lane_matches_closed_forms_on_long_line():
     # 401 states: out of reach of a cubic dense solve, fill-free here
     ys = [-150, -7, 1, 60, 199]
