@@ -88,6 +88,10 @@ class ChainSpec(ABC):
     def window(self, radius: int) -> list[StateId]:
         """All states within `radius` of the base point, canonically ordered."""
 
+    def window_size(self, radius: int) -> int:
+        """``len(window(radius))``, which fast-growing chains give in closed form."""
+        return len(self.window(radius))
+
     def separating(self, y: StateId, x: StateId, x0: StateId) -> bool:
         """True when every path from x to x0 must pass through y."""
         return False

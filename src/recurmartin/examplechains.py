@@ -385,6 +385,9 @@ class KaryTree(ChainSpec):
             out.extend(frontier)
         return out
 
+    def window_size(self, radius: int) -> int:
+        return (self.k ** (radius + 1) - 1) // (self.k - 1)
+
     def separating(self, y: tuple, x: tuple, x0: tuple) -> bool:
         # On a tree, every path between two nodes crosses each node of the
         # geodesic between them.
@@ -612,7 +615,7 @@ class _TreeTable:
         k, anchor = self.k, self.anchor
         depth = np.searchsorted(self._firsts, codes, side="right") - 1
         out = [None] * len(codes)
-        for d in np.unique(depth).tolist():
+        for d in np.flatnonzero(np.bincount(depth)).tolist():  # np.unique loads numpy.ma
             at = np.flatnonzero(depth == d)
             h = codes[at]
             digits = []
@@ -716,7 +719,7 @@ def exact_martin_boundary(chain: ChainSpec, x0, x, alpha) -> Fraction:
     """Closed-form boundary visit-ratio kernel L_{x0}(x, alpha)."""
     method = getattr(chain, "exact_boundary_kernel", None)
     if method is None:
-        raise NotImplementedError(
+        raise UnsupportedBasePointError(
             f"chain {chain.name!r} publishes no closed-form boundary kernel"
         )
     return method(x, alpha, base=x0)

@@ -129,10 +129,8 @@ def window_rows(
     scale = None
     if row_scale:
         scale = {index[s]: f for s, f in row_scale.items() if s in index and f != 1}
-    op = window_operator(
-        table, table.encode(window), kill=kill, policy=policy, scale=scale
-    )
-    return index, op
+    op = window_operator(table, table.encode(window), kill=kill, scale=scale)
+    return index, (op.looped() if policy == "loop" else op)
 
 
 def _eliminate(a: list, b: list, ncols: int) -> list:

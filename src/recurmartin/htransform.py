@@ -30,10 +30,10 @@ the potential kernel a(x), which is not rational, so no exact-Fraction
 transformed chain exists. Its row-sum identity is still verified exactly in
 p + q/pi numerators (``verify_row_sums``) and its convergence witness
 runs in floating point.
+Every one-step identity here is one ``window.one_step_averages`` pass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -61,6 +61,7 @@ from .rng import (
     counter_uniforms,
     stream_keys,
 )
+from .window import one_step_averages
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -136,6 +137,7 @@ class TransformedChain(ChainSpec):
         self.radius_margin = parent.radius_margin
         self.check_radius = parent.check_radius
         self.path_separator = parent.path_separator
+        self.window_size = parent.window_size
         self._psi: dict = {}
 
     def weight(self, x: StateId) -> Fraction:
@@ -229,73 +231,37 @@ def verify_row_sums(
 ) -> RowSumReport:
     """Check r^{1_{x=x0}} * sum_y p_{x,y} psi(y) == psi(x) on a window.
 
-    Exact Fraction arithmetic on chains with rational boundary kernels;
-    exact integer arithmetic on the p + q/pi numerators of the planar walk,
-    whose weight is r/(1-r) + a(x) with a the potential kernel. The computation here never
-    goes through ``TransformedChain`` rows, so it cross-checks their
-    construction-time validation.
+    The averages are one step of the parent's code table, never
+    ``TransformedChain`` rows, so this cross-checks their validation. On
+    the plane, where psi = r/(1-r) + a(x) with a the potential kernel, the
+    identity holds for the integer parts of psi's p + q/pi numerators.
     """
     if law_class(chain) is Z2Walk:
-        return _plane_row_sums(chain, params, radius)
+        from .potential import potential_table
+
+        # psi(x) = odds + a(x) = (R(x) + S(x)/pi) / (odds.denominator * L), with
+        # R = odds.numerator * L + odds.denominator * P and S = odds.denominator * Q
+        # from the potential table's numerators P and Q over L
+        table = potential_table(radius + 1)
+        top, bottom = params.odds.numerator * table.scale, params.odds.denominator
+        parts = [
+            lambda s: top + bottom * table.numerators(s)[0],
+            lambda s: bottom * table.numerators(s)[1],
+        ]
+        base = chain.base_point
+    else:
+        parts, base = [lambda s: psi_weight(chain, params, s)], params.x0
+    window = chain.window(radius)
+    steps = [one_step_averages(chain, window, f) for f in parts]
     report = RowSumReport(chain.name, params.r, radius)
-    cache: dict = {}
-
-    def psi(s):
-        w = cache.get(s)
-        if w is None:
-            w = psi_weight(chain, params, s)
-            cache[s] = w
-        return w
-
-    for x in chain.window(radius):
-        scale = params.r if x == params.x0 else Fraction(1)
-        total = scale * sum(
-            (p * psi(y) for y, p in chain.successors(x)), Fraction(0)
-        )
+    for i, x in enumerate(window):
+        scale = params.r if x == base else Fraction(1)
+        got = [scale * averages[i] for averages, _ in steps]
+        want = [values[i] for _, values in steps]
         report.checked += 1
-        if total != psi(x):
-            report.violations.append(
-                (chain.format_state(x), f"{total} != {psi(x)}")
-            )
-    return report
-
-
-def _plane_row_sums(chain, params, radius):
-    """The row identity on the plane, in integers.
-
-    psi(x) = odds + a(x) is (R(x) + S(x)/pi) / (odds.denominator * L) with
-    R = odds.numerator * L + odds.denominator * P and S = odds.denominator
-    * Q, the table's numerators over L; a row holds when its integer
-    weights (probabilities, times r at the base, over their common
-    denominator) carry R and S to den * R(x) and den * S(x).
-    """
-    from .potential import potential_table
-
-    table = potential_table(radius + 1)
-    top, bottom = params.odds.numerator * table.scale, params.odds.denominator
-    report = RowSumReport(chain.name, params.r, radius)
-    base = chain.base_point
-
-    def psi(s):
-        p, q = table.numerators(s)
-        return top + bottom * p, bottom * q
-
-    for x in chain.window(radius):
-        damp = params.r if x == base else 1
-        row = [(y, Fraction(p) * damp) for y, p in chain.successors(x)]
-        den = math.lcm(*(p.denominator for _, p in row))
-        rational = pi_part = 0
-        for y, p in row:
-            weight = p.numerator * (den // p.denominator)
-            r_y, s_y = psi(y)
-            rational += weight * r_y
-            pi_part += weight * s_y
-        r_x, s_x = psi(x)
-        report.checked += 1
-        if (rational, pi_part) != (den * r_x, den * s_x):
-            report.violations.append(
-                (chain.format_state(x), "row identity failed")
-            )
+        if got != want:
+            detail = f"{got[0]} != {want[0]}" if len(steps) == 1 else "row identity failed"
+            report.violations.append((chain.format_state(x), detail))
     return report
 
 
@@ -516,28 +482,26 @@ def r_map_inverse(
         psi(x) h(x) - r E_{x0}[psi(X_1) h(X_1)].
 
     ``h`` must be harmonic for the transformed chain at every window state
-    (the base row included); failures raise ``PreconditionViolationError``.
-    The output vanishes at the base and is harmonic off it.
+    and at the base (``window.one_step_averages``); failures raise
+    ``PreconditionViolationError``. The output vanishes at the base and is
+    harmonic off it.
     """
     get = h.evaluate if hasattr(h, "evaluate") else h
     radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
-    violations = []
-    for x in chain.window(radius):
-        avg = sum((q * get(y) for y, q in transformed.successors(x)), Fraction(0))
-        if avg != get(x):
-            violations.append(
-                (chain.format_state(x), f"one-step average {avg} != {get(x)}")
-            )
+    window = chain.window(radius)
+    states = window if params.x0 in window else [*window, params.x0]
+    violations = [
+        (chain.format_state(x), f"one-step average {avg} != {value}")
+        for x, avg, value in zip(states, *one_step_averages(transformed, states, get))
+        if avg != value
+    ]
     if violations:
         raise PreconditionViolationError(
             "transformed-harmonicity precondition failed", violations
         )
-    x0 = params.x0
-    drop = params.r * sum(
-        (p * transformed.weight(y) * get(y) for y, p in chain.successors(x0)),
-        Fraction(0),
-    )
+    # the base row is r p psi(y) / psi(x0), and h averages to h(x0) over it
+    drop = transformed.weight(params.x0) * get(params.x0)
 
     def mapped(x):
         return transformed.weight(x) * get(x) - drop

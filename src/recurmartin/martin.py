@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .chains import ChainSpec, StateId, step_distribution
-from .errors import NotInConeError, UnsupportedBasePointError
-from .examplechains import LineEnd, ZWalk
+from .chains import ChainSpec, StateId
+from .errors import NotInConeError
+from .examplechains import LineEnd, ZWalk, exact_martin_boundary
+from .window import one_step_averages
 
 PROVENANCES = ("closed-form", "boundary-point", "mixture", "user")
 
@@ -61,28 +62,17 @@ class BoundaryMixture:
         return sum((w for _, w in self.atoms), Fraction(0))
 
 
-def _boundary_kernel(chain: ChainSpec, x0: StateId, x: StateId, alpha) -> Fraction:
-    """Visit-ratio kernel against a boundary point, at any base the chain's
-    closed form supports (every base on the line, the canonical one
-    elsewhere)."""
-    method = getattr(chain, "exact_boundary_kernel", None)
-    if method is None:
-        raise UnsupportedBasePointError(
-            f"chain {chain.name!r} has no boundary kernel closed form"
-        )
-    return method(x, alpha, base=x0)
-
-
 def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfile:
     """The profile of a single boundary point: kernel over base weight.
 
-    phi(x) = L(x, alpha) / beta(x0) away from the base state, zero there.
-    Its one-step balance at the base is exactly 1/beta(x0).
+    phi(x) = L(x, alpha) / beta(x0) away from the base state, zero there,
+    with L the chain's closed-form kernel (``exact_martin_boundary``). Its
+    one-step balance at the base is exactly 1/beta(x0).
     """
     beta0 = chain.stationary(x0)
 
     def fn(x):
-        return _boundary_kernel(chain, x0, x, alpha) / beta0
+        return exact_martin_boundary(chain, x0, x, alpha) / beta0
 
     return HarmonicProfile(
         base_point=x0,
@@ -101,7 +91,7 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
 
     def fn(x):
         return sum(
-            (w * _boundary_kernel(chain, x0, x, alpha) for alpha, w in mixture.atoms),
+            (w * exact_martin_boundary(chain, x0, x, alpha) for alpha, w in mixture.atoms),
             Fraction(0),
         )
 
@@ -157,19 +147,18 @@ def check_harmonic_except(
 ) -> HarmonicityCheck:
     """One-step residuals of phi off x0, plus the balance value at x0.
 
-    The residual at x is the one-step average minus the value; it must
-    vanish at every window state except the base, where the balance (not
-    constrained to vanish) is reported instead.
+    The residual at x is the one-step average (``window.one_step_averages``)
+    minus the value; it must vanish at every window state except the base,
+    where the balance (not constrained to vanish) is reported instead.
     """
     report = HarmonicityCheck(base_point=x0, checked=0)
     get = phi.evaluate if hasattr(phi, "evaluate") else phi
-    for x in window:
-        avg = sum((p * get(t) for t, p in step_distribution(chain, x)), Fraction(0))
+    for x, avg, value in zip(window, *one_step_averages(chain, window, get)):
         if x == x0:
             report.balance_at_base = avg
             continue
         report.checked += 1
-        residual = avg - get(x)
+        residual = avg - value
         if residual != 0:
             report.violations.append((x, residual))
     return report

@@ -27,7 +27,6 @@ x0, where it vanishes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -36,8 +35,8 @@ import numpy as np
 
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
-from .green import EXACT_SOLVE_LIMIT, _killed_column_values
-from .window import UNNAMED, SuccessorTable, sum_by_key
+from .green import EXACT_SOLVE_LIMIT, _killed_column_values, _solve_columns, window_rows
+from .window import UNNAMED, SuccessorTable, one_step_averages, sum_by_key, weighted_sum
 
 #: Ceiling on states in the window of the uncertified avoidance bracket.
 WINDOW_STATE_BUDGET = 400_000
@@ -190,11 +189,6 @@ def restricted_measure(
     return MeasureValue(value=total, mode="exact", note=f.description)
 
 
-def _balance(chain, x0, get):
-    """b = sum_z P(x0, z) phi(z), the profile's one-step average from x0."""
-    return sum((p * get(s) for s, p in chain.successors(x0)), Fraction(0))
-
-
 def cylinder_measure(
     chain: ChainSpec,
     x0: StateId,
@@ -227,7 +221,7 @@ def cylinder_measure(
         )
     except LookupError:  # the walk left the vectorized table's range
         values, mass = _cylinder_values(SuccessorTable(chain), get, x, event, horizons)
-    diverges = mass > 0 and _balance(chain, x0, get) > 0
+    diverges = mass > 0 and one_step_averages(chain, [x0], get)[0][0] > 0
     return MeasureValue(
         value=values[-1],
         mode="monotone-sequence",
@@ -275,20 +269,8 @@ def _cylinder_values(table, get, x, event, horizons):
         for s in states:
             if s not in phis:
                 phis[s] = get(s)
-        values.append(_weighted_sum(weights.tolist(), [phis[s] for s in states], scale))
+        values.append(weighted_sum(weights.tolist(), [phis[s] for s in states], scale))
     return values, mass
-
-
-def _weighted_sum(weights, phis, scale):
-    """sum(w * phi) / scale, as one Fraction when every phi is rational."""
-    if all(isinstance(v, (int, Fraction)) for v in phis):
-        lcd = math.lcm(1, *(Fraction(v).denominator for v in phis))
-        total = sum(
-            w * v.numerator * (lcd // v.denominator)
-            for w, v in zip(weights, map(Fraction, phis))
-        )
-        return Fraction(total, scale * lcd)
-    return sum((Fraction(w, scale) * v for w, v in zip(weights, phis)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +338,7 @@ class AvoidanceConfig:
     Chains whose visit count is certified get the exact identity and
     ignore it. For the others, ``state_budget`` is the most states the
     bracket's solve window may hold; a larger window raises ValueError
-    before any solve.
+    before it is built.
     """
 
     state_budget: int = WINDOW_STATE_BUDGET
@@ -392,7 +374,7 @@ def avoidance_function(
 
     Chains without a certified visit count (user chains, laws changed by
     a subclass) get a bracket from the same identity, with visit counts
-    solved on one window around x, y and x0 under each truncation policy.
+    solved on one window operator around x, y and x0 under each policy.
     A walk killed at the window edge makes no visits after it, so for
     b >= 0 the lower side max(0, phi(x) - phi(y) + b * V_kill) is
     certified (exact while the window is within the exact solve limit);
@@ -412,11 +394,9 @@ def avoidance_function(
             get(x), "exact", verdict="exact",
             note="barred state is the base point",
         )
-    balance = _balance(chain, x0, get)
+    balance = one_step_averages(chain, [x0], get)[0][0]
     if not _visits_certified(chain):
-        budget = config.state_budget
-        v_kill = _base_visits_before(chain, x, y, x0, "kill", budget)[0]
-        v_loop = _base_visits_before(chain, x, y, x0, "loop", budget)[0]
+        v_kill, v_loop = _uncertified_visits(chain, x, y, x0, config.state_budget)
         lower = float(max(0, get(x) - get(y) + balance * v_kill))
         upper = float(get(x)) + float(balance) * float(v_loop)
         return MeasureValue(
@@ -440,21 +420,17 @@ def _visits_certified(chain) -> bool:
     return law_class(chain) is Z2Walk or bool(law_capability(chain, "loop_truncation_exact"))
 
 
-def _base_visits_before(chain, x, y, x0, policy="loop", budget=WINDOW_STATE_BUDGET):
+def _base_visits_before(chain, x, y, x0):
     """E_x[# visits to x0 strictly before hitting y] and its certification.
 
     On chains whose beyond-window excursions re-enter where they left,
     loop truncation at any connected window containing x, y and x0 is
-    exact: the solve runs on their hull when the chain knows it (the
-    interval on the line and the half line, the union of geodesics on the
-    tree), else on a window of the containing radius, and returns a
-    ``Fraction`` while the window is within the exact solve limit. The
-    planar walk's law gets the potential-kernel closed form, as a float.
-    Anything else falls back to a generously windowed solve (see
-    ``ChainSpec.radius_margin``) under truncation ``policy``, flagged as
-    uncertified; a window of more than ``budget`` states raises ValueError
-    before the solve. Each capability counts only where the chain's law
-    vouches for it (``law_capability``).
+    exact: a ``Fraction`` solved on their hull when the chain knows it (the
+    line's and half line's interval, the tree's geodesics), else on a
+    window of the containing radius. The planar walk's law gets the
+    potential-kernel closed form, as a float; anything else the looped
+    count of ``_uncertified_visits``, uncertified. Capabilities count only
+    where the chain's law vouches for them (``law_capability``).
     """
     if law_class(chain) is Z2Walk:
         from .potential import origin_killed_green, potential_table
@@ -464,20 +440,30 @@ def _base_visits_before(chain, x, y, x0, policy="loop", budget=WINDOW_STATE_BUDG
         radius = max(abs(c) for c in (*dx, *d0, dx[0] - d0[0], dx[1] - d0[1]))
         table = potential_table(radius)
         return float(origin_killed_green(table, dx, d0)), True
-    certified = _visits_certified(chain)
-    window = law_capability(chain, "hull")([x, y, x0]) if certified else None
+    if not _visits_certified(chain):
+        return _uncertified_visits(chain, x, y, x0)[1], False
+    window = law_capability(chain, "hull")([x, y, x0])
     if window is None:
-        # an uncertified solve reaches five levels past the chain's own
-        # solve margin: 25 on the line, 7 on the fast-growing tree
-        margin = 2 if certified else chain.radius_margin + 5
-        radius = max(chain.norm(s) for s in (x, y, x0)) + margin
-        window = chain.window(radius)
-    if not certified and len(window) > budget:
+        window = chain.window(max(chain.norm(s) for s in (x, y, x0)) + 2)
+    index, col = _killed_column_values(chain, y, window, [x0], "loop", True)
+    return col[x0][index[x]], True
+
+
+def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
+    """The visit count before T_y killed and looped at one window's edge.
+
+    The window reaches ``chain.radius_margin`` + 5 past x, y and x0; past
+    ``budget`` states (``window_size``) it raises ValueError unbuilt. Its
+    one operator is solved exactly within the exact solve limit.
+    """
+    radius = max(chain.norm(s) for s in (x, y, x0)) + chain.radius_margin + 5
+    size = chain.window_size(radius)
+    if size > budget:
         raise ValueError(
-            f"the uncertified avoidance window has {len(window)} states, "
+            f"the uncertified avoidance window has {size} states, "
             f"more than the state budget of {budget}"
         )
-    exact = certified or len(window) <= EXACT_SOLVE_LIMIT
-    index, col = _killed_column_values(chain, y, window, [x0], policy, exact)
-    visits = col[x0][index[x]]
-    return (visits if exact else float(visits)), certified
+    exact = size <= EXACT_SOLVE_LIMIT
+    index, op = window_rows(chain, chain.window(radius), kill_into=y, policy="kill")
+    counts = [_solve_columns(o, [index[x0]], exact)[0][index[x]] for o in (op, op.looped())]
+    return counts if exact else [float(c) for c in counts]

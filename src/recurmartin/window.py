@@ -87,10 +87,10 @@ class WindowOperator:
     Row i holds the transitions of window state i, with column indices
     ``indices[indptr[i]:indptr[i + 1]]`` in increasing order and
     probabilities ``num / den``. ``escaped[i] / den`` is the mass row i
-    sends out of the window (folded into the diagonal under the ``loop``
-    policy, dropped under ``kill``; transitions into a killed state are
-    not counted). ``len`` is the number of states; iterating yields each
-    row's column indices.
+    sends out of the window (dropped, the ``kill`` policy, until
+    ``looped`` folds it into the diagonal; transitions into a killed state
+    are not counted). ``len`` is the number of states; iterating yields
+    each row's column indices.
     """
 
     indptr: np.ndarray
@@ -112,6 +112,17 @@ class WindowOperator:
         """Row index of every stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def looped(self) -> "WindowOperator":
+        """The ``loop`` policy: escaped mass folded into self-loops, in integers."""
+        folded = np.flatnonzero(self.escaped)
+        return _operator(
+            np.concatenate([self.rows, folded]),
+            np.concatenate([self.indices, folded]),
+            np.concatenate([self.num, self.escaped[folded]]),
+            self.den,
+            self.escaped,
+        )
+
     def float_values(self) -> np.ndarray:
         """Entries as float64, each the correctly rounded num / den."""
         return exact_floats(self.num, self.den)
@@ -130,19 +141,12 @@ class WindowOperator:
     @classmethod
     def from_rows(cls, rows) -> "WindowOperator":
         """The operator of rows given as lists of (column, probability)."""
-        rows = [[(j, Fraction(p)) for j, p in row] for row in rows]
-        den = math.lcm(1, *(p.denominator for row in rows for _, p in row))
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(row) for row in rows])
-        indices, num = [], []
-        for row in rows:
-            for j, p in sorted(row):
-                indices.append(j)
-                num.append(p.numerator * (den // p.denominator))
-        return cls(
-            indptr,
-            np.asarray(indices, dtype=np.int64),
-            _int_array(num),
+        entries = [(i, j, Fraction(p)) for i, row in enumerate(rows) for j, p in row]
+        den = math.lcm(1, *(p.denominator for _, _, p in entries))
+        return _operator(
+            np.array([i for i, _, _ in entries], dtype=np.int64),
+            np.array([j for _, j, _ in entries], dtype=np.int64),
+            _int_array([p.numerator * (den // p.denominator) for _, _, p in entries]),
             den,
             np.zeros(len(rows), dtype=np.int64),
         )
@@ -173,25 +177,31 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray):
     return keys[starts], np.add.reduceat(values, starts)
 
 
+def _operator(rows, cols, vals, den, escaped) -> WindowOperator:
+    """The operator of entries (rows, cols, vals), duplicates merged."""
+    n = len(escaped)
+    key, vals = sum_by_key(rows * n + cols, vals)
+    rows, cols = np.divmod(key, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    return WindowOperator(indptr, cols, vals, den, escaped)
+
+
 def window_operator(
     table,
     codes: np.ndarray,
     *,
     kill: Optional[int] = None,
-    policy: str = "kill",
     scale: Optional[dict] = None,
 ) -> WindowOperator:
     """The table's law restricted to the states ``codes``, in that order.
 
-    Transitions to the code ``kill`` are deleted; transitions leaving the
-    window are deleted (``kill``) or folded into a self-loop (``loop``).
-    ``scale`` maps row positions to rational factors of the whole row.
+    Transitions to the code ``kill`` and transitions leaving the window
+    are deleted; the latter stay in ``escaped`` for ``looped``. ``scale``
+    maps row positions to rational factors of the whole row.
     """
     n = len(codes)
     succ, num, den = table.step(codes)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return WindowOperator(np.zeros(1, dtype=np.int64), empty, empty, den, empty)
     live = num > 0
     if kill is not None and kill != UNNAMED:
         live &= succ != kill
@@ -205,23 +215,68 @@ def window_operator(
     inside = codes[cols] == succ
     out = np.zeros(n, dtype=num.dtype)
     np.add.at(out, rows[~inside], num[~inside])
-    rows, cols, vals = rows[inside], cols[inside], num[inside]
-    if policy == "loop":
-        folded = np.flatnonzero(out)
-        rows = np.concatenate([rows, folded])
-        cols = np.concatenate([cols, folded])
-        vals = np.concatenate([vals, out[folded]])
-    # order each row by column and merge duplicate entries
-    key, vals = sum_by_key(rows * n + cols, vals)
-    rows, cols = np.divmod(key, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    if scale:
-        mult = math.lcm(*(Fraction(f).denominator for f in scale.values()))
-        factor = [mult] * n
-        for i, f in scale.items():
-            factor[i] = int(Fraction(f) * mult)
-        vals = _int_array([v * factor[r] for v, r in zip(vals.tolist(), rows.tolist())])
-        out = _int_array([v * f for v, f in zip(out.tolist(), factor)])
-        den *= mult
-    return WindowOperator(indptr, cols, vals, den, out)
+    op = _operator(rows[inside], cols[inside], num[inside], den, out)
+    if not scale:
+        return op
+    mult = math.lcm(*(Fraction(f).denominator for f in scale.values()))
+    factor = [mult] * n
+    for i, f in scale.items():
+        factor[i] = int(Fraction(f) * mult)
+    vals = _int_array([v * factor[r] for v, r in zip(op.num.tolist(), op.rows.tolist())])
+    out = _int_array([v * f for v, f in zip(out.tolist(), factor)])
+    return WindowOperator(op.indptr, op.indices, vals, den * mult, out)
+
+
+def one_step_averages(chain, states, f):
+    """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``.
+
+    One step of the chain's code table (``SuccessorTable`` if it cannot
+    name a successor), with ``f`` called once per distinct state among
+    ``states`` and their live successors. Rational values give Fractions
+    summed in integers over one common denominator; others give sum(p *
+    f(t)) from Fraction(0) in canonical state order.
+    """
+    if not states:
+        return [], []
+    for table in (chain.code_table(states), SuccessorTable(chain)):
+        codes = table.encode(states)
+        succ, num, den = table.step(codes)
+        live = num > 0
+        if not (succ[live] == UNNAMED).any():
+            break
+    named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
+    points = table.decode(named)
+    values = [f(t) for t in points]
+    at_states = [values[i] for i in slot[: len(states)].tolist()]
+    slot = slot[len(states) :]
+    rational = _over_lcd(values)
+    if rational is not None:
+        ints, lcd = rational
+        weights = np.zeros(succ.shape, dtype=object)
+        weights[live] = np.array(ints, dtype=object)[slot]
+        totals = (num * weights).sum(axis=1).tolist()
+        return [Fraction(t, den * lcd) for t in totals], at_states
+    terms = [[] for _ in states]
+    for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
+        terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
+    ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
+    return [sum((t for _, t in row), Fraction(0)) for row in ordered], at_states
+
+
+def weighted_sum(weights, values, scale):
+    """sum(w * v) / scale, as one Fraction when every value is rational."""
+    rational = _over_lcd(values)
+    if rational is None:
+        return sum((Fraction(w, scale) * v for w, v in zip(weights, values)), Fraction(0))
+    ints, lcd = rational
+    return Fraction(sum(w * v for w, v in zip(weights, ints)), scale * lcd)
+
+
+def _over_lcd(values):
+    """Integer numerators of ``values`` over their least common denominator,
+    and that denominator; None unless every value is an int or a Fraction."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    values = [Fraction(v) for v in values]
+    lcd = math.lcm(1, *(v.denominator for v in values))
+    return [v.numerator * (lcd // v.denominator) for v in values], lcd

@@ -272,6 +272,14 @@ def test_windows():
     assert len(plane) == 25 and len(set(plane)) == 25
 
 
+@pytest.mark.parametrize(
+    "chain", [ZWalk(), BangBangWalk(), KaryTree(2), KaryTree(3), KaryTree(5), Z2Walk()]
+)
+def test_window_size_counts_the_window(chain):
+    for radius in range(5):
+        assert chain.window_size(radius) == len(chain.window(radius))
+
+
 def test_separating():
     z = ZWalk()
     assert z.separating(2, 5, 0)

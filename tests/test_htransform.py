@@ -166,6 +166,8 @@ def test_transformed_chain_reports_parent_geometry():
     assert (chain.radius_margin, chain.check_radius, chain.path_separator) == (
         TREE.radius_margin, TREE.check_radius, TREE.path_separator,
     ) == (2, 7, "/")
+    # the tree's closed-form window size, so a budget check builds nothing
+    assert chain.window_size(30) == TREE.window_size(30) == 2**31 - 1
 
 
 def test_transformed_predecessors_match_successor_entries():
@@ -445,6 +447,19 @@ def test_profile_not_vanishing_at_base_is_rejected():
 def test_non_transformed_harmonic_function_is_rejected():
     with pytest.raises(PreconditionViolationError):
         r_map_inverse(Z, P_Z, lambda x: Fraction(x) ** 2)
+
+
+def test_inverse_map_checks_a_base_outside_the_window():
+    """Base 30 lies outside the radius-25 window; h = 1 off it is harmonic
+    everywhere else, and its value 5 there must be rejected, not mapped
+    to a function that is 4 at the base."""
+    params = TransformParams(30, LineEnd(1), Fraction(1, 2))
+    with pytest.raises(PreconditionViolationError) as exc:
+        r_map_inverse(Z, params, lambda x: Fraction(5) if x == 30 else Fraction(1))
+    assert [state for state, _ in exc.value.violations] == ["30"]
+    recovered = r_map_inverse(Z, params, lambda x: Fraction(1))
+    assert recovered(30) == 0
+    assert recovered(31) == psi_weight(Z, params, 31) - psi_weight(Z, params, 30)
 
 
 # ---------------------------------------------------------------------------

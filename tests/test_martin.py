@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurmartin.chains import step_distribution
 from recurmartin.errors import NotInConeError, UnsupportedBasePointError
 from recurmartin.examplechains import (
     ROOT,
@@ -132,6 +133,29 @@ def test_harmonicity_checker_catches_violations():
     assert len(report.violations) == 20
     # the one-step average of x^2 exceeds x^2 by exactly 1 everywhere
     assert all(residual == 1 for _, residual in report.violations)
+
+
+@pytest.mark.parametrize(
+    "chain, x0, radius, phi",
+    [
+        (PLANE, (0, 0), 4, lambda s: (0.1 * s[0] + 0.37 * s[1]) ** 2 / 3),
+        (TREE, ROOT, 4, lambda s: 0.1 * len(s) + 0.3 * sum(s) if s else Fraction(0)),
+        (BB, 0, 9, lambda x: 1.1**x / 7),
+    ],
+)
+def test_float_profile_residuals_match_the_per_state_sums(chain, x0, radius, phi):
+    """A float-valued phi keeps the per-state residuals bit for bit: each
+    average is summed from Fraction(0) in canonical state order."""
+    window = chain.window(radius)
+    report = check_harmonic_except(chain, phi, x0, window)
+    averages = {
+        x: sum((p * phi(t) for t, p in step_distribution(chain, x)), Fraction(0))
+        for x in window
+    }
+    expected = [(x, averages[x] - phi(x)) for x in window if x != x0]
+    assert report.violations == [(x, r) for x, r in expected if r != 0]
+    assert report.violations and all(type(r) is float for _, r in report.violations)
+    assert report.balance_at_base == averages[x0]
 
 
 # ---------------------------------------------------------------------------

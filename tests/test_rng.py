@@ -4,8 +4,10 @@ A draw is a pure function of (seed, purpose, trajectory, step): the tests
 check that it broadcasts consistently, that distinct key parts give
 distinct streams, and that a million draws pass cheap moment and 2-bit
 chi-square checks, single and serial. No module draws from another
-generator.
+generator. The source scans also keep type ladders out of the package and
+per-state successors() sums out of its one-step identities.
 """
+import ast
 import re
 from pathlib import Path
 
@@ -41,6 +43,32 @@ def test_no_module_asks_a_chain_for_its_example_class():
     ladder = re.compile(r"isinstance\(chain, \(?(ZWalk|BangBangWalk|KaryTree|Z2Walk)\b")
     for path in sorted(Path(recurmartin.__file__).parent.glob("*.py")):
         assert not ladder.search(path.read_text()), path.name
+
+
+def _scoped_calls(node, scope=""):
+    """Every call under ``node``, with the dotted name of its enclosing
+    class and function definitions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped_calls(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _scoped_calls(child, scope)
+
+
+def test_one_step_identities_read_the_code_table():
+    # residuals, balances and row sums are window.one_step_averages; only
+    # the conditioned chain's own rows and the pathwise identity, which
+    # multiplies single row entries, read successors() here
+    allowed = {"TransformedChain.successors", "rn_identity_check"}
+    package = Path(recurmartin.__file__).parent
+    for name in ("martin", "htransform", "sigma"):
+        text = (package / f"{name}.py").read_text()
+        assert "step_distribution" not in text, name
+        for scope, call in _scoped_calls(ast.parse(text)):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "successors":
+                assert scope in allowed, (name, scope, call.lineno)
 
 
 def test_a_draw_depends_on_its_key_and_step_only():

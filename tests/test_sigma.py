@@ -565,6 +565,29 @@ def test_avoidance_separation_on_the_tree_reports_honest_width():
     assert mv.verdict == "inconclusive"
 
 
+def test_uncertified_bracket_steps_its_window_once(monkeypatch):
+    """One window operator serves both policies: the 2,047-state window's
+    rows plus the base row of the balance, 2,048 successors() calls."""
+    calls = []
+    original = LazyTree.successors
+    monkeypatch.setattr(
+        LazyTree, "successors", lambda self, x: calls.append(x) or original(self, x)
+    )
+    mv = avoidance_function(LazyTree(2), ROOT, PHI_TREE, (0, 0, 0), (0,))
+    assert mv.bracket == (6.0, 7.0)
+    assert len(calls) <= 2048
+
+
+def test_uncertified_budget_is_checked_before_the_window_is_built(monkeypatch):
+    def refuse(self, radius):
+        raise AssertionError(f"built the radius-{radius} window")
+
+    monkeypatch.setattr(LazyTree, "window", refuse)
+    assert LazyTree(2).window_size(27) == 2**28 - 1
+    with pytest.raises(ValueError, match="268435455 states, more than the state budget"):
+        avoidance_function(LazyTree(2), ROOT, PHI_TREE, (0,) * 20, (1,))
+
+
 def test_avoidance_inconclusive_is_reported_not_raised():
     mv = avoidance_function(LAZY, 0, PHI, 3, 1)
     assert mv.verdict == "inconclusive"

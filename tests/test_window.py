@@ -9,7 +9,10 @@ mass), under both policies, with a killed state and with scaled rows. The
 float and exact solves are compared bit for bit with a reference that
 builds ``Fraction`` rows from ``successors()`` one state at a time. A
 chain subclass that overrides ``successors`` must leave the vectorized
-tables.
+tables. ``one_step_averages`` must equal the per-state ``Fraction`` sum
+over ``step_distribution`` on every kind of table, call its function once
+per live successor, and let the one-step identities of the built-in laws
+run without a single ``successors()`` call.
 """
 from fractions import Fraction
 
@@ -18,8 +21,17 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from recurmartin.chains import law_class
-from recurmartin.examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
+from recurmartin.chains import ChainSpec, law_class, step_distribution
+from recurmartin.examplechains import (
+    ROOT,
+    BangBangWalk,
+    HalfLineEnd,
+    KaryTree,
+    LineEnd,
+    TreeRay,
+    Z2Walk,
+    ZWalk,
+)
 from recurmartin.green import (
     Truncation,
     _solve_columns_fraction,
@@ -27,7 +39,15 @@ from recurmartin.green import (
     green_solve_discounted,
     window_rows,
 )
-from recurmartin.window import UNNAMED, SuccessorTable, WindowOperator, window_operator
+from recurmartin.htransform import TransformParams, transformed_chain, verify_row_sums
+from recurmartin.martin import check_harmonic_except, profile_from_boundary
+from recurmartin.window import (
+    UNNAMED,
+    SuccessorTable,
+    WindowOperator,
+    one_step_averages,
+    window_operator,
+)
 
 CHAINS = {
     "z": (ZWalk(), 0, 6),
@@ -293,3 +313,127 @@ def test_discounted_solve_scales_rows_in_integers():
     assert exact == [z.exact_green(2, 3) + r / (1 - r) * z.exact_green(0, 3),
                      r / (1 - r) * z.exact_green(0, 4)]
     assert floats == pytest.approx([float(v) for v in exact], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One-step averages
+
+
+class Skip(ChainSpec):
+    """A user chain on Z: hold 1/2, down one 1/3, up two 1/6, listed out of
+    canonical order."""
+
+    name = "skip"
+    base_point = 0
+
+    def successors(self, x):
+        return [(x + 2, Fraction(1, 6)), (x, Fraction(1, 2)), (x - 1, Fraction(1, 3))]
+
+    def state_key(self, x):
+        return x
+
+    def format_state(self, x):
+        return str(x)
+
+    def parse_state(self, text):
+        return int(text)
+
+    def window(self, radius):
+        return list(range(-radius, radius + 1))
+
+
+class LazyTree(KaryTree):
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]
+
+
+def reference_averages(chain, states, f):
+    """The per-state loop: one Fraction sum over step_distribution per state."""
+    return [sum((p * f(t) for t, p in step_distribution(chain, s)), Fraction(0)) for s in states]
+
+
+def on_line(x):
+    if x < 0 and x % 2:
+        return Fraction(x**3, 7) - 2
+    return Fraction(5 * x + 1, 3)
+
+
+def on_tree(s):
+    return Fraction(len(s) ** 2 + 3 * sum(s), 5)
+
+
+def on_half_line(x):
+    if x < 0:
+        raise AssertionError("evaluated off the half line")
+    return Fraction(7, 3) ** x
+
+
+DEEP = [ROOT, (0,) * 61, (1, 0) * 30 + (1,)]  # children below int64 heap codes
+AVERAGE_CASES = {
+    "user chain": (Skip(), Skip().window(6), on_line),
+    "lazy subclass": (LazyTree(2), LazyTree(2).window(3), on_tree),
+    "half-line base row": (BangBangWalk(Fraction(2, 5)), [0, 1, 0, 4], on_half_line),
+    "deep tree": (KaryTree(2), DEEP, on_tree),
+    "transformed chain": (
+        transformed_chain(ZWalk(), TransformParams(0, LineEnd(1), Fraction(1, 3))),
+        ZWalk().window(5),
+        on_line,
+    ),
+    "plane": (Z2Walk(), Z2Walk().window(3), lambda s: Fraction(s[0] ** 3 - s[1], 4)),
+}
+
+
+@pytest.mark.parametrize("case", AVERAGE_CASES)
+def test_one_step_averages_equal_the_per_state_fraction_sums(case):
+    chain, states, f = AVERAGE_CASES[case]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    got, values = one_step_averages(chain, states, counted)
+    assert got == reference_averages(chain, states, f)
+    assert all(type(v) is Fraction for v in got)
+    assert values == [f(s) for s in states]
+    # one call per distinct state and live successor; never on a table's
+    # padding or the half line's reflected entry
+    live = {t for s in states for t, p in chain.successors(s) if p}
+    assert len(calls) == len(live | set(states)) and set(calls) == live | set(states)
+
+
+def test_deep_tree_averages_leave_the_vectorized_table():
+    tree = KaryTree(2)
+    table = tree.code_table(DEEP)
+    assert not isinstance(table, SuccessorTable)
+    succ, num, _ = table.step(table.encode(DEEP))
+    assert (succ[num > 0] == UNNAMED).any()
+    assert one_step_averages(tree, DEEP, len) == ([1, 61, 61], [0, 61, 61])
+
+
+def test_one_step_averages_of_no_states():
+    assert one_step_averages(KaryTree(2), [], len) == ([], [])
+
+
+@pytest.mark.parametrize("chain", [ZWalk(), BangBangWalk(), KaryTree(2), Z2Walk()])
+def test_one_step_identities_of_the_built_in_laws_call_no_successors(chain, monkeypatch):
+    x0 = chain.base_point
+    alpha = {ZWalk: LineEnd(1), BangBangWalk: HalfLineEnd(), KaryTree: TreeRay((), (0,))}
+    if type(chain) is Z2Walk:  # xy is harmonic on the plane
+
+        def phi(s):
+            return Fraction(s[0] * s[1])
+
+        params = TransformParams(x0, None, Fraction(1, 2))
+    else:
+        phi = profile_from_boundary(chain, x0, alpha[type(chain)])
+        params = TransformParams(x0, alpha[type(chain)], Fraction(1, 2))
+    calls = []
+    original = type(chain).successors
+    monkeypatch.setattr(
+        type(chain), "successors", lambda self, x: calls.append(x) or original(self, x)
+    )
+    radius = 3 if type(chain) is KaryTree else 6
+    assert check_harmonic_except(chain, phi, x0, chain.window(radius)).all_ok
+    assert verify_row_sums(chain, params, radius).all_ok
+    assert calls == []
