@@ -787,7 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--step-cap", type=int, default=10**6,
         help="draws per Monte Carlo run before it is truncated: one per step, "
-        "on z2 one per jump across a square holding neither --x0 nor --y",
+        "on z (and bangbang at --x0 0) one per jump to the next of --x0, --y "
+        "and the escape box's edges that the run meets, on z2 one per jump "
+        "across a square holding neither --x0 nor --y",
     )
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_green)

@@ -24,7 +24,8 @@ class MissingPredecessorsError(RecurMartinError):
 class RunawayRunError(RecurMartinError):
     """A Monte Carlo trajectory exceeded the step cap without terminating.
 
-    The cap counts draws: steps, or jumps on the planar lane.
+    The cap counts draws: steps, or jumps on the line and planar lanes
+    with an escape box.
     """
 
     def __init__(self, cap: int, completed_runs: int):

@@ -95,8 +95,9 @@ class GreenResult:
     #: Monte Carlo sampler that ran: fast-line, fast-plane, fast-tree, generic
     lane: Optional[str] = None
     escaped_runs: int = 0  # runs finished by an analytic tail
-    #: draws the runs took before they ended: one per step, on the plane
-    #: lane one per jump across an empty square (or single step)
+    #: draws the runs took before they ended: one per step, except with an
+    #: escape box on the line lane (one per jump to the next mark) and the
+    #: plane lane (one per jump across an empty square, or single step)
     draws: int = 0
 
     def __float__(self) -> float:
@@ -480,15 +481,17 @@ def green_mc(
     draws raises RunawayRunError when ``on_cap='error'`` or is kept as-is
     when ``on_cap='truncate'`` (the reported value is then a lower-biased
     estimate; the number of truncated runs is reported). A draw is one
-    step, except on the planar walk, where one draw carries a run across
-    a square holding neither x0 nor a target (``_plane_walk``); visit
-    counts keep their law exactly. ``draws`` on the result counts them.
+    step, except with an escape box on the line and the planar walk: on
+    the line one draw carries a run to the next of x0, the targets and the
+    box edges that it meets (``_line_walk``), on the plane across a square
+    holding neither x0 nor a target (``_plane_walk``); visit counts keep
+    their law exactly. ``draws`` on the result counts them.
 
     On the line and the planar walk, runs that leave the ``escape_radius``
     box are completed analytically through closed forms (the potential
     kernel on the plane) instead of being simulated to the heavy-tailed
     return time; pass ``escape_radius=None`` to force plain truncation
-    (the planar walk then steps one cell per draw).
+    (both walks then step one cell per draw).
     ``lane`` on the result names the sampler that ran.
     """
     if trajectories < 1:
@@ -601,11 +604,12 @@ class _Walk:
     maps the coordinates of n live runs (a tuple of (n,) int64 arrays) and
     their uniforms for the next b draws (an (n, b) array) to the coordinates
     after each of those draws ((n, b) arrays); a draw is a step, or on the
-    plane lane a jump. A run still at the origin is at its time 0 and takes
-    the base row. ``dead`` marks, in the same shape, the draws that end a
-    run: arrival at the origin, or a move out of the escape box. ``tail``
-    maps the exit states of escaped runs ((m,) arrays) to the expected
-    visits still to come, shape (m, len(targets)).
+    line and plane lanes with an escape box a jump. A run still at the
+    origin is at its time 0 and takes the base row. ``dead`` marks, in the
+    same shape, the draws that end a run: arrival at the origin, or a move
+    out of the escape box. ``tail`` maps the exit states of escaped runs
+    ((m,) arrays) to the expected visits still to come, shape
+    (m, len(targets)).
     """
 
     lane: str
@@ -694,50 +698,136 @@ def _line_walk(chain, start, targets, escape_radius):
     so both the symmetric and the half-line walks qualify; a run starting
     at the base takes the base row first (the half line's forced up-step).
     Both probabilities are read off the law: the up-mass of the row at 1
-    and of the base row. With an escape box, runs leaving it are completed
-    analytically through the tail values (removing the heavy-tail
-    truncation bias of null-recurrent returns); a walk whose base row goes
-    up with certainty (the half line) never reaches the minus side,
-    continuity forcing absorption at 0 first.
+    and of the base row.
+
+    With an escape box of edge r, a draw carries a run from mark to mark
+    (``_line_jumps``): the marks are -r, 0, r and the targets, the points
+    where a run can escape, be absorbed or add a visit, so visit counts and
+    exit states keep their law exactly; the number of draws is not the
+    number of steps, and the step cap counts draws. Runs leaving the box
+    are completed analytically through the tail values (removing the
+    heavy-tail truncation bias of null-recurrent returns); a walk whose
+    base row goes up with certainty (the half line) never reaches the minus
+    side, continuity forcing absorption at 0 first. Without a box the lane
+    steps one cell per draw.
     """
     def up_mass(v):
-        return sum(p for t, p in chain.successors(v) if t == v + 1)
+        return Fraction(sum(p for t, p in chain.successors(v) if t == v + 1))
 
-    p_up = float(up_mass(1))
-    base_up = up_mass(0)
-    p_base = float(base_up)
-    if escape_radius is not None:
-        # beyond every target (same side) the expected visits still to come
-        # no longer depend on the position: the closed form at the exit
-        # point +-r, where nearest-neighbour steps land exactly
-        r = max(escape_radius, max(abs(int(t)) for t in [start, *targets]) + 2)
-        plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
-        minus = np.zeros(len(targets))  # unreachable when base_up == 1
-        if base_up != 1:
-            minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
+    p_up, p_base = up_mass(1), up_mass(0)
+    tgt = [(t,) for t in targets]
+    if escape_radius is None:
+        up_f, base_f = float(p_up), float(p_base)
 
-    def block(coords, u):
-        (pos,) = coords
-        up = u < p_up
-        at_base = pos == 0
-        if at_base.any():
-            up[at_base, 0] = u[at_base, 0] < p_base
-        path = np.cumsum(up, axis=1)  # ups so far; the rest are downs
-        path *= 2
-        path += pos[:, None] - np.arange(1, u.shape[1] + 1)
+        def steps(coords, u):
+            (pos,) = coords
+            up = u < up_f
+            at_base = pos == 0
+            if at_base.any():
+                up[at_base, 0] = u[at_base, 0] < base_f
+            path = np.cumsum(up, axis=1)  # ups so far; the rest are downs
+            path *= 2
+            path += pos[:, None] - np.arange(1, u.shape[1] + 1)
+            return (path,)
+
+        return _Walk("fast-line", (start,), tgt, steps, lambda paths: paths[0] == 0)
+
+    # beyond every target (same side) the expected visits still to come no
+    # longer depend on the position: the closed form at the exit point +-r,
+    # where a run leaving the box lands exactly
+    r = max(escape_radius, max(abs(int(t)) for t in [start, *targets]) + 2)
+    plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
+    minus = np.zeros(len(targets))  # unreachable when p_base == 1
+    if p_base != 1:
+        minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
+    marks = tuple(sorted({-r, 0, r, *targets}))
+    dest, up_cut, back_cut = _line_jumps(p_up, p_base, r, marks)
+    norm = np.abs(np.arange(-r, r + 1))
+    inside = (norm > 0) & (norm < r)
+
+    def jumps(coords, u):
+        row = coords[0] + r
+        # a finished run's later draws: the base
+        path = np.full(u.shape, r, dtype=np.int64)
+        live = np.arange(len(row))
+        for t in range(u.shape[1]):
+            ut = u[live, t]
+            pick = 3 * row
+            pick += ut >= up_cut[row]
+            pick += ut >= back_cut[row]
+            row = dest[pick]
+            path[live, t] = row
+            going = inside[row]
+            if not going.all():
+                live, row = live[going], row[going]
+                if not live.size:
+                    break
+        path -= r
         return (path,)
 
-    targets = [(t,) for t in targets]
-    if escape_radius is None:
-        return _Walk(
-            "fast-line", (start,), targets, block, lambda paths: paths[0] == 0
-        )
     return _Walk(
-        "fast-line", (start,), targets, block,
+        "fast-line", (start,), tgt, jumps,
         dead=lambda paths: _ends(np.abs(paths[0]), r),
         tail=lambda end: np.where((end[0] > 0)[:, None], plus, minus),
         note=f"analytic tail beyond radius {r}",
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _line_jumps(p_up, p_base, r, marks):
+    """The line lane's jump table over the box positions -r .. r.
+
+    ``marks`` are -r, 0, r and the targets, in increasing order. A run at a
+    position v strictly between neighbouring marks a < v < b moves, before
+    it meets a mark, only through positions where nothing is counted,
+    absorbed or escapes, so one draw takes it to b with the gambler's-ruin
+    probability h_{a,b}(v) = P_v(reach b before a), else to a. A run at a
+    mark v (a target, or the base at its time 0 under the base row p_base)
+    goes to b with probability p_v h_{v,b}(v + 1), to a with probability
+    (1 - p_v)(1 - h_{a,v}(v - 1)), and otherwise comes back to v first: one
+    more visit there, or absorption at the base. Runs at +-r stay.
+
+    Returns read-only (dest, up_cut, back_cut) over the positions shifted
+    by r: ``dest[3 i + k]`` is the row that outcome k = up, back, down
+    takes row i to, and ``up_cut[i]`` = P(up), ``back_cut[i]`` = 1 - P(down),
+    each the correctly rounded cumulative probability. A draw u takes the
+    outcome k = the number of the row's two entries <= u.
+    """
+    dest = np.repeat(np.arange(2 * r + 1), 3).reshape(-1, 3)
+    cut = np.ones((2, 2 * r + 1))
+    for a, b in zip(marks, marks[1:]):
+        inner = slice(a + r + 1, b + r)
+        dest[inner, 0], dest[inner, 2] = b + r, a + r
+        cut[:, inner] = [
+            n / d for n, d in (_ruin(p_up, k, b - a) for k in range(1, b - a))
+        ]
+    for a, v, b in zip(marks, marks[1:], marks[2:]):
+        p = p_base if v == 0 else p_up
+        up = p * Fraction(*_ruin(p_up, 1, b - v))
+        down = (1 - p) * (1 - Fraction(*_ruin(p_up, v - a - 1, v - a)))
+        dest[v + r] = b + r, v + r, a + r
+        cut[:, v + r] = float(up), float(1 - down)
+    dest = dest.ravel()
+    for a in (dest, cut):
+        a.flags.writeable = False
+    return dest, cut[0], cut[1]
+
+
+def _ruin(p, k, length):
+    """P_k(reach ``length`` before 0) for the walk stepping up w.p. p, as
+    an integer (numerator, denominator).
+
+    The gambler's-ruin law (Feller, *An Introduction to Probability Theory
+    and Its Applications*, Vol. 1, ch. XIV): k / length when p = 1/2, else
+    (1 - rho^k) / (1 - rho^length) with rho = (1 - p) / p = down / up for
+    p = up / (up + down) in lowest terms; both terms are multiplied by
+    up^length. Python's int / int of the pair is correctly rounded.
+    """
+    up, down = p.numerator, p.denominator - p.numerator
+    if up == down:
+        return k, length
+    top = up**length
+    return top - down**k * up ** (length - k), top - down**length
 
 
 #: A draw u is a multiple of 2^-52 (``rng.counter_uniforms``), so u 2^52 is
@@ -1006,9 +1096,9 @@ def _table_walk(chain, x0, x, targets):
         for t in range(u.shape[1]):
             if not live.size:
                 break
-            new = cur[~rows.filled[cur]]
-            if new.size:
-                rows.fill(np.unique(new))
+            new = np.sort(cur[~rows.filled[cur]])
+            if new.size:  # distinct codes; the plain np.unique loads numpy.ma
+                rows.fill(new[np.diff(new, prepend=-1) > 0])
             count = (rows.cdf[cur] <= u[live, t][:, None]).sum(axis=1)
             cur = rows.succ[cur, count]
             path[live, t] = cur

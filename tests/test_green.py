@@ -41,6 +41,7 @@ from recurmartin.green import (
     GreenResult,
     Truncation,
     _exit_level,
+    _line_jumps,
     _solve_columns_float,
     _solve_columns_fraction,
     _square_exit_law,
@@ -566,6 +567,27 @@ def test_subclass_overriding_successors_takes_the_generic_lane():
     assert grid[(2, 3)].lane == "generic"
 
 
+def test_generic_lane_leaves_numpy_ma_unloaded():
+    # the plain np.unique imports numpy.ma (about 20 ms) on its first call
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from recurmartin.examplechains import BangBangWalk\n"
+        "from recurmartin.green import green_mc\n"
+        "class LazyBangBang(BangBangWalk):\n"
+        "    def successors(self, x):\n"
+        "        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]\n"
+        "res = green_mc(LazyBangBang(), 0, 2, 3, 50, seed=1)\n"
+        "print(res.lane, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(green_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.split() == ["generic", "False"]
+
+
 def test_generic_lane_on_the_tree_off_its_root(monkeypatch):
     # no vectorized lane serves the tree away from its root; the successor
     # table fills a row only where a run stands, so its states grow with the
@@ -793,7 +815,11 @@ def test_plane_lane_without_a_box_steps_one_cell_per_draw():
     assert np.array_equal(py[:, 0], 1 + np.array([0, 0, -1, 1])[move])
 
 
-def test_line_lane_draws_are_its_steps(monkeypatch):
+# ---------------------------------------------------------------------------
+# Line lane: jumps from mark to mark
+
+
+def test_line_lane_reports_the_draws_its_runs_took(monkeypatch):
     taken = []
     line_walk = green_module._line_walk
 
@@ -819,6 +845,87 @@ def test_line_lane_draws_are_its_steps(monkeypatch):
         assert res.lane == "fast-line"
         assert res.draws == sum(taken) > 0
     assert res.truncated_runs > 0
+
+
+def _exit_law(chain, w, a, b):
+    """Exact law of the first of a, b that the chain meets from a < w < b,
+    as {a: P, b: P}: G(w, .) on the open interval, by the exact window
+    solve of the transposed killed system, times the steps out of it."""
+    inner = list(range(a + 1, b))
+    index = {v: i for i, v in enumerate(inner)}
+    rows_t = [[] for _ in inner]
+    out = {a: [0] * len(inner), b: [0] * len(inner)}
+    for v in inner:
+        for t, p in chain.successors(v):
+            if t in index:
+                rows_t[index[t]].append((index[v], p))
+            else:
+                out[t][index[v]] += p
+    (g,) = _solve_columns_fraction(rows_t, [index[w]])
+    return {e: sum((gz * pz for gz, pz in zip(g, out[e])), Fraction(0)) for e in (a, b)}
+
+
+def _first_mark_law(chain, v, marks):
+    """Exact law of the first mark a run at v meets at a time >= 1: from a
+    non-mark, the exit law of the interval between its neighbouring marks;
+    from a mark, that law after one step of its row."""
+    def law_from(w):
+        if w in marks:
+            return {w: Fraction(1)}
+        a = max(m for m in marks if m < w)
+        return _exit_law(chain, w, a, min(m for m in marks if m > w))
+
+    if v not in marks:
+        return law_from(v)
+    law = {}
+    for w, p in chain.successors(v):
+        for e, q in law_from(w).items():
+            law[e] = law.get(e, 0) + p * q
+    return law
+
+
+@pytest.mark.parametrize("chain", [Z, BB], ids=["line", "halfline"])
+@pytest.mark.parametrize("targets", [[2, 5], [1, 4]])
+def test_line_jump_table_is_the_exact_first_mark_law(chain, targets):
+    r = 8
+    marks = tuple(sorted({-r, 0, r, *targets}))
+    up_mass = [sum(p for t, p in chain.successors(v) if t == v + 1) for v in (1, 0)]
+    dest, up_cut, back_cut = _line_jumps(*map(Fraction, up_mass), r, marks)
+    assert not (dest.flags.writeable or up_cut.flags.writeable)
+    # the half line has no states below its base, which runs never reach
+    for v in range(-r if chain is Z else 0, r + 1):
+        i = v + r
+        up, back, down = (dest[3 * i : 3 * i + 3] - r).tolist()
+        if abs(v) == r:  # out of the box: the run has ended and stays
+            assert up == back == down == v
+            continue
+        law = _first_mark_law(chain, v, marks)
+        assert set(law) <= {up, back, down} and up != down
+        # each CDF entry is the correctly rounded cumulative probability
+        assert up_cut[i] == float(law.get(up, 0))
+        assert back_cut[i] == float(1 - law.get(down, 0))
+
+
+def test_line_lane_jumps_from_mark_to_mark():
+    res = green_mc(Z, 0, 2, 5, 3000, seed=17)
+    assert res.lane == "fast-line"
+    assert res.draws <= 10 * res.runs  # steps average about 120 per run
+    assert abs(res.value - 4.0) <= 4 * res.stderr
+
+
+def test_line_lane_without_a_box_steps_one_cell_per_draw():
+    for chain, start in ((Z, 3), (BB, 0)):
+        walk = green_module._line_walk(chain, start, [1], None)
+        keys = stream_keys(5, GREEN_ENSEMBLE, np.arange(200))
+        u = counter_uniforms(keys[:, None], np.arange(64)[None, :])
+        (path,) = walk.block((np.full(200, start, dtype=np.int64),), u)
+        ended = walk.dead((path,))
+        last = np.where(ended.any(axis=1), ended.argmax(axis=1), 64)
+        live = np.arange(64) <= last[:, None]  # up to and with the ending draw
+        assert np.all(np.abs(np.diff(path, prepend=start))[live] == 1)
+        # a step is up exactly when u is below its row's up-mass
+        p = float(sum(q for t, q in chain.successors(start) if t == start + 1))
+        assert np.array_equal(path[:, 0], start + np.where(u[:, 0] < p, 1, -1))
 
 
 # ---------------------------------------------------------------------------
