@@ -95,9 +95,9 @@ class GreenResult:
     #: Monte Carlo sampler that ran: fast-line, fast-plane, fast-tree, generic
     lane: Optional[str] = None
     escaped_runs: int = 0  # runs finished by an analytic tail
-    #: draws the runs took before they ended: one per step, except with an
-    #: escape box on the line lane (one per jump to the next mark) and the
-    #: plane lane (one per jump across an empty square, or single step)
+    #: draws the runs took before they ended: one per step, except on the
+    #: line lane (one per jump to the next mark) and the plane lane (one per
+    #: jump across an empty square, or single step)
     draws: int = 0
 
     def __float__(self) -> float:
@@ -472,7 +472,7 @@ def green_mc(
     step_cap: int = DEFAULT_STEP_CAP,
     on_cap: str = "error",
     index_offset: int = 0,
-    escape_radius: Optional[int] = 64,
+    escape_radius: int = 64,
 ) -> GreenResult:
     """Sample mean of the visits to y before the first return to x0.
 
@@ -481,23 +481,21 @@ def green_mc(
     draws raises RunawayRunError when ``on_cap='error'`` or is kept as-is
     when ``on_cap='truncate'`` (the reported value is then a lower-biased
     estimate; the number of truncated runs is reported). A draw is one
-    step, except with an escape box on the line and the planar walk: on
-    the line one draw carries a run to the next of x0, the targets and the
-    box edges that it meets (``_line_walk``), on the plane across a square
-    holding neither x0 nor a target (``_plane_walk``); visit counts keep
-    their law exactly. ``draws`` on the result counts them.
+    step, except on the line and the planar walk: on the line one draw
+    carries a run to the next of x0, the targets and the box edges that it
+    meets (``_line_walk``), on the plane across a square holding neither x0
+    nor a target (``_plane_walk``); visit counts keep their law exactly.
+    ``draws`` on the result counts them.
 
     On the line and the planar walk, runs that leave the ``escape_radius``
-    box are completed analytically through closed forms (the potential
-    kernel on the plane) instead of being simulated to the heavy-tailed
-    return time; pass ``escape_radius=None`` to force plain truncation
-    (both walks then step one cell per draw).
-    ``lane`` on the result names the sampler that ran.
+    box (an int >= 1) are completed analytically through closed forms (the
+    potential kernel on the plane) instead of being simulated to the
+    heavy-tailed return time. ``lane`` on the result names the sampler
+    that ran.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
-    if on_cap not in ("error", "truncate"):
-        raise ValueError("on_cap must be 'error' or 'truncate'")
+    _check_mc_options(on_cap, escape_radius)
     walk = _fast_lane(chain, x0, x, [y], escape_radius) or _table_walk(chain, x0, x, [y])
     return _ensemble(walk, trajectories, seed, index_offset, step_cap, on_cap)[0]
 
@@ -511,7 +509,7 @@ def green_mc_grid(
     seed: int,
     step_cap: int = DEFAULT_STEP_CAP,
     on_cap: str = "truncate",
-    escape_radius: Optional[int] = 64,
+    escape_radius: int = 64,
 ) -> dict:
     """green_mc over a starts x targets grid, sharing runs per start.
 
@@ -520,6 +518,7 @@ def green_mc_grid(
     len(starts) * len(targets). Estimates sharing a start are correlated
     across targets but each is individually the green_mc estimator.
     """
+    _check_mc_options(on_cap, escape_radius)
     groups = _target_groups(chain, x0, list(targets))
     out = {}
     for k, x in enumerate(starts):
@@ -530,6 +529,14 @@ def green_mc_grid(
             res = _ensemble(walk, trajectories, seed, offset, step_cap, on_cap)
             out.update({(x, t): r for t, r in zip(group, res)})
     return out
+
+
+def _check_mc_options(on_cap, escape_radius):
+    if on_cap not in ("error", "truncate"):
+        raise ValueError("on_cap must be 'error' or 'truncate'")
+    box = escape_radius
+    if isinstance(box, bool) or not isinstance(box, (int, np.integer)) or box < 1:
+        raise ValueError(f"escape_radius must be an int >= 1, not {box!r}")
 
 
 def _mc_result(totals, runs, truncated, lane, escaped=0, note=None, draws=0):
@@ -567,9 +574,9 @@ def _fast_lane(chain, x0, x, targets, escape_radius):
     The line and the plane are translation invariant, so they run at any
     base in coordinates shifted by x0; the half line runs at its base 0 and
     the tree at its root, with every target on one spine (``_target_groups``
-    keeps them so). A lane runs only
-    the law of its own class (``law_class``): a subclass that overrides
-    ``successors`` takes the generic lane, ``_table_walk``.
+    keeps them so). A lane runs only the law of its own class
+    (``law_class``): a subclass that overrides ``successors`` takes the
+    generic lane, ``_table_walk``.
     """
     law = law_class(chain)
     if law is ZWalk or (law is BangBangWalk and x0 == 0):
@@ -598,54 +605,44 @@ _BLOCK_CELLS = 10_000 * 512
 
 @dataclass
 class _Walk:
-    """A chain as the ensemble driver runs it, with the base at the origin.
-
-    ``start`` and each target are integer coordinate tuples. ``block``
-    maps the coordinates of n live runs (a tuple of (n,) int64 arrays) and
-    their uniforms for the next b draws (an (n, b) array) to the coordinates
-    after each of those draws ((n, b) arrays); a draw is a step, or on the
-    line and plane lanes with an escape box a jump. A run still at the
-    origin is at its time 0 and takes the base row. ``dead`` marks, in the
-    same shape, the draws that end a run: arrival at the origin, or a move
-    out of the escape box. ``tail`` maps the exit states of escaped runs
-    ((m,) arrays) to the expected visits still to come, shape
-    (m, len(targets)).
-    """
+    """A chain as the ensemble driver runs it; see ``_ensemble``."""
 
     lane: str
-    start: tuple
+    start: int
+    origin: int
     targets: list
-    block: Callable
-    dead: Callable
+    step: Callable
+    going: Callable
     tail: Optional[Callable] = None
     note: Optional[str] = None
-
-
-def _ends(norm, r):
-    """Steps with norm 0 (the origin) or norm >= r (out of the box).
-
-    Shifting by one moves norm 0 to the top of the unsigned range, so one
-    unsigned comparison tests both; ``norm`` is overwritten.
-    """
-    norm -= 1
-    return norm.view(np.uint64) >= np.uint64(r - 1)
 
 
 def _ensemble(walk, runs, seed, offset, cap, on_cap):
     """Run trajectories offset .. offset + runs - 1 until they return to the base.
 
-    Draw n of trajectory i is counter_uniforms(key_i, n), so each run's
-    path, and with it every result, is the same whatever the slab size,
-    the block schedule, the run count or the set of runs still alive. Each
-    slab starts with _FIRST_BLOCK-step blocks that double while live rows x
-    block stays within _BLOCK_CELLS: most runs of a recurrent walk end after
-    a few steps, and a long first block would be simulated in vain for them.
-    ``cap`` bounds the draws of a run; each result reports the draws taken.
+    A walk holds one int64 state per run. ``walk.step(state, u)`` maps the
+    states of the live runs and one uniform each to their states after
+    that draw; a draw is a step, or on the line and plane lanes a jump. A
+    run at ``walk.origin``, the base, is at its time 0 and takes the base
+    row. ``walk.going(state)`` marks the runs that go on: a run ends on
+    arrival at the origin, or by a move out of the escape box, and
+    ``walk.tail`` maps the exit states of those escaped runs to the
+    expected visits still to come, shape (m, len(targets)). ``start`` and
+    each of ``targets`` are states; a run visits a target when a draw
+    leaves it on that state and it goes on, and at time 0.
+
+    This is the one loop over the draws. Draw n of trajectory i is
+    counter_uniforms(key_i, n), so each run's path, and with it every
+    result, is the same whatever the slab size, the block schedule, the run
+    count or the set of runs still alive. Each slab starts with
+    _FIRST_BLOCK-draw blocks that double while live rows x block stays
+    within _BLOCK_CELLS: most runs of a recurrent walk end after a few
+    draws, and a long first block would be drawn in vain for them. ``cap``
+    bounds the draws of a run; each result reports the draws taken.
     """
     tgt = np.asarray(walk.targets, dtype=np.int64)
-    tgt = tgt.reshape(len(walk.targets), len(walk.start))
     visits = np.zeros((runs, len(tgt)))
-    visits[:] = np.all(tgt == np.asarray(walk.start), axis=1)  # time 0
+    visits[:] = tgt == walk.start  # time 0
     truncated = escaped = draws = 0
     for lo in range(0, runs, _SLAB):
         size = min(_SLAB, runs - lo)
@@ -653,32 +650,31 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
         keys = stream_keys(seed, GREEN_ENSEMBLE, index)
         vis = visits[lo : lo + size]
         rows = np.arange(size)  # slab rows still running
-        coords = tuple(np.full(size, c, dtype=np.int64) for c in walk.start)
+        state = np.full(size, walk.start, dtype=np.int64)
         steps, b = 0, _FIRST_BLOCK
         while rows.size and steps < cap:
             b = min(b, cap - steps, max(1, _BLOCK_CELLS // rows.size))
-            counters = np.arange(steps, steps + b)[None, :]
-            paths = walk.block(coords, counter_uniforms(keys[rows, None], counters))
-            dead = walk.dead(paths)
-            ended = dead.any(axis=1)
-            first = np.where(ended, dead.argmax(axis=1), b)
-            live = np.arange(b) < first[:, None]
-            draws += int(live.sum()) + int(ended.sum())  # the ending draw too
+            u = counter_uniforms(keys[rows, None], np.arange(steps, steps + b)[None, :])
+            path = np.full(u.shape, -1, dtype=np.int64)  # states of runs going on
+            end = np.full(rows.size, walk.origin)  # exit states of ended runs
+            live = np.arange(rows.size)
+            for t in range(b):
+                state = walk.step(state, u[live, t])
+                draws += live.size  # the ending draw too
+                going = walk.going(state)
+                if not going.all():
+                    end[live[~going]] = state[~going]
+                    live, state = live[going], state[going]
+                    if not live.size:
+                        break
+                path[live, t] = state
             for ti, t in enumerate(tgt):
-                hit = live
-                for p, c in zip(paths, t):
-                    hit = hit & (p == c)
-                vis[rows, ti] += hit.sum(axis=1)
-            if walk.tail is not None:
-                e = np.nonzero(ended)[0]
-                ends = [p[e, first[e]] for p in paths]
-                away = np.any(ends, axis=0)  # escaped, not absorbed at the origin
-                if away.any():
-                    vis[rows[e[away]]] += walk.tail(tuple(c[away] for c in ends))
-                    escaped += int(away.sum())
-            going = ~ended
-            coords = tuple(p[going, -1] for p in paths)
-            rows = rows[going]
+                vis[rows, ti] += (path == t).sum(axis=1)
+            away = end != walk.origin  # escaped, not absorbed at the origin
+            if away.any():
+                vis[rows[away]] += walk.tail(end[away])
+                escaped += int(away.sum())
+            rows = rows[live]
             steps += b
             b *= 2
         if rows.size:
@@ -691,6 +687,20 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
     ]
 
 
+def _table_step(dest, low_cut, high_cut):
+    """The step of a three-outcome jump table: a draw u takes state i to
+    ``dest[3 i + k]``, k the number of its cuts ``low_cut[i]``,
+    ``high_cut[i]`` that are <= u."""
+
+    def step(state, u):
+        pick = 3 * state
+        pick += u >= low_cut[state]
+        pick += u >= high_cut[state]
+        return dest[pick]
+
+    return step
+
+
 def _line_walk(chain, start, targets, escape_radius):
     """Nearest-neighbour walk on the integers, absorbed at 0.
 
@@ -700,38 +710,19 @@ def _line_walk(chain, start, targets, escape_radius):
     Both probabilities are read off the law: the up-mass of the row at 1
     and of the base row.
 
-    With an escape box of edge r, a draw carries a run from mark to mark
-    (``_line_jumps``): the marks are -r, 0, r and the targets, the points
-    where a run can escape, be absorbed or add a visit, so visit counts and
-    exit states keep their law exactly; the number of draws is not the
-    number of steps, and the step cap counts draws. Runs leaving the box
-    are completed analytically through the tail values (removing the
-    heavy-tail truncation bias of null-recurrent returns); a walk whose
-    base row goes up with certainty (the half line) never reaches the minus
-    side, continuity forcing absorption at 0 first. Without a box the lane
-    steps one cell per draw.
+    In the escape box of edge r the state of a run is its position + r,
+    and a draw carries it from mark to mark (``_line_jumps``): -r, 0, r and
+    the targets, where a run can escape, be absorbed or add a visit, so
+    visit counts and exit states keep their law exactly and the step cap
+    counts draws. Runs leaving the box are completed analytically through
+    the tail values (removing the heavy-tail truncation bias of
+    null-recurrent returns); the half line, whose base row goes up with
+    certainty, is absorbed at 0 before it reaches the minus side.
     """
     def up_mass(v):
         return Fraction(sum(p for t, p in chain.successors(v) if t == v + 1))
 
     p_up, p_base = up_mass(1), up_mass(0)
-    tgt = [(t,) for t in targets]
-    if escape_radius is None:
-        up_f, base_f = float(p_up), float(p_base)
-
-        def steps(coords, u):
-            (pos,) = coords
-            up = u < up_f
-            at_base = pos == 0
-            if at_base.any():
-                up[at_base, 0] = u[at_base, 0] < base_f
-            path = np.cumsum(up, axis=1)  # ups so far; the rest are downs
-            path *= 2
-            path += pos[:, None] - np.arange(1, u.shape[1] + 1)
-            return (path,)
-
-        return _Walk("fast-line", (start,), tgt, steps, lambda paths: paths[0] == 0)
-
     # beyond every target (same side) the expected visits still to come no
     # longer depend on the position: the closed form at the exit point +-r,
     # where a run leaving the box lands exactly
@@ -741,34 +732,13 @@ def _line_walk(chain, start, targets, escape_radius):
     if p_base != 1:
         minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
     marks = tuple(sorted({-r, 0, r, *targets}))
-    dest, up_cut, back_cut = _line_jumps(p_up, p_base, r, marks)
     norm = np.abs(np.arange(-r, r + 1))
     inside = (norm > 0) & (norm < r)
-
-    def jumps(coords, u):
-        row = coords[0] + r
-        # a finished run's later draws: the base
-        path = np.full(u.shape, r, dtype=np.int64)
-        live = np.arange(len(row))
-        for t in range(u.shape[1]):
-            ut = u[live, t]
-            pick = 3 * row
-            pick += ut >= up_cut[row]
-            pick += ut >= back_cut[row]
-            row = dest[pick]
-            path[live, t] = row
-            going = inside[row]
-            if not going.all():
-                live, row = live[going], row[going]
-                if not live.size:
-                    break
-        path -= r
-        return (path,)
-
     return _Walk(
-        "fast-line", (start,), tgt, jumps,
-        dead=lambda paths: _ends(np.abs(paths[0]), r),
-        tail=lambda end: np.where((end[0] > 0)[:, None], plus, minus),
+        "fast-line", start + r, r, [t + r for t in targets],
+        step=_table_step(*_line_jumps(p_up, p_base, r, marks)),
+        going=inside.__getitem__,
+        tail=lambda end: np.where((end > r)[:, None], plus, minus),
         note=f"analytic tail beyond radius {r}",
     )
 
@@ -836,37 +806,35 @@ _DRAW_BITS = 52
 
 
 def _plane_walk(start, targets, escape_radius):
-    """Planar walk absorbed at the origin, on squares, with optional analytic tails.
+    """Planar walk absorbed at the origin, on squares, with analytic tails.
 
-    A run at v draws its next point from the jump table: when the square
-    [v - m, v + m]^2 holds neither the origin nor a target and lies inside
-    the escape box (|v|_inf + m <= r - 1), the run cannot visit a target,
-    be absorbed or escape before it leaves the square, so only its exit
-    point matters, and one draw picks that point from the exit law of the
-    square's centre (``_square_exit_law``), the same law for every v. m is
-    the largest power of two that fits; where none fits (next to the
-    origin or a target, or on a target) m = 0 and the draw is one step.
-    Visit counts and exit states keep their law exactly; the number of
-    draws is not the number of steps, and the step cap counts draws.
+    The state of a run at (x, y) in the escape box of edge r is the flat
+    cell (x + r)(2r + 1) + y + r. When the square [v - m, v + m]^2 around
+    a run at v holds neither the origin nor a target and lies inside the
+    box (|v|_inf + m <= r - 1), the run cannot visit a target, be absorbed
+    or escape before it leaves the square, so one draw picks its exit point
+    from the exit law of the square's centre (``_square_exit_law``), the
+    same law for every v. m is the largest power of two that fits; where
+    none fits (next to the origin or a target, or on a target) m = 0 and
+    the draw is one step. Visit counts and exit states keep their law
+    exactly, and the step cap counts draws.
 
-    When ``escape_radius`` is set, a run leaving the box is finished in
-    expectation: the remaining visits to y before hitting the origin from
-    the exit state v equal a(v) + a(y) - a(v - y) by the potential-kernel
-    balance (both sides kill the same one-step defect; see the potential
-    module). This removes the logarithmic-tail truncation bias. Targets
-    may lie outside the box: direct visits then never occur and the whole
-    estimate rides on the analytic closure. With no box no square is
-    bounded, and the lane steps one cell per draw.
+    A run leaving the box is finished in expectation: the remaining visits
+    to y before hitting the origin from the exit state v equal
+    a(v) + a(y) - a(v - y) by the potential-kernel balance (both sides kill
+    the same one-step defect; see the potential module). This removes the
+    logarithmic-tail truncation bias. Targets may lie outside the box:
+    direct visits then never occur and the whole estimate rides on the
+    analytic closure.
     """
     from .potential import potential_float_array
 
-    boxed = escape_radius is not None
-    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1) if boxed else 0
-    # over the box, shifted by r: the level of the largest square that fits
-    # around each cell (as its offset among the table's keys), and the
-    # cells where a run goes on
-    side = np.arange(-r, r + 1)
-    gx, gy = np.meshgrid(side, side, indexing="ij")
+    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1)
+    side = 2 * r + 1
+    # over the box's cells: the level of the largest square that fits
+    # around each (as its offset among the table's keys), and the cells
+    # where a run goes on
+    gx, gy = np.indices((side, side)).reshape(2, -1) - r
     norm = np.maximum(np.abs(gx), np.abs(gy))
     room = np.minimum(norm - 1, r - 1 - norm)
     for tx, ty in targets:
@@ -874,55 +842,34 @@ def _plane_walk(start, targets, escape_radius):
     level = np.frexp(np.maximum(room, 0))[1].astype(np.int64)
     offset = level << _DRAW_BITS
     inside = (norm > 0) & (norm < r)
-    levels = [_exit_level(k) for k in range(int(level.max()) + 1 if boxed else 1)]
+    levels = [_exit_level(k) for k in range(int(level.max()) + 1)]
     keys, jx, jy = (np.concatenate(parts) for parts in zip(*levels))
+    jump = jx * side + jy
 
-    def block(coords, u):
-        sx, sy = coords[0] + r, coords[1] + r
-        path_x = np.full(u.shape, r, dtype=np.int64)  # a finished run's later
-        path_y = np.full(u.shape, r, dtype=np.int64)  # draws: the origin
-        draws = (u * 2.0**_DRAW_BITS).astype(np.int64)
-        live = np.arange(len(sx))
-        for t in range(u.shape[1]):
-            key = draws[live, t]
-            if boxed:
-                key += offset[sx, sy]
-            j = np.searchsorted(keys, key, side="right")
-            sx = sx + jx[j]
-            sy = sy + jy[j]
-            path_x[live, t] = sx
-            path_y[live, t] = sy
-            going = inside[sx, sy] if boxed else (sx != 0) | (sy != 0)
-            if not going.all():
-                live, sx, sy = live[going], sx[going], sy[going]
-                if not live.size:
-                    break
-        path_x -= r
-        path_y -= r
-        return path_x, path_y
+    def step(cell, u):
+        key = (u * 2.0**_DRAW_BITS).astype(np.int64)
+        key += offset[cell]
+        return cell + jump[np.searchsorted(keys, key, side="right")]
 
-    if not boxed:
-        return _Walk(
-            "fast-plane", start, targets, block,
-            lambda paths: (paths[0] == 0) & (paths[1] == 0),
-        )
     tmax = max((max(abs(t[0]), abs(t[1])) for t in targets), default=0)
     afloat = potential_float_array(r + tmax + 2)
     tx = np.asarray([t[0] for t in targets], dtype=np.int64)
     ty = np.asarray([t[1] for t in targets], dtype=np.int64)
 
     def tail(end):
-        ex, ey = end[0][:, None], end[1][:, None]
+        ex, ey = gx[end, None], gy[end, None]
         return (
             _a_lookup(afloat, ex, ey)
             + _a_lookup(afloat, tx, ty)
             - _a_lookup(afloat, ex - tx, ey - ty)
         )
 
+    def cell(x, y):  # a target beyond the box: past the last cell, never met
+        return (x + r) * side + y + r if max(abs(x), abs(y)) <= r else side * side
+
     return _Walk(
-        "fast-plane", start, targets, block,
-        dead=lambda p: _ends(np.maximum(np.abs(p[0]), np.abs(p[1])), r),
-        tail=tail,
+        "fast-plane", cell(*start), cell(0, 0), [cell(*t) for t in targets],
+        step=step, going=inside.__getitem__, tail=tail,
         note=f"analytic tail beyond radius {r}",
     )
 
@@ -1001,44 +948,49 @@ def _tree_walk(tree, start, spine, targets):
     (the depth below the spine is an unbiased +-1 walk), so for visit
     counting each excursion collapses to a self-loop. The embedded walk on
     spine depths 0..p has a strict downward drift, hence geometric run
-    lengths: the lane is fast and carries no truncation bias.
+    lengths: the lane is fast and carries no truncation bias. The state of
+    a run is its spine depth, and a draw is one step of ``_tree_jumps``.
 
-    Embedded rows (k = branching factor, p = spine length):
-      0 < j < p : j-1 w.p. 1/2, j+1 w.p. 1/(2k), j (excursion) else;
-      j = p     : j-1 w.p. 1/2, j (excursion) w.p. 1/2;
-      j = 0     : only at embedded time 0 (start at the root): depth 1
-                  w.p. 1/k if p >= 1, otherwise return/absorb at the root.
     A start off the spine first walks its excursion back to its meet point
     (certain arrival, one visit there); when that meet point is the root,
-    the run is absorbed without any visit.
+    the run starts at state p + 1 and its first draw takes it to the root,
+    without any visit.
     """
-    k = tree.k
     p_len = len(spine)
-    depths = [(len(t),) for t in targets]
     j0 = tree.meet_depth(start, spine)
     if j0 == 0 and len(start) > 0:
-        # the excursion ends at the root without a spine visit: its first
-        # step stands for it, from depth -1 (no target) to the root
-        return _Walk(
-            "fast-tree", (-1,), depths,
-            lambda coords, u: (np.zeros(u.shape, dtype=np.int64),),
-            lambda paths: paths[0] == 0,
-        )
-    inv2k = 0.5 / k
+        j0 = p_len + 1
+    return _Walk(
+        "fast-tree", j0, 0, [len(t) for t in targets],
+        step=_table_step(*_tree_jumps(tree.k, p_len)),
+        going=lambda state: state != 0,
+    )
 
-    def block(coords, u):
-        (j,) = coords
-        inc = (u < 0.5 + inv2k).astype(np.int64)
-        inc -= 2 * (u < 0.5)
-        at_root = j == 0
-        if at_root.any():
-            inc[at_root, 0] = u[at_root, 0] < 1.0 / k
-        # j_{t+1} = min(j_t + inc_t, p): the running sum less its overshoot of p
-        path = j[:, None] + np.cumsum(inc, axis=1)
-        over = np.maximum.accumulate(path - p_len, axis=1)
-        return (path - np.maximum(over, 0),)
 
-    return _Walk("fast-tree", (j0,), depths, block, lambda paths: paths[0] == 0)
+@functools.lru_cache(maxsize=64)
+def _tree_jumps(k, p):
+    """The tree lane's table over the embedded chain's states 0 .. p + 1.
+
+    Rows (k = branching factor, p = spine length), outcomes in order:
+      0 < j <= p : j - 1 w.p. 1/2, j + 1 w.p. 1/(2k) if j < p, else j
+                   (an excursion, or at j = p any child);
+      j = 0      : only at time 0 (a start at the root): depth 1 w.p. 1/k
+                   if p >= 1, else the root (absorbed);
+      j = p + 1  : an off-spine start that meets the spine at the root,
+                   which its excursion reaches with certainty.
+    Returns read-only (dest, low_cut, high_cut) as ``_table_step`` reads
+    them, each cut the correctly rounded cumulative probability.
+    """
+    half, child = Fraction(1, 2), Fraction(1, 2 * k)
+    rows = [((1, 0, 0), (Fraction(1, k), 1)) if p else ((0, 0, 0), (1, 1))]
+    rows += [((j - 1, j + 1, j), (half, half + child)) for j in range(1, p)]
+    rows += [((p - 1, p, p), (half, 1))] if p else []
+    rows.append(((0, 0, 0), (1, 1)))
+    dest = np.asarray([d for d, _ in rows], dtype=np.int64).ravel()
+    low_cut, high_cut = np.asarray([[float(c) for c in cuts] for _, cuts in rows]).T
+    for a in (dest, low_cut, high_cut):
+        a.flags.writeable = False
+    return dest, low_cut, high_cut
 
 
 class _TableRows:
@@ -1082,30 +1034,16 @@ def _table_walk(chain, x0, x, targets):
 
     x0 takes code 0, the origin of the ensemble driver; the codes name every
     state. One step of the live runs is one gather of their rows and one
-    count of the CDF entries <= u per run. A run that arrives at x0 stays
-    there, unstepped, for the rest of its block.
+    count of the CDF entries <= u per run.
     """
     table = SuccessorTable(chain)
     codes = table.encode([x0, x, *targets]).tolist()
     rows = _TableRows(table)
 
-    def block(coords, u):
-        (cur,) = coords
-        path = np.zeros(u.shape, dtype=np.int64)
-        live = np.arange(len(cur))
-        for t in range(u.shape[1]):
-            if not live.size:
-                break
-            new = np.sort(cur[~rows.filled[cur]])
-            if new.size:  # distinct codes; the plain np.unique loads numpy.ma
-                rows.fill(new[np.diff(new, prepend=-1) > 0])
-            count = (rows.cdf[cur] <= u[live, t][:, None]).sum(axis=1)
-            cur = rows.succ[cur, count]
-            path[live, t] = cur
-            going = cur != 0
-            if not going.all():
-                live, cur = live[going], cur[going]
-        return (path,)
+    def step(cur, u):
+        new = np.sort(cur[~rows.filled[cur]])
+        if new.size:  # distinct codes; the plain np.unique loads numpy.ma
+            rows.fill(new[np.diff(new, prepend=-1) > 0])
+        return rows.succ[cur, (rows.cdf[cur] <= u[:, None]).sum(axis=1)]
 
-    targets = [(c,) for c in codes[2:]]
-    return _Walk("generic", (codes[1],), targets, block, lambda paths: paths[0] == 0)
+    return _Walk("generic", codes[1], 0, codes[2:], step, going=lambda cur: cur != 0)

@@ -421,23 +421,26 @@ def potential_mc(
     seed: int,
     step_cap: int = 10_000_000,
     on_cap: str = "error",
-    escape_radius: Optional[int] = 64,
+    escape_radius: int = 64,
 ):
     """Monte Carlo visit counts E_x[L^y before hitting the origin].
 
-    One trajectory ensemble of the plane lane (``green._plane_walk``)
+    One trajectory ensemble of the plane lane (``green.green_mc_grid``)
     serves every y: a run jumps across squares that hold neither the
     origin nor a target, and ``step_cap`` counts those draws. Returns the
     green-solver result objects (value, stderr, truncated run count, draws)
     in y_list order. Estimates should approach a(x) as the targets move
     far away.
     """
-    from .green import _ensemble, _plane_walk
+    from .examplechains import Z2Walk
+    from .green import green_mc_grid
 
     x = (int(x[0]), int(x[1]))
     if x == (0, 0):
         raise ValueError("start must differ from the origin")
     targets = [(int(y[0]), int(y[1])) for y in y_list]
-    return _ensemble(
-        _plane_walk(x, targets, escape_radius), trajectories, seed, 0, step_cap, on_cap
+    grid = green_mc_grid(
+        Z2Walk(), (0, 0), [x], targets, trajectories, seed,
+        step_cap=step_cap, on_cap=on_cap, escape_radius=escape_radius,
     )
+    return [grid[(x, t)] for t in targets]

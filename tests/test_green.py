@@ -45,6 +45,7 @@ from recurmartin.green import (
     _solve_columns_float,
     _solve_columns_fraction,
     _square_exit_law,
+    _tree_jumps,
     default_radius,
     green_mc,
     green_mc_grid,
@@ -604,16 +605,13 @@ def test_generic_lane_on_the_tree_off_its_root(monkeypatch):
 
     def counted_walk(*args):
         walk = table_walk(*args)
-        block = walk.block
+        step = walk.step
 
-        def counted(coords, u):
-            (path,) = block(coords, u)
-            ended = path == 0
-            steps = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, u.shape[1])
-            taken.append(int(steps.sum()))
-            return (path,)
+        def counted(state, u):
+            taken.append(len(u))  # one step of each live run
+            return step(state, u)
 
-        walk.block = counted
+        walk.step = counted
         return walk
 
     table_walk = green_module._table_walk
@@ -712,6 +710,78 @@ def test_runaway_error_counts_only_finished_runs():
     assert info.value.completed_runs == 10_000 - first_slab.truncated_runs
 
 
+@pytest.mark.parametrize("bad", [None, 0, -3, 2.5, "64", True])
+@pytest.mark.parametrize("entry", ["green_mc", "green_mc_grid", "potential_mc"])
+def test_mc_entry_points_refuse_a_bad_escape_box(entry, bad):
+    # every lane takes the box, so a bad one fails before any run starts
+    call = {
+        "green_mc": lambda: green_mc(TREE, ROOT, (0,), (0,), 10, seed=1, escape_radius=bad),
+        "green_mc_grid": lambda: green_mc_grid(
+            PLANE, (0, 0), [(1, 0)], [(2, 0)], 10, seed=1, escape_radius=bad
+        ),
+        "potential_mc": lambda: potential_mc((1, 0), [(2, 0)], 10, seed=1, escape_radius=bad),
+    }[entry]
+    with pytest.raises(ValueError, match="escape_radius"):
+        call()
+
+
+# One call per lane at two seeds: (lane, seed, start, target) -> value and
+# stderr as float.hex, draws, escaped runs, truncated runs. A change to a
+# law, a draw or the driver's bookkeeping moves them.
+LANE_GOLDEN = {
+    ("fast-line", 5, 2, 1): ("0x1.051eb851eb852p+1", "0x1.223d73aeae683p-4", 2043, 46, 0),
+    ("fast-line", 5, 2, 5): ("0x1.b947ae147ae14p+1", "0x1.55cf5cc02d79ap-2", 2043, 46, 0),
+    ("fast-line", 5, 2, -3): ("0x0.0p+0", "0x0.0p+0", 2043, 46, 0),
+    ("fast-line", 6, 2, 1): ("0x1.02e147ae147aep+1", "0x1.210c9773d02e9p-4", 2364, 51, 0),
+    ("fast-line", 6, 2, 5): ("0x1.1ab851eb851ecp+2", "0x1.90372c75f87f9p-2", 2364, 51, 0),
+    ("fast-line", 6, 2, -3): ("0x0.0p+0", "0x0.0p+0", 2364, 51, 0),
+    ("fast-tree", 5, (), (0,)): ("0x1.cb851eb851eb8p-1", "0x1.11bb8e65089e6p-4", 1047, 0, 0),
+    ("fast-tree", 5, (), (0, 0, 1)): ("0x1.b851eb851eb85p-3", "0x1.91920f052f376p-5", 1047, 0, 0),
+    ("fast-tree", 5, (1, 0), (0,)): ("0x0.0p+0", "0x0.0p+0", 400, 0, 0),
+    ("fast-tree", 5, (1, 0), (0, 0, 1)): ("0x0.0p+0", "0x0.0p+0", 400, 0, 0),
+    ("fast-tree", 5, (0, 1), (0,)): ("0x1.feb851eb851ecp+0", "0x1.1626770fd7553p-4", 1431, 0, 0),
+    ("fast-tree", 5, (0, 1), (0, 0, 1)): ("0x1.1ae147ae147aep-1", "0x1.8c6a099090148p-4", 1431, 0, 0),
+    ("fast-tree", 6, (), (0,)): ("0x1.20a3d70a3d70ap+0", "0x1.4c9fd5811184bp-4", 1234, 0, 0),
+    ("fast-tree", 6, (), (0, 0, 1)): ("0x1.199999999999ap-2", "0x1.c301fad77e113p-5", 1234, 0, 0),
+    ("fast-tree", 6, (1, 0), (0,)): ("0x0.0p+0", "0x0.0p+0", 400, 0, 0),
+    ("fast-tree", 6, (1, 0), (0, 0, 1)): ("0x0.0p+0", "0x0.0p+0", 400, 0, 0),
+    ("fast-tree", 6, (0, 1), (0,)): ("0x1.09eb851eb851fp+1", "0x1.1feb69b1fe08ep-4", 1417, 0, 0),
+    ("fast-tree", 6, (0, 1), (0, 0, 1)): ("0x1.c28f5c28f5c29p-2", "0x1.09e4f09d238f7p-4", 1417, 0, 0),
+    ("fast-plane", 5, (2, 1), (1, 0)): ("0x1.3b68b8de24041p+0", "0x1.9f9e7727e2062p-5", 6519, 223, 0),
+    ("fast-plane", 5, (2, 1), (20, 0)): ("0x1.a6231a2d4e74cp+0", "0x1.35437240fd4e3p-4", 6519, 223, 0),
+    ("fast-plane", 6, (2, 1), (1, 0)): ("0x1.36d0ccad402c1p+0", "0x1.8786c716e16fep-5", 6491, 207, 0),
+    ("fast-plane", 6, (2, 1), (20, 0)): ("0x1.8a0ce2c5f5994p+0", "0x1.3894574c8bec3p-4", 6491, 207, 0),
+    ("generic", 5, 3, 2): ("0x0.0p+0", "0x0.0p+0", 1100, 0, 18),
+    ("generic", 5, 3, 4): ("0x1.8b851eb851eb8p-1", "0x1.037040dd28382p-4", 1100, 0, 18),
+    ("generic", 6, 3, 2): ("0x0.0p+0", "0x0.0p+0", 1047, 0, 21),
+    ("generic", 6, 3, 4): ("0x1.599999999999ap-1", "0x1.dfea58298fa13p-5", 1047, 0, 21),
+}
+
+LANE_CALLS = {
+    "fast-line": lambda s: green_mc_grid(Z, 0, [2], [1, 5, -3], 400, s, escape_radius=16),
+    "fast-tree": lambda s: green_mc_grid(
+        TREE, ROOT, [ROOT, (1, 0), (0, 1)], [(0,), (0, 0, 1)], 400, s
+    ),
+    "fast-plane": lambda s: green_mc_grid(
+        PLANE, (0, 0), [(2, 1)], [(1, 0), (20, 0)], 400, s, escape_radius=16
+    ),
+    "generic": lambda s: green_mc_grid(BB, 2, [3], [2, 4], 400, s, step_cap=12),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("lane", sorted(LANE_CALLS))
+def test_lane_outputs_match_their_golden(lane, seed):
+    got = {
+        (lane, seed, x, y): (
+            r.value.hex(), r.stderr.hex(), r.draws, r.escaped_runs, r.truncated_runs
+        )
+        for (x, y), r in LANE_CALLS[lane](seed).items()
+        if r.lane == lane
+    }
+    assert got == {k: v for k, v in LANE_GOLDEN.items() if k[:2] == (lane, seed)}
+
+
 # ---------------------------------------------------------------------------
 # Plane lane: jumps across empty squares
 
@@ -798,23 +868,6 @@ def test_plane_lane_jumps_from_criterion_2_start():
     assert abs(res.value - exact) <= 4 * res.stderr
 
 
-def test_plane_lane_without_a_box_steps_one_cell_per_draw():
-    walk = green_module._plane_walk((3, 1), [(1, 0)], None)
-    keys = stream_keys(5, GREEN_ENSEMBLE, np.arange(200))
-    u = counter_uniforms(keys[:, None], np.arange(64)[None, :])
-    start = tuple(np.full(200, c, dtype=np.int64) for c in (3, 1))
-    px, py = walk.block(start, u)
-    ended = walk.dead((px, py))
-    last = np.where(ended.any(axis=1), ended.argmax(axis=1), 64)
-    live = np.arange(64) <= last[:, None]  # up to and with the ending draw
-    moves = np.abs(np.diff(px, prepend=3)) + np.abs(np.diff(py, prepend=1))
-    assert np.all(moves[live] == 1)
-    # the single step reads u as before: west, east, south, north by 4u
-    move = (u[:, 0] * 4).astype(np.int64)
-    assert np.array_equal(px[:, 0], 3 + np.array([-1, 1, 0, 0])[move])
-    assert np.array_equal(py[:, 0], 1 + np.array([0, 0, -1, 1])[move])
-
-
 # ---------------------------------------------------------------------------
 # Line lane: jumps from mark to mark
 
@@ -825,16 +878,13 @@ def test_line_lane_reports_the_draws_its_runs_took(monkeypatch):
 
     def counted_walk(*args):
         walk = line_walk(*args)
-        block, dead = walk.block, walk.dead
+        step = walk.step
 
-        def counted(coords, u):
-            paths = block(coords, u)
-            ended = dead(paths)
-            steps = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, u.shape[1])
-            taken.append(int(steps.sum()))
-            return paths
+        def counted(state, u):
+            taken.append(len(u))  # one draw of each live run
+            return step(state, u)
 
-        walk.block = counted
+        walk.step = counted
         return walk
 
     monkeypatch.setattr(green_module, "_line_walk", counted_walk)
@@ -913,19 +963,38 @@ def test_line_lane_jumps_from_mark_to_mark():
     assert abs(res.value - 4.0) <= 4 * res.stderr
 
 
-def test_line_lane_without_a_box_steps_one_cell_per_draw():
-    for chain, start in ((Z, 3), (BB, 0)):
-        walk = green_module._line_walk(chain, start, [1], None)
-        keys = stream_keys(5, GREEN_ENSEMBLE, np.arange(200))
-        u = counter_uniforms(keys[:, None], np.arange(64)[None, :])
-        (path,) = walk.block((np.full(200, start, dtype=np.int64),), u)
-        ended = walk.dead((path,))
-        last = np.where(ended.any(axis=1), ended.argmax(axis=1), 64)
-        live = np.arange(64) <= last[:, None]  # up to and with the ending draw
-        assert np.all(np.abs(np.diff(path, prepend=start))[live] == 1)
-        # a step is up exactly when u is below its row's up-mass
-        p = float(sum(q for t, q in chain.successors(start) if t == start + 1))
-        assert np.array_equal(path[:, 0], start + np.where(u[:, 0] < p, 1, -1))
+# ---------------------------------------------------------------------------
+# Tree lane: the embedded spine chain
+
+
+def _embedded_row(tree, spine, j):
+    """Exact law of the spine depth after one step from depth j, read off
+    the tree's successors: a child off the spine starts an excursion that
+    comes back to its parent, which at the root is absorption."""
+    law = {}
+    for w, q in tree.successors(spine[:j]):
+        d = len(w) if w == spine[: len(w)] else j
+        law[d] = law.get(d, 0) + q
+    return law
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("tree", [TREE, TREE3], ids=["k2", "k3"])
+def test_tree_jump_table_is_the_exact_embedded_law(tree, p):
+    spine = tuple((i + 1) % tree.k for i in range(p))
+    dest, low_cut, high_cut = _tree_jumps(tree.k, p)
+    assert not (dest.flags.writeable or low_cut.flags.writeable)
+    assert len(dest) == 3 * (p + 2) == 3 * len(low_cut) == 3 * len(high_cut)
+    # row 0 is the root at time 0; row p + 1 an off-spine start whose
+    # excursion ends at the root
+    for j in range(p + 2):
+        row = dest[3 * j : 3 * j + 3].tolist()
+        law = _embedded_row(tree, spine, j) if j <= p else {0: Fraction(1)}
+        assert set(law) <= set(row)
+        # each cut is the correctly rounded cumulative probability of the
+        # destinations of the outcomes up to it
+        for k, cut in enumerate((low_cut[j], high_cut[j])):
+            assert cut == float(sum(law.get(d, 0) for d in set(row[: k + 1])))
 
 
 # ---------------------------------------------------------------------------

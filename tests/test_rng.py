@@ -4,8 +4,9 @@ A draw is a pure function of (seed, purpose, trajectory, step): the tests
 check that it broadcasts consistently, that distinct key parts give
 distinct streams, and that a million draws pass cheap moment and 2-bit
 chi-square checks, single and serial. No module draws from another
-generator. The source scans also keep type ladders out of the package and
-per-state successors() sums out of its one-step identities.
+generator. The source scans also keep type ladders out of the package,
+per-state successors() sums out of its one-step identities, and every
+Monte-Carlo lane's draws in the ensemble driver's one loop.
 """
 import ast
 import re
@@ -122,3 +123,39 @@ def test_a_million_draws_pass_moment_and_chi_square_checks():
     assert chi2(bits, 4) < 30.7
     assert chi2(4 * bits[:, :-1] + bits[:, 1:], 16) < 56.5
     assert chi2(4 * bits[:-1, :] + bits[1:, :], 16) < 56.5
+
+
+def _draw_loops(tree, scope=""):
+    """Every ``for v in range(...)`` loop under ``tree`` that indexes an
+    array column by its variable (``u[live, v]``), with its scope."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _draw_loops(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if (
+            isinstance(child, ast.For)
+            and isinstance(child.target, ast.Name)
+            and isinstance(child.iter, ast.Call)
+            and getattr(child.iter.func, "id", None) == "range"
+            and any(
+                isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Tuple)
+                and isinstance(node.slice.elts[-1], ast.Name)
+                and node.slice.elts[-1].id == child.target.id
+                for node in ast.walk(child)
+            )
+        ):
+            yield scope
+        yield from _draw_loops(child, scope)
+
+
+def test_the_ensemble_driver_holds_the_one_loop_over_the_draws():
+    # each lane is a step rule over one int state per run; the driver steps
+    # the live runs, so no walk keeps a per-draw loop of its own
+    package = Path(recurmartin.__file__).parent
+    assert list(_draw_loops(ast.parse((package / "green.py").read_text()))) == [
+        "_ensemble"
+    ]
+    unboxed = re.compile(r"escape_radius\s+is\s+(not\s+)?None")
+    for path in sorted(package.glob("*.py")):
+        assert not unboxed.search(path.read_text()), path.name
