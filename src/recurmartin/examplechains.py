@@ -16,8 +16,10 @@ Four recurrent chains are provided:
     Simple random walk on the two-dimensional integer lattice.
 
 The first three expose exact killed-Green / boundary-kernel closed forms
-anchored at their canonical base point; the planar walk has no elementary
-closed form and is handled through its potential kernel elsewhere.
+anchored at their canonical base point. The planar walk's killed Green
+function is exact too, through its potential kernel a:
+G_0(x, y) = a(x) + a(y) - a(x - y) in p + q/pi (see
+``potential.origin_killed_green``).
 """
 from __future__ import annotations
 
@@ -498,9 +500,10 @@ def _geodesic(x: tuple, y: tuple) -> list:
 class Z2Walk(ChainSpec):
     """Simple random walk on Z^2, base point (0, 0).
 
-    Null recurrent; no elementary closed form for the killed Green
-    function. Its harmonic structure is carried by the potential kernel
-    (see the potential module).
+    Null recurrent. Its harmonic structure is carried by the potential
+    kernel a, which also gives the killed Green function exactly,
+    G_0(x, y) = a(x) + a(y) - a(x - y) in p + q/pi
+    (``potential.origin_killed_green``).
     """
 
     name = "z2"

@@ -46,7 +46,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .examplechains import ROOT, BangBangWalk, KaryTree, Z2Walk, ZWalk
-from .rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys
+from .rng import _DRAW_BITS, GREEN_ENSEMBLE, _draw_cuts, counter_bits, stream_keys
 from .window import (
     UNNAMED,
     SuccessorTable,
@@ -599,7 +599,7 @@ _SLAB = 10_000
 #: tree's runs from the root end at their first step: a 16-step first block
 #: doubled the time of a 200,000-run tree ensemble.
 _FIRST_BLOCK = 4
-#: Bound on live rows x block length, the uniforms held at once.
+#: Bound on live rows x block length, the draws held at once.
 _BLOCK_CELLS = 10_000 * 512
 
 
@@ -620,25 +620,28 @@ class _Walk:
 def _ensemble(walk, runs, seed, offset, cap, on_cap):
     """Run trajectories offset .. offset + runs - 1 until they return to the base.
 
-    A walk holds one int64 state per run. ``walk.step(state, u)`` maps the
-    states of the live runs and one uniform each to their states after
-    that draw; a draw is a step, or on the line and plane lanes a jump. A
-    run at ``walk.origin``, the base, is at its time 0 and takes the base
-    row. ``walk.going(state)`` marks the runs that go on: a run ends on
-    arrival at the origin, or by a move out of the escape box, and
-    ``walk.tail`` maps the exit states of those escaped runs to the
+    A walk holds one int64 state per run. ``walk.step(state, b)`` maps the
+    states of the live runs and one draw each, a 52-bit integer that the
+    step compares only against integer cuts (``rng._draw_cuts``), to their
+    states after that draw; a draw is a step, or on the line and plane
+    lanes a jump. A run at ``walk.origin``, the base, is at its time 0 and
+    takes the base row. ``walk.going(state)`` marks the runs that go on: a
+    run ends on arrival at the origin, or by a move out of the escape box,
+    and ``walk.tail`` maps the exit states of those escaped runs to the
     expected visits still to come, shape (m, len(targets)). ``start`` and
     each of ``targets`` are states; a run visits a target when a draw
     leaves it on that state and it goes on, and at time 0.
 
     This is the one loop over the draws. Draw n of trajectory i is
-    counter_uniforms(key_i, n), so each run's path, and with it every
-    result, is the same whatever the slab size, the block schedule, the run
-    count or the set of runs still alive. Each slab starts with
-    _FIRST_BLOCK-draw blocks that double while live rows x block stays
-    within _BLOCK_CELLS: most runs of a recurrent walk end after a few
-    draws, and a long first block would be drawn in vain for them. ``cap``
-    bounds the draws of a run; each result reports the draws taken.
+    counter_bits(key_i, n), so each run's path, and with it every result,
+    is the same whatever the slab size, the block schedule, the run count
+    or the set of runs still alive. A block holds one contiguous row of
+    draws per step, and the live runs take theirs from it. Each slab
+    starts with _FIRST_BLOCK-draw blocks that double while live rows x
+    block stays within _BLOCK_CELLS: most runs of a recurrent walk end
+    after a few draws, and a long first block would be drawn in vain for
+    them. ``cap`` bounds the draws of a run; each result reports the draws
+    taken.
     """
     tgt = np.asarray(walk.targets, dtype=np.int64)
     visits = np.zeros((runs, len(tgt)))
@@ -654,22 +657,23 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
         steps, b = 0, _FIRST_BLOCK
         while rows.size and steps < cap:
             b = min(b, cap - steps, max(1, _BLOCK_CELLS // rows.size))
-            u = counter_uniforms(keys[rows, None], np.arange(steps, steps + b)[None, :])
+            u = counter_bits(keys.take(rows), np.arange(steps, steps + b)[:, None])
             path = np.full(u.shape, -1, dtype=np.int64)  # states of runs going on
-            end = np.full(rows.size, walk.origin)  # exit states of ended runs
+            end = np.empty(rows.size, dtype=np.int64)  # exit states of ended runs
             live = np.arange(rows.size)
             for t in range(b):
-                state = walk.step(state, u[live, t])
+                state = walk.step(state, u[t] if live.size == rows.size else u[t].take(live))
                 draws += live.size  # the ending draw too
-                going = walk.going(state)
-                if not going.all():
-                    end[live[~going]] = state[~going]
-                    live, state = live[going], state[going]
+                end.put(live, state)  # kept only by the runs that end here
+                keep = np.flatnonzero(walk.going(state))
+                if keep.size < live.size:
+                    live, state = live.take(keep), state.take(keep)
                     if not live.size:
                         break
-                path[live, t] = state
+                path[t].put(live, state)
+            end.put(live, walk.origin)  # the runs still going have not ended
             for ti, t in enumerate(tgt):
-                vis[rows, ti] += (path == t).sum(axis=1)
+                vis[rows, ti] += np.count_nonzero(path == t, axis=0)
             away = end != walk.origin  # escaped, not absorbed at the origin
             if away.any():
                 vis[rows[away]] += walk.tail(end[away])
@@ -688,15 +692,15 @@ def _ensemble(walk, runs, seed, offset, cap, on_cap):
 
 
 def _table_step(dest, low_cut, high_cut):
-    """The step of a three-outcome jump table: a draw u takes state i to
-    ``dest[3 i + k]``, k the number of its cuts ``low_cut[i]``,
-    ``high_cut[i]`` that are <= u."""
+    """The step of a three-outcome jump table: a draw b takes state i to
+    ``dest[3 i + k]``, k the number of its integer cuts ``low_cut[i]``,
+    ``high_cut[i]`` that are <= b."""
 
-    def step(state, u):
-        pick = 3 * state
-        pick += u >= low_cut[state]
-        pick += u >= high_cut[state]
-        return dest[pick]
+    def step(state, b):
+        pick = state * 3
+        pick += b >= low_cut.take(state)
+        pick += b >= high_cut.take(state)
+        return dest.take(pick)
 
     return step
 
@@ -737,7 +741,7 @@ def _line_walk(chain, start, targets, escape_radius):
     return _Walk(
         "fast-line", start + r, r, [t + r for t in targets],
         step=_table_step(*_line_jumps(p_up, p_base, r, marks)),
-        going=inside.__getitem__,
+        going=inside.take,
         tail=lambda end: np.where((end > r)[:, None], plus, minus),
         note=f"analytic tail beyond radius {r}",
     )
@@ -759,9 +763,10 @@ def _line_jumps(p_up, p_base, r, marks):
 
     Returns read-only (dest, up_cut, back_cut) over the positions shifted
     by r: ``dest[3 i + k]`` is the row that outcome k = up, back, down
-    takes row i to, and ``up_cut[i]`` = P(up), ``back_cut[i]`` = 1 - P(down),
-    each the correctly rounded cumulative probability. A draw u takes the
-    outcome k = the number of the row's two entries <= u.
+    takes row i to, and ``up_cut[i]``, ``back_cut[i]`` are the integer cuts
+    (``rng._draw_cuts``) of P(up) and 1 - P(down), each the correctly
+    rounded cumulative probability. A draw b takes the outcome k = the
+    number of the row's two cuts <= b.
     """
     dest = np.repeat(np.arange(2 * r + 1), 3).reshape(-1, 3)
     cut = np.ones((2, 2 * r + 1))
@@ -777,7 +782,7 @@ def _line_jumps(p_up, p_base, r, marks):
         down = (1 - p) * (1 - Fraction(*_ruin(p_up, v - a - 1, v - a)))
         dest[v + r] = b + r, v + r, a + r
         cut[:, v + r] = float(up), float(1 - down)
-    dest = dest.ravel()
+    dest, cut = dest.ravel(), _draw_cuts(cut)
     for a in (dest, cut):
         a.flags.writeable = False
     return dest, cut[0], cut[1]
@@ -798,11 +803,6 @@ def _ruin(p, k, length):
         return k, length
     top = up**length
     return top - down**k * up ** (length - k), top - down**length
-
-
-#: A draw u is a multiple of 2^-52 (``rng.counter_uniforms``), so u 2^52 is
-#: an integer, and u < c exactly when u 2^52 is below c 2^52 rounded up.
-_DRAW_BITS = 52
 
 
 def _plane_walk(start, targets, escape_radius):
@@ -846,10 +846,10 @@ def _plane_walk(start, targets, escape_radius):
     keys, jx, jy = (np.concatenate(parts) for parts in zip(*levels))
     jump = jx * side + jy
 
-    def step(cell, u):
-        key = (u * 2.0**_DRAW_BITS).astype(np.int64)
-        key += offset[cell]
-        return cell + jump[np.searchsorted(keys, key, side="right")]
+    def step(cell, b):
+        key = offset.take(cell)
+        key += b
+        return cell + jump.take(np.searchsorted(keys, key, side="right"))
 
     tmax = max((max(abs(t[0]), abs(t[1])) for t in targets), default=0)
     afloat = potential_float_array(r + tmax + 2)
@@ -869,7 +869,7 @@ def _plane_walk(start, targets, escape_radius):
 
     return _Walk(
         "fast-plane", cell(*start), cell(0, 0), [cell(*t) for t in targets],
-        step=step, going=inside.__getitem__, tail=tail,
+        step=step, going=inside.take, tail=tail,
         note=f"analytic tail beyond radius {r}",
     )
 
@@ -916,16 +916,17 @@ def _exit_level(k):
     """Level k of the plane lane's jump table, built on first use.
 
     Level 0 is the single step, level k >= 1 the exit from the square of
-    half-side m = 2^(k-1). Returns read-only (keys, dx, dy): the exit law's
-    CDF, each entry the correctly rounded cumulative probability, times
-    2^52 rounded up (at most 2^52), plus k 2^52; the last entry is
-    (k + 1) 2^52. Over the levels' keys in turn, a sorted search for
-    k 2^52 + u 2^52 with u < 1 lands in level k and counts the entries <= u
-    of its CDF, which picks exit point j with probability cdf[j] - cdf[j - 1].
+    half-side m = 2^(k-1). Returns read-only (keys, dx, dy): the integer
+    cuts (``rng._draw_cuts``) of the exit law's CDF, each entry the
+    correctly rounded cumulative probability, plus k 2^52; the last entry
+    is (k + 1) 2^52. Over the levels' keys in turn, a sorted search for
+    k 2^52 + b with a draw b < 2^52 lands in level k and counts the cuts
+    <= b of its CDF, which picks exit point j with probability
+    cdf[j] - cdf[j - 1].
     """
     dx, dy, p = _square_exit_law((1 << k) // 2)
     cdf = np.array([float(c) for c in itertools.accumulate(map(Fraction, p.tolist()))])
-    keys = np.ceil(np.minimum(cdf, 1.0) * 2.0**_DRAW_BITS).astype(np.int64)
+    keys = _draw_cuts(cdf)
     keys[-1] = 1 << _DRAW_BITS
     keys += k << _DRAW_BITS
     for a in (keys, dx, dy):
@@ -979,7 +980,8 @@ def _tree_jumps(k, p):
       j = p + 1  : an off-spine start that meets the spine at the root,
                    which its excursion reaches with certainty.
     Returns read-only (dest, low_cut, high_cut) as ``_table_step`` reads
-    them, each cut the correctly rounded cumulative probability.
+    them, each cut the integer cut of the correctly rounded cumulative
+    probability.
     """
     half, child = Fraction(1, 2), Fraction(1, 2 * k)
     rows = [((1, 0, 0), (Fraction(1, k), 1)) if p else ((0, 0, 0), (1, 1))]
@@ -987,7 +989,7 @@ def _tree_jumps(k, p):
     rows += [((p - 1, p, p), (half, 1))] if p else []
     rows.append(((0, 0, 0), (1, 1)))
     dest = np.asarray([d for d, _ in rows], dtype=np.int64).ravel()
-    low_cut, high_cut = np.asarray([[float(c) for c in cuts] for _, cuts in rows]).T
+    low_cut, high_cut = _draw_cuts([[float(c) for c in cuts] for _, cuts in rows]).T.copy()
     for a in (dest, low_cut, high_cut):
         a.flags.writeable = False
     return dest, low_cut, high_cut
@@ -996,20 +998,21 @@ def _tree_jumps(k, p):
 class _TableRows:
     """The rows of a ``SuccessorTable`` as padded arrays, filled on first visit.
 
-    Row c holds the successor codes of code c and their CDF, each entry the
-    correctly rounded cumulative num / den, so a row does not depend on the
-    batch that filled it. Entries from the row's last real one on read
-    +inf, so a step that counts the entries <= u never passes the row's
-    end. A row is filled when a run first stands at its code, not when the
-    table first names it: filling every named code would chase children
-    without end on an infinite graph.
+    Row c holds the successor codes of code c and the integer cuts
+    (``rng._draw_cuts``) of their CDF, each entry the correctly rounded
+    cumulative num / den, so a row does not depend on the batch that
+    filled it. Entries from the row's last real one on read 2^52, which no
+    draw reaches, so a step that counts the cuts <= b never passes the
+    row's end. A row is filled when a run first stands at its code, not
+    when the table first names it: filling every named code would chase
+    children without end on an infinite graph.
     """
 
     def __init__(self, table):
         self.table = table
         self.filled = np.zeros(64, dtype=bool)
         self.succ = np.zeros((64, 1), dtype=np.int64)
-        self.cdf = np.full((64, 1), np.inf)
+        self.cut = np.full((64, 1), 1 << _DRAW_BITS)
 
     def fill(self, codes):
         """Cache the rows of ``codes``, distinct codes not cached yet."""
@@ -1020,12 +1023,12 @@ class _TableRows:
         if extra or wider:
             self.filled = np.pad(self.filled, (0, extra))
             self.succ = np.pad(self.succ, ((0, extra), (0, wider)))
-            self.cdf = np.pad(self.cdf, ((0, extra), (0, wider)), constant_values=np.inf)
-        cdf = exact_floats(np.cumsum(num, axis=1), den)
+            self.cut = np.pad(self.cut, ((0, extra), (0, wider)), constant_values=1 << _DRAW_BITS)
+        cut = _draw_cuts(exact_floats(np.cumsum(num, axis=1), den))
         last = (succ != UNNAMED).sum(axis=1) - 1
-        cdf[np.arange(width) >= last[:, None]] = np.inf
+        cut[np.arange(width) >= last[:, None]] = 1 << _DRAW_BITS
         self.succ[codes, :width] = succ
-        self.cdf[codes, :width] = cdf
+        self.cut[codes, :width] = cut
         self.filled[codes] = True
 
 
@@ -1034,16 +1037,16 @@ def _table_walk(chain, x0, x, targets):
 
     x0 takes code 0, the origin of the ensemble driver; the codes name every
     state. One step of the live runs is one gather of their rows and one
-    count of the CDF entries <= u per run.
+    count of the integer cuts <= b per run.
     """
     table = SuccessorTable(chain)
     codes = table.encode([x0, x, *targets]).tolist()
     rows = _TableRows(table)
 
-    def step(cur, u):
+    def step(cur, b):
         new = np.sort(cur[~rows.filled[cur]])
         if new.size:  # distinct codes; the plain np.unique loads numpy.ma
             rows.fill(new[np.diff(new, prepend=-1) > 0])
-        return rows.succ[cur, (rows.cdf[cur] <= u[:, None]).sum(axis=1)]
+        return rows.succ[cur, (rows.cut[cur] <= b[:, None]).sum(axis=1)]
 
     return _Walk("generic", codes[1], 0, codes[2:], step, going=lambda cur: cur != 0)

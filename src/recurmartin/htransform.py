@@ -21,9 +21,10 @@ damped-visit linear system, the correspondence between harmonic profiles of
 the killed parent and harmonic functions of the transform, and vectorized
 ensemble witnesses of boundary convergence and transience. A witness lane
 is a transition table over one integer state per run, so a step of all runs
-is one table lookup; each entry is the float expression a per-run
-evaluation of the transformed row computes, so no report depends on the
-tabulation.
+is one table lookup; each entry is the integer cut of the float expression
+a per-run evaluation of the transformed row computes, which the 52-bit
+integer draws pass exactly when their uniforms pass that expression, so
+no report depends on the tabulation.
 
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
@@ -58,7 +59,8 @@ from .martin import check_harmonic_except
 from .rng import (
     CONVERGENCE_WITNESS,
     TRANSIENCE_WITNESS,
-    counter_uniforms,
+    _draw_cuts,
+    counter_bits,
     stream_keys,
 )
 from .window import one_step_averages
@@ -690,49 +692,87 @@ def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, 
 
 
 def _witness_draws(seed, n, steps, track):
-    """Each step's uniforms for trajectories 0 .. n-1, in step order.
+    """Each step's draws for trajectories 0 .. n-1, in step order.
 
-    Step t of trajectory i draws counter_uniforms(key_i, t - 1). The draws
-    are made for up to 64 steps per call, within 2^15 uniforms so that the
-    block's temporaries stay in cache, one contiguous row per step.
+    Step t of trajectory i draws the 52-bit integer counter_bits(key_i,
+    t - 1). The draws are made for up to 64 steps per call, within 2^15
+    draws so that the block stays in cache, one contiguous row per step,
+    into one chunk x n buffer that every call refills: a row is valid until
+    the generator is resumed after its chunk's last row.
     """
     purpose = CONVERGENCE_WITNESS if track is None else TRANSIENCE_WITNESS
-    keys = stream_keys(seed, purpose, np.arange(n))[None, :]
-    chunk = max(1, min(64, (1 << 15) // n))
+    keys = stream_keys(seed, purpose, np.arange(n))
+    chunk = max(1, min(64, (1 << 15) // n, steps))
+    block, scratch = np.empty((chunk, n), dtype=np.int64), np.empty((chunk, n), dtype=np.int64)
     for lo in range(0, steps, chunk):
-        block = np.arange(lo, min(lo + chunk, steps))[:, None]
-        yield from counter_uniforms(keys, block)
+        m = min(chunk, steps - lo)
+        yield from counter_bits(keys, np.arange(lo, lo + m)[:, None], block[:m], scratch[:m])
 
 
 @dataclass
 class _Table:
-    """A witness lane's transition table; ``_run_lane`` steps by it."""
+    """A witness lane's transition table; ``_run_lane`` steps by it.
 
-    cdf: np.ndarray
+    ``cuts`` are int64 columns over the rows. Each cut of column i that is
+    above a run's draw adds ``adds[i]`` to an index, and the run moves by
+    ``move`` at that index: where every column adds 1, the index counts
+    the cuts above the draw.
+    """
+
+    cuts: tuple
+    adds: tuple
     move: np.ndarray
     start: int
     stat: Callable
-    row: Optional[Callable] = None
-    scale: Optional[np.ndarray] = None
     fit: Optional[Callable] = None
+
+
+def _table(columns, move, start, stat, adds=None, scale=None, fit=None):
+    """A table from one float column per cut, each entry a cumulative weight
+    of its row's outcomes; the weights of a row sum to ``scale``, or to 1
+    without one. Every column adds 1 unless ``adds`` says otherwise."""
+    cuts = tuple(_draw_cuts(c, scale) for c in columns)
+    adds = adds or (1,) * len(cuts)
+    return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit)
+
+
+def _under(b: np.ndarray, cut: np.ndarray, state: np.ndarray, add: int) -> np.ndarray:
+    """``add`` where the draw b is below the cut of its run's state, else 0.
+
+    ``cut`` is a column of integer cuts, read at ``state`` clipped to its
+    ends (a negative state reads entry 0). The comparison writes into the
+    gathered cuts, so the result is an int64 index with no boolean array
+    in between.
+    """
+    d = cut.take(state, mode="clip")
+    np.less(b, d, out=d)
+    if add != 1:
+        d *= add
+    return d
 
 
 def _run_lane(table, n, steps, seed, marks, track):
     """Run a witness lane for ``steps`` steps: its statistic at each mark.
 
     Each run holds one int64 state, from ``table.start``. A step is one
-    table lookup per run: with u its draw and r = row(state) (no ``row``:
-    the state), k is the number of entries of cdf[r] <= u scale[r] (no
-    ``scale``: 1), and the state moves by move[k]. A cdf row ends in +inf;
-    its entries are the float expressions of the transformed row's
-    cumulative weights that a per-run evaluation computes, in its order of
-    operations (a row lacking outcome k repeats the entry before it, or has
-    0 for k = 0), and k counts the comparisons u < cdf[r, j] that fail, so a
-    run takes exactly the step of comparing u entry by entry: no report
-    depends on the tabulation. ``fit(state)``, if set, returns a wider
-    table or None and the number of steps until its next call. A ``track``
-    dict receives each run's base visits ("counts") and the time of its
-    last ("last"); ``stat`` gives the statistic.
+    table lookup per run: with b its draw, a 52-bit integer, and r the
+    state clipped to the table's rows (a negative state reads row 0, one
+    past the last row the last), the integer cuts cuts[i][r] above b add
+    up the index a = the sum of their adds[i], and the state moves by
+    move[a]. Each cut column is computed once from the float expressions
+    of the transformed row's cumulative weights that a per-run evaluation
+    computes, in its order of operations: with c such an entry, the cut is
+    the least m with m 2^-52 >= c, and on the plane, whose weights are not
+    normalized, the least m with fl(m 2^-52 scale[r]) >= c
+    (``rng._draw_cuts``). So b < cut exactly when the uniform u = b 2^-52
+    fails the per-run comparison with c, a run takes exactly the step of
+    comparing u entry by entry, and no report depends on the tabulation.
+    ``fit(state)``, if set, returns a wider table or None, the number of
+    steps until its next call, and the states in the table it returns. A
+    ``track`` dict receives each run's base visits ("counts") and the time
+    of its last ("last"); ``stat`` gives the statistic.
+
+    This is the module's one loop over the draws.
     """
     if track is not None:
         track["counts"] = np.zeros(n, dtype=np.int64)
@@ -740,30 +780,23 @@ def _run_lane(table, n, steps, seed, marks, track):
     markset, out = set(marks), {}
     state = np.full(n, table.start, dtype=np.int64)
     refit = 1 if table.fit else steps + 1
-    for step, u in enumerate(_witness_draws(seed, n, steps, track), 1):
+    for step, b in enumerate(_witness_draws(seed, n, steps, track), 1):
         if step == refit:
-            wider, hold = table.fit(state)
+            wider, hold, state = table.fit(state)
             table, refit = wider or table, step + hold
-        row = state if table.row is None else table.row(state)
-        if table.scale is not None:
-            u = u * table.scale.take(row)
-        cdf = table.cdf.take(row, axis=0)
-        k = (cdf[:, 0] <= u).view(np.int8)
-        for j in range(1, cdf.shape[1] - 1):
-            k += (cdf[:, j] <= u).view(np.int8)
-        state += table.move.take(k)
+        (first, add), *rest = zip(table.cuts, table.adds)
+        index = _under(b, first, state, add)
+        for cut, add in rest:
+            index += _under(b, cut, state, add)
+        state += table.move.take(index)
         if track is not None:
-            at_base = state == table.start
-            track["counts"] += at_base
-            track["last"][at_base] = step
+            at_base = np.flatnonzero(state == table.start)
+            if at_base.size:
+                track["counts"][at_base] += 1
+                track["last"][at_base] = step
         if step in markset:
             out[step] = table.stat(state)
     return out
-
-
-def _cdf(*columns):
-    """Cumulative-weight columns of a table, with the closing +inf column."""
-    return np.column_stack(columns + (np.full(len(columns[0]), np.inf),))
 
 
 def _line_table(chain, params, steps):
@@ -773,7 +806,7 @@ def _line_table(chain, params, steps):
     it, and 1/2 on the far side, with c = r/(1-r); these are the exact row
     entries of the transformed chain, evaluated in floating point. The rows
     are the positions v reachable in ``steps`` steps, the state v + steps + 1:
-    2 steps + 3 rows of 16 bytes, built per call.
+    2 steps + 3 rows of one 8-byte cut, built per call.
     """
     c = float(params.odds)
     v = np.arange(-steps - 1, steps + 2)
@@ -782,21 +815,21 @@ def _line_table(chain, params, steps):
     up[v == 0] = (2.0 - float(params.r)) / 2.0
     up[v >= 1] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
     base = steps + 1
-    return _Table(_cdf(up), np.array([1, -1]), base, lambda s: (s - base).astype(np.float64))
+    return _table([up], [-1, 1], base, lambda s: (s - base).astype(np.float64))
 
 
 def _halfline_table(chain, params, steps):
     """Conditioned half-line walk; the reflecting base forces an up-step.
 
-    The state is the position; rows 0 .. 64 are exact and row 65 serves
-    every position past 64 with the limit 1 - q of the up-probability.
+    The state is the position and its row: rows 0 .. 64 are exact and row
+    65, the last, serves every position past 64 with the limit 1 - q of
+    the up-probability.
     """
-    cut = _TABLE_CUTOFF
-    psi = [psi_weight(chain, params, x) for x in range(cut + 2)]
-    up = [1.0] + [float(chain.q * psi[x + 1] / psi[x]) for x in range(1, cut + 1)]
+    cutoff = _TABLE_CUTOFF
+    psi = [psi_weight(chain, params, x) for x in range(cutoff + 2)]
+    up = [1.0] + [float(chain.q * psi[x + 1] / psi[x]) for x in range(1, cutoff + 1)]
     up.append(float(1 - chain.q))
-    return _Table(_cdf(np.array(up)), np.array([1, -1]), 0, lambda s: s.astype(np.float64),
-                  row=lambda s: np.minimum(s, cut + 1))
+    return _table([np.array(up)], [-1, 1], 0, lambda s: s.astype(np.float64))
 
 
 def _tree_table(chain, params, steps):
@@ -807,27 +840,31 @@ def _tree_table(chain, params, steps):
     Markov chain: on the ray, step to the father with probability
     psi_{j-1}/(2 psi_j), to the next ray node with psi_{j+1}/(2k psi_j),
     and off the ray with (k-1)/(2k); off the ray all weight ratios are 1,
-    leaving the symmetric up/down move of the parent. The state j - m 2^32
-    clipped to [-1, 65] is its row: the root 0, the ray nodes 1 .. 64, the
-    deeper ray 65, and the off-ray row last (-1). The outcomes are: to the
-    father on the ray, to the next ray node, up toward the ray, down off it.
+    leaving the symmetric up/down move of the parent. The state is
+    j + 1 - m 2^32, so it is its own row once clipped to the table: the
+    off-ray row first (every negative state), then the root 1, the ray
+    nodes 2 .. 65, and the deeper ray 66, the last.
+
+    Two cuts, adding 1 and 2, name the four moves. On the ray they are
+    the father's probability and that plus the next node's: a draw below
+    both goes to the father (3), below the second only to the next node
+    (2), and otherwise off the ray (0). Off it the first is 1/2, the
+    probability up toward the ray (1), and the second 0.
     """
     k = chain.k
     gamma = params.odds * Fraction(k - 1, k)
-    cut = _TABLE_CUTOFF
-    psi = [gamma + k**j - 1 for j in range(cut + 2)]
+    cutoff = _TABLE_CUTOFF
+    psi = [gamma + k**j - 1 for j in range(cutoff + 2)]
     root = float(params.r / k + (1 - params.r))
-    rows = [(0.0, root, root)]
-    for j in range(1, cut + 1):
+    rows = [(0.5, 0.0), (0.0, root)]
+    for j in range(1, cutoff + 1):
         up = float(Fraction(1, 2) * psi[j - 1] / psi[j])
-        ahead = up + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])
-        rows.append((up, ahead, ahead))
+        rows.append((up, up + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])))
     up = 1.0 / (2 * k)
-    rows += [(up, up + 0.5, up + 0.5), (0.0, 0.0, 0.5)]
+    rows.append((up, up + 0.5))
     big = 1 << 32
-    return _Table(_cdf(*np.array(rows).T), np.array([-1, 1, big, -big]), 0,
-                  lambda s: (s & (big - 1)).astype(np.float64),
-                  row=lambda s: np.minimum(np.maximum(s, -1), cut + 1))
+    return _table(np.array(rows).T, [-big, big, 1, -1], 1,
+                  lambda s: ((s - 1) & (big - 1)).astype(np.float64), adds=(1, 2))
 
 
 def _plane_table(chain, params, steps, reach=32):
@@ -836,20 +873,21 @@ def _plane_table(chain, params, steps, reach=32):
     A neighbor's weight is c + a(neighbor), with the potential kernel's
     exact table inside its radius and the logarithmic asymptote outside
     (relative error below 1e-4 there); each row is renormalized, which also
-    absorbs the damping factor at the origin. Cell (x, y) is state
-    x 2^32 + y in every square and row (x + reach)(2 reach + 1) + y + reach,
-    with cumulative weights c1 = w_e, c2 = c1 + w_w, c3 = c2 + w_n and
-    scale c3 + w_s. Each planar witness builds it for [-32, 32]^2; ``fit``
+    absorbs the damping factor at the origin. Cell (x, y) is state and row
+    (x + reach)(2 reach + 1) + y + reach, with cumulative weights
+    c1 = w_e, c2 = c1 + w_w, c3 = c2 + w_n and scale c3 + w_s, which the
+    cuts absorb. Each planar witness builds it for [-32, 32]^2; ``fit``
     rebuilds it twice as wide once a run comes within one cell of the edge,
-    and holds the table until the farthest run could first stand on the
-    edge, so every lookup is from a cell of the square.
+    re-encoding every state in the wider square, and holds the table until
+    the farthest run could first stand on the edge, so every lookup is from
+    a cell of the square and no step leaves it.
     """
     from .potential import potential_float_array
 
     c, cut = float(params.odds), _TABLE_CUTOFF
     tbl = potential_float_array(cut)
     kappa = (2.0 * np.euler_gamma + np.log(8.0)) / np.pi
-    side, big = 2 * reach + 1, 1 << 32
+    side = 2 * reach + 1
     ax, ay = np.meshgrid(*[np.abs(np.arange(-reach - 1, reach + 2))] * 2, indexing="ij")
     vals = np.empty(ax.shape)
     inside = (ax <= cut) & (ay <= cut)
@@ -862,24 +900,23 @@ def _plane_table(chain, params, steps, reach=32):
     c3 = c2 + w[1:-1, 2:].ravel()
 
     def xy(s):
-        y = ((s + big // 2) & (big - 1)) - big // 2
-        return (s - y) >> 32, y
+        x, y = np.divmod(s, side)
+        return x - reach, y - reach
 
     def stat(s):
         x, y = xy(s)
         return np.sqrt(x.astype(np.float64) ** 2 + y.astype(np.float64) ** 2)
 
-    def row(s):
-        s = s + (reach * big + reach)
-        return (s >> 32) * side + (s & (big - 1))
-
     def fit(s):
-        near = int(max(np.abs(axis).max() for axis in xy(s)))
+        x, y = xy(s)
+        near = int(max(np.abs(x).max(), np.abs(y).max()))
         if near < reach - 1:
-            return None, reach - near
-        return _plane_table(chain, params, steps, 2 * reach), 2 * reach - near
+            return None, reach - near, s
+        wide = 2 * reach
+        cells = (x + wide) * (2 * wide + 1) + y + wide
+        return _plane_table(chain, params, steps, wide), wide - near, cells
 
-    return _Table(_cdf(c1, c2, c3), np.array([big, -big, 1, -1]), 0, stat, row=row,
+    return _table([c1, c2, c3], [-1, 1, -side, side], reach * side + reach, stat,
                   scale=c3 + w[1:-1, :-2].ravel(), fit=fit)
 
 

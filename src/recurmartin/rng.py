@@ -7,13 +7,21 @@ or slabs, in how many processes, or which other trajectories are still
 running, which is what makes seeded runs byte-reproducible.
 
 There is one draw scheme for every sampler, vectorized or not:
-u = mix(seed, purpose, trajectory, step), a SplitMix64 finalizer over numpy
+z = mix(seed, purpose, trajectory, step), a SplitMix64 finalizer over numpy
 ``uint64`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11). ``stream_keys`` absorbs the first three parts into one key per
-trajectory and ``counter_uniforms`` mixes in the step. The step is a plain
+trajectory and ``counter_bits`` mixes in the step. The step is a plain
 counter, so a block of steps for a set of live trajectories is one
 vectorized call, and ``purpose`` is its own key part, apart from the
 trajectory index.
+
+A draw is the 52-bit integer b = z >> 12, which ``counter_bits`` writes
+into a buffer the caller owns; the uniform of ``counter_uniforms`` is
+exactly u = b 2^-52. Samplers compare b only against integer cuts: for a
+float c, b 2^-52 >= c exactly when b >= ``_draw_cuts(c)``, the least m with
+m 2^-52 >= c (2^52, which no draw reaches, for c > 1 - 2^-52). With a
+positive float scale s, fl(b 2^-52 s) >= c exactly when
+b >= ``_draw_cuts(c, s)``, because fl(x s) is nondecreasing in x.
 """
 from __future__ import annotations
 
@@ -27,16 +35,18 @@ CONVERGENCE_WITNESS = 2
 TRANSIENCE_WITNESS = 3
 SIMULATION = 4
 
+#: A draw is an integer in [0, 2^52): the top bits of the mixed counter.
+_DRAW_BITS = 52
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S12 = (np.uint64(s) for s in (30, 27, 31, 12))
-_ONE = np.uint64(0x3FF0000000000000)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, a bijection of uint64, applied in place."""
-    tmp = np.empty_like(z)
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, a bijection of uint64, applied in place to z;
+    ``tmp`` is scratch of z's shape."""
     np.right_shift(z, _S30, out=tmp)
     z ^= tmp
     z *= _MUL1
@@ -51,7 +61,9 @@ def _finalize(z: np.ndarray) -> np.ndarray:
 def _absorb(head: np.ndarray, part) -> np.ndarray:
     """Mix one key part into the key; a bijection in the part for a fixed head."""
     z = np.atleast_1d(np.asarray(part, dtype=np.uint64)) + _GAMMA
-    return _finalize(head ^ _finalize(z))
+    z = _finalize(z, np.empty_like(z))
+    z ^= head
+    return _finalize(z, np.empty_like(z))
 
 
 def stream_keys(seed: int, purpose: int, trajectories) -> np.ndarray:
@@ -64,23 +76,59 @@ def stream_keys(seed: int, purpose: int, trajectories) -> np.ndarray:
     idx = np.asarray(trajectories, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ValueError("trajectory index must be nonnegative")
-    head = _finalize(np.array([seed & _MASK64], dtype=np.uint64) + _GAMMA)
-    head = _absorb(head, purpose & _MASK64)
+    head = np.array([seed & _MASK64], dtype=np.uint64) + _GAMMA
+    head = _absorb(_finalize(head, np.empty_like(head)), purpose & _MASK64)
     return _absorb(head, idx.astype(np.uint64))
 
 
-def counter_uniforms(keys: np.ndarray, steps) -> np.ndarray:
-    """Uniforms on [0, 1) for (key, step) pairs, broadcast against each other.
+def counter_bits(keys: np.ndarray, steps, out=None, scratch=None) -> np.ndarray:
+    """The 52-bit integer draws of (key, step) pairs, broadcast against each other.
 
-    Step n of a key is the (n+1)-th output of the SplitMix64 sequence seeded
-    by the key, so a draw depends on its key and its step counter only.
+    Step n of a key is the top 52 bits of the (n+1)-th output of the
+    SplitMix64 sequence seeded by the key, so a draw depends on its key and
+    its step counter only. The draws are written, as int64, into ``out``
+    and returned; ``scratch`` is working space of the same shape. Either is
+    allocated when not given, so a caller that draws block after block can
+    pass the same two buffers each time.
     """
     n = np.atleast_1d(np.asarray(steps, dtype=np.uint64)) + np.uint64(1)
     n *= _GAMMA
-    z = _finalize(keys + n)
-    # the top 52 bits as the mantissa of a float in [1, 2), minus 1
+    shape = np.broadcast_shapes(np.shape(keys), n.shape)
+    out = np.empty(shape, dtype=np.int64) if out is None else out
+    z = out.view(np.uint64)
+    np.add(keys, n, out=z)
+    _finalize(z, np.empty_like(z) if scratch is None else scratch.view(np.uint64))
     z >>= _S12
-    z |= _ONE
-    u = z.view(np.float64)
-    u -= 1.0
-    return u
+    return out
+
+
+def counter_uniforms(keys: np.ndarray, steps) -> np.ndarray:
+    """Uniforms on [0, 1) for (key, step) pairs: the draws of
+    ``counter_bits`` times 2^-52, so each is a multiple of 2^-52."""
+    return counter_bits(keys, steps) * 2.0**-_DRAW_BITS
+
+
+def _draw_cuts(c, scale=None) -> np.ndarray:
+    """The least m in [0, 2^52] with fl(m 2^-52 scale) >= c, elementwise, as int64.
+
+    A draw b then passes the float test fl(b 2^-52 scale) >= c exactly
+    when b >= m; 2^52 stands for a c that no draw reaches, +inf included.
+    Without a scale the test is b 2^-52 >= c and m is c 2^52 rounded up,
+    both exact. A ``scale`` is positive; fl(x s) is nondecreasing in x, so
+    the quotient c / s, rounded up on the 2^-52 grid, is off by a few units
+    at most, and stepping it down while m - 1 still passes and up while m
+    does not lands on the least m. m is held as a float until it is
+    returned: every integer up to 2^53 is one, and m 2^-52 is exact.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    top, grid = float(1 << _DRAW_BITS), 2.0**-_DRAW_BITS
+    if scale is None:
+        return np.ceil(np.clip(c, 0.0, 1.0) * top).astype(np.int64)
+    s = np.asarray(scale, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.ceil(np.clip(c / s, 0.0, 1.0) * top)
+    while (down := (m > 0) & ((m - 1) * grid * s >= c)).any():
+        m -= down
+    while (up := (m < top) & (m * grid * s < c)).any():
+        m += up
+    return m.astype(np.int64)

@@ -13,6 +13,7 @@ step. The sparse
 exact elimination is checked against a dense Gauss-Jordan oracle kept in
 this module, on random sparse substochastic systems.
 """
+import math
 import os
 import subprocess
 import sys
@@ -934,6 +935,12 @@ def _first_mark_law(chain, v, marks):
     return law
 
 
+def _cut(p):
+    """The integer cut of the probability p: the least m with m 2^-52 >=
+    float(p), at most 2^52, in exact arithmetic."""
+    return min(2**52, max(0, math.ceil(Fraction(float(p)) * 2**52)))
+
+
 @pytest.mark.parametrize("chain", [Z, BB], ids=["line", "halfline"])
 @pytest.mark.parametrize("targets", [[2, 5], [1, 4]])
 def test_line_jump_table_is_the_exact_first_mark_law(chain, targets):
@@ -951,9 +958,9 @@ def test_line_jump_table_is_the_exact_first_mark_law(chain, targets):
             continue
         law = _first_mark_law(chain, v, marks)
         assert set(law) <= {up, back, down} and up != down
-        # each CDF entry is the correctly rounded cumulative probability
-        assert up_cut[i] == float(law.get(up, 0))
-        assert back_cut[i] == float(1 - law.get(down, 0))
+        # each cut is that of the correctly rounded cumulative probability
+        assert up_cut[i] == _cut(law.get(up, 0))
+        assert back_cut[i] == _cut(1 - law.get(down, 0))
 
 
 def test_line_lane_jumps_from_mark_to_mark():
@@ -991,10 +998,10 @@ def test_tree_jump_table_is_the_exact_embedded_law(tree, p):
         row = dest[3 * j : 3 * j + 3].tolist()
         law = _embedded_row(tree, spine, j) if j <= p else {0: Fraction(1)}
         assert set(law) <= set(row)
-        # each cut is the correctly rounded cumulative probability of the
-        # destinations of the outcomes up to it
+        # each cut is that of the correctly rounded cumulative probability
+        # of the destinations of the outcomes up to it
         for k, cut in enumerate((low_cut[j], high_cut[j])):
-            assert cut == float(sum(law.get(d, 0) for d in set(row[: k + 1])))
+            assert cut == _cut(sum(law.get(d, 0) for d in set(row[: k + 1])))
 
 
 # ---------------------------------------------------------------------------

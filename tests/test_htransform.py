@@ -57,7 +57,7 @@ from recurmartin.htransform import (
     verify_row_sums,
 )
 from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_boundary
-from recurmartin.rng import CONVERGENCE_WITNESS, counter_uniforms, stream_keys
+from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, counter_uniforms, stream_keys
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -558,18 +558,34 @@ def test_transience_witness_other_lanes():
     assert tree.fraction_settled_by_half >= 0.95
 
 
+def _all_draws(*args):
+    """Every row of ``_witness_draws``, copied before its buffer is refilled."""
+    return np.stack([row.copy() for row in _witness_draws(*args)])
+
+
 def test_witness_draws_are_per_trajectory_and_step():
     # 20,000 trajectories draw 1 step per call, 100 trajectories 64: the
     # numbers of trajectory i at step t must not depend on that layout
-    big = np.stack(list(_witness_draws(7, 20_000, 130, None)))
-    small = np.stack(list(_witness_draws(7, 100, 130, None)))
+    big = _all_draws(7, 20_000, 130, None)
+    small = _all_draws(7, 100, 130, None)
     assert big.shape == (130, 20_000) and small.shape == (130, 100)
     assert np.array_equal(big[:, :100], small)
     keys = stream_keys(7, CONVERGENCE_WITNESS, np.arange(100))
-    assert np.array_equal(small[129], counter_uniforms(keys, 129))
+    assert np.array_equal(small[129], counter_bits(keys, 129))
+    assert np.array_equal(np.ldexp(small[129], -52), counter_uniforms(keys, 129))
     # the transience witness has its own streams
-    other = np.stack(list(_witness_draws(7, 100, 130, {})))
+    other = _all_draws(7, 100, 130, {})
     assert not np.array_equal(other, small)
+
+
+def test_witness_draws_refill_one_buffer():
+    # a row is a view of the chunk buffer, valid until the generator moves
+    # past its chunk: 100 runs draw 64 steps per chunk
+    rows = list(_witness_draws(7, 100, 130, None))
+    assert all(np.shares_memory(rows[t], rows[t + 64]) for t in range(66))
+    assert not np.shares_memory(rows[0], rows[1])
+    # so the first row now holds step 129's draws
+    assert np.array_equal(rows[0], _all_draws(7, 100, 130, None)[128])
 
 
 def test_transience_witness_is_deterministic():
@@ -580,16 +596,30 @@ def test_transience_witness_is_deterministic():
 
 
 def _with_states(table, grown=None):
-    """The table with the runs' states as its statistic, kept when it grows;
-    ``grown`` receives the row count of each wider table."""
+    """The table with the runs' positions as its statistic, kept when it
+    grows; ``grown`` receives the row count of each wider table.
+
+    A position is the state, except on the plane (the one table that
+    grows), whose state is the cell of its square: there it is the cell's
+    (x, y) as x 2^32 + y, the same in every square.
+    """
+    stat = np.copy
+    if table.fit is not None:
+        side = int(np.sqrt(len(table.cuts[0])))
+        reach = side // 2
+
+        def stat(s):
+            x, y = np.divmod(s, side)
+            return ((x - reach) << 32) + y - reach
+
     def fit(s):
-        wider, hold = table.fit(s)
+        wider, hold, s = table.fit(s)
         if wider is not None:
             if grown is not None:
-                grown.append(wider.cdf.shape[0])
+                grown.append(len(wider.cuts[0]))
             wider = _with_states(wider, grown)
-        return wider, hold
-    return replace(table, stat=np.copy, fit=fit if table.fit else None)
+        return wider, hold, s
+    return replace(table, stat=stat, fit=fit if table.fit else None)
 
 
 @pytest.mark.parametrize(
@@ -619,7 +649,54 @@ def test_halfline_table_does_not_grow_with_the_horizon():
     # rows 0 .. 64 and one row for every position past 64
     short, _, _ = _witness_lane(BB, P_BB, 10, 10)
     long, _, _ = _witness_lane(BB, P_BB, 10, 10**7)
-    assert short.cdf.shape == long.cdf.shape == (66, 2)
+    assert [c.shape for c in short.cuts] == [c.shape for c in long.cuts] == [(66,)]
+
+
+def _tree_reference(n, steps, seed):
+    """Tree runs stepped from their own row, with no table: yields the
+    agreement j and overhang m of every run after each step.
+
+    Each run compares u with the cumulative entries of its row in the
+    order to the father, to the next ray node, up toward the ray, down off
+    it, each entry the float expression of the transformed row: the root's
+    r/k + (1 - r), a ray node's psi_{j-1}/(2 psi_j) and that plus
+    psi_{j+1}/(2k psi_j) up to depth 64 and their limits 1/(2k) and
+    1/(2k) + 1/2 beyond, and 1/2 off the ray.
+    """
+    k, r = TREE.k, P_TREE.r
+    gamma = P_TREE.odds * Fraction(k - 1, k)
+    psi = [gamma + k**j - 1 for j in range(66)]
+    up = np.array([0.0] + [float(Fraction(1, 2) * psi[j - 1] / psi[j]) for j in range(1, 65)]
+                  + [1.0 / (2 * k)])
+    ahead = np.array([float(r / k + (1 - r))]
+                     + [up[j] + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])
+                        for j in range(1, 65)]
+                     + [1.0 / (2 * k) + 0.5])
+    j, m = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for b in _witness_draws(seed, n, steps, None):
+        u = np.ldexp(b, -52)
+        row = np.minimum(j, 65)
+        on = m == 0
+        father = on & (u < up[row])
+        ahead_ = on & ~father & (u < ahead[row])
+        toward = ~on & (u < 0.5)
+        j = j - father + ahead_
+        m = m + np.where(toward, -1, np.where(father | ahead_, 0, 1))
+        yield j, m
+
+
+def test_tree_table_steps_every_run_as_its_row_does():
+    # two weighted cuts name the four moves; every run's (j, m) must equal
+    # the per-run comparison of u with its row at every step
+    n, steps = 1000, 400
+    table, _, _ = _witness_lane(TREE, P_TREE, n, steps)
+    states = _run_lane(_with_states(table), n, steps, 2, range(1, steps + 1), None)
+    deep = 0
+    for t, (j, m) in enumerate(_tree_reference(n, steps, 2), 1):
+        low = (states[t] - 1) & (2**32 - 1)
+        assert np.array_equal(low, j) and np.array_equal((low - states[t] + 1) >> 32, m), t
+        deep = max(deep, int(j.max()))
+    assert deep > 65  # the runs reach the limit row
 
 
 def _plane_reference(n, steps, seed):
@@ -644,7 +721,8 @@ def _plane_reference(n, steps, seed):
         return c + vals
 
     x, y = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for u in _witness_draws(seed, n, steps, None):
+    for b in _witness_draws(seed, n, steps, None):
+        u = np.ldexp(b, -52)
         w_e, w_w = weight(x + 1, y), weight(x - 1, y)
         w_n, w_s = weight(x, y + 1), weight(x, y - 1)
         u = u * (w_e + w_w + w_n + w_s)

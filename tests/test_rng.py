@@ -3,10 +3,14 @@
 A draw is a pure function of (seed, purpose, trajectory, step): the tests
 check that it broadcasts consistently, that distinct key parts give
 distinct streams, and that a million draws pass cheap moment and 2-bit
-chi-square checks, single and serial. No module draws from another
-generator. The source scans also keep type ladders out of the package,
-per-state successors() sums out of its one-step identities, and every
-Monte-Carlo lane's draws in the ensemble driver's one loop.
+chi-square checks, single and serial. A draw is a 52-bit integer b, the
+uniform is exactly b 2^-52, and a sampler compares b only against integer
+cuts: the cut rule is checked against the float comparison it replaces,
+at and next to every boundary. No module draws from another generator.
+The source scans also keep type ladders out of the package, per-state
+successors() sums out of its one-step identities, every Monte-Carlo
+lane's draws in the ensemble driver's one loop, and every witness lane's
+in the witness driver's.
 """
 import ast
 import re
@@ -14,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recurmartin
 from recurmartin.rng import (
@@ -21,6 +27,8 @@ from recurmartin.rng import (
     GREEN_ENSEMBLE,
     SIMULATION,
     TRANSIENCE_WITNESS,
+    _draw_cuts,
+    counter_bits,
     counter_uniforms,
     stream_keys,
 )
@@ -125,37 +133,176 @@ def test_a_million_draws_pass_moment_and_chi_square_checks():
     assert chi2(4 * bits[:-1, :] + bits[1:, :], 16) < 56.5
 
 
-def _draw_loops(tree, scope=""):
-    """Every ``for v in range(...)`` loop under ``tree`` that indexes an
-    array column by its variable (``u[live, v]``), with its scope."""
+#: The package's draw functions.
+_DRAWS = {"counter_bits", "counter_uniforms"}
+
+
+def _called(node):
+    """The names of the functions called under ``node``."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _draw_loops(tree, scope="", sources=None, blocks=frozenset()):
+    """The scope of every loop under ``tree`` that runs over the draws.
+
+    That is a ``for`` loop whose iterable calls a draw function (one of
+    ``_DRAWS``, or a function of the module that calls one), or a ``for v
+    in range(...)`` loop that indexes by its variable an array column
+    (``u[live, v]``) or a block of draws (``u[v]``, where u was assigned a
+    draw function's result in the loop's function).
+    """
+    if sources is None:
+        sources = _DRAWS | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and _DRAWS & set(_called(node))
+        }
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _draw_loops(child, f"{scope}.{child.name}".lstrip("."))
-            continue
-        if (
-            isinstance(child, ast.For)
-            and isinstance(child.target, ast.Name)
-            and isinstance(child.iter, ast.Call)
-            and getattr(child.iter.func, "id", None) == "range"
-            and any(
-                isinstance(node, ast.Subscript)
-                and isinstance(node.slice, ast.Tuple)
-                and isinstance(node.slice.elts[-1], ast.Name)
-                and node.slice.elts[-1].id == child.target.id
+            drawn = {
+                target.id
                 for node in ast.walk(child)
-            )
+                if isinstance(node, ast.Assign) and sources & set(_called(node.value))
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            inner = f"{scope}.{child.name}".lstrip(".")
+            yield from _draw_loops(child, inner, sources, blocks | drawn)
+            continue
+        if isinstance(child, ast.For) and (
+            sources & set(_called(child.iter)) or _indexes_draws(child, blocks)
         ):
             yield scope
-        yield from _draw_loops(child, scope)
+        yield from _draw_loops(child, scope, sources, blocks)
+
+
+def _indexes_draws(loop, blocks):
+    """Whether ``loop`` runs over ``range(...)`` and indexes an array column,
+    or a block of draws, by its variable."""
+    if not (
+        isinstance(loop.target, ast.Name)
+        and isinstance(loop.iter, ast.Call)
+        and getattr(loop.iter.func, "id", None) == "range"
+    ):
+        return False
+    var = loop.target.id
+    for node in ast.walk(loop):
+        if not isinstance(node, ast.Subscript):
+            continue
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        names = [e.id if isinstance(e, ast.Name) else None for e in index]
+        if isinstance(node.slice, ast.Tuple) and names[-1] == var:
+            return True
+        if getattr(node.value, "id", None) in blocks and var in names:
+            return True
+    return False
+
+
+_SECOND_LOOPS = (
+    # a walk stepping through its own block of draws
+    "def _extra(keys):\n"
+    "    u = counter_bits(keys, np.arange(9)[:, None])\n"
+    "    for t in range(9):\n"
+    "        x = u[t]\n",
+    # a loop over a draw generator of the module
+    "def _more_draws(keys):\n"
+    "    yield from counter_bits(keys, np.arange(9)[:, None])\n\n\n"
+    "def _extra(keys):\n"
+    "    for b in _more_draws(keys):\n"
+    "        x = b\n",
+)
+
+
+def _assert_one_draw_loop(module, driver):
+    text = (Path(recurmartin.__file__).parent / f"{module}.py").read_text()
+    assert list(_draw_loops(ast.parse(text))) == [driver]
+    # and the scan finds a second loop of either form
+    for extra in _SECOND_LOOPS:
+        assert list(_draw_loops(ast.parse(text + "\n\n" + extra))) == [driver, "_extra"]
 
 
 def test_the_ensemble_driver_holds_the_one_loop_over_the_draws():
     # each lane is a step rule over one int state per run; the driver steps
     # the live runs, so no walk keeps a per-draw loop of its own
+    _assert_one_draw_loop("green", "_ensemble")
     package = Path(recurmartin.__file__).parent
-    assert list(_draw_loops(ast.parse((package / "green.py").read_text()))) == [
-        "_ensemble"
-    ]
     unboxed = re.compile(r"escape_radius\s+is\s+(not\s+)?None")
     for path in sorted(package.glob("*.py")):
         assert not unboxed.search(path.read_text()), path.name
+
+
+def test_the_witness_driver_holds_the_one_loop_over_the_draws():
+    # each witness lane is a table over one int state per run, stepped by
+    # the one driver
+    _assert_one_draw_loop("htransform", "_run_lane")
+
+
+_GRID = 2.0**-52
+
+
+def _thresholds():
+    """Floats c: exact multiples of 2^-52 and their neighbours, the ends of
+    [0, 1] and beyond, and any float of [0, 1]."""
+    multiple = st.integers(0, 2**52).map(lambda k: k * _GRID)
+    near = multiple.flatmap(
+        lambda c: st.sampled_from([c, float(np.nextafter(c, -1.0)), float(np.nextafter(c, 2.0))])
+    )
+    ends = st.sampled_from(
+        [0.0, -0.0, -1.0, _GRID, 1.0 - _GRID, float(np.nextafter(1.0, 0.0)), 1.0, 2.0, np.inf]
+    )
+    return st.one_of(ends, near, st.floats(0.0, 1.0))
+
+
+def _next_to(m):
+    """The draws m - 1, m and m + 1 that lie in [0, 2^52)."""
+    return [b for b in (m - 1, m, m + 1) if 0 <= b < 2**52]
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=_thresholds())
+def test_a_draw_passes_its_cut_exactly_when_its_uniform_passes(c):
+    m = int(_draw_cuts(c))
+    assert 0 <= m <= 2**52
+    for b in _next_to(m):
+        assert (b >= m) == (b * _GRID >= c), b
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=_thresholds(), s=st.floats(1e-3, 1e6))
+def test_a_scaled_cut_is_the_scaled_comparison(c, s):
+    # the plane's rows are not normalized: its test is fl(u s) >= c, with
+    # c anywhere on [0, s] and next to the products fl(m 2^-52 s)
+    for t in (c * s, float(np.nextafter(c * s, np.inf)), float(np.nextafter(c * s, -np.inf))):
+        m = int(_draw_cuts(t, s))
+        assert 0 <= m <= 2**52
+        for b in _next_to(m):
+            assert (b >= m) == ((b * _GRID) * s >= t), (b, t)
+
+
+def test_cuts_are_elementwise():
+    cs = np.array([0.0, 0.25, _GRID, 1.0 - _GRID, 1.0, np.inf, 0.3, 3 * _GRID + 1e-30])
+    scales = np.array([1.0, 3.0, 0.5, 7.25, 2.0, 1.0, 1e3, 1.5])
+    assert _draw_cuts(cs).tolist() == [int(_draw_cuts(c)) for c in cs]
+    assert _draw_cuts(cs, scales).tolist() == [int(_draw_cuts(c, s)) for c, s in zip(cs, scales)]
+    assert _draw_cuts(cs).tolist()[:6] == [0, 2**50, 1, 2**52 - 1, 2**52, 2**52]
+
+
+def test_uniforms_are_the_draws_times_two_to_the_minus_52():
+    keys = stream_keys(5, CONVERGENCE_WITNESS, np.arange(300))
+    bits = counter_bits(keys[:, None], np.arange(200)[None, :])
+    assert bits.dtype == np.int64 and bits.min() >= 0 and bits.max() < 2**52
+    u = counter_uniforms(keys[:, None], np.arange(200)[None, :])
+    assert np.array_equal(u.view(np.int64), (bits * _GRID).view(np.int64))
+
+
+def test_a_reused_buffer_gives_the_bits_of_a_fresh_call():
+    keys = stream_keys(9, TRANSIENCE_WITNESS, np.arange(500))
+    out = np.full((8, 500), -7, dtype=np.int64)
+    scratch = np.full((8, 500), 123456789, dtype=np.int64)
+    for lo in (0, 8, 1000):
+        steps = np.arange(lo, lo + 8)[:, None]
+        got = counter_bits(keys, steps, out, scratch)
+        assert got is out
+        assert np.array_equal(out, counter_bits(keys, steps))
