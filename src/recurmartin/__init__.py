@@ -5,11 +5,9 @@ from .chains import (
     ChainSpec,
     PathWeight,
     StateId,
-    Trajectory,
     distribution_after,
     enumerate_paths,
     row_sum,
-    simulate,
     step_distribution,
     verify_stationary,
 )
@@ -32,11 +30,9 @@ __all__ = [
     "ChainSpec",
     "PathWeight",
     "StateId",
-    "Trajectory",
     "distribution_after",
     "enumerate_paths",
     "row_sum",
-    "simulate",
     "step_distribution",
     "verify_stationary",
     "RecurMartinError",

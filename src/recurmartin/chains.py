@@ -1,22 +1,20 @@
-"""Core chain abstractions: state spaces, trajectories, exact path algebra.
+"""Core chain abstractions: state spaces and exact path algebra.
 
 A chain is described by its one-step transition law with *exact* rational
 probabilities. Everything downstream (Green-function solvers, harmonic
 profiles, measure evaluations) builds on the small set of primitives here:
-exact path enumeration, exact n-step distributions, seeded simulation, and
-the stationary-measure identity check.
+exact path enumeration, exact n-step distributions, and the
+stationary-measure identity check. The seeded Monte-Carlo ensembles live
+in ``green`` and ``htransform``.
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Hashable, Iterator, Optional, Sequence
 
 from .errors import MissingPredecessorsError, PathBudgetExceededError
-from .rng import SIMULATION, counter_uniforms, stream_keys
 from .window import SuccessorTable
 
 StateId = Hashable
@@ -149,66 +147,10 @@ def law_capability(chain: ChainSpec, name: str):
 
 @dataclass(frozen=True)
 class PathWeight:
-    """One finite path with its exact probability."""
+    """One finite path X_0, ..., X_n with its exact probability."""
 
-    path: "Trajectory"
+    states: tuple
     probability: Fraction
-
-    @property
-    def states(self) -> list:
-        return self.path.states
-
-
-@dataclass
-class Trajectory:
-    """A simulated path X_0, ..., X_n with occupation/hitting accessors."""
-
-    states: list
-    seed: Optional[int] = None
-    index: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def start(self) -> StateId:
-        return self.states[0]
-
-    @property
-    def last(self) -> StateId:
-        return self.states[-1]
-
-    def occupation(self, y: StateId, n: Optional[int] = None) -> int:
-        """Number of visits to y at times 0..n (whole path when n is None)."""
-        if n is None:
-            n = len(self.states) - 1
-        return sum(1 for s in self.states[: n + 1] if s == y)
-
-    def hitting_time(self, y: StateId) -> Optional[int]:
-        """First n >= 0 with X_n = y, or None if y is never visited."""
-        for n, s in enumerate(self.states):
-            if s == y:
-                return n
-        return None
-
-    def return_time(self, y: StateId) -> Optional[int]:
-        """First n >= 1 with X_n = y, or None."""
-        for n, s in enumerate(self.states):
-            if n >= 1 and s == y:
-                return n
-        return None
-
-    def visit_time(self, y: StateId, p: int) -> Optional[int]:
-        """Time of the p-th visit to y, counting a visit at time 0."""
-        if p < 1:
-            raise ValueError("visit index must be >= 1")
-        seen = 0
-        for n, s in enumerate(self.states):
-            if s == y:
-                seen += 1
-                if seen == p:
-                    return n
-        return None
 
 
 def step_distribution(chain: ChainSpec, x: StateId) -> list[tuple[StateId, Fraction]]:
@@ -252,42 +194,10 @@ def enumerate_paths(
             produced += 1
             if produced > budget:
                 raise PathBudgetExceededError(produced, budget)
-            yield PathWeight(Trajectory(list(states)), prob)
+            yield PathWeight(states, prob)
             continue
         for t, p in chain.successors(states[-1]):
             stack.append((states + (t,), prob * p))
-
-
-def simulate(
-    chain: ChainSpec,
-    x: StateId,
-    steps: int,
-    seed: int,
-    index: int = 0,
-) -> Trajectory:
-    """Simulate `steps` transitions from x on trajectory stream `index`.
-
-    Deterministic in (chain, x, steps, seed, index): step n draws
-    ``counter_uniforms(key, n)`` with the key of (seed, SIMULATION, index),
-    so the same call always returns the same path.
-    """
-    draws = counter_uniforms(stream_keys(seed, SIMULATION, [index]), np.arange(steps))
-    states = [x]
-    current = x
-    for u in draws.tolist():
-        current = _sample_successor(chain, current, u)
-        states.append(current)
-    return Trajectory(states, seed=seed, index=index)
-
-
-def _sample_successor(chain: ChainSpec, x: StateId, u: float) -> StateId:
-    """Map a uniform draw to a successor through the canonical ordering."""
-    acc = 0.0
-    for t, p in step_distribution(chain, x):
-        acc += float(p)
-        if u < acc:
-            return t
-    return t
 
 
 def row_sum(chain: ChainSpec, x: StateId) -> Fraction:

@@ -213,8 +213,7 @@ def cmd_green(args, parser):
     if radius is None:
         radius = default_radius(chain, [x0, x, y])
     if args.method == "exact":
-        window = chain.window(radius)
-        exact = len(window) <= 300
+        exact = chain.window_size(radius) <= 300
         trunc = Truncation(radius=radius, policy=args.policy)
         (res,) = green_solve(chain, x0, [(x, y)], trunc, exact=exact)
         payload = {

@@ -780,12 +780,15 @@ def _run_lane(table, n, steps, seed, marks, track):
     markset, out = set(marks), {}
     state = np.full(n, table.start, dtype=np.int64)
     refit = 1 if table.fit else steps + 1
+    (first, add0), *rest = zip(table.cuts, table.adds)
     for step, b in enumerate(_witness_draws(seed, n, steps, track), 1):
         if step == refit:
             wider, hold, state = table.fit(state)
-            table, refit = wider or table, step + hold
-        (first, add), *rest = zip(table.cuts, table.adds)
-        index = _under(b, first, state, add)
+            refit = step + hold
+            if wider is not None:
+                table = wider
+                (first, add0), *rest = zip(table.cuts, table.adds)
+        index = _under(b, first, state, add0)
         for cut, add in rest:
             index += _under(b, cut, state, add)
         state += table.move.take(index)

@@ -6,7 +6,7 @@ stream no matter how many trajectories run, in what order, in what blocks
 or slabs, in how many processes, or which other trajectories are still
 running, which is what makes seeded runs byte-reproducible.
 
-There is one draw scheme for every sampler, vectorized or not:
+There is one draw scheme for every sampler:
 z = mix(seed, purpose, trajectory, step), a SplitMix64 finalizer over numpy
 ``uint64`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11). ``stream_keys`` absorbs the first three parts into one key per
@@ -16,12 +16,16 @@ vectorized call, and ``purpose`` is its own key part, apart from the
 trajectory index.
 
 A draw is the 52-bit integer b = z >> 12, which ``counter_bits`` writes
-into a buffer the caller owns; the uniform of ``counter_uniforms`` is
-exactly u = b 2^-52. Samplers compare b only against integer cuts: for a
-float c, b 2^-52 >= c exactly when b >= ``_draw_cuts(c)``, the least m with
+into a buffer the caller owns; it stands for the uniform u = b 2^-52,
+which no sampler computes. Samplers compare b only against integer cuts:
+for a float c, u >= c exactly when b >= ``_draw_cuts(c)``, the least m with
 m 2^-52 >= c (2^52, which no draw reaches, for c > 1 - 2^-52). With a
-positive float scale s, fl(b 2^-52 s) >= c exactly when
-b >= ``_draw_cuts(c, s)``, because fl(x s) is nondecreasing in x.
+positive float scale s, fl(u s) >= c exactly when b >= ``_draw_cuts(c, s)``,
+because fl(x s) is nondecreasing in x.
+
+Two drivers step every sampler on these draws, one per stopping rule:
+``green._ensemble`` for runs absorbed at the base, ``htransform._run_lane``
+for runs stopped at a fixed horizon.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ _MASK64 = (1 << 64) - 1
 GREEN_ENSEMBLE = 1
 CONVERGENCE_WITNESS = 2
 TRANSIENCE_WITNESS = 3
-SIMULATION = 4
 
 #: A draw is an integer in [0, 2^52): the top bits of the mixed counter.
 _DRAW_BITS = 52
@@ -100,12 +103,6 @@ def counter_bits(keys: np.ndarray, steps, out=None, scratch=None) -> np.ndarray:
     _finalize(z, np.empty_like(z) if scratch is None else scratch.view(np.uint64))
     z >>= _S12
     return out
-
-
-def counter_uniforms(keys: np.ndarray, steps) -> np.ndarray:
-    """Uniforms on [0, 1) for (key, step) pairs: the draws of
-    ``counter_bits`` times 2^-52, so each is a multiple of 2^-52."""
-    return counter_bits(keys, steps) * 2.0**-_DRAW_BITS
 
 
 def _draw_cuts(c, scale=None) -> np.ndarray:

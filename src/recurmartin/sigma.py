@@ -182,7 +182,7 @@ def restricted_measure(
     get = _phi_eval(phi)
     total = Fraction(0)
     for pw in enumerate_paths(chain, x, f.horizon):
-        states = tuple(pw.states)
+        states = pw.states
         weight = f.evaluate(states)
         if weight:
             total += pw.probability * weight * get(states[-1])
@@ -303,17 +303,15 @@ def verify_concatenation(
         raise ValueError("need 0 <= n <= p")
     get = _phi_eval(phi)
     prefix = {
-        tuple(pw.states): pw.probability
+        pw.states: pw.probability
         for pw in enumerate_paths(chain, x, n)
         if pw.states[-1] == y
     }
-    suffix = {
-        tuple(pw.states): pw.probability for pw in enumerate_paths(chain, y, p - n)
-    }
+    suffix = {pw.states: pw.probability for pw in enumerate_paths(chain, y, p - n)}
     worst = Fraction(0)
     checked = nonzero = 0
     for pw in enumerate_paths(chain, x, p):
-        states = tuple(pw.states)
+        states = pw.states
         checked += 1
         lhs = pw.probability * get(states[-1]) if states[n] == y else Fraction(0)
         rhs = (

@@ -48,6 +48,22 @@ class TestGreen:
         assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["result"]["window"]["radius"] <= 8
 
+    @pytest.mark.parametrize("chain, x0, x, radius, exact", [
+        ("z", "0", "2", 149, True),        # 299 states
+        ("z", "0", "2", 150, False),       # 301 states
+        ("tree:k=2", "@", "0", 7, True),   # 255 states
+        ("tree:k=2", "@", "0", 8, False),  # 511 states
+    ])
+    def test_exact_method_solves_in_fractions_up_to_300_states(
+        self, capsys, chain, x0, x, radius, exact
+    ):
+        code, doc = invoke_json(
+            capsys, "green", "--chain", chain, "--x0", x0, "--x", x, "--y", x,
+            "--method", "exact", "--window-radius", str(radius),
+        )
+        assert code == 0
+        assert (doc["result"]["exact"] is not None) == exact
+
     def test_mc_line_off_the_base_point(self, capsys):
         code, doc = invoke_json(
             capsys, "green", "--chain", "z", "--x0", "3", "--x", "5",

@@ -56,7 +56,7 @@ from recurmartin.green import (
     window_rows,
 )
 from recurmartin.potential import origin_killed_green, potential_mc, potential_table
-from recurmartin.rng import GREEN_ENSEMBLE, counter_uniforms, stream_keys
+from recurmartin.rng import GREEN_ENSEMBLE, counter_bits, stream_keys
 from recurmartin.window import SuccessorTable
 
 Z = ZWalk()
@@ -830,7 +830,8 @@ def test_exit_levels_are_laws_with_the_square_symmetries():
         assert keys[0] > k << 52 and keys[-1] == (k + 1) << 52
     # the keys rank a draw exactly because every draw is a multiple of 2^-52
     keys = stream_keys(1, GREEN_ENSEMBLE, np.arange(1000))
-    scaled = counter_uniforms(keys[:, None], np.arange(8)[None, :]) * 2.0**52
+    u = counter_bits(keys[:, None], np.arange(8)[None, :]) * 2.0**-52
+    scaled = u * 2.0**52
     assert np.array_equal(scaled, np.floor(scaled))
     # the bottom level is the single step: west, east, south, north
     dx, dy, p = _square_exit_law(0)

@@ -57,7 +57,7 @@ from recurmartin.htransform import (
     verify_row_sums,
 )
 from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_boundary
-from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, counter_uniforms, stream_keys
+from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, stream_keys
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -572,7 +572,7 @@ def test_witness_draws_are_per_trajectory_and_step():
     assert np.array_equal(big[:, :100], small)
     keys = stream_keys(7, CONVERGENCE_WITNESS, np.arange(100))
     assert np.array_equal(small[129], counter_bits(keys, 129))
-    assert np.array_equal(np.ldexp(small[129], -52), counter_uniforms(keys, 129))
+    assert np.array_equal(np.ldexp(small[129], -52), counter_bits(keys, 129) * 2.0**-52)
     # the transience witness has its own streams
     other = _all_draws(7, 100, 130, {})
     assert not np.array_equal(other, small)

@@ -9,8 +9,9 @@ cuts: the cut rule is checked against the float comparison it replaces,
 at and next to every boundary. No module draws from another generator.
 The source scans also keep type ladders out of the package, per-state
 successors() sums out of its one-step identities, every Monte-Carlo
-lane's draws in the ensemble driver's one loop, and every witness lane's
-in the witness driver's.
+lane's draws in the ensemble driver's one loop, every witness lane's in
+the witness driver's, no third loop over the draws anywhere in the
+package, and no draw scaled to a float.
 """
 import ast
 import re
@@ -25,15 +26,13 @@ import recurmartin
 from recurmartin.rng import (
     CONVERGENCE_WITNESS,
     GREEN_ENSEMBLE,
-    SIMULATION,
     TRANSIENCE_WITNESS,
     _draw_cuts,
     counter_bits,
-    counter_uniforms,
     stream_keys,
 )
 
-PURPOSES = (GREEN_ENSEMBLE, CONVERGENCE_WITNESS, TRANSIENCE_WITNESS, SIMULATION)
+PURPOSES = (GREEN_ENSEMBLE, CONVERGENCE_WITNESS, TRANSIENCE_WITNESS)
 
 
 def test_no_module_draws_from_numpy_random():
@@ -82,20 +81,20 @@ def test_one_step_identities_read_the_code_table():
 
 def test_a_draw_depends_on_its_key_and_step_only():
     keys = stream_keys(7, GREEN_ENSEMBLE, np.arange(50))
-    block = counter_uniforms(keys[:, None], np.arange(20)[None, :])
+    block = counter_bits(keys[:, None], np.arange(20)[None, :]) * 2.0**-52
     assert block.shape == (50, 20)
     for i in (0, 17, 49):
         for t in (0, 5, 19):
-            assert block[i, t] == counter_uniforms(keys[i : i + 1], t)[0]
+            assert block[i, t] == counter_bits(keys[i : i + 1], t)[0] * 2.0**-52
     assert np.array_equal(stream_keys(7, GREEN_ENSEMBLE, np.arange(20, 30)), keys[20:30])
-    assert np.array_equal(counter_uniforms(keys, 3), block[:, 3])
+    assert np.array_equal(counter_bits(keys, 3) * 2.0**-52, block[:, 3])
 
 
 def test_distinct_key_parts_give_distinct_streams():
     n = 20_000
     keys = np.concatenate([stream_keys(11, p, np.arange(n)) for p in PURPOSES])
     assert np.unique(keys).size == len(keys)
-    firsts = counter_uniforms(keys[:, None], np.arange(4)[None, :])
+    firsts = counter_bits(keys[:, None], np.arange(4)[None, :]) * 2.0**-52
     assert np.unique(firsts, axis=0).shape[0] == len(keys)
     # the purpose is its own key part: purpose 1, trajectory 2 and purpose 2,
     # trajectory 1 are different streams
@@ -112,7 +111,7 @@ def test_negative_trajectory_index_is_rejected():
 
 def test_a_million_draws_pass_moment_and_chi_square_checks():
     keys = stream_keys(2024, GREEN_ENSEMBLE, np.arange(1000))
-    u = counter_uniforms(keys[:, None], np.arange(1000)[None, :])
+    u = counter_bits(keys[:, None], np.arange(1000)[None, :]) * 2.0**-52
     assert u.min() >= 0.0 and u.max() < 1.0
     n = u.size
     # mean and variance within 5 standard errors of 1/2 and 1/12
@@ -133,8 +132,8 @@ def test_a_million_draws_pass_moment_and_chi_square_checks():
     assert chi2(4 * bits[:-1, :] + bits[1:, :], 16) < 56.5
 
 
-#: The package's draw functions.
-_DRAWS = {"counter_bits", "counter_uniforms"}
+#: The package's draw function.
+_DRAWS = {"counter_bits"}
 
 
 def _called(node):
@@ -145,20 +144,26 @@ def _called(node):
             yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _draw_functions(trees):
+    """``_DRAWS`` and every function defined in ``trees`` that calls one."""
+    return _DRAWS | {
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and _DRAWS & set(_called(node))
+    }
+
+
 def _draw_loops(tree, scope="", sources=None, blocks=frozenset()):
     """The scope of every loop under ``tree`` that runs over the draws.
 
-    That is a ``for`` loop whose iterable calls a draw function (one of
-    ``_DRAWS``, or a function of the module that calls one), or a ``for v
-    in range(...)`` loop that indexes by its variable an array column
-    (``u[live, v]``) or a block of draws (``u[v]``, where u was assigned a
-    draw function's result in the loop's function).
+    A block of draws is a name assigned a draw function's result (one of
+    ``sources``, by default ``_DRAWS`` and the functions of the module that
+    call one) in the loop's function. The loop is a ``for`` loop whose
+    iterable calls a draw function or reads a block of draws (``for u in
+    draws.tolist()``), or a ``for v in range(...)`` loop that indexes by its
+    variable an array column (``u[live, v]``) or a block of draws (``u[v]``).
     """
     if sources is None:
-        sources = _DRAWS | {
-            node.name for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and _DRAWS & set(_called(node))
-        }
+        sources = _draw_functions([tree])
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             drawn = {
@@ -172,7 +177,9 @@ def _draw_loops(tree, scope="", sources=None, blocks=frozenset()):
             yield from _draw_loops(child, inner, sources, blocks | drawn)
             continue
         if isinstance(child, ast.For) and (
-            sources & set(_called(child.iter)) or _indexes_draws(child, blocks)
+            sources & set(_called(child.iter))
+            or blocks & {n.id for n in ast.walk(child.iter) if isinstance(n, ast.Name)}
+            or _indexes_draws(child, blocks)
         ):
             yield scope
         yield from _draw_loops(child, scope, sources, blocks)
@@ -212,6 +219,11 @@ _SECOND_LOOPS = (
     "def _extra(keys):\n"
     "    for b in _more_draws(keys):\n"
     "        x = b\n",
+    # a loop over a drawn block
+    "def _extra(keys):\n"
+    "    draws = counter_bits(keys, np.arange(9))\n"
+    "    for b in draws.tolist():\n"
+    "        x = b\n",
 )
 
 
@@ -237,6 +249,29 @@ def test_the_witness_driver_holds_the_one_loop_over_the_draws():
     # each witness lane is a table over one int state per run, stepped by
     # the one driver
     _assert_one_draw_loop("htransform", "_run_lane")
+
+
+def test_the_package_holds_two_loops_over_the_draws():
+    # one driver per stopping rule: runs absorbed at the base, runs
+    # stopped at a fixed horizon; a draw function of one module may be
+    # looped over in another
+    package = Path(recurmartin.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    sources = _draw_functions(trees.values())
+    loops = [
+        (name, scope) for name, tree in trees.items()
+        for scope in _draw_loops(tree, sources=sources)
+    ]
+    assert loops == [("green", "_ensemble"), ("htransform", "_run_lane")]
+
+
+def test_no_module_scales_a_draw_to_a_float():
+    # a sampler compares its 52-bit draw with integer cuts; the uniform
+    # b 2^-52 is never formed
+    scaled = re.compile(r"counter_uniforms|ldexp|\*\s*2(\.0)?\s*\*\*\s*-\s*(52|_DRAW_BITS)")
+    package = Path(recurmartin.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not scaled.search(path.read_text()), path.name
 
 
 _GRID = 2.0**-52
@@ -293,8 +328,10 @@ def test_uniforms_are_the_draws_times_two_to_the_minus_52():
     keys = stream_keys(5, CONVERGENCE_WITNESS, np.arange(300))
     bits = counter_bits(keys[:, None], np.arange(200)[None, :])
     assert bits.dtype == np.int64 and bits.min() >= 0 and bits.max() < 2**52
-    u = counter_uniforms(keys[:, None], np.arange(200)[None, :])
-    assert np.array_equal(u.view(np.int64), (bits * _GRID).view(np.int64))
+    # u = b 2^-52 is exact: scaling back gives the draw itself
+    u = bits * _GRID
+    assert u.min() >= 0.0 and u.max() < 1.0
+    assert np.array_equal((u * 2.0**52).astype(np.int64), bits)
 
 
 def test_a_reused_buffer_gives_the_bits_of_a_fresh_call():
