@@ -138,6 +138,16 @@ def _parse_int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _chain(selector, parser):
     try:
         return chain_from_selector(selector)
@@ -780,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--x", required=True)
     g.add_argument("--y", required=True)
     g.add_argument("--method", choices=("exact", "mc"), default="exact")
-    g.add_argument("--window-radius", type=int, default=None)
+    g.add_argument("--window-radius", type=_positive_int, default=None)
     g.add_argument("--policy", choices=("loop", "kill"), default="loop")
     g.add_argument("--trajectories", type=int, default=10_000)
     g.add_argument(
@@ -799,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--alpha", default=None, help="boundary point text")
     m.add_argument("--mixture", default=None, help='e.g. "1*+inf+2*-inf"')
     m.add_argument("--eval", required=True, help="comma-separated state texts")
-    m.add_argument("--window-radius", type=int, default=None)
+    m.add_argument("--window-radius", type=_positive_int, default=None)
     m.set_defaults(func=cmd_martin)
 
     e = sub.add_parser("measure", help="path-space measure evaluations")

@@ -103,9 +103,6 @@ class TreeRay:
         return f"{head}({body})*"
 
 
-BoundaryPoint = object  # LineEnd | HalfLineEnd | TreeRay
-
-
 # ---------------------------------------------------------------------------
 # Integer line
 
@@ -140,6 +137,9 @@ class ZWalk(ChainSpec):
 
     def window(self, radius: int):
         return list(range(-radius, radius + 1))
+
+    def window_size(self, radius: int) -> int:
+        return 2 * radius + 1
 
     def separating(self, y: int, x: int, x0: int) -> bool:
         return min(x, x0) <= y <= max(x, x0)
@@ -255,6 +255,9 @@ class BangBangWalk(ChainSpec):
 
     def window(self, radius: int):
         return list(range(0, radius + 1))
+
+    def window_size(self, radius: int) -> int:
+        return radius + 1
 
     def separating(self, y: int, x: int, x0: int) -> bool:
         return min(x, x0) <= y <= max(x, x0)
@@ -543,6 +546,9 @@ class Z2Walk(ChainSpec):
     def window(self, radius: int):
         rng = range(-radius, radius + 1)
         return sorted(((a, b) for a in rng for b in rng), key=self.state_key)
+
+    def window_size(self, radius: int) -> int:
+        return (2 * radius + 1) ** 2
 
     def _vector_table(self, states, reach):
         top = max((max(abs(a), abs(b)) for a, b in states), default=0)

@@ -2,7 +2,7 @@
 
 The central object is G_{x0}(x, y): the expected number of visits to y,
 counting time 0, strictly before the first return to the base state x0.
-Three routes are provided:
+It is computed in two ways:
 
 * ``green_solve`` — linear solve of the killed one-step system on a finite
   window, in exact rational arithmetic (sparse elimination in minimum
@@ -10,8 +10,11 @@ Three routes are provided:
   floating point (sparse LU);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
   the base state on one ensemble driver, ``_ensemble``: vectorized lanes
-  for the built-in laws, and for any chain a lane over its successor table;
-* ``martin_kernel`` — the ratio G_{x0}(x,y) / G_{x0}(x0,y).
+  for the built-in laws, and for any chain a lane over its successor table.
+
+``martin_kernel``, the ratio L_{x0}(x, y) = G_{x0}(x, y) / G_{x0}(x0, y),
+takes both values from one window solve, exact or in floats; a Monte Carlo
+estimate of it is the ratio of two ``green_mc`` calls.
 
 Window truncation policies:
 
@@ -70,13 +73,12 @@ class Truncation:
 
     radius: int
     policy: str = "loop"
-    margin: int = 0
 
     def __post_init__(self):
         if self.policy not in ("loop", "kill"):
             raise ValueError("policy must be 'loop' or 'kill'")
-        if self.radius < 1 or self.margin < 0:
-            raise ValueError("radius must be >= 1 and margin >= 0")
+        if self.radius < 1:
+            raise ValueError("radius must be >= 1")
 
 
 @dataclass
@@ -84,11 +86,10 @@ class GreenResult:
     """A Green-function (or kernel-ratio) value with its provenance."""
 
     value: object  # float, or Fraction from the exact lane
-    method: str  # "exact-solve" | "monte-carlo" | "closed-form"
+    method: str  # "exact-solve" | "monte-carlo"
     stderr: float = 0.0
     radius: Optional[int] = None
     policy: Optional[str] = None
-    delta: Optional[float] = None  # window-enlargement diagnostic
     runs: Optional[int] = None
     truncated_runs: int = 0
     note: Optional[str] = None
@@ -255,18 +256,16 @@ def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fractio
     return _eliminate(a, b, len(columns))
 
 
-def _solve_columns_float(rows, columns: list[int]) -> list[np.ndarray]:
+def _solve_columns_float(op: WindowOperator, columns: list[int]) -> list[np.ndarray]:
     """Float counterpart of the exact column solve, by sparse LU.
 
-    ``rows`` is a WindowOperator or lists of (column, probability). I - M
-    is assembled as triplets, each row's unit diagonal before its entries,
-    so that a diagonal entry is 1 - p exactly as a per-row assembly of the
-    same rows gives it.
+    I - M is assembled as triplets, each row's unit diagonal before its
+    entries, so that a diagonal entry is 1 - p exactly as a per-row
+    assembly of the same rows gives it.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    op = rows if isinstance(rows, WindowOperator) else WindowOperator.from_rows(rows)
     n = len(op)
     rhs = np.zeros((n, len(columns)))
     for c_ix, c in enumerate(columns):
@@ -326,33 +325,16 @@ def green_solve(
     With the ``loop`` policy the result is exact (up to float roundoff in
     the floating lane) on chains flagged ``loop_truncation_exact``; with
     ``kill`` it is a certified lower bound, nondecreasing in the radius.
-    A positive ``trunc.margin`` re-solves on an enlarged window and reports
-    the difference as ``delta``.
     """
     window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
     ys = sorted({y for _, y in queries}, key=chain.state_key)
     index, col = _killed_column_values(chain, x0, window, ys, trunc.policy, exact)
-    deltas = None
-    if trunc.margin > 0:
-        big = chain.window(trunc.radius + trunc.margin)
-        bindex, bcol = _killed_column_values(chain, x0, big, ys, trunc.policy, exact)
-        deltas = {
-            (x, y): float(bcol[y][bindex[x]] - col[y][index[x]]) for x, y in queries
-        }
     results = []
     for x, y in queries:
         v = col[y][index[x]]
-        if not exact:
-            v = max(float(v), 0.0)
+        v = v if exact else max(float(v), 0.0)
         results.append(
-            GreenResult(
-                value=v,
-                method="exact-solve",
-                stderr=0.0,
-                radius=trunc.radius,
-                policy=trunc.policy,
-                delta=None if deltas is None else deltas[(x, y)],
-            )
+            GreenResult(v, "exact-solve", radius=trunc.radius, policy=trunc.policy)
         )
     return results
 
@@ -400,62 +382,27 @@ def martin_kernel(
     x0: StateId,
     x: StateId,
     y: StateId,
-    method: str = "exact",
     radius: Optional[int] = None,
-    policy: str = "loop",
     exact: bool = True,
-    trajectories: int = 10**4,
-    seed: Optional[int] = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-    on_cap: str = "error",
 ) -> GreenResult:
-    """Visit ratio L_{x0}(x, y) = G_{x0}(x, y) / G_{x0}(x0, y)."""
-    if method == "exact":
-        if radius is None:
-            radius = default_radius(chain, [x0, x, y])
-        trunc = Truncation(radius=radius, policy=policy)
-        window = _window(chain, trunc.radius, [x0, x, y])
-        index, col = _killed_column_values(
-            chain, x0, window, [y], trunc.policy, exact
+    """Visit ratio L_{x0}(x, y) = G_{x0}(x, y) / G_{x0}(x0, y).
+
+    Both values come from one ``loop`` window solve, exact or in floats, on
+    the radius ``default_radius`` gives unless one is passed.
+    """
+    if radius is None:
+        radius = default_radius(chain, [x0, x, y])
+    trunc = Truncation(radius)
+    window = _window(chain, trunc.radius, [x0, x, y])
+    index, col = _killed_column_values(chain, x0, window, [y], trunc.policy, exact)
+    num = col[y][index[x]]
+    den = col[y][index[x0]]
+    if (den == 0) if exact else (abs(float(den)) <= 1e-12):
+        raise ZeroDenominatorError(
+            f"G(x0, y) vanished for y={chain.format_state(y)}; ratio undefined"
         )
-        num = col[y][index[x]]
-        den = col[y][index[x0]]
-        if (den == 0) if exact else (abs(float(den)) <= 1e-12):
-            raise ZeroDenominatorError(
-                f"G(x0, y) vanished for y={chain.format_state(y)}; ratio undefined"
-            )
-        value = num / den if exact else float(num) / float(den)
-        return GreenResult(value=value, method="exact-solve", radius=radius, policy=policy)
-    if method == "mc":
-        if seed is None:
-            raise ValueError("Monte Carlo kernel needs a seed")
-        num = green_mc(
-            chain, x0, x, y, trajectories, seed,
-            step_cap=step_cap, on_cap=on_cap, index_offset=0,
-        )
-        den = green_mc(
-            chain, x0, x0, y, trajectories, seed,
-            step_cap=step_cap, on_cap=on_cap, index_offset=trajectories,
-        )
-        d = float(den.value)
-        if abs(d) <= 1e-12:
-            raise ZeroDenominatorError("Monte Carlo denominator below tolerance")
-        v = float(num.value) / d
-        rel = 0.0
-        if float(num.value) != 0:
-            rel += (num.stderr / float(num.value)) ** 2
-        rel += (den.stderr / d) ** 2
-        return GreenResult(
-            value=v,
-            method="monte-carlo",
-            stderr=abs(v) * math.sqrt(rel),
-            runs=trajectories,
-            truncated_runs=num.truncated_runs + den.truncated_runs,
-            lane=num.lane,
-            escaped_runs=num.escaped_runs + den.escaped_runs,
-            draws=num.draws + den.draws,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    value = num / den if exact else float(num) / float(den)
+    return GreenResult(value=value, method="exact-solve", radius=radius, policy=trunc.policy)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +418,6 @@ def green_mc(
     seed: int,
     step_cap: int = DEFAULT_STEP_CAP,
     on_cap: str = "error",
-    index_offset: int = 0,
     escape_radius: int = 64,
 ) -> GreenResult:
     """Sample mean of the visits to y before the first return to x0.
@@ -497,7 +443,7 @@ def green_mc(
         raise ValueError("need at least one trajectory")
     _check_mc_options(on_cap, escape_radius)
     walk = _fast_lane(chain, x0, x, [y], escape_radius) or _table_walk(chain, x0, x, [y])
-    return _ensemble(walk, trajectories, seed, index_offset, step_cap, on_cap)[0]
+    return _ensemble(walk, trajectories, seed, 0, step_cap, on_cap)[0]
 
 
 def green_mc_grid(

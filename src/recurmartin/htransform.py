@@ -364,9 +364,7 @@ def k_kernel(
     else:
         if radius is None:
             radius = default_radius(chain, [x0, x, target])
-        ell = martin_kernel(
-            chain, x0, x, target, method="exact", radius=radius, exact=True
-        ).value
+        ell = martin_kernel(chain, x0, x, target, radius=radius).value
     return ratio * (1 + ell / params.odds)
 
 

@@ -138,19 +138,6 @@ class WindowOperator:
             for i in range(len(ptr) - 1)
         ]
 
-    @classmethod
-    def from_rows(cls, rows) -> "WindowOperator":
-        """The operator of rows given as lists of (column, probability)."""
-        entries = [(i, j, Fraction(p)) for i, row in enumerate(rows) for j, p in row]
-        den = math.lcm(1, *(p.denominator for _, _, p in entries))
-        return _operator(
-            np.array([i for i, _, _ in entries], dtype=np.int64),
-            np.array([j for _, j, _ in entries], dtype=np.int64),
-            _int_array([p.numerator * (den // p.denominator) for _, _, p in entries]),
-            den,
-            np.zeros(len(rows), dtype=np.int64),
-        )
-
 
 def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
     """num / den as float64, each entry correctly rounded."""

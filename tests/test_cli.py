@@ -120,6 +120,24 @@ class TestGreen:
         assert "--x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["green", "--chain", "z", "--x0", "0", "--x", "1", "--y", "2"],
+        ["martin", "--chain", "z", "--x0", "0", "--alpha", "+inf", "--eval", "1"],
+    ],
+    ids=["green", "martin"],
+)
+def test_window_radius_below_one_is_usage_error(capsys, argv, radius):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--window-radius", radius])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window-radius" in captured.err
+
+
 class TestMartin:
     def test_line_profile_evaluations(self, capsys):
         code, doc = invoke_json(
