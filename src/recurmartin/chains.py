@@ -173,6 +173,18 @@ def distribution_after(chain: ChainSpec, x: StateId, n: int) -> dict:
     return dist
 
 
+def _merged_row(chain: ChainSpec, x: StateId) -> dict:
+    """The one-step law at x as {state: (numerator, denominator)}.
+
+    A state listed more than once in ``successors(x)`` carries its summed
+    probability, at the place of its first listing.
+    """
+    merged: dict = {}
+    for t, p in chain.successors(x):
+        merged[t] = merged.get(t, 0) + p
+    return {t: p.as_integer_ratio() for t, p in merged.items()}
+
+
 def enumerate_paths(
     chain: ChainSpec,
     x: StateId,
@@ -181,23 +193,31 @@ def enumerate_paths(
 ) -> Iterator[PathWeight]:
     """Yield every length-n path from x with its exact probability.
 
-    Raises PathBudgetExceededError as soon as more than `budget` paths would
-    be produced.
+    A state listed more than once in a ``successors`` row is one step,
+    carrying the summed probability, at the place of its first listing.
+    Partial paths carry their probability as an unreduced integer pair,
+    reduced once per yielded path. Raises PathBudgetExceededError as soon
+    as more than `budget` paths (distinct state sequences) would be
+    produced.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     produced = 0
-    stack: list[tuple[tuple, Fraction]] = [((x,), Fraction(1))]
+    rows: dict = {}
+    stack: list[tuple[tuple, int, int]] = [((x,), 1, 1)]
     while stack:
-        states, prob = stack.pop()
+        states, num, den = stack.pop()
         if len(states) == n + 1:
             produced += 1
             if produced > budget:
                 raise PathBudgetExceededError(produced, budget)
-            yield PathWeight(states, prob)
+            yield PathWeight(states, Fraction(num, den))
             continue
-        for t, p in chain.successors(states[-1]):
-            stack.append((states + (t,), prob * p))
+        row = rows.get(states[-1])
+        if row is None:
+            row = rows[states[-1]] = list(_merged_row(chain, states[-1]).items())
+        for t, (p, q) in row:
+            stack.append((states + (t,), num * p, den * q))
 
 
 def row_sum(chain: ChainSpec, x: StateId) -> Fraction:

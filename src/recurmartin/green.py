@@ -5,9 +5,10 @@ counting time 0, strictly before the first return to the base state x0.
 It is computed in two ways:
 
 * ``green_solve`` — linear solve of the killed one-step system on a finite
-  window, in exact rational arithmetic (sparse elimination in minimum
-  Markowitz order, fill-free on the line, the half line and trees) or in
-  floating point (sparse LU);
+  window, exactly (fraction-free sparse elimination of the integer matrix
+  den (I - M) in minimum Markowitz order, fill-free on the line, the half
+  line and trees, with one ``Fraction`` per solved entry) or in floating
+  point (sparse LU);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
   the base state on one ensemble driver, ``_ensemble``: vectorized lanes
   for the built-in laws, and for any chain a lane over its successor table.
@@ -60,8 +61,10 @@ from .window import (
 
 #: Exact solves above this window size are refused unless the window is a
 #: forest: tree-shaped windows (the line, the half line, trees) eliminate
-#: without fill at any size, but 2-D windows fill in and their Fraction
-#: entries grow, so large planar exact solves take seconds to minutes.
+#: without fill at any size, but 2-D windows fill in and their integer rows
+#: grow. The z2 kill solve takes about 0.016 / 0.15 / 1.0 s at radius
+#: 6 / 10 / 14 (169 / 441 / 841 states; Python 3.11 on a 2-core Xeon VM),
+#: about as the fifth power of the radius.
 EXACT_SOLVE_LIMIT = 1200
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -136,14 +139,21 @@ def window_rows(
 
 
 def _eliminate(a: list, b: list, ncols: int) -> list:
-    """Solve A X = B exactly by sparse elimination on diagonal pivots.
+    """Solve A X = B exactly by fraction-free sparse elimination.
 
-    ``a[i]`` maps column -> nonzero coefficient of row i and ``b[i]`` maps
-    right-hand-side column -> nonzero entry; both are consumed. Pivots are
-    taken in order of least Markowitz count, (row nonzeros - 1) x (column
-    nonzeros - 1), from a heap with lazy re-push, so tree-shaped systems
-    (line, half line, k-ary tree) eliminate leaves first with no fill.
-    Returns X as ``ncols`` lists of length n.
+    ``a[i]`` maps column -> nonzero integer coefficient of row i and
+    ``b[i]`` maps right-hand-side column -> nonzero integer entry; both are
+    consumed. Pivots are diagonal, taken in order of least Markowitz count,
+    (row nonzeros - 1) x (column nonzeros - 1), from a heap with lazy
+    re-push, so tree-shaped systems (line, half line, k-ary tree) eliminate
+    leaves first with no fill. Rows stay in integers (Bareiss 1968): with
+    g = gcd(a_ik, a_kk), row i becomes (a_kk/g) row i - (a_ik/g) row k and
+    is then divided by its content, one gcd per row update where Fraction
+    entries pay one per entry. Each row remains a nonzero multiple of the
+    rational row, so the zero pattern, hence every pivot and every
+    refusal, is that of rational elimination. Back-substitution carries
+    unreduced integer pairs and reduces once per solved entry. Returns X
+    as ``ncols`` lists of length n of Fractions.
 
     Callers pass I - M with M substochastic (possibly after scaling rows).
     Such a matrix is singular exactly when rho(M) = 1 and is otherwise a
@@ -160,6 +170,7 @@ def _eliminate(a: list, b: list, ncols: int) -> list:
     def markowitz(v):
         return (len(a[v]) - 1) * (len(cols[v]) - 1)
 
+    gcd = math.gcd
     heap = [(markowitz(v), v) for v in range(n)]
     heapq.heapify(heap)
     pivots = [None] * n
@@ -181,7 +192,12 @@ def _eliminate(a: list, b: list, ncols: int) -> list:
         touched = set(rowk)
         for i in cols[k]:
             rowi, bi = a[i], b[i]
-            f = rowi.pop(k) / pivot
+            aik = rowi.pop(k)
+            g = gcd(aik, pivot)
+            f, s = aik // g, pivot // g
+            if s != 1:
+                rowi = a[i] = {j: s * v for j, v in rowi.items()}
+                bi = b[i] = {c: s * v for c, v in bi.items()}
             for j, v in rowk.items():
                 w = rowi.get(j, 0) - f * v
                 if w:
@@ -196,19 +212,35 @@ def _eliminate(a: list, b: list, ncols: int) -> list:
                     bi[c] = w
                 else:
                     del bi[c]
+            g = gcd(*rowi.values(), *bi.values())
+            if g > 1:
+                for j in rowi:
+                    rowi[j] //= g
+                for c in bi:
+                    bi[c] //= g
             touched.add(i)
         cols[k] = set()
         for v in touched:
             heapq.heappush(heap, (markowitz(v), v))
-    x = [[Fraction(0)] * n for _ in range(ncols)]
-    for k in reversed(order):
-        rowk, bk, pivot = a[k], b[k], pivots[k]
-        for c, xc in enumerate(x):
-            s = bk.get(c, Fraction(0))
-            for j, v in rowk.items():
-                if xc[j]:
-                    s -= v * xc[j]
-            xc[k] = s / pivot
+    x = []
+    for c in range(ncols):
+        num, den = [0] * n, [1] * n
+        xc = [Fraction(0)] * n
+        for k in reversed(order):
+            # row k reads pivot x_k + sum_j a_kj x_j = b_kc: s/d = b_kc - sum
+            s, d = b[k].get(c, 0), 1
+            for j, v in a[k].items():
+                nj = num[j]
+                if nj:
+                    dj = den[j]
+                    if dj == d:
+                        s -= v * nj
+                    else:
+                        s, d = s * dj - v * nj * d, d * dj
+            if s:
+                xk = xc[k] = Fraction(s, d * pivots[k])
+                num[k], den[k] = xk.numerator, xk.denominator
+        x.append(xc)
     return x
 
 
@@ -231,8 +263,13 @@ def _forest(rows: list) -> bool:
     return True
 
 
-def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fraction]]:
-    """Solve (I - M) g = e_c for each column c, exactly."""
+def _solve_columns_integer(rows: list, scales: list, columns: list[int]) -> list[list[Fraction]]:
+    """Solve (I - M) g = e_c for each column c, exactly.
+
+    Row i of M is the pairs (j, w) of ``rows[i]``, probabilities
+    w / ``scales[i]``; equation i is multiplied by ``scales[i]``, so the
+    elimination sees integers only.
+    """
     n = len(rows)
     if n > EXACT_SOLVE_LIMIT and not _forest(rows):
         raise ValueError(
@@ -241,10 +278,10 @@ def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fractio
             "use the floating solver"
         )
     a = []
-    for i, row in enumerate(rows):
-        entries = {i: Fraction(1)}
-        for j, p in row:
-            w = entries.get(j, 0) - p
+    for i, (row, m) in enumerate(zip(rows, scales)):
+        entries = {i: m}
+        for j, w in row:
+            w = entries.get(j, 0) - w
             if w:
                 entries[j] = w
             else:
@@ -252,8 +289,19 @@ def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fractio
         a.append(entries)
     b = [{} for _ in range(n)]
     for c_ix, c in enumerate(columns):
-        b[c][c_ix] = Fraction(1)
+        b[c][c_ix] = scales[c]
     return _eliminate(a, b, len(columns))
+
+
+def _solve_columns_fraction(rows: list, columns: list[int]) -> list[list[Fraction]]:
+    """Solve (I - M) g = e_c for each column c, exactly, from rows of
+    (column, Fraction) pairs, each scaled by the lcm of its denominators."""
+    scales = [math.lcm(1, *(p.denominator for _, p in row)) for row in rows]
+    ints = [
+        [(j, p.numerator * (m // p.denominator)) for j, p in row]
+        for row, m in zip(rows, scales)
+    ]
+    return _solve_columns_integer(ints, scales, columns)
 
 
 def _solve_columns_float(op: WindowOperator, columns: list[int]) -> list[np.ndarray]:
@@ -288,9 +336,11 @@ def _solve_columns_float(op: WindowOperator, columns: list[int]) -> list[np.ndar
 
 def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
     """Solve (I - M) g = e_c for each column c, exactly or in floats."""
-    if exact:
-        return _solve_columns_fraction(op.fraction_rows(), columns)
-    return _solve_columns_float(op, columns)
+    if not exact:
+        return _solve_columns_float(op, columns)
+    nums, cols, ptr = op.num.tolist(), op.indices.tolist(), op.indptr.tolist()
+    rows = [list(zip(cols[lo:hi], nums[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
+    return _solve_columns_integer(rows, [op.den] * len(rows), columns)
 
 
 def _window(chain, radius, states):

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, enumerate_paths, law_class
+from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, law_class
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -309,26 +309,43 @@ def rn_identity_check(
     transformed = transformed_chain(chain, params)
     report = RnIdentityReport(chain.name, chain.format_state(x), n, params.r)
     px = transformed.weight(x)
+    # left side: transformed rows (``_merged_row``) and the product of each
+    # depth's prefix as an unreduced pair, recomputed from the first state
+    # where a path leaves the previous one
     rows: dict = {}
+    nums, dens = [1] * (n + 1), [1] * (n + 1)
+    prev: tuple = ()
+    # right side: psi(w_n)/psi(x) per end state and r^visits per count
+    ratios: dict = {}
+    damping: dict = {}
     for pw in enumerate_paths(chain, x, n, budget=budget):
         states = pw.states
-        lhs = Fraction(1)
-        for a, b in zip(states, states[1:]):
+        d = 1
+        while d < len(prev) and states[d] == prev[d]:
+            d += 1
+        for i in range(d, n + 1):
+            a = states[i - 1]
             row = rows.get(a)
             if row is None:
-                row = rows[a] = dict(transformed.successors(a))
-            lhs *= row.get(b, 0)
-        visits = sum(1 for s in states[:-1] if s == params.x0)
-        rhs = (
-            pw.probability
-            * transformed.weight(states[-1])
-            / px
-            * params.r**visits
-        )
+                row = rows[a] = _merged_row(transformed, a)
+            p, q = row.get(states[i], (0, 1))
+            nums[i], dens[i] = nums[i - 1] * p, dens[i - 1] * q
+        prev = states
+        end = states[-1]
+        ratio = ratios.get(end)
+        if ratio is None:
+            ratio = ratios[end] = transformed.weight(end) / px
+        visits = states[:-1].count(params.x0)
+        rv = damping.get(visits)
+        if rv is None:
+            rv = damping[visits] = params.r**visits
+        prob = pw.probability
+        rhs_num = prob.numerator * ratio.numerator * rv.numerator
+        rhs_den = prob.denominator * ratio.denominator * rv.denominator
         report.paths_checked += 1
-        gap = abs(lhs - rhs)
-        if gap:
+        if nums[n] * rhs_den != rhs_num * dens[n]:
             report.mismatches += 1
+            gap = abs(Fraction(nums[n], dens[n]) - Fraction(rhs_num, rhs_den))
             if gap > report.max_discrepancy:
                 report.max_discrepancy = gap
     return report

@@ -396,19 +396,25 @@ def _patch_oracle_matches(table: PotentialTable) -> bool:
     rhs = [ZERO for _ in interior]
     for pt, k in index.items():
         if pt == (0, 0):
-            rows[k][k] = Fraction(1)
+            rows[k][k] = 1
             continue
-        rows[k][k] = Fraction(4)
+        rows[k][k] = 4
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nb = (pt[0] + di, pt[1] + dj)
             kk = index.get(nb)
             if kk is None:
                 rhs[k] = rhs[k] + table.value(nb)
             else:
-                rows[k][kk] = Fraction(-1)
+                rows[k][kk] = -1
     # the p and q parts never mix under rational row operations: solve both
-    # as two right-hand-side columns of one elimination
-    b = [{c: v for c, v in enumerate((r.p, r.q)) if v} for r in rhs]
+    # as two right-hand-side columns of one elimination, each equation
+    # scaled to integers by the lcm of its p and q denominators
+    b = []
+    for row, r in zip(rows, rhs):
+        m = math.lcm(r.p.denominator, r.q.denominator)
+        for j in row:
+            row[j] *= m
+        b.append({c: v.numerator * (m // v.denominator) for c, v in enumerate((r.p, r.q)) if v})
     p_part, q_part = _eliminate(rows, b, 2)
     k = index[(3, 1)]
     return PiRational(p_part[k], q_part[k]) == table.value((3, 1))

@@ -128,7 +128,7 @@ class WindowOperator:
         return exact_floats(self.num, self.den)
 
     def fraction_rows(self) -> list:
-        """Rows as lists of (column, Fraction), the exact solver's input."""
+        """Rows as lists of (column, Fraction)."""
         den = self.den
         nums = self.num.tolist()
         frac = {v: Fraction(v, den) for v in set(nums)}

@@ -12,7 +12,9 @@ from recurmartin.chains import (
     verify_stationary,
 )
 from recurmartin.errors import MissingPredecessorsError, PathBudgetExceededError
-from recurmartin.examplechains import BangBangWalk, KaryTree, Z2Walk, ZWalk
+from recurmartin.examplechains import BangBangWalk, KaryTree, LineEnd, Z2Walk, ZWalk
+from recurmartin.htransform import TransformParams, rn_identity_check
+from recurmartin.sigma import verify_concatenation
 
 ALL_CHAINS = [ZWalk(), BangBangWalk(Fraction(1, 3)), KaryTree(2), Z2Walk()]
 
@@ -131,3 +133,24 @@ def test_verify_stationary_flags_a_wrong_measure():
     report = verify_stationary(Lopsided(), [-1, 0, 1])
     assert not report.all_ok
     assert {r.state for r in report.failures()} == {-1, 0, 1}
+
+
+class DupZ(ZWalk):
+    """The line walk with its up-move listed twice, as 1/8 + 3/8: the same law."""
+
+    def successors(self, x):
+        return [(x - 1, Fraction(1, 2)), (x + 1, Fraction(1, 8)), (x + 1, Fraction(3, 8))]
+
+
+def test_enumerate_paths_merges_repeated_successors():
+    merged = [(p.states, p.probability) for p in enumerate_paths(DupZ(), 0, 3)]
+    assert merged == [(p.states, p.probability) for p in enumerate_paths(ZWalk(), 0, 3)]
+    # the budget counts distinct state sequences
+    assert len(list(enumerate_paths(DupZ(), 0, 3, budget=8))) == 8
+
+
+def test_path_identities_hold_with_repeated_successors():
+    report = rn_identity_check(DupZ(), TransformParams(0, LineEnd(1)), 0, 4)
+    assert (report.paths_checked, report.mismatches) == (16, 0)
+    concat = verify_concatenation(DupZ(), 0, lambda s: 2 * max(s, 0), 0, 1, 1, 3)
+    assert concat.max_discrepancy == 0 and concat.paths_checked == 8

@@ -331,6 +331,35 @@ class TestPotentialGolden:
         assert out == (self.GOLDEN / f"{name}.out").read_text()
 
 
+class TestExactGolden:
+    """Exact-lane stdout pinned byte for byte.
+
+    Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
+    with the argv below, recorded while the window elimination still ran on
+    ``Fraction`` entries. The z2 kill window of radius 8 (289 states) is the
+    largest non-tree window the CLI still solves exactly.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "verify_exact": ("verify", "--suite", "exact"),
+        "green_z_exact_r50": ("green", "--chain", "z", "--x0", "0", "--x", "2", "--y", "3",
+                              "--method", "exact", "--window-radius", "50"),
+        "martin_tree_mixture_r7": ("martin", "--chain", "tree:k=2", "--x0", "@",
+                                   "--mixture", "1/2*(0)*+1/2*(1)*", "--eval", "@,0,0.1",
+                                   "--window-radius", "7"),
+        "green_z2_kill_exact_r8": ("green", "--chain", "z2", "--x0", "0,0", "--x", "1,0",
+                                   "--y", "2,0", "--method", "exact", "--policy", "kill",
+                                   "--window-radius", "8"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches_recorded_bytes(self, capsys, name):
+        code, out = invoke(capsys, *self.CASES[name])
+        assert code == 0
+        assert out == (self.GOLDEN / f"{name}.out").read_text()
+
+
 def test_import_and_float_rendering_leave_mpmath_unloaded():
     code = (
         "import sys\n"

@@ -302,6 +302,45 @@ def test_change_of_measure_identity_across_damping(r):
     assert rn_identity_check(Z, fresh_params(P_Z, r), 0, 4).exact
 
 
+class _SwappedRow(TransformedChain):
+    """The transformed line walk with its up and down entries swapped at 2.
+
+    The row still sums to 1, so only the pathwise identity can notice."""
+
+    def successors(self, x):
+        moves = super().successors(x)
+        if x != 2:
+            return moves
+        (down, p_down), (up, p_up) = moves
+        return [(down, p_up), (up, p_down)]
+
+
+def test_change_of_measure_identity_reports_a_corrupted_row(monkeypatch):
+    monkeypatch.setattr(
+        htransform_module, "transformed_chain", lambda chain, params: _SwappedRow(chain, params)
+    )
+    start, n = 1, 6
+    report = rn_identity_check(Z, P_Z, start, n)
+    # brute force: every path of the parent walk, each side as Fraction products
+    bad = _SwappedRow(Z, P_Z)
+    paths = [(start,)]
+    for _ in range(n):
+        paths = [w + (w[-1] + d,) for w in paths for d in (-1, 1)]
+    gaps = []
+    for w in paths:
+        lhs = parent = Fraction(1)
+        for a, b in zip(w, w[1:]):
+            lhs *= dict(bad.successors(a))[b]
+            parent *= dict(Z.successors(a))[b]
+        visits = sum(1 for s in w[:-1] if s == P_Z.x0)
+        rhs = parent * psi_weight(Z, P_Z, w[-1]) / psi_weight(Z, P_Z, start) * P_Z.r**visits
+        gaps.append(abs(lhs - rhs))
+    assert report.paths_checked == len(paths) == 64
+    assert report.mismatches == sum(1 for g in gaps if g) > 0
+    assert report.max_discrepancy == max(gaps) > 0
+    assert not report.exact
+
+
 # ---------------------------------------------------------------------------
 # Ratio kernel of the transformed chain
 
