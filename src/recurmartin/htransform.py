@@ -26,12 +26,17 @@ a per-run evaluation of the transformed row computes, which the 52-bit
 integer draws pass exactly when their uniforms pass that expression, so
 no report depends on the tabulation.
 
+The row-sum identity (``verify_row_sums``) is compared in integers: with
+phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
+and beta(x0) is one positive factor on both sides, so phi's values are
+taken over one denominator and each row sum is one integer comparison.
+
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
 transformed chain exists. Its row-sum identity is still verified exactly in
 p + q/pi numerators (``verify_row_sums``) and its convergence witness
 runs in floating point.
-Every one-step identity here is one ``window.one_step_averages`` pass.
+Every one-step identity here is one ``window.one_step_sums`` pass.
 """
 from __future__ import annotations
 
@@ -63,7 +68,7 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import one_step_averages
+from .window import one_step_averages, one_step_sums
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -89,17 +94,16 @@ class TransformParams:
     x0: StateId
     alpha: object
     r: Fraction = Fraction(1, 2)
+    #: r/(1-r), the weight of the damping term inside psi; computed once,
+    #: from ``r``, when the parameters are made.
+    odds: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = Fraction(self.r)
         object.__setattr__(self, "r", r)
         if not (0 < r < 1):
             raise ValueError("damping must satisfy 0 < r < 1")
-
-    @property
-    def odds(self) -> Fraction:
-        """r/(1-r), the weight of the damping term inside psi."""
-        return self.r / (1 - self.r)
+        object.__setattr__(self, "odds", r / (1 - r))
 
 
 def psi_weight(chain: ChainSpec, params: TransformParams, x: StateId) -> Fraction:
@@ -233,11 +237,20 @@ def verify_row_sums(
 ) -> RowSumReport:
     """Check r^{1_{x=x0}} * sum_y p_{x,y} psi(y) == psi(x) on a window.
 
-    The averages are one step of the parent's code table, never
-    ``TransformedChain`` rows, so this cross-checks their validation. On
-    the plane, where psi = r/(1-r) + a(x) with a the potential kernel, the
-    identity holds for the integer parts of psi's p + q/pi numerators.
+    The averages are one step of the parent's code table
+    (``window.one_step_sums``), never ``TransformedChain`` rows, so this
+    cross-checks their validation. psi = phi / beta(x0) with
+    phi = r/(1-r) + L(., alpha) off the base and r/(1-r) at it; beta(x0)
+    is one positive factor on both sides, so the identity is checked on
+    phi, in integers over one denominator: r.numerator^{1_{x=x0}} times the
+    integer row sum of phi against r.denominator^{1_{x=x0}} times the
+    table's denominator times phi's numerator at x. L is read through
+    ``exact_martin_boundary`` once per distinct state, so a subclass's own
+    kernel is the one checked. On the plane, where psi = r/(1-r) + a(x)
+    with a the potential kernel, the same integer identity is checked on
+    each of the integer parts of psi's p + q/pi numerators.
     """
+    r = params.r
     if law_class(chain) is Z2Walk:
         from .potential import potential_table
 
@@ -252,17 +265,26 @@ def verify_row_sums(
         ]
         base = chain.base_point
     else:
-        parts, base = [lambda s: psi_weight(chain, params, s)], params.x0
+        odds, base, alpha = params.odds, params.x0, params.alpha
+        beta0 = chain.stationary(base)
+
+        def phi(s):
+            return odds if s == base else odds + exact_martin_boundary(chain, base, s, alpha)
+
+        parts = [phi]
     window = chain.window(radius)
-    steps = [one_step_averages(chain, window, f) for f in parts]
-    report = RowSumReport(chain.name, params.r, radius)
+    steps = [one_step_sums(chain, window, f) for f in parts]
+    report = RowSumReport(chain.name, r, radius)
     for i, x in enumerate(window):
-        scale = params.r if x == base else Fraction(1)
-        got = [scale * averages[i] for averages, _ in steps]
-        want = [values[i] for _, values in steps]
+        top, bottom = (r.numerator, r.denominator) if x == base else (1, 1)
         report.checked += 1
-        if got != want:
-            detail = f"{got[0]} != {want[0]}" if len(steps) == 1 else "row identity failed"
+        if any(top * s.sums[i] != bottom * s.den * s.at[i] for s in steps):
+            if len(steps) == 1:
+                (s,) = steps
+                scale = r if x == base else Fraction(1)
+                detail = f"{scale * s.average(i) / beta0} != {s.values[i] / beta0}"
+            else:
+                detail = "row identity failed"
             report.violations.append((chain.format_state(x), detail))
     return report
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .chains import ChainSpec, StateId
 from .errors import NotInConeError
 from .examplechains import LineEnd, ZWalk, exact_martin_boundary
-from .window import one_step_averages
+from .window import one_step_sums
 
 PROVENANCES = ("closed-form", "boundary-point", "mixture", "user")
 
@@ -147,18 +147,22 @@ def check_harmonic_except(
 ) -> HarmonicityCheck:
     """One-step residuals of phi off x0, plus the balance value at x0.
 
-    The residual at x is the one-step average (``window.one_step_averages``)
-    minus the value; it must vanish at every window state except the base,
-    where the balance (not constrained to vanish) is reported instead.
+    The residual at x is the one-step average minus the value; it must
+    vanish at every window state except the base, where the balance (not
+    constrained to vanish) is reported instead. Both come from one
+    ``window.one_step_sums`` pass, which tests each residual for zero in
+    integers; a residual or balance ``Fraction`` is built only where it is
+    reported.
     """
     report = HarmonicityCheck(base_point=x0, checked=0)
     get = phi.evaluate if hasattr(phi, "evaluate") else phi
-    for x, avg, value in zip(window, *one_step_averages(chain, window, get)):
+    step = one_step_sums(chain, window, get)
+    sums, at, den = step.sums, step.at, step.den
+    for i, x in enumerate(window):
         if x == x0:
-            report.balance_at_base = avg
+            report.balance_at_base = step.average(i)
             continue
         report.checked += 1
-        residual = avg - value
-        if residual != 0:
-            report.violations.append((x, residual))
+        if sums[i] - den * at[i] != 0:
+            report.violations.append((x, step.average(i) - step.values[i]))
     return report

@@ -18,6 +18,10 @@ in CSR form with integer numerators over one denominator. Loop mass and
 duplicate entries are merged in integers, so every float or ``Fraction``
 entry taken from it is the correctly rounded (or exact) value of the
 merged rational probability.
+
+``one_step_sums`` steps a table once from a sequence of states and sums a
+function's rational values over each row in integers, over one
+denominator; ``one_step_averages`` divides once per state on top of it.
 """
 from __future__ import annotations
 
@@ -127,17 +131,6 @@ class WindowOperator:
         """Entries as float64, each the correctly rounded num / den."""
         return exact_floats(self.num, self.den)
 
-    def fraction_rows(self) -> list:
-        """Rows as lists of (column, Fraction)."""
-        den = self.den
-        nums = self.num.tolist()
-        frac = {v: Fraction(v, den) for v in set(nums)}
-        cols, ptr = self.indices.tolist(), self.indptr.tolist()
-        return [
-            [(cols[e], frac[nums[e]]) for e in range(ptr[i], ptr[i + 1])]
-            for i in range(len(ptr) - 1)
-        ]
-
 
 def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
     """num / den as float64, each entry correctly rounded."""
@@ -214,17 +207,43 @@ def window_operator(
     return WindowOperator(op.indptr, op.indices, vals, den * mult, out)
 
 
-def one_step_averages(chain, states, f):
-    """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``.
+@dataclass
+class OneStepSums:
+    """One step of f from each of a sequence of states, in integers where f
+    is rational.
 
-    One step of the chain's code table (``SuccessorTable`` if it cannot
-    name a successor), with ``f`` called once per distinct state among
-    ``states`` and their live successors. Rational values give Fractions
-    summed in integers over one common denominator; others give sum(p *
-    f(t)) from Fraction(0) in canonical state order.
+    ``values[i]`` is f(states[i]) as f returned it. When every value is an
+    int or a Fraction (``exact``), ``sums`` and ``at`` are Python ints:
+    ``at[i] / lcd`` is f(states[i]) and ``sums[i] / (den * lcd)`` is
+    E[f(X_1) | X_0 = states[i]], with ``den`` the code table's denominator
+    and ``lcd`` the least common denominator of f's values. Otherwise
+    ``sums[i]`` is that average itself, summed from ``Fraction(0)`` in
+    canonical state order, ``at`` is ``values`` and ``den = lcd = 1``; in
+    both cases f is harmonic at states[i] exactly when
+    ``sums[i] - den * at[i] == 0``.
     """
+
+    values: list
+    sums: list
+    at: list
+    den: int = 1
+    lcd: int = 1
+    exact: bool = False
+
+    def average(self, i: int):
+        """E[f(X_1) | X_0 = states[i]]: a Fraction when ``exact``."""
+        if self.exact:
+            return Fraction(self.sums[i], self.den * self.lcd)
+        return self.sums[i]
+
+
+def one_step_sums(chain, states, f) -> OneStepSums:
+    """The integer core of ``one_step_averages``: one step of the chain's
+    code table (``SuccessorTable`` if it cannot name a successor), with
+    ``f`` called once per distinct state among ``states`` and their live
+    successors, and each row sum taken in integers over one denominator."""
     if not states:
-        return [], []
+        return OneStepSums([], [], [], exact=True)
     for table in (chain.code_table(states), SuccessorTable(chain)):
         codes = table.encode(states)
         succ, num, den = table.step(codes)
@@ -234,20 +253,33 @@ def one_step_averages(chain, states, f):
     named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
     points = table.decode(named)
     values = [f(t) for t in points]
-    at_states = [values[i] for i in slot[: len(states)].tolist()]
+    first = slot[: len(states)].tolist()
+    at_states = [values[i] for i in first]
     slot = slot[len(states) :]
     rational = _over_lcd(values)
     if rational is not None:
         ints, lcd = rational
         weights = np.zeros(succ.shape, dtype=object)
         weights[live] = np.array(ints, dtype=object)[slot]
-        totals = (num * weights).sum(axis=1).tolist()
-        return [Fraction(t, den * lcd) for t in totals], at_states
+        sums = (num * weights).sum(axis=1).tolist()
+        return OneStepSums(at_states, sums, [ints[i] for i in first], den, lcd, exact=True)
     terms = [[] for _ in states]
     for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
         terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
     ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
-    return [sum((t for _, t in row), Fraction(0)) for row in ordered], at_states
+    sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
+    return OneStepSums(at_states, sums, at_states)
+
+
+def one_step_averages(chain, states, f):
+    """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``.
+
+    ``one_step_sums`` divided once per state: rational values give one
+    Fraction per state, others sum(p * f(t)) from Fraction(0) in canonical
+    state order.
+    """
+    step = one_step_sums(chain, states, f)
+    return [step.average(i) for i in range(len(states))], step.values
 
 
 def weighted_sum(weights, values, scale):
@@ -264,6 +296,5 @@ def _over_lcd(values):
     and that denominator; None unless every value is an int or a Fraction."""
     if not all(isinstance(v, (int, Fraction)) for v in values):
         return None
-    values = [Fraction(v) for v in values]
     lcd = math.lcm(1, *(v.denominator for v in values))
     return [v.numerator * (lcd // v.denominator) for v in values], lcd

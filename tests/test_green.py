@@ -66,6 +66,16 @@ TREE3 = KaryTree(3)
 PLANE = Z2Walk()
 
 
+def fraction_rows(op):
+    """The operator's rows as lists of (column, Fraction), read from its CSR
+    arrays: a reference view of the integer numerators."""
+    cols, nums, ptr = op.indices.tolist(), op.num.tolist(), op.indptr.tolist()
+    return [
+        [(cols[e], Fraction(nums[e], op.den)) for e in range(ptr[i], ptr[i + 1])]
+        for i in range(len(ptr) - 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Window policies
 
@@ -306,7 +316,7 @@ def test_sparse_elimination_detects_closed_class():
         den=2,
         escaped=np.array([0, 0, 1]),
     )
-    assert op.fraction_rows() == rows
+    assert fraction_rows(op) == rows
     with pytest.raises(SingularSystemError):
         _solve_columns_float(op, [2])
 
@@ -788,7 +798,7 @@ def test_square_exit_law_matches_the_exact_window_solve(m):
     # square's state z next to w
     dx, dy, p = _square_exit_law(m)
     index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
-    (g,) = _solve_columns_fraction(op.fraction_rows(), [index[(0, 0)]])
+    (g,) = _solve_columns_fraction(fraction_rows(op), [index[(0, 0)]])
     for x, y, q in zip(dx.tolist(), dy.tolist(), p.tolist()):
         z = (max(-m, min(m, x)), max(-m, min(m, y)))
         assert abs(q - float(g[index[z]] / 4)) <= 1e-13

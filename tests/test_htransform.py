@@ -56,7 +56,12 @@ from recurmartin.htransform import (
     transience_witness,
     verify_row_sums,
 )
-from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_boundary
+from recurmartin.martin import (
+    BoundaryMixture,
+    check_harmonic_except,
+    mixture_profile,
+    profile_from_boundary,
+)
 from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, stream_keys
 
 Z = ZWalk()
@@ -249,6 +254,39 @@ def test_row_sum_checks_catch_a_corrupted_kernel():
     assert not report.all_ok
     with pytest.raises(RowSumViolationError):
         TransformedChain(corrupted, params).successors(2)
+
+
+class _BentHalfLineKernel(BangBangWalk):
+    """Negative control: the half-line kernel with its value at 3 moved by 1/7."""
+
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        bump = Fraction(1, 7) if x == 3 else 0
+        return super().exact_boundary_kernel(x, alpha, base) + bump
+
+
+class _BentTreeKernel(KaryTree):
+    """Negative control: the tree kernel with its value at 01 moved by 1/5."""
+
+    def exact_boundary_kernel(self, x, alpha, base=ROOT):
+        bump = Fraction(1, 5) if x == (0, 1) else 0
+        return super().exact_boundary_kernel(x, alpha, base) + bump
+
+
+BENT = {
+    "line": (_NonHarmonicKernel(), P_Z, 6, 2),
+    "halfline": (_BentHalfLineKernel(), P_BB, 6, 3),
+    "tree": (_BentTreeKernel(2), P_TREE, 3, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BENT))
+def test_row_sum_checks_of_every_rational_law_catch_a_corrupted_kernel(law):
+    # every violating state and detail is pinned with the reports below
+    chain, params, radius, bad = BENT[law]
+    report = verify_row_sums(chain, params, radius)
+    assert chain.format_state(bad) in {state for state, _ in report.violations}
+    with pytest.raises(RowSumViolationError):
+        TransformedChain(chain, params).successors(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +537,76 @@ def test_inverse_map_checks_a_base_outside_the_window():
     recovered = r_map_inverse(Z, params, lambda x: Fraction(1))
     assert recovered(30) == 0
     assert recovered(31) == psi_weight(Z, params, 31) - psi_weight(Z, params, 30)
+
+
+# ---------------------------------------------------------------------------
+# Reports pinned to recorded values
+#
+# Each entry of ``golden/one_step_reports.json`` is the repr of the value
+# below, recorded while psi was summed one Fraction per state and every
+# residual was a Fraction: the verify suite's exact cases, the x^2 negative
+# control, the benchmark's profile checks, the corrupted kernels and the
+# profile correspondence.
+
+
+def _profile_check(chain, x0, alpha, radius):
+    phi = profile_from_boundary(chain, x0, chain.parse_boundary(alpha))
+    return check_harmonic_except(chain, phi, x0, chain.window(radius))
+
+
+def _report_cases():
+    cases = {}
+    for chain, alpha, radius in ((Z, "+inf", 20), (BB, "inf", 20), (TREE, "(0)*", 5)):
+        cases[f"profile mass, {chain.name} r={radius}"] = (
+            lambda chain=chain, alpha=alpha, radius=radius:
+            _profile_check(chain, chain.base_point, alpha, radius)
+        )
+    verify_cases = ((Z, P_Z, 15), (BB, P_BB, 15), (TREE, P_TREE, 5), (PLANE, P_PLANE, 8))
+    for chain, params, radius in verify_cases:
+        for r in R_GRID:
+            cases[f"row sums, {chain.name} r={radius} damping={r}"] = (
+                lambda chain=chain, params=fresh_params(params, r), radius=radius:
+                verify_row_sums(chain, params, radius)
+            )
+    cases["negative control, x^2 on z r=8"] = (
+        lambda: check_harmonic_except(Z, lambda s: Fraction(s) ** 2, 0, Z.window(8))
+    )
+    for alpha in ("+inf", "-inf"):
+        cases[f"profile.z {alpha} r=200"] = lambda alpha=alpha: _profile_check(Z, 0, alpha, 200)
+    for alpha in ("(0)*", "(1)*", "(01)*", "1(0)*"):
+        cases[f"profile.tree {alpha} r=7"] = (
+            lambda alpha=alpha: _profile_check(TREE, ROOT, alpha, 7)
+        )
+    for law, (chain, params, radius, _) in BENT.items():
+        cases[f"row sums, corrupted {law} kernel"] = (
+            lambda chain=chain, params=params, radius=radius:
+            verify_row_sums(chain, params, radius)
+        )
+    for chain, params, radius in ((Z, P_Z, 12), (BB, P_BB, 12), (TREE, P_TREE, 4)):
+        window = chain.window(radius)
+        phi = profile_from_boundary(chain, params.x0, params.alpha)
+        cases[f"r_map and r_map_inverse, {chain.name}"] = (
+            lambda chain=chain, params=params, window=window, phi=phi: (
+                [r_map(chain, params, phi)(x) for x in window],
+                [r_map_inverse(chain, params, lambda x: Fraction(1))(x) for x in window],
+            )
+        )
+    return cases
+
+
+REPORT_CASES = _report_cases()
+REPORT_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "one_step_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_reports_equal_their_recorded_reprs(name):
+    assert repr(REPORT_CASES[name]()) == REPORT_GOLDEN[name]
+
+
+def test_every_recorded_report_has_a_case():
+    assert sorted(REPORT_GOLDEN) == sorted(REPORT_CASES)
 
 
 # ---------------------------------------------------------------------------

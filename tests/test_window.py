@@ -12,12 +12,18 @@ chain subclass that overrides ``successors`` must leave the vectorized
 tables. ``one_step_averages`` must equal the per-state ``Fraction`` sum
 over ``step_distribution`` on every kind of table, call its function once
 per live successor, and let the one-step identities of the built-in laws
-run without a single ``successors()`` call.
+run without a single ``successors()`` call. Its integer core
+``one_step_sums`` must give, for random rational f, the same averages over
+its denominator and f's values over theirs, while a float f keeps the
+canonical-order ``Fraction`` sum bit for bit. The operator's rows are read
+back as ``Fraction`` lists from its CSR arrays by a test-local helper.
 """
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -46,6 +52,7 @@ from recurmartin.window import (
     SuccessorTable,
     WindowOperator,
     one_step_averages,
+    one_step_sums,
     window_operator,
 )
 
@@ -72,6 +79,16 @@ def successor_driven(chain):
     twin = object.__new__(plain)
     twin.__dict__.update(chain.__dict__)
     return twin
+
+
+def fraction_rows(op):
+    """The operator's rows as lists of (column, Fraction), read from its CSR
+    arrays: a reference view of the integer numerators."""
+    cols, nums, ptr = op.indices.tolist(), op.num.tolist(), op.indptr.tolist()
+    return [
+        [(cols[e], Fraction(nums[e], op.den)) for e in range(ptr[i], ptr[i + 1])]
+        for i in range(len(ptr) - 1)
+    ]
 
 
 def reference_rows(chain, window, kill_into=None, row_scale=None, policy="loop"):
@@ -164,7 +181,7 @@ def test_operator_equals_the_successor_derived_operator(name, policy):
         assert_same_operator(op, pop)
         # and both equal the per-state Fraction rows
         _, ref = reference_rows(chain, window, policy=policy, **kw)
-        assert op.fraction_rows() == ref
+        assert fraction_rows(op) == ref
         assert len(op) == len(window)
         assert [len(r) for r in op] == [len(r) for r in ref]
 
@@ -187,7 +204,7 @@ def test_operator_merges_duplicates_and_loop_mass_in_integers():
 
     _, op = window_rows(Lazy(), [0, 1, 2], policy="loop")
     assert op.den == 6
-    assert op.fraction_rows() == [
+    assert fraction_rows(op) == [
         [(0, Fraction(2, 3)), (1, Fraction(1, 3))],
         [(0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))],
         [(1, Fraction(1, 3)), (2, Fraction(2, 3))],
@@ -250,7 +267,7 @@ def test_default_table_keeps_numerators_wider_than_int64():
     window = chain.window(6)
     _, op = window_rows(chain, window, kill_into=0, policy="loop")
     assert op.num.dtype == object
-    assert op.fraction_rows() == reference_rows(chain, window, kill_into=0)[1]
+    assert fraction_rows(op) == reference_rows(chain, window, kill_into=0)[1]
     (exact,) = green_solve(chain, 0, [(2, 3)], Truncation(6), exact=True)
     (approx,) = green_solve(chain, 0, [(2, 3)], Truncation(6))
     index, col = reference_float_solve(chain, 0, window, [3], "loop")
@@ -260,7 +277,7 @@ def test_default_table_keeps_numerators_wider_than_int64():
 
 def test_empty_window_operator():
     op = window_operator(SuccessorTable(ZWalk()), np.zeros(0, dtype=np.int64))
-    assert len(op) == 0 and op.fraction_rows() == []
+    assert len(op) == 0 and fraction_rows(op) == []
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +430,47 @@ def test_deep_tree_averages_leave_the_vectorized_table():
 
 def test_one_step_averages_of_no_states():
     assert one_step_averages(KaryTree(2), [], len) == ([], [])
+
+
+SUM_LAWS = {
+    "z": (ZWalk(), 5),
+    "bangbang": (BangBangWalk(Fraction(2, 5)), 6),
+    "tree": (KaryTree(3), 2),
+    "z2": (Z2Walk(), 2),
+    "lazy subclass": (LazyTree(2), 3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(sorted(SUM_LAWS)), data=st.data())
+def test_one_step_sums_are_the_averages_in_integers(law, data):
+    chain, radius = SUM_LAWS[law]
+    on_successors = isinstance(chain.code_table([chain.base_point]), SuccessorTable)
+    assert on_successors == (law == "lazy subclass")
+    states = data.draw(st.lists(st.sampled_from(chain.window(radius)), min_size=1, max_size=6))
+    drawn: dict = {}
+
+    def f(t):  # a random rational function, drawn state by state
+        if t not in drawn:
+            drawn[t] = data.draw(st.integers(-40, 40) | st.fractions(max_denominator=24))
+        return drawn[t]
+
+    step = one_step_sums(chain, states, f)
+    assert step.exact
+    averages = [Fraction(t, step.den * step.lcd) for t in step.sums]
+    assert averages == reference_averages(chain, states, f)
+    assert (averages, step.values) == one_step_averages(chain, states, f)
+    assert [Fraction(v, step.lcd) for v in step.at] == [f(s) for s in states]
+    assert step.values == [f(s) for s in states]
+    # a float-valued f keeps the canonical-order Fraction sum, bit for bit
+    def g(t):
+        return float(f(t))
+
+    floats = one_step_sums(chain, states, g)
+    assert not floats.exact
+    want = reference_averages(chain, states, g)
+    assert [v.hex() for v in floats.sums] == [v.hex() for v in want]
+    assert one_step_averages(chain, states, g) == (floats.sums, [g(s) for s in states])
 
 
 @pytest.mark.parametrize("chain", [ZWalk(), BangBangWalk(), KaryTree(2), Z2Walk()])
