@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain as iter_chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -544,14 +544,20 @@ class Z2Walk(ChainSpec):
         return (int(parts[0]), int(parts[1]))
 
     def window(self, radius: int):
-        rng = range(-radius, radius + 1)
-        return sorted(((a, b) for a in rng for b in rng), key=self.state_key)
+        side = np.arange(-radius, radius + 1, dtype=np.int64)
+        a, b = np.repeat(side, len(side)), np.tile(side, len(side))
+        order = np.lexsort((b, a, np.maximum(np.abs(a), np.abs(b))))  # state_key
+        return list(zip(a[order].tolist(), b[order].tolist()))
 
     def window_size(self, radius: int) -> int:
         return (2 * radius + 1) ** 2
 
     def _vector_table(self, states, reach):
-        top = max((max(abs(a), abs(b)) for a, b in states), default=0)
+        try:
+            xy = _plane_coordinates(states)
+        except OverflowError:
+            return None
+        top = max(int(xy.max(initial=0)), -int(xy.min(initial=0)))
         return _PlaneTable() if top + reach < _PlaneTable.HALF else None
 
     def boundary_points(self):
@@ -664,7 +670,7 @@ class _PlaneTable:
     _MOVES = np.array([1 << SHIFT, -(1 << SHIFT), 1, -1], dtype=np.int64)
 
     def encode(self, states) -> np.ndarray:
-        xy = np.asarray(states, dtype=np.int64).reshape(len(states), 2)
+        xy = _plane_coordinates(states)
         return (xy[:, 0] << self.SHIFT) + xy[:, 1]
 
     def decode(self, codes) -> list:
@@ -675,6 +681,11 @@ class _PlaneTable:
     def step(self, codes):
         succ = codes[:, None] + self._MOVES
         return succ, np.ones_like(succ), self.den
+
+
+def _plane_coordinates(states) -> np.ndarray:
+    """The (n, 2) int64 array of planar states (a, b), read in one pass."""
+    return np.fromiter(iter_chain.from_iterable(states), np.int64).reshape(len(states), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ class HorizonFunctional:
     ``allowed`` is the per-time constraint view used by the dynamic
     programs; it is present exactly for indicator-type functionals, where
     ``evaluate(path) = 1`` iff every ``(t, path[t])`` is allowed.
+    ``allowed(t, s)`` is only consulted for t <= ``horizon``: the event is
+    fixed by then, so it must hold for every state at every later time.
     """
 
     horizon: int
@@ -242,7 +244,6 @@ def _cylinder_values(table, get, x, event, horizons):
     """
     codes = table.encode([x]) if event.allowed(0, x) else np.zeros(0, dtype=np.int64)
     weights = np.ones(len(codes), dtype=object)
-    states = table.decode(codes)
     scale = 1
     phis: dict = {}
     values = []
@@ -256,16 +257,17 @@ def _cylinder_values(table, get, x, event, horizons):
             if (flat == UNNAMED).any():
                 raise LookupError("state outside the code table's range")
             codes, weights = sum_by_key(flat, (weights[:, None] * num)[live])
-            states = table.decode(codes)
-            keep = np.fromiter(
-                (event.allowed(t + 1, s) for s in states), dtype=bool, count=len(states)
-            )
-            codes, weights = codes[keep], weights[keep]
-            states = [s for s, k in zip(states, keep) if k]
             scale *= den
             t += 1
+            if t <= event.horizon:  # past it every state is allowed
+                keep = np.fromiter(
+                    (event.allowed(t, s) for s in table.decode(codes)),
+                    dtype=bool, count=len(codes),
+                )
+                codes, weights = codes[keep], weights[keep]
             if t == event.horizon:
                 mass = Fraction(int(weights.sum()), scale)
+        states = table.decode(codes)
         for s in states:
             if s not in phis:
                 phis[s] = get(s)

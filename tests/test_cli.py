@@ -360,6 +360,38 @@ class TestExactGolden:
         assert out == (self.GOLDEN / f"{name}.out").read_text()
 
 
+class TestFloatGolden:
+    """Float-lane stdout pinned byte for byte.
+
+    Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
+    with the argv below, recorded while the float solve still factored in
+    SuperLU's COLAMD column order. The first two solve z2 windows past the
+    CLI's 300-state exact switch; ``tree:k=3`` at its default radius stays
+    exact, ``tree:k=2`` at radius 9 (1,023 states) goes to floats, and the
+    avoidance value takes the separating branch.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "green_z2_float": ("green", "--chain", "z2", "--x0", "0,0", "--x", "1,0", "--y", "2,0"),
+        "green_z2_kill_float_r20": ("green", "--chain", "z2", "--x0", "0,0", "--x", "1,0",
+                                    "--y", "2,1", "--method", "exact", "--policy", "kill",
+                                    "--window-radius", "20"),
+        "green_tree3_float": ("green", "--chain", "tree:k=3", "--x0", "@", "--x", "1.2",
+                              "--y", "1"),
+        "green_tree2_float_r9": ("green", "--chain", "tree:k=2", "--x0", "@", "--x", "0",
+                                 "--y", "0.1", "--method", "exact", "--window-radius", "9"),
+        "measure_z_avoid": ("measure", "--chain", "z", "--x0", "0", "--phi", "boundary:+inf",
+                            "--x", "2", "--event", "avoid:1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches_recorded_bytes(self, capsys, name):
+        code, out = invoke(capsys, *self.CASES[name])
+        assert code == 0
+        assert out == (self.GOLDEN / f"{name}.out").read_text()
+
+
 def test_import_and_float_rendering_leave_mpmath_unloaded():
     code = (
         "import sys\n"

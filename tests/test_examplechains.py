@@ -272,6 +272,16 @@ def test_windows():
     assert len(plane) == 25 and len(set(plane)) == 25
 
 
+@pytest.mark.parametrize("radius", range(13))
+def test_plane_window_is_in_state_key_order(radius):
+    plane = Z2Walk()
+    side = range(-radius, radius + 1)
+    window = plane.window(radius)
+    assert window == sorted(((a, b) for a in side for b in side), key=plane.state_key)
+    assert all(type(c) is int for s in window for c in s)
+    assert len(window) == plane.window_size(radius)
+
+
 @pytest.mark.parametrize(
     "chain", [ZWalk(), BangBangWalk(), KaryTree(2), KaryTree(3), KaryTree(5), Z2Walk()]
 )

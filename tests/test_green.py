@@ -44,7 +44,7 @@ from recurmartin.green import (
     _exit_level,
     _line_jumps,
     _solve_columns_float,
-    _solve_columns_fraction,
+    _solve_columns_integer,
     _square_exit_law,
     _tree_jumps,
     default_radius,
@@ -74,6 +74,18 @@ def fraction_rows(op):
         [(cols[e], Fraction(nums[e], op.den)) for e in range(ptr[i], ptr[i + 1])]
         for i in range(len(ptr) - 1)
     ]
+
+
+def fraction_solve(rows, columns):
+    """Solve (I - M) g = e_c for each column c, exactly, from rows of
+    (column, Fraction) pairs: each row is scaled by the lcm of its
+    denominators and handed to the integer elimination."""
+    scales = [math.lcm(1, *(p.denominator for _, p in row)) for row in rows]
+    ints = [
+        [(j, p.numerator * (m // p.denominator)) for j, p in row]
+        for row, m in zip(rows, scales)
+    ]
+    return _solve_columns_integer(ints, scales, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +308,9 @@ def test_sparse_elimination_matches_dense_oracle(system):
         expected = _dense_solve_columns_fraction(rows, columns)
     except SingularSystemError:
         with pytest.raises(SingularSystemError):
-            _solve_columns_fraction(rows, columns)
+            fraction_solve(rows, columns)
         return
-    got = _solve_columns_fraction(rows, columns)
+    got = fraction_solve(rows, columns)
     assert got == expected
     assert all(type(v) is Fraction for col in got for v in col)
 
@@ -307,7 +319,7 @@ def test_sparse_elimination_detects_closed_class():
     # states 0 and 1 swap forever: (I - M) is singular in both lanes
     rows = [[(1, Fraction(1))], [(0, Fraction(1))], [(0, Fraction(1, 2))]]
     with pytest.raises(SingularSystemError):
-        _solve_columns_fraction(rows, [2])
+        fraction_solve(rows, [2])
     # the same rows over the denominator 2; state 2 sends half its mass out
     op = WindowOperator(
         indptr=np.array([0, 1, 2, 3]),
@@ -798,7 +810,7 @@ def test_square_exit_law_matches_the_exact_window_solve(m):
     # square's state z next to w
     dx, dy, p = _square_exit_law(m)
     index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
-    (g,) = _solve_columns_fraction(fraction_rows(op), [index[(0, 0)]])
+    (g,) = fraction_solve(fraction_rows(op), [index[(0, 0)]])
     for x, y, q in zip(dx.tolist(), dy.tolist(), p.tolist()):
         z = (max(-m, min(m, x)), max(-m, min(m, y)))
         assert abs(q - float(g[index[z]] / 4)) <= 1e-13
@@ -917,7 +929,7 @@ def _exit_law(chain, w, a, b):
                 rows_t[index[t]].append((index[v], p))
             else:
                 out[t][index[v]] += p
-    (g,) = _solve_columns_fraction(rows_t, [index[w]])
+    (g,) = fraction_solve(rows_t, [index[w]])
     return {e: sum((gz * pz for gz, pz in zip(g, out[e])), Fraction(0)) for e in (a, b)}
 
 

@@ -231,11 +231,46 @@ PHI_BB = profile_from_boundary(BB3, 0, HalfLineEnd())
     (BB3, PHI_BB, 0, constant_one(0), [0, 3, 10, 30]),
     (TREE2, PHI_TREE, ROOT, avoid_states({(1,)}, 6), [6, 8, 10]),
     (TREE2, PHI_TREE, (0, 1), state_at_time(2, (0,)), [2, 5]),
-], ids=["z-pinned", "z-avoid", "halfline", "tree-avoid", "tree-pinned"])
+    (Z, PHI, 0, path_indicator([0, 1, 2, 1]), [3, 10, 40]),
+    (TREE2, PHI_TREE, ROOT, path_indicator([ROOT, (0,), (0, 1), (0,)]), [3, 7]),
+    (Z, PHI, 1, with_no_base_visits(state_at_time(4, 3), 0, 0, 6), [5, 12, 30]),
+    (Z, PHI, 2, with_no_base_visits(constant_one(0), 0, 1, 9), [8, 20]),
+    (TREE2, PHI_TREE, (1,), with_no_base_visits(avoid_states({(1, 1)}, 3), ROOT, 1, 5), [4, 9]),
+], ids=[
+    "z-pinned", "z-avoid", "halfline", "tree-avoid", "tree-pinned", "z-path", "tree-path",
+    "z-pinned-no-base", "z-no-base", "tree-avoid-no-base",
+])
 def test_cylinder_values_equal_the_fraction_program(chain, phi, x, event, horizons):
-    mv = cylinder_measure(chain, ROOT if x == ROOT else 0, phi, x, event, horizons)
+    mv = cylinder_measure(chain, chain.base_point, phi, x, event, horizons)
     assert [v for _, v in mv.sequence] == reference_cylinder(chain, phi, x, event, horizons)
     assert all(type(v) is Fraction for _, v in mv.sequence)
+
+
+@st.composite
+def indicator_events(draw, depth=0):
+    """An indicator functional of line states from one of the builders,
+    with the base bar wrapped around any of them."""
+    kinds = ["path", "pinned", "avoid", "one"] + (["no-base"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    states, times = st.integers(-6, 6), st.integers(0, 10)
+    if kind == "path":
+        return path_indicator(draw(st.lists(states, min_size=1, max_size=8)))
+    if kind == "pinned":
+        return state_at_time(draw(times), draw(states))
+    if kind == "avoid":
+        return avoid_states(draw(st.sets(states, max_size=4)), draw(times))
+    if kind == "one":
+        return constant_one(draw(times))
+    inner = draw(indicator_events(depth + 1))
+    start = draw(times)
+    return with_no_base_visits(inner, draw(states), start, start + draw(st.integers(1, 10)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(event=indicator_events(), later=st.integers(1, 50), s=st.integers(-10, 10))
+def test_allowed_holds_for_every_state_past_the_horizon(event, later, s):
+    # the cylinder program consults allowed(t, s) only up to the horizon
+    assert event.allowed(event.horizon + later, s)
 
 
 def test_cylinder_beyond_the_tree_code_range_falls_back_to_successors():

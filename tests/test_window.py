@@ -7,7 +7,9 @@ must equal, entry for entry, the one built from the ``successors``-derived
 default table (window order, CSR arrays, numerators, denominator, escaped
 mass), under both policies, with a killed state and with scaled rows. The
 float and exact solves are compared bit for bit with a reference that
-builds ``Fraction`` rows from ``successors()`` one state at a time. A
+builds ``Fraction`` rows from ``successors()`` one state at a time; the
+float reference factors in the program's column ordering, whose fill on
+the z2 kill window of radius 30 must stay below COLAMD's. A
 chain subclass that overrides ``successors`` must leave the vectorized
 tables. ``one_step_averages`` must equal the per-state ``Fraction`` sum
 over ``step_distribution`` on every kind of table, call its function once
@@ -16,8 +18,10 @@ run without a single ``successors()`` call. Its integer core
 ``one_step_sums`` must give, for random rational f, the same averages over
 its denominator and f's values over theirs, while a float f keeps the
 canonical-order ``Fraction`` sum bit for bit. The operator's rows are read
-back as ``Fraction`` lists from its CSR arrays by a test-local helper.
+back as ``Fraction`` lists from its CSR arrays, and solved exactly, by
+test-local helpers.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +43,9 @@ from recurmartin.examplechains import (
     ZWalk,
 )
 from recurmartin.green import (
+    FLOAT_LU_ORDERING,
     Truncation,
-    _solve_columns_fraction,
+    _solve_columns_integer,
     green_solve,
     green_solve_discounted,
     window_rows,
@@ -91,6 +96,18 @@ def fraction_rows(op):
     ]
 
 
+def fraction_solve(rows, columns):
+    """Solve (I - M) g = e_c for each column c, exactly, from rows of
+    (column, Fraction) pairs: each row is scaled by the lcm of its
+    denominators and handed to the integer elimination."""
+    scales = [math.lcm(1, *(p.denominator for _, p in row)) for row in rows]
+    ints = [
+        [(j, p.numerator * (m // p.denominator)) for j, p in row]
+        for row, m in zip(rows, scales)
+    ]
+    return _solve_columns_integer(ints, scales, columns)
+
+
 def reference_rows(chain, window, kill_into=None, row_scale=None, policy="loop"):
     """Window rows built one state at a time from successors(), as lists of
     (column, Fraction)."""
@@ -118,7 +135,8 @@ def reference_rows(chain, window, kill_into=None, row_scale=None, policy="loop")
 
 
 def reference_float_solve(chain, x0, window, ys, policy):
-    """Per-entry float assembly of I - M and a sparse LU solve."""
+    """Per-entry float assembly of I - M and a sparse LU solve in the
+    program's column ordering."""
     index, rows = reference_rows(chain, window, kill_into=x0, policy=policy)
     n = len(rows)
     data, ri, ci = [], [], []
@@ -130,7 +148,7 @@ def reference_float_solve(chain, x0, window, ys, policy):
             data.append(-float(p))
             ri.append(i)
             ci.append(j)
-    lu = splu(csc_matrix((data, (ri, ci)), shape=(n, n)))
+    lu = splu(csc_matrix((data, (ri, ci)), shape=(n, n)), permc_spec=FLOAT_LU_ORDERING)
     rhs = np.zeros((n, len(ys)))
     for c, y in enumerate(ys):
         rhs[index[y], c] = 1.0
@@ -237,6 +255,16 @@ def test_tree_table_declines_states_spanning_more_than_its_codes():
         tree.code_table([(0, 1)]).encode([(0, 2)])
 
 
+def test_plane_table_declines_states_beyond_its_coordinate_range():
+    plane = Z2Walk()
+    near = (2**30 - 2, -5)
+    table = plane.code_table([(0, 0), near])
+    assert not isinstance(table, SuccessorTable)
+    assert table.decode(table.encode([near])) == [near]
+    for far in [(2**30 - 1, 0), (0, -(2**40)), (2**63, 0), (-(2**63), 1), (3, 2**70)]:
+        assert isinstance(plane.code_table([(0, 0), far]), SuccessorTable)
+
+
 def test_law_class_follows_the_successors_override(monkeypatch):
     class Relabelled(ZWalk):
         name = "z-relabelled"
@@ -305,6 +333,24 @@ def test_float_solve_is_bit_identical_to_the_per_state_reference(chain, x0, pair
         assert r.value == max(float(col[y][index[x]]), 0.0)
 
 
+def test_float_solve_ordering_fills_less_than_colamd(monkeypatch):
+    import scipy.sparse.linalg
+
+    factored = []
+
+    def recording_splu(a, **options):
+        lu = splu(a, **options)
+        factored.append((a, lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    green_solve(Z2Walk(), (0, 0), [((1, 0), (2, 1))], Truncation(30, "kill"))
+    ((a, lu),) = factored
+    assert a.shape == (3721, 3721)
+    colamd = splu(a, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 @pytest.mark.parametrize("chain, x0, pairs, radius, policy", [
     (ZWalk(), 0, [(3, 5), (-7, -2)], 40, "kill"),
     (BangBangWalk(Fraction(2, 5)), 0, [(2, 3), (0, 5)], 20, "loop"),
@@ -316,7 +362,7 @@ def test_exact_solve_equals_the_per_state_reference(chain, x0, pairs, radius, po
     window = chain.window(radius)
     ys = sorted({y for _, y in pairs}, key=chain.state_key)
     index, rows = reference_rows(chain, window, kill_into=x0, policy=policy)
-    cols = _solve_columns_fraction(rows, [index[y] for y in ys])
+    cols = fraction_solve(rows, [index[y] for y in ys])
     for r, (x, y) in zip(got, pairs):
         assert type(r.value) is Fraction
         assert r.value == cols[ys.index(y)][index[x]]
