@@ -2,10 +2,10 @@
 
 A chain is described by its one-step transition law with *exact* rational
 probabilities. Everything downstream (Green-function solvers, harmonic
-profiles, measure evaluations) builds on the small set of primitives here:
-exact path enumeration, exact n-step distributions, and the
-stationary-measure identity check. The seeded Monte-Carlo ensembles live
-in ``green`` and ``htransform``.
+profiles, measure evaluations) builds on the primitives here: exact path
+enumeration, exact n-step laws (``distribution_after``, stepped on the
+chain's code table by ``window.propagate``) and the stationary-measure
+identity check. The seeded Monte-Carlo ensembles live in ``green`` and ``htransform``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Iterator, Optional, Sequence
 
 from .errors import MissingPredecessorsError, PathBudgetExceededError
-from .window import SuccessorTable
+from .window import SuccessorTable, propagate
 
 StateId = Hashable
 
@@ -160,17 +160,9 @@ def step_distribution(chain: ChainSpec, x: StateId) -> list[tuple[StateId, Fract
 
 
 def distribution_after(chain: ChainSpec, x: StateId, n: int) -> dict:
-    """Exact distribution of X_n started at x, as {state: Fraction}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    dist = {x: Fraction(1)}
-    for _ in range(n):
-        nxt: dict = {}
-        for s, w in dist.items():
-            for t, p in chain.successors(s):
-                nxt[t] = nxt.get(t, Fraction(0)) + w * p
-        dist = nxt
-    return dist
+    """Exact law of X_n from x, {state: Fraction} over the states of positive probability."""
+    ((states, weights, scale),) = propagate(chain, x, [n])
+    return {s: Fraction(w, scale) for s, w in zip(states, weights)}
 
 
 def _merged_row(chain: ChainSpec, x: StateId) -> dict:

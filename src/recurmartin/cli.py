@@ -316,7 +316,7 @@ def cmd_measure(args, parser):
     else:
         parser.error(f"--event: unknown event kind {kind!r}")
     payload = {
-        "value": mv.value if mv.value is not None else None,
+        "value": mv.value,
         "numeric": None if mv.value is None else float(mv.value),
         "mode": mv.mode,
         "verdict": mv.verdict,

@@ -31,12 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
 from .green import EXACT_SOLVE_LIMIT, _killed_column_values, _solve_columns, window_rows
-from .window import UNNAMED, SuccessorTable, one_step_averages, sum_by_key, weighted_sum
+from .window import one_step_averages, propagate, weighted_sum
 
 #: Ceiling on states in the window of the uncertified avoidance bracket.
 WINDOW_STATE_BUDGET = 400_000
@@ -217,13 +215,17 @@ def cylinder_measure(
     if not horizons or horizons[0] < event.horizon:
         raise ValueError(f"horizons must start at or after {event.horizon}")
     get = _phi_eval(phi)
-    try:
-        values, mass = _cylinder_values(
-            chain.code_table([x], horizons[-1]), get, x, event, horizons
-        )
-    except LookupError:  # the walk left the vectorized table's range
-        values, mass = _cylinder_values(SuccessorTable(chain), get, x, event, horizons)
-    diverges = mass > 0 and one_step_averages(chain, [x0], get)[0][0] > 0
+
+    def keep(t, states):  # past the horizon every state is allowed
+        return [event.allowed(t, s) for s in states] if t <= event.horizon else None
+
+    times = sorted({event.horizon, *horizons})
+    laws = dict(zip(times, propagate(chain, x, times, keep)))
+    phis = {s: get(s) for s in dict.fromkeys(s for n in horizons for s in laws[n][0])}
+    values = [weighted_sum(w, [phis[s] for s in states], scale)
+              for states, w, scale in (laws[n] for n in horizons)]
+    possible = sum(laws[event.horizon][1]) > 0  # P_x(event) > 0
+    diverges = possible and one_step_averages(chain, [x0], get)[0][0] > 0
     return MeasureValue(
         value=values[-1],
         mode="monotone-sequence",
@@ -231,48 +233,6 @@ def cylinder_measure(
         verdict="diverges" if diverges else "converged",
         note=event.description,
     )
-
-
-def _cylinder_values(table, get, x, event, horizons):
-    """The forward program over state codes with integer weights.
-
-    After t steps the weight of a state is its numerator over the product
-    of the steps' denominators; each horizon's value is one Fraction.
-    Returns the values and P_x(event), the total weight at the event
-    horizon. Raises LookupError when a step reaches a state the table
-    cannot name.
-    """
-    codes = table.encode([x]) if event.allowed(0, x) else np.zeros(0, dtype=np.int64)
-    weights = np.ones(len(codes), dtype=object)
-    scale = 1
-    phis: dict = {}
-    values = []
-    mass = Fraction(len(codes))
-    t = 0
-    for n in horizons:
-        while t < n:
-            succ, num, den = table.step(codes)
-            live = num > 0
-            flat = succ[live]
-            if (flat == UNNAMED).any():
-                raise LookupError("state outside the code table's range")
-            codes, weights = sum_by_key(flat, (weights[:, None] * num)[live])
-            scale *= den
-            t += 1
-            if t <= event.horizon:  # past it every state is allowed
-                keep = np.fromiter(
-                    (event.allowed(t, s) for s in table.decode(codes)),
-                    dtype=bool, count=len(codes),
-                )
-                codes, weights = codes[keep], weights[keep]
-            if t == event.horizon:
-                mass = Fraction(int(weights.sum()), scale)
-        states = table.decode(codes)
-        for s in states:
-            if s not in phis:
-                phis[s] = get(s)
-        values.append(weighted_sum(weights.tolist(), [phis[s] for s in states], scale))
-    return values, mass
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +367,7 @@ def avoidance_function(
     if law_capability(chain, "separating")(y, x, x0):
         visits, note = 0, "; no base visits, the barred state separates"
     else:
-        visits, note = _base_visits_before(chain, x, y, x0)[0], ""
+        visits, note = _base_visits_before(chain, x, y, x0), ""
     value = get(x) - get(y) + balance * visits
     return MeasureValue(
         value, "exact", verdict="bracket-closed", bracket=(float(value), float(value)),
@@ -421,15 +381,15 @@ def _visits_certified(chain) -> bool:
 
 
 def _base_visits_before(chain, x, y, x0):
-    """E_x[# visits to x0 strictly before hitting y] and its certification.
+    """E_x[# visits to x0 strictly before hitting y], on a chain whose law
+    certifies it (``_visits_certified``).
 
     On chains whose beyond-window excursions re-enter where they left,
     loop truncation at any connected window containing x, y and x0 is
     exact: a ``Fraction`` solved on their hull when the chain knows it (the
     line's and half line's interval, the tree's geodesics), else on a
     window of the containing radius. The planar walk's law gets the
-    potential-kernel closed form, as a float; anything else the looped
-    count of ``_uncertified_visits``, uncertified. Capabilities count only
+    potential-kernel closed form, as a float. Capabilities count only
     where the chain's law vouches for them (``law_capability``).
     """
     if law_class(chain) is Z2Walk:
@@ -439,14 +399,12 @@ def _base_visits_before(chain, x, y, x0):
         d0 = (x0[0] - y[0], x0[1] - y[1])
         radius = max(abs(c) for c in (*dx, *d0, dx[0] - d0[0], dx[1] - d0[1]))
         table = potential_table(radius)
-        return float(origin_killed_green(table, dx, d0)), True
-    if not _visits_certified(chain):
-        return _uncertified_visits(chain, x, y, x0)[1], False
+        return float(origin_killed_green(table, dx, d0))
     window = law_capability(chain, "hull")([x, y, x0])
     if window is None:
         window = chain.window(max(chain.norm(s) for s in (x, y, x0)) + 2)
     index, col = _killed_column_values(chain, y, window, [x0], "loop", True)
-    return col[x0][index[x]], True
+    return col[x0][index[x]]
 
 
 def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):

@@ -19,9 +19,9 @@ duplicate entries are merged in integers, so every float or ``Fraction``
 entry taken from it is the correctly rounded (or exact) value of the
 merged rational probability.
 
-``one_step_sums`` steps a table once from a sequence of states and sums a
-function's rational values over each row in integers, over one
-denominator; ``one_step_averages`` divides once per state on top of it.
+``propagate`` steps a table forward to exact n-step laws in integers and
+``one_step_sums`` sums a function over one step's rows over one denominator,
+both on ``SuccessorTable`` when the chain's table cannot name a successor.
 """
 from __future__ import annotations
 
@@ -37,6 +37,10 @@ UNNAMED = np.iinfo(np.int64).min
 
 #: Numerators and denominators below this convert to float64 exactly.
 _EXACT_FLOAT = 2**53
+
+
+class _Unnamed(LookupError):
+    """A step reached a live successor its code table cannot name."""
 
 
 class SuccessorTable:
@@ -153,7 +157,7 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray):
     keys, values = keys[rank], values[rank]
     if not keys.size:
         return keys, values
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], np.add.reduceat(values, starts)
 
 
@@ -207,6 +211,54 @@ def window_operator(
     return WindowOperator(op.indptr, op.indices, vals, den * mult, out)
 
 
+def _step(table, codes):
+    """``table.step(codes)`` and its live mask; ``_Unnamed`` if a live successor is UNNAMED."""
+    succ, num, den = table.step(codes)
+    live = num > 0
+    if (succ[live] == UNNAMED).any():
+        raise _Unnamed("a successor outside the code table's range")
+    return succ, num, den, live
+
+
+def _on_code_table(chain, states, reach, run):
+    """``run(table)`` on the chain's code table for ``states`` and ``reach``,
+    rerun on ``SuccessorTable`` when one of its steps raises ``_Unnamed``."""
+    try:
+        return run(chain.code_table(states, reach))
+    except _Unnamed:
+        return run(SuccessorTable(chain))
+
+
+def propagate(chain, x, times, keep=None) -> list:
+    """The exact law of X_t from x at each t of the increasing list ``times``:
+    one ``(states, weights, scale)`` per time, the states of positive
+    probability in code order and Python-int weights over the product of the
+    steps' denominators, P_x(X_t = s) = w / scale. ``keep(t, states)`` masks
+    the states kept at t = 0, 1, ... until it returns None."""
+    if not times or any(b <= a for a, b in zip([-1, *times], times)):
+        raise ValueError("times must be a nonempty increasing list of nonnegative ints")
+
+    def forward(table):
+        codes, weights = table.encode([x]), np.ones(1, dtype=object)
+        scale, t, on, laws = 1, 0, keep, []
+        while True:
+            if on is not None and (mask := on(t, table.decode(codes))) is not None:
+                mask = np.asarray(mask, dtype=bool)
+                codes, weights = codes[mask], weights[mask]
+            else:
+                on = None
+            if t == times[len(laws)]:
+                laws.append((table.decode(codes), weights.tolist(), scale))
+                if len(laws) == len(times):
+                    return laws
+            succ, num, den, live = _step(table, codes)
+            codes, weights = sum_by_key(succ[live], (weights[:, None] * num)[live])
+            scale *= den
+            t += 1
+
+    return _on_code_table(chain, [x], times[-1], forward)
+
+
 @dataclass
 class OneStepSums:
     """One step of f from each of a sequence of states, in integers where f
@@ -239,17 +291,17 @@ class OneStepSums:
 
 def one_step_sums(chain, states, f) -> OneStepSums:
     """The integer core of ``one_step_averages``: one step of the chain's
-    code table (``SuccessorTable`` if it cannot name a successor), with
-    ``f`` called once per distinct state among ``states`` and their live
-    successors, and each row sum taken in integers over one denominator."""
+    code table (``_on_code_table``), with ``f`` called once per distinct
+    state among ``states`` and their live successors, and each row sum
+    taken in integers over one denominator."""
     if not states:
         return OneStepSums([], [], [], exact=True)
-    for table in (chain.code_table(states), SuccessorTable(chain)):
+
+    def first_step(table):
         codes = table.encode(states)
-        succ, num, den = table.step(codes)
-        live = num > 0
-        if not (succ[live] == UNNAMED).any():
-            break
+        return (table, codes, *_step(table, codes))
+
+    table, codes, succ, num, den, live = _on_code_table(chain, states, 1, first_step)
     named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
     points = table.decode(named)
     values = [f(t) for t in points]
@@ -272,12 +324,8 @@ def one_step_sums(chain, states, f) -> OneStepSums:
 
 
 def one_step_averages(chain, states, f):
-    """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``.
-
-    ``one_step_sums`` divided once per state: rational values give one
-    Fraction per state, others sum(p * f(t)) from Fraction(0) in canonical
-    state order.
-    """
+    """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``:
+    ``one_step_sums`` divided once per state (``OneStepSums.average``)."""
     step = one_step_sums(chain, states, f)
     return [step.average(i) for i in range(len(states))], step.values
 

@@ -1,7 +1,13 @@
-"""Core chain primitives: exact distributions, paths, stationarity."""
+"""Core chain primitives: exact distributions, paths, stationarity.
+
+``distribution_after`` is checked against the per-state ``Fraction`` loop
+over ``successors()`` it replaced, kept here as a reference.
+"""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurmartin.chains import (
     ChainSpec,
@@ -13,7 +19,7 @@ from recurmartin.chains import (
 )
 from recurmartin.errors import MissingPredecessorsError, PathBudgetExceededError
 from recurmartin.examplechains import BangBangWalk, KaryTree, LineEnd, Z2Walk, ZWalk
-from recurmartin.htransform import TransformParams, rn_identity_check
+from recurmartin.htransform import TransformParams, rn_identity_check, transformed_chain
 from recurmartin.sigma import verify_concatenation
 
 ALL_CHAINS = [ZWalk(), BangBangWalk(Fraction(1, 3)), KaryTree(2), Z2Walk()]
@@ -62,6 +68,63 @@ def test_distribution_after_total_mass(chain, n):
 def test_distribution_after_rejects_negative_horizon():
     with pytest.raises(ValueError):
         distribution_after(ZWalk(), 0, -1)
+
+
+def reference_distribution(chain, x, n):
+    """The n-step law by a per-state Fraction loop over successors()."""
+    dist = {x: Fraction(1)}
+    for _ in range(n):
+        nxt: dict = {}
+        for s, w in dist.items():
+            for t, p in chain.successors(s):
+                nxt[t] = nxt.get(t, Fraction(0)) + w * p
+        dist = nxt
+    return dist
+
+
+class LazyZ(ZWalk):
+    """The line walk holding with probability 1/2: a law without a vectorized table."""
+
+    def successors(self, x):
+        return [(x - 1, Fraction(1, 4)), (x, Fraction(1, 2)), (x + 1, Fraction(1, 4))]
+
+
+LAWS = {
+    "z": ZWalk(),
+    "bangbang": BangBangWalk(Fraction(1, 3)),
+    "tree": KaryTree(2),
+    "z2": Z2Walk(),
+    "lazy subclass": LazyZ(),
+    # conditioned rows put each state's law over its own denominator
+    "transformed chain": transformed_chain(ZWalk(), TransformParams(0, LineEnd(1), Fraction(1, 3))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(law=st.sampled_from(sorted(LAWS)), data=st.data(), n=st.integers(0, 8))
+def test_distribution_after_equals_the_fraction_loop(law, data, n):
+    chain = LAWS[law]
+    x = data.draw(st.sampled_from(chain.window(3)))
+    want = {s: p for s, p in reference_distribution(chain, x, n).items() if p}
+    got = distribution_after(chain, x, n)
+    assert got == want
+    assert all(type(p) is Fraction and p > 0 for p in got.values())
+
+
+def test_distribution_after_lists_no_state_of_probability_zero():
+    class Listed(ZWalk):  # lists a move of probability 0
+        def successors(self, x):
+            return [(x - 1, Fraction(1, 2)), (x + 5, Fraction(0)), (x + 1, Fraction(1, 2))]
+
+    assert reference_distribution(Listed(), 0, 1)[5] == 0
+    assert distribution_after(Listed(), 0, 1) == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_distribution_after_refuses_an_invalid_start(n):
+    # the code table's encode refuses it, also before any step
+    with pytest.raises(ValueError):
+        distribution_after(BangBangWalk(), -1, n)
 
 
 def test_enumerate_paths_counts_and_mass():

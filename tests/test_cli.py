@@ -337,7 +337,9 @@ class TestExactGolden:
     Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
     with the argv below, recorded while the window elimination still ran on
     ``Fraction`` entries. The z2 kill window of radius 8 (289 states) is the
-    largest non-tree window the CLI still solves exactly.
+    largest non-tree window the CLI still solves exactly. The two cylinder
+    sequences were recorded while the cylinder program had its own forward
+    loop, apart from the n-step laws.
     """
 
     GOLDEN = Path(__file__).parent / "golden"
@@ -351,6 +353,11 @@ class TestExactGolden:
         "green_z2_kill_exact_r8": ("green", "--chain", "z2", "--x0", "0,0", "--x", "1,0",
                                    "--y", "2,0", "--method", "exact", "--policy", "kill",
                                    "--window-radius", "8"),
+        "measure_z_cylinder": ("measure", "--chain", "z", "--x0", "0", "--phi", "boundary:+inf",
+                               "--x", "0", "--event", "at:3=1", "--horizons", "3,10,50"),
+        "measure_tree_cylinder": ("measure", "--chain", "tree:k=2", "--x0", "@",
+                                  "--phi", "boundary:(0)*", "--x", "@", "--event", "at:3=0",
+                                  "--horizons", "3,6,9"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

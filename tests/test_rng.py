@@ -8,7 +8,8 @@ uniform is exactly b 2^-52, and a sampler compares b only against integer
 cuts: the cut rule is checked against the float comparison it replaces,
 at and next to every boundary. No module draws from another generator.
 The source scans also keep type ladders out of the package, per-state
-successors() sums out of its one-step identities, every Monte-Carlo
+successors() sums out of its one-step identities and n-step laws, code
+table steps inside ``window`` (and the generic lane's row cache), every Monte-Carlo
 lane's draws in the ensemble driver's one loop, every witness lane's in
 the witness driver's, no third loop over the draws anywhere in the
 package, and no draw scaled to a float.
@@ -66,17 +67,32 @@ def _scoped_calls(node, scope=""):
 
 
 def test_one_step_identities_read_the_code_table():
-    # residuals, balances and row sums are window.one_step_averages; only
-    # the conditioned chain's own rows and the pathwise identity, which
-    # multiplies single row entries, read successors() here
-    allowed = {"TransformedChain.successors", "rn_identity_check"}
+    # residuals, balances and row sums are window.one_step_averages and
+    # n-step laws window.propagate; only the conditioned chain's own rows,
+    # the pathwise identity, which multiplies single row entries, and the
+    # single-row primitives of chains read successors() here
+    allowed = {
+        "TransformedChain.successors", "rn_identity_check",
+        "_merged_row", "step_distribution", "row_sum",
+    }
     package = Path(recurmartin.__file__).parent
-    for name in ("martin", "htransform", "sigma"):
+    for name in ("martin", "htransform", "sigma", "chains"):
         text = (package / f"{name}.py").read_text()
-        assert "step_distribution" not in text, name
+        assert name == "chains" or "step_distribution" not in text, name
         for scope, call in _scoped_calls(ast.parse(text)):
             if isinstance(call.func, ast.Attribute) and call.func.attr == "successors":
                 assert scope in allowed, (name, scope, call.lineno)
+    # a code table is stepped by window alone, and by the generic Monte
+    # Carlo lane's row cache; green's walk.step is an ensemble walk's move
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "window":
+            continue
+        for scope, call in _scoped_calls(ast.parse(path.read_text())):
+            func = call.func
+            if isinstance(func, ast.Attribute) and func.attr == "step":
+                receiver = ast.unparse(func.value)
+                assert (path.stem, scope) == ("green", "_TableRows.fill") or (
+                    path.stem, receiver) == ("green", "walk"), (path.name, scope, call.lineno)
 
 
 def test_a_draw_depends_on_its_key_and_step_only():

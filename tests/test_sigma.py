@@ -31,6 +31,8 @@ from recurmartin.potential import origin_killed_green, potential_table
 from recurmartin.sigma import (
     AvoidanceConfig,
     _base_visits_before,
+    _uncertified_visits,
+    _visits_certified,
     avoid_states,
     avoidance_function,
     constant_one,
@@ -236,9 +238,11 @@ PHI_BB = profile_from_boundary(BB3, 0, HalfLineEnd())
     (Z, PHI, 1, with_no_base_visits(state_at_time(4, 3), 0, 0, 6), [5, 12, 30]),
     (Z, PHI, 2, with_no_base_visits(constant_one(0), 0, 1, 9), [8, 20]),
     (TREE2, PHI_TREE, (1,), with_no_base_visits(avoid_states({(1, 1)}, 3), ROOT, 1, 5), [4, 9]),
+    # climbs past the anchor of the start's code table: the default table's route
+    (TREE2, PHI_TREE, (0,) * 61, path_indicator([(0,) * (61 - t) for t in range(32)]), [31, 33]),
 ], ids=[
     "z-pinned", "z-avoid", "halfline", "tree-avoid", "tree-pinned", "z-path", "tree-path",
-    "z-pinned-no-base", "z-no-base", "tree-avoid-no-base",
+    "z-pinned-no-base", "z-no-base", "tree-avoid-no-base", "deep-tree-climb",
 ])
 def test_cylinder_values_equal_the_fraction_program(chain, phi, x, event, horizons):
     mv = cylinder_measure(chain, chain.base_point, phi, x, event, horizons)
@@ -449,7 +453,7 @@ def test_avoidance_identity_is_linear_in_the_profile():
 def test_base_visits_on_deep_tree_nodes_solve_on_the_hull():
     # the hull of (0,)^70, (1,) and the root has 72 states; the radius-72
     # window the solve used to take has 2^73 - 1
-    assert _base_visits_before(TREE2, (0,) * 70, (1,), ROOT) == (2, True)
+    assert _base_visits_before(TREE2, (0,) * 70, (1,), ROOT) == 2
     start = time.perf_counter()
     mv = avoidance_function(TREE2, ROOT, PHI_TREE, (0,) * 70, (1,))
     assert mv.value == 2**70  # 2^70 - 1 - 0 + 1/2 * 2
@@ -466,18 +470,19 @@ class LazyPlane(Z2Walk):
 
 
 def test_base_visits_closed_form_follows_the_planar_law():
-    assert _base_visits_before(Z2Walk(), (1, 0), (2, 0), (0, 0)) == (1.4535209105296747, True)
+    assert _visits_certified(Z2Walk())
+    assert _base_visits_before(Z2Walk(), (1, 0), (2, 0), (0, 0)) == 1.4535209105296747
     # holding doubles every visit count; the generic radius-27 loop solve
     # gives the simple walk 1.45497 there
-    visits, certified = _base_visits_before(LazyPlane(), (1, 0), (2, 0), (0, 0))
-    assert not certified
+    assert not _visits_certified(LazyPlane())
+    visits = _uncertified_visits(LazyPlane(), (1, 0), (2, 0), (0, 0))[1]
     assert visits == pytest.approx(2 * 1.454970663242994, rel=1e-9)
 
 
 def test_base_visits_on_the_line_solve_on_the_interval():
     # visits to 0 from 3 before hitting -2: by translation G_0(5, 2) = 4
-    assert _base_visits_before(Z, 3, -2, 0) == (Fraction(4), True)
-    assert _base_visits_before(BangBangWalk(), 4, 1, 0) == (Fraction(0), True)
+    assert _base_visits_before(Z, 3, -2, 0) == Fraction(4)
+    assert _base_visits_before(BangBangWalk(), 4, 1, 0) == Fraction(0)
 
 
 class JumpZ(ZWalk):
@@ -500,10 +505,11 @@ def test_law_capabilities_follow_the_law():
         name = "z-renamed"
 
     assert law_capability(Renamed(), "hull")([3, -2, 0]) == list(range(-2, 4))
-    assert _base_visits_before(Renamed(), 3, -2, 0) == (4, True)
-    visits, certified = _base_visits_before(jump, 3, -2, 0)
-    assert not certified
-    assert float(visits) < 2  # the hull solve gave 2.18; a radius-200 kill solve 1.837
+    assert _visits_certified(Renamed())
+    assert _base_visits_before(Renamed(), 3, -2, 0) == 4
+    assert not _visits_certified(jump)
+    # the hull solve gave 2.18; a radius-200 kill solve 1.837
+    assert float(_uncertified_visits(jump, 3, -2, 0)[1]) < 2
     mv = avoidance_function(jump, 0, PHI, 3, 1)
     assert mv.verdict == "inconclusive" and mv.mode == "bracket"
 

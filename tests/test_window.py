@@ -13,8 +13,11 @@ the z2 kill window of radius 30 must stay below COLAMD's. A
 chain subclass that overrides ``successors`` must leave the vectorized
 tables. ``one_step_averages`` must equal the per-state ``Fraction`` sum
 over ``step_distribution`` on every kind of table, call its function once
-per live successor, and let the one-step identities of the built-in laws
-run without a single ``successors()`` call. Its integer core
+per live successor, and let the one-step identities and the forward
+programs (``distribution_after``, ``cylinder_measure``) of the built-in
+laws run without a single ``successors()`` call. A forward program whose
+walk leaves the vectorized table reruns on the default table; an error of
+the caller's own code does not. Its integer core
 ``one_step_sums`` must give, for random rational f, the same averages over
 its denominator and f's values over theirs, while a float f keeps the
 canonical-order ``Fraction`` sum bit for bit. The operator's rows are read
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from recurmartin.chains import ChainSpec, law_class, step_distribution
+from recurmartin.chains import ChainSpec, distribution_after, law_class, step_distribution
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -52,12 +55,14 @@ from recurmartin.green import (
 )
 from recurmartin.htransform import TransformParams, transformed_chain, verify_row_sums
 from recurmartin.martin import check_harmonic_except, profile_from_boundary
+from recurmartin.sigma import constant_one, cylinder_measure, with_no_base_visits
 from recurmartin.window import (
     UNNAMED,
     SuccessorTable,
     WindowOperator,
     one_step_averages,
     one_step_sums,
+    propagate,
     window_operator,
 )
 
@@ -474,6 +479,43 @@ def test_deep_tree_averages_leave_the_vectorized_table():
     assert one_step_averages(tree, DEEP, len) == ([1, 61, 61], [0, 61, 61])
 
 
+def test_deep_tree_propagation_leaves_the_vectorized_table():
+    tree, deep = KaryTree(2), (0,) * 61
+    climb = [deep[: 61 - t] for t in range(32)]  # 31 levels up, one past the lifted anchor
+    assert len(tree.code_table([deep], 31).anchor) == 31
+
+    def keep(t, states):
+        return [s == climb[t] for s in states] if t < len(climb) else None
+
+    ((states, weights, scale),) = propagate(tree, deep, [31], keep)
+    assert states == [climb[-1]] and Fraction(weights[0], scale) == Fraction(1, 2**31)
+
+
+@pytest.mark.parametrize("times", [[], [3, 2], [2, 2], [-1, 4]])
+def test_propagate_refuses_times_out_of_order(times):
+    with pytest.raises(ValueError):
+        propagate(ZWalk(), 0, times)
+
+
+def test_the_fallback_reruns_only_on_the_tables_refusal(monkeypatch):
+    # a KeyError from the caller's own code propagates, with no rerun on
+    # the successors-derived table
+    calls = []
+    original = ZWalk.successors
+    monkeypatch.setattr(ZWalk, "successors", lambda self, x: calls.append(x) or original(self, x))
+
+    def missing(*args):
+        raise KeyError(args)
+
+    with pytest.raises(KeyError):
+        one_step_sums(ZWalk(), [0, 1], missing)
+    with pytest.raises(KeyError):
+        propagate(ZWalk(), 0, [3], missing)
+    with pytest.raises(KeyError):
+        cylinder_measure(ZWalk(), 0, missing, 0, constant_one(0), [2])
+    assert calls == []
+
+
 def test_one_step_averages_of_no_states():
     assert one_step_averages(KaryTree(2), [], len) == ([], [])
 
@@ -540,4 +582,9 @@ def test_one_step_identities_of_the_built_in_laws_call_no_successors(chain, monk
     radius = 3 if type(chain) is KaryTree else 6
     assert check_harmonic_except(chain, phi, x0, chain.window(radius)).all_ok
     assert verify_row_sums(chain, params, radius).all_ok
+    # and so do the forward programs, with and without an event filter
+    assert sum(distribution_after(chain, x0, radius).values()) == 1
+    event = with_no_base_visits(constant_one(0), x0, 1, 3)
+    mv = cylinder_measure(chain, x0, phi, x0, event, [2, radius])
+    assert mv.verdict == ("converged" if type(chain) is Z2Walk else "diverges")
     assert calls == []
