@@ -90,9 +90,11 @@ class TreeRay:
 
     def agreement(self, node: tuple) -> int:
         """Length of the common initial segment with a tree node's path."""
+        prefix, period = self.prefix, self.period
+        n, p = len(prefix), len(period)
         j = 0
-        for i, d in enumerate(node):
-            if d != self.digit(i):
+        for d in node:
+            if d != (prefix[j] if j < n else period[(j - n) % p]):
                 break
             j += 1
         return j
@@ -299,7 +301,11 @@ class BangBangWalk(ChainSpec):
         self._require_base(base)
         if x == 0:
             return Fraction(1)
-        return self.q * (self.alpha**x - 1) / (1 - 2 * self.q)
+        # q (alpha^x - 1) / (1 - 2q) with q = a/b and alpha = (b - a)/a,
+        # as one Fraction: a (u - v) / (v (b - 2a)) with alpha^x = u/v
+        a, b = self.q.numerator, self.q.denominator
+        u, v = ((b - a) ** x, a**x) if x > 0 else (a**-x, (b - a) ** -x)
+        return Fraction(a * (u - v), v * (b - 2 * a))
 
     def exact_profile(self, x: int, alpha: HalfLineEnd, base: int = 0) -> Fraction:
         self._require_base(base)
@@ -410,11 +416,12 @@ class KaryTree(ChainSpec):
         k = self.k
         limit = _tree_depth_limit(k)
         anchor = tuple(states[0])
-        deepest = len(anchor)
         for s in states:
-            deepest = max(deepest, len(s))
+            if not anchor:
+                break
             if s[: len(anchor)] != anchor:
                 anchor = anchor[: self.meet_depth(anchor, s)]
+        deepest = max(map(len, states))
         if deepest - len(anchor) > limit:
             return None
         if any(not (0 <= c < k) for c in anchor):
@@ -465,8 +472,7 @@ class KaryTree(ChainSpec):
         if x == ROOT:
             return Fraction(1)
         k = self.k
-        j = alpha.agreement(x)
-        return Fraction(k * (k**j - 1), k - 1)
+        return Fraction(k * (k ** alpha.agreement(x) - 1) // (k - 1))
 
     def exact_profile(self, x: tuple, alpha: TreeRay, base: tuple = ROOT) -> Fraction:
         self._require_base(base)
@@ -579,6 +585,8 @@ class _LineTable:
     with probability one.
     """
 
+    _MOVES = np.array([-1, 1], dtype=np.int64)
+
     def __init__(self, den: int, down: int, up: int, reflect: bool = False):
         self.den, self.down, self.up, self.reflect = den, down, up, reflect
 
@@ -592,7 +600,7 @@ class _LineTable:
         return codes.tolist()
 
     def step(self, codes):
-        succ = np.stack([codes - 1, codes + 1], axis=1)
+        succ = codes[:, None] + self._MOVES
         num = np.empty_like(succ)
         num[:, 0], num[:, 1] = self.down, self.up
         if self.reflect:

@@ -107,12 +107,22 @@ class TransformParams:
 
 
 def psi_weight(chain: ChainSpec, params: TransformParams, x: StateId) -> Fraction:
-    """Tilting weight psi(x); positive, and r/((1-r) beta(x0)) at the base."""
-    beta0 = chain.stationary(params.x0)
+    """Tilting weight psi(x); positive, and r/((1-r) beta(x0)) at the base.
+
+    Off the base psi(x) = (r/(1-r) + L(x, alpha)) / beta(x0), built as one
+    Fraction from integers when L(x, alpha) and beta(x0) are rational.
+    """
+    odds, beta0 = params.odds, chain.stationary(params.x0)
     if x == params.x0:
-        return params.odds / beta0
+        return odds / beta0
     ell = exact_martin_boundary(chain, params.x0, x, params.alpha)
-    return (params.odds + ell) / beta0
+    if not isinstance(ell, (int, Fraction)) or not isinstance(beta0, (int, Fraction)):
+        return (odds + ell) / beta0
+    d = ell.denominator
+    return Fraction(
+        (odds.numerator * d + ell.numerator * odds.denominator) * beta0.denominator,
+        odds.denominator * d * beta0.numerator,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ the visit-ratio kernel, scaled by the reciprocal stationary weight of the
 base state; finite nonnegative mixtures of kernels sweep out the cone of
 such profiles, and on the integer line the cone is exactly
 two-dimensional, so profiles there decompose into the two end weights.
+
+Profile and mixture values are built from the integer numerators and
+denominators of the kernel values, the base weight and the mixture
+weights, with one ``Fraction`` per value. A kernel that returns values
+other than ints and Fractions (floats, say) keeps the plain arithmetic
+``L / beta(x0)`` and ``sum(w * L)``, and so its result type.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -67,12 +74,18 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
 
     phi(x) = L(x, alpha) / beta(x0) away from the base state, zero there,
     with L the chain's closed-form kernel (``exact_martin_boundary``). Its
-    one-step balance at the base is exactly 1/beta(x0).
+    one-step balance at the base is exactly 1/beta(x0). When beta(x0) is a
+    Fraction and L(x) rational, phi(x) is built as one Fraction.
     """
     beta0 = chain.stationary(x0)
+    rational = isinstance(beta0, Fraction)
+    top, bottom = (beta0.denominator, beta0.numerator) if rational else (1, 1)
 
     def fn(x):
-        return exact_martin_boundary(chain, x0, x, alpha) / beta0
+        ell = exact_martin_boundary(chain, x0, x, alpha)
+        if rational and isinstance(ell, (int, Fraction)):
+            return Fraction(ell.numerator * top, ell.denominator * bottom)
+        return ell / beta0
 
     return HarmonicProfile(
         base_point=x0,
@@ -86,14 +99,25 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
     """Kernel mixture: phi(x) = sum of w_i * L(x, alpha_i), zero at the base.
 
     The one-step balance at the base equals the mixture's total mass
-    exactly, because each kernel contributes balance 1.
+    exactly, because each kernel contributes balance 1. The weights are put
+    over their least common denominator once; when every L(x, alpha_i) is
+    rational, phi(x) is one Fraction of integer sums.
     """
+    alphas = [alpha for alpha, _ in mixture.atoms]
+    weights = [w for _, w in mixture.atoms]
+    lcd = math.lcm(1, *(w.denominator for w in weights))
+    scaled = [w.numerator * (lcd // w.denominator) for w in weights]
 
     def fn(x):
-        return sum(
-            (w * exact_martin_boundary(chain, x0, x, alpha) for alpha, w in mixture.atoms),
-            Fraction(0),
-        )
+        ells = [exact_martin_boundary(chain, x0, x, alpha) for alpha in alphas]
+        num, den = 0, 1  # sum of scaled[i] * ells[i] so far is num / den
+        for c, ell in zip(scaled, ells):
+            if not isinstance(ell, (int, Fraction)):
+                return sum((w * v for w, v in zip(weights, ells)), Fraction(0))
+            d = ell.denominator
+            num = num * d + c * ell.numerator * den
+            den *= d
+        return Fraction(num, den * lcd)
 
     return HarmonicProfile(
         base_point=x0,

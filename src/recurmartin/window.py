@@ -38,6 +38,9 @@ UNNAMED = np.iinfo(np.int64).min
 #: Numerators and denominators below this convert to float64 exactly.
 _EXACT_FLOAT = 2**53
 
+#: Nonnegative integers below this fit int64.
+_INT64_BOUND = 2**63
+
 
 class _Unnamed(LookupError):
     """A step reached a live successor its code table cannot name."""
@@ -234,12 +237,16 @@ def propagate(chain, x, times, keep=None) -> list:
     one ``(states, weights, scale)`` per time, the states of positive
     probability in code order and Python-int weights over the product of the
     steps' denominators, P_x(X_t = s) = w / scale. ``keep(t, states)`` masks
-    the states kept at t = 0, 1, ... until it returns None."""
+    the states kept at t = 0, 1, ... until it returns None.
+
+    The weights are int64 while a step cannot overflow and Python ints (an
+    object array) from the first step whose ``scale * den`` reaches 2^63: no
+    weight exceeds ``scale``, so no product or sum exceeds ``scale * den``."""
     if not times or any(b <= a for a, b in zip([-1, *times], times)):
         raise ValueError("times must be a nonempty increasing list of nonnegative ints")
 
     def forward(table):
-        codes, weights = table.encode([x]), np.ones(1, dtype=object)
+        codes, weights = table.encode([x]), np.ones(1, dtype=np.int64)
         scale, t, on, laws = 1, 0, keep, []
         while True:
             if on is not None and (mask := on(t, table.decode(codes))) is not None:
@@ -252,6 +259,8 @@ def propagate(chain, x, times, keep=None) -> list:
                 if len(laws) == len(times):
                     return laws
             succ, num, den, live = _step(table, codes)
+            if scale * den >= _INT64_BOUND:
+                weights = weights.astype(object, copy=False)
             codes, weights = sum_by_key(succ[live], (weights[:, None] * num)[live])
             scale *= den
             t += 1

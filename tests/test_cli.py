@@ -339,7 +339,10 @@ class TestExactGolden:
     ``Fraction`` entries. The z2 kill window of radius 8 (289 states) is the
     largest non-tree window the CLI still solves exactly. The two cylinder
     sequences were recorded while the cylinder program had its own forward
-    loop, apart from the n-step laws.
+    loop, apart from the n-step laws. The half-line, line and 3-ary tree
+    profiles, the tree mixture's avoidance value and the half-line cylinder
+    were recorded while profile, mixture and kernel values were still chains
+    of normalising ``Fraction`` operations.
     """
 
     GOLDEN = Path(__file__).parent / "golden"
@@ -358,6 +361,21 @@ class TestExactGolden:
         "measure_tree_cylinder": ("measure", "--chain", "tree:k=2", "--x0", "@",
                                   "--phi", "boundary:(0)*", "--x", "@", "--event", "at:3=0",
                                   "--horizons", "3,6,9"),
+        "martin_bangbang_boundary_r30": ("martin", "--chain", "bangbang:q=1/3", "--x0", "0",
+                                         "--alpha", "inf", "--eval", "0,1,5,12",
+                                         "--window-radius", "30"),
+        "martin_z_mixture_r20": ("martin", "--chain", "z", "--x0", "0",
+                                 "--mixture", "1/3*+inf+2/3*-inf", "--eval=-4,0,7",
+                                 "--window-radius", "20"),
+        "martin_tree3_mixture_r4": ("martin", "--chain", "tree:k=3", "--x0", "@",
+                                    "--mixture", "1/3*(0)*+2/5*1(2)*+1/7*(0.1)*",
+                                    "--eval", "@,0,1.2,0.1.0", "--window-radius", "4"),
+        "measure_tree_mixture_avoid": ("measure", "--chain", "tree:k=2", "--x0", "@",
+                                       "--phi", "mixture:1/3*(0)*+2/3*(1)*", "--x", "0",
+                                       "--event", "avoid:1"),
+        "measure_bangbang_cylinder": ("measure", "--chain", "bangbang:q=1/3", "--x0", "0",
+                                      "--phi", "boundary:inf", "--x", "0", "--event", "at:4=2",
+                                      "--horizons", "4,10,30"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

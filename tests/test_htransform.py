@@ -35,6 +35,7 @@ from recurmartin.examplechains import (
     Z2Walk,
     ZWalk,
     exact_green,
+    exact_martin_boundary,
 )
 from recurmartin import htransform as htransform_module
 from recurmartin.htransform import (
@@ -287,6 +288,165 @@ def test_row_sum_checks_of_every_rational_law_catch_a_corrupted_kernel(law):
     assert chain.format_state(bad) in {state for state, _ in report.violations}
     with pytest.raises(RowSumViolationError):
         TransformedChain(chain, params).successors(bad)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-derived values in integers: each equal, and of the same type, to
+# the plain Fraction arithmetic it replaced
+
+
+def plain_agreement(ray, node):
+    j = 0
+    for i, d in enumerate(node):
+        if d != ray.digit(i):
+            break
+        j += 1
+    return j
+
+
+def plain_kernel(chain, x, alpha):
+    """The built-in kernels as chains of normalising Fraction operations."""
+    if type(chain) is ZWalk:
+        v = x * alpha.sign
+        return Fraction(1) if x == 0 else Fraction(2 * v) if v > 0 else Fraction(0)
+    if type(chain) is BangBangWalk:
+        if x == 0:
+            return Fraction(1)
+        return chain.q * (chain.alpha**x - 1) / (1 - 2 * chain.q)
+    if x == ROOT:
+        return Fraction(1)
+    k = chain.k
+    return Fraction(k * (k ** plain_agreement(alpha, x) - 1), k - 1)
+
+
+def plain_profile(chain, x0, alpha, x):
+    if x == x0:
+        return Fraction(0)
+    return exact_martin_boundary(chain, x0, x, alpha) / chain.stationary(x0)
+
+
+def plain_mixture(chain, x0, atoms, x):
+    if x == x0:
+        return Fraction(0)
+    return sum((w * exact_martin_boundary(chain, x0, x, alpha) for alpha, w in atoms), Fraction(0))
+
+
+def plain_psi(chain, params, x):
+    beta0 = chain.stationary(params.x0)
+    if x == params.x0:
+        return params.odds / beta0
+    return (params.odds + exact_martin_boundary(chain, params.x0, x, params.alpha)) / beta0
+
+
+class _FloatKernel(ZWalk):
+    """A user kernel in floats toward +inf and in Fractions toward -inf."""
+
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        ell = super().exact_boundary_kernel(x, alpha, base)
+        return float(ell) / 3 if alpha.sign > 0 else ell
+
+
+class _IntKernel(ZWalk):
+    """A user chain whose kernel values and base weight are plain ints."""
+
+    def stationary(self, x):
+        return 1
+
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        return int(super().exact_boundary_kernel(x, alpha, base))
+
+
+VALUE_LAWS = {
+    "z": Z,
+    "bangbang:q=1/3": BangBangWalk(Fraction(1, 3)),
+    "bangbang:q=1/4": BangBangWalk(Fraction(1, 4)),
+    "bangbang:q=2/5": BangBangWalk(Fraction(2, 5)),
+    "tree:k=2": TREE,
+    "tree:k=3": KaryTree(3),
+    **{f"bent {law}": chain for law, (chain, *_) in BENT.items()},
+    "float kernel": _FloatKernel(),
+    "int kernel": _IntKernel(),
+}
+
+
+def boundary_points(chain):
+    if not isinstance(chain, KaryTree):
+        return st.sampled_from(chain.boundary_points())
+    digits = st.integers(0, chain.k - 1)
+    return st.builds(
+        lambda prefix, period: TreeRay(tuple(prefix), tuple(period)),
+        st.lists(digits, max_size=3),
+        st.lists(digits, min_size=1, max_size=3),
+    )
+
+
+def value_states(chain, rays):
+    """States of the chain; tree nodes follow one of ``rays`` for a while."""
+    if isinstance(chain, BangBangWalk):
+        return st.integers(-3, 60)  # negative states only reach the kernel
+    if not isinstance(chain, KaryTree):
+        return st.integers(-60, 60)
+    digits = st.integers(0, chain.k - 1)
+    return st.builds(
+        lambda ray, m, tail: tuple(ray.digit(i) for i in range(m)) + tuple(tail),
+        st.sampled_from(rays),
+        st.integers(0, 10),
+        st.lists(digits, max_size=3),
+    )
+
+
+def assert_same_value(new, old):
+    assert new == old and type(new) is type(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=st.sampled_from(sorted(VALUE_LAWS)), data=st.data())
+def test_kernel_derived_values_equal_the_plain_fraction_arithmetic(law, data):
+    chain = VALUE_LAWS[law]
+    x0 = chain.base_point
+    alphas = data.draw(st.lists(boundary_points(chain), min_size=1, max_size=3), "alphas")
+    weights = st.fractions(0, 3, max_denominator=12)
+    atoms = [(alpha, data.draw(weights, "weight")) for alpha in alphas]
+    r = data.draw(st.fractions(0, 1, max_denominator=20).filter(lambda r: 0 < r < 1), "r")
+    params = TransformParams(x0, alphas[0], r)
+    profile = profile_from_boundary(chain, x0, alphas[0])
+    mixture = mixture_profile(chain, x0, BoundaryMixture(atoms))
+    states = [x0] + data.draw(st.lists(value_states(chain, alphas), min_size=1, max_size=6), "xs")
+    for x in states:
+        assert_same_value(profile(x), plain_profile(chain, x0, alphas[0], x))
+        assert_same_value(mixture(x), plain_mixture(chain, x0, atoms, x))
+        assert_same_value(psi_weight(chain, params, x), plain_psi(chain, params, x))
+        if law in {"z", "tree:k=2", "tree:k=3"} or law.startswith("bangbang"):
+            for alpha in alphas:
+                assert_same_value(
+                    exact_martin_boundary(chain, x0, x, alpha), plain_kernel(chain, x, alpha)
+                )
+
+
+def test_float_and_int_kernels_keep_their_arithmetic():
+    # the float end keeps float values, the int chain's profile int / int
+    floats, ints = _FloatKernel(), _IntKernel()
+    mixture = BoundaryMixture([(LineEnd(1), Fraction(1, 3)), (LineEnd(-1), Fraction(1, 2))])
+    assert type(profile_from_boundary(floats, 0, LineEnd(1))(3)) is float
+    assert type(mixture_profile(floats, 0, mixture)(-3)) is float
+    assert type(psi_weight(floats, P_Z, 3)) is float
+    assert type(profile_from_boundary(ints, 0, LineEnd(1))(3)) is float
+    assert psi_weight(ints, P_Z, 3) == 7 and type(psi_weight(ints, P_Z, 3)) is Fraction
+
+
+@pytest.mark.parametrize("law", sorted(BENT))
+def test_integer_values_evaluate_the_subclass_kernel(law):
+    chain, params, radius, _ = BENT[law]
+    plain = {"line": Z, "halfline": BB, "tree": TREE}[law]
+    mixture = BoundaryMixture([(params.alpha, Fraction(2, 3))])
+    for make in (
+        lambda c: profile_from_boundary(c, params.x0, params.alpha),
+        lambda c: mixture_profile(c, params.x0, mixture),
+        lambda c: lambda x: psi_weight(c, params, x),
+    ):
+        bent, kept = make(chain), make(plain)
+        window = chain.window(radius)
+        assert [bent(x) for x in window] != [kept(x) for x in window]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from recurmartin.examplechains import (
     TreeRay,
     Z2Walk,
     ZWalk,
+    _tree_depth_limit,
 )
 from recurmartin.green import (
     FLOAT_LU_ORDERING,
@@ -60,9 +61,12 @@ from recurmartin.window import (
     UNNAMED,
     SuccessorTable,
     WindowOperator,
+    _on_code_table,
+    _step,
     one_step_averages,
     one_step_sums,
     propagate,
+    sum_by_key,
     window_operator,
 )
 
@@ -251,6 +255,57 @@ def test_tree_codes_relative_to_a_deep_anchor():
     bottom = table.encode([table.anchor + (1,) * table.limit])
     assert (table.step(bottom)[0][0, 1:] == UNNAMED).all()
     assert table.encode([(1,) + deep])[0] == UNNAMED
+
+
+def reference_tree_table(tree, states, reach):
+    """The full anchor scan over every state: the tree table's anchor and
+    depth limit, or None where the states span more than its codes."""
+    limit = _tree_depth_limit(tree.k)
+    anchor = tuple(states[0])
+    deepest = len(anchor)
+    for s in states:
+        deepest = max(deepest, len(s))
+        if s[: len(anchor)] != anchor:
+            anchor = anchor[: tree.meet_depth(anchor, s)]
+    if deepest - len(anchor) > limit:
+        return None
+    lift = min(len(anchor), reach, (limit - deepest + len(anchor)) // 2)
+    return anchor[: len(anchor) - lift], limit
+
+
+DEEP_NODE = (0, 1) * 20 + (1,)
+ANCHOR_CASES = {
+    "root window": (KaryTree(2), KaryTree(2).window(6)),
+    "window below a deep node": (KaryTree(3), [DEEP_NODE + s for s in KaryTree(3).window(3)]),
+    "root last": (KaryTree(2), [DEEP_NODE, DEEP_NODE[:7] + (0,), (1, 1), ROOT]),
+    "mixed depths": (KaryTree(2), [DEEP_NODE + (0, 1), DEEP_NODE[:30], DEEP_NODE + (1,),
+                                   DEEP_NODE[:35] + (0, 0, 0)]),
+    "past the codes": (KaryTree(2), [DEEP_NODE + (0,) * 30, DEEP_NODE[:3]]),
+}
+
+
+@pytest.mark.parametrize("reach", [0, 1, 5, 1024])
+@pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+def test_tree_table_anchor_equals_the_full_scan(case, reach):
+    tree, states = ANCHOR_CASES[case]
+    table = tree._vector_table(states, reach)
+    found = None if table is None else (table.anchor, table.limit)
+    assert found == reference_tree_table(tree, states, reach)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.lists(
+        st.builds(lambda m, tail: DEEP_NODE[:m] + tuple(tail),
+                  st.integers(0, len(DEEP_NODE)), st.lists(st.integers(0, 1), max_size=25)),
+        min_size=1, max_size=8,
+    ),
+    reach=st.integers(0, 40),
+)
+def test_tree_table_anchor_of_unsorted_nodes(nodes, reach):
+    table = KaryTree(2)._vector_table(nodes, reach)
+    found = None if table is None else (table.anchor, table.limit)
+    assert found == reference_tree_table(KaryTree(2), nodes, reach)
 
 
 def test_tree_table_declines_states_spanning_more_than_its_codes():
@@ -489,6 +544,60 @@ def test_deep_tree_propagation_leaves_the_vectorized_table():
 
     ((states, weights, scale),) = propagate(tree, deep, [31], keep)
     assert states == [climb[-1]] and Fraction(weights[0], scale) == Fraction(1, 2**31)
+
+
+def object_propagate(chain, x, times, keep=None):
+    """The forward loop with Python-int (object) weights from step 0: the
+    reference for the int64 weights and their switch."""
+
+    def forward(table):
+        codes, weights = table.encode([x]), np.ones(1, dtype=object)
+        scale, t, on, laws = 1, 0, keep, []
+        while True:
+            if on is not None and (mask := on(t, table.decode(codes))) is not None:
+                mask = np.asarray(mask, dtype=bool)
+                codes, weights = codes[mask], weights[mask]
+            else:
+                on = None
+            if t == times[len(laws)]:
+                laws.append((table.decode(codes), weights.tolist(), scale))
+                if len(laws) == len(times):
+                    return laws
+            succ, num, den, live = _step(table, codes)
+            codes, weights = sum_by_key(succ[live], (weights[:, None] * num)[live])
+            scale *= den
+            t += 1
+
+    return _on_code_table(chain, [x], times[-1], forward)
+
+
+def until(t_end, mask):
+    """A ``keep`` that applies ``mask`` before time t_end and stops there."""
+    return lambda t, states: mask(states) if t < t_end else None
+
+
+FORWARD_CASES = {
+    # chain, start, times across the step whose scale * den reaches 2^63, keep
+    "z": (ZWalk(), 0, [0, 1, 40, 61, 62, 63, 64, 100], None),
+    "z, keep": (ZWalk(), 0, [0, 1, 40, 62, 63, 100], until(64, lambda s: [x >= -2 for x in s])),
+    # the tree's laws spread over 3^t nodes unless a mask holds them
+    "tree:k=3, keep": (KaryTree(3), ROOT, [0, 5, 23, 24, 25, 45],
+                       until(46, lambda s: [len(x) <= 3 and x[:1] != (0,) for x in s])),
+    "bangbang:q=1/3": (BangBangWalk(Fraction(1, 3)), 0, [0, 7, 38, 39, 40, 60], None),
+    "bangbang:q=1/3, keep": (BangBangWalk(Fraction(1, 3)), 0, [0, 7, 39, 40, 60],
+                             until(41, lambda s: [x != 3 for x in s])),
+    "skip": (Skip(), 0, [0, 3, 22, 23, 24, 40], None),
+    "skip, keep": (Skip(), 0, [0, 3, 23, 24, 40], until(30, lambda s: [x <= 10 for x in s])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_CASES))
+def test_int64_forward_weights_equal_the_object_weights(case):
+    chain, x, times, keep = FORWARD_CASES[case]
+    laws = propagate(chain, x, times, keep)
+    assert laws == object_propagate(chain, x, times, keep)
+    assert laws[1][2] < 2**63 <= laws[-1][2]  # the weights leave int64 on the way
+    assert all(type(w) is int for _, weights, _ in laws for w in weights)
 
 
 @pytest.mark.parametrize("times", [[], [3, 2], [2, 2], [-1, 4]])
