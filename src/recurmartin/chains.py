@@ -112,6 +112,25 @@ class ChainSpec(ABC):
         table = None if vector is None else vector(self, states, reach)
         return SuccessorTable(self) if table is None else table
 
+    def code_window(self, radius: int):
+        """The radius window as ``(table, codes)``: a code table and the int64
+        codes of ``window(radius)``'s states, in that order.
+
+        The class whose own ``successors`` gives this chain's law gives the
+        codes directly, without a state tuple, when it defines
+        ``_window_codes(radius)``, lists its own ``window`` and returns a
+        pair; otherwise the window is encoded on ``code_table(window)``.
+        """
+        law = law_class(self)
+        direct = law.__dict__.get("_window_codes")
+        if direct is not None and type(self).window is law.window:
+            pair = direct(self, radius)
+            if pair is not None:
+                return pair
+        window = self.window(radius)
+        table = self.code_table(window)
+        return table, table.encode(window)
+
     def sorted_states(self, states) -> list[StateId]:
         return sorted(states, key=self.state_key)
 

@@ -152,6 +152,9 @@ class ZWalk(ChainSpec):
     def _vector_table(self, states, reach):
         return _LineTable(2, 1, 1)
 
+    def _window_codes(self, radius):
+        return self._vector_table((), 1), np.arange(-radius, radius + 1, dtype=np.int64)
+
     # -- closed forms, anchored at base point 0 --
 
     def _require_base(self, base: int) -> None:
@@ -270,6 +273,9 @@ class BangBangWalk(ChainSpec):
     def _vector_table(self, states, reach):
         den = self.q.denominator
         return _LineTable(den, den - self.q.numerator, self.q.numerator, reflect=True)
+
+    def _window_codes(self, radius):
+        return self._vector_table((), 1), np.arange(0, radius + 1, dtype=np.int64)
 
     def _require_base(self, base: int) -> None:
         if base != 0:
@@ -429,6 +435,13 @@ class KaryTree(ChainSpec):
         lift = min(len(anchor), reach, (limit - deepest + len(anchor)) // 2)
         return _TreeTable(k, anchor[: len(anchor) - lift], limit)
 
+    def _window_codes(self, radius):
+        """Heap codes below the root, the window's breadth-first order."""
+        limit = _tree_depth_limit(self.k)
+        if radius > limit:
+            return None
+        return _TreeTable(self.k, ROOT, limit), np.arange(self.window_size(radius), dtype=np.int64)
+
     def meet_depth(self, x: tuple, y: tuple) -> int:
         """Depth of the deepest common ancestor."""
         j = 0
@@ -550,10 +563,7 @@ class Z2Walk(ChainSpec):
         return (int(parts[0]), int(parts[1]))
 
     def window(self, radius: int):
-        side = np.arange(-radius, radius + 1, dtype=np.int64)
-        a, b = np.repeat(side, len(side)), np.tile(side, len(side))
-        order = np.lexsort((b, a, np.maximum(np.abs(a), np.abs(b))))  # state_key
-        return list(zip(a[order].tolist(), b[order].tolist()))
+        return _PlaneTable().decode(_plane_window_codes(radius))
 
     def window_size(self, radius: int) -> int:
         return (2 * radius + 1) ** 2
@@ -565,6 +575,11 @@ class Z2Walk(ChainSpec):
             return None
         top = max(int(xy.max(initial=0)), -int(xy.min(initial=0)))
         return _PlaneTable() if top + reach < _PlaneTable.HALF else None
+
+    def _window_codes(self, radius):
+        if radius + 1 >= _PlaneTable.HALF:
+            return None
+        return _PlaneTable(), _plane_window_codes(radius)
 
     def boundary_points(self):
         return []
@@ -678,8 +693,12 @@ class _PlaneTable:
     _MOVES = np.array([1 << SHIFT, -(1 << SHIFT), 1, -1], dtype=np.int64)
 
     def encode(self, states) -> np.ndarray:
+        """Codes of planar states, UNNAMED for one with a coordinate of size
+        HALF or more (its code could wrap onto another state's)."""
         xy = _plane_coordinates(states)
-        return (xy[:, 0] << self.SHIFT) + xy[:, 1]
+        codes = (xy[:, 0] << self.SHIFT) + xy[:, 1]
+        codes[((xy >= self.HALF) | (xy <= -self.HALF)).any(axis=1)] = UNNAMED
+        return codes
 
     def decode(self, codes) -> list:
         a = (codes + (1 << (self.SHIFT - 1))) >> self.SHIFT
@@ -689,6 +708,15 @@ class _PlaneTable:
     def step(self, codes):
         succ = codes[:, None] + self._MOVES
         return succ, np.ones_like(succ), self.den
+
+
+def _plane_window_codes(radius: int) -> np.ndarray:
+    """Codes of the planar window of the given radius, in ``state_key`` order:
+    code order (a, then b) within each ring max(|a|, |b|)."""
+    side = np.arange(-radius, radius + 1, dtype=np.int64)
+    a, b = np.repeat(side, len(side)), np.tile(side, len(side))
+    ring = np.maximum(np.abs(a), np.abs(b))
+    return ((a << _PlaneTable.SHIFT) + b)[np.argsort(ring, kind="stable")]
 
 
 def _plane_coordinates(states) -> np.ndarray:

@@ -5,10 +5,11 @@ counting time 0, strictly before the first return to the base state x0.
 It is computed in two ways:
 
 * ``green_solve`` — linear solve of the killed one-step system on a finite
-  window, exactly (fraction-free sparse elimination of the integer matrix
-  den (I - M) in minimum Markowitz order, fill-free on the line, the half
-  line and trees, with one ``Fraction`` per solved entry) or in floating
-  point (sparse LU in minimum-degree order);
+  window, read as an int64 code array (``ChainSpec.code_window``), exactly
+  (fraction-free sparse elimination of the integer matrix den (I - M) in
+  minimum Markowitz order, fill-free on the line, the half line and trees,
+  with one ``Fraction`` per solved entry) or in floating point (sparse LU
+  in minimum-degree order);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
   the base state on one ensemble driver, ``_ensemble``: vectorized lanes
   for the built-in laws, and for any chain a lane over its successor table.
@@ -56,6 +57,7 @@ from .window import (
     SuccessorTable,
     WindowOperator,
     exact_floats,
+    locate,
     window_operator,
 )
 
@@ -127,22 +129,66 @@ def window_rows(
     row_scale: Optional[dict] = None,
     policy: str = "loop",
 ) -> tuple[dict, WindowOperator]:
-    """Substochastic transition rows restricted to a window.
+    """Substochastic transition rows restricted to an explicit window.
 
     Transitions into ``kill_into`` are deleted; transitions leaving the
     window are deleted (``kill``) or folded into a self-loop (``loop``).
     ``row_scale`` multiplies the entire outgoing row of selected states.
-    Returns (state index map, operator): one vectorized step of the
-    chain's code table over the window, in window order.
+    Returns (state index map, operator): the window encoded on the chain's
+    code table, then ``window_system``, which the radius-window solves run
+    on their code windows.
     """
     table = chain.code_table(window)
-    index = {s: i for i, s in enumerate(window)}
-    kill = None if kill_into is None else int(table.encode([kill_into])[0])
-    scale = None
-    if row_scale:
-        scale = {index[s]: f for s, f in row_scale.items() if s in index and f != 1}
-    op = window_operator(table, table.encode(window), kill=kill, scale=scale)
-    return index, (op.looped() if policy == "loop" else op)
+    _, op = window_system(
+        chain, table, table.encode(window), [],
+        kill_into=kill_into, row_scale=row_scale, policy=policy,
+    )
+    return {s: i for i, s in enumerate(window)}, op
+
+
+def window_system(
+    chain: ChainSpec,
+    table,
+    codes: np.ndarray,
+    states: Sequence[StateId],
+    *,
+    kill_into: Optional[StateId] = None,
+    row_scale: Optional[dict] = None,
+    policy: str = "loop",
+    radius: Optional[int] = None,
+) -> tuple[list, WindowOperator]:
+    """The operator of the window ``codes`` on the code ``table``, and the
+    window position of each of ``states`` (-1 for one outside the window).
+
+    The one operator routine of ``window_rows`` and the radius-window
+    solves; ``kill_into``, ``row_scale`` and ``policy`` act as in
+    ``window_rows``. ``states``, ``kill_into`` and the scaled states are
+    encoded in one call and found by one binary search over the window's
+    sorted codes, a sort the operator reuses (``window.locate``); a scaled
+    state outside the window is skipped. With ``radius`` the window is the
+    chain's radius window, and states of ``states`` outside it are refused
+    by name before the operator is built: each once, in ``state_key`` order.
+    """
+    scaled = [s for s, f in (row_scale or {}).items() if f != 1]
+    named = [*states, *scaled, *([] if kill_into is None else [kill_into])]
+    order = np.argsort(codes, kind="stable")
+    found, at = locate(table, codes, order, named)
+    pos = at[: len(states)]
+    if radius is not None and (pos < 0).any():
+        outside = {s for s, p in zip(states, pos.tolist()) if p < 0}
+        names = ", ".join(chain.format_state(s) for s in sorted(outside, key=chain.state_key))
+        raise ValueError(f"states outside the radius-{radius} window: {names}")
+    kill = None if kill_into is None else int(found[-1])
+    scale = {p: row_scale[s] for s, p in zip(scaled, at[len(states) :].tolist()) if p >= 0}
+    op = window_operator(table, codes, kill=kill, scale=scale, order=order)
+    return pos.tolist(), (op.looped() if policy == "loop" else op)
+
+
+def _radius_system(chain, radius, states, **rows):
+    """``window_system`` on the chain's radius window, read as a code
+    array (``ChainSpec.code_window``): no state of it is built or hashed."""
+    table, codes = chain.code_window(radius)
+    return window_system(chain, table, codes, states, radius=radius, **rows)
 
 
 def _eliminate(a: list, b: list, ncols: int) -> list:
@@ -340,26 +386,6 @@ def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
     return _solve_columns_integer(rows, [op.den] * len(rows), columns)
 
 
-def _window(chain, radius, states):
-    """The chain's radius window, refusing states outside it by name.
-
-    The error names every missing state once, in ``state_key`` order.
-    """
-    window = chain.window(radius)
-    present = set(window)
-    missing = sorted({s for s in states if s not in present}, key=chain.state_key)
-    if missing:
-        names = ", ".join(chain.format_state(s) for s in missing)
-        raise ValueError(f"states outside the radius-{radius} window: {names}")
-    return window
-
-
-def _killed_column_values(chain, x0, window, ys, policy, exact):
-    """g_y vectors over the window for each y, with transitions into x0 killed."""
-    index, op = window_rows(chain, window, kill_into=x0, policy=policy)
-    return index, dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
-
-
 def green_solve(
     chain: ChainSpec,
     x0: StateId,
@@ -372,13 +398,10 @@ def green_solve(
     With the ``loop`` policy the result is exact (up to float roundoff in
     the floating lane) on chains flagged ``loop_truncation_exact``; with
     ``kill`` it is a certified lower bound, nondecreasing in the radius.
+    The window is the chain's code window (``_radius_system``).
     """
-    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
-    ys = sorted({y for _, y in queries}, key=chain.state_key)
-    index, col = _killed_column_values(chain, x0, window, ys, trunc.policy, exact)
     results = []
-    for x, y in queries:
-        v = col[y][index[x]]
+    for v in _query_values(chain, x0, queries, trunc, exact, kill_into=x0):
         v = v if exact else max(float(v), 0.0)
         results.append(
             GreenResult(v, "exact-solve", radius=trunc.radius, policy=trunc.policy)
@@ -405,13 +428,18 @@ def green_solve_discounted(
     """
     if not (0 < r < 1):
         raise ValueError("discount must satisfy 0 < r < 1")
-    window = _window(chain, trunc.radius, [x0, *(s for q in queries for s in q)])
-    index, op = window_rows(
-        chain, window, row_scale={x0: Fraction(r)}, policy=trunc.policy
-    )
+    return _query_values(chain, x0, queries, trunc, exact, row_scale={x0: Fraction(r)})
+
+
+def _query_values(chain, x0, queries, trunc, exact, **rows):
+    """The solved value at x of column y for each (x, y) query, one column
+    per distinct y, on the radius window (``_radius_system``)."""
+    states = [x0, *(s for q in queries for s in q)]
+    pos, op = _radius_system(chain, trunc.radius, states, policy=trunc.policy, **rows)
+    at = dict(zip(states, pos))
     ys = sorted({y for _, y in queries}, key=chain.state_key)
-    col = dict(zip(ys, _solve_columns(op, [index[y] for y in ys], exact)))
-    return [col[y][index[x]] for x, y in queries]
+    col = dict(zip(ys, _solve_columns(op, [at[y] for y in ys], exact)))
+    return [col[y][at[x]] for x, y in queries]
 
 
 def default_radius(chain: ChainSpec, states: Sequence[StateId]) -> int:
@@ -440,10 +468,11 @@ def martin_kernel(
     if radius is None:
         radius = default_radius(chain, [x0, x, y])
     trunc = Truncation(radius)
-    window = _window(chain, trunc.radius, [x0, x, y])
-    index, col = _killed_column_values(chain, x0, window, [y], trunc.policy, exact)
-    num = col[y][index[x]]
-    den = col[y][index[x0]]
+    (at0, at, aty), op = _radius_system(
+        chain, radius, [x0, x, y], kill_into=x0, policy=trunc.policy
+    )
+    (col,) = _solve_columns(op, [aty], exact)
+    num, den = col[at], col[at0]
     if (den == 0) if exact else (abs(float(den)) <= 1e-12):
         raise ZeroDenominatorError(
             f"G(x0, y) vanished for y={chain.format_state(y)}; ratio undefined"

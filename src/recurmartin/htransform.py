@@ -36,7 +36,8 @@ the potential kernel a(x), which is not rational, so no exact-Fraction
 transformed chain exists. Its row-sum identity is still verified exactly in
 p + q/pi numerators (``verify_row_sums``) and its convergence witness
 runs in floating point.
-Every one-step identity here is one ``window.one_step_sums`` pass.
+Every one-step identity here is one ``window.one_step_sums`` pass (one
+``one_step_sums_each`` step for both parts of the plane's numerators).
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import one_step_averages, one_step_sums
+from .window import one_step_averages, one_step_sums_each
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -258,7 +259,8 @@ def verify_row_sums(
     ``exact_martin_boundary`` once per distinct state, so a subclass's own
     kernel is the one checked. On the plane, where psi = r/(1-r) + a(x)
     with a the potential kernel, the same integer identity is checked on
-    each of the integer parts of psi's p + q/pi numerators.
+    each of the integer parts of psi's p + q/pi numerators, both summed over
+    one step (``window.one_step_sums_each``).
     """
     r = params.r
     if law_class(chain) is Z2Walk:
@@ -283,7 +285,7 @@ def verify_row_sums(
 
         parts = [phi]
     window = chain.window(radius)
-    steps = [one_step_sums(chain, window, f) for f in parts]
+    steps = one_step_sums_each(chain, window, parts)
     report = RowSumReport(chain.name, r, radius)
     for i, x in enumerate(window):
         top, bottom = (r.numerator, r.denominator) if x == base else (1, 1)

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
-from .green import EXACT_SOLVE_LIMIT, _killed_column_values, _solve_columns, window_rows
+from .green import EXACT_SOLVE_LIMIT, _radius_system, _solve_columns, window_rows
 from .window import one_step_averages, propagate, weighted_sum
 
 #: Ceiling on states in the window of the uncertified avoidance bracket.
@@ -403,8 +403,8 @@ def _base_visits_before(chain, x, y, x0):
     window = law_capability(chain, "hull")([x, y, x0])
     if window is None:
         window = chain.window(max(chain.norm(s) for s in (x, y, x0)) + 2)
-    index, col = _killed_column_values(chain, y, window, [x0], "loop", True)
-    return col[x0][index[x]]
+    index, op = window_rows(chain, window, kill_into=y, policy="loop")
+    return _solve_columns(op, [index[x0]], True)[0][index[x]]
 
 
 def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
@@ -422,6 +422,6 @@ def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
             f"more than the state budget of {budget}"
         )
     exact = size <= EXACT_SOLVE_LIMIT
-    index, op = window_rows(chain, chain.window(radius), kill_into=y, policy="kill")
-    counts = [_solve_columns(o, [index[x0]], exact)[0][index[x]] for o in (op, op.looped())]
+    (at0, at), op = _radius_system(chain, radius, [x0, x], kill_into=y, policy="kill")
+    counts = [_solve_columns(o, [at0], exact)[0][at] for o in (op, op.looped())]
     return counts if exact else [float(c) for c in counts]

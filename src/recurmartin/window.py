@@ -13,8 +13,13 @@ the table cannot name carries the code ``UNNAMED``.
 chains supply vectorized tables, everything else gets ``SuccessorTable``,
 which derives the same table from ``successors()``.
 
+``ChainSpec.code_window(radius)`` gives a radius window as a table and the
+int64 codes of its states, directly from the law class where it defines
+``_window_codes`` (the built-in laws), so no state of it is built.
 ``window_operator`` restricts a table to a set of codes: a ``WindowOperator``
-in CSR form with integer numerators over one denominator. Loop mass and
+in CSR form with integer numerators over one denominator. ``locate`` finds
+a few states' positions among a window's codes by one ``encode`` call and
+one binary search over the sorted codes (``code_positions``). Loop mass and
 duplicate entries are merged in integers, so every float or ``Fraction``
 entry taken from it is the correctly rounded (or exact) value of the
 merged rational probability.
@@ -174,18 +179,50 @@ def _operator(rows, cols, vals, den, escaped) -> WindowOperator:
     return WindowOperator(indptr, cols, vals, den, escaped)
 
 
+def code_positions(codes: np.ndarray, order: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The position in ``codes`` of each code in ``wanted``, -1 where ``codes``
+    lacks it, by one binary search; ``order`` is ``codes``' stable argsort."""
+    if not len(codes):
+        return np.full(len(wanted), -1, dtype=np.int64)
+    at = np.searchsorted(codes[order], wanted)
+    np.minimum(at, len(codes) - 1, out=at)
+    at = order[at]  # position of the nearest code
+    return np.where(codes[at] == wanted, at, -1)
+
+
+def locate(table, codes: np.ndarray, order: np.ndarray, states) -> tuple:
+    """The codes of ``states`` on ``table`` and their positions in the window
+    ``codes`` (``code_positions``), from one ``encode`` call. A state the
+    table refuses gets the code UNNAMED and position -1; only then are the
+    states encoded one at a time, to find it."""
+    try:
+        found = table.encode(states)
+    except (ValueError, OverflowError):
+        found = np.array([_code_or_unnamed(table, s) for s in states], dtype=np.int64)
+    return found, code_positions(codes, order, found)
+
+
+def _code_or_unnamed(table, state) -> int:
+    try:
+        return int(table.encode([state])[0])
+    except (ValueError, OverflowError):
+        return UNNAMED
+
+
 def window_operator(
     table,
     codes: np.ndarray,
     *,
     kill: Optional[int] = None,
     scale: Optional[dict] = None,
+    order: Optional[np.ndarray] = None,
 ) -> WindowOperator:
     """The table's law restricted to the states ``codes``, in that order.
 
     Transitions to the code ``kill`` and transitions leaving the window
     are deleted; the latter stay in ``escaped`` for ``looped``. ``scale``
-    maps row positions to rational factors of the whole row.
+    maps row positions to rational factors of the whole row. ``order`` is
+    ``codes``' stable argsort, when the caller has sorted them already.
     """
     n = len(codes)
     succ, num, den = table.step(codes)
@@ -195,11 +232,10 @@ def window_operator(
     rows, slot = np.nonzero(live)  # rows ascending, each in successor order
     succ, num = succ[rows, slot], num[rows, slot]
     del live, slot
-    order = np.argsort(codes, kind="stable")
-    cols = np.searchsorted(codes[order], succ)
-    np.minimum(cols, n - 1, out=cols)
-    cols = order[cols]  # window position of the nearest code
-    inside = codes[cols] == succ
+    if order is None:
+        order = np.argsort(codes, kind="stable")
+    cols = code_positions(codes, order, succ)
+    inside = cols >= 0
     out = np.zeros(n, dtype=num.dtype)
     np.add.at(out, rows[~inside], num[~inside])
     op = _operator(rows[inside], cols[inside], num[inside], den, out)
@@ -303,8 +339,14 @@ def one_step_sums(chain, states, f) -> OneStepSums:
     code table (``_on_code_table``), with ``f`` called once per distinct
     state among ``states`` and their live successors, and each row sum
     taken in integers over one denominator."""
+    return one_step_sums_each(chain, states, [f])[0]
+
+
+def one_step_sums_each(chain, states, fs) -> list:
+    """``one_step_sums`` of each function in ``fs``, all from one step: one
+    table step, one ``np.unique`` and one ``decode`` serve every function."""
     if not states:
-        return OneStepSums([], [], [], exact=True)
+        return [OneStepSums([], [], [], exact=True) for _ in fs]
 
     def first_step(table):
         codes = table.encode(states)
@@ -313,23 +355,27 @@ def one_step_sums(chain, states, f) -> OneStepSums:
     table, codes, succ, num, den, live = _on_code_table(chain, states, 1, first_step)
     named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
     points = table.decode(named)
-    values = [f(t) for t in points]
     first = slot[: len(states)].tolist()
-    at_states = [values[i] for i in first]
     slot = slot[len(states) :]
-    rational = _over_lcd(values)
-    if rational is not None:
-        ints, lcd = rational
-        weights = np.zeros(succ.shape, dtype=object)
-        weights[live] = np.array(ints, dtype=object)[slot]
-        sums = (num * weights).sum(axis=1).tolist()
-        return OneStepSums(at_states, sums, [ints[i] for i in first], den, lcd, exact=True)
-    terms = [[] for _ in states]
-    for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
-        terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
-    ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
-    sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
-    return OneStepSums(at_states, sums, at_states)
+
+    def sums_of(f):
+        values = [f(t) for t in points]
+        at_states = [values[i] for i in first]
+        rational = _over_lcd(values)
+        if rational is not None:
+            ints, lcd = rational
+            weights = np.zeros(succ.shape, dtype=object)
+            weights[live] = np.array(ints, dtype=object)[slot]
+            sums = (num * weights).sum(axis=1).tolist()
+            return OneStepSums(at_states, sums, [ints[i] for i in first], den, lcd, exact=True)
+        terms = [[] for _ in states]
+        for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
+            terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
+        ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
+        sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
+        return OneStepSums(at_states, sums, at_states)
+
+    return [sums_of(f) for f in fs]
 
 
 def one_step_averages(chain, states, f):

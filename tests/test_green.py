@@ -177,6 +177,58 @@ def test_window_errors_name_every_missing_state_in_order():
         green_solve(PLANE, (0, 0), [((3, 0), (0, 3))], Truncation(2, "kill"))
 
 
+DEEP_80 = ".".join(["0"] * 80)
+MISSING_STATE_ERRORS = {
+    "node not of the tree": (
+        lambda: green_solve(TREE, ROOT, [((5,), (0,))], Truncation(3)),
+        "states outside the radius-3 window: 5",
+    ),
+    "node below the window": (
+        lambda: green_solve(TREE, ROOT, [((0,) * 80, (1,))], Truncation(3)),
+        f"states outside the radius-3 window: {DEEP_80}",
+    ),
+    "both, float lane": (
+        lambda: green_solve(TREE, ROOT, [((0, 1), (5,)), ((0,) * 80, (5,))], Truncation(3)),
+        f"states outside the radius-3 window: 5, {DEEP_80}",
+    ),
+    "plane past the codes": (
+        lambda: green_solve(PLANE, (0, 0), [((2**40, 0), (1, 0))], Truncation(3)),
+        "states outside the radius-3 window: 1099511627776,0",
+    ),
+    "plane kernel": (
+        lambda: martin_kernel(PLANE, (0, 0), (2**40, 0), (9, 9), radius=4),
+        "states outside the radius-4 window: 9,9, 1099511627776,0",
+    ),
+    "half line query": (
+        lambda: green_solve(BB, 0, [(-1, 2)], Truncation(4)),
+        "states outside the radius-4 window: -1",
+    ),
+    "half line base": (
+        lambda: green_solve(BB, -1, [(1, 2)], Truncation(4)),
+        "states outside the radius-4 window: -1",
+    ),
+    "discounted base": (
+        lambda: green_solve_discounted(Z, 9, Fraction(1, 2), [(1, 2)], Truncation(4)),
+        "states outside the radius-4 window: 9",
+    ),
+    "line kernel": (
+        lambda: martin_kernel(Z, 0, 30, -9, radius=5),
+        "states outside the radius-5 window: -9, 30",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_STATE_ERRORS))
+def test_missing_state_errors_keep_their_text(case):
+    # states a code table refuses (no tree node, a coordinate past the plane's
+    # codes, a negative half-line state) or names outside the window get the
+    # window's own message, not the table's
+    solve, text = MISSING_STATE_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        solve()
+    assert str(info.value) == text
+
+
 def test_exact_lane_refuses_oversized_windows():
     window = PLANE.window(20)
     assert len(window) > EXACT_SOLVE_LIMIT

@@ -64,6 +64,7 @@ from recurmartin.martin import (
     profile_from_boundary,
 )
 from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, stream_keys
+from recurmartin.window import one_step_sums
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -239,6 +240,43 @@ def test_plane_row_sums_catch_a_corrupted_table_entry(monkeypatch, part):
     bad = {state for state, _ in report.violations}
     assert {"3,1", "-1,3", "2,1", "3,0", "4,1"} <= bad
     assert "0,0" not in bad and "6,6" not in bad
+
+
+@pytest.mark.parametrize("radius", [4, 8, 10])
+@pytest.mark.parametrize("part", [None, "rational", "pi"])
+def test_plane_row_sums_step_once_for_both_parts(monkeypatch, radius, part):
+    # both integer parts of psi's numerators share one code-table step, and
+    # the report equals the one of a step per part, violations included
+    from recurmartin import examplechains, potential
+
+    build = potential.potential_table
+
+    def table_of(radius):
+        table = build(radius)
+        if part is not None:
+            (table._p if part == "rational" else table._q)[3][1] += table.scale
+        return table
+
+    monkeypatch.setattr(potential, "potential_table", table_of)
+    steps = []
+    plane_step = examplechains._PlaneTable.step
+    monkeypatch.setattr(
+        examplechains._PlaneTable,
+        "step",
+        lambda self, codes: steps.append(1) or plane_step(self, codes),
+    )
+    one = verify_row_sums(PLANE, P_PLANE, radius)
+    assert len(steps) == 1
+    monkeypatch.setattr(
+        htransform_module,
+        "one_step_sums_each",
+        lambda chain, states, fs: [one_step_sums(chain, states, f) for f in fs],
+    )
+    two = verify_row_sums(PLANE, P_PLANE, radius)
+    assert len(steps) == 3
+    assert one.checked == two.checked == (2 * radius + 1) ** 2
+    assert one.violations == two.violations
+    assert bool(one.violations) == (part is not None)
 
 
 class _NonHarmonicKernel(ZWalk):

@@ -22,7 +22,10 @@ the caller's own code does not. Its integer core
 its denominator and f's values over theirs, while a float f keeps the
 canonical-order ``Fraction`` sum bit for bit. The operator's rows are read
 back as ``Fraction`` lists from its CSR arrays, and solved exactly, by
-test-local helpers.
+test-local helpers. Each built-in law's radius window read as a code
+array (``code_window``) must decode to ``window(radius)`` and give the
+operator of the listed window, field by field; a changed law, a window of a
+subclass's own and a tree past its code depth take the listed window.
 """
 import math
 from fractions import Fraction
@@ -49,6 +52,7 @@ from recurmartin.examplechains import (
 from recurmartin.green import (
     FLOAT_LU_ORDERING,
     Truncation,
+    _radius_system,
     _solve_columns_integer,
     green_solve,
     green_solve_discounted,
@@ -323,6 +327,10 @@ def test_plane_table_declines_states_beyond_its_coordinate_range():
     assert table.decode(table.encode([near])) == [near]
     for far in [(2**30 - 1, 0), (0, -(2**40)), (2**63, 0), (-(2**63), 1), (3, 2**70)]:
         assert isinstance(plane.code_table([(0, 0), far]), SuccessorTable)
+    # a state past the range encodes as unnamed, never as a wrapped code
+    codes = table.encode([(2**40, 0), (0, -(2**30)), (2**30 - 1, 5)])
+    assert codes[:2].tolist() == [UNNAMED] * 2
+    assert table.decode(codes[2:]) == [(2**30 - 1, 5)]
 
 
 def test_law_class_follows_the_successors_override(monkeypatch):
@@ -366,6 +374,86 @@ def test_default_table_keeps_numerators_wider_than_int64():
 def test_empty_window_operator():
     op = window_operator(SuccessorTable(ZWalk()), np.zeros(0, dtype=np.int64))
     assert len(op) == 0 and fraction_rows(op) == []
+
+
+# ---------------------------------------------------------------------------
+# Code windows: the radius window as an int64 code array
+
+
+CODE_WINDOW_CHAINS = {
+    "z": ZWalk(),
+    "bangbang:q=1/3": BangBangWalk(Fraction(1, 3)),
+    "bangbang:q=2/5": BangBangWalk(Fraction(2, 5)),
+    "tree:k=2": KaryTree(2),
+    "tree:k=3": KaryTree(3),
+    "z2": Z2Walk(),
+}
+
+
+def listed_operator(chain, window, kill_into, policy):
+    """The operator of the listed window, encoded on ``code_table(window)``."""
+    table = chain.code_table(window)
+    op = window_operator(table, table.encode(window), kill=int(table.encode([kill_into])[0]))
+    return op.looped() if policy == "loop" else op
+
+
+@pytest.mark.parametrize("radius", range(1, 9))
+@pytest.mark.parametrize("name", CODE_WINDOW_CHAINS)
+def test_code_window_equals_the_listed_window(name, radius):
+    chain = CODE_WINDOW_CHAINS[name]
+    table, codes = chain.code_window(radius)
+    assert not isinstance(table, SuccessorTable) and codes.dtype == np.int64
+    window = chain.window(radius)
+    assert table.decode(codes) == window
+    x0 = chain.base_point
+    for policy in ("loop", "kill"):
+        (at,), op = _radius_system(chain, radius, [x0], kill_into=x0, policy=policy)
+        assert at == window.index(x0)
+        assert_same_operator(op, listed_operator(chain, window, x0, policy))
+
+
+class LazyZ(ZWalk):
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]
+
+
+class LazyPlane(Z2Walk):
+    def successors(self, x):
+        return [(x, Fraction(1, 2))] + [(t, p / 2) for t, p in super().successors(x)]
+
+
+class OddLine(ZWalk):
+    """The line's law on a window of its own: the odd states up to 2r + 1."""
+
+    def window(self, radius):
+        return list(range(1, 2 * radius + 2, 2))
+
+
+@pytest.mark.parametrize("chain", [LazyZ(), LazyPlane(), OddLine()], ids=type)
+def test_changed_laws_and_windows_take_the_listed_window(chain):
+    table, codes = chain.code_window(4)
+    window = chain.window(4)
+    assert table.decode(codes) == window
+    assert isinstance(table, SuccessorTable) == (law_class(chain) is type(chain))
+    x0 = window[0]
+    for policy in ("loop", "kill"):
+        _, op = _radius_system(chain, 4, [x0], kill_into=x0, policy=policy)
+        assert_same_operator(op, listed_operator(chain, window, x0, policy))
+
+
+def test_tree_code_window_stops_at_the_depth_limit(monkeypatch):
+    from recurmartin import examplechains
+
+    tree = KaryTree(2)
+    assert tree._window_codes(_tree_depth_limit(2) + 1) is None
+    monkeypatch.setattr(examplechains, "_tree_depth_limit", lambda k: 3)
+    within, _ = tree.code_window(3)
+    assert not isinstance(within, SuccessorTable) and within.limit == 3
+    table, codes = tree.code_window(4)
+    assert isinstance(table, SuccessorTable)
+    assert table.decode(codes) == tree.window(4)
+    _, op = _radius_system(tree, 4, [ROOT], kill_into=ROOT, policy="loop")
+    assert_same_operator(op, listed_operator(tree, tree.window(4), ROOT, "loop"))
 
 
 # ---------------------------------------------------------------------------
