@@ -5,18 +5,19 @@ counting time 0, strictly before the first return to the base state x0.
 It is computed in two ways:
 
 * ``green_solve`` — linear solve of the killed one-step system on a finite
-  window, read as an int64 code array (``ChainSpec.code_window``), exactly
-  (fraction-free sparse elimination of the integer matrix den (I - M) in
-  minimum Markowitz order, fill-free on the line, the half line and trees,
-  with one ``Fraction`` per solved entry) or in floating point (sparse LU
-  in minimum-degree order);
+  window, exactly (fraction-free sparse elimination of the integer matrix
+  den (I - M) in minimum Markowitz order, fill-free on the line, the half
+  line and trees, with one ``Fraction`` per solved entry) or in floating
+  point (sparse LU in minimum-degree order);
 * ``green_mc`` / ``green_mc_grid`` — direct simulation until the return to
   the base state on one ensemble driver, ``_ensemble``: vectorized lanes
   for the built-in laws, and for any chain a lane over its successor table.
 
 ``martin_kernel``, the ratio L_{x0}(x, y) = G_{x0}(x, y) / G_{x0}(x0, y),
-takes both values from one window solve, exact or in floats; a Monte Carlo
-estimate of it is the ratio of two ``green_mc`` calls.
+takes both values from one window solve; a Monte Carlo estimate of it is
+the ratio of two ``green_mc`` calls. Every window solve, ``sigma``'s visit
+counts included, builds its operator by ``window_system``, from a radius or
+a state list, and reads its values through ``_window_values``.
 
 Window truncation policies:
 
@@ -121,74 +122,62 @@ class GreenResult:
 # Window linear systems
 
 
-def window_rows(
+def window_system(
     chain: ChainSpec,
-    window: Sequence[StateId],
+    window: int | Sequence[StateId],
+    states: Sequence[StateId] = (),
     *,
     kill_into: Optional[StateId] = None,
     row_scale: Optional[dict] = None,
     policy: str = "loop",
-) -> tuple[dict, WindowOperator]:
-    """Substochastic transition rows restricted to an explicit window.
+) -> tuple[list, WindowOperator]:
+    """Substochastic transition rows restricted to a window, and the window
+    position of each of ``states`` (-1 for one outside the window).
 
+    ``window`` is a radius, read as the int64 code array
+    ``chain.code_window(radius)`` with no state of it built or hashed, or an
+    explicit state sequence, encoded on ``chain.code_table(window)``.
     Transitions into ``kill_into`` are deleted; transitions leaving the
     window are deleted (``kill``) or folded into a self-loop (``loop``).
     ``row_scale`` multiplies the entire outgoing row of selected states.
-    Returns (state index map, operator): the window encoded on the chain's
-    code table, then ``window_system``, which the radius-window solves run
-    on their code windows.
+
+    ``states``, ``kill_into`` and the scaled states are encoded in one call
+    and found by one binary search over the window's sorted codes, a sort
+    the operator reuses (``window.locate``). On a radius window each of them
+    that falls outside is refused by name before the operator is built:
+    each once, in ``state_key`` order. On an explicit window a scaled state
+    outside it is skipped.
     """
-    table = chain.code_table(window)
-    _, op = window_system(
-        chain, table, table.encode(window), [],
-        kill_into=kill_into, row_scale=row_scale, policy=policy,
-    )
-    return {s: i for i, s in enumerate(window)}, op
-
-
-def window_system(
-    chain: ChainSpec,
-    table,
-    codes: np.ndarray,
-    states: Sequence[StateId],
-    *,
-    kill_into: Optional[StateId] = None,
-    row_scale: Optional[dict] = None,
-    policy: str = "loop",
-    radius: Optional[int] = None,
-) -> tuple[list, WindowOperator]:
-    """The operator of the window ``codes`` on the code ``table``, and the
-    window position of each of ``states`` (-1 for one outside the window).
-
-    The one operator routine of ``window_rows`` and the radius-window
-    solves; ``kill_into``, ``row_scale`` and ``policy`` act as in
-    ``window_rows``. ``states``, ``kill_into`` and the scaled states are
-    encoded in one call and found by one binary search over the window's
-    sorted codes, a sort the operator reuses (``window.locate``); a scaled
-    state outside the window is skipped. With ``radius`` the window is the
-    chain's radius window, and states of ``states`` outside it are refused
-    by name before the operator is built: each once, in ``state_key`` order.
-    """
+    radius = window if isinstance(window, (int, np.integer)) else None
+    if radius is None:
+        table = chain.code_table(window)
+        codes = table.encode(window)
+    else:
+        table, codes = chain.code_window(radius)
     scaled = [s for s, f in (row_scale or {}).items() if f != 1]
     named = [*states, *scaled, *([] if kill_into is None else [kill_into])]
     order = np.argsort(codes, kind="stable")
     found, at = locate(table, codes, order, named)
-    pos = at[: len(states)]
-    if radius is not None and (pos < 0).any():
-        outside = {s for s, p in zip(states, pos.tolist()) if p < 0}
+    if radius is not None and (at < 0).any():
+        outside = {s for s, p in zip(named, at.tolist()) if p < 0}
         names = ", ".join(chain.format_state(s) for s in sorted(outside, key=chain.state_key))
         raise ValueError(f"states outside the radius-{radius} window: {names}")
     kill = None if kill_into is None else int(found[-1])
     scale = {p: row_scale[s] for s, p in zip(scaled, at[len(states) :].tolist()) if p >= 0}
     op = window_operator(table, codes, kill=kill, scale=scale, order=order)
-    return pos.tolist(), (op.looped() if policy == "loop" else op)
+    return at[: len(states)].tolist(), (op.looped() if policy == "loop" else op)
 
 
-def _radius_system(chain, radius, states, **rows):
-    """``window_system`` on the chain's radius window, read as a code
-    array (``ChainSpec.code_window``): no state of it is built or hashed."""
-    table, codes = chain.code_window(radius)
-    return window_system(chain, table, codes, states, radius=radius, **rows)
+def _window_values(chain, window, queries, exact, **system) -> list:
+    """The value at x of column y of (I - M)^-1 for each (x, y) query: one
+    column per distinct y, solved on ``window_system(chain, window, ...,
+    **system)``'s operator, exactly or in floats."""
+    states = [s for q in queries for s in q]
+    pos, op = window_system(chain, window, states, **system)
+    at = dict(zip(states, pos))
+    ys = sorted({y for _, y in queries}, key=chain.state_key)
+    col = dict(zip(ys, _solve_columns(op, [at[y] for y in ys], exact)))
+    return [col[y][at[x]] for x, y in queries]
 
 
 def _eliminate(a: list, b: list, ncols: int) -> list:
@@ -297,53 +286,26 @@ def _eliminate(a: list, b: list, ncols: int) -> list:
     return x
 
 
-def _forest(rows: list) -> bool:
-    """Whether the transition graph of ``rows``, read undirected and
-    without self-loops, has no cycle."""
-    root = list(range(len(rows)))
+def _forest(op: WindowOperator) -> bool:
+    """Whether the transition graph of ``op``, read undirected and without
+    self-loops, has no cycle."""
+    n = len(op)
+    rows, cols = op.rows, op.indices
+    off = rows != cols
+    edges = np.unique(np.minimum(rows, cols)[off] * n + np.maximum(rows, cols)[off])
+    root = list(range(n))
 
     def find(v):
         while root[v] != v:
             root[v] = v = root[root[v]]
         return v
 
-    edges = {(min(i, j), max(i, j)) for i, row in enumerate(rows) for j, _ in row if i != j}
-    for i, j in edges:
+    for i, j in zip(*(e.tolist() for e in np.divmod(edges, n))):
         ri, rj = find(i), find(j)
         if ri == rj:
             return False
         root[ri] = rj
     return True
-
-
-def _solve_columns_integer(rows: list, scales: list, columns: list[int]) -> list[list[Fraction]]:
-    """Solve (I - M) g = e_c for each column c, exactly.
-
-    Row i of M is the pairs (j, w) of ``rows[i]``, probabilities
-    w / ``scales[i]``; equation i is multiplied by ``scales[i]``, so the
-    elimination sees integers only.
-    """
-    n = len(rows)
-    if n > EXACT_SOLVE_LIMIT and not _forest(rows):
-        raise ValueError(
-            f"window of {n} states is too large for the exact lane "
-            f"(limit {EXACT_SOLVE_LIMIT} unless the window is a forest); "
-            "use the floating solver"
-        )
-    a = []
-    for i, (row, m) in enumerate(zip(rows, scales)):
-        entries = {i: m}
-        for j, w in row:
-            w = entries.get(j, 0) - w
-            if w:
-                entries[j] = w
-            else:
-                del entries[j]
-        a.append(entries)
-    b = [{} for _ in range(n)]
-    for c_ix, c in enumerate(columns):
-        b[c][c_ix] = scales[c]
-    return _eliminate(a, b, len(columns))
 
 
 def _solve_columns_float(op: WindowOperator, columns: list[int]) -> list[np.ndarray]:
@@ -378,12 +340,34 @@ def _solve_columns_float(op: WindowOperator, columns: list[int]) -> list[np.ndar
 
 
 def _solve_columns(op: WindowOperator, columns: list[int], exact: bool) -> list:
-    """Solve (I - M) g = e_c for each column c, exactly or in floats."""
+    """Solve (I - M) g = e_c for each column c, exactly or in floats.
+
+    The exact lane hands ``_eliminate`` den (I - M) and den e_c, whose rows
+    it reads straight off the operator's integer CSR arrays.
+    """
     if not exact:
         return _solve_columns_float(op, columns)
+    n, den = len(op), op.den
+    if n > EXACT_SOLVE_LIMIT and not _forest(op):
+        raise ValueError(
+            f"window of {n} states is too large for the exact lane "
+            f"(limit {EXACT_SOLVE_LIMIT} unless the window is a forest); "
+            "use the floating solver"
+        )
     nums, cols, ptr = op.num.tolist(), op.indices.tolist(), op.indptr.tolist()
-    rows = [list(zip(cols[lo:hi], nums[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
-    return _solve_columns_integer(rows, [op.den] * len(rows), columns)
+    a = []
+    for i, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+        row = dict(zip(cols[lo:hi], [-v for v in nums[lo:hi]]))
+        diagonal = row.get(i, 0) + den
+        if diagonal:
+            row[i] = diagonal
+        else:  # the row only loops: a zero pivot
+            del row[i]
+        a.append(row)
+    b = [{} for _ in range(n)]
+    for c_ix, c in enumerate(columns):
+        b[c][c_ix] = den
+    return _eliminate(a, b, len(columns))
 
 
 def green_solve(
@@ -398,15 +382,13 @@ def green_solve(
     With the ``loop`` policy the result is exact (up to float roundoff in
     the floating lane) on chains flagged ``loop_truncation_exact``; with
     ``kill`` it is a certified lower bound, nondecreasing in the radius.
-    The window is the chain's code window (``_radius_system``).
+    The window is the chain's radius window (``window_system``).
     """
-    results = []
-    for v in _query_values(chain, x0, queries, trunc, exact, kill_into=x0):
-        v = v if exact else max(float(v), 0.0)
-        results.append(
-            GreenResult(v, "exact-solve", radius=trunc.radius, policy=trunc.policy)
-        )
-    return results
+    radius, policy = trunc.radius, trunc.policy
+    values = _window_values(chain, radius, queries, exact, kill_into=x0, policy=policy)
+    if not exact:
+        values = [max(float(v), 0.0) for v in values]
+    return [GreenResult(v, "exact-solve", radius=radius, policy=policy) for v in values]
 
 
 def green_solve_discounted(
@@ -428,18 +410,9 @@ def green_solve_discounted(
     """
     if not (0 < r < 1):
         raise ValueError("discount must satisfy 0 < r < 1")
-    return _query_values(chain, x0, queries, trunc, exact, row_scale={x0: Fraction(r)})
-
-
-def _query_values(chain, x0, queries, trunc, exact, **rows):
-    """The solved value at x of column y for each (x, y) query, one column
-    per distinct y, on the radius window (``_radius_system``)."""
-    states = [x0, *(s for q in queries for s in q)]
-    pos, op = _radius_system(chain, trunc.radius, states, policy=trunc.policy, **rows)
-    at = dict(zip(states, pos))
-    ys = sorted({y for _, y in queries}, key=chain.state_key)
-    col = dict(zip(ys, _solve_columns(op, [at[y] for y in ys], exact)))
-    return [col[y][at[x]] for x, y in queries]
+    return _window_values(
+        chain, trunc.radius, queries, exact, row_scale={x0: Fraction(r)}, policy=trunc.policy
+    )
 
 
 def default_radius(chain: ChainSpec, states: Sequence[StateId]) -> int:
@@ -468,11 +441,7 @@ def martin_kernel(
     if radius is None:
         radius = default_radius(chain, [x0, x, y])
     trunc = Truncation(radius)
-    (at0, at, aty), op = _radius_system(
-        chain, radius, [x0, x, y], kill_into=x0, policy=trunc.policy
-    )
-    (col,) = _solve_columns(op, [aty], exact)
-    num, den = col[at], col[at0]
+    num, den = _window_values(chain, radius, [(x, y), (x0, y)], exact, kill_into=x0)
     if (den == 0) if exact else (abs(float(den)) <= 1e-12):
         raise ZeroDenominatorError(
             f"G(x0, y) vanished for y={chain.format_state(y)}; ratio undefined"

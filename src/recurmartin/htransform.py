@@ -495,20 +495,19 @@ def r_map(
     also gives the balance at the base) and failures raise
     ``PreconditionViolationError`` listing the offending states.
     """
-    get = phi.evaluate if hasattr(phi, "evaluate") else phi
     radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
     x0 = params.x0
     window = chain.window(radius)
-    report = check_harmonic_except(chain, get, x0, window if x0 in window else [*window, x0])
+    report = check_harmonic_except(chain, phi, x0, window if x0 in window else [*window, x0])
     violations = []
-    base_value = get(x0)
+    base_value = phi(x0)
     if base_value != 0:
         violations.append(
             (chain.format_state(x0), f"value {base_value} at the base, expected 0")
         )
     violations += [
-        (chain.format_state(x), f"one-step average {residual + get(x)} != {get(x)}")
+        (chain.format_state(x), f"one-step average {residual + phi(x)} != {phi(x)}")
         for x, residual in report.violations
     ]
     if violations:
@@ -516,7 +515,7 @@ def r_map(
     shift = params.odds * report.balance_at_base
 
     def mapped(x):
-        return (get(x) + shift) / transformed.weight(x)
+        return (phi(x) + shift) / transformed.weight(x)
 
     return mapped
 
@@ -537,14 +536,13 @@ def r_map_inverse(
     ``PreconditionViolationError``. The output vanishes at the base and is
     harmonic off it.
     """
-    get = h.evaluate if hasattr(h, "evaluate") else h
     radius = chain.check_radius if radius is None else radius
     transformed = transformed_chain(chain, params)
     window = chain.window(radius)
     states = window if params.x0 in window else [*window, params.x0]
     violations = [
         (chain.format_state(x), f"one-step average {avg} != {value}")
-        for x, avg, value in zip(states, *one_step_averages(transformed, states, get))
+        for x, avg, value in zip(states, *one_step_averages(transformed, states, h))
         if avg != value
     ]
     if violations:
@@ -552,10 +550,10 @@ def r_map_inverse(
             "transformed-harmonicity precondition failed", violations
         )
     # the base row is r p psi(y) / psi(x0), and h averages to h(x0) over it
-    drop = transformed.weight(params.x0) * get(params.x0)
+    drop = transformed.weight(params.x0) * h(params.x0)
 
     def mapped(x):
-        return transformed.weight(x) * get(x) - drop
+        return transformed.weight(x) * h(x) - drop
 
     return mapped
 

@@ -179,8 +179,7 @@ def check_harmonic_except(
     reported.
     """
     report = HarmonicityCheck(base_point=x0, checked=0)
-    get = phi.evaluate if hasattr(phi, "evaluate") else phi
-    step = one_step_sums(chain, window, get)
+    step = one_step_sums(chain, window, phi)
     sums, at, den = step.sums, step.at, step.den
     for i, x in enumerate(window):
         if x == x0:

@@ -1,9 +1,10 @@
 """Sigma-finite path measures induced by a harmonic profile.
 
-A profile phi vanishing at a base state x0 and harmonic elsewhere defines
-a measure W on paths through the restricted-weight formula: the measure
-of {F_n happens and the walk never revisits x0 from time n on} equals
-E_x[F_n * phi(X_n)]. Restricted weights are exact rational expectations.
+A profile phi, a callable vanishing at a base state x0 and harmonic
+elsewhere, defines a measure W on paths through the restricted-weight
+formula: the measure of {F_n happens and the walk never revisits x0 from
+time n on} equals E_x[F_n * phi(X_n)]. Restricted weights are exact
+rational expectations.
 
 One martingale settles the rest on a recurrent chain. With the balance
 b = sum_z P(x0, z) phi(z), M_n = phi(X_n) - b * #{k < n : X_k = x0} is a
@@ -23,7 +24,8 @@ x0, where it vanishes.
   W_x(T_y = oo) = phi(x) - phi(y) + b * E_x[visits to x0 before T_y].
   The avoidance evaluator returns this value wherever the visit count is
   certified. Elsewhere it brackets the value with the same identity, by
-  visit counts solved on one window under each truncation policy.
+  visit counts solved on one window under each truncation policy. Every
+  visit count is a column of a ``green.window_system`` operator killed at y.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
-from .green import EXACT_SOLVE_LIMIT, _radius_system, _solve_columns, window_rows
+from .green import EXACT_SOLVE_LIMIT, _solve_columns, _window_values, window_system
 from .window import one_step_averages, propagate, weighted_sum
 
 #: Ceiling on states in the window of the uncertified avoidance bracket.
@@ -167,10 +169,6 @@ class MeasureValue:
         return float(self.value)
 
 
-def _phi_eval(phi):
-    return phi.evaluate if hasattr(phi, "evaluate") else phi
-
-
 def restricted_measure(
     chain: ChainSpec, x0: StateId, phi, x: StateId, f: HorizonFunctional
 ) -> MeasureValue:
@@ -179,13 +177,12 @@ def restricted_measure(
     This is the measure's defining formula E_x[f(X_0..X_n) * phi(X_n)],
     evaluated exactly by path enumeration.
     """
-    get = _phi_eval(phi)
     total = Fraction(0)
     for pw in enumerate_paths(chain, x, f.horizon):
         states = pw.states
         weight = f.evaluate(states)
         if weight:
-            total += pw.probability * weight * get(states[-1])
+            total += pw.probability * weight * phi(states[-1])
     return MeasureValue(value=total, mode="exact", note=f.description)
 
 
@@ -214,18 +211,17 @@ def cylinder_measure(
         raise ValueError("horizons must be strictly increasing")
     if not horizons or horizons[0] < event.horizon:
         raise ValueError(f"horizons must start at or after {event.horizon}")
-    get = _phi_eval(phi)
 
     def keep(t, states):  # past the horizon every state is allowed
         return [event.allowed(t, s) for s in states] if t <= event.horizon else None
 
     times = sorted({event.horizon, *horizons})
     laws = dict(zip(times, propagate(chain, x, times, keep)))
-    phis = {s: get(s) for s in dict.fromkeys(s for n in horizons for s in laws[n][0])}
+    phis = {s: phi(s) for s in dict.fromkeys(s for n in horizons for s in laws[n][0])}
     values = [weighted_sum(w, [phis[s] for s in states], scale)
               for states, w, scale in (laws[n] for n in horizons)]
     possible = sum(laws[event.horizon][1]) > 0  # P_x(event) > 0
-    diverges = possible and one_step_averages(chain, [x0], get)[0][0] > 0
+    diverges = possible and one_step_averages(chain, [x0], phi)[0][0] > 0
     return MeasureValue(
         value=values[-1],
         mode="monotone-sequence",
@@ -263,7 +259,6 @@ def verify_concatenation(
     """
     if not 0 <= n <= p:
         raise ValueError("need 0 <= n <= p")
-    get = _phi_eval(phi)
     prefix = {
         pw.states: pw.probability
         for pw in enumerate_paths(chain, x, n)
@@ -275,11 +270,11 @@ def verify_concatenation(
     for pw in enumerate_paths(chain, x, p):
         states = pw.states
         checked += 1
-        lhs = pw.probability * get(states[-1]) if states[n] == y else Fraction(0)
+        lhs = pw.probability * phi(states[-1]) if states[n] == y else Fraction(0)
         rhs = (
             prefix.get(states[: n + 1], Fraction(0))
             * suffix.get(states[n:], Fraction(0))
-            * get(states[-1])
+            * phi(states[-1])
         )
         if lhs or rhs:
             nonzero += 1
@@ -343,7 +338,6 @@ def avoidance_function(
     a nonnegative phi. The verdict is "inconclusive", the mode "bracket"
     and the value the midpoint.
     """
-    get = _phi_eval(phi)
     if x == y:
         return MeasureValue(
             Fraction(0), "exact", verdict="exact",
@@ -351,14 +345,14 @@ def avoidance_function(
         )
     if y == x0:
         return MeasureValue(
-            get(x), "exact", verdict="exact",
+            phi(x), "exact", verdict="exact",
             note="barred state is the base point",
         )
-    balance = one_step_averages(chain, [x0], get)[0][0]
+    balance = one_step_averages(chain, [x0], phi)[0][0]
     if not _visits_certified(chain):
         v_kill, v_loop = _uncertified_visits(chain, x, y, x0, config.state_budget)
-        lower = float(max(0, get(x) - get(y) + balance * v_kill))
-        upper = float(get(x)) + float(balance) * float(v_loop)
+        lower = float(max(0, phi(x) - phi(y) + balance * v_kill))
+        upper = float(phi(x)) + float(balance) * float(v_loop)
         return MeasureValue(
             0.5 * (lower + upper), "bracket", verdict="inconclusive",
             bracket=(lower, upper),
@@ -368,7 +362,7 @@ def avoidance_function(
         visits, note = 0, "; no base visits, the barred state separates"
     else:
         visits, note = _base_visits_before(chain, x, y, x0), ""
-    value = get(x) - get(y) + balance * visits
+    value = phi(x) - phi(y) + balance * visits
     return MeasureValue(
         value, "exact", verdict="bracket-closed", bracket=(float(value), float(value)),
         note="identity phi(x) - phi(y) + balance * E_x[visits to base before T_y]" + note,
@@ -386,9 +380,10 @@ def _base_visits_before(chain, x, y, x0):
 
     On chains whose beyond-window excursions re-enter where they left,
     loop truncation at any connected window containing x, y and x0 is
-    exact: a ``Fraction`` solved on their hull when the chain knows it (the
-    line's and half line's interval, the tree's geodesics), else on a
-    window of the containing radius. The planar walk's law gets the
+    exact: a ``Fraction`` solved (``green._window_values``) on their hull
+    when the chain knows it (the line's and half line's interval, the
+    tree's geodesics), else on the radius window two past the farthest of
+    them. The planar walk's law gets the
     potential-kernel closed form, as a float. Capabilities count only
     where the chain's law vouches for them (``law_capability``).
     """
@@ -402,9 +397,8 @@ def _base_visits_before(chain, x, y, x0):
         return float(origin_killed_green(table, dx, d0))
     window = law_capability(chain, "hull")([x, y, x0])
     if window is None:
-        window = chain.window(max(chain.norm(s) for s in (x, y, x0)) + 2)
-    index, op = window_rows(chain, window, kill_into=y, policy="loop")
-    return _solve_columns(op, [index[x0]], True)[0][index[x]]
+        window = max(chain.norm(s) for s in (x, y, x0)) + 2
+    return _window_values(chain, window, [(x, x0)], True, kill_into=y)[0]
 
 
 def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
@@ -422,6 +416,6 @@ def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
             f"more than the state budget of {budget}"
         )
     exact = size <= EXACT_SOLVE_LIMIT
-    (at0, at), op = _radius_system(chain, radius, [x0, x], kill_into=y, policy="kill")
+    (at0, at), op = window_system(chain, radius, [x0, x], kill_into=y, policy="kill")
     counts = [_solve_columns(o, [at0], exact)[0][at] for o in (op, op.looped())]
     return counts if exact else [float(c) for c in counts]

@@ -13,6 +13,7 @@ step. The sparse
 exact elimination is checked against a dense Gauss-Jordan oracle kept in
 this module, on random sparse substochastic systems.
 """
+import ast
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurmartin import green as green_module
-from recurmartin.errors import RunawayRunError, SingularSystemError
+from recurmartin.errors import RunawayRunError, SingularSystemError, ZeroDenominatorError
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -41,10 +42,10 @@ from recurmartin.green import (
     EXACT_SOLVE_LIMIT,
     GreenResult,
     Truncation,
+    _eliminate,
     _exit_level,
     _line_jumps,
     _solve_columns_float,
-    _solve_columns_integer,
     _square_exit_law,
     _tree_jumps,
     default_radius,
@@ -53,7 +54,7 @@ from recurmartin.green import (
     green_solve,
     green_solve_discounted,
     martin_kernel,
-    window_rows,
+    window_system,
 )
 from recurmartin.potential import origin_killed_green, potential_mc, potential_table
 from recurmartin.rng import GREEN_ENSEMBLE, counter_bits, stream_keys
@@ -78,14 +79,22 @@ def fraction_rows(op):
 
 def fraction_solve(rows, columns):
     """Solve (I - M) g = e_c for each column c, exactly, from rows of
-    (column, Fraction) pairs: each row is scaled by the lcm of its
-    denominators and handed to the integer elimination."""
+    (column, Fraction) pairs: each equation is scaled to integers by the lcm
+    of its row's denominators and handed to the integer elimination."""
+    a, b = [], [{} for _ in rows]
     scales = [math.lcm(1, *(p.denominator for _, p in row)) for row in rows]
-    ints = [
-        [(j, p.numerator * (m // p.denominator)) for j, p in row]
-        for row, m in zip(rows, scales)
-    ]
-    return _solve_columns_integer(ints, scales, columns)
+    for i, (row, m) in enumerate(zip(rows, scales)):
+        entries = {i: m}
+        for j, p in row:
+            w = entries.get(j, 0) - p.numerator * (m // p.denominator)
+            if w:
+                entries[j] = w
+            else:
+                del entries[j]
+        a.append(entries)
+    for c_ix, c in enumerate(columns):
+        b[c][c_ix] = scales[c]
+    return _eliminate(a, b, len(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +184,22 @@ def test_window_errors_name_every_missing_state_in_order():
         martin_kernel(Z, 0, 30, -9, radius=5)
     with pytest.raises(ValueError, match=r"radius-2 window: 0,3, 3,0$"):
         green_solve(PLANE, (0, 0), [((3, 0), (0, 3))], Truncation(2, "kill"))
+
+
+
+class OneWayBase(ZWalk):
+    """The line, except that the base steps up with certainty: killed at the
+    base, the walk from it never reaches the minus side."""
+
+    def successors(self, x):
+        return [(1, Fraction(1))] if x == 0 else super().successors(x)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_martin_kernel_refuses_a_vanishing_denominator(exact):
+    text = r"^G\(x0, y\) vanished for y=-3; ratio undefined$"
+    with pytest.raises(ZeroDenominatorError, match=text):
+        martin_kernel(OneWayBase(), 0, -1, -3, exact=exact)
 
 
 DEEP_80 = ".".join(["0"] * 80)
@@ -282,6 +307,37 @@ def test_float_lane_matches_exact_lane():
         assert f == pytest.approx(float(e), abs=1e-12)
 
 
+
+def _scoped_calls(node, scope=""):
+    """Every call under ``node``, with the dotted name of its enclosing
+    class and function definitions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped_calls(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _scoped_calls(child, scope)
+
+
+def test_one_route_builds_and_solves_window_systems():
+    # every window operator is built by window_system, and every exact
+    # window solve eliminates through _solve_columns; the planar potential
+    # kernel's patch oracle is the one other integer system
+    allowed = {
+        "window_operator": {("green", "window_system")},
+        "_eliminate": {("green", "_solve_columns"), ("potential", "_patch_oracle_matches")},
+    }
+    seen = set()
+    for path in sorted(Path(green_module.__file__).parent.glob("*.py")):
+        for scope, call in _scoped_calls(ast.parse(path.read_text())):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in allowed:
+                assert (path.stem, scope) in allowed[name], (path.name, scope, call.lineno)
+                seen.add((path.stem, scope))
+    assert seen == set().union(*allowed.values())
+
 # ---------------------------------------------------------------------------
 # Sparse exact elimination against a dense oracle
 
@@ -324,7 +380,7 @@ def _dense_solve_columns_fraction(rows: list, columns: list[int]) -> list[list[F
 
 @st.composite
 def substochastic_systems(draw):
-    """Sparse substochastic rows in window_rows format, plus solve columns.
+    """Sparse substochastic rows as (column, Fraction) lists, plus solve columns.
 
     Each row puts integer weights on up to three states plus an optional
     exit weight, and divides by their total, so the exit weight is the
@@ -861,7 +917,9 @@ def test_square_exit_law_matches_the_exact_window_solve(m):
     # row; leaving through w, a run steps across the edge (1/4) from the
     # square's state z next to w
     dx, dy, p = _square_exit_law(m)
-    index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
+    window = PLANE.window(m)
+    index = {s: i for i, s in enumerate(window)}
+    _, op = window_system(PLANE, window, policy="kill")
     (g,) = fraction_solve(fraction_rows(op), [index[(0, 0)]])
     for x, y, q in zip(dx.tolist(), dy.tolist(), p.tolist()):
         z = (max(-m, min(m, x)), max(-m, min(m, y)))
@@ -871,7 +929,9 @@ def test_square_exit_law_matches_the_exact_window_solve(m):
 def test_square_exit_law_matches_the_float_window_solve_at_the_top_levels():
     for m in (8, 16):
         dx, dy, p = _square_exit_law(m)
-        index, op = window_rows(PLANE, PLANE.window(m), policy="kill")
+        window = PLANE.window(m)
+        index = {s: i for i, s in enumerate(window)}
+        _, op = window_system(PLANE, window, policy="kill")
         (g,) = _solve_columns_float(op, [index[(0, 0)]])
         inner = [index[(max(-m, min(m, x)), max(-m, min(m, y)))]
                  for x, y in zip(dx.tolist(), dy.tolist())]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recurmartin.chains import distribution_after, enumerate_paths
+from recurmartin.chains import ChainSpec, distribution_after, enumerate_paths
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -180,6 +180,16 @@ def test_cylinder_verdict_is_the_divergence_theorem():
     # the mass counts at the event horizon even when phi vanishes there
     away = cylinder_measure(Z, 0, PHI, 0, state_at_time(2, -2), [2])
     assert away.value == 0 and away.verdict == "diverges"
+
+
+
+def test_cylinder_with_a_float_profile_sums_in_floats():
+    event = state_at_time(3, 1)
+    exact = cylinder_measure(Z, 0, PHI, 0, event, [3, 10])
+    assert [v for _, v in exact.sequence] == [Fraction(3, 4), Fraction(153, 128)]
+    mv = cylinder_measure(Z, 0, lambda s: 2.0 * max(s, 0), 0, event, [3, 10])
+    assert [v for _, v in mv.sequence] == [0.75, 1.1953125]
+    assert all(type(v) is float for _, v in mv.sequence) and type(mv.value) is float
 
 
 def test_cylinder_from_disallowed_start_is_zero():
@@ -483,6 +493,40 @@ def test_base_visits_on_the_line_solve_on_the_interval():
     # visits to 0 from 3 before hitting -2: by translation G_0(5, 2) = 4
     assert _base_visits_before(Z, 3, -2, 0) == Fraction(4)
     assert _base_visits_before(BangBangWalk(), 4, 1, 0) == Fraction(0)
+
+
+
+class HulllessLine(ChainSpec):
+    """The line's law as a chain of its own that vouches for exact loop
+    truncation but knows no hulls."""
+
+    name = "line-without-hull"
+    base_point = 0
+    loop_truncation_exact = True
+
+    def successors(self, x):
+        return [(x - 1, Fraction(1, 2)), (x + 1, Fraction(1, 2))]
+
+    def state_key(self, x):
+        return x
+
+    def format_state(self, x):
+        return str(x)
+
+    def parse_state(self, text):
+        return int(text)
+
+    def window(self, radius):
+        return list(range(-radius, radius + 1))
+
+
+def test_base_visits_without_a_hull_solve_on_a_radius_window():
+    line = HulllessLine()
+    assert _visits_certified(line) and law_capability(line, "hull")([3, 0]) is None
+    for (x, y), value in zip([(3, -2), (-4, 2), (5, 7), (-1, -6)], [10, 0, 0, 10]):
+        mv = avoidance_function(line, 0, lambda s: 2 * max(s, 0), x, y)
+        assert mv.value == value == avoidance_function(Z, 0, PHI, x, y).value
+        assert mv.verdict == "bracket-closed"
 
 
 class JumpZ(ZWalk):

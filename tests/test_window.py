@@ -52,11 +52,10 @@ from recurmartin.examplechains import (
 from recurmartin.green import (
     FLOAT_LU_ORDERING,
     Truncation,
-    _radius_system,
-    _solve_columns_integer,
+    _eliminate,
     green_solve,
     green_solve_discounted,
-    window_rows,
+    window_system,
 )
 from recurmartin.htransform import TransformParams, transformed_chain, verify_row_sums
 from recurmartin.martin import check_harmonic_except, profile_from_boundary
@@ -111,14 +110,22 @@ def fraction_rows(op):
 
 def fraction_solve(rows, columns):
     """Solve (I - M) g = e_c for each column c, exactly, from rows of
-    (column, Fraction) pairs: each row is scaled by the lcm of its
-    denominators and handed to the integer elimination."""
+    (column, Fraction) pairs: each equation is scaled to integers by the lcm
+    of its row's denominators and handed to the integer elimination."""
+    a, b = [], [{} for _ in rows]
     scales = [math.lcm(1, *(p.denominator for _, p in row)) for row in rows]
-    ints = [
-        [(j, p.numerator * (m // p.denominator)) for j, p in row]
-        for row, m in zip(rows, scales)
-    ]
-    return _solve_columns_integer(ints, scales, columns)
+    for i, (row, m) in enumerate(zip(rows, scales)):
+        entries = {i: m}
+        for j, p in row:
+            w = entries.get(j, 0) - p.numerator * (m // p.denominator)
+            if w:
+                entries[j] = w
+            else:
+                del entries[j]
+        a.append(entries)
+    for c_ix, c in enumerate(columns):
+        b[c][c_ix] = scales[c]
+    return _eliminate(a, b, len(columns))
 
 
 def reference_rows(chain, window, kill_into=None, row_scale=None, policy="loop"):
@@ -206,9 +213,9 @@ def test_operator_equals_the_successor_derived_operator(name, policy):
     window = chain.window(radius)
     y = window[-1]
     for kw in ({}, {"kill_into": x0}, {"row_scale": {x0: Fraction(2, 3), y: Fraction(1, 5)}}):
-        index, op = window_rows(chain, window, policy=policy, **kw)
-        pindex, pop = window_rows(plain, window, policy=policy, **kw)
-        assert index == pindex and list(index) == window
+        pos, op = window_system(chain, window, window, policy=policy, **kw)
+        ppos, pop = window_system(plain, window, window, policy=policy, **kw)
+        assert pos == ppos == list(range(len(window)))
         assert_same_operator(op, pop)
         # and both equal the per-state Fraction rows
         _, ref = reference_rows(chain, window, policy=policy, **kw)
@@ -220,7 +227,7 @@ def test_operator_equals_the_successor_derived_operator(name, policy):
 def test_operator_keeps_escaped_and_killed_mass_apart():
     tree = KaryTree(2)
     window = tree.window(2)
-    _, op = window_rows(tree, window, kill_into=ROOT, policy="kill")
+    _, op = window_system(tree, window, kill_into=ROOT, policy="kill")
     total = np.add.reduceat(op.num, op.indptr[:-1]) + op.escaped
     killed = np.array([4 * sum(p for t, p in tree.successors(s) if t == ROOT) for s in window])
     assert np.array_equal(total + killed, np.full(len(window), op.den))
@@ -233,7 +240,7 @@ def test_operator_merges_duplicates_and_loop_mass_in_integers():
             return [(x, Fraction(1, 6)), (x - 1, Fraction(1, 3)), (x, Fraction(1, 6)),
                     (x + 1, Fraction(1, 3))]
 
-    _, op = window_rows(Lazy(), [0, 1, 2], policy="loop")
+    _, op = window_system(Lazy(), [0, 1, 2], policy="loop")
     assert op.den == 6
     assert fraction_rows(op) == [
         [(0, Fraction(2, 3)), (1, Fraction(1, 3))],
@@ -361,7 +368,7 @@ def test_default_table_keeps_numerators_wider_than_int64():
 
     chain = Tilted()
     window = chain.window(6)
-    _, op = window_rows(chain, window, kill_into=0, policy="loop")
+    _, op = window_system(chain, window, kill_into=0, policy="loop")
     assert op.num.dtype == object
     assert fraction_rows(op) == reference_rows(chain, window, kill_into=0)[1]
     (exact,) = green_solve(chain, 0, [(2, 3)], Truncation(6), exact=True)
@@ -407,7 +414,7 @@ def test_code_window_equals_the_listed_window(name, radius):
     assert table.decode(codes) == window
     x0 = chain.base_point
     for policy in ("loop", "kill"):
-        (at,), op = _radius_system(chain, radius, [x0], kill_into=x0, policy=policy)
+        (at,), op = window_system(chain, radius, [x0], kill_into=x0, policy=policy)
         assert at == window.index(x0)
         assert_same_operator(op, listed_operator(chain, window, x0, policy))
 
@@ -437,7 +444,7 @@ def test_changed_laws_and_windows_take_the_listed_window(chain):
     assert isinstance(table, SuccessorTable) == (law_class(chain) is type(chain))
     x0 = window[0]
     for policy in ("loop", "kill"):
-        _, op = _radius_system(chain, 4, [x0], kill_into=x0, policy=policy)
+        _, op = window_system(chain, 4, [x0], kill_into=x0, policy=policy)
         assert_same_operator(op, listed_operator(chain, window, x0, policy))
 
 
@@ -452,7 +459,7 @@ def test_tree_code_window_stops_at_the_depth_limit(monkeypatch):
     table, codes = tree.code_window(4)
     assert isinstance(table, SuccessorTable)
     assert table.decode(codes) == tree.window(4)
-    _, op = _radius_system(tree, 4, [ROOT], kill_into=ROOT, policy="loop")
+    _, op = window_system(tree, 4, [ROOT], kill_into=ROOT, policy="loop")
     assert_same_operator(op, listed_operator(tree, tree.window(4), ROOT, "loop"))
 
 
