@@ -164,6 +164,26 @@ def law_capability(chain: ChainSpec, name: str):
     raise AttributeError(name)
 
 
+def kernel_array(chain: ChainSpec):
+    """The array form of ``chain``'s boundary kernel, bound to it, or None.
+
+    A law class may define ``_kernel_array(table, codes, alpha, base)``
+    beside its ``exact_boundary_kernel``: the kernel at the states of
+    ``codes`` on its own code table, as ``(nums, den)`` (integer numerators
+    over one denominator), or None for a table it cannot read. It stands
+    for the kernel only while the chain's ``exact_boundary_kernel`` is the
+    law class's own: a subclass that overrides the kernel, or the law (so
+    its table's codes are not the ones the form reads), gets None, and
+    callers evaluate its own kernel state by state.
+    """
+    law = law_class(chain)
+    form = law.__dict__.get("_kernel_array")
+    kernel = getattr(getattr(chain, "exact_boundary_kernel", None), "__func__", None)
+    if form is None or kernel is not law.__dict__.get("exact_boundary_kernel"):
+        return None
+    return form.__get__(chain, type(chain))
+
+
 @dataclass(frozen=True)
 class PathWeight:
     """One finite path X_0, ..., X_n with its exact probability."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chains import ChainSpec, StateId
 from .errors import UnsupportedBasePointError
-from .window import UNNAMED
+from .window import UNNAMED, _max_abs, int_array
 
 # ---------------------------------------------------------------------------
 # Boundary points
@@ -193,6 +193,18 @@ class ZWalk(ChainSpec):
         v = (x - base) * alpha.sign
         return Fraction(2 * v) if v > 0 else Fraction(0)
 
+    def _kernel_array(self, table, codes, alpha, base=0):
+        """``exact_boundary_kernel`` at the codes of the line table, over 1
+        (``chains.kernel_array``)."""
+        if not (type(table) is _LineTable and isinstance(alpha, LineEnd)
+                and type(alpha.sign) is int and type(base) is int):
+            return None
+        x = _wide(codes, (_max_abs(codes) + abs(base)) * 2 * abs(alpha.sign))
+        v = (x - base) * alpha.sign
+        nums = np.where(v > 0, 2 * v, 0)
+        nums[x == base] = 1
+        return nums, 1
+
     def exact_profile(self, x: int, alpha: LineEnd, base: int = 0) -> Fraction:
         """Normalized harmonic profile attached to one end (zero at base)."""
         self._require_base(base)
@@ -312,6 +324,21 @@ class BangBangWalk(ChainSpec):
         a, b = self.q.numerator, self.q.denominator
         u, v = ((b - a) ** x, a**x) if x > 0 else (a**-x, (b - a) ** -x)
         return Fraction(a * (u - v), v * (b - 2 * a))
+
+    def _kernel_array(self, table, codes, alpha, base=0):
+        """``exact_boundary_kernel`` at the codes of the half-line table
+        (``chains.kernel_array``): over a^m (b - 2a), with m the largest
+        code, a^(m+1-x) ((b-a)^x - a^x) at x > 0 and the denominator at 0."""
+        self._require_base(base)
+        if type(table) is not _LineTable:
+            return None
+        a, b = self.q.numerator, self.q.denominator
+        m = int(codes.max())
+        den = a**m * (b - 2 * a)
+        x = _wide(codes, max(den, a ** (m + 1) * (b - a) ** m))
+        nums = a ** (m + 1 - x) * ((b - a) ** x - a**x)
+        nums[x == 0] = den
+        return nums, den
 
     def exact_profile(self, x: int, alpha: HalfLineEnd, base: int = 0) -> Fraction:
         self._require_base(base)
@@ -486,6 +513,41 @@ class KaryTree(ChainSpec):
             return Fraction(1)
         k = self.k
         return Fraction(k * (k ** alpha.agreement(x) - 1) // (k - 1))
+
+    def _kernel_array(self, table, codes, alpha, base=ROOT):
+        """``exact_boundary_kernel`` at the heap codes of a tree table, over
+        1 (``chains.kernel_array``).
+
+        Below the table's anchor, a node at depth d has offset o, its digits
+        read in base k, and agrees with the ray down to depth d - t, with t
+        the fewest digits to drop from o and from the ray's offset at depth d
+        for the two to match.
+        """
+        self._require_base(base)
+        k = self.k
+        if not (type(table) is _TreeTable and isinstance(alpha, TreeRay) and alpha.period):
+            return None
+        if any(not 0 <= c < k for c in alpha.prefix + alpha.period):
+            return None
+        anchor = table.anchor
+        depth = np.searchsorted(table._firsts, codes, side="right") - 1
+        start = alpha.agreement(anchor)
+        if start < len(anchor):  # every node leaves the ray above the anchor
+            agree = np.full(len(codes), start)
+        else:
+            ray = [0]
+            for d in range(start, start + int(depth.max())):
+                ray.append(ray[-1] * k + alpha.digit(d))
+            off, ray_off = codes - table._firsts[depth], np.array(ray, dtype=np.int64)[depth]
+            agree = depth + start
+            while (differ := off != ray_off).any():
+                agree -= differ
+                off //= k
+                ray_off //= k
+        nums = int_array([k * (k**j - 1) // (k - 1) for j in range(int(agree.max()) + 1)])[agree]
+        if not anchor:
+            nums[codes == 0] = 1
+        return nums, 1
 
     def exact_profile(self, x: tuple, alpha: TreeRay, base: tuple = ROOT) -> Fraction:
         self._require_base(base)
@@ -701,9 +763,13 @@ class _PlaneTable:
         return codes
 
     def decode(self, codes) -> list:
-        a = (codes + (1 << (self.SHIFT - 1))) >> self.SHIFT
-        b = codes - (a << self.SHIFT)
+        a, b = self.coordinates(codes)
         return list(zip(a.tolist(), b.tolist()))
+
+    def coordinates(self, codes) -> tuple:
+        """The int64 coordinate arrays (a, b) of planar codes."""
+        a = (codes + (1 << (self.SHIFT - 1))) >> self.SHIFT
+        return a, codes - (a << self.SHIFT)
 
     def step(self, codes):
         succ = codes[:, None] + self._MOVES
@@ -719,9 +785,21 @@ def _plane_window_codes(radius: int) -> np.ndarray:
     return ((a << _PlaneTable.SHIFT) + b)[np.argsort(ring, kind="stable")]
 
 
+def plane_coordinates(table, codes):
+    """The coordinate arrays (a, b) of codes on ``table``, or None when it is
+    not the planar walk's code table."""
+    return table.coordinates(codes) if type(table) is _PlaneTable else None
+
+
 def _plane_coordinates(states) -> np.ndarray:
     """The (n, 2) int64 array of planar states (a, b), read in one pass."""
     return np.fromiter(iter_chain.from_iterable(states), np.int64).reshape(len(states), 2)
+
+
+def _wide(codes: np.ndarray, bound: int) -> np.ndarray:
+    """``codes``, as Python ints (an object array) once ``bound`` on the
+    values computed from them reaches 2^63."""
+    return codes if bound < 2**63 else codes.astype(object)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ no report depends on the tabulation.
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
 and beta(x0) is one positive factor on both sides, so phi's values are
-taken over one denominator and each row sum is one integer comparison.
+taken over one denominator, from one call of the kernel's array form
+where it has one, and the rows are compared in one array comparison.
 
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
@@ -47,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, law_class
+from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, kernel_array, law_class
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -59,6 +60,7 @@ from .examplechains import (
     Z2Walk,
     ZWalk,
     exact_martin_boundary,
+    plane_coordinates,
 )
 from .green import Truncation, default_radius, green_solve_discounted, martin_kernel
 from .martin import check_harmonic_except
@@ -69,7 +71,13 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import one_step_averages, one_step_sums_each
+from .window import (
+    ArrayValued,
+    one_step_averages,
+    one_step_sums_each,
+    rational_sum,
+    state_mask,
+)
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -261,6 +269,13 @@ def verify_row_sums(
     with a the potential kernel, the same integer identity is checked on
     each of the integer parts of psi's p + q/pi numerators, both summed over
     one step (``window.one_step_sums_each``).
+
+    Each part's values for the whole window come from its array form where
+    it has one: the kernel's (``chains.kernel_array``), with r/(1-r) added
+    once in integers, and the potential table's numerator arrays on the
+    plane. Then every row off the base is compared in one array comparison
+    (``OneStepSums.unbalanced``), and a ``Fraction`` is built only for a
+    violation reported.
     """
     r = params.r
     if law_class(chain) is Z2Walk:
@@ -271,33 +286,52 @@ def verify_row_sums(
         # from the potential table's numerators P and Q over L
         table = potential_table(radius + 1)
         top, bottom = params.odds.numerator * table.scale, params.odds.denominator
-        parts = [
-            lambda s: top + bottom * table.numerators(s)[0],
-            lambda s: bottom * table.numerators(s)[1],
-        ]
+
+        def part(k, shift):
+            def array(code_table, codes):
+                xy = plane_coordinates(code_table, codes)
+                if xy is None:
+                    return None
+                return rational_sum(
+                    [(shift, 1, 1), (bottom, table.numerator_arrays(*xy)[k], 1)], len(codes)
+                )
+
+            return ArrayValued(lambda s: shift + bottom * table.numerators(s)[k], array)
+
+        parts = [part(0, top), part(1, 0)]
         base = chain.base_point
     else:
         odds, base, alpha = params.odds, params.x0, params.alpha
         beta0 = chain.stationary(base)
+        kernel = kernel_array(chain)
 
         def phi(s):
             return odds if s == base else odds + exact_martin_boundary(chain, base, s, alpha)
 
-        parts = [phi]
+        def phi_array(code_table, codes):
+            ell = kernel(code_table, codes, alpha, base)
+            if ell is None:
+                return None
+            ell[0][state_mask(code_table, codes, base)] = 0
+            return rational_sum([(odds.numerator, 1, odds.denominator), (1, *ell)], len(codes))
+
+        parts = [phi if kernel is None else ArrayValued(phi, phi_array)]
     window = chain.window(radius)
     steps = one_step_sums_each(chain, window, parts)
-    report = RowSumReport(chain.name, r, radius)
-    for i, x in enumerate(window):
-        top, bottom = (r.numerator, r.denominator) if x == base else (1, 1)
-        report.checked += 1
-        if any(top * s.sums[i] != bottom * s.den * s.at[i] for s in steps):
-            if len(steps) == 1:
-                (s,) = steps
-                scale = r if x == base else Fraction(1)
-                detail = f"{scale * s.average(i) / beta0} != {s.values[i] / beta0}"
-            else:
-                detail = "row identity failed"
-            report.violations.append((chain.format_state(x), detail))
+    report = RowSumReport(chain.name, r, radius, checked=len(window))
+    bad = np.logical_or.reduce([s.unbalanced() for s in steps])
+    # the base row is scaled by r: r.numerator * sum against r.denominator * value
+    for i in [i for i, x in enumerate(window) if x == base]:
+        rows = [s.row(i) for s in steps]
+        bad[i] = any(r.numerator * u != r.denominator * s.den * v for s, (u, v) in zip(steps, rows))
+    for i in np.flatnonzero(bad).tolist():
+        if len(steps) == 1:
+            (s,) = steps
+            scale = r if window[i] == base else Fraction(1)
+            detail = f"{scale * s.average(i) / beta0} != {s.value(i) / beta0}"
+        else:
+            detail = "row identity failed"
+        report.violations.append((chain.format_state(window[i]), detail))
     return report
 
 

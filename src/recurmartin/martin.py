@@ -12,6 +12,11 @@ denominators of the kernel values, the base weight and the mixture
 weights, with one ``Fraction`` per value. A kernel that returns values
 other than ints and Fractions (floats, say) keeps the plain arithmetic
 ``L / beta(x0)`` and ``sum(w * L)``, and so its result type.
+
+Where the chain's kernel has an array form (``chains.kernel_array``), a
+profile or mixture carries one too (``HarmonicProfile.array_values``), so a
+harmonicity check takes its values for a whole window from one kernel call
+per boundary point, in integers, and builds no ``Fraction`` per state.
 """
 from __future__ import annotations
 
@@ -20,10 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .chains import ChainSpec, StateId
+import numpy as np
+
+from .chains import ChainSpec, StateId, kernel_array
 from .errors import NotInConeError
 from .examplechains import LineEnd, ZWalk, exact_martin_boundary
-from .window import one_step_sums
+from .window import one_step_sums, rational_sum, state_mask
 
 PROVENANCES = ("closed-form", "boundary-point", "mixture", "user")
 
@@ -36,6 +43,8 @@ class HarmonicProfile:
     fn: Callable[[StateId], object]
     provenance: str = "user"
     description: str = ""
+    #: fn's array form, as ``window.ArrayValued.array``, or None
+    fn_array: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -47,6 +56,15 @@ class HarmonicProfile:
         return self.fn(x)
 
     __call__ = evaluate
+
+    def array_values(self, table, codes):
+        """``evaluate`` at the states of ``codes`` on a code table, as
+        integer numerators over one denominator, from ``fn_array``; None
+        without one (``window.one_step_sums``)."""
+        got = None if self.fn_array is None else self.fn_array(table, codes)
+        if got is not None:
+            got[0][state_mask(table, codes, self.base_point)] = 0
+        return got
 
 
 @dataclass(frozen=True)
@@ -75,11 +93,14 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
     phi(x) = L(x, alpha) / beta(x0) away from the base state, zero there,
     with L the chain's closed-form kernel (``exact_martin_boundary``). Its
     one-step balance at the base is exactly 1/beta(x0). When beta(x0) is a
-    Fraction and L(x) rational, phi(x) is built as one Fraction.
+    Fraction and L(x) rational, phi(x) is built as one Fraction; with a
+    Fraction beta(x0) and the kernel's array form, the profile has an
+    array form too.
     """
     beta0 = chain.stationary(x0)
     rational = isinstance(beta0, Fraction)
     top, bottom = (beta0.denominator, beta0.numerator) if rational else (1, 1)
+    kernel = kernel_array(chain) if rational else None
 
     def fn(x):
         ell = exact_martin_boundary(chain, x0, x, alpha)
@@ -87,11 +108,19 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
             return Fraction(ell.numerator * top, ell.denominator * bottom)
         return ell / beta0
 
+    def fn_array(table, codes):
+        ell = kernel(table, codes, alpha, x0)
+        if ell is None:
+            return None
+        nums, den = rational_sum([(top, *ell)], len(codes))
+        return nums, den * bottom
+
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
         provenance="boundary-point",
         description=f"boundary point {alpha} over base {chain.format_state(x0)}",
+        fn_array=None if kernel is None else fn_array,
     )
 
 
@@ -101,12 +130,14 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
     The one-step balance at the base equals the mixture's total mass
     exactly, because each kernel contributes balance 1. The weights are put
     over their least common denominator once; when every L(x, alpha_i) is
-    rational, phi(x) is one Fraction of integer sums.
+    rational, phi(x) is one Fraction of integer sums. With the kernel's
+    array form, the mixture has one too.
     """
     alphas = [alpha for alpha, _ in mixture.atoms]
     weights = [w for _, w in mixture.atoms]
     lcd = math.lcm(1, *(w.denominator for w in weights))
     scaled = [w.numerator * (lcd // w.denominator) for w in weights]
+    kernel = kernel_array(chain)
 
     def fn(x):
         ells = [exact_martin_boundary(chain, x0, x, alpha) for alpha in alphas]
@@ -119,11 +150,22 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
             den *= d
         return Fraction(num, den * lcd)
 
+    def fn_array(table, codes):
+        terms = []
+        for c, alpha in zip(scaled, alphas):
+            ell = kernel(table, codes, alpha, x0)
+            if ell is None:
+                return None
+            terms.append((c, *ell))
+        nums, den = rational_sum(terms, len(codes))
+        return nums, den * lcd
+
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
         provenance="mixture",
         description=f"{len(mixture.atoms)}-atom mixture over base {chain.format_state(x0)}",
+        fn_array=None if kernel is None else fn_array,
     )
 
 
@@ -174,18 +216,16 @@ def check_harmonic_except(
     The residual at x is the one-step average minus the value; it must
     vanish at every window state except the base, where the balance (not
     constrained to vanish) is reported instead. Both come from one
-    ``window.one_step_sums`` pass, which tests each residual for zero in
-    integers; a residual or balance ``Fraction`` is built only where it is
-    reported.
+    ``window.one_step_sums`` pass, which tests every residual for zero in
+    one integer array comparison (with phi's array form, when it has one,
+    giving its values); a residual or balance ``Fraction`` is built only
+    where it is reported.
     """
-    report = HarmonicityCheck(base_point=x0, checked=0)
     step = one_step_sums(chain, window, phi)
-    sums, at, den = step.sums, step.at, step.den
-    for i, x in enumerate(window):
-        if x == x0:
-            report.balance_at_base = step.average(i)
-            continue
-        report.checked += 1
-        if sums[i] - den * at[i] != 0:
-            report.violations.append((x, step.average(i) - step.values[i]))
+    at_base = np.array([x == x0 for x in window], dtype=bool)
+    report = HarmonicityCheck(base_point=x0, checked=len(window) - int(at_base.sum()))
+    for i in np.flatnonzero(at_base).tolist():
+        report.balance_at_base = step.average(i)
+    for i in np.flatnonzero(step.unbalanced() & ~at_base).tolist():
+        report.violations.append((window[i], step.average(i) - step.value(i)))
     return report

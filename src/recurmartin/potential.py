@@ -29,6 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .window import int_array
+
 
 _PRECISION_DIGITS = 50
 
@@ -190,6 +192,20 @@ class PotentialTable:
                 f"point {tuple(x)} outside the radius-{self.radius} table"
             )
         return self._p[i][j], self._q[i][j]
+
+    def numerator_arrays(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """``numerators`` at the points (a[n], b[n]) of two coordinate
+        arrays: the arrays of P and of Q (``window.int_array``)."""
+        i, j = np.abs(a), np.abs(b)
+        i, j = np.maximum(i, j), np.minimum(i, j)
+        outside = np.flatnonzero(i > self.radius)
+        if outside.size:
+            n = outside[0]
+            raise ValueError(
+                f"point {(int(a[n]), int(b[n]))} outside the radius-{self.radius} table"
+            )
+        at = i * (i + 1) // 2 + j  # column i of the octant starts at i (i + 1) / 2
+        return tuple(int_array([v for col in part for v in col])[at] for part in (self._p, self._q))
 
     def _exact(self, P: int, Q: int) -> PiRational:
         return PiRational(Fraction(P, self.scale), Fraction(Q, self.scale))

@@ -27,13 +27,15 @@ merged rational probability.
 ``propagate`` steps a table forward to exact n-step laws in integers and
 ``one_step_sums`` sums a function over one step's rows over one denominator,
 both on ``SuccessorTable`` when the chain's table cannot name a successor.
+A function with an array form (``ArrayValued``) gives its values for all
+of a step's codes in one call, as integer numerators over one denominator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +91,7 @@ class SuccessorTable:
             [[self._code(t) for t, _ in row] + [UNNAMED] * (width - len(row)) for row in rows],
             dtype=np.int64,
         ).reshape(len(rows), width)
-        num = _int_array(
+        num = int_array(
             [[p.numerator * (den // p.denominator) for _, p in row] + [0] * (width - len(row))
              for row in rows]
         ).reshape(len(rows), width)
@@ -151,7 +153,7 @@ def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
     return np.array([v / den for v in num.ravel().tolist()]).reshape(num.shape)
 
 
-def _int_array(values) -> np.ndarray:
+def int_array(values) -> np.ndarray:
     """int64 array of Python ints, or an object array when they do not fit."""
     try:
         return np.asarray(values, dtype=np.int64)
@@ -209,6 +211,12 @@ def _code_or_unnamed(table, state) -> int:
         return UNNAMED
 
 
+def state_mask(table, codes: np.ndarray, state) -> np.ndarray:
+    """Mask of the entries of ``codes`` that name ``state`` on ``table``
+    (none, if the table cannot name it)."""
+    return codes == _code_or_unnamed(table, state)
+
+
 def window_operator(
     table,
     codes: np.ndarray,
@@ -245,8 +253,8 @@ def window_operator(
     factor = [mult] * n
     for i, f in scale.items():
         factor[i] = int(Fraction(f) * mult)
-    vals = _int_array([v * factor[r] for v, r in zip(op.num.tolist(), op.rows.tolist())])
-    out = _int_array([v * f for v, f in zip(out.tolist(), factor)])
+    vals = int_array([v * factor[r] for v, r in zip(op.num.tolist(), op.rows.tolist())])
+    out = int_array([v * f for v, f in zip(out.tolist(), factor)])
     return WindowOperator(op.indptr, op.indices, vals, den * mult, out)
 
 
@@ -304,49 +312,119 @@ def propagate(chain, x, times, keep=None) -> list:
     return _on_code_table(chain, [x], times[-1], forward)
 
 
+@dataclass(frozen=True)
+class ArrayValued:
+    """A function of states that also has an array form (``one_step_sums``).
+
+    ``fn(state)`` is its value at one state. ``array(table, codes)`` gives
+    its values at the states of ``codes`` on the code table ``table`` as
+    ``(nums, den)``: integer numerators (``int_array``'s int64 or object
+    array) over one denominator. It returns None for a table it cannot
+    read, and then ``fn`` is called once per state.
+    """
+
+    fn: Callable
+    array: Callable
+
+    def __call__(self, state):
+        return self.fn(state)
+
+    def array_values(self, table, codes):
+        return self.array(table, codes)
+
+
+def rational_sum(terms, n: int) -> tuple:
+    """The sum of c * nums / d over the terms (c, nums, d) at n points, as
+    ``(numerators, denominator)``: the numerators over the lcm of the d,
+    int64 while no product or sum can reach 2^63 and Python ints (an object
+    array) otherwise. ``nums`` may be an array of length n or one int."""
+    den = math.lcm(1, *(d for _, _, d in terms))
+    scaled = [(c * (den // d), np.asarray(nums)) for c, nums, d in terms]
+    bound = sum(abs(c) * max(1, _max_abs(nums)) for c, nums in scaled)
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    total = np.zeros(n, dtype=dtype)
+    for c, nums in scaled:
+        total += nums.astype(dtype, copy=False) * c
+    return total, den
+
+
+def _max_abs(nums: np.ndarray) -> int:
+    return int(np.abs(nums).max()) if nums.size else 0
+
+
 @dataclass
 class OneStepSums:
     """One step of f from each of a sequence of states, in integers where f
     is rational.
 
-    ``values[i]`` is f(states[i]) as f returned it. When every value is an
-    int or a Fraction (``exact``), ``sums`` and ``at`` are Python ints:
-    ``at[i] / lcd`` is f(states[i]) and ``sums[i] / (den * lcd)`` is
+    ``values[i]`` is f(states[i]) as f returned it; it is None when f's
+    array form gave the values, and ``value(i)`` reads either. When every
+    value is an int or a Fraction (``exact``), ``sums`` and ``at`` are
+    integer arrays (int64, or object arrays of Python ints): ``at[i] / lcd``
+    is f(states[i]) and ``sums[i] / (den * lcd)`` is
     E[f(X_1) | X_0 = states[i]], with ``den`` the code table's denominator
-    and ``lcd`` the least common denominator of f's values. Otherwise
-    ``sums[i]`` is that average itself, summed from ``Fraction(0)`` in
-    canonical state order, ``at`` is ``values`` and ``den = lcd = 1``; in
-    both cases f is harmonic at states[i] exactly when
-    ``sums[i] - den * at[i] == 0``.
+    and ``lcd`` a common denominator of f's values. Otherwise ``sums[i]`` is
+    that average itself, summed from ``Fraction(0)`` in canonical state
+    order, ``at`` is ``values`` and ``den = lcd = 1``; in both cases f is
+    harmonic at states[i] exactly when ``sums[i] - den * at[i] == 0``
+    (``unbalanced``).
     """
 
-    values: list
-    sums: list
-    at: list
+    values: Optional[list]
+    sums: Sequence
+    at: Sequence
     den: int = 1
     lcd: int = 1
     exact: bool = False
 
+    def row(self, i: int) -> tuple:
+        """``(sums[i], at[i])`` as Python numbers."""
+        if self.exact:
+            return int(self.sums[i]), int(self.at[i])
+        return self.sums[i], self.at[i]
+
     def average(self, i: int):
         """E[f(X_1) | X_0 = states[i]]: a Fraction when ``exact``."""
         if self.exact:
-            return Fraction(self.sums[i], self.den * self.lcd)
+            return Fraction(self.row(i)[0], self.den * self.lcd)
         return self.sums[i]
+
+    def value(self, i: int):
+        """f(states[i]): ``values[i]``, or the Fraction ``at[i] / lcd``."""
+        if self.values is None:
+            return Fraction(self.row(i)[1], self.lcd)
+        return self.values[i]
+
+    def unbalanced(self) -> np.ndarray:
+        """Mask of the states where f is not harmonic, sums[i] - den * at[i]
+        != 0: one array comparison when ``exact``."""
+        if self.exact:
+            return np.asarray(self.sums != self.den * self.at, dtype=bool)
+        return np.array([s - a != 0 for s, a in zip(self.sums, self.at)], dtype=bool)
 
 
 def one_step_sums(chain, states, f) -> OneStepSums:
     """The integer core of ``one_step_averages``: one step of the chain's
-    code table (``_on_code_table``), with ``f`` called once per distinct
-    state among ``states`` and their live successors, and each row sum
-    taken in integers over one denominator."""
+    code table (``_on_code_table``), with f's values at the distinct states
+    among ``states`` and their live successors, and each row sum taken in
+    integers over one denominator.
+
+    f's values come from its array form when it has one, a method
+    ``array_values(table, codes)`` as on ``ArrayValued`` and
+    ``martin.HarmonicProfile`` that does not return None: one call for all
+    the states' codes, and no state is decoded. Otherwise f is called once
+    per distinct state.
+    """
     return one_step_sums_each(chain, states, [f])[0]
 
 
 def one_step_sums_each(chain, states, fs) -> list:
     """``one_step_sums`` of each function in ``fs``, all from one step: one
-    table step, one ``np.unique`` and one ``decode`` serve every function."""
+    table step, one ``np.unique`` and at most one ``decode`` serve every
+    function."""
     if not states:
-        return [OneStepSums([], [], [], exact=True) for _ in fs]
+        empty = np.zeros(0, dtype=object)
+        return [OneStepSums([], empty, empty, exact=True) for _ in fs]
 
     def first_step(table):
         codes = table.encode(states)
@@ -354,26 +432,40 @@ def one_step_sums_each(chain, states, fs) -> list:
 
     table, codes, succ, num, den, live = _on_code_table(chain, states, 1, first_step)
     named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
-    points = table.decode(named)
-    first = slot[: len(states)].tolist()
+    first = slot[: len(states)]
     slot = slot[len(states) :]
+    points = None
 
     def sums_of(f):
-        values = [f(t) for t in points]
-        at_states = [values[i] for i in first]
-        rational = _over_lcd(values)
-        if rational is not None:
-            ints, lcd = rational
-            weights = np.zeros(succ.shape, dtype=object)
-            weights[live] = np.array(ints, dtype=object)[slot]
-            sums = (num * weights).sum(axis=1).tolist()
-            return OneStepSums(at_states, sums, [ints[i] for i in first], den, lcd, exact=True)
-        terms = [[] for _ in states]
-        for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
-            terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
-        ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
-        sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
-        return OneStepSums(at_states, sums, at_states)
+        nonlocal points
+        form = getattr(f, "array_values", None)
+        arrays = None if form is None else form(table, named)
+        if arrays is not None:
+            ints, lcd = arrays
+            values = None
+            # no row sum and no den * at[i] exceeds reach * max |numerator|
+            reach = max(den, int(num.sum(axis=1).max()))
+            if ints.dtype != object and reach * _max_abs(ints) >= _INT64_BOUND:
+                ints = ints.astype(object)
+        else:
+            if points is None:
+                points = table.decode(named)
+            values = [f(t) for t in points]
+            rational = _over_lcd(values)
+            at_states = [values[i] for i in first.tolist()]
+            if rational is None:
+                terms = [[] for _ in states]
+                for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
+                    terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
+                ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
+                sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
+                return OneStepSums(at_states, sums, at_states)
+            ints, lcd = np.array(rational[0], dtype=object), rational[1]
+            values = at_states
+        weights = np.zeros(succ.shape, dtype=ints.dtype)
+        weights[live] = ints[slot]
+        sums = (num * weights).sum(axis=1)
+        return OneStepSums(values, sums, ints[first], den, lcd, exact=True)
 
     return [sums_of(f) for f in fs]
 
@@ -382,7 +474,8 @@ def one_step_averages(chain, states, f):
     """E[f(X_1) | X_0 = s] and f(s) for each s in the sequence ``states``:
     ``one_step_sums`` divided once per state (``OneStepSums.average``)."""
     step = one_step_sums(chain, states, f)
-    return [step.average(i) for i in range(len(states))], step.values
+    n = len(states)
+    return [step.average(i) for i in range(n)], [step.value(i) for i in range(n)]
 
 
 def weighted_sum(weights, values, scale):

@@ -157,6 +157,17 @@ class TestMartin:
         assert code == 0
         assert doc["result"]["residuals"]["balance_at_base"] == "7/2"
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--chain", "tree:k=2", "--x0", "0", "--alpha", "(0)*", "--eval", "1"],
+         "error: closed forms for tree:k=2 are anchored at the root\n"),
+        (["--chain", "bangbang", "--x0", "2", "--alpha", "inf", "--eval", "3"],
+         "error: closed forms for bangbang:q=1/3 are anchored at 0, not 2\n"),
+    ], ids=["tree", "bangbang"])
+    def test_off_base_kernels_are_refused(self, capsys, argv, err):
+        assert run(["martin", *argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
     def test_alpha_and_mixture_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["martin", "--chain", "z", "--x0", "0", "--alpha", "+inf",

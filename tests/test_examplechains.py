@@ -7,13 +7,15 @@ checks are exact rational arithmetic.
 """
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurmartin.chains import verify_stationary
+from recurmartin.chains import kernel_array, verify_stationary
 from recurmartin.errors import UnsupportedBasePointError
 from recurmartin.examplechains import (
+    ROOT,
     BangBangWalk,
     HalfLineEnd,
     KaryTree,
@@ -22,7 +24,9 @@ from recurmartin.examplechains import (
     Z2Walk,
     ZWalk,
     chain_from_selector,
+    plane_coordinates,
 )
+from recurmartin.potential import potential_table
 
 CLOSED_FORM_CHAINS = [ZWalk(), BangBangWalk(Fraction(1, 3)), KaryTree(2), KaryTree(3)]
 
@@ -159,6 +163,105 @@ def test_kernel_at_base_point_is_one():
     for chain in CLOSED_FORM_CHAINS:
         for alpha in _sample_boundary(chain):
             assert chain.exact_boundary_kernel(chain.base_point, alpha) == 1
+
+
+# ---------------------------------------------------------------------------
+# Array forms of the kernels: whole code arrays in integers
+
+
+ARRAY_KERNEL_LAWS = {
+    "z": ZWalk(),
+    "bangbang:q=1/3": BangBangWalk(Fraction(1, 3)),
+    "bangbang:q=2/5": BangBangWalk(Fraction(2, 5)),
+    "tree:k=2": KaryTree(2),
+    "tree:k=3": KaryTree(3),
+}
+
+
+def kernel_window(chain, data):
+    """A window's code table and codes, a boundary point and a base."""
+    if isinstance(chain, ZWalk):
+        table, codes = chain.code_window(data.draw(st.integers(1, 40), "radius"))
+        return table, codes, data.draw(st.sampled_from([LineEnd(1), LineEnd(-1)])), (
+            data.draw(st.sampled_from([0, 3, -3]), "base")
+        )
+    if isinstance(chain, BangBangWalk):
+        # past x = 62 the numerators leave int64
+        table, codes = chain.code_window(data.draw(st.sampled_from([1, 7, 30, 62, 70]), "radius"))
+        return table, codes, HalfLineEnd(), 0
+    ray = chain.parse_boundary(data.draw(st.sampled_from(["(0)*", "(01)*", "1(0)*", "0.1(0)*"])))
+    # the subtree below a node of depth <= 2: a table anchored above the root
+    # unless the node is the root itself
+    top = data.draw(st.sampled_from(chain.window(2)), "subtree")
+    states = [top + s for s in chain.window(data.draw(st.integers(0, 3), "radius"))]
+    table = chain.code_table(states)
+    return table, table.encode(states), ray, ROOT
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(law=st.sampled_from(sorted(ARRAY_KERNEL_LAWS)), data=st.data())
+def test_array_kernel_is_the_kernel_at_every_window_state(law, data):
+    chain = ARRAY_KERNEL_LAWS[law]
+    table, codes, alpha, base = kernel_window(chain, data)
+    nums, den = kernel_array(chain)(table, codes, alpha, base)
+    got = [Fraction(int(n), den) for n in nums]
+    assert got == [chain.exact_boundary_kernel(x, alpha, base) for x in table.decode(codes)]
+
+
+@pytest.mark.parametrize("radius, dtype", [(62, np.int64), (63, object), (70, object)])
+def test_half_line_kernel_array_leaves_int64_past_62(radius, dtype):
+    chain = BangBangWalk(Fraction(1, 3))  # L(x) = 2^x - 1 over 1
+    table, codes = chain.code_window(radius)
+    nums, den = kernel_array(chain)(table, codes, HalfLineEnd(), 0)
+    assert nums.dtype == dtype and den == 1
+    assert [int(n) for n in nums] == [1] + [2**x - 1 for x in range(1, radius + 1)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(radius=st.integers(1, 14))
+def test_plane_numerator_arrays_are_the_table_numerators(radius):
+    table = potential_table(radius)
+    code_table, codes = Z2Walk().code_window(radius)
+    ps, qs = table.numerator_arrays(*plane_coordinates(code_table, codes))
+    want = [table.numerators(s) for s in code_table.decode(codes)]
+    assert [(int(p), int(q)) for p, q in zip(ps, qs)] == want
+    # a point outside the table is refused as ``numerators`` refuses it
+    wider, wider_codes = Z2Walk().code_window(radius + 1)
+    with pytest.raises(ValueError) as exc:
+        table.numerator_arrays(*plane_coordinates(wider, np.sort(wider_codes)))
+    first = wider.decode(np.sort(wider_codes))[0]
+    assert str(exc.value) == f"point {first} outside the radius-{radius} table"
+
+
+@pytest.mark.parametrize("chain, base", [(BangBangWalk(), 2), (KaryTree(2), (0,))])
+def test_array_kernel_refuses_the_bases_the_kernel_refuses(chain, base):
+    table, codes = chain.code_window(3)
+    alpha = chain.boundary_points()[0]
+    with pytest.raises(UnsupportedBasePointError) as per_state:
+        chain.exact_boundary_kernel(chain.window(1)[1], alpha, base)
+    with pytest.raises(UnsupportedBasePointError) as array:
+        kernel_array(chain)(table, codes, alpha, base)
+    assert str(array.value) == str(per_state.value)
+
+
+class _OwnKernel(ZWalk):
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        return super().exact_boundary_kernel(x, alpha, base)
+
+
+class _OwnLaw(ZWalk):
+    def successors(self, x):
+        return super().successors(x)
+
+
+def test_array_kernel_belongs_to_the_law_class_own_kernel():
+    assert kernel_array(ZWalk()) is not None
+    assert kernel_array(_OwnKernel()) is None  # a subclass's own kernel
+    assert kernel_array(_OwnLaw()) is None  # codes of another law's table
+    assert kernel_array(Z2Walk()) is None  # no kernel at all
+    own = ZWalk()
+    own.exact_boundary_kernel = lambda x, alpha, base=0: Fraction(0)
+    assert kernel_array(own) is None
 
 
 # ---------------------------------------------------------------------------

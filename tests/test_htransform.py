@@ -24,7 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurmartin.errors import PreconditionViolationError, RowSumViolationError
+from recurmartin.errors import (
+    PreconditionViolationError,
+    RowSumViolationError,
+    UnsupportedBasePointError,
+)
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -326,6 +330,77 @@ def test_row_sum_checks_of_every_rational_law_catch_a_corrupted_kernel(law):
     assert chain.format_state(bad) in {state for state, _ in report.violations}
     with pytest.raises(RowSumViolationError):
         TransformedChain(chain, params).successors(bad)
+
+
+def count_kernel_calls(monkeypatch, *more):
+    """Record every state the kernels of the built-in laws and of the
+    classes ``more``, and the potential table's ``numerators``, are called at."""
+    from recurmartin.potential import PotentialTable
+
+    calls = []
+    kernels = [(cls, "exact_boundary_kernel") for cls in (ZWalk, BangBangWalk, KaryTree, *more)]
+    for cls, name in [*kernels, (PotentialTable, "numerators")]:
+        method = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name,
+            lambda self, x, *args, method=method, **kw: calls.append(x) or method(self, x, *args, **kw),
+        )
+    return calls
+
+
+@pytest.mark.parametrize("chain, params, radius", [
+    (Z, P_Z, 15), (BB, P_BB, 15), (TREE, P_TREE, 5), (PLANE, P_PLANE, 8),
+    (KaryTree(3), TransformParams(ROOT, TreeRay.parse("0.1(0)*"), HALF), 3),
+], ids=["line", "halfline", "tree", "plane", "tree3"])
+def test_exact_checks_call_no_kernel_per_state_on_the_built_in_laws(monkeypatch, chain, params, radius):
+    calls = count_kernel_calls(monkeypatch)
+    assert verify_row_sums(chain, params, radius).all_ok
+    if params.alpha is not None:
+        window = chain.window(radius)
+        mixture = BoundaryMixture([(params.alpha, Fraction(2, 3)), (chain.boundary_points()[-1], 5)])
+        for phi in (profile_from_boundary(chain, params.x0, params.alpha),
+                    mixture_profile(chain, params.x0, mixture)):
+            assert check_harmonic_except(chain, phi, params.x0, window).all_ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("law", sorted(BENT))
+def test_exact_checks_call_a_subclass_kernel_per_state(monkeypatch, law):
+    chain, params, radius, bad = BENT[law]
+    calls = count_kernel_calls(monkeypatch, type(chain))
+    report = verify_row_sums(chain, params, radius)
+    assert not report.all_ok and bad in calls
+    calls.clear()
+    phi = profile_from_boundary(chain, params.x0, params.alpha)
+    check = check_harmonic_except(chain, phi, params.x0, chain.window(radius))
+    assert bad in calls and check.violations
+
+
+def test_a_user_callable_is_called_per_state():
+    seen = []  # the x^2 negative control
+    check = check_harmonic_except(Z, lambda s: seen.append(s) or Fraction(s) ** 2, 0, Z.window(8))
+    assert sorted(seen) == list(range(-9, 10)) and len(check.violations) == 16
+
+
+@pytest.mark.parametrize("chain, x0, alpha", [
+    (BB, 2, HalfLineEnd()), (TREE, (0,), TreeRay.parse("(0)*")),
+])
+def test_array_paths_refuse_an_off_base_kernel(chain, x0, alpha):
+    # the array forms raise where the per-state kernel's _require_base does
+    message = f"closed forms for {chain.name} are anchored at " + (
+        "the root" if chain is TREE else "0, not 2"
+    )
+    window = chain.window(3)
+    for check in (
+        lambda: check_harmonic_except(chain, profile_from_boundary(chain, x0, alpha), x0, window),
+        lambda: check_harmonic_except(
+            chain, mixture_profile(chain, x0, BoundaryMixture([(alpha, 1)])), x0, window
+        ),
+        lambda: verify_row_sums(chain, TransformParams(x0, alpha, HALF), 3),
+    ):
+        with pytest.raises(UnsupportedBasePointError) as exc:
+            check()
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
