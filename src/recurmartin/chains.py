@@ -164,6 +164,19 @@ def law_capability(chain: ChainSpec, name: str):
     raise AttributeError(name)
 
 
+def owns_kernel(chain: ChainSpec, law: type) -> bool:
+    """True when ``chain``'s ``exact_boundary_kernel`` (or its lack of one)
+    is the one that ``law``, its ``law_class``, defines itself.
+
+    A description of the kernel kept beside the law (an array form, a
+    witness lane's tilted table) stands for the chain's kernel only then:
+    a subclass or instance that overrides the kernel, or a law class that
+    inherits it from another law, has a kernel of its own.
+    """
+    kernel = getattr(chain, "exact_boundary_kernel", None)
+    return getattr(kernel, "__func__", kernel) is law.__dict__.get("exact_boundary_kernel")
+
+
 def kernel_array(chain: ChainSpec):
     """The array form of ``chain``'s boundary kernel, bound to it, or None.
 
@@ -171,15 +184,12 @@ def kernel_array(chain: ChainSpec):
     beside its ``exact_boundary_kernel``: the kernel at the states of
     ``codes`` on its own code table, as ``(nums, den)`` (integer numerators
     over one denominator), or None for a table it cannot read. It stands
-    for the kernel only while the chain's ``exact_boundary_kernel`` is the
-    law class's own: a subclass that overrides the kernel, or the law (so
-    its table's codes are not the ones the form reads), gets None, and
-    callers evaluate its own kernel state by state.
+    for the kernel only while the chain ``owns_kernel``; otherwise callers
+    evaluate the chain's own kernel state by state.
     """
     law = law_class(chain)
     form = law.__dict__.get("_kernel_array")
-    kernel = getattr(getattr(chain, "exact_boundary_kernel", None), "__func__", None)
-    if form is None or kernel is not law.__dict__.get("exact_boundary_kernel"):
+    if form is None or not owns_kernel(chain, law):
         return None
     return form.__get__(chain, type(chain))
 

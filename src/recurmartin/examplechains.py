@@ -23,6 +23,7 @@ G_0(x, y) = a(x) + a(y) - a(x - y) in p + q/pi (see
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -556,6 +557,7 @@ class KaryTree(ChainSpec):
         return Fraction(self.k ** alpha.agreement(x) - 1)
 
 
+@functools.cache
 def _tree_depth_limit(k: int) -> int:
     """Deepest level below an anchor whose nodes' children have int64 heap
     codes: the first code at depth d is (k^d - 1) / (k - 1)."""

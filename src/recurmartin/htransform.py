@@ -29,8 +29,9 @@ no report depends on the tabulation.
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
 and beta(x0) is one positive factor on both sides, so phi's values are
-taken over one denominator, from one call of the kernel's array form
-where it has one, and the rows are compared in one array comparison.
+taken over one denominator, as a kernel sum (``martin.kernel_sum_array``)
+where the kernel has an array form, and the rows are compared in one
+array comparison.
 
 The planar walk is special: its single boundary point has kernel equal to
 the potential kernel a(x), which is not rational, so no exact-Fraction
@@ -48,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, kernel_array, law_class
+from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, law_class, owns_kernel
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -63,7 +64,7 @@ from .examplechains import (
     plane_coordinates,
 )
 from .green import Truncation, default_radius, green_solve_discounted, martin_kernel
-from .martin import check_harmonic_except
+from .martin import check_harmonic_except, kernel_sum_array
 from .rng import (
     CONVERGENCE_WITNESS,
     TRANSIENCE_WITNESS,
@@ -71,13 +72,7 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import (
-    ArrayValued,
-    one_step_averages,
-    one_step_sums_each,
-    rational_sum,
-    state_mask,
-)
+from .window import one_step_averages, one_step_sums_each, rational_sum
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -270,10 +265,11 @@ def verify_row_sums(
     each of the integer parts of psi's p + q/pi numerators, both summed over
     one step (``window.one_step_sums_each``).
 
-    Each part's values for the whole window come from its array form where
-    it has one: the kernel's (``chains.kernel_array``), with r/(1-r) added
-    once in integers, and the potential table's numerator arrays on the
-    plane. Then every row off the base is compared in one array comparison
+    Each part carries its array form as its ``array_values`` attribute: phi
+    is a kernel sum with the constant r/(1-r) (``martin.kernel_sum_array``),
+    and the plane's parts read the potential table's numerator arrays. Where
+    the form gives the values for the whole window, every row off the base
+    is compared in one array comparison
     (``OneStepSums.unbalanced``), and a ``Fraction`` is built only for a
     violation reported.
     """
@@ -288,7 +284,10 @@ def verify_row_sums(
         top, bottom = params.odds.numerator * table.scale, params.odds.denominator
 
         def part(k, shift):
-            def array(code_table, codes):
+            def fn(s):
+                return shift + bottom * table.numerators(s)[k]
+
+            def array_values(code_table, codes):
                 xy = plane_coordinates(code_table, codes)
                 if xy is None:
                     return None
@@ -296,26 +295,20 @@ def verify_row_sums(
                     [(shift, 1, 1), (bottom, table.numerator_arrays(*xy)[k], 1)], len(codes)
                 )
 
-            return ArrayValued(lambda s: shift + bottom * table.numerators(s)[k], array)
+            fn.array_values = array_values
+            return fn
 
         parts = [part(0, top), part(1, 0)]
         base = chain.base_point
     else:
         odds, base, alpha = params.odds, params.x0, params.alpha
         beta0 = chain.stationary(base)
-        kernel = kernel_array(chain)
 
         def phi(s):
             return odds if s == base else odds + exact_martin_boundary(chain, base, s, alpha)
 
-        def phi_array(code_table, codes):
-            ell = kernel(code_table, codes, alpha, base)
-            if ell is None:
-                return None
-            ell[0][state_mask(code_table, codes, base)] = 0
-            return rational_sum([(odds.numerator, 1, odds.denominator), (1, *ell)], len(codes))
-
-        parts = [phi if kernel is None else ArrayValued(phi, phi_array)]
+        phi.array_values = kernel_sum_array(chain, base, [(alpha, 1)], constant=odds)
+        parts = [phi]
     window = chain.window(radius)
     steps = one_step_sums_each(chain, window, parts)
     report = RowSumReport(chain.name, r, radius, checked=len(window))
@@ -755,16 +748,25 @@ def _alpha_label(params: TransformParams) -> str:
 def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, steps: int):
     """The witness table of the chain's law, its statistic and its kind.
 
-    A lane simulates the conditioned walk of one built-in law, so it is
-    looked up by ``law_class``: a chain with any other law, a subclass that
-    overrides ``successors`` included, has no witness lane.
+    A lane simulates the conditioned walk of one built-in law and its own
+    kernel, so it is looked up by ``law_class``: a chain with any other law,
+    a subclass that overrides ``successors`` included, has no witness lane,
+    and a chain whose kernel is not its law's (``chains.owns_kernel``) is
+    refused, since its conditioned walk tilts by another kernel.
     """
     if trajectories < 1 or steps < 1:
         raise ValueError("trajectories and steps must be positive")
-    spec = _WITNESS_LANES.get(law_class(chain))
+    law = law_class(chain)
+    spec = _WITNESS_LANES.get(law)
     if spec is None:
         raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
     build, witness, kind, base, target, base_message, target_message = spec
+    if not owns_kernel(chain, law):
+        raise NotImplementedError(
+            f"the {kind} witness lane simulates {law.__name__}'s own "
+            f"boundary kernel, but chain {chain.name!r} overrides it "
+            f"({chain.exact_boundary_kernel.__qualname__})"
+        )
     if params.x0 != base:
         raise ValueError(base_message)
     if not isinstance(params.alpha, target):

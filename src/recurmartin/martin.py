@@ -13,10 +13,10 @@ weights, with one ``Fraction`` per value. A kernel that returns values
 other than ints and Fractions (floats, say) keeps the plain arithmetic
 ``L / beta(x0)`` and ``sum(w * L)``, and so its result type.
 
-Where the chain's kernel has an array form (``chains.kernel_array``), a
-profile or mixture carries one too (``HarmonicProfile.array_values``), so a
-harmonicity check takes its values for a whole window from one kernel call
-per boundary point, in integers, and builds no ``Fraction`` per state.
+Every profile here, and ``htransform``'s row-sum weight, is a kernel sum,
+whose array form ``kernel_sum_array`` builds; the value function carries it
+as its ``array_values`` attribute, so a harmonicity check builds no
+``Fraction`` per state.
 """
 from __future__ import annotations
 
@@ -43,8 +43,6 @@ class HarmonicProfile:
     fn: Callable[[StateId], object]
     provenance: str = "user"
     description: str = ""
-    #: fn's array form, as ``window.ArrayValued.array``, or None
-    fn_array: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -57,14 +55,10 @@ class HarmonicProfile:
 
     __call__ = evaluate
 
-    def array_values(self, table, codes):
-        """``evaluate`` at the states of ``codes`` on a code table, as
-        integer numerators over one denominator, from ``fn_array``; None
-        without one (``window.one_step_sums``)."""
-        got = None if self.fn_array is None else self.fn_array(table, codes)
-        if got is not None:
-            got[0][state_mask(table, codes, self.base_point)] = 0
-        return got
+    @property
+    def array_values(self):
+        """fn's array form, which reads 0 at the base (``kernel_sum_array``), or None."""
+        return getattr(self.fn, "array_values", None)
 
 
 @dataclass(frozen=True)
@@ -87,6 +81,35 @@ class BoundaryMixture:
         return sum((w for _, w in self.atoms), Fraction(0))
 
 
+def kernel_sum_array(chain: ChainSpec, x0: StateId, atoms, constant=0, divisor=1):
+    """The array form ``array_values(table, codes)`` of (constant + sum of
+    w * L(., alpha) over the ``(alpha, w)`` of atoms) / divisor, with L the
+    kernel based at x0 and read as 0 there; None when the kernel has no
+    array form (``chains.kernel_array``). Its values are integer numerators
+    over one denominator (``window.rational_sum``), or None for a table the
+    kernel's form cannot read. The rational factors go into the sum's
+    coefficients and denominators, so a call is one kernel call per atom,
+    one sum and one ``state_mask``."""
+    kernel = kernel_array(chain)
+    if kernel is None:
+        return None
+    q, p = divisor.denominator, divisor.numerator  # each term times q, the sum over p
+    top, bottom = constant.numerator * q, constant.denominator
+
+    def array_values(table, codes):
+        terms = [(top, 1, bottom)] if top else []
+        for alpha, w in atoms:
+            ell = kernel(table, codes, alpha, x0)
+            if ell is None:
+                return None
+            terms.append((w.numerator * q, ell[0], ell[1] * w.denominator))
+        nums, den = rational_sum(terms, len(codes))
+        nums[state_mask(table, codes, x0)] = top * (den // bottom)
+        return nums, den * p
+
+    return array_values
+
+
 def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfile:
     """The profile of a single boundary point: kernel over base weight.
 
@@ -94,13 +117,11 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
     with L the chain's closed-form kernel (``exact_martin_boundary``). Its
     one-step balance at the base is exactly 1/beta(x0). When beta(x0) is a
     Fraction and L(x) rational, phi(x) is built as one Fraction; with a
-    Fraction beta(x0) and the kernel's array form, the profile has an
-    array form too.
+    Fraction beta(x0), phi carries ``kernel_sum_array``'s form.
     """
     beta0 = chain.stationary(x0)
     rational = isinstance(beta0, Fraction)
     top, bottom = (beta0.denominator, beta0.numerator) if rational else (1, 1)
-    kernel = kernel_array(chain) if rational else None
 
     def fn(x):
         ell = exact_martin_boundary(chain, x0, x, alpha)
@@ -108,19 +129,12 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
             return Fraction(ell.numerator * top, ell.denominator * bottom)
         return ell / beta0
 
-    def fn_array(table, codes):
-        ell = kernel(table, codes, alpha, x0)
-        if ell is None:
-            return None
-        nums, den = rational_sum([(top, *ell)], len(codes))
-        return nums, den * bottom
-
+    fn.array_values = kernel_sum_array(chain, x0, [(alpha, 1)], divisor=beta0) if rational else None
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
         provenance="boundary-point",
         description=f"boundary point {alpha} over base {chain.format_state(x0)}",
-        fn_array=None if kernel is None else fn_array,
     )
 
 
@@ -130,14 +144,13 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
     The one-step balance at the base equals the mixture's total mass
     exactly, because each kernel contributes balance 1. The weights are put
     over their least common denominator once; when every L(x, alpha_i) is
-    rational, phi(x) is one Fraction of integer sums. With the kernel's
-    array form, the mixture has one too.
+    rational, phi(x) is one Fraction of integer sums. phi carries
+    ``kernel_sum_array``'s form.
     """
     alphas = [alpha for alpha, _ in mixture.atoms]
     weights = [w for _, w in mixture.atoms]
     lcd = math.lcm(1, *(w.denominator for w in weights))
     scaled = [w.numerator * (lcd // w.denominator) for w in weights]
-    kernel = kernel_array(chain)
 
     def fn(x):
         ells = [exact_martin_boundary(chain, x0, x, alpha) for alpha in alphas]
@@ -150,22 +163,12 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
             den *= d
         return Fraction(num, den * lcd)
 
-    def fn_array(table, codes):
-        terms = []
-        for c, alpha in zip(scaled, alphas):
-            ell = kernel(table, codes, alpha, x0)
-            if ell is None:
-                return None
-            terms.append((c, *ell))
-        nums, den = rational_sum(terms, len(codes))
-        return nums, den * lcd
-
+    fn.array_values = kernel_sum_array(chain, x0, mixture.atoms)
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
         provenance="mixture",
         description=f"{len(mixture.atoms)}-atom mixture over base {chain.format_state(x0)}",
-        fn_array=None if kernel is None else fn_array,
     )
 
 

@@ -341,7 +341,9 @@ def verify_harmonicity(table: PotentialTable) -> HarmonicityReport:
     Checks 4 a(x) = sum of the four neighbour values at every point with
     all neighbours inside the table, except the origin, where the defect
     (one-step average minus the value) must be exactly 1; both run on the
-    integer numerators, P and Q separately. Also re-derives a(3,1) by
+    integer numerators, P and Q separately. Symmetry compares the two
+    readers, ``numerators`` and ``numerator_arrays``, at the eight dihedral
+    images of every point of [0, min(N, 6)]^2. Also re-derives a(3,1) by
     solving the harmonicity equations on a 9x9 patch whose outer ring is
     pinned to table values, and reports whether the rational parts keep
     odd denominators: each reduced denominator divides the odd scale L_N.
@@ -371,10 +373,18 @@ def verify_harmonicity(table: PotentialTable) -> HarmonicityReport:
         if defect_q == 0 else Fraction(-1)
     )
 
+    # both readers fold a point onto the octant, each in its own way: at the
+    # eight dihedral images of every point of [0, m]^2 they must agree with
+    # each other and with the point itself
+    m = min(n, 6)
+    i, j = (g.ravel() for g in np.indices((m + 1, m + 1)))
+    images = [(s * u, t * v) for u, v in ((i, j), (j, i)) for s in (1, -1) for t in (1, -1)]
+    xs, ys = (np.concatenate(c) for c in zip(*images))
+    folded = zip(*(part.tolist() for part in table.numerator_arrays(xs, ys)))
+    own = [table.numerators(p) for p in zip(i.tolist(), j.tolist())] * len(images)
     symmetry_ok = all(
-        table.value((i, j)) == table.value((j, i)) == table.value((-i, j))
-        for i in range(0, min(n, 6) + 1)
-        for j in range(0, min(n, 6) + 1)
+        table.numerators(p) == got == want
+        for p, got, want in zip(zip(xs.tolist(), ys.tolist()), folded, own)
     )
 
     patch_ok = _patch_oracle_matches(table) if n >= 5 else None

@@ -52,20 +52,36 @@ class HorizonFunctional:
 
     ``evaluate`` maps a state tuple (of length > horizon) to a number.
     ``allowed`` is the per-time constraint view used by the dynamic
-    programs; it is present exactly for indicator-type functionals, where
-    ``evaluate(path) = 1`` iff every ``(t, path[t])`` is allowed.
+    programs; it is present exactly for indicator-type functionals, whose
+    ``evaluate`` is derived from it when not given: ``evaluate(path)`` is 1
+    iff every ``(t, path[t])`` with t <= ``horizon`` is allowed, else 0.
     ``allowed(t, s)`` is only consulted for t <= ``horizon``: the event is
     fixed by then, so it must hold for every state at every later time.
     """
 
     horizon: int
-    evaluate: Callable[[tuple], object]
+    evaluate: Optional[Callable[[tuple], object]] = None
     allowed: Optional[Callable[[int, StateId], bool]] = None
     description: str = ""
 
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if self.evaluate is None:
+            if self.allowed is None:
+                raise ValueError("a functional needs evaluate or allowed")
+            object.__setattr__(self, "evaluate", _indicator(self.horizon, self.allowed))
+
+
+def _indicator(horizon: int, allowed) -> Callable[[tuple], Fraction]:
+    """Fraction(1) on a path whose every ``(t, path[t])`` with t <= horizon
+    is allowed, Fraction(0) on any other."""
+
+    def evaluate(path):
+        ok = all(allowed(t, s) for t, s in enumerate(path[: horizon + 1]))
+        return Fraction(1) if ok else Fraction(0)
+
+    return evaluate
 
 
 def path_indicator(states: Sequence[StateId]) -> HorizonFunctional:
@@ -75,13 +91,10 @@ def path_indicator(states: Sequence[StateId]) -> HorizonFunctional:
         raise ValueError("path must contain at least the starting state")
     n = len(fixed) - 1
 
-    def ev(path):
-        return Fraction(1) if list(path[: n + 1]) == fixed else Fraction(0)
-
     def ok(t, s):
         return t > n or s == fixed[t]
 
-    return HorizonFunctional(n, ev, ok, f"path of length {n}")
+    return HorizonFunctional(n, allowed=ok, description=f"path of length {n}")
 
 
 def state_at_time(m: int, state: StateId) -> HorizonFunctional:
@@ -89,34 +102,24 @@ def state_at_time(m: int, state: StateId) -> HorizonFunctional:
     if m < 0:
         raise ValueError("time must be >= 0")
 
-    def ev(path):
-        return Fraction(1) if path[m] == state else Fraction(0)
-
     def ok(t, s):
         return t != m or s == state
 
-    return HorizonFunctional(m, ev, ok, f"state pinned at time {m}")
+    return HorizonFunctional(m, allowed=ok, description=f"state pinned at time {m}")
 
 
 def avoid_states(banned, horizon: int) -> HorizonFunctional:
     """Indicator of X_t outside ``banned`` for all t in [0, horizon]."""
     banned = frozenset(banned)
 
-    def ev(path):
-        return (
-            Fraction(1)
-            if all(s not in banned for s in path[: horizon + 1])
-            else Fraction(0)
-        )
-
     def ok(t, s):
         return t > horizon or s not in banned
 
-    return HorizonFunctional(horizon, ev, ok, f"avoids {len(banned)} state(s)")
+    return HorizonFunctional(horizon, allowed=ok, description=f"avoids {len(banned)} state(s)")
 
 
 def constant_one(horizon: int = 0) -> HorizonFunctional:
-    return HorizonFunctional(horizon, lambda path: Fraction(1), lambda t, s: True, "1")
+    return HorizonFunctional(horizon, allowed=lambda t, s: True, description="1")
 
 
 def with_no_base_visits(
@@ -125,23 +128,20 @@ def with_no_base_visits(
     """f further restricted by {X_t != x0 for start <= t < stop}."""
     if stop <= start:
         raise ValueError("empty restriction range")
+    horizon = max(f.horizon, stop - 1)
+    description = f"{f.description}, base barred on [{start},{stop})"
+    if f.allowed:
+        def ok(t, s):
+            return not (start <= t < stop and s == x0) and f.allowed(t, s)
+
+        return HorizonFunctional(horizon, allowed=ok, description=description)
 
     def ev(path):
         if any(path[t] == x0 for t in range(start, min(stop, len(path)))):
             return Fraction(0)
         return f.evaluate(path)
 
-    def ok(t, s):
-        if start <= t < stop and s == x0:
-            return False
-        return f.allowed(t, s) if f.allowed else True
-
-    return HorizonFunctional(
-        max(f.horizon, stop - 1),
-        ev,
-        ok if f.allowed else None,
-        f"{f.description}, base barred on [{start},{stop})",
-    )
+    return HorizonFunctional(horizon, ev, description=description)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,15 @@ merged rational probability.
 ``propagate`` steps a table forward to exact n-step laws in integers and
 ``one_step_sums`` sums a function over one step's rows over one denominator,
 both on ``SuccessorTable`` when the chain's table cannot name a successor.
-A function with an array form (``ArrayValued``) gives its values for all
-of a step's codes in one call, as integer numerators over one denominator.
+A function's array form is its attribute ``array_values(table, codes)``: its
+values at a step's codes as integer numerators over one denominator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -312,27 +312,6 @@ def propagate(chain, x, times, keep=None) -> list:
     return _on_code_table(chain, [x], times[-1], forward)
 
 
-@dataclass(frozen=True)
-class ArrayValued:
-    """A function of states that also has an array form (``one_step_sums``).
-
-    ``fn(state)`` is its value at one state. ``array(table, codes)`` gives
-    its values at the states of ``codes`` on the code table ``table`` as
-    ``(nums, den)``: integer numerators (``int_array``'s int64 or object
-    array) over one denominator. It returns None for a table it cannot
-    read, and then ``fn`` is called once per state.
-    """
-
-    fn: Callable
-    array: Callable
-
-    def __call__(self, state):
-        return self.fn(state)
-
-    def array_values(self, table, codes):
-        return self.array(table, codes)
-
-
 def rational_sum(terms, n: int) -> tuple:
     """The sum of c * nums / d over the terms (c, nums, d) at n points, as
     ``(numerators, denominator)``: the numerators over the lcm of the d,
@@ -409,11 +388,10 @@ def one_step_sums(chain, states, f) -> OneStepSums:
     among ``states`` and their live successors, and each row sum taken in
     integers over one denominator.
 
-    f's values come from its array form when it has one, a method
-    ``array_values(table, codes)`` as on ``ArrayValued`` and
-    ``martin.HarmonicProfile`` that does not return None: one call for all
-    the states' codes, and no state is decoded. Otherwise f is called once
-    per distinct state.
+    f's values come from its array form when it has one, an attribute
+    ``array_values(table, codes)`` (module docstring) that does not return
+    None: one call for all the states' codes, and no state is decoded.
+    Otherwise f is called once per distinct state.
     """
     return one_step_sums_each(chain, states, [f])[0]
 

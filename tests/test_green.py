@@ -323,10 +323,18 @@ def _scoped_calls(node, scope=""):
 def test_one_route_builds_and_solves_window_systems():
     # every window operator is built by window_system, and every exact
     # window solve eliminates through _solve_columns; the planar potential
-    # kernel's patch oracle is the one other integer system
+    # kernel's patch oracle is the one other integer system. Every kernel
+    # sum's array form (the profile, the mixture, the row-sum weight) is
+    # built by kernel_sum_array, the one reader of a kernel's array form
     allowed = {
         "window_operator": {("green", "window_system")},
         "_eliminate": {("green", "_solve_columns"), ("potential", "_patch_oracle_matches")},
+        "kernel_array": {("martin", "kernel_sum_array")},
+        "kernel_sum_array": {
+            ("martin", "profile_from_boundary"),
+            ("martin", "mixture_profile"),
+            ("htransform", "verify_row_sums"),
+        },
     }
     seen = set()
     for path in sorted(Path(green_module.__file__).parent.glob("*.py")):

@@ -963,6 +963,24 @@ def test_witness_refuses_a_subclass_with_its_own_law():
         transience_witness(lazy, P_Z, 10, 10, seed=0)
 
 
+class _SuperKernel(ZWalk):
+    """The line's own kernel, overridden only to call it."""
+
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        return super().exact_boundary_kernel(x, alpha, base)
+
+
+@pytest.mark.parametrize("law", [*sorted(BENT), "super"])
+def test_witness_refuses_a_chain_whose_kernel_is_not_its_law_own(law):
+    # the lanes tilt by the law class's own kernel, which is not this chain's
+    chain, params = (_SuperKernel(), P_Z) if law == "super" else BENT[law][:2]
+    override = type(chain).__name__ + ".exact_boundary_kernel"
+    for witness in (convergence_stats, transience_witness):
+        with pytest.raises(NotImplementedError, match="witness lane") as exc:
+            witness(chain, params, 10, 10, seed=1)
+        assert override in str(exc.value)
+
+
 def test_transience_witness_settles_early():
     report = transience_witness(Z, P_Z, trajectories=2000, steps=4000, seed=20260819)
     assert report.fraction_settled_by_half >= 0.95

@@ -23,12 +23,14 @@ from recurmartin.examplechains import (
     TreeRay,
     Z2Walk,
     ZWalk,
+    exact_martin_boundary,
 )
 from recurmartin.martin import (
     BoundaryMixture,
     HarmonicProfile,
     check_harmonic_except,
     decompose_profile_z,
+    kernel_sum_array,
     mixture_profile,
     profile_from_boundary,
 )
@@ -185,6 +187,56 @@ def test_mixture_balance_equals_total_mass():
     report = check_harmonic_except(Z, phi, 0, Z.window(15))
     assert report.all_ok
     assert report.balance_at_base == 8
+
+
+# ---------------------------------------------------------------------------
+# Kernel-sum array forms
+
+
+def kernel_sum_window(data):
+    """A chain, a window's code table and codes, its base and boundary points."""
+    law = data.draw(st.sampled_from(["line", "halfline", "tree"]), "law")
+    if law == "line":
+        table, codes = Z.code_window(data.draw(st.integers(1, 40), "radius"))
+        return Z, table, codes, data.draw(st.sampled_from([0, 3, -3]), "base"), [PLUS, MINUS]
+    if law == "halfline":
+        chain = BangBangWalk(data.draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5)]), "q"))
+        # past x = 62 the numerators leave int64
+        table, codes = chain.code_window(data.draw(st.sampled_from([1, 7, 30, 62, 70]), "radius"))
+        return chain, table, codes, 0, [HalfLineEnd()]
+    tree = data.draw(st.sampled_from([TREE, TREE3]), "tree")
+    rays = [tree.parse_boundary(t) for t in ("(0)*", "(0.1)*", "1(0)*", "0.1(0)*")]
+    # the subtree below a node of depth <= 2: anchored above the root
+    # unless the node is the root itself
+    top = data.draw(st.sampled_from(tree.window(2)), "subtree")
+    states = [top + s for s in tree.window(data.draw(st.integers(0, 3), "radius"))]
+    table = tree.code_table(states)
+    return tree, table, table.encode(states), ROOT, rays
+
+
+class _OwnKernel(ZWalk):
+    def exact_boundary_kernel(self, x, alpha, base=0):
+        return super().exact_boundary_kernel(x, alpha, base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_sum_array_is_the_kernel_sum_at_every_window_state(data):
+    chain, table, codes, base, alphas = kernel_sum_window(data)
+    weight = st.sampled_from([1, Fraction(2, 3), 5, Fraction(1, 7), 0])
+    atoms = data.draw(st.lists(st.tuples(st.sampled_from(alphas), weight), min_size=1, max_size=3))
+    r = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]), "r")
+    constant = data.draw(st.sampled_from([0, r / (1 - r)]), "constant")
+    divisor = data.draw(st.sampled_from([1, chain.stationary(base)]), "divisor")
+
+    def value(x):  # the per-state value, the kernel read as 0 at the base
+        ells = [0 if x == base else exact_martin_boundary(chain, base, x, a) for a, _ in atoms]
+        return (constant + sum(w * ell for (_, w), ell in zip(atoms, ells))) / divisor
+
+    nums, den = kernel_sum_array(chain, base, atoms, constant, divisor)(table, codes)
+    assert [Fraction(int(n), den) for n in nums] == [value(x) for x in table.decode(codes)]
+    # a subclass's own kernel has no array form
+    assert kernel_sum_array(_OwnKernel(), 0, [(PLUS, 1)], constant) is None
 
 
 # ---------------------------------------------------------------------------

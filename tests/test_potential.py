@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from recurmartin.potential import (
     PiRational,
+    PotentialTable,
     _scaled_pi,
     asymptotic_residual,
     origin_killed_green,
@@ -208,6 +209,8 @@ def test_harmonicity_report_names_each_defect():
     assert len(defects) == 8 * 5
     assert [x for x, _ in report.violations] == sorted(defects)
     assert report.origin_defect == 1
+    # a corrupted entry is read at all its images alike: still symmetric
+    assert report.symmetry_ok
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,20 @@ def test_harmonicity_report_is_clean():
     assert report.symmetry_ok
     assert report.patch_oracle_ok is True
     assert "odd denominators" in report.odd_denominator_note
+
+
+@pytest.mark.parametrize("reader", ["numerators", "numerator_arrays"])
+def test_harmonicity_report_catches_a_broken_fold(monkeypatch, reader):
+    # each reader folds the plane onto the octant itself; one that reads
+    # (-i, j) as (0, j) serves an asymmetric function
+    original = getattr(PotentialTable, reader)
+    if reader == "numerators":
+        broken = lambda self, x: original(self, (max(x[0], 0), x[1]))
+    else:
+        broken = lambda self, a, b: original(self, np.maximum(a, 0), b)
+    monkeypatch.setattr(PotentialTable, reader, broken)
+    report = verify_harmonicity(potential_table(8))
+    assert not report.symmetry_ok and not report.all_ok
 
 
 def test_patch_oracle_skipped_on_tiny_tables():

@@ -30,6 +30,7 @@ from recurmartin.martin import BoundaryMixture, mixture_profile, profile_from_bo
 from recurmartin.potential import origin_killed_green, potential_table
 from recurmartin.sigma import (
     AvoidanceConfig,
+    HorizonFunctional,
     _base_visits_before,
     _uncertified_visits,
     _visits_certified,
@@ -83,6 +84,81 @@ def test_allowed_view_agrees_with_evaluate():
     bad = (2, 1, 0, 1, 2)
     assert f.evaluate(bad) == 0
     assert not f.allowed(2, 0)
+
+
+TREE2 = KaryTree(2)
+INDICATORS = {
+    "z": (Z, 0, {
+        "path 0.1.2": lambda: path_indicator([0, 1, 2]),
+        "path 0": lambda: path_indicator([0]),
+        "path 0.-1.0.1": lambda: path_indicator([0, -1, 0, 1]),
+        "at 2 = 0": lambda: state_at_time(2, 0),
+        "at 3 = 1": lambda: state_at_time(3, 1),
+        "avoid -2, 2 to 3": lambda: avoid_states({-2, 2}, 3),
+        "avoid 1 to 0": lambda: avoid_states({1}, 0),
+        "one to 2": lambda: constant_one(2),
+        "path 0.1, base barred [1,4)": lambda: with_no_base_visits(path_indicator([0, 1]), 0, 1, 4),
+        "at 2 = 2, base barred [2,3)": lambda: with_no_base_visits(state_at_time(2, 2), 0, 2, 3),
+        "one, base barred [1,3)": lambda: with_no_base_visits(constant_one(), 0, 1, 3),
+    }),
+    "tree": (TREE2, ROOT, {
+        "path @.0.01": lambda: path_indicator([ROOT, (0,), (0, 1)]),
+        "at 2 = @": lambda: state_at_time(2, ROOT),
+        "at 3 = 1": lambda: state_at_time(3, (1,)),
+        "avoid 0 to 2": lambda: avoid_states({(0,)}, 2),
+        "one to 3": lambda: constant_one(3),
+        "at 4 = 01, base barred [1,4)": lambda: with_no_base_visits(state_at_time(4, (0, 1)), ROOT, 1, 4),
+        "avoid 1 to 1, base barred [2,4)": lambda: with_no_base_visits(avoid_states({(1,)}, 1), ROOT, 2, 4),
+    }),
+}
+
+# each indicator's value on every path of n steps, horizon <= n <= 4, in
+# state-key order, one "|"-separated block per n, as recorded from the
+# per-functional ``evaluate`` closures these indicators had before
+# ``evaluate`` was derived from ``allowed``
+RECORDED_INDICATORS = {
+    ("z", "path 0.1.2"): "0001|00000011|0000000000001111",
+    ("z", "path 0"): "1|11|1111|11111111|1111111111111111",
+    ("z", "path 0.-1.0.1"): "00010000|0000001100000000",
+    ("z", "at 2 = 0"): "0110|00111100|0000111111110000",
+    ("z", "at 3 = 1"): "00010110|0000001100111100",
+    ("z", "avoid -2, 2 to 3"): "00111100|0000111111110000",
+    ("z", "avoid 1 to 0"): "1|11|1111|11111111|1111111111111111",
+    ("z", "one to 2"): "1111|11111111|1111111111111111",
+    ("z", "path 0.1, base barred [1,4)"): "00000011|0000000000001111",
+    ("z", "at 2 = 2, base barred [2,3)"): "0001|00000011|0000000000001111",
+    ("z", "one, base barred [1,3)"): "1001|11000011|1111000000001111",
+    ("tree", "path @.0.01"): "001000|0000011100000000|000000000000000111111111000000000000000000000000",
+    ("tree", "at 2 = @"): "100100|1100000011000000|111111000000000000000000111111000000000000000000",
+    ("tree", "at 3 = 1"): "0100000001100100|000111000000000000000000000111111000000111000000",
+    ("tree", "avoid 0 to 2"): "000111|0000000011111111|000000000000000000000000111111111111111111111111",
+    ("tree", "one to 3"): "1111111111111111|111111111111111111111111111111111111111111111111",
+    ("tree", "at 4 = 01, base barred [1,4)"): "000000001000000001100100000000000000000000000000",
+    ("tree", "avoid 1 to 1, base barred [2,4)"): "0011111100000000|000000111111111111111111000000000000000000000000",
+}
+
+
+@pytest.mark.parametrize("chain_name, label", sorted(RECORDED_INDICATORS))
+def test_indicator_evaluate_derived_from_allowed_matches_the_record(chain_name, label):
+    chain, start, made = INDICATORS[chain_name]
+    f = made[label]()
+    blocks = []
+    for n in range(f.horizon, 5):
+        paths = sorted((pw.states for pw in enumerate_paths(chain, start, n)),
+                       key=lambda p: [chain.state_key(s) for s in p])
+        values = [f.evaluate(p) for p in paths]
+        assert all(type(v) is Fraction and v in (0, 1) for v in values)
+        blocks.append("".join(str(int(v)) for v in values))
+    assert "|".join(blocks) == RECORDED_INDICATORS[chain_name, label]
+
+
+def test_a_non_indicator_functional_keeps_its_own_evaluate():
+    opaque = HorizonFunctional(2, lambda path: Fraction(len(path)))
+    barred = with_no_base_visits(opaque, 0, 1, 3)
+    assert barred.allowed is None
+    assert barred.evaluate((1, 2, 3)) == 3 and barred.evaluate((1, 0, 3)) == 0
+    with pytest.raises(ValueError):
+        HorizonFunctional(2)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +284,6 @@ def test_cylinder_horizon_validation():
         cylinder_measure(Z, 0, PHI, 0, constant_one(0), [])
     plain = restricted_measure(Z, 0, PHI, 0, f)  # non-indicator rejection below
     assert plain.mode == "exact"
-    from recurmartin.sigma import HorizonFunctional
-
     opaque = HorizonFunctional(2, lambda path: Fraction(1))
     with pytest.raises(ValueError):
         cylinder_measure(Z, 0, PHI, 0, opaque, [2, 4])
