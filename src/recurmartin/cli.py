@@ -7,6 +7,8 @@ tables and checks), and ``verify`` (the conformance suite). All output is
 JSON (or CSV where stated) on standard output; numeric rendering uses 12
 significant digits; identical flag sets produce byte-identical output.
 Exit codes: 0 success, 1 computation or check failure, 2 usage error.
+``run(argv)`` may be called any number of times in one process; the calls
+share one parser, built by the first.
 """
 from __future__ import annotations
 
@@ -264,7 +266,7 @@ def cmd_martin(args, parser):
     states = [_state(chain, t, parser, "--eval") for t in args.eval.split(",")]
     evaluations = {chain.format_state(s): phi.evaluate(s) for s in states}
     radius = args.window_radius or chain.check_radius
-    report = check_harmonic_except(chain, phi, x0, chain.window(radius))
+    report = check_harmonic_except(chain, phi, x0, radius)
     payload = {
         "profile": phi.description,
         "evaluations": evaluations,
@@ -525,7 +527,7 @@ def _exact_checks(checks) -> None:
             (tree, ROOT, tree.parse_boundary("(0)*"), 5, Fraction(1, 2)),
         ):
             phi = profile_from_boundary(chain, x0, alpha)
-            rep = check_harmonic_except(chain, phi, x0, chain.window(radius))
+            rep = check_harmonic_except(chain, phi, x0, radius)
             if not rep.all_ok or rep.balance_at_base != mass:
                 return False
         return True
@@ -653,7 +655,7 @@ def _exact_checks(checks) -> None:
     )
 
     def negative_control():
-        rep = check_harmonic_except(z, lambda s: Fraction(s) ** 2, 0, z.window(8))
+        rep = check_harmonic_except(z, lambda s: Fraction(s) ** 2, 0, 8)
         return (not rep.all_ok) and all(res == 1 for _, res in rep.violations)
 
     _check(
@@ -777,6 +779,7 @@ def verify_suite(selector: str, seed: Optional[int]) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand and flag."""
     parser = argparse.ArgumentParser(
         prog="recurmartin",
         description="Killed Green functions, boundary profiles, path-space "
@@ -853,8 +856,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser every ``run`` call in this process parses with, built by the
+#: first call: it holds flags and defaults only, never a result, and a
+#: parse leaves no state on it.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run its subcommand: the
+    exit code, or SystemExit(2) from a usage error. Repeated calls in one
+    process share one parser, so only the first pays for building it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

@@ -59,6 +59,7 @@ from .window import (
     WindowOperator,
     exact_floats,
     locate,
+    window_codes,
     window_operator,
 )
 
@@ -136,7 +137,8 @@ def window_system(
 
     ``window`` is a radius, read as the int64 code array
     ``chain.code_window(radius)`` with no state of it built or hashed, or an
-    explicit state sequence, encoded on ``chain.code_table(window)``.
+    explicit state sequence, encoded on ``chain.code_table(window)``
+    (``window.window_codes``).
     Transitions into ``kill_into`` are deleted; transitions leaving the
     window are deleted (``kill``) or folded into a self-loop (``loop``).
     ``row_scale`` multiplies the entire outgoing row of selected states.
@@ -149,11 +151,7 @@ def window_system(
     outside it is skipped.
     """
     radius = window if isinstance(window, (int, np.integer)) else None
-    if radius is None:
-        table = chain.code_table(window)
-        codes = table.encode(window)
-    else:
-        table, codes = chain.code_window(radius)
+    table, codes = window_codes(chain, window)
     scaled = [s for s, f in (row_scale or {}).items() if f != 1]
     named = [*states, *scaled, *([] if kill_into is None else [kill_into])]
     order = np.argsort(codes, kind="stable")

@@ -24,7 +24,9 @@ is a transition table over one integer state per run, so a step of all runs
 is one table lookup; each entry is the integer cut of the float expression
 a per-run evaluation of the transformed row computes, which the 52-bit
 integer draws pass exactly when their uniforms pass that expression, so
-no report depends on the tabulation.
+no report depends on the tabulation. The half-line and tree tables take
+psi's integer numerators and each probability as one correctly rounded
+int/int division, the float of the exact ratio.
 
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
@@ -72,7 +74,7 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import one_step_averages, one_step_sums_each, rational_sum
+from .window import one_step_averages, one_step_sums_each, rational_sum, state_mask
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
@@ -270,8 +272,10 @@ def verify_row_sums(
     and the plane's parts read the potential table's numerator arrays. Where
     the form gives the values for the whole window, every row off the base
     is compared in one array comparison
-    (``OneStepSums.unbalanced``), and a ``Fraction`` is built only for a
-    violation reported.
+    (``OneStepSums.unbalanced``). The window is the radius's code array
+    (``chain.code_window``), the base is found among its codes
+    (``window.state_mask``), and a state is decoded and a ``Fraction``
+    built only for a violation reported.
     """
     r = params.r
     if law_class(chain) is Z2Walk:
@@ -309,22 +313,24 @@ def verify_row_sums(
 
         phi.array_values = kernel_sum_array(chain, base, [(alpha, 1)], constant=odds)
         parts = [phi]
-    window = chain.window(radius)
-    steps = one_step_sums_each(chain, window, parts)
-    report = RowSumReport(chain.name, r, radius, checked=len(window))
+    steps = one_step_sums_each(chain, radius, parts)
+    table, codes = steps[0].table, steps[0].codes
+    report = RowSumReport(chain.name, r, radius, checked=len(codes))
     bad = np.logical_or.reduce([s.unbalanced() for s in steps])
+    at_base = state_mask(table, codes, base)
     # the base row is scaled by r: r.numerator * sum against r.denominator * value
-    for i in [i for i, x in enumerate(window) if x == base]:
+    for i in np.flatnonzero(at_base).tolist():
         rows = [s.row(i) for s in steps]
         bad[i] = any(r.numerator * u != r.denominator * s.den * v for s, (u, v) in zip(steps, rows))
-    for i in np.flatnonzero(bad).tolist():
+    failed = np.flatnonzero(bad)
+    for x, i in zip(table.decode(codes[failed]), failed.tolist()):
         if len(steps) == 1:
             (s,) = steps
-            scale = r if window[i] == base else Fraction(1)
+            scale = r if at_base[i] else Fraction(1)
             detail = f"{scale * s.average(i) / beta0} != {s.value(i) / beta0}"
         else:
             detail = "row identity failed"
-        report.violations.append((chain.format_state(window[i]), detail))
+        report.violations.append((chain.format_state(x), detail))
     return report
 
 
@@ -909,11 +915,19 @@ def _halfline_table(chain, params, steps):
 
     The state is the position and its row: rows 0 .. 64 are exact and row
     65, the last, serves every position past 64 with the limit 1 - q of
-    the up-probability.
+    the up-probability. Off the base, psi(x) is beta(0) times
+    r/(1-r) + L(x, alpha), whose integer numerators over one denominator
+    come from one ``kernel_sum_array`` call, so each up-probability
+    q psi(x+1) / psi(x) is one correctly rounded int/int division: the
+    float of the exact ratio.
     """
     cutoff = _TABLE_CUTOFF
-    psi = [psi_weight(chain, params, x) for x in range(cutoff + 2)]
-    up = [1.0] + [float(chain.q * psi[x + 1] / psi[x]) for x in range(1, cutoff + 1)]
+    states = list(range(cutoff + 2))
+    table = chain.code_table(states)
+    form = kernel_sum_array(chain, 0, [(params.alpha, 1)], constant=params.odds)
+    psi = form(table, table.encode(states))[0].tolist()
+    a, b = chain.q.numerator, chain.q.denominator
+    up = [1.0] + [a * psi[x + 1] / (b * psi[x]) for x in range(1, cutoff + 1)]
     up.append(float(1 - chain.q))
     return _table([np.array(up)], [-1, 1], 0, lambda s: s.astype(np.float64))
 
@@ -936,16 +950,20 @@ def _tree_table(chain, params, steps):
     both goes to the father (3), below the second only to the next node
     (2), and otherwise off the ray (0). Off it the first is 1/2, the
     probability up toward the ray (1), and the second 0.
+
+    psi_j = gamma + k^j - 1, with gamma = (r/(1-r)) (k-1)/k = g/h, is kept
+    as its integer numerator g + (k^j - 1) h over h, so each probability is
+    one correctly rounded int/int division: the float of the exact ratio.
     """
     k = chain.k
-    gamma = params.odds * Fraction(k - 1, k)
+    g, h = params.odds.numerator * (k - 1), params.odds.denominator * k
     cutoff = _TABLE_CUTOFF
-    psi = [gamma + k**j - 1 for j in range(cutoff + 2)]
+    psi = [g + (k**j - 1) * h for j in range(cutoff + 2)]
     root = float(params.r / k + (1 - params.r))
     rows = [(0.5, 0.0), (0.0, root)]
     for j in range(1, cutoff + 1):
-        up = float(Fraction(1, 2) * psi[j - 1] / psi[j])
-        rows.append((up, up + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])))
+        up = psi[j - 1] / (2 * psi[j])
+        rows.append((up, up + psi[j + 1] / (2 * k * psi[j])))
     up = 1.0 / (2 * k)
     rows.append((up, up + 0.5))
     big = 1 << 32

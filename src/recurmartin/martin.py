@@ -212,23 +212,26 @@ class HarmonicityCheck:
 
 
 def check_harmonic_except(
-    chain: ChainSpec, phi, x0: StateId, window: Sequence[StateId]
+    chain: ChainSpec, phi, x0: StateId, window: int | Sequence[StateId]
 ) -> HarmonicityCheck:
     """One-step residuals of phi off x0, plus the balance value at x0.
 
     The residual at x is the one-step average minus the value; it must
     vanish at every window state except the base, where the balance (not
-    constrained to vanish) is reported instead. Both come from one
+    constrained to vanish) is reported instead. ``window`` is a radius or a
+    state sequence (``window.window_codes``). Both come from one
     ``window.one_step_sums`` pass, which tests every residual for zero in
     one integer array comparison (with phi's array form, when it has one,
-    giving its values); a residual or balance ``Fraction`` is built only
-    where it is reported.
+    giving its values); the base is found among the codes
+    (``window.state_mask``), and a state is decoded and a residual or
+    balance ``Fraction`` built only where it is reported.
     """
     step = one_step_sums(chain, window, phi)
-    at_base = np.array([x == x0 for x in window], dtype=bool)
-    report = HarmonicityCheck(base_point=x0, checked=len(window) - int(at_base.sum()))
+    at_base = state_mask(step.table, step.codes, x0)
+    report = HarmonicityCheck(base_point=x0, checked=len(step.codes) - int(at_base.sum()))
     for i in np.flatnonzero(at_base).tolist():
         report.balance_at_base = step.average(i)
-    for i in np.flatnonzero(step.unbalanced() & ~at_base).tolist():
-        report.violations.append((window[i], step.average(i) - step.value(i)))
+    bad = np.flatnonzero(step.unbalanced() & ~at_base)
+    for x, i in zip(step.table.decode(step.codes[bad]), bad.tolist()):
+        report.violations.append((x, step.average(i) - step.value(i)))
     return report

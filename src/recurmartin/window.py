@@ -15,14 +15,15 @@ which derives the same table from ``successors()``.
 
 ``ChainSpec.code_window(radius)`` gives a radius window as a table and the
 int64 codes of its states, directly from the law class where it defines
-``_window_codes`` (the built-in laws), so no state of it is built.
-``window_operator`` restricts a table to a set of codes: a ``WindowOperator``
-in CSR form with integer numerators over one denominator. ``locate`` finds
-a few states' positions among a window's codes by one ``encode`` call and
-one binary search over the sorted codes (``code_positions``). Loop mass and
-duplicate entries are merged in integers, so every float or ``Fraction``
-entry taken from it is the correctly rounded (or exact) value of the
-merged rational probability.
+``_window_codes`` (the built-in laws), so no state of it is built;
+``window_codes`` reads a window given as a radius this way and a state
+sequence on ``code_table``. ``window_operator`` restricts a table to a set
+of codes: a ``WindowOperator`` in CSR form with integer numerators over one
+denominator. ``locate`` finds a few states' positions among a window's
+codes by one ``encode`` call and one binary search over the sorted codes
+(``code_positions``). Loop mass and duplicate entries are merged in
+integers, so every float or ``Fraction`` entry taken from it is the
+correctly rounded (or exact) value of the merged rational probability.
 
 ``propagate`` steps a table forward to exact n-step laws in integers and
 ``one_step_sums`` sums a function over one step's rows over one denominator,
@@ -211,6 +212,19 @@ def _code_or_unnamed(table, state) -> int:
         return UNNAMED
 
 
+def window_codes(chain, window) -> tuple:
+    """A window as ``(table, codes)``: a radius is read as
+    ``chain.code_window(radius)``, with no state of it built, and a state
+    sequence is encoded on ``chain.code_table(window)`` (an empty one on
+    ``SuccessorTable``)."""
+    if isinstance(window, (int, np.integer)):
+        return chain.code_window(int(window))
+    if not len(window):
+        return SuccessorTable(chain), np.zeros(0, dtype=np.int64)
+    table = chain.code_table(window)
+    return table, table.encode(window)
+
+
 def state_mask(table, codes: np.ndarray, state) -> np.ndarray:
     """Mask of the entries of ``codes`` that name ``state`` on ``table``
     (none, if the table cannot name it)."""
@@ -346,7 +360,10 @@ class OneStepSums:
     that average itself, summed from ``Fraction(0)`` in canonical state
     order, ``at`` is ``values`` and ``den = lcd = 1``; in both cases f is
     harmonic at states[i] exactly when ``sums[i] - den * at[i] == 0``
-    (``unbalanced``).
+    (``unbalanced``). ``table`` is the code table the step was taken on and
+    ``codes`` the states' codes on it, in the window's order, so a caller
+    finds a state among them (``state_mask``) and decodes only those it
+    reports.
     """
 
     values: Optional[list]
@@ -355,6 +372,8 @@ class OneStepSums:
     den: int = 1
     lcd: int = 1
     exact: bool = False
+    table: object = None
+    codes: Optional[np.ndarray] = None
 
     def row(self, i: int) -> tuple:
         """``(sums[i], at[i])`` as Python numbers."""
@@ -382,36 +401,41 @@ class OneStepSums:
         return np.array([s - a != 0 for s, a in zip(self.sums, self.at)], dtype=bool)
 
 
-def one_step_sums(chain, states, f) -> OneStepSums:
+def one_step_sums(chain, window, f) -> OneStepSums:
     """The integer core of ``one_step_averages``: one step of the chain's
-    code table (``_on_code_table``), with f's values at the distinct states
-    among ``states`` and their live successors, and each row sum taken in
-    integers over one denominator.
+    code table from each state of ``window``, a radius or a state sequence
+    (``window_codes``), with f's values at the distinct states of the step
+    and each row sum taken in integers over one denominator. A step that
+    reaches a successor the table cannot name is retaken on
+    ``SuccessorTable``.
 
     f's values come from its array form when it has one, an attribute
     ``array_values(table, codes)`` (module docstring) that does not return
     None: one call for all the states' codes, and no state is decoded.
     Otherwise f is called once per distinct state.
     """
-    return one_step_sums_each(chain, states, [f])[0]
+    return one_step_sums_each(chain, window, [f])[0]
 
 
-def one_step_sums_each(chain, states, fs) -> list:
+def one_step_sums_each(chain, window, fs) -> list:
     """``one_step_sums`` of each function in ``fs``, all from one step: one
     table step, one ``np.unique`` and at most one ``decode`` serve every
     function."""
-    if not states:
+    table, codes = window_codes(chain, window)
+    n = len(codes)
+    if not n:
         empty = np.zeros(0, dtype=object)
-        return [OneStepSums([], empty, empty, exact=True) for _ in fs]
-
-    def first_step(table):
+        return [OneStepSums([], empty, empty, exact=True, table=table, codes=codes) for _ in fs]
+    try:
+        succ, num, den, live = _step(table, codes)
+    except _Unnamed:
+        states = table.decode(codes)
+        table = SuccessorTable(chain)
         codes = table.encode(states)
-        return (table, codes, *_step(table, codes))
-
-    table, codes, succ, num, den, live = _on_code_table(chain, states, 1, first_step)
+        succ, num, den, live = _step(table, codes)
     named, slot = np.unique(np.concatenate([codes, succ[live]]), return_inverse=True)
-    first = slot[: len(states)]
-    slot = slot[len(states) :]
+    first = slot[:n]
+    slot = slot[n:]
     points = None
 
     def sums_of(f):
@@ -432,18 +456,20 @@ def one_step_sums_each(chain, states, fs) -> list:
             rational = _over_lcd(values)
             at_states = [values[i] for i in first.tolist()]
             if rational is None:
-                terms = [[] for _ in states]
+                terms = [[] for _ in range(n)]
                 for i, p, j in zip(np.nonzero(live)[0].tolist(), num[live].tolist(), slot.tolist()):
                     terms[i].append((chain.state_key(points[j]), Fraction(p, den) * values[j]))
                 ordered = (sorted(row, key=lambda kt: kt[0]) for row in terms)
                 sums = [sum((t for _, t in row), Fraction(0)) for row in ordered]
-                return OneStepSums(at_states, sums, at_states)
+                return OneStepSums(at_states, sums, at_states, table=table, codes=codes)
             ints, lcd = np.array(rational[0], dtype=object), rational[1]
             values = at_states
         weights = np.zeros(succ.shape, dtype=ints.dtype)
         weights[live] = ints[slot]
         sums = (num * weights).sum(axis=1)
-        return OneStepSums(values, sums, ints[first], den, lcd, exact=True)
+        return OneStepSums(
+            values, sums, ints[first], den, lcd, exact=True, table=table, codes=codes
+        )
 
     return [sums_of(f) for f in fs]
 

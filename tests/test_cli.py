@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from recurmartin import cli
 from recurmartin.cli import run, verify_suite
 
 
@@ -542,3 +543,42 @@ class TestWitnessGolden:
         code, out = invoke(capsys, *self.CASES[name])
         assert code == 0
         assert out == (self.GOLDEN / f"{name}.out").read_text()
+
+
+class TestSharedParser:
+    """Every ``run`` call in one process parses with the parser the first
+    one built; a usage error leaves nothing on it for the next call."""
+
+    def test_runs_in_one_process_build_one_parser(self, capsys, monkeypatch):
+        build = cli.build_parser
+        assert build() is not build()
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        for argv in (
+            TestFloatGolden.CASES["measure_z_avoid"],
+            TestExactGolden.CASES["martin_tree_mixture_r7"],
+            ("potential", "--radius", "3"),
+        ):
+            assert invoke(capsys, *argv)[0] == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # refused by the subcommand, after the parse
+            ("measure", "--chain", "nope", "--x0", "0", "--phi", "boundary:+inf",
+             "--x", "2", "--event", "avoid:1"),
+            # no --event: refused inside the parse
+            ("measure", "--chain", "z", "--x0", "0", "--phi", "boundary:+inf", "--x", "2"),
+        ],
+        ids=["chain", "missing-flag"],
+    )
+    def test_a_usage_error_leaves_the_next_run_unchanged(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            run(list(bad))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out = invoke(capsys, *TestFloatGolden.CASES["measure_z_avoid"])
+        assert code == 0
+        assert out == (TestFloatGolden.GOLDEN / "measure_z_avoid.out").read_text()

@@ -189,7 +189,8 @@ def kernel_window(chain, data):
         # past x = 62 the numerators leave int64
         table, codes = chain.code_window(data.draw(st.sampled_from([1, 7, 30, 62, 70]), "radius"))
         return table, codes, HalfLineEnd(), 0
-    ray = chain.parse_boundary(data.draw(st.sampled_from(["(0)*", "(01)*", "1(0)*", "0.1(0)*"])))
+    rays = ["(0)*", "(01)*", "(0.1)*", "1(0)*", "0.1(0)*"]
+    ray = chain.parse_boundary(data.draw(st.sampled_from(rays)))
     # the subtree below a node of depth <= 2: a table anchored above the root
     # unless the node is the root itself
     top = data.draw(st.sampled_from(chain.window(2)), "subtree")
@@ -334,6 +335,14 @@ def test_tree_ray_parsing():
         TreeRay.parse("0.1.0")
     with pytest.raises(ValueError):
         KaryTree(2).parse_boundary("0.3(0)*")
+
+
+def test_tree_ray_digits_are_dot_separated():
+    # "01" is one digit, read as 1: the period-2 ray is written (0.1)*
+    assert TreeRay.parse("(01)*") == TreeRay.parse("(1)*") == TreeRay((), (1,))
+    ray = KaryTree(2).parse_boundary("(0.1)*")
+    assert ray.prefix == () and ray.period == (0, 1)
+    assert [ray.digit(i) for i in range(5)] == [0, 1, 0, 1, 0]
 
 
 def test_boundary_parsing():

@@ -324,8 +324,9 @@ def test_one_route_builds_and_solves_window_systems():
     # every window operator is built by window_system, and every exact
     # window solve eliminates through _solve_columns; the planar potential
     # kernel's patch oracle is the one other integer system. Every kernel
-    # sum's array form (the profile, the mixture, the row-sum weight) is
-    # built by kernel_sum_array, the one reader of a kernel's array form
+    # sum's array form (the profile, the mixture, the row-sum weight, the
+    # half-line witness's psi) is built by kernel_sum_array, the one reader
+    # of a kernel's array form
     allowed = {
         "window_operator": {("green", "window_system")},
         "_eliminate": {("green", "_solve_columns"), ("potential", "_patch_oracle_matches")},
@@ -334,6 +335,7 @@ def test_one_route_builds_and_solves_window_systems():
             ("martin", "profile_from_boundary"),
             ("martin", "mixture_profile"),
             ("htransform", "verify_row_sums"),
+            ("htransform", "_halfline_table"),
         },
     }
     seen = set()

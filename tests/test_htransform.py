@@ -67,7 +67,7 @@ from recurmartin.martin import (
     mixture_profile,
     profile_from_boundary,
 )
-from recurmartin.rng import CONVERGENCE_WITNESS, counter_bits, stream_keys
+from recurmartin.rng import CONVERGENCE_WITNESS, _draw_cuts, counter_bits, stream_keys
 from recurmartin.window import one_step_sums
 
 Z = ZWalk()
@@ -1088,6 +1088,34 @@ def test_halfline_table_does_not_grow_with_the_horizon():
     short, _, _ = _witness_lane(BB, P_BB, 10, 10)
     long, _, _ = _witness_lane(BB, P_BB, 10, 10**7)
     assert [c.shape for c in short.cuts] == [c.shape for c in long.cuts] == [(66,)]
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9)])
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
+def test_halfline_cuts_are_those_of_the_fraction_rows(q, r):
+    # each up-probability is the float of the Fraction q psi(x+1) / psi(x)
+    chain, params = BangBangWalk(q), TransformParams(0, HalfLineEnd(), r)
+    psi = [psi_weight(chain, params, x) for x in range(66)]
+    up = [1.0] + [float(q * psi[x + 1] / psi[x]) for x in range(1, 65)] + [float(1 - q)]
+    table, _, _ = _witness_lane(chain, params, 10, 10)
+    assert [c.tolist() for c in table.cuts] == [_draw_cuts(up).tolist()]
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9)])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_tree_cuts_are_those_of_the_fraction_rows(k, r):
+    # with gamma = r/(1-r) (k-1)/k and psi_j = gamma + k^j - 1, the ray rows
+    # are the floats of the Fractions psi_{j-1}/(2 psi_j) and, added to that
+    # float, psi_{j+1}/(2k psi_j)
+    params = TransformParams(ROOT, TreeRay.parse("(0)*"), r)
+    gamma = params.odds * Fraction(k - 1, k)
+    psi = [gamma + k**j - 1 for j in range(66)]
+    up = [float(Fraction(1, 2) * psi[j - 1] / psi[j]) for j in range(1, 65)]
+    ahead = [u + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j]) for j, u in enumerate(up, 1)]
+    rows = [(0.5, 0.0), (0.0, float(r / k + (1 - r))), *zip(up, ahead),
+            (1 / (2 * k), 1 / (2 * k) + 0.5)]
+    table, _, _ = _witness_lane(KaryTree(k), params, 10, 10)
+    assert [c.tolist() for c in table.cuts] == [_draw_cuts(col).tolist() for col in zip(*rows)]
 
 
 def _tree_reference(n, steps, seed):
