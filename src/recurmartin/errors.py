@@ -25,7 +25,9 @@ class RunawayRunError(RecurMartinError):
     """A Monte Carlo trajectory exceeded the step cap without terminating.
 
     The cap counts draws: steps, or jumps on the line and planar lanes
-    with an escape box.
+    with an escape box. ``completed_runs`` counts the runs that had ended
+    when the error was raised, over every ensemble the call ran: for
+    ``green_mc_grid``, the runs of the whole grid (see its docstring).
     """
 
     def __init__(self, cap: int, completed_runs: int):

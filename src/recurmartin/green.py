@@ -482,11 +482,9 @@ def green_mc(
     heavy-tailed return time. ``lane`` on the result names the sampler
     that ran.
     """
-    if trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    _check_mc_options(on_cap, escape_radius)
-    walk = _fast_lane(chain, x0, x, [y], escape_radius) or _table_walk(chain, x0, x, [y])
-    return _ensemble(walk, trajectories, seed, 0, step_cap, on_cap)[0]
+    _check_mc_options(trajectories, on_cap, escape_radius)
+    grid = _mc_grid(chain, x0, [x], [y], trajectories, seed, step_cap, on_cap, escape_radius)
+    return grid[(x, y)]
 
 
 def green_mc_grid(
@@ -500,32 +498,55 @@ def green_mc_grid(
     on_cap: str = "truncate",
     escape_radius: int = 64,
 ) -> dict:
-    """green_mc over a starts x targets grid, sharing runs per start.
+    """green_mc over a starts x targets grid, sharing runs across targets.
 
-    One trajectory ensemble per start serves every target simultaneously,
-    so a runs-per-pair budget costs len(starts) ensembles instead of
-    len(starts) * len(targets). Estimates sharing a start are correlated
-    across targets but each is individually the green_mc estimator.
+    One trajectory ensemble serves every start and every target at once:
+    start k runs trajectories k (trajectories + 1) onwards, so each start's
+    runs, and with them its results, are those of green_mc with that seed
+    offset, whatever the other starts. A runs-per-pair budget costs one
+    ensemble instead of len(starts) * len(targets). Estimates sharing a
+    start are correlated across targets but each is individually the
+    green_mc estimator; each result reports its own start's draws, escaped
+    runs and truncated runs. The tree lane takes one ensemble per group of
+    targets on one spine (``_target_groups``), and the line and plane lanes
+    one per escape box that their starts build (``_lane_walks``).
+
+    With ``on_cap='error'``, the RunawayRunError's ``completed_runs``
+    counts the runs of the whole grid that ended before the error: all
+    runs of the ensembles that finished, and those of the failing
+    ensemble's slabs up to the failing one (a trajectory counts once per
+    ensemble it ran in).
     """
-    _check_mc_options(on_cap, escape_radius)
-    groups = _target_groups(chain, x0, list(targets))
-    out = {}
-    for k, x in enumerate(starts):
-        offset = k * (trajectories + 1)
-        for group in groups:
-            walk = _fast_lane(chain, x0, x, group, escape_radius)
-            walk = walk or _table_walk(chain, x0, x, group)
-            res = _ensemble(walk, trajectories, seed, offset, step_cap, on_cap)
-            out.update({(x, t): r for t, r in zip(group, res)})
-    return out
+    _check_mc_options(trajectories, on_cap, escape_radius)
+    return _mc_grid(
+        chain, x0, list(starts), list(targets), trajectories, seed, step_cap, on_cap,
+        escape_radius,
+    )
 
 
-def _check_mc_options(on_cap, escape_radius):
+def _check_mc_options(trajectories, on_cap, escape_radius):
+    if trajectories < 1:
+        raise ValueError("need at least one trajectory")
     if on_cap not in ("error", "truncate"):
         raise ValueError("on_cap must be 'error' or 'truncate'")
     box = escape_radius
     if isinstance(box, bool) or not isinstance(box, (int, np.integer)) or box < 1:
         raise ValueError(f"escape_radius must be an int >= 1, not {box!r}")
+
+
+def _mc_grid(chain, x0, starts, targets, runs, seed, cap, on_cap, escape_radius):
+    """The results of ``green_mc_grid``, one ensemble per target group and
+    escape box, keyed (start, target) in start order."""
+    cells, finished = {}, 0
+    for group in _target_groups(chain, x0, targets):
+        for walk, ks in _lane_walks(chain, x0, starts, group, escape_radius):
+            try:
+                res = _ensemble(walk, runs, seed, [k * (runs + 1) for k in ks], cap, on_cap)
+            except RunawayRunError as exc:
+                raise RunawayRunError(cap, finished + exc.completed_runs) from None
+            finished += runs * len(ks)
+            cells.update(((k, t), r) for k, row in zip(ks, res) for t, r in zip(group, row))
+    return {(x, t): cells[(k, t)] for k, x in enumerate(starts) for t in targets}
 
 
 def _mc_result(totals, runs, truncated, lane, escaped=0, note=None, draws=0):
@@ -544,7 +565,7 @@ def _mc_result(totals, runs, truncated, lane, escaped=0, note=None, draws=0):
 
 
 def _target_groups(chain, x0, targets):
-    """The groups of targets that share one ensemble per start.
+    """The groups of targets that share one ensemble.
 
     The tree lane follows one spine, the deepest target's path from the
     root: on the tree at its root, targets that are not all ancestors of
@@ -557,26 +578,48 @@ def _target_groups(chain, x0, targets):
     return [targets]
 
 
-def _fast_lane(chain, x0, x, targets, escape_radius):
-    """The walk of a vectorized lane for one start, or None where none fits.
+def _lane_walks(chain, x0, starts, targets, escape_radius):
+    """The walks that run ``starts`` to ``targets``, each with the
+    positions in ``starts`` of the starts it runs.
 
     The line and the plane are translation invariant, so they run at any
     base in coordinates shifted by x0; the half line runs at its base 0 and
     the tree at its root, with every target on one spine (``_target_groups``
     keeps them so). A lane runs only the law of its own class
-    (``law_class``): a subclass that overrides ``successors`` takes the
-    generic lane, ``_table_walk``.
+    (``law_class``): any other chain, a subclass that overrides
+    ``successors`` included, takes the generic lane, ``_table_walk``. The
+    line and the plane build an escape box around the targets and the
+    start (``_line_box``, ``_plane_box``); starts whose boxes agree share a
+    walk, whose tables and tails do not depend on its starts.
     """
     law = law_class(chain)
+    boxes = [None] * len(starts)  # one walk for all starts
     if law is ZWalk or (law is BangBangWalk and x0 == 0):
-        return _line_walk(chain, x - x0, [t - x0 for t in targets], escape_radius)
-    if law is Z2Walk:
-        start = (x[0] - x0[0], x[1] - x0[1])
+        shifted = [t - x0 for t in targets]
+        moved = [x - x0 for x in starts]
+        boxes = [_line_box(x, shifted, escape_radius) for x in moved]
+
+        def build(ks, r):
+            return _line_walk(chain, [moved[k] for k in ks], shifted, r)
+    elif law is Z2Walk:
         shifted = [(t[0] - x0[0], t[1] - x0[1]) for t in targets]
-        return _plane_walk(start, shifted, escape_radius)
-    if law is KaryTree and x0 == ROOT:
-        return _tree_walk(chain, x, max(targets, key=len, default=ROOT), targets)
-    return None
+        moved = [(x[0] - x0[0], x[1] - x0[1]) for x in starts]
+        boxes = [_plane_box(x, escape_radius) for x in moved]
+
+        def build(ks, r):
+            return _plane_walk([moved[k] for k in ks], shifted, r)
+    elif law is KaryTree and x0 == ROOT:
+        spine = max(targets, key=len, default=ROOT)
+
+        def build(ks, _):
+            return _tree_walk(chain, [starts[k] for k in ks], spine, targets)
+    else:
+        def build(ks, _):
+            return _table_walk(chain, x0, [starts[k] for k in ks], targets)
+    by_box = {}
+    for k, r in enumerate(boxes):
+        by_box.setdefault(r, []).append(k)
+    return [(build(ks, r), ks) for r, ks in by_box.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +627,12 @@ def _fast_lane(chain, x0, x, targets, escape_radius):
 
 #: Runs simulated together; their draws depend on the trajectory index only.
 _SLAB = 10_000
-#: Steps in a slab's first block; each later block is twice as long. Half the
-#: tree's runs from the root end at their first step: a 16-step first block
-#: doubled the time of a 200,000-run tree ensemble.
-_FIRST_BLOCK = 4
+#: Steps in a slab's first block; each later block is twice as long. A block
+#: steps its runs to its end whether they ended or not, and half the tree's
+#: runs from the root end at their first step: against 3 draws, a 4-draw
+#: first block cost a 200,000-run tree ensemble about 8% more, while a 2-draw
+#: one adds a block, one more call of the draw function, to most slabs.
+_FIRST_BLOCK = 3
 #: Bound on live rows x block length, the draws held at once.
 _BLOCK_CELLS = 10_000 * 512
 
@@ -597,8 +642,9 @@ class _Walk:
     """A chain as the ensemble driver runs it; see ``_ensemble``."""
 
     lane: str
-    start: int
+    start: list
     origin: int
+    launch: int
     targets: list
     step: Callable
     going: Callable
@@ -606,77 +652,110 @@ class _Walk:
     note: Optional[str] = None
 
 
-def _ensemble(walk, runs, seed, offset, cap, on_cap):
-    """Run trajectories offset .. offset + runs - 1 until they return to the base.
+def _ensemble(walk, runs, seed, first, cap, on_cap):
+    """Run trajectories first[j] .. first[j] + runs - 1 from each start j of
+    the walk until they return to the base.
 
     A walk holds one int64 state per run. ``walk.step(state, b)`` maps the
-    states of the live runs and one draw each, a 52-bit integer that the
-    step compares only against integer cuts (``rng._draw_cuts``), to their
+    states of the runs and one draw each, a 52-bit integer that the step
+    compares only against integer cuts (``rng._draw_cuts``), to their
     states after that draw; a draw is a step, or on the line and plane
-    lanes a jump. A run at ``walk.origin``, the base, is at its time 0 and
-    takes the base row. ``walk.going(state)`` marks the runs that go on: a
-    run ends on arrival at the origin, or by a move out of the escape box,
-    and ``walk.tail`` maps the exit states of those escaped runs to the
-    expected visits still to come, shape (m, len(targets)). ``start`` and
-    each of ``targets`` are states; a run visits a target when a draw
-    leaves it on that state and it goes on, and at time 0.
+    lanes a jump. ``walk.going(state)`` marks the states where a run goes
+    on: a run ends on arrival at ``walk.origin``, the base, or by a move
+    out of the escape box, and the step keeps every state where runs end as
+    it is, so a run that has ended stays at its exit state. ``walk.tail``
+    maps the exit states of escaped runs to the expected visits still to
+    come, shape (m, len(targets)). ``walk.start`` holds each start's state
+    at time 0; a run started at the origin takes the base row at time 0
+    from the state ``walk.launch``, which no draw leads to. Each of
+    ``walk.targets`` is a state; a run visits a target when a draw leaves
+    it on that state and it goes on, and at time 0.
 
     This is the one loop over the draws. Draw n of trajectory i is
     counter_bits(key_i, n), so each run's path, and with it every result,
-    is the same whatever the slab size, the block schedule, the run count
-    or the set of runs still alive. A block holds one contiguous row of
-    draws per step, and the live runs take theirs from it. Each slab
-    starts with _FIRST_BLOCK-draw blocks that double while live rows x
-    block stays within _BLOCK_CELLS: most runs of a recurrent walk end
-    after a few draws, and a long first block would be drawn in vain for
-    them. ``cap`` bounds the draws of a run; each result reports the draws
-    taken.
+    is the same whatever the slab size, the block schedule, the run count,
+    the other starts or the set of runs still alive. The runs of a slab,
+    start by start, go through blocks. A block holds one contiguous row of
+    draws per step and steps all of its runs that many times, those that
+    end on the way included, with no per-step compaction; it stops early
+    only when, after draw 1, 2, 4, ... of the block, no run goes on. The
+    block's path then gives each run's visits, its exit state (its last
+    state) and, for the runs that ended, their draws (up to the one that
+    ended it: the steps it stood at its exit state tell which), and the
+    runs that ended leave the slab, once per block. Each slab starts with
+    _FIRST_BLOCK-draw blocks that double while live runs x block stays
+    within _BLOCK_CELLS: most runs of a recurrent walk end after a few
+    draws, and a long first block would be drawn in vain for them. ``cap``
+    bounds the draws of a run. Returns one list per start, one result per
+    target, each with the draws, escaped runs and truncated runs of that
+    start.
     """
     tgt = np.asarray(walk.targets, dtype=np.int64)
-    visits = np.zeros((runs, len(tgt)))
-    visits[:] = tgt == walk.start  # time 0
-    truncated = escaped = draws = 0
-    for lo in range(0, runs, _SLAB):
-        size = min(_SLAB, runs - lo)
-        index = np.arange(offset + lo, offset + lo + size)
-        keys = stream_keys(seed, GREEN_ENSEMBLE, index)
-        vis = visits[lo : lo + size]
-        rows = np.arange(size)  # slab rows still running
-        state = np.full(size, walk.start, dtype=np.int64)
+    start = np.asarray(walk.start, dtype=np.int64)
+    first = np.asarray(first, dtype=np.int64)
+    state0 = np.where(start == walk.origin, walk.launch, start)
+    visits = np.repeat((start[:, None] == tgt).astype(float), runs, axis=0)  # time 0
+    # per start: the draws its runs took, its escaped and its truncated runs
+    tally = np.zeros((3, len(start)), dtype=np.int64)
+    # a target where runs end is visited at time 0 only; the visits to the
+    # others travel with the live runs, as ``seen``, until they end
+    cols = [ti for ti, t in enumerate(tgt.tolist()) if walk.going(t)]
+    shift = first - runs * np.arange(len(start))  # row -> trajectory index, per start
+    for lo in range(0, len(visits), _SLAB):
+        hi = min(lo + _SLAB, len(visits))
+        at = np.arange(lo, hi)
+        of = at // runs  # each slab row's start
+        keys = stream_keys(seed, GREEN_ENSEMBLE, at + shift.take(of))
+        vis = visits[lo:hi]
+        took = np.zeros(hi - lo, dtype=np.int64)  # the draws of each run
+        rows = np.arange(hi - lo)  # slab rows still running
+        state = state0.take(of)
+        seen = np.zeros((len(cols), rows.size), dtype=np.int64)
         steps, b = 0, _FIRST_BLOCK
         while rows.size and steps < cap:
             b = min(b, cap - steps, max(1, _BLOCK_CELLS // rows.size))
             u = counter_bits(keys.take(rows), np.arange(steps, steps + b)[:, None])
-            path = np.full(u.shape, -1, dtype=np.int64)  # states of runs going on
-            end = np.empty(rows.size, dtype=np.int64)  # exit states of ended runs
-            live = np.arange(rows.size)
+            path = np.empty(u.shape, dtype=np.int64)
             for t in range(b):
-                state = walk.step(state, u[t] if live.size == rows.size else u[t].take(live))
-                draws += live.size  # the ending draw too
-                end.put(live, state)  # kept only by the runs that end here
-                keep = np.flatnonzero(walk.going(state))
-                if keep.size < live.size:
-                    live, state = live.take(keep), state.take(keep)
-                    if not live.size:
-                        break
-                path[t].put(live, state)
-            end.put(live, walk.origin)  # the runs still going have not ended
-            for ti, t in enumerate(tgt):
-                vis[rows, ti] += np.count_nonzero(path == t, axis=0)
-            away = end != walk.origin  # escaped, not absorbed at the origin
-            if away.any():
-                vis[rows[away]] += walk.tail(end[away])
-                escaped += int(away.sum())
-            rows = rows[live]
+                path[t] = state = walk.step(state, u[t])
+                # after draws 1, 2, 4, ...: stop once every run has ended
+                if t & (t + 1) == 0 and not walk.going(state).any():
+                    path = path[: t + 1]
+                    break
+            for c, ti in enumerate(cols):
+                seen[c] += np.add.reduce(path == tgt[ti], axis=0, dtype=np.int32)
+            live = walk.going(state)
+            if not live.all():
+                keep, done = np.flatnonzero(live), np.flatnonzero(~live)
+                end, ended = state.take(done), rows.take(done)
+                # a run stands at its exit state, where no run goes on, from
+                # the draw that ended it on
+                stood = np.add.reduce(path == state, axis=0, dtype=np.int32).take(done)
+                took[ended] = steps + len(path) + 1 - stood
+                for c, ti in enumerate(cols):
+                    vis[ended, ti] += seen[c].take(done)
+                out = end != walk.origin  # escaped, not absorbed at the origin
+                if out.any():
+                    vis[ended[out]] += walk.tail(end[out])
+                    tally[1] += np.bincount(of.take(ended[out]), minlength=len(start))
+                rows, state, seen = rows.take(keep), state.take(keep), seen.take(keep, axis=1)
             steps += b
             b *= 2
         if rows.size:
             if on_cap == "error":
-                raise RunawayRunError(cap, lo + size - rows.size)
-            truncated += rows.size
+                raise RunawayRunError(cap, hi - rows.size)
+            tally[2] += np.bincount(of.take(rows), minlength=len(start))
+            took[rows] = cap
+            for c, ti in enumerate(cols):
+                vis[rows, ti] += seen[c]
+        js = np.arange(of[0], of[-1] + 1)  # the slab's starts, and their first rows
+        tally[0, js] += np.add.reduceat(took, np.maximum(js * runs - lo, 0))
     return [
-        _mc_result(visits[:, ti], runs, truncated, walk.lane, escaped, walk.note, draws)
-        for ti in range(len(tgt))
+        [
+            _mc_result(totals[:, ti], runs, cut, walk.lane, esc, walk.note, drawn)
+            for ti in range(len(tgt))
+        ]
+        for totals, (drawn, esc, cut) in zip(np.split(visits, len(start)), tally.T.tolist())
     ]
 
 
@@ -694,7 +773,13 @@ def _table_step(dest, low_cut, high_cut):
     return step
 
 
-def _line_walk(chain, start, targets, escape_radius):
+def _line_box(start, targets, escape_radius):
+    """The edge r of the line lane's escape box: ``escape_radius``, or
+    beyond the start and every target by 2 where they reach further."""
+    return max(escape_radius, max(abs(int(t)) for t in [start, *targets]) + 2)
+
+
+def _line_walk(chain, starts, targets, r):
     """Nearest-neighbour walk on the integers, absorbed at 0.
 
     Valid whenever the up-probability is constant away from the base,
@@ -703,14 +788,15 @@ def _line_walk(chain, start, targets, escape_radius):
     Both probabilities are read off the law: the up-mass of the row at 1
     and of the base row.
 
-    In the escape box of edge r the state of a run is its position + r,
-    and a draw carries it from mark to mark (``_line_jumps``): -r, 0, r and
-    the targets, where a run can escape, be absorbed or add a visit, so
-    visit counts and exit states keep their law exactly and the step cap
-    counts draws. Runs leaving the box are completed analytically through
-    the tail values (removing the heavy-tail truncation bias of
-    null-recurrent returns); the half line, whose base row goes up with
-    certainty, is absorbed at 0 before it reaches the minus side.
+    In the escape box of edge r (``_line_box`` of every start) the state of
+    a run is its position + r, and a draw carries it from mark to mark
+    (``_line_jumps``): -r, 0, r and the targets, where a run can escape, be
+    absorbed or add a visit, so visit counts and exit states keep their law
+    exactly and the step cap counts draws. Runs leaving the box are
+    completed analytically through the tail values (removing the
+    heavy-tail truncation bias of null-recurrent returns); the half line,
+    whose base row goes up with certainty, is absorbed at 0 before it
+    reaches the minus side.
     """
     def up_mass(v):
         return Fraction(sum(p for t, p in chain.successors(v) if t == v + 1))
@@ -719,18 +805,17 @@ def _line_walk(chain, start, targets, escape_radius):
     # beyond every target (same side) the expected visits still to come no
     # longer depend on the position: the closed form at the exit point +-r,
     # where a run leaving the box lands exactly
-    r = max(escape_radius, max(abs(int(t)) for t in [start, *targets]) + 2)
     plus = np.asarray([float(chain.exact_green(r, t)) for t in targets])
     minus = np.zeros(len(targets))  # unreachable when p_base == 1
     if p_base != 1:
         minus = np.asarray([float(chain.exact_green(-r, t)) for t in targets])
     marks = tuple(sorted({-r, 0, r, *targets}))
     norm = np.abs(np.arange(-r, r + 1))
-    inside = (norm > 0) & (norm < r)
+    going = np.append((norm > 0) & (norm < r), True)  # and the launch row 2r + 1
     return _Walk(
-        "fast-line", start + r, r, [t + r for t in targets],
+        "fast-line", [x + r for x in starts], r, 2 * r + 1, [t + r for t in targets],
         step=_table_step(*_line_jumps(p_up, p_base, r, marks)),
-        going=inside.take,
+        going=going.take,
         tail=lambda end: np.where((end > r)[:, None], plus, minus),
         note=f"analytic tail beyond radius {r}",
     )
@@ -738,27 +823,30 @@ def _line_walk(chain, start, targets, escape_radius):
 
 @functools.lru_cache(maxsize=64)
 def _line_jumps(p_up, p_base, r, marks):
-    """The line lane's jump table over the box positions -r .. r.
+    """The line lane's jump table over the box positions -r .. r, and the
+    base at its time 0.
 
     ``marks`` are -r, 0, r and the targets, in increasing order. A run at a
     position v strictly between neighbouring marks a < v < b moves, before
     it meets a mark, only through positions where nothing is counted,
     absorbed or escapes, so one draw takes it to b with the gambler's-ruin
     probability h_{a,b}(v) = P_v(reach b before a), else to a. A run at a
-    mark v (a target, or the base at its time 0 under the base row p_base)
-    goes to b with probability p_v h_{v,b}(v + 1), to a with probability
-    (1 - p_v)(1 - h_{a,v}(v - 1)), and otherwise comes back to v first: one
-    more visit there, or absorption at the base. Runs at +-r stay.
+    target v goes to b with probability p_up h_{v,b}(v + 1), to a with
+    probability (1 - p_up)(1 - h_{a,v}(v - 1)), and otherwise comes back
+    to v first: one more visit there. Runs at 0 and +-r have ended and
+    stay. A run started at the base takes its first draw from row 2r + 1,
+    the base row p_base read as above: coming back to 0 first is
+    absorption.
 
     Returns read-only (dest, up_cut, back_cut) over the positions shifted
-    by r: ``dest[3 i + k]`` is the row that outcome k = up, back, down
-    takes row i to, and ``up_cut[i]``, ``back_cut[i]`` are the integer cuts
-    (``rng._draw_cuts``) of P(up) and 1 - P(down), each the correctly
-    rounded cumulative probability. A draw b takes the outcome k = the
-    number of the row's two cuts <= b.
+    by r, then row 2r + 1: ``dest[3 i + k]`` is the row that outcome k =
+    up, back, down takes row i to, and ``up_cut[i]``, ``back_cut[i]`` are
+    the integer cuts (``rng._draw_cuts``) of P(up) and 1 - P(down), each
+    the correctly rounded cumulative probability. A draw b takes the
+    outcome k = the number of the row's two cuts <= b.
     """
-    dest = np.repeat(np.arange(2 * r + 1), 3).reshape(-1, 3)
-    cut = np.ones((2, 2 * r + 1))
+    dest = np.repeat(np.arange(2 * r + 2), 3).reshape(-1, 3)
+    cut = np.ones((2, 2 * r + 2))
     for a, b in zip(marks, marks[1:]):
         inner = slice(a + r + 1, b + r)
         dest[inner, 0], dest[inner, 2] = b + r, a + r
@@ -769,8 +857,9 @@ def _line_jumps(p_up, p_base, r, marks):
         p = p_base if v == 0 else p_up
         up = p * Fraction(*_ruin(p_up, 1, b - v))
         down = (1 - p) * (1 - Fraction(*_ruin(p_up, v - a - 1, v - a)))
-        dest[v + r] = b + r, v + r, a + r
-        cut[:, v + r] = float(up), float(1 - down)
+        row = 2 * r + 1 if v == 0 else v + r
+        dest[row] = b + r, v + r, a + r
+        cut[:, row] = float(up), float(1 - down)
     dest, cut = dest.ravel(), _draw_cuts(cut)
     for a in (dest, cut):
         a.flags.writeable = False
@@ -794,19 +883,29 @@ def _ruin(p, k, length):
     return top - down**k * up ** (length - k), top - down**length
 
 
-def _plane_walk(start, targets, escape_radius):
+def _plane_box(start, escape_radius):
+    """The edge r of the plane lane's escape box: ``escape_radius``, or one
+    beyond the start where it reaches further."""
+    return max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1)
+
+
+def _plane_walk(starts, targets, r):
     """Planar walk absorbed at the origin, on squares, with analytic tails.
 
-    The state of a run at (x, y) in the escape box of edge r is the flat
-    cell (x + r)(2r + 1) + y + r. When the square [v - m, v + m]^2 around
-    a run at v holds neither the origin nor a target and lies inside the
-    box (|v|_inf + m <= r - 1), the run cannot visit a target, be absorbed
-    or escape before it leaves the square, so one draw picks its exit point
-    from the exit law of the square's centre (``_square_exit_law``), the
-    same law for every v. m is the largest power of two that fits; where
-    none fits (next to the origin or a target, or on a target) m = 0 and
-    the draw is one step. Visit counts and exit states keep their law
-    exactly, and the step cap counts draws.
+    The state of a run at (x, y) in the escape box of edge r (``_plane_box``
+    of every start) is the flat cell (x + r)(2r + 1) + y + r. When the
+    square [v - m, v + m]^2 around a run at v holds neither the origin nor
+    a target and lies inside the box (|v|_inf + m <= r - 1), the run
+    cannot visit a target, be absorbed or escape before it leaves the
+    square, so one draw picks its exit point from the exit law of the
+    square's centre (``_square_exit_law``), the same law for every v. m is
+    the largest power of two that fits; where none fits (next to the origin
+    or a target, or on a target) m = 0 and the draw is one step. Visit
+    counts and exit states keep their law exactly, and the step cap counts
+    draws. A run at the origin or on the box's edge has ended and stays:
+    its cell takes a level of one key and jump 0. A run started at the
+    origin takes its first step from the state (2r + 1)^2, past the cells,
+    whose level is the single step shifted back to the origin.
 
     A run leaving the box is finished in expectation: the remaining visits
     to y before hitting the origin from the exit state v equal
@@ -818,8 +917,8 @@ def _plane_walk(start, targets, escape_radius):
     """
     from .potential import potential_float_array
 
-    r = max(escape_radius, abs(start[0]) + 1, abs(start[1]) + 1)
     side = 2 * r + 1
+    origin, launch = r * side + r, side * side
     # over the box's cells: the level of the largest square that fits
     # around each (as its offset among the table's keys), and the cells
     # where a run goes on
@@ -829,11 +928,19 @@ def _plane_walk(start, targets, escape_radius):
     for tx, ty in targets:
         room = np.minimum(room, np.maximum(np.abs(gx - tx), np.abs(gy - ty)) - 1)
     level = np.frexp(np.maximum(room, 0))[1].astype(np.int64)
-    offset = level << _DRAW_BITS
     inside = (norm > 0) & (norm < r)
-    levels = [_exit_level(k) for k in range(int(level.max()) + 1)]
+    top = int(level.max())
+    stay, first = top + 1, top + 2  # the levels of ended runs and of the launch
+    level[~inside] = stay
+    offset = np.append(level, first) << _DRAW_BITS
+    levels = [_exit_level(k) for k in range(top + 1)]
+    keys0, jx0, jy0 = levels[0]
+    none = np.zeros(1, dtype=np.int64)
+    levels.append((none + (first << _DRAW_BITS), none, none))
+    levels.append((keys0 + (first << _DRAW_BITS), jx0, jy0))
     keys, jx, jy = (np.concatenate(parts) for parts in zip(*levels))
     jump = jx * side + jy
+    jump[-len(keys0) :] += origin - launch
 
     def step(cell, b):
         key = offset.take(cell)
@@ -853,12 +960,13 @@ def _plane_walk(start, targets, escape_radius):
             - _a_lookup(afloat, ex - tx, ey - ty)
         )
 
-    def cell(x, y):  # a target beyond the box: past the last cell, never met
-        return (x + r) * side + y + r if max(abs(x), abs(y)) <= r else side * side
+    def cell(x, y):  # a target beyond the box: no state, never met
+        return (x + r) * side + y + r if max(abs(x), abs(y)) <= r else -1
 
     return _Walk(
-        "fast-plane", cell(*start), cell(0, 0), [cell(*t) for t in targets],
-        step=step, going=inside.take, tail=tail,
+        "fast-plane", [cell(*x) for x in starts], origin, launch,
+        [cell(*t) for t in targets],
+        step=step, going=np.append(inside, True).take, tail=tail,
         note=f"analytic tail beyond radius {r}",
     )
 
@@ -929,7 +1037,7 @@ def _a_lookup(afloat, vx, vy):
     return afloat[np.maximum(i, j), np.minimum(i, j)]
 
 
-def _tree_walk(tree, start, spine, targets):
+def _tree_walk(tree, starts, spine, targets):
     """Tree walk reduced to its embedded spine-visit chain.
 
     Spine = ancestor path of the deepest target; visits to any target are
@@ -944,14 +1052,17 @@ def _tree_walk(tree, start, spine, targets):
     A start off the spine first walks its excursion back to its meet point
     (certain arrival, one visit there); when that meet point is the root,
     the run starts at state p + 1 and its first draw takes it to the root,
-    without any visit.
+    without any visit. A run started at the root takes its first step from
+    state p + 2.
     """
     p_len = len(spine)
-    j0 = tree.meet_depth(start, spine)
-    if j0 == 0 and len(start) > 0:
-        j0 = p_len + 1
+
+    def state(x):
+        j = tree.meet_depth(x, spine)
+        return p_len + 1 if j == 0 and len(x) > 0 else j
+
     return _Walk(
-        "fast-tree", j0, 0, [len(t) for t in targets],
+        "fast-tree", [state(x) for x in starts], 0, p_len + 2, [len(t) for t in targets],
         step=_table_step(*_tree_jumps(tree.k, p_len)),
         going=lambda state: state != 0,
     )
@@ -959,24 +1070,27 @@ def _tree_walk(tree, start, spine, targets):
 
 @functools.lru_cache(maxsize=64)
 def _tree_jumps(k, p):
-    """The tree lane's table over the embedded chain's states 0 .. p + 1.
+    """The tree lane's table over the embedded chain's states 0 .. p + 2.
 
     Rows (k = branching factor, p = spine length), outcomes in order:
+      j = 0      : the root, where a run has ended: it stays;
       0 < j <= p : j - 1 w.p. 1/2, j + 1 w.p. 1/(2k) if j < p, else j
                    (an excursion, or at j = p any child);
-      j = 0      : only at time 0 (a start at the root): depth 1 w.p. 1/k
-                   if p >= 1, else the root (absorbed);
       j = p + 1  : an off-spine start that meets the spine at the root,
-                   which its excursion reaches with certainty.
+                   which its excursion reaches with certainty;
+      j = p + 2  : the root at time 0 (a start at the root): depth 1 w.p.
+                   1/k if p >= 1, else the root (absorbed).
     Returns read-only (dest, low_cut, high_cut) as ``_table_step`` reads
     them, each cut the integer cut of the correctly rounded cumulative
     probability.
     """
     half, child = Fraction(1, 2), Fraction(1, 2 * k)
-    rows = [((1, 0, 0), (Fraction(1, k), 1)) if p else ((0, 0, 0), (1, 1))]
+    stay = ((0, 0, 0), (1, 1))
+    rows = [stay]
     rows += [((j - 1, j + 1, j), (half, half + child)) for j in range(1, p)]
     rows += [((p - 1, p, p), (half, 1))] if p else []
-    rows.append(((0, 0, 0), (1, 1)))
+    rows.append(stay)
+    rows.append(((1, 0, 0), (Fraction(1, k), 1)) if p else stay)
     dest = np.asarray([d for d, _ in rows], dtype=np.int64).ravel()
     low_cut, high_cut = _draw_cuts([[float(c) for c in cuts] for _, cuts in rows]).T.copy()
     for a in (dest, low_cut, high_cut):
@@ -987,14 +1101,16 @@ def _tree_jumps(k, p):
 class _TableRows:
     """The rows of a ``SuccessorTable`` as padded arrays, filled on first visit.
 
-    Row c holds the successor codes of code c and the integer cuts
-    (``rng._draw_cuts``) of their CDF, each entry the correctly rounded
-    cumulative num / den, so a row does not depend on the batch that
-    filled it. Entries from the row's last real one on read 2^52, which no
-    draw reaches, so a step that counts the cuts <= b never passes the
-    row's end. A row is filled when a run first stands at its code, not
-    when the table first names it: filling every named code would chase
-    children without end on an infinite graph.
+    Row c + 1 holds the successors of code c, as rows (code + 1), and the
+    integer cuts (``rng._draw_cuts``) of their CDF, each entry the
+    correctly rounded cumulative num / den, so a row does not depend on the
+    batch that filled it. Entries from the row's last real one on read
+    2^52, which no draw reaches, so a step that counts the cuts <= b never
+    passes the row's end. Row 1, code 0, is the base, where a run has ended:
+    it stays. Row 0 holds the base's own row, which a run started at the
+    base takes at time 0. A row is filled when a run first stands at it,
+    not when the table first names its code: filling every named code
+    would chase children without end on an infinite graph.
     """
 
     def __init__(self, table):
@@ -1002,11 +1118,12 @@ class _TableRows:
         self.filled = np.zeros(64, dtype=bool)
         self.succ = np.zeros((64, 1), dtype=np.int64)
         self.cut = np.full((64, 1), 1 << _DRAW_BITS)
+        self.filled[1], self.succ[1] = True, 1
 
-    def fill(self, codes):
-        """Cache the rows of ``codes``, distinct codes not cached yet."""
-        succ, num, den = self.table.step(codes)
-        n, cap, width = len(self.table.states), len(self.filled), succ.shape[1]
+    def fill(self, rows):
+        """Cache ``rows``, distinct rows not cached yet."""
+        succ, num, den = self.table.step(np.maximum(rows - 1, 0))
+        n, cap, width = len(self.table.states) + 1, len(self.filled), succ.shape[1]
         extra = max(n, 2 * cap) - cap if n > cap else 0
         wider = max(0, width - self.succ.shape[1])
         if extra or wider:
@@ -1016,26 +1133,33 @@ class _TableRows:
         cut = _draw_cuts(exact_floats(np.cumsum(num, axis=1), den))
         last = (succ != UNNAMED).sum(axis=1) - 1
         cut[np.arange(width) >= last[:, None]] = 1 << _DRAW_BITS
-        self.succ[codes, :width] = succ
-        self.cut[codes, :width] = cut
-        self.filled[codes] = True
+        self.succ[rows, :width] = succ + 1
+        self.cut[rows, :width] = cut
+        self.filled[rows] = True
 
 
-def _table_walk(chain, x0, x, targets):
-    """Any chain's walk over the codes of a ``SuccessorTable``, absorbed at x0.
+def _table_walk(chain, x0, starts, targets):
+    """Any chain's walk over the rows of a ``SuccessorTable``'s codes,
+    absorbed at x0 (``_TableRows``).
 
-    x0 takes code 0, the origin of the ensemble driver; the codes name every
-    state. One step of the live runs is one gather of their rows and one
-    count of the integer cuts <= b per run.
+    x0 takes code 0, row 1, the origin of the ensemble driver; the codes
+    name every state. A step counts, one cut column at a time, the integer
+    cuts <= b in each run's row, and gathers the successor that count picks.
     """
     table = SuccessorTable(chain)
-    codes = table.encode([x0, x, *targets]).tolist()
     rows = _TableRows(table)
+    at = (table.encode([x0, *starts, *targets]) + 1).tolist()
 
     def step(cur, b):
         new = np.sort(cur[~rows.filled[cur]])
-        if new.size:  # distinct codes; the plain np.unique loads numpy.ma
+        if new.size:  # distinct rows; the plain np.unique loads numpy.ma
             rows.fill(new[np.diff(new, prepend=-1) > 0])
-        return rows.succ[cur, (rows.cut[cur] <= b[:, None]).sum(axis=1)]
+        pick = cur * rows.succ.shape[1]
+        for cut in rows.cut.T:  # a column at a time: a sum along rows is slow
+            pick += cut.take(cur) <= b
+        return rows.succ.take(pick)
 
-    return _Walk("generic", codes[1], 0, codes[2:], step, going=lambda cur: cur != 0)
+    return _Walk(
+        "generic", at[1 : len(starts) + 1], 1, 0, at[len(starts) + 1 :], step,
+        going=lambda cur: cur != 1,
+    )

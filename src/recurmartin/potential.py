@@ -457,12 +457,12 @@ def potential_mc(
 ):
     """Monte Carlo visit counts E_x[L^y before hitting the origin].
 
-    One trajectory ensemble of the plane lane (``green.green_mc_grid``)
-    serves every y: a run jumps across squares that hold neither the
-    origin nor a target, and ``step_cap`` counts those draws. Returns the
-    green-solver result objects (value, stderr, truncated run count, draws)
-    in y_list order. Estimates should approach a(x) as the targets move
-    far away.
+    The plane lane's one ensemble for ``green.green_mc_grid``'s single
+    start x serves every y: a run jumps across squares that hold neither
+    the origin nor a target, and ``step_cap`` counts those draws.
+    ``trajectories`` must be at least 1. Returns the green-solver result
+    objects (value, stderr, truncated run count, draws) in y_list order.
+    Estimates should approach a(x) as the targets move far away.
     """
     from .examplechains import Z2Walk
     from .green import green_mc_grid

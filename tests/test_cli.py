@@ -302,6 +302,18 @@ class TestPotential:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_mc_check_refuses_fewer_than_one_trajectory(self, capsys, runs):
+        # no mean to print: no NaN estimate, no numpy error
+        code = run([
+            "potential", "--radius", "10", "--check", "mc", "--seed", "1",
+            "--trajectories", runs,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: need at least one trajectory\n"
+
     @pytest.mark.parametrize("argv", [
         ("--radius", "0"),
         ("--radius", "-2", "--check", "harmonicity"),

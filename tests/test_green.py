@@ -743,7 +743,7 @@ def test_generic_lane_on_the_tree_off_its_root(monkeypatch):
         step = walk.step
 
         def counted(state, u):
-            taken.append(len(u))  # one step of each live run
+            taken.append(np.count_nonzero(walk.going(state)))  # one step of each live run
             return step(state, u)
 
         walk.step = counted
@@ -835,6 +835,87 @@ def test_mc_results_do_not_depend_on_blocks_or_slabs(
         assert run() == reference
 
 
+def _reference_ensemble(walk, runs, seed, offset, cap):
+    """The ensemble driver with per-step compaction, for one start: draw n
+    moves only the runs still going, and a run that ends leaves at once.
+    ``_ensemble`` must give the same results, bit for bit."""
+    (start,) = walk.start
+    tgt = np.asarray(walk.targets, dtype=np.int64)
+    keys = stream_keys(seed, GREEN_ENSEMBLE, np.arange(offset, offset + runs))
+    visits = np.zeros((runs, len(tgt)))
+    visits[:] = tgt == start  # time 0
+    rows = np.arange(runs)
+    state = np.full(runs, walk.launch if start == walk.origin else start, dtype=np.int64)
+    draws = escaped = 0
+    for n in range(cap):
+        if not rows.size:
+            break
+        state = walk.step(state, counter_bits(keys.take(rows), n))
+        draws += rows.size
+        going = walk.going(state)
+        visits[rows[going]] += state[going, None] == tgt
+        away = ~going & (state != walk.origin)
+        if away.any():
+            visits[rows[away]] += walk.tail(state[away])
+            escaped += int(away.sum())
+        rows, state = rows[going], state[going]
+    return [
+        green_module._mc_result(
+            visits[:, ti], runs, rows.size, walk.lane, escaped, walk.note, draws
+        )
+        for ti in range(len(tgt))
+    ]
+
+
+def _reference_grid(chain, x0, starts, targets, runs, seed, cap, escape_radius):
+    """green_mc_grid with one ensemble per start and target group."""
+    out = {}
+    for k, x in enumerate(starts):
+        for group in green_module._target_groups(chain, x0, targets):
+            ((walk, _),) = green_module._lane_walks(chain, x0, [x], group, escape_radius)
+            res = _reference_ensemble(walk, runs, seed, k * (runs + 1), cap)
+            out.update(((x, t), r) for t, r in zip(group, res))
+    return out
+
+
+# (chain, base, starts, targets, step cap): starts at the base, starts that
+# build boxes of their own (escape radius 16), targets at the base and on
+# the plane's box edge, truncating caps
+REFERENCE_CASES = [
+    (Z, 0, [2, 0, -21, 40], [5, -3, 0], 9),
+    (Z, 3, [5, 3, -30], [6, 3, 1], 10**7),
+    (BB, 0, [0, 2, 30], [1, 4, 0], 10**7),
+    (PLANE, (0, 0), [(2, 1), (0, 0), (18, 0), (-3, 30)], [(1, 0), (16, 2), (0, 0), (40, 0)], 12),
+    (PLANE, (1, 0), [(2, 0), (1, 0), (-20, 5)], [(2, 1), (17, 0), (1, 0)], 10**7),
+    (TREE, ROOT, [ROOT, (1, 0), (0, 1), (0, 0, 1)], [(0,), (0, 0, 1), ROOT], 10**7),
+    (TREE, ROOT, [ROOT, (0,), (1, 1)], [(0,), (1,), ROOT], 2),
+    (BB, 2, [3, 2, 6], [2, 4], 12),
+    (TREE, (0,), [ROOT, (0,)], [(1,), (0,)], 60),
+    (LazyBangBang(), 0, [0, 2], [1, 3, 0], 10**7),
+]
+
+REFERENCE_IDS = [
+    "line-capped", "line-off-base", "halfline", "plane-capped", "plane-off-origin",
+    "tree", "tree-groups-capped", "generic-halfline-capped", "generic-tree-capped",
+    "generic-lazy",
+]
+
+
+@pytest.mark.parametrize("chain, x0, starts, ys, cap", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_grid_matches_the_per_step_reference_driver(chain, x0, starts, ys, cap):
+    def summary(grid):
+        return {
+            key: (r.lane, r.value.hex(), r.stderr.hex(), r.draws, r.escaped_runs,
+                  r.truncated_runs)
+            for key, r in grid.items()
+        }
+
+    got = green_mc_grid(chain, x0, starts, ys, 500, seed=19, step_cap=cap, escape_radius=16)
+    want = _reference_grid(chain, x0, starts, ys, 500, 19, cap, 16)
+    assert list(got) == [(x, y) for x in starts for y in ys]
+    assert summary(got) == summary(want)
+
+
 def test_runaway_error_counts_only_finished_runs():
     # 25,000 runs fill three slabs; the first slab already has runs past the
     # cap, so the later slabs never start and none of their runs finished
@@ -843,6 +924,21 @@ def test_runaway_error_counts_only_finished_runs():
     first_slab = green_mc(Z, 0, 2, 5, 10_000, seed=5, step_cap=8, on_cap="truncate")
     assert 0 < first_slab.truncated_runs < 10_000
     assert info.value.completed_runs == 10_000 - first_slab.truncated_runs
+
+
+def test_runaway_error_counts_the_finished_runs_of_the_whole_grid():
+    # start -200 builds a box of its own, where each run ends at its first
+    # draw (escaped or absorbed), so its ensemble finishes; starts 2 and 3
+    # share the next one, where runs pass the cap
+    starts, runs = [-200, 2, 3], 600
+    with pytest.raises(RunawayRunError) as info:
+        green_mc_grid(Z, 0, starts, [5], runs, seed=5, step_cap=8, on_cap="error",
+                      escape_radius=16)
+    grid = green_mc_grid(Z, 0, starts, [5], runs, seed=5, step_cap=8, escape_radius=16)
+    assert grid[(-200, 5)].truncated_runs == 0
+    truncated = sum(grid[(x, 5)].truncated_runs for x in starts)
+    assert truncated > 0
+    assert info.value.completed_runs == len(starts) * runs - truncated
 
 
 @pytest.mark.parametrize("bad", [None, 0, -3, 2.5, "64", True])
@@ -860,9 +956,24 @@ def test_mc_entry_points_refuse_a_bad_escape_box(entry, bad):
         call()
 
 
-# One call per lane at two seeds: (lane, seed, start, target) -> value and
+@pytest.mark.parametrize("bad", [0, -3])
+@pytest.mark.parametrize("entry", ["green_mc", "green_mc_grid", "potential_mc"])
+def test_mc_entry_points_refuse_fewer_than_one_trajectory(entry, bad):
+    # no run would give a mean of nothing: refused before any lane is built
+    call = {
+        "green_mc": lambda: green_mc(TREE, ROOT, (0,), (0,), bad, seed=1),
+        "green_mc_grid": lambda: green_mc_grid(PLANE, (0, 0), [(1, 0)], [(2, 0)], bad, seed=1),
+        "potential_mc": lambda: potential_mc((1, 0), [(2, 0)], bad, seed=1),
+    }[entry]
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        call()
+
+
+# Calls of each lane at two seeds: (call, seed, start, target) -> value and
 # stderr as float.hex, draws, escaped runs, truncated runs. A change to a
-# law, a draw or the driver's bookkeeping moves them.
+# law, a draw or the driver's bookkeeping moves them. The grid calls hold
+# starts at the base and starts that build larger boxes than the others,
+# targets at the base and on the plane's box edge, and truncating caps.
 LANE_GOLDEN = {
     ("fast-line", 5, 2, 1): ("0x1.051eb851eb852p+1", "0x1.223d73aeae683p-4", 2043, 46, 0),
     ("fast-line", 5, 2, 5): ("0x1.b947ae147ae14p+1", "0x1.55cf5cc02d79ap-2", 2043, 46, 0),
@@ -890,31 +1001,79 @@ LANE_GOLDEN = {
     ("generic", 5, 3, 4): ("0x1.8b851eb851eb8p-1", "0x1.037040dd28382p-4", 1100, 0, 18),
     ("generic", 6, 3, 2): ("0x0.0p+0", "0x0.0p+0", 1047, 0, 21),
     ("generic", 6, 3, 4): ("0x1.599999999999ap-1", "0x1.dfea58298fa13p-5", 1047, 0, 21),
+    ("fast-line-grid", 5, 2, 5): ("0x1.3570a3d70a3d7p+1", "0x1.a0831183b8cd0p-3", 1072, 26, 35),
+    ("fast-line-grid", 5, 2, -3): ("0x0.0p+0", "0x0.0p+0", 1072, 26, 35),
+    ("fast-line-grid", 5, 2, 0): ("0x0.0p+0", "0x0.0p+0", 1072, 26, 35),
+    ("fast-line-grid", 5, 0, 5): ("0x1.5333333333333p-1", "0x1.0aa4ef1fcef02p-3", 801, 27, 17),
+    ("fast-line-grid", 5, 0, -3): ("0x1.c666666666666p-1", "0x1.00ba28f9b3bdfp-3", 801, 27, 17),
+    ("fast-line-grid", 5, 0, 0): ("0x1.0000000000000p+0", "0x0.0p+0", 801, 27, 17),
+    ("fast-line-grid", 5, -21, 5): ("0x0.0p+0", "0x0.0p+0", 588, 360, 9),
+    ("fast-line-grid", 5, -21, -3): ("0x1.791eb851eb852p+2", "0x1.ea95e86fdde48p-5", 588, 360, 9),
+    ("fast-line-grid", 5, -21, 0): ("0x0.0p+0", "0x0.0p+0", 588, 360, 9),
+    ("fast-line-grid", 6, 2, 5): ("0x1.a800000000000p+1", "0x1.f5065aeb65c6ep-3", 1228, 45, 47),
+    ("fast-line-grid", 6, 2, -3): ("0x0.0p+0", "0x0.0p+0", 1228, 45, 47),
+    ("fast-line-grid", 6, 2, 0): ("0x0.0p+0", "0x0.0p+0", 1228, 45, 47),
+    ("fast-line-grid", 6, 0, 5): ("0x1.599999999999ap-1", "0x1.0d35b91c48332p-3", 840, 23, 18),
+    ("fast-line-grid", 6, 0, -3): ("0x1.d47ae147ae148p-1", "0x1.038924aaf7512p-3", 840, 23, 18),
+    ("fast-line-grid", 6, 0, 0): ("0x1.0000000000000p+0", "0x0.0p+0", 840, 23, 18),
+    ("fast-line-grid", 6, -21, 5): ("0x0.0p+0", "0x0.0p+0", 564, 368, 7),
+    ("fast-line-grid", 6, -21, -3): ("0x1.7ca3d70a3d70ap+2", "0x1.5d230b0531085p-5", 564, 368, 7),
+    ("fast-line-grid", 6, -21, 0): ("0x0.0p+0", "0x0.0p+0", 564, 368, 7),
+    ("fast-plane-grid", 5, (2, 1), (1, 0)): ("0x1.612c772870ef8p-1", "0x1.335dc83facb49p-5", 3980, 72, 216),
+    ("fast-plane-grid", 5, (2, 1), (16, 2)): ("0x1.1eb9efe6af2b3p-1", "0x1.f90e376fbc868p-5", 3980, 72, 216),
+    ("fast-plane-grid", 5, (2, 1), (0, 0)): ("0x0.0p+0", "0x0.0p+0", 3980, 72, 216),
+    ("fast-plane-grid", 5, (0, 0), (1, 0)): ("0x1.44f2f240bb2ecp-1", "0x1.69810a5907fb0p-5", 3032, 29, 151),
+    ("fast-plane-grid", 5, (0, 0), (16, 2)): ("0x1.997627ef820c0p-3", "0x1.2b53094b56eb2p-5", 3032, 29, 151),
+    ("fast-plane-grid", 5, (0, 0), (0, 0)): ("0x1.0000000000000p+0", "0x0.0p+0", 3032, 29, 151),
+    ("fast-plane-grid", 5, (18, 0), (1, 0)): ("0x1.b7347cb5b0d1cp-1", "0x1.3e71148125d6fp-6", 2039, 330, 69),
+    ("fast-plane-grid", 5, (18, 0), (16, 2)): ("0x1.a3e39beeae0aep+1", "0x1.117c540a3b03ep-4", 2039, 330, 69),
+    ("fast-plane-grid", 5, (18, 0), (0, 0)): ("0x0.0p+0", "0x0.0p+0", 2039, 330, 69),
+    ("fast-plane-grid", 6, (2, 1), (1, 0)): ("0x1.54440eefde211p-1", "0x1.2c1b3b3e0ede8p-5", 3988, 57, 223),
+    ("fast-plane-grid", 6, (2, 1), (16, 2)): ("0x1.c59f5c2641f1cp-2", "0x1.c94a26f5e0e4ep-5", 3988, 57, 223),
+    ("fast-plane-grid", 6, (2, 1), (0, 0)): ("0x0.0p+0", "0x0.0p+0", 3988, 57, 223),
+    ("fast-plane-grid", 6, (0, 0), (1, 0)): ("0x1.1c1f60d64e9b9p-1", "0x1.506b241b7da64p-5", 2994, 23, 162),
+    ("fast-plane-grid", 6, (0, 0), (16, 2)): ("0x1.4d62fd908ff73p-3", "0x1.135775643e549p-5", 2994, 23, 162),
+    ("fast-plane-grid", 6, (0, 0), (0, 0)): ("0x1.0000000000000p+0", "0x0.0p+0", 2994, 23, 162),
+    ("fast-plane-grid", 6, (18, 0), (1, 0)): ("0x1.b0a58cfa62676p-1", "0x1.477e6a5a54347p-6", 2017, 326, 73),
+    ("fast-plane-grid", 6, (18, 0), (16, 2)): ("0x1.9f87990cd809cp+1", "0x1.0c25ddd856dfbp-4", 2017, 326, 73),
+    ("fast-plane-grid", 6, (18, 0), (0, 0)): ("0x0.0p+0", "0x0.0p+0", 2017, 326, 73),
 }
 
+# call -> (the lane it runs, the call at a seed)
 LANE_CALLS = {
-    "fast-line": lambda s: green_mc_grid(Z, 0, [2], [1, 5, -3], 400, s, escape_radius=16),
-    "fast-tree": lambda s: green_mc_grid(
+    "fast-line": ("fast-line", lambda s: green_mc_grid(
+        Z, 0, [2], [1, 5, -3], 400, s, escape_radius=16
+    )),
+    "fast-line-grid": ("fast-line", lambda s: green_mc_grid(
+        Z, 0, [2, 0, -21], [5, -3, 0], 400, s, step_cap=9, escape_radius=16
+    )),
+    "fast-tree": ("fast-tree", lambda s: green_mc_grid(
         TREE, ROOT, [ROOT, (1, 0), (0, 1)], [(0,), (0, 0, 1)], 400, s
-    ),
-    "fast-plane": lambda s: green_mc_grid(
+    )),
+    "fast-plane": ("fast-plane", lambda s: green_mc_grid(
         PLANE, (0, 0), [(2, 1)], [(1, 0), (20, 0)], 400, s, escape_radius=16
-    ),
-    "generic": lambda s: green_mc_grid(BB, 2, [3], [2, 4], 400, s, step_cap=12),
+    )),
+    "fast-plane-grid": ("fast-plane", lambda s: green_mc_grid(
+        PLANE, (0, 0), [(2, 1), (0, 0), (18, 0)], [(1, 0), (16, 2), (0, 0)], 400, s,
+        step_cap=12, escape_radius=16,
+    )),
+    "generic": ("generic", lambda s: green_mc_grid(BB, 2, [3], [2, 4], 400, s, step_cap=12)),
 }
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-@pytest.mark.parametrize("lane", sorted(LANE_CALLS))
-def test_lane_outputs_match_their_golden(lane, seed):
+@pytest.mark.parametrize("name", sorted(LANE_CALLS))
+def test_lane_outputs_match_their_golden(name, seed):
+    lane, call = LANE_CALLS[name]
+    results = call(seed)
+    assert {r.lane for r in results.values()} == {lane}
     got = {
-        (lane, seed, x, y): (
+        (name, seed, x, y): (
             r.value.hex(), r.stderr.hex(), r.draws, r.escaped_runs, r.truncated_runs
         )
-        for (x, y), r in LANE_CALLS[lane](seed).items()
-        if r.lane == lane
+        for (x, y), r in results.items()
     }
-    assert got == {k: v for k, v in LANE_GOLDEN.items() if k[:2] == (lane, seed)}
+    assert got == {k: v for k, v in LANE_GOLDEN.items() if k[:2] == (name, seed)}
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1180,8 @@ def test_line_lane_reports_the_draws_its_runs_took(monkeypatch):
         step = walk.step
 
         def counted(state, u):
-            taken.append(len(u))  # one draw of each live run
+            # the driver steps runs that have ended too; those stay put
+            taken.append(np.count_nonzero(walk.going(state)))  # runs going on
             return step(state, u)
 
         walk.step = counted
@@ -1088,12 +1248,15 @@ def test_line_jump_table_is_the_exact_first_mark_law(chain, targets):
     up_mass = [sum(p for t, p in chain.successors(v) if t == v + 1) for v in (1, 0)]
     dest, up_cut, back_cut = _line_jumps(*map(Fraction, up_mass), r, marks)
     assert not (dest.flags.writeable or up_cut.flags.writeable)
-    # the half line has no states below its base, which runs never reach
-    for v in range(-r if chain is Z else 0, r + 1):
-        i = v + r
+    assert len(dest) == 3 * (2 * r + 2) == 3 * len(up_cut) == 3 * len(back_cut)
+    # the half line has no states below its base, which runs never reach;
+    # row 2r + 1 is the base at time 0, a run's first draw from there
+    rows = [(v, v + r) for v in range(-r if chain is Z else 0, r + 1)]
+    for v, i in rows + [(0, 2 * r + 1)]:
         up, back, down = (dest[3 * i : 3 * i + 3] - r).tolist()
-        if abs(v) == r:  # out of the box: the run has ended and stays
+        if i == v + r and v in (-r, 0, r):  # absorbed or escaped: the run stays
             assert up == back == down == v
+            assert up_cut[i] == back_cut[i] == 2**52
             continue
         law = _first_mark_law(chain, v, marks)
         assert set(law) <= {up, back, down} and up != down
@@ -1130,12 +1293,16 @@ def test_tree_jump_table_is_the_exact_embedded_law(tree, p):
     spine = tuple((i + 1) % tree.k for i in range(p))
     dest, low_cut, high_cut = _tree_jumps(tree.k, p)
     assert not (dest.flags.writeable or low_cut.flags.writeable)
-    assert len(dest) == 3 * (p + 2) == 3 * len(low_cut) == 3 * len(high_cut)
-    # row 0 is the root at time 0; row p + 1 an off-spine start whose
-    # excursion ends at the root
-    for j in range(p + 2):
+    assert len(dest) == 3 * (p + 3) == 3 * len(low_cut) == 3 * len(high_cut)
+    # row 0 is the root, where runs have ended and stay; row p + 1 an
+    # off-spine start whose excursion ends at the root; row p + 2 the root
+    # at time 0
+    for j in range(p + 3):
         row = dest[3 * j : 3 * j + 3].tolist()
-        law = _embedded_row(tree, spine, j) if j <= p else {0: Fraction(1)}
+        if j in (0, p + 1):
+            law = {0: Fraction(1)}
+        else:
+            law = _embedded_row(tree, spine, j % (p + 2))
         assert set(law) <= set(row)
         # each cut is that of the correctly rounded cumulative probability
         # of the destinations of the outcomes up to it
