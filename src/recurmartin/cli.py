@@ -7,8 +7,11 @@ tables and checks), and ``verify`` (the conformance suite). All output is
 JSON (or CSV where stated) on standard output; numeric rendering uses 12
 significant digits; identical flag sets produce byte-identical output.
 Exit codes: 0 success, 1 computation or check failure, 2 usage error.
-``run(argv)`` may be called any number of times in one process; the calls
-share one parser, built by the first.
+``run(argv)`` forms all output: each ``cmd_*`` returns its payload and exit
+code, and ``run`` renders the payload once, beside the echo of the flags
+(only ``potential --emit csv`` writes its rows itself and returns no
+payload). ``run`` may be called any number of times in one process; the
+calls share one parser, built by the first.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -99,29 +101,6 @@ def emit(payload) -> None:
     sys.stdout.write(json.dumps(render(payload), sort_keys=True, indent=2) + "\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation state; identical configs emit identical bytes."""
-
-    subcommand: str
-    options: tuple  # sorted (flag, value-text) pairs
-
-    @staticmethod
-    def from_args(subcommand: str, args: argparse.Namespace) -> "RunConfig":
-        skip = {"func", "subcommand"}
-        pairs = tuple(
-            sorted(
-                (k, str(v))
-                for k, v in vars(args).items()
-                if k not in skip and v is not None
-            )
-        )
-        return RunConfig(subcommand, pairs)
-
-    def as_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "options": dict(self.options)}
-
-
 # ---------------------------------------------------------------------------
 # Flag parsing helpers
 
@@ -150,24 +129,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _chain(selector, parser):
+def _parsed(parse, text, parser, flag):
+    """``parse(text)``, or a usage error naming ``flag``."""
     try:
-        return chain_from_selector(selector)
-    except ValueError as exc:
-        parser.error(f"--chain: {exc}")
-
-
-def _state(chain, text, parser, flag):
-    try:
-        return chain.parse_state(text)
+        return parse(text)
     except (ValueError, KeyError) as exc:
-        parser.error(f"{flag}: {exc}")
-
-
-def _boundary(chain, text, parser, flag):
-    try:
-        return chain.parse_boundary(text)
-    except ValueError as exc:
         parser.error(f"{flag}: {exc}")
 
 
@@ -183,15 +149,8 @@ def _mixture(chain, text, parser, flag) -> BoundaryMixture:
             weight = Fraction(weight_text.strip())
         except (ValueError, ZeroDivisionError):
             parser.error(f"{flag}: bad weight in {term!r}")
-        try:
-            alpha = chain.parse_boundary(alpha_text.strip())
-        except ValueError as exc:
-            parser.error(f"{flag}: {exc}")
-        atoms.append((alpha, weight))
-    try:
-        return BoundaryMixture(atoms)
-    except ValueError as exc:
-        parser.error(f"{flag}: {exc}")
+        atoms.append((_parsed(chain.parse_boundary, alpha_text.strip(), parser, flag), weight))
+    return _parsed(BoundaryMixture, atoms, parser, flag)
 
 
 def _profile(chain, x0, phi_text, parser, flag):
@@ -199,7 +158,7 @@ def _profile(chain, x0, phi_text, parser, flag):
     if not sep:
         parser.error(f"{flag}: expected boundary:<point> or mixture:<spec>")
     if kind == "boundary":
-        return profile_from_boundary(chain, x0, _boundary(chain, body, parser, flag))
+        return profile_from_boundary(chain, x0, _parsed(chain.parse_boundary, body, parser, flag))
     if kind == "mixture":
         return mixture_profile(chain, x0, _mixture(chain, body, parser, flag))
     parser.error(f"{flag}: unknown profile kind {kind!r}")
@@ -209,18 +168,18 @@ def _path_states(chain, text, parser, flag):
     parts = [p for p in text.split(chain.path_separator) if p != ""]
     if not parts:
         parser.error(f"{flag}: empty path")
-    return [_state(chain, p, parser, flag) for p in parts]
+    return [_parsed(chain.parse_state, p, parser, flag) for p in parts]
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (payload, exit code); ``run`` renders the payload
 
 
 def cmd_green(args, parser):
-    chain = _chain(args.chain, parser)
-    x0 = _state(chain, args.x0, parser, "--x0")
-    x = _state(chain, args.x, parser, "--x")
-    y = _state(chain, args.y, parser, "--y")
+    chain = _parsed(chain_from_selector, args.chain, parser, "--chain")
+    x0 = _parsed(chain.parse_state, args.x0, parser, "--x0")
+    x = _parsed(chain.parse_state, args.x, parser, "--x")
+    y = _parsed(chain.parse_state, args.y, parser, "--y")
     radius = args.window_radius
     if radius is None:
         radius = default_radius(chain, [x0, x, y])
@@ -228,46 +187,44 @@ def cmd_green(args, parser):
         exact = chain.window_size(radius) <= 300
         trunc = Truncation(radius=radius, policy=args.policy)
         (res,) = green_solve(chain, x0, [(x, y)], trunc, exact=exact)
-        payload = {
+        return {
             "value": float(res.value),
             "exact": str(res.value) if exact else None,
             "stderr": 0.0,
             "method": res.method,
             "window": {"radius": radius, "policy": args.policy},
-        }
-    else:
-        if args.seed is None:
-            parser.error("--seed is required for --method mc")
-        res = green_mc(
-            chain, x0, x, y, args.trajectories, args.seed,
-            step_cap=args.step_cap, on_cap="truncate",
-        )
-        payload = {
-            "value": res.value,
-            "stderr": res.stderr,
-            "method": res.method,
-            "runs": res.runs,
-            "truncated_runs": res.truncated_runs,
-            "note": res.note,
-        }
-    emit({"config": RunConfig.from_args("green", args).as_dict(), "result": payload})
-    return 0
+        }, 0
+    if args.seed is None:
+        parser.error("--seed is required for --method mc")
+    res = green_mc(
+        chain, x0, x, y, args.trajectories, args.seed,
+        step_cap=args.step_cap, on_cap="truncate",
+    )
+    return {
+        "value": res.value,
+        "stderr": res.stderr,
+        "method": res.method,
+        "runs": res.runs,
+        "truncated_runs": res.truncated_runs,
+        "note": res.note,
+    }, 0
 
 
 def cmd_martin(args, parser):
-    chain = _chain(args.chain, parser)
-    x0 = _state(chain, args.x0, parser, "--x0")
+    chain = _parsed(chain_from_selector, args.chain, parser, "--chain")
+    x0 = _parsed(chain.parse_state, args.x0, parser, "--x0")
     if (args.alpha is None) == (args.mixture is None):
         parser.error("exactly one of --alpha and --mixture is required")
     if args.alpha is not None:
-        phi = profile_from_boundary(chain, x0, _boundary(chain, args.alpha, parser, "--alpha"))
+        alpha = _parsed(chain.parse_boundary, args.alpha, parser, "--alpha")
+        phi = profile_from_boundary(chain, x0, alpha)
     else:
         phi = mixture_profile(chain, x0, _mixture(chain, args.mixture, parser, "--mixture"))
-    states = [_state(chain, t, parser, "--eval") for t in args.eval.split(",")]
+    states = [_parsed(chain.parse_state, t, parser, "--eval") for t in args.eval.split(",")]
     evaluations = {chain.format_state(s): phi.evaluate(s) for s in states}
     radius = args.window_radius or chain.check_radius
     report = check_harmonic_except(chain, phi, x0, radius)
-    payload = {
+    return {
         "profile": phi.description,
         "evaluations": evaluations,
         "residuals": {
@@ -279,15 +236,13 @@ def cmd_martin(args, parser):
             ],
             "balance_at_base": report.balance_at_base,
         },
-    }
-    emit({"config": RunConfig.from_args("martin", args).as_dict(), "result": payload})
-    return 0
+    }, 0
 
 
 def cmd_measure(args, parser):
-    chain = _chain(args.chain, parser)
-    x0 = _state(chain, args.x0, parser, "--x0")
-    x = _state(chain, args.x, parser, "--x")
+    chain = _parsed(chain_from_selector, args.chain, parser, "--chain")
+    x0 = _parsed(chain.parse_state, args.x0, parser, "--x0")
+    x = _parsed(chain.parse_state, args.x, parser, "--x")
     phi = _profile(chain, x0, args.phi, parser, "--phi")
     kind, sep, body = args.event.partition(":")
     if not sep:
@@ -305,7 +260,7 @@ def cmd_measure(args, parser):
             m = int(time_text)
         except ValueError:
             parser.error("--event: time index must be an integer")
-        target = _state(chain, state_text, parser, "--event")
+        target = _parsed(chain.parse_state, state_text, parser, "--event")
         if not args.horizons:
             parser.error("--horizons is required for at: events")
         try:
@@ -313,26 +268,17 @@ def cmd_measure(args, parser):
         except ValueError as exc:
             parser.error(f"--horizons: {exc}")
     elif kind == "avoid":
-        barred = _state(chain, body, parser, "--event")
+        barred = _parsed(chain.parse_state, body, parser, "--event")
         mv = avoidance_function(chain, x0, phi, x, barred)
     else:
         parser.error(f"--event: unknown event kind {kind!r}")
-    payload = {
-        "value": mv.value,
-        "numeric": None if mv.value is None else float(mv.value),
-        "mode": mv.mode,
-        "verdict": mv.verdict,
-        "sequence": mv.sequence,
-        "bracket": mv.bracket,
-        "note": mv.note,
-    }
-    emit({"config": RunConfig.from_args("measure", args).as_dict(), "result": payload})
-    return 0
+    # vars, not dataclasses.asdict: a PiRational value must stay one for render
+    return {**vars(mv), "numeric": None if mv.value is None else float(mv.value)}, 0
 
 
 def cmd_simulate(args, parser):
-    chain = _chain(args.chain, parser)
-    x0 = _state(chain, args.x0, parser, "--x0")
+    chain = _parsed(chain_from_selector, args.chain, parser, "--chain")
+    x0 = _parsed(chain.parse_state, args.x0, parser, "--x0")
     if not chain.boundary_points():
         alpha = None
         if args.alpha is not None:
@@ -340,20 +286,19 @@ def cmd_simulate(args, parser):
     else:
         if args.alpha is None:
             parser.error("--alpha is required for this chain")
-        alpha = _boundary(chain, args.alpha, parser, "--alpha")
+        alpha = _parsed(chain.parse_boundary, args.alpha, parser, "--alpha")
     params = TransformParams(x0, alpha, args.r)
     report = convergence_stats(
         chain, params, args.trajectories, args.steps, seed=args.seed,
         threshold=args.witness_threshold,
     )
-    payload = report.as_dict()
+    payload = dict(vars(report))
     if args.transience:
-        payload["transience"] = transience_witness(
+        payload["transience"] = vars(transience_witness(
             chain, params, trajectories=args.trajectories, steps=args.steps,
             seed=args.seed,
-        ).as_dict()
-    emit({"config": RunConfig.from_args("simulate", args).as_dict(), "result": payload})
-    return 0
+        ))
+    return payload, 0
 
 
 def cmd_potential(args, parser):
@@ -365,23 +310,19 @@ def cmd_potential(args, parser):
             {"i": i, "j": j, "p": str(v.p), "q": str(v.q), "numeric": _sig(float(v))}
             for (i, j), v in table.octant_items()
         ]
-        if args.emit == "csv":
-            sys.stdout.write("i,j,p,q,numeric\n")
-            for row in rows:
-                sys.stdout.write(
-                    f"{row['i']},{row['j']},{row['p']},{row['q']},{row['numeric']:.12g}\n"
-                )
-        else:
-            emit({
-                "config": RunConfig.from_args("potential", args).as_dict(),
-                "result": {"radius": args.radius, "entries": rows},
-            })
-        return 0
+        if args.emit == "json":
+            return {"radius": args.radius, "entries": rows}, 0
+        sys.stdout.write("i,j,p,q,numeric\n")
+        for row in rows:
+            sys.stdout.write(
+                f"{row['i']},{row['j']},{row['p']},{row['q']},{row['numeric']:.12g}\n"
+            )
+        return None, 0
     if args.emit == "csv":
         parser.error("--emit csv applies to table output only, not --check")
     if args.check == "harmonicity":
         report = verify_harmonicity(potential_table(args.radius))
-        payload = {
+        return {
             "radius": report.radius,
             "checked": report.checked,
             "violations": len(report.violations),
@@ -389,9 +330,8 @@ def cmd_potential(args, parser):
             "symmetry_ok": report.symmetry_ok,
             "patch_oracle_ok": report.patch_oracle_ok,
             "note": report.odd_denominator_note,
-        }
-        ok = report.all_ok
-    elif args.check == "asymptotics":
+        }, 0 if report.all_ok else 1
+    if args.check == "asymptotics":
         if args.radius < 5:
             parser.error("--check asymptotics needs --radius >= 5 (it samples (5, 0), (10, 0), ...)")
         table = potential_table(args.radius)
@@ -404,45 +344,37 @@ def cmd_potential(args, parser):
                 "residual_times_norm2": residual * n**2,
             })
         bound = max(abs(r["residual_times_norm2"]) for r in rows)
-        payload = {"radius": args.radius, "samples": rows, "bound": bound, "bounded": bound < 1.0}
-        ok = bound < 1.0
-    else:  # mc
-        if args.seed is None:
-            parser.error("--seed is required for --check mc")
-        table = potential_table(max(args.radius, 44))
-        x = (1, 0)
-        targets = [(20, 0), (40, 0)]
-        results = potential_mc(
-            x, targets, args.trajectories, args.seed, on_cap="truncate"
-        )
-        rows = []
-        ok = True
-        for y, res in zip(targets, results):
-            exact = float(origin_killed_green(table, x, y))
-            within = abs(res.value - exact) <= 4 * max(res.stderr, 1e-12)
-            ok = ok and within
-            rows.append({
-                "y": list(y),
-                "estimate": res.value,
-                "stderr": res.stderr,
-                "exact": exact,
-                "within_4_stderr": within,
-            })
-        payload = {"x": list(x), "trajectories": args.trajectories, "rows": rows}
-    emit({
-        "config": RunConfig.from_args("potential", args).as_dict(),
-        "result": payload,
-    })
-    return 0 if ok else 1
+        bounded = bound < 1.0
+        payload = {"radius": args.radius, "samples": rows, "bound": bound, "bounded": bounded}
+        return payload, 0 if bounded else 1
+    # mc
+    if args.seed is None:
+        parser.error("--seed is required for --check mc")
+    table = potential_table(max(args.radius, 44))
+    x = (1, 0)
+    targets = [(20, 0), (40, 0)]
+    results = potential_mc(
+        x, targets, args.trajectories, args.seed, on_cap="truncate"
+    )
+    rows = []
+    for y, res in zip(targets, results):
+        exact = float(origin_killed_green(table, x, y))
+        rows.append({
+            "y": list(y),
+            "estimate": res.value,
+            "stderr": res.stderr,
+            "exact": exact,
+            "within_4_stderr": abs(res.value - exact) <= 4 * max(res.stderr, 1e-12),
+        })
+    ok = all(row["within_4_stderr"] for row in rows)
+    return {"x": list(x), "trajectories": args.trajectories, "rows": rows}, 0 if ok else 1
 
 
 def cmd_verify(args, parser):
     if args.suite in ("mc", "all") and args.seed is None:
         parser.error("--seed is required for --suite mc or all")
     report = verify_suite(args.suite, args.seed)
-    emit({"config": RunConfig.from_args("verify", args).as_dict(), "result": report})
-    failed = [c for c in report["checks"] if c["status"] == "fail"]
-    return 1 if failed else 0
+    return report, 1 if report["counts"]["fail"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -865,14 +797,30 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 def run(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``) and run its subcommand: the
     exit code, or SystemExit(2) from a usage error. Repeated calls in one
-    process share one parser, so only the first pays for building it."""
+    process share one parser, so only the first pays for building it.
+
+    The subcommand returns its payload and exit code; this is the one place
+    that renders a payload, echoing the flags (sorted, as text, unset ones
+    left out) beside it. A refusal from the library, in the subcommand or
+    in the rendering, prints one ``error:`` line on stderr and nothing on
+    stdout, and exits 1."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     parser = _PARSER
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        payload, code = args.func(args, parser)
+        if payload is not None:
+            options = {
+                k: str(v) for k, v in vars(args).items()
+                if k not in ("func", "subcommand") and v is not None
+            }
+            emit({
+                "config": {"subcommand": args.subcommand, "options": options},
+                "result": payload,
+            })
+        return code
     except (RecurMartinError, ValueError, NotImplementedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

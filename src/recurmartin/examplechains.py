@@ -28,11 +28,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as iter_chain, repeat
-from typing import Optional
 
 import numpy as np
 
-from .chains import ChainSpec, StateId
+from .chains import ChainSpec
 from .errors import UnsupportedBasePointError
 from .window import UNNAMED, _max_abs, int_array
 

@@ -467,7 +467,7 @@ def green_mc(
 
     Each run starts at x, counts a visit at time 0, and stops on arrival
     at x0 at time >= 1 (arrival not counted). A run exceeding ``step_cap``
-    draws raises RunawayRunError when ``on_cap='error'`` or is kept as-is
+    draws (an int >= 1) raises RunawayRunError when ``on_cap='error'`` or is kept as-is
     when ``on_cap='truncate'`` (the reported value is then a lower-biased
     estimate; the number of truncated runs is reported). A draw is one
     step, except on the line and the planar walk: on the line one draw
@@ -482,7 +482,7 @@ def green_mc(
     heavy-tailed return time. ``lane`` on the result names the sampler
     that ran.
     """
-    _check_mc_options(trajectories, on_cap, escape_radius)
+    _check_mc_options(trajectories, step_cap, on_cap, escape_radius)
     grid = _mc_grid(chain, x0, [x], [y], trajectories, seed, step_cap, on_cap, escape_radius)
     return grid[(x, y)]
 
@@ -517,21 +517,22 @@ def green_mc_grid(
     ensemble's slabs up to the failing one (a trajectory counts once per
     ensemble it ran in).
     """
-    _check_mc_options(trajectories, on_cap, escape_radius)
+    _check_mc_options(trajectories, step_cap, on_cap, escape_radius)
     return _mc_grid(
         chain, x0, list(starts), list(targets), trajectories, seed, step_cap, on_cap,
         escape_radius,
     )
 
 
-def _check_mc_options(trajectories, on_cap, escape_radius):
+def _check_mc_options(trajectories, step_cap, on_cap, escape_radius):
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     if on_cap not in ("error", "truncate"):
         raise ValueError("on_cap must be 'error' or 'truncate'")
-    box = escape_radius
-    if isinstance(box, bool) or not isinstance(box, (int, np.integer)) or box < 1:
-        raise ValueError(f"escape_radius must be an int >= 1, not {box!r}")
+    # a cap below 1 would cut every run before its first draw
+    for name, value in (("step_cap", step_cap), ("escape_radius", escape_radius)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, not {value!r}")
 
 
 def _mc_grid(chain, x0, starts, targets, runs, seed, cap, on_cap, escape_radius):

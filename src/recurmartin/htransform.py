@@ -616,21 +616,6 @@ class ConvergenceReport:
     final_median: float
     snapshots: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "alpha": self.alpha,
-            "r": str(self.r),
-            "trajectories": self.trajectories,
-            "steps": self.steps,
-            "seed": self.seed,
-            "witness": self.witness,
-            "threshold": self.threshold,
-            "fraction_above": self.fraction_above,
-            "final_median": self.final_median,
-            "snapshots": {str(k): v for k, v in sorted(self.snapshots.items())},
-        }
-
 
 @dataclass
 class TransienceReport:
@@ -647,20 +632,6 @@ class TransienceReport:
     max_returns: int
     max_last_return: int
     fraction_settled_by_half: float
-
-    def as_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "alpha": self.alpha,
-            "r": str(self.r),
-            "trajectories": self.trajectories,
-            "steps": self.steps,
-            "seed": self.seed,
-            "mean_returns": self.mean_returns,
-            "max_returns": self.max_returns,
-            "max_last_return": self.max_last_return,
-            "fraction_settled_by_half": self.fraction_settled_by_half,
-        }
 
 
 _DEFAULT_THRESHOLDS = {"line": 50.0, "halfline": 100.0, "tree": 10.0, "plane": 10.0}

@@ -32,21 +32,13 @@ from .errors import NotInConeError
 from .examplechains import LineEnd, ZWalk, exact_martin_boundary
 from .window import one_step_sums, rational_sum, state_mask
 
-PROVENANCES = ("closed-form", "boundary-point", "mixture", "user")
-
-
 @dataclass(frozen=True)
 class HarmonicProfile:
     """A function vanishing at ``base_point`` and harmonic off it."""
 
     base_point: StateId
     fn: Callable[[StateId], object]
-    provenance: str = "user"
     description: str = ""
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def evaluate(self, x: StateId):
         if x == self.base_point:
@@ -133,7 +125,6 @@ def profile_from_boundary(chain: ChainSpec, x0: StateId, alpha) -> HarmonicProfi
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
-        provenance="boundary-point",
         description=f"boundary point {alpha} over base {chain.format_state(x0)}",
     )
 
@@ -167,7 +158,6 @@ def mixture_profile(chain: ChainSpec, x0: StateId, mixture: BoundaryMixture) -> 
     return HarmonicProfile(
         base_point=x0,
         fn=fn,
-        provenance="mixture",
         description=f"{len(mixture.atoms)}-atom mixture over base {chain.format_state(x0)}",
     )
 

@@ -279,6 +279,8 @@ class TestPotential:
         assert lines[0] == "i,j,p,q,numeric"
         assert lines[1] == "0,0,0,0,0"
         assert any(line.startswith("2,1,-1,8,") for line in lines)
+        # the rows alone: no JSON envelope before or after them
+        assert all(line[0].isdigit() for line in lines[1:])
 
     def test_harmonicity_check_passes(self, capsys):
         code, doc = invoke_json(
@@ -556,6 +558,56 @@ class TestWitnessGolden:
         assert code == 0
         assert out == (self.GOLDEN / f"{name}.out").read_text()
 
+
+class TestOneOutputPath:
+    """``run`` renders every payload: a refusal from the library, raised
+    before or during the rendering, leaves stdout empty and says why in one
+    ``error:`` line on stderr."""
+
+    REFUSALS = {
+        "green-no-trajectories": (
+            "green", "--chain", "z", "--x0", "0", "--x", "2", "--y", "3",
+            "--method", "mc", "--seed", "1", "--trajectories", "0",
+        ),
+        "martin-tree-off-root": (
+            "martin", "--chain", "tree:k=2", "--x0", "0", "--alpha", "(0)*", "--eval", "1",
+        ),
+        "measure-halfline-off-base": (
+            "measure", "--chain", "bangbang", "--x0", "2", "--phi", "boundary:inf",
+            "--x", "3", "--event", "avoid:4",
+        ),
+        "simulate-line-off-base": (
+            "simulate", "--chain", "z", "--x0", "3", "--alpha", "+inf", "--seed", "1",
+        ),
+    }
+
+    @staticmethod
+    def assert_refused(capsys, argv, message=None):
+        assert run(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if message is not None:
+            assert lines[0] == f"error: {message}"
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_a_library_refusal_prints_one_error_line(self, capsys, name):
+        self.assert_refused(capsys, self.REFUSALS[name])
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_mc_refuses_a_step_cap_below_one(self, capsys, cap):
+        # every run would be cut before its first draw, reading 0 visits
+        argv = ("green", "--chain", "z", "--x0", "0", "--x", "2", "--y", "3", "--method", "mc",
+                "--seed", "1", "--trajectories", "100", "--step-cap", cap)
+        self.assert_refused(capsys, argv, f"step_cap must be an int >= 1, not {cap}")
+
+    def test_a_rendering_error_prints_nothing_on_stdout(self, capsys, monkeypatch):
+        def refuse(obj):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "render", refuse)
+        self.assert_refused(capsys, ("potential", "--radius", "2"), "cannot render")
 
 class TestSharedParser:
     """Every ``run`` call in one process parses with the parser the first

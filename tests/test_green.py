@@ -956,6 +956,21 @@ def test_mc_entry_points_refuse_a_bad_escape_box(entry, bad):
         call()
 
 
+@pytest.mark.parametrize("bad", [None, 0, -5, 2.5, True])
+@pytest.mark.parametrize("entry", ["green_mc", "green_mc_grid", "potential_mc"])
+def test_mc_entry_points_refuse_a_bad_step_cap(entry, bad):
+    # a cap below 1 would cut every run before its first draw
+    call = {
+        "green_mc": lambda: green_mc(Z, 0, 2, 3, 10, seed=1, step_cap=bad, on_cap="truncate"),
+        "green_mc_grid": lambda: green_mc_grid(
+            PLANE, (0, 0), [(1, 0)], [(2, 0)], 10, seed=1, step_cap=bad
+        ),
+        "potential_mc": lambda: potential_mc((1, 0), [(2, 0)], 10, seed=1, step_cap=bad),
+    }[entry]
+    with pytest.raises(ValueError, match=f"step_cap must be an int >= 1, not {bad!r}"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [0, -3])
 @pytest.mark.parametrize("entry", ["green_mc", "green_mc_grid", "potential_mc"])
 def test_mc_entry_points_refuse_fewer_than_one_trajectory(entry, bad):

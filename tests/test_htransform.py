@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurmartin.cli import render
 from recurmartin.errors import (
     PreconditionViolationError,
     RowSumViolationError,
@@ -890,8 +891,8 @@ def test_convergence_report_is_deterministic_and_serializable():
     kwargs = dict(trajectories=400, steps=300, seed=91, snapshots=(100,))
     first = convergence_stats(Z, P_Z, **kwargs)
     second = convergence_stats(Z, P_Z, **kwargs)
-    assert first.as_dict() == second.as_dict()
-    json.dumps(first.as_dict())
+    assert first == second
+    json.dumps(render(vars(first)))
     assert first.snapshots[100]["q25"] <= first.snapshots[100]["q75"]
 
 
@@ -905,7 +906,7 @@ def test_mirrored_line_witness_matches_by_symmetry():
     params = TransformParams(0, LineEnd(-1), HALF)
     plus = convergence_stats(Z, P_Z, 1500, 300, seed=5)
     minus = convergence_stats(Z, params, 1500, 300, seed=5)
-    assert plus.as_dict()["snapshots"] == minus.as_dict()["snapshots"]
+    assert plus.snapshots == minus.snapshots
 
 
 def test_halfline_witness_is_ballistic():
@@ -986,7 +987,7 @@ def test_transience_witness_settles_early():
     assert report.fraction_settled_by_half >= 0.95
     assert report.mean_returns < 5.0
     assert report.max_last_return <= 4000
-    json.dumps(report.as_dict())
+    json.dumps(render(vars(report)))
 
 
 def test_transience_witness_other_lanes():
@@ -1030,7 +1031,7 @@ def test_transience_witness_is_deterministic():
     kwargs = dict(trajectories=500, steps=400, seed=11)
     first = transience_witness(Z, P_Z, **kwargs)
     second = transience_witness(Z, P_Z, **kwargs)
-    assert first.as_dict() == second.as_dict()
+    assert first == second
 
 
 def _with_states(table, grown=None):

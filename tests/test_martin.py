@@ -102,11 +102,6 @@ def test_profile_vanishes_at_base_regardless_of_fn():
     assert phi(5) == 99
 
 
-def test_profile_provenance_is_validated():
-    with pytest.raises(ValueError):
-        HarmonicProfile(base_point=0, fn=lambda x: x, provenance="guess")
-
-
 # ---------------------------------------------------------------------------
 # Harmonicity and base balance
 
