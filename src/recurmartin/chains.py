@@ -28,8 +28,9 @@ class ChainSpec(ABC):
 
     Subclasses provide the successor law with exact `Fraction` probabilities
     and (when available) the predecessor law and an explicit stationary
-    measure. `base_point` is the distinguished state the closed-form theory
-    is anchored at (origin, root, ...).
+    measure. `base_point` is the distinguished state (origin, root, ...):
+    the default base of closed forms, which take any base, and the one
+    base the Monte Carlo witness lanes run at.
     """
 
     #: Selector string, e.g. "z", "bangbang:q=1/3". Used by the CLI and reports.
@@ -166,32 +167,30 @@ def law_capability(chain: ChainSpec, name: str):
 
 def owns_kernel(chain: ChainSpec, law: type) -> bool:
     """True when ``chain``'s ``exact_boundary_kernel`` (or its lack of one)
-    is the one that ``law``, its ``law_class``, defines itself.
+    is the one that ``law``, its ``law_class``, has.
 
     A description of the kernel kept beside the law (an array form, a
     witness lane's tilted table) stands for the chain's kernel only then:
-    a subclass or instance that overrides the kernel, or a law class that
-    inherits it from another law, has a kernel of its own.
+    a subclass or instance that overrides the kernel has its own.
     """
     kernel = getattr(chain, "exact_boundary_kernel", None)
-    return getattr(kernel, "__func__", kernel) is law.__dict__.get("exact_boundary_kernel")
+    return getattr(kernel, "__func__", kernel) is getattr(law, "exact_boundary_kernel", None)
 
 
 def kernel_array(chain: ChainSpec):
     """The array form of ``chain``'s boundary kernel, bound to it, or None.
 
-    A law class may define ``_kernel_array(table, codes, alpha, base)``
-    beside its ``exact_boundary_kernel``: the kernel at the states of
-    ``codes`` on its own code table, as ``(nums, den)`` (integer numerators
-    over one denominator), or None for a table it cannot read. It stands
-    for the kernel only while the chain ``owns_kernel``; otherwise callers
-    evaluate the chain's own kernel state by state.
+    ``_kernel_array(table, codes, alpha, base)`` gives the kernel at the
+    states of ``codes`` as ``(nums, den)`` (integer numerators over one
+    denominator), or None for a table it cannot read. It reads the codes
+    through ``_code_depths``, so it stands for the kernel only where the law
+    class defines that itself and the chain ``owns_kernel``; otherwise the
+    kernel is evaluated state by state.
     """
     law = law_class(chain)
-    form = law.__dict__.get("_kernel_array")
-    if form is None or not owns_kernel(chain, law):
+    if "_code_depths" not in law.__dict__ or not owns_kernel(chain, law):
         return None
-    return form.__get__(chain, type(chain))
+    return chain._kernel_array
 
 
 @dataclass(frozen=True)

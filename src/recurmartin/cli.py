@@ -63,6 +63,7 @@ from .sigma import (
     state_at_time,
     verify_concatenation,
 )
+from .window import budgeted_window_size
 
 SIGNIFICANT_DIGITS = 12
 
@@ -184,7 +185,7 @@ def cmd_green(args, parser):
     if radius is None:
         radius = default_radius(chain, [x0, x, y])
     if args.method == "exact":
-        exact = chain.window_size(radius) <= 300
+        exact = budgeted_window_size(chain, radius, f"radius-{radius}") <= 300
         trunc = Truncation(radius=radius, policy=args.policy)
         (res,) = green_solve(chain, x0, [(x, y)], trunc, exact=exact)
         return {
@@ -215,6 +216,8 @@ def cmd_martin(args, parser):
     x0 = _parsed(chain.parse_state, args.x0, parser, "--x0")
     if (args.alpha is None) == (args.mixture is None):
         parser.error("exactly one of --alpha and --mixture is required")
+    radius = args.window_radius or chain.check_radius
+    budgeted_window_size(chain, radius, f"radius-{radius}")
     if args.alpha is not None:
         alpha = _parsed(chain.parse_boundary, args.alpha, parser, "--alpha")
         phi = profile_from_boundary(chain, x0, alpha)
@@ -222,7 +225,6 @@ def cmd_martin(args, parser):
         phi = mixture_profile(chain, x0, _mixture(chain, args.mixture, parser, "--mixture"))
     states = [_parsed(chain.parse_state, t, parser, "--eval") for t in args.eval.split(",")]
     evaluations = {chain.format_state(s): phi.evaluate(s) for s in states}
-    radius = args.window_radius or chain.check_radius
     report = check_harmonic_except(chain, phi, x0, radius)
     return {
         "profile": phi.description,

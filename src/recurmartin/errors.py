@@ -41,7 +41,7 @@ class RunawayRunError(RecurMartinError):
 
 
 class UnsupportedBasePointError(RecurMartinError):
-    """Closed forms are only available at the chain's distinguished base point."""
+    """The chain publishes no closed-form boundary kernel (the plane), at any base."""
 
 
 class ZeroDenominatorError(RecurMartinError):

@@ -15,15 +15,17 @@ Four recurrent chains are provided:
 ``z2``
     Simple random walk on the two-dimensional integer lattice.
 
-The first three expose exact killed-Green / boundary-kernel closed forms
-anchored at their canonical base point. The planar walk's killed Green
-function is exact too, through its potential kernel a:
+The first three are nearest-neighbour walks on trees, whose killed Green
+function and boundary kernel come from one network formula at any base
+point (``TreeNetwork``). The planar walk's killed Green function is exact
+too, through its potential kernel a:
 G_0(x, y) = a(x) + a(y) - a(x - y) in p + q/pi (see
 ``potential.origin_killed_green``).
 """
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +33,9 @@ from itertools import chain as iter_chain, repeat
 
 import numpy as np
 
-from .chains import ChainSpec
+from .chains import ChainSpec, distribution_after
 from .errors import UnsupportedBasePointError
-from .window import UNNAMED, _max_abs, int_array
+from .window import WINDOW_STATE_BUDGET, UNNAMED, int_array, state_mask
 
 # ---------------------------------------------------------------------------
 # Boundary points
@@ -99,6 +101,26 @@ class TreeRay:
             j += 1
         return j
 
+    def agreements(self, table, codes) -> np.ndarray:
+        """``agreement`` at the heap codes of a tree table: below its anchor, a
+        node at depth d (offset o, its digits in base k) agrees with the ray
+        down to d - t, t the fewest digits to drop from o and the ray's."""
+        k, anchor = table.k, table.anchor
+        start = self.agreement(anchor)
+        if start < len(anchor):  # every node leaves the ray above the anchor
+            return np.full(len(codes), start)
+        depth = np.searchsorted(table._firsts, codes, side="right") - 1
+        ray = [0]
+        for d in range(start, start + int(depth.max(initial=0))):
+            ray.append(ray[-1] * k + self.digit(d))
+        off, ray_off = codes - table._firsts[depth], np.array(ray, dtype=np.int64)[depth]
+        agree = depth + start
+        while (differ := off != ray_off).any():
+            agree -= differ
+            off //= k
+            ray_off //= k
+        return agree
+
     def __str__(self) -> str:
         head = ".".join(str(d) for d in self.prefix)
         body = ".".join(str(d) for d in self.period)
@@ -106,10 +128,113 @@ class TreeRay:
 
 
 # ---------------------------------------------------------------------------
+# Nearest-neighbour walks on trees
+
+#: ``TreeNetwork._tables`` per law, the chain's class and name
+_TABLES: dict = {}
+
+
+class TreeNetwork(ChainSpec):
+    """A nearest-neighbour walk on a tree, read as an electrical network.
+
+    The edge (u, v) has conductance c(u, v) = beta(u) P(u, v), beta the
+    stationary measure. The law is the same along every ray from the root,
+    so rho(d), the resistance from the root to depth d, is the running sum
+    of 1/c along one ray. With u ^ v the deepest common ancestor and x ^
+    alpha where x's root path leaves the end alpha, at any base x1 and off
+    it (Doyle and Snell 1984; Lyons and Peres 2016, ch. 2-3)
+
+        G_{x1}(x, y) = beta(y) (rho(x1) - rho(x1 ^ x) - rho(x1 ^ y) + rho(x ^ y)),
+        K_{x1}(x, alpha) = beta(x1) (rho(x1) - rho(x1 ^ x) + rho(x ^ alpha) - rho(x1 ^ alpha)),
+
+    and at x1, G is beta(y) / beta(x1) and K is 1. A law gives only its
+    geometry: the depths of u ^ v (``meet_depth``) and x ^ alpha
+    (``end_depth``), the node of depth d on one ray (``ray_node``), and
+    both depths over its code table (``_code_depths``).
+    """
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """rho, beta(x1) rho per base x1, and beta(x1) rho in integers per
+        base and depth, shared by the chains of one class and ``name``."""
+        return _TABLES.setdefault((type(self), self.name), ([Fraction(0)], {}, {}))
+
+    def _resistance(self, depth: int) -> list:
+        """rho(0), ..., rho(depth), and perhaps more, as Fractions; P(u, v)
+        is read off the law's one-step law (``chains.distribution_after``)."""
+        rho = self._tables[0]
+        if depth >= WINDOW_STATE_BUDGET:
+            raise ValueError(f"a resistance table to depth {depth} runs along {depth + 1} "
+                             f"states, more than the state budget of {WINDOW_STATE_BUDGET}")
+        for d in range(len(rho) - 1, depth):
+            u, v = self.ray_node(d), self.ray_node(d + 1)
+            rho.append(rho[-1] + 1 / (self.stationary(u) * distribution_after(self, u, 1)[v]))
+        return rho
+
+    def exact_green(self, x, y, base=None) -> Fraction:
+        """Expected visits to y, started at x, before the first return to base."""
+        x1 = self.base_point if base is None else base
+        if x == x1:
+            return self.stationary(y) / self.stationary(x1)
+        meet = self.meet_depth
+        n, i, j, m = meet(x1, x1), meet(x1, x), meet(x1, y), meet(x, y)
+        rho = self._resistance(max(n, m))
+        return self.stationary(y) * (rho[n] - rho[i] - rho[j] + rho[m])
+
+    def exact_boundary_kernel(self, x, alpha, base=None) -> Fraction:
+        """Limit of G(x, y) / G(base, y) as y runs to the end alpha."""
+        x1 = self.base_point if base is None else base
+        if x == x1:
+            return Fraction(1)
+        n, j = self.meet_depth(x1, x1), self.end_depth(x, alpha)
+        scaled = self._tables[1].setdefault(x1, [])  # beta(x1) rho, kept per base
+        if len(scaled) <= max(n, j):
+            rho, beta = self._resistance(max(n, j)), self.stationary(x1)
+            scaled.extend(beta * r for r in rho[len(scaled):])
+        if not n:  # at the root every term of the base is 0
+            return scaled[j]
+        i, m = self.meet_depth(x1, x), self.end_depth(x1, alpha)
+        return scaled[n] - scaled[i] + scaled[j] - scaled[m]
+
+    def exact_profile(self, x, alpha, base=None) -> Fraction:
+        """Normalized harmonic profile attached to alpha (zero at base)."""
+        x1 = self.base_point if base is None else base
+        if x == x1:
+            return Fraction(0)
+        return self.exact_boundary_kernel(x, alpha, x1) / self.stationary(x1)
+
+    def _kernel_array(self, table, codes, alpha, base=None):
+        """``exact_boundary_kernel`` at the states of ``codes`` on the law's
+        code table, as ``(nums, den)`` (``chains.kernel_array``), or None
+        for a table or end ``_code_depths`` cannot read: the depths index
+        rho in integers, whose unit times beta(base) is c / den."""
+        x1 = self.base_point if base is None else base
+        n = self.meet_depth(x1, x1)
+        depths = self._code_depths(table, codes, alpha, x1 if n else None)
+        if depths is None:
+            return None
+        (end, meet), m = depths, self.end_depth(x1, alpha)
+        top, rows = max(n, int(end.max(initial=0))), self._tables[2]
+        if (x1, top) not in rows:  # beta(x1) rho(d) = c nums[d] / den for d <= top
+            rho = self._resistance(top)[: top + 1]
+            lcd = math.lcm(*(r.denominator for r in rho))
+            nums = [r.numerator * (lcd // r.denominator) for r in rho]
+            g = math.gcd(*nums) or 1
+            c, den = (self.stationary(x1) * Fraction(g, lcd)).as_integer_ratio()
+            wide = max(2 * c * nums[-1] // g, den) >= 2**63  # nums increase
+            nums = int_array([v // g for v in nums])
+            rows[x1, top] = nums.astype(object if wide else np.int64), c, den
+        nums, c, den = rows[x1, top]
+        values = c * (nums[end] - nums[meet] + (nums[n] - nums[m]))
+        values[state_mask(table, codes, x1)] = den
+        return values, den
+
+
+# ---------------------------------------------------------------------------
 # Integer line
 
 
-class ZWalk(ChainSpec):
+class ZWalk(TreeNetwork):
     """Simple random walk on Z, base point 0, counting measure stationary."""
 
     name = "z"
@@ -155,24 +280,20 @@ class ZWalk(ChainSpec):
     def _window_codes(self, radius):
         return self._vector_table((), 1), np.arange(-radius, radius + 1, dtype=np.int64)
 
-    # -- closed forms, anchored at base point 0 --
+    def meet_depth(self, x: int, y: int) -> int:
+        return min(abs(x), abs(y)) if (x > 0) == (y > 0) else 0
 
-    def _require_base(self, base: int) -> None:
-        if base != 0:
-            raise UnsupportedBasePointError(
-                f"closed forms for {self.name} are anchored at 0, not {base}"
-            )
+    def end_depth(self, x: int, alpha: LineEnd) -> int:
+        return max(x if alpha.sign > 0 else -x, 0)
 
-    def exact_green(self, x: int, y: int, base: int = 0) -> Fraction:
-        """Expected visits to y, started at x, before the first return to 0."""
-        self._require_base(base)
-        if x == 0:
-            return Fraction(1)
-        if y == 0:
-            return Fraction(0)
-        if (x > 0) != (y > 0):
-            return Fraction(0)
-        return Fraction(2 * min(abs(x), abs(y)))
+    def ray_node(self, d: int) -> int:
+        return d
+
+    def _code_depths(self, table, codes, alpha, base):
+        if type(table) is not _LineTable or not isinstance(alpha, LineEnd):
+            return None
+        end = np.maximum(codes if alpha.sign > 0 else -codes, 0)
+        return end, 0 if base is None else np.clip(codes if base > 0 else -codes, 0, abs(base))
 
     def boundary_points(self):
         return [LineEnd(1), LineEnd(-1)]
@@ -185,43 +306,16 @@ class ZWalk(ChainSpec):
             return LineEnd(-1)
         raise ValueError(f"unknown boundary point {text!r} for {self.name}")
 
-    def exact_boundary_kernel(self, x: int, alpha: LineEnd, base: int = 0) -> Fraction:
-        """Limit of the visit ratio toward one end of the line; the walk is
-        translation invariant, so any base shifts to 0."""
-        if x == base:
-            return Fraction(1)
-        v = (x - base) * alpha.sign
-        return Fraction(2 * v) if v > 0 else Fraction(0)
-
-    def _kernel_array(self, table, codes, alpha, base=0):
-        """``exact_boundary_kernel`` at the codes of the line table, over 1
-        (``chains.kernel_array``)."""
-        if not (type(table) is _LineTable and isinstance(alpha, LineEnd)
-                and type(alpha.sign) is int and type(base) is int):
-            return None
-        x = _wide(codes, (_max_abs(codes) + abs(base)) * 2 * abs(alpha.sign))
-        v = (x - base) * alpha.sign
-        nums = np.where(v > 0, 2 * v, 0)
-        nums[x == base] = 1
-        return nums, 1
-
-    def exact_profile(self, x: int, alpha: LineEnd, base: int = 0) -> Fraction:
-        """Normalized harmonic profile attached to one end (zero at base)."""
-        self._require_base(base)
-        if x == 0:
-            return Fraction(0)
-        return self.exact_boundary_kernel(x, alpha) / self.stationary(0)
-
 
 # ---------------------------------------------------------------------------
 # Half line with inward drift
 
 
-class BangBangWalk(ChainSpec):
+class BangBangWalk(TreeNetwork):
     """Walk on {0,1,2,...}: up with probability q, down with 1-q, reflected
     at 0. Positive recurrent for q < 1/2.
 
-    Closed forms are written with a = (1-q)/q > 1.
+    The stationary measure is written with a = (1-q)/q > 1.
     """
 
     loop_truncation_exact = True
@@ -289,23 +383,21 @@ class BangBangWalk(ChainSpec):
     def _window_codes(self, radius):
         return self._vector_table((), 1), np.arange(0, radius + 1, dtype=np.int64)
 
-    def _require_base(self, base: int) -> None:
-        if base != 0:
-            raise UnsupportedBasePointError(
-                f"closed forms for {self.name} are anchored at 0, not {base}"
-            )
+    def meet_depth(self, x: int, y: int) -> int:
+        if min(x, y) < 0:
+            raise ValueError(f"{min(x, y)} is not a half-line state")
+        return min(x, y)
 
-    def exact_green(self, x: int, y: int, base: int = 0) -> Fraction:
-        self._require_base(base)
-        q, a = self.q, self.alpha
-        if x == 0 and y == 0:
-            return Fraction(1)
-        if y == 0:
-            return Fraction(0)
-        if x == 0:
-            return 1 / (q * a**y)
-        m = min(x, y)
-        return (a**m - 1) / ((1 - 2 * q) * a**y)
+    def end_depth(self, x: int, alpha: HalfLineEnd) -> int:
+        return self.meet_depth(x, x)
+
+    def ray_node(self, d: int) -> int:
+        return d
+
+    def _code_depths(self, table, codes, alpha, base):
+        if type(table) is not _LineTable:
+            return None
+        return codes, 0 if base is None else np.minimum(codes, base)
 
     def boundary_points(self):
         return [HalfLineEnd()]
@@ -315,37 +407,6 @@ class BangBangWalk(ChainSpec):
             return HalfLineEnd()
         raise ValueError(f"unknown boundary point {text!r} for {self.name}")
 
-    def exact_boundary_kernel(self, x: int, alpha: HalfLineEnd, base: int = 0) -> Fraction:
-        self._require_base(base)
-        if x == 0:
-            return Fraction(1)
-        # q (alpha^x - 1) / (1 - 2q) with q = a/b and alpha = (b - a)/a,
-        # as one Fraction: a (u - v) / (v (b - 2a)) with alpha^x = u/v
-        a, b = self.q.numerator, self.q.denominator
-        u, v = ((b - a) ** x, a**x) if x > 0 else (a**-x, (b - a) ** -x)
-        return Fraction(a * (u - v), v * (b - 2 * a))
-
-    def _kernel_array(self, table, codes, alpha, base=0):
-        """``exact_boundary_kernel`` at the codes of the half-line table
-        (``chains.kernel_array``): over a^m (b - 2a), with m the largest
-        code, a^(m+1-x) ((b-a)^x - a^x) at x > 0 and the denominator at 0."""
-        self._require_base(base)
-        if type(table) is not _LineTable:
-            return None
-        a, b = self.q.numerator, self.q.denominator
-        m = int(codes.max())
-        den = a**m * (b - 2 * a)
-        x = _wide(codes, max(den, a ** (m + 1) * (b - a) ** m))
-        nums = a ** (m + 1 - x) * ((b - a) ** x - a**x)
-        nums[x == 0] = den
-        return nums, den
-
-    def exact_profile(self, x: int, alpha: HalfLineEnd, base: int = 0) -> Fraction:
-        self._require_base(base)
-        if x == 0:
-            return Fraction(0)
-        return self.exact_boundary_kernel(x, alpha) / self.stationary(0)
-
 
 # ---------------------------------------------------------------------------
 # Rooted k-ary tree
@@ -353,7 +414,7 @@ class BangBangWalk(ChainSpec):
 ROOT: tuple = ()
 
 
-class KaryTree(ChainSpec):
+class KaryTree(TreeNetwork):
     """Walk on the rooted k-ary tree.
 
     States are tuples of child indices (the root is the empty tuple, printed
@@ -469,8 +530,8 @@ class KaryTree(ChainSpec):
             return None
         return _TreeTable(self.k, ROOT, limit), np.arange(self.window_size(radius), dtype=np.int64)
 
-    def meet_depth(self, x: tuple, y: tuple) -> int:
-        """Depth of the deepest common ancestor."""
+    @staticmethod
+    def meet_depth(x: tuple, y: tuple) -> int:
         j = 0
         for a, b in zip(x, y):
             if a != b:
@@ -478,24 +539,19 @@ class KaryTree(ChainSpec):
             j += 1
         return j
 
-    def _require_base(self, base: tuple) -> None:
-        if base != ROOT:
-            raise UnsupportedBasePointError(
-                f"closed forms for {self.name} are anchored at the root"
-            )
+    def end_depth(self, x: tuple, alpha: TreeRay) -> int:
+        return alpha.agreement(x)
 
-    def exact_green(self, x: tuple, y: tuple, base: tuple = ROOT) -> Fraction:
-        self._require_base(base)
-        k = self.k
-        if x == ROOT and y == ROOT:
-            return Fraction(1)
-        if y == ROOT:
-            return Fraction(0)
-        p = len(y)
-        if x == ROOT:
-            return Fraction(2, k**p)
-        j = self.meet_depth(x, y)
-        return Fraction(2 * (k**j - 1), k ** (p - 1) * (k - 1))
+    def ray_node(self, d: int) -> tuple:
+        return (0,) * d
+
+    def _code_depths(self, table, codes, alpha, base):
+        """A node meets the base where it leaves a ray through the base."""
+        if not (type(table) is _TreeTable and isinstance(alpha, TreeRay) and alpha.period
+                and all(0 <= c < self.k for c in alpha.prefix + alpha.period)):
+            return None
+        meet = 0 if base is None else TreeRay(base, (0,)).agreements(table, codes)
+        return alpha.agreements(table, codes), np.minimum(meet, len(base or ()))
 
     def boundary_points(self):
         return [TreeRay((), (c,)) for c in range(self.k)]
@@ -506,54 +562,6 @@ class KaryTree(ChainSpec):
         if any(not (0 <= c < self.k) for c in digits):
             raise ValueError(f"ray child indices must lie in [0, {self.k})")
         return ray
-
-    def exact_boundary_kernel(self, x: tuple, alpha: TreeRay, base: tuple = ROOT) -> Fraction:
-        self._require_base(base)
-        if x == ROOT:
-            return Fraction(1)
-        k = self.k
-        return Fraction(k * (k ** alpha.agreement(x) - 1) // (k - 1))
-
-    def _kernel_array(self, table, codes, alpha, base=ROOT):
-        """``exact_boundary_kernel`` at the heap codes of a tree table, over
-        1 (``chains.kernel_array``).
-
-        Below the table's anchor, a node at depth d has offset o, its digits
-        read in base k, and agrees with the ray down to depth d - t, with t
-        the fewest digits to drop from o and from the ray's offset at depth d
-        for the two to match.
-        """
-        self._require_base(base)
-        k = self.k
-        if not (type(table) is _TreeTable and isinstance(alpha, TreeRay) and alpha.period):
-            return None
-        if any(not 0 <= c < k for c in alpha.prefix + alpha.period):
-            return None
-        anchor = table.anchor
-        depth = np.searchsorted(table._firsts, codes, side="right") - 1
-        start = alpha.agreement(anchor)
-        if start < len(anchor):  # every node leaves the ray above the anchor
-            agree = np.full(len(codes), start)
-        else:
-            ray = [0]
-            for d in range(start, start + int(depth.max())):
-                ray.append(ray[-1] * k + alpha.digit(d))
-            off, ray_off = codes - table._firsts[depth], np.array(ray, dtype=np.int64)[depth]
-            agree = depth + start
-            while (differ := off != ray_off).any():
-                agree -= differ
-                off //= k
-                ray_off //= k
-        nums = int_array([k * (k**j - 1) // (k - 1) for j in range(int(agree.max()) + 1)])[agree]
-        if not anchor:
-            nums[codes == 0] = 1
-        return nums, 1
-
-    def exact_profile(self, x: tuple, alpha: TreeRay, base: tuple = ROOT) -> Fraction:
-        self._require_base(base)
-        if x == ROOT:
-            return Fraction(0)
-        return Fraction(self.k ** alpha.agreement(x) - 1)
 
 
 @functools.cache
@@ -568,11 +576,7 @@ def _tree_depth_limit(k: int) -> int:
 
 def _geodesic(x: tuple, y: tuple) -> list:
     """Vertices of the unique simple path from x to y in the tree."""
-    j = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        j += 1
+    j = KaryTree.meet_depth(x, y)
     down_from_x = [x[:i] for i in range(len(x), j, -1)]
     up_to_y = [y[:i] for i in range(j, len(y) + 1)]
     return down_from_x + up_to_y
@@ -797,12 +801,6 @@ def _plane_coordinates(states) -> np.ndarray:
     return np.fromiter(iter_chain.from_iterable(states), np.int64).reshape(len(states), 2)
 
 
-def _wide(codes: np.ndarray, bound: int) -> np.ndarray:
-    """``codes``, as Python ints (an object array) once ``bound`` on the
-    values computed from them reaches 2^63."""
-    return codes if bound < 2**63 else codes.astype(object)
-
-
 # ---------------------------------------------------------------------------
 # Selector
 
@@ -819,25 +817,20 @@ def chain_from_selector(selector: str) -> ChainSpec:
             if not val:
                 raise ValueError(f"malformed chain option {item!r}")
             opts[key.strip()] = val.strip()
-    if head == "z":
-        _reject_extras(opts, ())
-        return ZWalk()
-    if head == "z2":
-        _reject_extras(opts, ())
-        return Z2Walk()
-    if head == "bangbang":
-        _reject_extras(opts, ("q",))
-        return BangBangWalk(Fraction(opts.get("q", "1/3")))
-    if head == "tree":
-        _reject_extras(opts, ("k",))
-        return KaryTree(int(opts.get("k", "2")))
-    raise ValueError(f"unknown chain selector {selector!r}")
-
-
-def _reject_extras(opts: dict, allowed: tuple) -> None:
-    extra = set(opts) - set(allowed)
+    laws = {
+        "z": (ZWalk, {}), "z2": (Z2Walk, {}),
+        "bangbang": (BangBangWalk, {"q": Fraction}), "tree": (KaryTree, {"k": int}),
+    }
+    if head not in laws:
+        raise ValueError(f"unknown chain selector {selector!r}")
+    law, kinds = laws[head]
+    extra = set(opts) - set(kinds)
     if extra:
         raise ValueError(f"unsupported chain options: {sorted(extra)}")
+    try:
+        return law(**{key: kinds[key](val) for key, val in opts.items()})
+    except ZeroDivisionError as exc:
+        raise ValueError(f"chain option with a zero denominator in {selector!r}") from exc
 
 
 def exact_green(chain: ChainSpec, x0, x, y) -> Fraction:

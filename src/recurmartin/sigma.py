@@ -36,10 +36,7 @@ from typing import Callable, Optional, Sequence
 from .chains import ChainSpec, StateId, enumerate_paths, law_capability, law_class
 from .examplechains import Z2Walk
 from .green import EXACT_SOLVE_LIMIT, _solve_columns, _window_values, window_system
-from .window import one_step_averages, propagate, weighted_sum
-
-#: Ceiling on states in the window of the uncertified avoidance bracket.
-WINDOW_STATE_BUDGET = 400_000
+from .window import WINDOW_STATE_BUDGET, budgeted_window_size, one_step_averages, propagate, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +406,7 @@ def _uncertified_visits(chain, x, y, x0, budget=WINDOW_STATE_BUDGET):
     one operator is solved exactly within the exact solve limit.
     """
     radius = max(chain.norm(s) for s in (x, y, x0)) + chain.radius_margin + 5
-    size = chain.window_size(radius)
-    if size > budget:
-        raise ValueError(
-            f"the uncertified avoidance window has {size} states, "
-            f"more than the state budget of {budget}"
-        )
+    size = budgeted_window_size(chain, radius, "uncertified avoidance", budget)
     exact = size <= EXACT_SOLVE_LIMIT
     (at0, at), op = window_system(chain, radius, [x0, x], kill_into=y, policy="kill")
     counts = [_solve_columns(o, [at0], exact)[0][at] for o in (op, op.looped())]

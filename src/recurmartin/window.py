@@ -49,6 +49,9 @@ _EXACT_FLOAT = 2**53
 #: Nonnegative integers below this fit int64.
 _INT64_BOUND = 2**63
 
+#: Ceiling on the states of a window built on request.
+WINDOW_STATE_BUDGET = 400_000
+
 
 class _Unnamed(LookupError):
     """A step reached a live successor its code table cannot name."""
@@ -223,6 +226,15 @@ def window_codes(chain, window) -> tuple:
         return SuccessorTable(chain), np.zeros(0, dtype=np.int64)
     table = chain.code_table(window)
     return table, table.encode(window)
+
+
+def budgeted_window_size(chain, radius: int, what: str, budget: int = WINDOW_STATE_BUDGET) -> int:
+    """``chain.window_size(radius)``, refused past ``budget`` before the window is built."""
+    size = chain.window_size(radius)
+    if size > budget:
+        raise ValueError(f"the {what} window has {size} states, "
+                         f"more than the state budget of {budget}")
+    return size
 
 
 def state_mask(table, codes: np.ndarray, state) -> np.ndarray:

@@ -16,6 +16,8 @@ import pytest
 
 from recurmartin import cli
 from recurmartin.cli import run, verify_suite
+from recurmartin.examplechains import KaryTree, chain_from_selector
+from recurmartin.green import Truncation, green_solve
 
 
 def invoke(capsys, *argv):
@@ -109,10 +111,11 @@ class TestGreen:
         assert abs(res["value"] - 4.0) <= 4 * res["stderr"]
 
     def test_unknown_chain_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["green", "--chain", "nosuch", "--x0", "0", "--x", "1", "--y", "1"])
-        assert exc.value.code == 2
-        assert "--chain" in capsys.readouterr().err
+        for selector in ("nosuch", "bangbang:q=1/0"):
+            with pytest.raises(SystemExit) as exc:
+                run(["green", "--chain", selector, "--x0", "0", "--x", "1", "--y", "1"])
+            assert exc.value.code == 2
+            assert "--chain" in capsys.readouterr().err
 
     def test_bad_state_names_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -158,16 +161,25 @@ class TestMartin:
         assert code == 0
         assert doc["result"]["residuals"]["balance_at_base"] == "7/2"
 
-    @pytest.mark.parametrize("argv, err", [
-        (["--chain", "tree:k=2", "--x0", "0", "--alpha", "(0)*", "--eval", "1"],
-         "error: closed forms for tree:k=2 are anchored at the root\n"),
-        (["--chain", "bangbang", "--x0", "2", "--alpha", "inf", "--eval", "3"],
-         "error: closed forms for bangbang:q=1/3 are anchored at 0, not 2\n"),
+    @pytest.mark.parametrize("argv, far", [
+        (["--chain", "tree:k=2", "--x0", "0", "--alpha", "(0)*", "--eval", "@,1,0.0,0.1"], "0.0.0.0"),
+        (["--chain", "bangbang", "--x0", "2", "--alpha", "inf", "--eval", "0,3,7"], "9"),
     ], ids=["tree", "bangbang"])
-    def test_off_base_kernels_are_refused(self, capsys, argv, err):
-        assert run(["martin", *argv]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", err)
+    def test_off_base_kernels_are_evaluated(self, capsys, argv, far):
+        # each value is the visit ratio toward a target far along the end,
+        # over beta(x0), from the exact loop-window solve
+        code, doc = invoke_json(capsys, "martin", *argv)
+        assert code == 0
+        flags = dict(zip(argv[::2], argv[1::2]))
+        chain = chain_from_selector(flags["--chain"])
+        x0, y = chain.parse_state(flags["--x0"]), chain.parse_state(far)
+        xs = [chain.parse_state(t) for t in flags["--eval"].split(",")]
+        g0, *gs = green_solve(chain, x0, [(x, y) for x in [x0, *xs]], Truncation(radius=10), exact=True)
+        beta0 = chain.stationary(x0)
+        want = {chain.format_state(x): str(g.value / g0.value / beta0) for x, g in zip(xs, gs)}
+        assert doc["result"]["evaluations"] == want
+        assert doc["result"]["residuals"]["all_ok"] is True
+        assert doc["result"]["residuals"]["balance_at_base"] == str(1 / beta0)
 
     def test_alpha_and_mixture_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -196,6 +208,17 @@ class TestMeasure:
         res = doc["result"]
         assert res["verdict"] == "diverges"
         assert [v for _, v in res["sequence"]] == ["1", "17/16", "9/8", "303/256", "317/256"]
+
+    def test_avoid_event_off_the_base(self, capsys):
+        # every path from 3 to the end passes 4; avoiding 1 leaves
+        # phi(3) - phi(1) + E_3[visits to 2 before T_1] / beta(2) = 16 - 0 + (3/2) (16/3),
+        # the visits being the loop-window solve G_1(3, 2) = 3/2
+        for barred, value in (("4", "0"), ("1", "24")):
+            code, doc = invoke_json(
+                capsys, "measure", "--chain", "bangbang", "--x0", "2", "--phi", "boundary:inf",
+                "--x", "3", "--event", f"avoid:{barred}",
+            )
+            assert code == 0 and doc["result"]["value"] == value
 
     def test_avoid_event_brackets_shifted_profile(self, capsys):
         code, doc = invoke_json(
@@ -368,7 +391,9 @@ class TestExactGolden:
     loop, apart from the n-step laws. The half-line, line and 3-ary tree
     profiles, the tree mixture's avoidance value and the half-line cylinder
     were recorded while profile, mixture and kernel values were still chains
-    of normalising ``Fraction`` operations.
+    of normalising ``Fraction`` operations. The tree profile off the root was
+    recorded when the kernel first took bases off the root; its values are
+    the loop-window solves of ``TestMartin.test_off_base_kernels_are_evaluated``.
     """
 
     GOLDEN = Path(__file__).parent / "golden"
@@ -402,6 +427,8 @@ class TestExactGolden:
         "measure_bangbang_cylinder": ("measure", "--chain", "bangbang:q=1/3", "--x0", "0",
                                       "--phi", "boundary:inf", "--x", "0", "--event", "at:4=2",
                                       "--horizons", "4,10,30"),
+        "martin_tree_boundary_off_root": ("martin", "--chain", "tree:k=2", "--x0", "0",
+                                          "--alpha", "(0)*", "--eval", "1,0.0,@"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -569,12 +596,11 @@ class TestOneOutputPath:
             "green", "--chain", "z", "--x0", "0", "--x", "2", "--y", "3",
             "--method", "mc", "--seed", "1", "--trajectories", "0",
         ),
-        "martin-tree-off-root": (
-            "martin", "--chain", "tree:k=2", "--x0", "0", "--alpha", "(0)*", "--eval", "1",
+        "green-window-over-budget": (
+            "green", "--chain", "tree:k=99999", "--x0", "0", "--x", "0", "--y", "0",
         ),
-        "measure-halfline-off-base": (
-            "measure", "--chain", "bangbang", "--x0", "2", "--phi", "boundary:inf",
-            "--x", "3", "--event", "avoid:4",
+        "martin-window-over-budget": (
+            "martin", "--chain", "tree:k=99999", "--x0", "@", "--alpha", "(0)*", "--eval", "0",
         ),
         "simulate-line-off-base": (
             "simulate", "--chain", "z", "--x0", "3", "--alpha", "+inf", "--seed", "1",
@@ -594,6 +620,21 @@ class TestOneOutputPath:
     @pytest.mark.parametrize("name", sorted(REFUSALS))
     def test_a_library_refusal_prints_one_error_line(self, capsys, name):
         self.assert_refused(capsys, self.REFUSALS[name])
+
+    @pytest.mark.parametrize("name, radius", [
+        ("green-window-over-budget", 3), ("martin-window-over-budget", 7),
+    ])
+    def test_a_window_over_the_state_budget_is_refused_unbuilt(self, capsys, monkeypatch, name, radius):
+        def refuse(*args):
+            raise AssertionError("built a window")
+
+        for method in ("window", "code_window", "code_table"):
+            monkeypatch.setattr(KaryTree, method, refuse)
+        size = (99999 ** (radius + 1) - 1) // 99998
+        self.assert_refused(
+            capsys, self.REFUSALS[name],
+            f"the radius-{radius} window has {size} states, more than the state budget of 400000",
+        )
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_mc_refuses_a_step_cap_below_one(self, capsys, cap):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurmartin.chains import kernel_array, verify_stationary
-from recurmartin.errors import UnsupportedBasePointError
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -26,6 +25,7 @@ from recurmartin.examplechains import (
     chain_from_selector,
     plane_coordinates,
 )
+from recurmartin.green import Truncation, green_solve
 from recurmartin.potential import potential_table
 
 CLOSED_FORM_CHAINS = [ZWalk(), BangBangWalk(Fraction(1, 3)), KaryTree(2), KaryTree(3)]
@@ -67,11 +67,33 @@ def test_green_base_column_is_indicator(chain):
         assert chain.exact_green(x, x0) == (1 if x == x0 else 0)
 
 
+#: Bases off the root, and targets deep along an end beyond every state of
+#: ``window(2)`` and those bases
+OTHER_BASES = {
+    "z": ([3, -2], [6, -6]),
+    "bangbang:q=1/3": ([2, 4], [6]),
+    "tree:k=2": ([(0,), (1, 0)], [(0,) * 4, (1,) * 4]),
+    "tree:k=3": ([(2,)], [(2,) * 4, (0,) * 4]),
+}
+
+
 @pytest.mark.parametrize("chain", CLOSED_FORM_CHAINS, ids=ids)
-def test_closed_forms_reject_other_base_points(chain):
-    other = next(s for s in chain.window(2) if s != chain.base_point)
-    with pytest.raises(UnsupportedBasePointError):
-        chain.exact_green(other, other, base=other)
+def test_closed_forms_at_other_base_points_are_the_window_solve(chain):
+    """Off the root, G is the exact loop-window solve (frontier loops are
+    exact on these laws) and the kernel the visit ratio toward a deep
+    target, both at the base and at every state of the window."""
+    bases, far = OTHER_BASES[chain.name]
+    for base in bases:
+        states = chain.sorted_states({base, *chain.window(2)})
+        pairs = [(x, y) for x in states for y in [*states, *far]]
+        solved = green_solve(chain, base, pairs, Truncation(radius=8), exact=True)
+        green = {pair: res.value for pair, res in zip(pairs, solved)}
+        assert all(chain.exact_green(x, y, base) == g for (x, y), g in green.items())
+        for y in far:
+            alpha = _boundary_toward(chain, y)
+            for x in states:
+                ratio = green[x, y] / green[base, y]
+                assert chain.exact_boundary_kernel(x, alpha, base) == ratio, (base, x, y)
 
 
 def test_green_values_z():
@@ -183,12 +205,12 @@ def kernel_window(chain, data):
     if isinstance(chain, ZWalk):
         table, codes = chain.code_window(data.draw(st.integers(1, 40), "radius"))
         return table, codes, data.draw(st.sampled_from([LineEnd(1), LineEnd(-1)])), (
-            data.draw(st.sampled_from([0, 3, -3]), "base")
+            data.draw(st.integers(-45, 45), "base")
         )
     if isinstance(chain, BangBangWalk):
         # past x = 62 the numerators leave int64
         table, codes = chain.code_window(data.draw(st.sampled_from([1, 7, 30, 62, 70]), "radius"))
-        return table, codes, HalfLineEnd(), 0
+        return table, codes, HalfLineEnd(), data.draw(st.integers(0, 75), "base")
     rays = ["(0)*", "(01)*", "(0.1)*", "1(0)*", "0.1(0)*"]
     ray = chain.parse_boundary(data.draw(st.sampled_from(rays)))
     # the subtree below a node of depth <= 2: a table anchored above the root
@@ -196,7 +218,7 @@ def kernel_window(chain, data):
     top = data.draw(st.sampled_from(chain.window(2)), "subtree")
     states = [top + s for s in chain.window(data.draw(st.integers(0, 3), "radius"))]
     table = chain.code_table(states)
-    return table, table.encode(states), ray, ROOT
+    return table, table.encode(states), ray, data.draw(st.sampled_from(chain.window(3)), "base")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -234,15 +256,52 @@ def test_plane_numerator_arrays_are_the_table_numerators(radius):
     assert str(exc.value) == f"point {first} outside the radius-{radius} table"
 
 
+FORMULA_LAWS = {
+    "z": ZWalk(),
+    **{f"bangbang:q={q}": BangBangWalk(Fraction(q)) for q in ("1/3", "1/5", "2/5")},
+    "tree:k=2": KaryTree(2),
+    "tree:k=3": KaryTree(3),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(law=st.sampled_from(sorted(FORMULA_LAWS)), data=st.data())
+def test_network_formula_is_the_window_solve_at_any_base(law, data):
+    """At a random base: G is the exact loop-window solve, the kernel the
+    visit ratio toward a target y deep along the end (past where every
+    state drawn and the base leave it), and the array form the kernel."""
+    chain = FORMULA_LAWS[law]
+    tree = isinstance(chain, KaryTree)
+    near = chain.window(2 if tree else 5)
+    base = data.draw(st.sampled_from(near), "base")
+    xs = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=5, unique=True), "xs")
+    if tree:
+        rays = ["(0)*", "(1)*", "0.1(0)*", "(0.1)*", "1(0)*"]
+        alpha = chain.parse_boundary(data.draw(st.sampled_from(rays), "alpha"))
+        y, radius = tuple(alpha.digit(i) for i in range(4)), 5
+    else:
+        alpha = data.draw(st.sampled_from(chain.boundary_points()), "alpha")
+        y, radius = 8 * getattr(alpha, "sign", 1), 10
+    pairs = [(x, t) for x in [base, *xs] for t in [y, *xs]]
+    solved = green_solve(chain, base, pairs, Truncation(radius), exact=True)
+    green = {pair: res.value for pair, res in zip(pairs, solved)}
+    assert all(chain.exact_green(x, t, base) == g for (x, t), g in green.items())
+    for x in xs:
+        assert chain.exact_boundary_kernel(x, alpha, base) == green[x, y] / green[base, y]
+    table, codes = chain.code_window(3)
+    nums, den = kernel_array(chain)(table, codes, alpha, base)
+    got = [Fraction(int(n), den) for n in nums]
+    assert got == [chain.exact_boundary_kernel(x, alpha, base) for x in table.decode(codes)]
+
+
 @pytest.mark.parametrize("chain, base", [(BangBangWalk(), 2), (KaryTree(2), (0,))])
-def test_array_kernel_refuses_the_bases_the_kernel_refuses(chain, base):
+def test_array_kernel_takes_the_bases_the_kernel_takes(chain, base):
     table, codes = chain.code_window(3)
     alpha = chain.boundary_points()[0]
-    with pytest.raises(UnsupportedBasePointError) as per_state:
-        chain.exact_boundary_kernel(chain.window(1)[1], alpha, base)
-    with pytest.raises(UnsupportedBasePointError) as array:
-        kernel_array(chain)(table, codes, alpha, base)
-    assert str(array.value) == str(per_state.value)
+    nums, den = kernel_array(chain)(table, codes, alpha, base)
+    got = [Fraction(int(n), den) for n in nums]
+    assert got == [chain.exact_boundary_kernel(x, alpha, base) for x in table.decode(codes)]
+    assert got[table.decode(codes).index(base)] == 1 and min(got) == 0
 
 
 class _OwnKernel(ZWalk):

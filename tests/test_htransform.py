@@ -25,11 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurmartin.cli import render
-from recurmartin.errors import (
-    PreconditionViolationError,
-    RowSumViolationError,
-    UnsupportedBasePointError,
-)
+from recurmartin.errors import PreconditionViolationError, RowSumViolationError
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -386,22 +382,18 @@ def test_a_user_callable_is_called_per_state():
 @pytest.mark.parametrize("chain, x0, alpha", [
     (BB, 2, HalfLineEnd()), (TREE, (0,), TreeRay.parse("(0)*")),
 ])
-def test_array_paths_refuse_an_off_base_kernel(chain, x0, alpha):
-    # the array forms raise where the per-state kernel's _require_base does
-    message = f"closed forms for {chain.name} are anchored at " + (
-        "the root" if chain is TREE else "0, not 2"
-    )
-    window = chain.window(3)
-    for check in (
-        lambda: check_harmonic_except(chain, profile_from_boundary(chain, x0, alpha), x0, window),
-        lambda: check_harmonic_except(
-            chain, mixture_profile(chain, x0, BoundaryMixture([(alpha, 1)])), x0, window
-        ),
-        lambda: verify_row_sums(chain, TransformParams(x0, alpha, HALF), 3),
-    ):
-        with pytest.raises(UnsupportedBasePointError) as exc:
-            check()
-        assert str(exc.value) == message
+def test_array_paths_take_an_off_base_kernel(chain, x0, alpha):
+    # off the root the array forms give the per-state values, harmonic off
+    # the base, with the balances 1/beta(x0) and the mixture's mass there
+    table, codes = chain.code_window(3)
+    profile = profile_from_boundary(chain, x0, alpha)
+    mixture = mixture_profile(chain, x0, BoundaryMixture([(alpha, Fraction(2, 3))]))
+    for phi, balance in ((profile, 1 / chain.stationary(x0)), (mixture, Fraction(2, 3))):
+        nums, den = phi.array_values(table, codes)
+        assert [Fraction(int(n), den) for n in nums] == [phi(x) for x in table.decode(codes)]
+        check = check_harmonic_except(chain, phi, x0, chain.window(3))
+        assert check.all_ok and check.balance_at_base == balance
+    assert verify_row_sums(chain, TransformParams(x0, alpha, HALF), 3).all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +489,7 @@ def boundary_points(chain):
 def value_states(chain, rays):
     """States of the chain; tree nodes follow one of ``rays`` for a while."""
     if isinstance(chain, BangBangWalk):
-        return st.integers(-3, 60)  # negative states only reach the kernel
+        return st.integers(-3, 60)  # negative states are refused
     if not isinstance(chain, KaryTree):
         return st.integers(-60, 60)
     digits = st.integers(0, chain.k - 1)
@@ -527,6 +519,11 @@ def test_kernel_derived_values_equal_the_plain_fraction_arithmetic(law, data):
     mixture = mixture_profile(chain, x0, BoundaryMixture(atoms))
     states = [x0] + data.draw(st.lists(value_states(chain, alphas), min_size=1, max_size=6), "xs")
     for x in states:
+        if isinstance(chain, BangBangWalk) and x < 0:  # not a state: every value refuses it
+            for value in (profile, mixture, lambda x: psi_weight(chain, params, x)):
+                with pytest.raises(ValueError, match=f"^{x} is not a half-line state$"):
+                    value(x)
+            continue
         assert_same_value(profile(x), plain_profile(chain, x0, alphas[0], x))
         assert_same_value(mixture(x), plain_mixture(chain, x0, atoms, x))
         assert_same_value(psi_weight(chain, params, x), plain_psi(chain, params, x))

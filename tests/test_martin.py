@@ -25,6 +25,7 @@ from recurmartin.examplechains import (
     ZWalk,
     exact_martin_boundary,
 )
+from recurmartin.green import Truncation, green_solve
 from recurmartin.martin import (
     BoundaryMixture,
     HarmonicProfile,
@@ -283,8 +284,14 @@ def test_plane_has_no_kernel_closed_form():
         profile_from_boundary(PLANE, (0, 0), None)((1, 0))
 
 
-def test_noncanonical_bases_are_rejected():
-    with pytest.raises(UnsupportedBasePointError):
-        profile_from_boundary(BB, 2, HalfLineEnd())(3)
-    with pytest.raises(UnsupportedBasePointError):
-        profile_from_boundary(TREE, (0,), LEFT_RAY)((0, 0))
+def test_noncanonical_bases_give_the_window_solve():
+    # off the root, phi(x) is the visit ratio toward a target deep along
+    # the end, over beta(x0), from the exact loop-window solve
+    for chain, x0, alpha, xs, far in (
+        (BB, 2, HalfLineEnd(), [0, 3, 5], 8),
+        (TREE, (0,), LEFT_RAY, [ROOT, (1,), (0, 0), (0, 1, 1)], (0,) * 5),
+    ):
+        pairs = [(x, far) for x in [x0, *xs]]
+        g0, *gs = green_solve(chain, x0, pairs, Truncation(radius=8), exact=True)
+        phi = profile_from_boundary(chain, x0, alpha)
+        assert [phi(x) for x in xs] == [g.value / g0.value / chain.stationary(x0) for g in gs]
