@@ -33,7 +33,7 @@ from itertools import chain as iter_chain, repeat
 
 import numpy as np
 
-from .chains import ChainSpec, distribution_after
+from .chains import ChainSpec, _merged_row
 from .errors import UnsupportedBasePointError
 from .window import WINDOW_STATE_BUDGET, UNNAMED, int_array, state_mask
 
@@ -161,14 +161,15 @@ class TreeNetwork(ChainSpec):
 
     def _resistance(self, depth: int) -> list:
         """rho(0), ..., rho(depth), and perhaps more, as Fractions; P(u, v)
-        is read off the law's one-step law (``chains.distribution_after``)."""
+        is read off the law's one-step row (``chains._merged_row``), one
+        ``successors`` call per depth."""
         rho = self._tables[0]
         if depth >= WINDOW_STATE_BUDGET:
             raise ValueError(f"a resistance table to depth {depth} runs along {depth + 1} "
                              f"states, more than the state budget of {WINDOW_STATE_BUDGET}")
         for d in range(len(rho) - 1, depth):
             u, v = self.ray_node(d), self.ray_node(d + 1)
-            rho.append(rho[-1] + 1 / (self.stationary(u) * distribution_after(self, u, 1)[v]))
+            rho.append(rho[-1] + 1 / (self.stationary(u) * Fraction(*_merged_row(self, u)[v])))
         return rho
 
     def exact_green(self, x, y, base=None) -> Fraction:

@@ -20,13 +20,16 @@ kernel of the transformed chain both in closed form and through the
 damped-visit linear system, the correspondence between harmonic profiles of
 the killed parent and harmonic functions of the transform, and vectorized
 ensemble witnesses of boundary convergence and transience. A witness lane
-is a transition table over one integer state per run, so a step of all runs
-is one table lookup; each entry is the integer cut of the float expression
-a per-run evaluation of the transformed row computes, which the 52-bit
-integer draws pass exactly when their uniforms pass that expression, so
-no report depends on the tabulation. The half-line and tree tables take
-psi's integer numerators and each probability as one correctly rounded
-int/int division, the float of the exact ratio.
+is a transition table over one integer state per run, so a draw of all runs
+is one table lookup; each one-step entry is the integer cut of the float
+expression a per-run evaluation of the transformed row computes, which the
+52-bit integer draws pass exactly when their uniforms pass that
+expression. The half-line and tree tables take psi's integer numerators
+and each probability as one correctly rounded int/int division, the float
+of the exact ratio. On the line and the half line the conditioned walk is
+a Doob transform of a birth-death walk, so its K-step law is exact and
+small: a second table holds it, each cut that of a correctly rounded tail,
+and a draw moves a run K steps (``_SPAN``, ``_TRACKED_SPAN``).
 
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
@@ -45,13 +48,23 @@ Every one-step identity here is one ``window.one_step_sums`` pass (one
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, law_class, owns_kernel
+from .chains import (
+    ChainSpec,
+    StateId,
+    _merged_row,
+    distribution_after,
+    enumerate_paths,
+    law_class,
+    owns_kernel,
+)
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -74,13 +87,26 @@ from .rng import (
     counter_bits,
     stream_keys,
 )
-from .window import one_step_averages, one_step_sums_each, rational_sum, state_mask
+from .window import (
+    exact_floats,
+    one_step_averages,
+    one_step_sums_each,
+    rational_sum,
+    state_mask,
+)
 
 _BOUNDARY_TYPES = (LineEnd, HalfLineEnd, TreeRay)
 
 #: Simulation ratio tables are exact below this index and constant above it
 #: (the ratios converge geometrically, far past float resolution by then).
 _TABLE_CUTOFF = 64
+
+#: Steps per draw of the line and half-line witnesses, whose conditioned
+#: walks are Doob transforms of birth-death walks with exact, small
+#: multi-step laws: 4 on the convergence runs, 2 where base visits are
+#: tracked (both walks are bipartite, so a visit falls on an even time).
+_SPAN = 4
+_TRACKED_SPAN = 2
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +187,7 @@ class TransformedChain(ChainSpec):
         self.path_separator = parent.path_separator
         self.window_size = parent.window_size
         self._psi: dict = {}
+        self._rows: dict = {}
 
     def weight(self, x: StateId) -> Fraction:
         """Cached psi(x) of the parent chain."""
@@ -178,16 +205,20 @@ class TransformedChain(ChainSpec):
         return self.params.r if x == self.params.x0 else Fraction(1)
 
     def successors(self, x: StateId):
-        scale = self._row_scale(x) / self.weight(x)
-        moves = [
-            (y, scale * p * self.weight(y)) for y, p in self.parent.successors(x)
-        ]
-        total = sum((p for _, p in moves), Fraction(0))
-        if total != 1:
-            raise RowSumViolationError(
-                f"transformed row at {self.parent.format_state(x)} sums to {total}"
-            )
-        return moves
+        """The transformed row at x, built and validated once per state."""
+        moves = self._rows.get(x)
+        if moves is None:
+            scale = self._row_scale(x) / self.weight(x)
+            moves = [
+                (y, scale * p * self.weight(y)) for y, p in self.parent.successors(x)
+            ]
+            total = sum((p for _, p in moves), Fraction(0))
+            if total != 1:
+                raise RowSumViolationError(
+                    f"transformed row at {self.parent.format_state(x)} sums to {total}"
+                )
+            self._rows[x] = moves
+        return list(moves)
 
     def predecessors(self, y: StateId):
         preds = self.parent.predecessors(y)
@@ -652,9 +683,11 @@ def convergence_stats(
     chosen end on the line, position on the half line, agreement length
     with the target ray on the tree, Euclidean norm on the plane. All
     trajectories start at the base state. Snapshots record quartiles and
-    threshold exceedance at intermediate times; trajectory i draws its step
-    t from the counter-based stream (seed, i, t), so results are
-    reproducible for a seed and do not depend on the trajectory count.
+    threshold exceedance at intermediate times; trajectory i takes its draw
+    n from the counter-based stream (seed, i, n), so results are
+    reproducible for a seed and do not depend on the trajectory count. On
+    the line and the half line a draw moves a run ``_SPAN`` steps by the
+    exact multi-step law, and one step where a snapshot is nearer.
     """
     table, witness, kind = _witness_lane(chain, params, trajectories, steps)
     marks = sorted({int(s) for s in snapshots if 0 < int(s) < steps} | {steps})
@@ -698,7 +731,10 @@ def transience_witness(
     Reports the sample mean and maximum of the return counts, the latest
     return time seen, and the fraction of trajectories whose last base
     visit happened in the first half of the horizon. Soft evidence only:
-    a recurrent chain would keep returning all the way to the horizon.
+    a recurrent chain would keep returning all the way to the horizon. On
+    the line and the half line a draw moves a run ``_TRACKED_SPAN`` = 2
+    steps, so a run is seen at every even time, the only times these
+    bipartite walks started at the base can stand there.
     """
     table, _, _ = _witness_lane(chain, params, trajectories, steps)
     track: dict = {}
@@ -751,22 +787,40 @@ def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, 
     return build(chain, params, steps), witness, kind
 
 
-def _witness_draws(seed, n, steps, track):
-    """Each step's draws for trajectories 0 .. n-1, in step order.
+def _witness_draws(seed, n, draws, track):
+    """Each draw's row for trajectories 0 .. n-1, in draw order.
 
-    Step t of trajectory i draws the 52-bit integer counter_bits(key_i,
-    t - 1). The draws are made for up to 64 steps per call, within 2^15
-    draws so that the block stays in cache, one contiguous row per step,
-    into one chunk x n buffer that every call refills: a row is valid until
-    the generator is resumed after its chunk's last row.
+    Draw d of trajectory i is the 52-bit integer counter_bits(key_i,
+    d - 1), however many steps it moves the run. The draws are made for
+    up to 64 draws per call, within 2^15 numbers so that the block stays
+    in cache, one contiguous row per draw, into one chunk x n buffer that
+    every call refills: a row is valid until the generator is resumed after
+    its chunk's last row.
     """
     purpose = CONVERGENCE_WITNESS if track is None else TRANSIENCE_WITNESS
     keys = stream_keys(seed, purpose, np.arange(n))
-    chunk = max(1, min(64, (1 << 15) // n, steps))
+    chunk = max(1, min(64, (1 << 15) // n, draws))
     block, scratch = np.empty((chunk, n), dtype=np.int64), np.empty((chunk, n), dtype=np.int64)
-    for lo in range(0, steps, chunk):
-        m = min(chunk, steps - lo)
+    for lo in range(0, draws, chunk):
+        m = min(chunk, draws - lo)
         yield from counter_bits(keys, np.arange(lo, lo + m)[:, None], block[:m], scratch[:m])
+
+
+def _draw_plan(steps, marks, span):
+    """The steps each draw moves the runs, as (steps per draw, draws) pairs
+    in draw order.
+
+    From each time to the next mark (``steps`` the last), a draw moves
+    ``span`` steps from every multiple of ``span`` whose ``span`` steps end
+    by the mark, and one step otherwise, so some draw ends at every mark.
+    """
+    plan, t = [], 0
+    for mark in sorted({m for m in marks if 0 < m < steps} | {steps}):
+        lead = min(-t % span, mark - t)
+        body, tail = divmod(mark - t - lead, span)
+        plan += [(1, lead), (span, body), (1, tail)]
+        t = mark
+    return [(size, count) for size, count in plan if count]
 
 
 @dataclass
@@ -776,7 +830,8 @@ class _Table:
     ``cuts`` are int64 columns over the rows. Each cut of column i that is
     above a run's draw adds ``adds[i]`` to an index, and the run moves by
     ``move`` at that index: where every column adds 1, the index counts
-    the cuts above the draw.
+    the cuts above the draw. ``jump(span)``, if set, returns the table of
+    the exact span-step law over the same rows.
     """
 
     cuts: tuple
@@ -785,15 +840,31 @@ class _Table:
     start: int
     stat: Callable
     fit: Optional[Callable] = None
+    jump: Optional[Callable] = None
 
 
-def _table(columns, move, start, stat, adds=None, scale=None, fit=None):
+def _table(columns, move, start, stat, adds=None, scale=None, fit=None, jump=None):
     """A table from one float column per cut, each entry a cumulative weight
     of its row's outcomes; the weights of a row sum to ``scale``, or to 1
     without one. Every column adds 1 unless ``adds`` says otherwise."""
     cuts = tuple(_draw_cuts(c, scale) for c in columns)
     adds = adds or (1,) * len(cuts)
-    return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit)
+    return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit, jump)
+
+
+def _span_table(span, tails, start, stat):
+    """The table of a birth-death walk's span-step law, from its tails
+    T_m = P(at least m of the span steps go up) over the rows, one column
+    for each m = 1 .. span in turn: one cut column per m, the integer cuts
+    of the floats T_m (``rng._draw_cuts``), so a draw below j of a row's
+    cuts moves the run by 2j - span."""
+    return _table(tails, np.arange(-span, span + 1, 2), start, stat)
+
+
+def _columns(table):
+    """A table's moves, its first (cut, add) column and the others."""
+    first, *rest = zip(table.cuts, table.adds)
+    return table.move, first, rest
 
 
 def _under(b: np.ndarray, cut: np.ndarray, state: np.ndarray, add: int) -> np.ndarray:
@@ -814,52 +885,136 @@ def _under(b: np.ndarray, cut: np.ndarray, state: np.ndarray, add: int) -> np.nd
 def _run_lane(table, n, steps, seed, marks, track):
     """Run a witness lane for ``steps`` steps: its statistic at each mark.
 
-    Each run holds one int64 state, from ``table.start``. A step is one
-    table lookup per run: with b its draw, a 52-bit integer, and r the
+    Each run holds one int64 state, from ``table.start``. A draw is one
+    table lookup per run: with b the draw, a 52-bit integer, and r the
     state clipped to the table's rows (a negative state reads row 0, one
     past the last row the last), the integer cuts cuts[i][r] above b add
     up the index a = the sum of their adds[i], and the state moves by
-    move[a]. Each cut column is computed once from the float expressions
-    of the transformed row's cumulative weights that a per-run evaluation
+    move[a].
+
+    A table with a ``jump`` (the line's and the half line's) moves the runs
+    ``_SPAN`` steps per draw by the table ``jump(_SPAN)``, or
+    ``_TRACKED_SPAN`` steps when base visits are tracked, from each
+    multiple of the span while the next mark is at least the span away,
+    and one step by its own table otherwise (``_draw_plan``). Its cuts are
+    those of the correctly rounded tails of the exact span-step law, so a
+    run's law at every mark is the conditioned walk's, up to one rounding
+    per cut. Both walks are bipartite and start at the base, so a base
+    visit falls on an even time, and a span of 2 sees every one.
+
+    The one-step cut columns are computed from the float expressions of
+    the transformed row's cumulative weights that a per-run evaluation
     computes, in its order of operations: with c such an entry, the cut is
     the least m with m 2^-52 >= c, and on the plane, whose weights are not
     normalized, the least m with fl(m 2^-52 scale[r]) >= c
     (``rng._draw_cuts``). So b < cut exactly when the uniform u = b 2^-52
-    fails the per-run comparison with c, a run takes exactly the step of
-    comparing u entry by entry, and no report depends on the tabulation.
-    ``fit(state)``, if set, returns a wider table or None, the number of
-    steps until its next call, and the states in the table it returns. A
-    ``track`` dict receives each run's base visits ("counts") and the time
-    of its last ("last"); ``stat`` gives the statistic.
+    fails the per-run comparison with c, and a one-step draw takes exactly
+    the step of comparing u entry by entry. ``fit(state)``, if set, returns
+    a wider table or None, the number of steps until its next call, and the
+    states in the table it returns; a table that fits steps one step per
+    draw. A ``track`` dict receives each run's base visits ("counts") and
+    the time of its last ("last"); ``stat`` gives the statistic.
 
     This is the module's one loop over the draws.
     """
     if track is not None:
         track["counts"] = np.zeros(n, dtype=np.int64)
         track["last"] = np.zeros(n, dtype=np.int64)
+    span = 1 if table.jump is None else _SPAN if track is None else _TRACKED_SPAN
+    lanes = {1: _columns(table)}
+    if span > 1:
+        lanes[span] = _columns(table.jump(span))
+    plan = _draw_plan(steps, marks, span)
+    sizes = itertools.chain.from_iterable(itertools.repeat(*p) for p in plan)
+    draws = _witness_draws(seed, n, sum(count for _, count in plan), track)
     markset, out = set(marks), {}
     state = np.full(n, table.start, dtype=np.int64)
     refit = 1 if table.fit else steps + 1
-    (first, add0), *rest = zip(table.cuts, table.adds)
-    for step, b in enumerate(_witness_draws(seed, n, steps, track), 1):
-        if step == refit:
+    time = 0
+    for size, b in zip(sizes, draws):
+        time += size
+        if time == refit:
             wider, hold, state = table.fit(state)
-            refit = step + hold
+            refit = time + hold
             if wider is not None:
                 table = wider
-                (first, add0), *rest = zip(table.cuts, table.adds)
+                lanes[1] = _columns(table)
+        move, (first, add0), rest = lanes[size]
         index = _under(b, first, state, add0)
         for cut, add in rest:
             index += _under(b, cut, state, add)
-        state += table.move.take(index)
+        state += move.take(index)
         if track is not None:
             at_base = np.flatnonzero(state == table.start)
             if at_base.size:
                 track["counts"][at_base] += 1
-                track["last"][at_base] = step
-        if step in markset:
-            out[step] = table.stat(state)
+                track["last"][at_base] = time
+        if time in markset:
+            out[time] = table.stat(state)
     return out
+
+
+#: ``_near_base_tails`` per law class, chain name, parameters, starts and span
+_NEAR_BASE: dict = {}
+
+
+def _near_base_tails(chain, params, starts, span):
+    """The span-step tails T_m, m = 1 .. span, from each position of
+    ``starts``, read off the exact law of the transformed chain
+    (``chains.distribution_after``): each exact tail sum as its float, in
+    a (len(starts), span) array. A position points at the target, so on the
+    line toward -inf the position v is the state -v. Computed once per
+    process for each law, chain name, parameters, starts and span, and
+    returned read-only.
+    """
+    key = (law_class(chain), chain.name, params, tuple(starts), span)
+    tails = _NEAR_BASE.get(key)
+    if tails is None:
+        sign = getattr(params.alpha, "sign", 1)
+        moved = transformed_chain(chain, params)
+        rows = []
+        for v in starts:
+            law = [Fraction(0)] * (span + 1)
+            for y, p in distribution_after(moved, sign * v, span).items():
+                law[(sign * y - v + span) // 2] += p
+            rows.append([float(sum(law[m:])) for m in range(1, span + 1)])
+        tails = _NEAR_BASE[key] = np.array(rows).reshape(len(starts), span)
+        tails.flags.writeable = False
+    return tails
+
+
+def _line_tails(chain, params, v, span):
+    """The conditioned line walk's span-step tails from the positions v:
+    T_m(v) = P_v(at least m of the next span steps go toward the target),
+    each the float of the exact value, yielded over v for m = 1 .. span.
+
+    A path's transformed probability is its parent probability 2^-span
+    times psi(end)/psi(v), and r per departure from the base (the rows'
+    product telescopes), so from |v| >= span, where no path leaves the base
+    before its end, j steps toward the target have probability
+    C(span, j) 2^-span psi(v + 2j - span)/psi(v). psi is proportional to
+    a + 2b max(v, 0), with a/b = r/(1-r), so at v >= span
+    T_m = (S0_m (a + 2b(v - span)) + 4b S1_m) / (2^span (a + 2bv)), with S0_m
+    and S1_m the sums of C(span, j) and j C(span, j) over j >= m, one
+    correctly rounded int/int division, and at v <= -span the binomial tail
+    S0_m / 2^span. The rows in between come from ``_near_base_tails``.
+    """
+    a, b = params.odds.numerator, params.odds.denominator
+    binom = [math.comb(span, j) for j in range(span + 1)]
+    near, far = v >= span, v <= -span
+    inner = ~(near | far)
+    x = v[near]
+    if (a + 2 * b * (int(x.max(initial=0)) + 2 * span)) << span >= 1 << 63:
+        x = x.astype(object)  # the products would not fit int64
+    low, den = a + 2 * b * (x - span), (a + 2 * b * x) << span
+    rows = _near_base_tails(chain, params, v[inner].tolist(), span)
+    for m in range(1, span + 1):
+        s0, s1 = sum(binom[m:]), sum(j * binom[j] for j in range(m, span + 1))
+        tail = np.empty(v.size)
+        tail[near] = exact_floats(low * s0 + 4 * b * s1, den)
+        tail[far] = s0 / 2**span
+        tail[inner] = rows[:, m - 1]
+        yield tail
 
 
 def _line_table(chain, params, steps):
@@ -869,7 +1024,8 @@ def _line_table(chain, params, steps):
     it, and 1/2 on the far side, with c = r/(1-r); these are the exact row
     entries of the transformed chain, evaluated in floating point. The rows
     are the positions v reachable in ``steps`` steps, the state v + steps + 1:
-    2 steps + 3 rows of one 8-byte cut, built per call.
+    2 steps + 3 rows of one 8-byte cut, built per call; ``jump(span)``
+    holds the exact span-step law over the same rows (``_line_tails``).
     """
     c = float(params.odds)
     v = np.arange(-steps - 1, steps + 2)
@@ -878,7 +1034,14 @@ def _line_table(chain, params, steps):
     up[v == 0] = (2.0 - float(params.r)) / 2.0
     up[v >= 1] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
     base = steps + 1
-    return _table([up], [-1, 1], base, lambda s: (s - base).astype(np.float64))
+
+    def stat(s):
+        return (s - base).astype(np.float64)
+
+    def jump(span):
+        return _span_table(span, _line_tails(chain, params, v, span), base, stat)
+
+    return _table([up], [-1, 1], base, stat, jump=jump)
 
 
 def _halfline_table(chain, params, steps):
@@ -891,16 +1054,39 @@ def _halfline_table(chain, params, steps):
     come from one ``kernel_sum_array`` call, so each up-probability
     q psi(x+1) / psi(x) is one correctly rounded int/int division: the
     float of the exact ratio.
+
+    ``jump(span)`` holds the exact span-step law over the same rows. With
+    q = a/b, from x >= span, where no path leaves the base before its end,
+    j up-steps have probability C(span, j) a^j (b - a)^(span - j)
+    psi(x + 2j - span) / (b^span psi(x)), so each tail is one correctly
+    rounded int/int division; the rows nearer the base come from
+    ``_near_base_tails``, and the last row is the limit law Binomial(span,
+    1 - q).
     """
     cutoff = _TABLE_CUTOFF
-    states = list(range(cutoff + 2))
+    states = list(range(cutoff + 2 + _SPAN))
     table = chain.code_table(states)
     form = kernel_sum_array(chain, 0, [(params.alpha, 1)], constant=params.odds)
     psi = form(table, table.encode(states))[0].tolist()
     a, b = chain.q.numerator, chain.q.denominator
     up = [1.0] + [a * psi[x + 1] / (b * psi[x]) for x in range(1, cutoff + 1)]
     up.append(float(1 - chain.q))
-    return _table([np.array(up)], [-1, 1], 0, lambda s: s.astype(np.float64))
+
+    def stat(s):
+        return s.astype(np.float64)
+
+    def jump(span):
+        binom = [math.comb(span, j) for j in range(span + 1)]
+        paths = [binom[j] * a**j * (b - a) ** (span - j) for j in range(span + 1)]
+        limit = [binom[j] * (b - a) ** j * a ** (span - j) for j in range(span + 1)]
+        rows = _near_base_tails(chain, params, range(span), span).tolist()
+        for x in range(span, cutoff + 1):
+            ends = [w * psi[x + 2 * j - span] for j, w in enumerate(paths)]
+            rows.append([sum(ends[m:]) / (b**span * psi[x]) for m in range(1, span + 1)])
+        rows.append([sum(limit[m:]) / b**span for m in range(1, span + 1)])
+        return _span_table(span, np.array(rows).T, 0, stat)
+
+    return _table([np.array(up)], [-1, 1], 0, stat, jump=jump)
 
 
 def _tree_table(chain, params, steps):

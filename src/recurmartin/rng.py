@@ -7,13 +7,14 @@ or slabs, in how many processes, or which other trajectories are still
 running, which is what makes seeded runs byte-reproducible.
 
 There is one draw scheme for every sampler:
-z = mix(seed, purpose, trajectory, step), a SplitMix64 finalizer over numpy
+z = mix(seed, purpose, trajectory, n), a SplitMix64 finalizer over numpy
 ``uint64`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11). ``stream_keys`` absorbs the first three parts into one key per
-trajectory and ``counter_bits`` mixes in the step. The step is a plain
-counter, so a block of steps for a set of live trajectories is one
-vectorized call, and ``purpose`` is its own key part, apart from the
-trajectory index.
+SC'11), with n the trajectory's draw counter: its step, or its jump where
+one draw moves a run several steps. ``stream_keys`` absorbs the first three
+parts into one key per trajectory and ``counter_bits`` mixes in the
+counter. It is a plain counter, so a block of draws for a set of live
+trajectories is one vectorized call, and ``purpose`` is its own key part,
+apart from the trajectory index.
 
 A draw is the 52-bit integer b = z >> 12, which ``counter_bits`` writes
 into a buffer the caller owns; it stands for the uniform u = b 2^-52,
@@ -25,7 +26,9 @@ because fl(x s) is nondecreasing in x.
 
 Two drivers step every sampler on these draws, one per stopping rule:
 ``green._ensemble`` for runs absorbed at the base, ``htransform._run_lane``
-for runs stopped at a fixed horizon.
+for runs stopped at a fixed horizon. Either may move a run several steps
+per draw where the law allows (``green._line_jumps`` from mark to mark,
+the line and half-line witnesses by their exact K-step laws).
 """
 from __future__ import annotations
 

@@ -150,11 +150,16 @@ class WindowOperator:
         return exact_floats(self.num, self.den)
 
 
-def exact_floats(num: np.ndarray, den: int) -> np.ndarray:
-    """num / den as float64, each entry correctly rounded."""
-    if den < _EXACT_FLOAT and (not num.size or int(np.abs(num).max()) < _EXACT_FLOAT):
-        return num.astype(np.float64) / den
-    return np.array([v / den for v in num.ravel().tolist()]).reshape(num.shape)
+def exact_floats(num: np.ndarray, den) -> np.ndarray:
+    """num / den as float64, each entry correctly rounded; ``den`` is one
+    positive int or an array of them that broadcasts against ``num``."""
+    den = np.asarray(den)
+    if max(_max_abs(num), _max_abs(den.reshape(-1))) < _EXACT_FLOAT:
+        return num.astype(np.float64) / den.astype(np.float64)
+    num, den = np.broadcast_arrays(num, den)
+    return np.array(
+        [v / d for v, d in zip(num.ravel().tolist(), den.ravel().tolist())]
+    ).reshape(num.shape)
 
 
 def int_array(values) -> np.ndarray:

@@ -5,6 +5,7 @@ ratio, the full array must satisfy its one-step recursion, and the boundary
 kernels must be harmonic off the base point with the right total mass. All
 checks are exact rational arithmetic.
 """
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurmartin.chains import kernel_array, verify_stationary
+from recurmartin import chains as chains_module
+from recurmartin import examplechains as examplechains_module
+from recurmartin.chains import distribution_after, kernel_array, verify_stationary
 from recurmartin.examplechains import (
     ROOT,
     BangBangWalk,
@@ -292,6 +295,35 @@ def test_network_formula_is_the_window_solve_at_any_base(law, data):
     nums, den = kernel_array(chain)(table, codes, alpha, base)
     got = [Fraction(int(n), den) for n in nums]
     assert got == [chain.exact_boundary_kernel(x, alpha, base) for x in table.decode(codes)]
+
+
+@pytest.mark.parametrize("law", sorted(FORMULA_LAWS))
+def test_resistance_is_read_off_one_step_rows(monkeypatch, law):
+    """rho grows by one row of ``successors`` per depth, with no n-step law:
+    a copy of the chain under a class of its own, so with an empty table,
+    reaches a deep state while ``distribution_after`` raises, and its rho is
+    the running sum of 1 / (beta(u) P(u, v)) with each P read through
+    ``distribution_after``, so its kernel and Green values are the chain's."""
+    chain = FORMULA_LAWS[law]
+    depth = {ZWalk: 3000, BangBangWalk: 300, KaryTree: 40}[type(chain)]
+    rho = [Fraction(0)]
+    for d in range(depth):
+        u, v = chain.ray_node(d), chain.ray_node(d + 1)
+        rho.append(rho[-1] + 1 / (chain.stationary(u) * distribution_after(chain, u, 1)[v]))
+    x, alpha = chain.ray_node(depth), chain.boundary_points()[0]
+    values = (chain.exact_boundary_kernel(x, alpha), chain.exact_green(x, x))
+
+    def refuse(*args):
+        raise AssertionError("an n-step law was computed")
+
+    deep = copy.copy(chain)
+    deep.__class__ = type(type(chain).__name__, (type(chain),), {})
+    deep.__dict__.pop("_tables", None)
+    for module, name in ((chains_module, "distribution_after"), (chains_module, "propagate"),
+                         (examplechains_module, "distribution_after")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    assert (deep.exact_boundary_kernel(x, alpha), deep.exact_green(x, x)) == values
+    assert deep._resistance(depth)[: depth + 1] == rho
 
 
 @pytest.mark.parametrize("chain, base", [(BangBangWalk(), 2), (KaryTree(2), (0,))])

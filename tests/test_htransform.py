@@ -12,6 +12,7 @@ against coarse, seed-stable expectations.
 """
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
+from recurmartin.chains import distribution_after
 from recurmartin.cli import render
 from recurmartin.errors import PreconditionViolationError, RowSumViolationError
 from recurmartin.examplechains import (
@@ -40,6 +43,8 @@ from recurmartin.examplechains import (
 )
 from recurmartin import htransform as htransform_module
 from recurmartin.htransform import (
+    _SPAN,
+    _TRACKED_SPAN,
     TransformParams,
     TransformedChain,
     _Table,
@@ -65,7 +70,7 @@ from recurmartin.martin import (
     profile_from_boundary,
 )
 from recurmartin.rng import CONVERGENCE_WITNESS, _draw_cuts, counter_bits, stream_keys
-from recurmartin.window import one_step_sums
+from recurmartin.window import one_step_sums, propagate
 
 Z = ZWalk()
 BB = BangBangWalk()
@@ -1082,10 +1087,116 @@ def test_lane_runs_do_not_depend_on_the_trajectory_count(chain, params):
 
 
 def test_halfline_table_does_not_grow_with_the_horizon():
-    # rows 0 .. 64 and one row for every position past 64
+    # rows 0 .. 64 and one row for every position past 64, in the one-step
+    # table and in each multi-step one
     short, _, _ = _witness_lane(BB, P_BB, 10, 10)
     long, _, _ = _witness_lane(BB, P_BB, 10, 10**7)
     assert [c.shape for c in short.cuts] == [c.shape for c in long.cuts] == [(66,)]
+    for span in (_SPAN, _TRACKED_SPAN):
+        shapes = [[c.shape for c in t.jump(span).cuts] for t in (short, long)]
+        assert shapes[0] == shapes[1] == [(66,)] * span
+
+
+def _exact_tail_cuts(chain, params, x, span, sign=1):
+    """The cuts of the rounded tails of the exact span-step law from x:
+    P(at least m of the span steps go toward the target), m = 1 .. span."""
+    law = distribution_after(transformed_chain(chain, params), x, span)
+    ups = [sum((p for y, p in law.items() if sign * (y - x) == 2 * j - span), Fraction(0))
+           for j in range(span + 1)]
+    return [int(_draw_cuts(float(sum(ups[m:])))) for m in range(1, span + 1)]
+
+
+@pytest.mark.parametrize("span", [_SPAN, _TRACKED_SPAN])
+@pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9), Fraction(2**62, 2**62 + 1)])
+def test_line_span_cuts_are_those_of_the_exact_law(r, span):
+    # every row within 3 spans of the base, toward either end: the closed
+    # form, the rows read off distribution_after and the far side; the last
+    # damping's odds 2^62 put the closed form's integers past int64
+    steps = 20
+    for sign in (1, -1):
+        params = TransformParams(0, LineEnd(sign), r)
+        table, _, _ = _witness_lane(Z, params, 10, steps)
+        jump = table.jump(span)
+        assert jump.move.tolist() == list(range(-span, span + 1, 2))
+        for v in range(-3 * span, 3 * span + 1):
+            row = [int(c[v + steps + 1]) for c in jump.cuts]
+            assert row == _exact_tail_cuts(Z, params, sign * v, span, sign), (sign, v)
+
+
+@pytest.mark.parametrize("span", [_SPAN, _TRACKED_SPAN])
+@pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9)])
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
+def test_halfline_span_cuts_are_those_of_the_exact_law(q, r, span):
+    # rows 0 .. 64 are the exact span-step law; the last, for every position
+    # past 64, is its limit Binomial(span, 1 - q)
+    chain, params = BangBangWalk(q), TransformParams(0, HalfLineEnd(), r)
+    table, _, _ = _witness_lane(chain, params, 10, 10)
+    rows = [list(map(int, row)) for row in zip(*table.jump(span).cuts)]
+    assert rows[:-1] == [_exact_tail_cuts(chain, params, x, span) for x in range(65)]
+    binom = [math.comb(span, j) * (1 - q) ** j * q ** (span - j) for j in range(span + 1)]
+    assert rows[-1] == [int(_draw_cuts(float(sum(binom[m:])))) for m in range(1, span + 1)]
+
+
+def _positions(chain, params, n, steps, seed):
+    """Each run's position after ``steps`` steps of its witness lane."""
+    table, _, _ = _witness_lane(chain, params, n, steps)
+    (ends,) = _run_lane(_with_states(table), n, steps, seed, [steps], None).values()
+    return ends - table.start
+
+
+def _chi_square(sample, law):
+    """Pearson's statistic of the sample against the exact law, and its
+    degrees of freedom, with the cells of least mass merged into their
+    neighbours until every cell expects at least 5 runs."""
+    states = sorted(law)
+    index = np.searchsorted(states, sample)
+    assert np.array_equal(np.asarray(states)[index], sample)  # no run outside the law
+    observed = np.bincount(index, minlength=len(states)).tolist()
+    expected = [float(law[s]) * len(sample) for s in states]
+    cells = [[o, e] for o, e in zip(observed, expected)]
+    while len(cells) > 2 and min(e for _, e in cells) < 5:
+        i = min(range(len(cells)), key=lambda k: cells[k][1])
+        j = i + 1 if i == 0 or (i + 1 < len(cells) and cells[i + 1][1] < cells[i - 1][1]) else i - 1
+        cells[j] = [cells[j][0] + cells[i][0], cells[j][1] + cells[i][1]]
+        del cells[i]
+    return sum((o - e) ** 2 / e for o, e in cells), len(cells) - 1
+
+
+@pytest.mark.parametrize("chain,params", [(Z, P_Z), (BB, P_BB)], ids=["line", "halfline"])
+def test_span_lanes_draw_the_exact_law_at_an_odd_horizon(chain, params):
+    # 45 steps are 11 draws of 4 steps and one of a single step; the runs'
+    # positions must fit the conditioned walk's exact law, and not the
+    # untransformed walk's (the negative control)
+    steps, n = 45, 20_000
+    sample = _positions(chain, params, n, steps, seed=20261020)
+    for law, fits in ((transformed_chain(chain, params), True), (chain, False)):
+        stat, dof = _chi_square(sample, distribution_after(law, 0, steps))
+        assert (stat < chi2.isf(1e-4, dof)) == fits, (law.name, stat, dof)
+
+
+def _base_visits(chain, params, n, steps, seed):
+    """Each run's base visits by ``steps``, tracked."""
+    table, _, _ = _witness_lane(chain, params, n, steps)
+    track: dict = {}
+    _run_lane(table, n, steps, seed, [steps], track)
+    return track["counts"]
+
+
+@pytest.mark.parametrize("chain,params", [(Z, P_Z), (BB, P_BB)], ids=["line", "halfline"])
+def test_tracked_span_lanes_count_every_base_visit(monkeypatch, chain, params):
+    # a tracked run moves 2 steps per draw and is looked at on every even
+    # time, so its mean base visits by step 45 are the exact expectation,
+    # the sum of P(X_t = 0) over t <= 45; looked at every 4 steps, it would
+    # miss the visits at t = 2 mod 4
+    steps, n = 45, 20_000
+    laws = propagate(transformed_chain(chain, params), 0, list(range(1, steps + 1)))
+    mean = sum(Fraction(w, scale) for states, weights, scale in laws
+               for s, w in zip(states, weights) if s == 0)
+    counts = _base_visits(chain, params, n, steps, seed=20261020)
+    assert abs(counts.mean() - float(mean)) < 4 * counts.std() / np.sqrt(n)
+    monkeypatch.setattr(htransform_module, "_TRACKED_SPAN", 4)
+    fewer = _base_visits(chain, params, n, steps, seed=20261020)
+    assert abs(fewer.mean() - float(mean)) > 4 * fewer.std() / np.sqrt(n)
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9)])
