@@ -21,15 +21,16 @@ damped-visit linear system, the correspondence between harmonic profiles of
 the killed parent and harmonic functions of the transform, and vectorized
 ensemble witnesses of boundary convergence and transience. A witness lane
 is a transition table over one integer state per run, so a draw of all runs
-is one table lookup; each one-step entry is the integer cut of the float
-expression a per-run evaluation of the transformed row computes, which the
-52-bit integer draws pass exactly when their uniforms pass that
-expression. The half-line and tree tables take psi's integer numerators
-and each probability as one correctly rounded int/int division, the float
-of the exact ratio. On the line and the half line the conditioned walk is
-a Doob transform of a birth-death walk, so its K-step law is exact and
-small: a second table holds it, each cut that of a correctly rounded tail,
-and a draw moves a run K steps (``_SPAN``, ``_TRACKED_SPAN``).
+is one table lookup; each entry is the integer cut of a float, which the
+52-bit integer draws pass exactly when their uniforms pass that float. On
+the line and the half line the conditioned walk is a Doob transform of a
+birth-death walk, so its K-step law is one integer sum over psi's
+numerators (``_span_tails``): its one-step table (K = 1) and a second
+table over the same rows, along which a draw moves a run K steps
+(``_SPAN``, ``_TRACKED_SPAN``), take each cut from a correctly rounded
+int/int division. The tree table takes each ratio of psi's integer
+numerators the same way; only the plane keeps the float expressions a
+per-run evaluation of its transformed row computes.
 
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
@@ -56,15 +57,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chains import (
-    ChainSpec,
-    StateId,
-    _merged_row,
-    distribution_after,
-    enumerate_paths,
-    law_class,
-    owns_kernel,
-)
+from .chains import ChainSpec, StateId, _merged_row, enumerate_paths, law_class, owns_kernel
 from .errors import PreconditionViolationError, RowSumViolationError
 from .examplechains import (
     ROOT,
@@ -187,7 +180,6 @@ class TransformedChain(ChainSpec):
         self.path_separator = parent.path_separator
         self.window_size = parent.window_size
         self._psi: dict = {}
-        self._rows: dict = {}
 
     def weight(self, x: StateId) -> Fraction:
         """Cached psi(x) of the parent chain."""
@@ -205,20 +197,16 @@ class TransformedChain(ChainSpec):
         return self.params.r if x == self.params.x0 else Fraction(1)
 
     def successors(self, x: StateId):
-        """The transformed row at x, built and validated once per state."""
-        moves = self._rows.get(x)
-        if moves is None:
-            scale = self._row_scale(x) / self.weight(x)
-            moves = [
-                (y, scale * p * self.weight(y)) for y, p in self.parent.successors(x)
-            ]
-            total = sum((p for _, p in moves), Fraction(0))
-            if total != 1:
-                raise RowSumViolationError(
-                    f"transformed row at {self.parent.format_state(x)} sums to {total}"
-                )
-            self._rows[x] = moves
-        return list(moves)
+        scale = self._row_scale(x) / self.weight(x)
+        moves = [
+            (y, scale * p * self.weight(y)) for y, p in self.parent.successors(x)
+        ]
+        total = sum((p for _, p in moves), Fraction(0))
+        if total != 1:
+            raise RowSumViolationError(
+                f"transformed row at {self.parent.format_state(x)} sums to {total}"
+            )
+        return moves
 
     def predecessors(self, y: StateId):
         preds = self.parent.predecessors(y)
@@ -665,9 +653,6 @@ class TransienceReport:
     fraction_settled_by_half: float
 
 
-_DEFAULT_THRESHOLDS = {"line": 50.0, "halfline": 100.0, "tree": 10.0, "plane": 10.0}
-
-
 def convergence_stats(
     chain: ChainSpec,
     params: TransformParams,
@@ -689,10 +674,10 @@ def convergence_stats(
     the line and the half line a draw moves a run ``_SPAN`` steps by the
     exact multi-step law, and one step where a snapshot is nearer.
     """
-    table, witness, kind = _witness_lane(chain, params, trajectories, steps)
+    table, witness, default = _witness_lane(chain, params, trajectories, steps)
     marks = sorted({int(s) for s in snapshots if 0 < int(s) < steps} | {steps})
     stats = _run_lane(table, trajectories, steps, seed, marks, None)
-    thr = float(_DEFAULT_THRESHOLDS[kind] if threshold is None else threshold)
+    thr = float(default if threshold is None else threshold)
     snaps = {}
     for m in marks:
         arr = stats[m]
@@ -759,7 +744,8 @@ def _alpha_label(params: TransformParams) -> str:
 
 
 def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, steps: int):
-    """The witness table of the chain's law, its statistic and its kind.
+    """The witness table of the chain's law, its statistic and its default
+    threshold.
 
     A lane simulates the conditioned walk of one built-in law and its own
     kernel, so it is looked up by ``law_class``: a chain with any other law,
@@ -773,7 +759,7 @@ def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, 
     spec = _WITNESS_LANES.get(law)
     if spec is None:
         raise NotImplementedError(f"no witness lane for chain {chain.name!r}")
-    build, witness, kind, base, target, base_message, target_message = spec
+    build, witness, kind, threshold, base, target, base_message, target_message = spec
     if not owns_kernel(chain, law):
         raise NotImplementedError(
             f"the {kind} witness lane simulates {law.__name__}'s own "
@@ -784,7 +770,7 @@ def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, 
         raise ValueError(base_message)
     if not isinstance(params.alpha, target):
         raise ValueError(target_message)
-    return build(chain, params, steps), witness, kind
+    return build(chain, params, steps), witness, threshold
 
 
 def _witness_draws(seed, n, draws, track):
@@ -852,13 +838,11 @@ def _table(columns, move, start, stat, adds=None, scale=None, fit=None, jump=Non
     return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit, jump)
 
 
-def _span_table(span, tails, start, stat):
-    """The table of a birth-death walk's span-step law, from its tails
-    T_m = P(at least m of the span steps go up) over the rows, one column
-    for each m = 1 .. span in turn: one cut column per m, the integer cuts
-    of the floats T_m (``rng._draw_cuts``), so a draw below j of a row's
-    cuts moves the run by 2j - span."""
-    return _table(tails, np.arange(-span, span + 1, 2), start, stat)
+def _span_table(span, tails, start, stat, jump):
+    """The table of a birth-death walk's span-step law from its tails T_m,
+    m = 1 .. span, over the rows (``_span_tails``): one cut column per m,
+    so a draw below j of a row's cuts moves the run by 2j - span."""
+    return _table(tails, np.arange(-span, span + 1, 2), start, stat, jump=jump)
 
 
 def _columns(table):
@@ -896,20 +880,21 @@ def _run_lane(table, n, steps, seed, marks, track):
     ``_SPAN`` steps per draw by the table ``jump(_SPAN)``, or
     ``_TRACKED_SPAN`` steps when base visits are tracked, from each
     multiple of the span while the next mark is at least the span away,
-    and one step by its own table otherwise (``_draw_plan``). Its cuts are
-    those of the correctly rounded tails of the exact span-step law, so a
-    run's law at every mark is the conditioned walk's, up to one rounding
-    per cut. Both walks are bipartite and start at the base, so a base
-    visit falls on an even time, and a span of 2 sees every one.
+    and one step by its own table otherwise (``_draw_plan``). The cuts of
+    both are those of the correctly rounded tails of the exact law
+    (``_span_tails``), so a run's law at every mark is the conditioned
+    walk's, up to one rounding per cut. Both walks are bipartite and start
+    at the base, so a base visit falls on an even time, and a span of 2
+    sees every one.
 
-    The one-step cut columns are computed from the float expressions of
-    the transformed row's cumulative weights that a per-run evaluation
-    computes, in its order of operations: with c such an entry, the cut is
-    the least m with m 2^-52 >= c, and on the plane, whose weights are not
-    normalized, the least m with fl(m 2^-52 scale[r]) >= c
-    (``rng._draw_cuts``). So b < cut exactly when the uniform u = b 2^-52
-    fails the per-run comparison with c, and a one-step draw takes exactly
-    the step of comparing u entry by entry. ``fit(state)``, if set, returns
+    With c a cumulative weight of a row, the cut is the least m with
+    m 2^-52 >= c, and on the plane, whose weights are not normalized, the
+    least m with fl(m 2^-52 scale[r]) >= c (``rng._draw_cuts``). So b < cut
+    exactly when the uniform u = b 2^-52 fails the comparison with c, and
+    a draw takes exactly the move of comparing u entry by entry: on the
+    tree c is a correctly rounded ratio or the float sum of two, and on the
+    plane the float expression a per-run evaluation of the transformed row
+    computes, in its order of operations. ``fit(state)``, if set, returns
     a wider table or None, the number of steps until its next call, and the
     states in the table it returns; a table that fits steps one step per
     draw. A ``track`` dict receives each run's base visits ("counts") and
@@ -954,139 +939,120 @@ def _run_lane(table, n, steps, seed, marks, track):
     return out
 
 
-#: ``_near_base_tails`` per law class, chain name, parameters, starts and span
-_NEAR_BASE: dict = {}
+def _span_tails(psi, lo, moves, r, v, span):
+    """The span-step tails T_m(v) = P_v(at least m of the next span steps go
+    toward the target), m = 1 .. span, of a psi-tilted birth-death walk from
+    each position of the int array v, as a (span, len(v)) float array.
 
-
-def _near_base_tails(chain, params, starts, span):
-    """The span-step tails T_m, m = 1 .. span, from each position of
-    ``starts``, read off the exact law of the transformed chain
-    (``chains.distribution_after``): each exact tail sum as its float, in
-    a (len(starts), span) array. A position points at the target, so on the
-    line toward -inf the position v is the state -v. Computed once per
-    process for each law, chain name, parameters, starts and span, and
-    returned read-only.
+    ``psi`` holds psi's integer numerators over the positions lo, lo + 1, ...
+    that the paths reach, pointing at the target, with the base at 0;
+    ``moves`` holds the parent's integer (toward, away) weights (u, d) off
+    the base and (u0, d0) at it, each pair summing to one denominator w. A
+    path's transformed probability is its parent probability times
+    psi(end)/psi(v) and r per step that leaves the base (the rows' product
+    telescopes), so with r = p/s and W_j the sum over the paths with j
+    steps toward the target of their steps' weights, each times s off the
+    base and p at it, T_m(v) = sum_{j >= m} W_j psi(v + 2j - span) /
+    ((w s)^span psi(v)), one correctly rounded int/int division
+    (``window.exact_floats``). At least span from the base no path leaves
+    it, and W_j is C(span, j) u^j d^(span - j) s^span; the fewer than
+    2 span rows nearer take W_j from a span-step integer DP. A row whose
+    full sum is not its denominator, psi failing harmonicity off the base
+    or its balance at it, raises ``RowSumViolationError``. A position no
+    path reaches carries no weight and reads psi at lo.
     """
-    key = (law_class(chain), chain.name, params, tuple(starts), span)
-    tails = _NEAR_BASE.get(key)
-    if tails is None:
-        sign = getattr(params.alpha, "sign", 1)
-        moved = transformed_chain(chain, params)
-        rows = []
-        for v in starts:
-            law = [Fraction(0)] * (span + 1)
-            for y, p in distribution_after(moved, sign * v, span).items():
-                law[(sign * y - v + span) // 2] += p
-            rows.append([float(sum(law[m:])) for m in range(1, span + 1)])
-        tails = _NEAR_BASE[key] = np.array(rows).reshape(len(starts), span)
-        tails.flags.writeable = False
-    return tails
-
-
-def _line_tails(chain, params, v, span):
-    """The conditioned line walk's span-step tails from the positions v:
-    T_m(v) = P_v(at least m of the next span steps go toward the target),
-    each the float of the exact value, yielded over v for m = 1 .. span.
-
-    A path's transformed probability is its parent probability 2^-span
-    times psi(end)/psi(v), and r per departure from the base (the rows'
-    product telescopes), so from |v| >= span, where no path leaves the base
-    before its end, j steps toward the target have probability
-    C(span, j) 2^-span psi(v + 2j - span)/psi(v). psi is proportional to
-    a + 2b max(v, 0), with a/b = r/(1-r), so at v >= span
-    T_m = (S0_m (a + 2b(v - span)) + 4b S1_m) / (2^span (a + 2bv)), with S0_m
-    and S1_m the sums of C(span, j) and j C(span, j) over j >= m, one
-    correctly rounded int/int division, and at v <= -span the binomial tail
-    S0_m / 2^span. The rows in between come from ``_near_base_tails``.
-    """
-    a, b = params.odds.numerator, params.odds.denominator
-    binom = [math.comb(span, j) for j in range(span + 1)]
-    near, far = v >= span, v <= -span
-    inner = ~(near | far)
-    x = v[near]
-    if (a + 2 * b * (int(x.max(initial=0)) + 2 * span)) << span >= 1 << 63:
-        x = x.astype(object)  # the products would not fit int64
-    low, den = a + 2 * b * (x - span), (a + 2 * b * x) << span
-    rows = _near_base_tails(chain, params, v[inner].tolist(), span)
-    for m in range(1, span + 1):
-        s0, s1 = sum(binom[m:]), sum(j * binom[j] for j in range(m, span + 1))
-        tail = np.empty(v.size)
-        tail[near] = exact_floats(low * s0 + 4 * b * s1, den)
-        tail[far] = s0 / 2**span
-        tail[inner] = rows[:, m - 1]
-        yield tail
+    (u, d), (u0, d0) = moves
+    p, s = r.numerator, r.denominator
+    grow = (max(u + d, u0 + d0) * max(p, s)) ** span  # no row's weights sum past it
+    if grow * int(psi.max()) >= 1 << 63:
+        psi = psi.astype(object)  # the weighted ends would not fit int64
+    dtype = np.int64 if grow < 1 << 63 else object
+    binom = [[math.comb(span, j) * u**j * d ** (span - j) * s**span] for j in range(span + 1)]
+    near = np.flatnonzero(abs(v) < span)
+    ways = np.zeros((span + 1, near.size), dtype=dtype)  # by steps j toward the target
+    ways[0] = 1
+    # a step's weights toward and away from the target, off the base (0) and at it (1)
+    up, down = np.array([u * s, u0 * p], dtype=dtype), np.array([d * s, d0 * p], dtype=dtype)
+    for t in range(span):
+        base = (v[near] + 2 * np.arange(span + 1)[:, None] == t).astype(np.intp)
+        toward = ways * up[base]
+        ways *= down[base]
+        ways[1:] += toward[:-1]
+    at = psi.take(v - lo + np.arange(-span, span + 1, 2)[:, None], mode="clip")
+    ends = np.array(binom, dtype=dtype) * at
+    ends[:, near] = ways * at[:, near]
+    for m in range(span - 1, -1, -1):
+        ends[m] += ends[m + 1]  # the sum over j >= m
+    den = ((u + d) * s) ** span * psi[v - lo]
+    bad = np.flatnonzero(ends[0] != den)
+    if bad.size:
+        raise RowSumViolationError(
+            f"the {span}-step row at position {int(v[bad[0]])} sums to "
+            f"{Fraction(int(ends[0][bad[0]]), int(den[bad[0]]))}"
+        )
+    return exact_floats(ends[1:], den)
 
 
 def _line_table(chain, params, steps):
     """Conditioned line walk, in coordinates pointing at the target end.
 
-    Up-probability (c + 2v + 2) / (2(c + 2v)) above the base, (2 - r)/2 at
-    it, and 1/2 on the far side, with c = r/(1-r); these are the exact row
-    entries of the transformed chain, evaluated in floating point. The rows
-    are the positions v reachable in ``steps`` steps, the state v + steps + 1:
-    2 steps + 3 rows of one 8-byte cut, built per call; ``jump(span)``
-    holds the exact span-step law over the same rows (``_line_tails``).
+    psi is proportional to a + 2b max(v, 0), with a/b = r/(1-r), and the
+    parent steps each way with weight 1 off the base and at it, so every
+    table is ``_span_tails`` of these integers: the one-step table (span 1)
+    and ``jump(span)``, the exact span-step law over the same rows. The rows
+    are the positions v reachable in ``steps`` steps, the state
+    v + steps + 1: 2 steps + 3 rows, built per call.
     """
-    c = float(params.odds)
+    a, b = params.odds.numerator, params.odds.denominator
     v = np.arange(-steps - 1, steps + 2)
-    vp = v[v >= 1].astype(np.float64)
-    up = np.full(v.size, 0.5)
-    up[v == 0] = (2.0 - float(params.r)) / 2.0
-    up[v >= 1] = (c + 2.0 * vp + 2.0) / (2.0 * (c + 2.0 * vp))
+    lo, hi = -steps - 1 - _SPAN, steps + 1 + _SPAN
+    x = np.maximum(np.arange(lo, hi + 1), 0)
+    if a + 2 * b * hi >= 1 << 63:
+        x = x.astype(object)  # psi would not fit int64
+    psi = a + 2 * b * x
     base = steps + 1
 
     def stat(s):
         return (s - base).astype(np.float64)
 
     def jump(span):
-        return _span_table(span, _line_tails(chain, params, v, span), base, stat)
+        tails = _span_tails(psi, lo, ((1, 1), (1, 1)), params.r, v, span)
+        return _span_table(span, tails, base, stat, jump)
 
-    return _table([up], [-1, 1], base, stat, jump=jump)
+    return jump(1)
 
 
 def _halfline_table(chain, params, steps):
     """Conditioned half-line walk; the reflecting base forces an up-step.
 
     The state is the position and its row: rows 0 .. 64 are exact and row
-    65, the last, serves every position past 64 with the limit 1 - q of
-    the up-probability. Off the base, psi(x) is beta(0) times
+    65, the last, serves every position past 64 with the limit law
+    Binomial(span, 1 - q). Off the base, psi(x) is beta(0) times
     r/(1-r) + L(x, alpha), whose integer numerators over one denominator
-    come from one ``kernel_sum_array`` call, so each up-probability
-    q psi(x+1) / psi(x) is one correctly rounded int/int division: the
-    float of the exact ratio.
-
-    ``jump(span)`` holds the exact span-step law over the same rows. With
-    q = a/b, from x >= span, where no path leaves the base before its end,
-    j up-steps have probability C(span, j) a^j (b - a)^(span - j)
-    psi(x + 2j - span) / (b^span psi(x)), so each tail is one correctly
-    rounded int/int division; the rows nearer the base come from
-    ``_near_base_tails``, and the last row is the limit law Binomial(span,
-    1 - q).
+    come from one ``kernel_sum_array`` call. With q = a/b the parent steps
+    toward the end with weight a and back with b - a off the base, and with
+    b and 0 at it, so rows 0 .. 64 of the one-step table and of
+    ``jump(span)``, the exact span-step law over the same rows, are
+    ``_span_tails`` of these integers.
     """
     cutoff = _TABLE_CUTOFF
-    states = list(range(cutoff + 2 + _SPAN))
+    states = list(range(cutoff + 1 + _SPAN))
     table = chain.code_table(states)
     form = kernel_sum_array(chain, 0, [(params.alpha, 1)], constant=params.odds)
-    psi = form(table, table.encode(states))[0].tolist()
+    psi = form(table, table.encode(states))[0]
     a, b = chain.q.numerator, chain.q.denominator
-    up = [1.0] + [a * psi[x + 1] / (b * psi[x]) for x in range(1, cutoff + 1)]
-    up.append(float(1 - chain.q))
+    rows = np.arange(cutoff + 1)
 
     def stat(s):
         return s.astype(np.float64)
 
     def jump(span):
-        binom = [math.comb(span, j) for j in range(span + 1)]
-        paths = [binom[j] * a**j * (b - a) ** (span - j) for j in range(span + 1)]
-        limit = [binom[j] * (b - a) ** j * a ** (span - j) for j in range(span + 1)]
-        rows = _near_base_tails(chain, params, range(span), span).tolist()
-        for x in range(span, cutoff + 1):
-            ends = [w * psi[x + 2 * j - span] for j, w in enumerate(paths)]
-            rows.append([sum(ends[m:]) / (b**span * psi[x]) for m in range(1, span + 1)])
-        rows.append([sum(limit[m:]) / b**span for m in range(1, span + 1)])
-        return _span_table(span, np.array(rows).T, 0, stat)
+        limit = [math.comb(span, j) * (b - a) ** j * a ** (span - j) for j in range(span + 1)]
+        tails = _span_tails(psi, 0, ((a, b - a), (b, 0)), params.r, rows, span)
+        last = [[sum(limit[m:]) / b**span] for m in range(1, span + 1)]
+        return _span_table(span, np.hstack([tails, last]), 0, stat, jump)
 
-    return _table([np.array(up)], [-1, 1], 0, stat, jump=jump)
+    return jump(1)
 
 
 def _tree_table(chain, params, steps):
@@ -1181,19 +1147,22 @@ def _plane_table(chain, params, steps, reach=32):
                   scale=c3 + w[1:-1, :-2].ravel(), fit=fit)
 
 
-#: law class -> (its table function, witness statistic, kind, base, target type,
-#: and the messages refusing another base or target)
+#: law class -> (its table function, witness statistic, kind, default threshold,
+#: base, target type, and the messages refusing another base or target)
 _WITNESS_LANES = {
-    ZWalk: (_line_table, "signed position toward the target end", "line", 0, LineEnd,
+    ZWalk: (_line_table, "signed position toward the target end", "line", 50.0, 0, LineEnd,
             "the line witness is anchored at base 0",
             "the line witness needs a line-end target"),
-    BangBangWalk: (_halfline_table, "position on the half line", "halfline", 0, HalfLineEnd,
+    BangBangWalk: (_halfline_table, "position on the half line", "halfline", 100.0, 0,
+                   HalfLineEnd,
                    "the half-line witness is anchored at base 0",
                    "the half-line witness needs the half-line end"),
-    KaryTree: (_tree_table, "agreement length with the target ray", "tree", ROOT, TreeRay,
+    KaryTree: (_tree_table, "agreement length with the target ray", "tree", 10.0, ROOT,
+               TreeRay,
                "the tree witness is anchored at the root",
                "the tree witness needs a ray target"),
-    Z2Walk: (_plane_table, "euclidean norm of the position", "plane", (0, 0), type(None),
+    Z2Walk: (_plane_table, "euclidean norm of the position", "plane", 10.0, (0, 0),
+             type(None),
              "the plane witness is anchored at the origin",
              "the plane has a single anonymous boundary point; pass alpha=None"),
 }

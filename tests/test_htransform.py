@@ -49,6 +49,7 @@ from recurmartin.htransform import (
     TransformedChain,
     _Table,
     _run_lane,
+    _span_tails,
     _witness_draws,
     _witness_lane,
     convergence_stats,
@@ -1106,24 +1107,26 @@ def _exact_tail_cuts(chain, params, x, span, sign=1):
     return [int(_draw_cuts(float(sum(ups[m:])))) for m in range(1, span + 1)]
 
 
-@pytest.mark.parametrize("span", [_SPAN, _TRACKED_SPAN])
+@pytest.mark.parametrize("span", [1, _TRACKED_SPAN, _SPAN])
 @pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9), Fraction(2**62, 2**62 + 1)])
 def test_line_span_cuts_are_those_of_the_exact_law(r, span):
-    # every row within 3 spans of the base, toward either end: the closed
-    # form, the rows read off distribution_after and the far side; the last
-    # damping's odds 2^62 put the closed form's integers past int64
-    steps = 20
+    # every row within 3 spans of the base, toward either end, where paths
+    # leave the base, and three rows far from it whose one-step cut at
+    # r = 1/4 is one unit off that of the float expression
+    # (c + 2v + 2) / (2(c + 2v)); the last damping's odds 2^62 put the
+    # path weights past int64
+    steps = 2048
     for sign in (1, -1):
         params = TransformParams(0, LineEnd(sign), r)
         table, _, _ = _witness_lane(Z, params, 10, steps)
-        jump = table.jump(span)
+        jump = table if span == 1 else table.jump(span)
         assert jump.move.tolist() == list(range(-span, span + 1, 2))
-        for v in range(-3 * span, 3 * span + 1):
+        for v in [*range(-3 * span, 3 * span + 1), 562, 1023, 2047]:
             row = [int(c[v + steps + 1]) for c in jump.cuts]
             assert row == _exact_tail_cuts(Z, params, sign * v, span, sign), (sign, v)
 
 
-@pytest.mark.parametrize("span", [_SPAN, _TRACKED_SPAN])
+@pytest.mark.parametrize("span", [1, _TRACKED_SPAN, _SPAN])
 @pytest.mark.parametrize("r", [Fraction(1, 4), HALF, Fraction(7, 9)])
 @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
 def test_halfline_span_cuts_are_those_of_the_exact_law(q, r, span):
@@ -1131,10 +1134,26 @@ def test_halfline_span_cuts_are_those_of_the_exact_law(q, r, span):
     # past 64, is its limit Binomial(span, 1 - q)
     chain, params = BangBangWalk(q), TransformParams(0, HalfLineEnd(), r)
     table, _, _ = _witness_lane(chain, params, 10, 10)
-    rows = [list(map(int, row)) for row in zip(*table.jump(span).cuts)]
+    rows = [list(map(int, row)) for row in zip(*(table if span == 1 else table.jump(span)).cuts)]
     assert rows[:-1] == [_exact_tail_cuts(chain, params, x, span) for x in range(65)]
     binom = [math.comb(span, j) * (1 - q) ** j * q ** (span - j) for j in range(span + 1)]
     assert rows[-1] == [int(_draw_cuts(float(sum(binom[m:])))) for m in range(1, span + 1)]
+
+
+@pytest.mark.parametrize("span", [1, _TRACKED_SPAN, _SPAN])
+@pytest.mark.parametrize("near", [True, False], ids=["near", "far"])
+def test_span_tails_refuse_a_bent_psi(near, span):
+    # the line's psi at r = 1/2 is 1 + 2 max(v, 0); one unit more at one
+    # position breaks harmonicity there, which the rows reaching it must
+    # show: at 1 for the rows within a span of the base, whose paths leave
+    # it, and at 3 spans for rows 2 to 3 spans away (the negative control)
+    lo = -4 * _SPAN
+    v = np.arange(1 - span, span) if near else np.arange(2 * span, 3 * span + 1)
+    psi = 1 + 2 * np.maximum(np.arange(lo, 4 * _SPAN + 1), 0)
+    _span_tails(psi, lo, ((1, 1), (1, 1)), HALF, v, span)
+    psi[(1 if near else 3 * span) - lo] += 1
+    with pytest.raises(RowSumViolationError):
+        _span_tails(psi, lo, ((1, 1), (1, 1)), HALF, v, span)
 
 
 def _positions(chain, params, n, steps, seed):
