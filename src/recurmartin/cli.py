@@ -712,9 +712,22 @@ def verify_suite(selector: str, seed: Optional[int]) -> dict:
 # Parser assembly
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a word beginning with a single '-' as a value,
+    unless it is one of the parser's own option strings: every flag here is
+    long (--name) but -h, so -inf, -1,0 and -1/2 are values, as their
+    --flag=value spellings are, and a long word stays an option, known or
+    not. Its subcommands' parsers are of this class too."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of every subcommand and flag."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recurmartin",
         description="Killed Green functions, boundary profiles, path-space "
         "measures, conditioned chains, and the planar potential kernel.",

@@ -29,8 +29,11 @@ numerators (``_span_tails``): its one-step table (K = 1) and a second
 table over the same rows, along which a draw moves a run K steps
 (``_SPAN``, ``_TRACKED_SPAN``), take each cut from a correctly rounded
 int/int division. The tree table takes each ratio of psi's integer
-numerators the same way; only the plane keeps the float expressions a
-per-run evaluation of its transformed row computes.
+numerators the same way, and off the target ray, where psi is constant
+and the overhang is a symmetric +-1 walk, one draw takes a whole sojourn
+by the exact law of its length (``_excursion_cuts``), so each tree run
+keeps its own clock; only the plane keeps the float expressions a per-run
+evaluation of its transformed row computes.
 
 The row-sum identity (``verify_row_sums``) is compared in integers: with
 phi = r/(1-r) + L off the base and r/(1-r) at it, psi = phi / beta(x0),
@@ -74,6 +77,7 @@ from .examplechains import (
 from .green import Truncation, default_radius, green_solve_discounted, martin_kernel
 from .martin import check_harmonic_except, kernel_sum_array
 from .rng import (
+    _DRAW_BITS,
     CONVERGENCE_WITNESS,
     TRANSIENCE_WITNESS,
     _draw_cuts,
@@ -100,6 +104,9 @@ _TABLE_CUTOFF = 64
 #: tracked (both walks are bipartite, so a visit falls on an even time).
 _SPAN = 4
 _TRACKED_SPAN = 2
+
+#: Guard bits below the 52 of the tree's excursion cuts (``_excursion_cuts``).
+_GUARD_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +679,9 @@ def convergence_stats(
     n from the counter-based stream (seed, i, n), so results are
     reproducible for a seed and do not depend on the trajectory count. On
     the line and the half line a draw moves a run ``_SPAN`` steps by the
-    exact multi-step law, and one step where a snapshot is nearer.
+    exact multi-step law, and one step where a snapshot is nearer; on the
+    tree a draw takes a whole sojourn off the ray, and a snapshot reads the
+    agreement of the draw that reaches or passes it.
     """
     table, witness, default = _witness_lane(chain, params, trajectories, steps)
     marks = sorted({int(s) for s in snapshots if 0 < int(s) < steps} | {steps})
@@ -719,7 +728,10 @@ def transience_witness(
     a recurrent chain would keep returning all the way to the horizon. On
     the line and the half line a draw moves a run ``_TRACKED_SPAN`` = 2
     steps, so a run is seen at every even time, the only times these
-    bipartite walks started at the base can stand there.
+    bipartite walks started at the base can stand there. On the tree a
+    draw takes a whole sojourn off the ray, from which a run comes back
+    to the ray node it left: a return to the root counts at the time the
+    sojourn ends, if that is within the horizon.
     """
     table, _, _ = _witness_lane(chain, params, trajectories, steps)
     track: dict = {}
@@ -773,7 +785,7 @@ def _witness_lane(chain: ChainSpec, params: TransformParams, trajectories: int, 
     return build(chain, params, steps), witness, threshold
 
 
-def _witness_draws(seed, n, draws, track):
+def _witness_draws(seed, n, draws, track, live=None):
     """Each draw's row for trajectories 0 .. n-1, in draw order.
 
     Draw d of trajectory i is the 52-bit integer counter_bits(key_i,
@@ -781,15 +793,22 @@ def _witness_draws(seed, n, draws, track):
     up to 64 draws per call, within 2^15 numbers so that the block stays
     in cache, one contiguous row per draw, into one chunk x n buffer that
     every call refills: a row is valid until the generator is resumed after
-    its chunk's last row.
+    its chunk's last row. ``live``, if given, is called before each chunk
+    and returns the trajectories, in order, whose draws the chunk's rows
+    hold; the rows end when it returns none.
     """
     purpose = CONVERGENCE_WITNESS if track is None else TRANSIENCE_WITNESS
     keys = stream_keys(seed, purpose, np.arange(n))
     chunk = max(1, min(64, (1 << 15) // n, draws))
-    block, scratch = np.empty((chunk, n), dtype=np.int64), np.empty((chunk, n), dtype=np.int64)
+    block, scratch = np.empty(chunk * n, dtype=np.int64), np.empty(chunk * n, dtype=np.int64)
     for lo in range(0, draws, chunk):
         m = min(chunk, draws - lo)
-        yield from counter_bits(keys, np.arange(lo, lo + m)[:, None], block[:m], scratch[:m])
+        runs = keys if live is None else keys.take(live())
+        if not runs.size:
+            return
+        rows = block[: m * runs.size].reshape(m, runs.size)
+        yield from counter_bits(runs, np.arange(lo, lo + m)[:, None], rows,
+                                scratch[: rows.size].reshape(rows.shape))
 
 
 def _draw_plan(steps, marks, span):
@@ -817,7 +836,9 @@ class _Table:
     above a run's draw adds ``adds[i]`` to an index, and the run moves by
     ``move`` at that index: where every column adds 1, the index counts
     the cuts above the draw. ``jump(span)``, if set, returns the table of
-    the exact span-step law over the same rows.
+    the exact span-step law over the same rows. ``lasts(b, state)``, if
+    set, returns the steps each run's draw b lasts from its state, where a
+    table's outcomes last different numbers of steps.
     """
 
     cuts: tuple
@@ -827,15 +848,16 @@ class _Table:
     stat: Callable
     fit: Optional[Callable] = None
     jump: Optional[Callable] = None
+    lasts: Optional[Callable] = None
 
 
-def _table(columns, move, start, stat, adds=None, scale=None, fit=None, jump=None):
+def _table(columns, move, start, stat, adds=None, scale=None, fit=None, jump=None, lasts=None):
     """A table from one float column per cut, each entry a cumulative weight
     of its row's outcomes; the weights of a row sum to ``scale``, or to 1
     without one. Every column adds 1 unless ``adds`` says otherwise."""
     cuts = tuple(_draw_cuts(c, scale) for c in columns)
     adds = adds or (1,) * len(cuts)
-    return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit, jump)
+    return _Table(cuts, adds, np.asarray(move, dtype=np.int64), start, stat, fit, jump, lasts)
 
 
 def _span_table(span, tails, start, stat, jump):
@@ -887,6 +909,15 @@ def _run_lane(table, n, steps, seed, marks, track):
     at the base, so a base visit falls on an even time, and a span of 2
     sees every one.
 
+    A table with ``lasts`` (the tree's) gives each run its own clock, which
+    each draw advances by the steps that draw lasts, while the draw counter
+    stays in lockstep: draw d of every run is its d-th. A mark reads the
+    state after the draw that reaches or passes it, a base visit counts at
+    a clock <= ``steps``, and a run leaves once its clock reaches
+    ``steps``. The runs that left are dropped before each chunk of draws
+    (``_witness_draws``' ``live``); till then they draw on, and count and
+    read nothing.
+
     With c a cumulative weight of a row, the cut is the least m with
     m 2^-52 >= c, and on the plane, whose weights are not normalized, the
     least m with fl(m 2^-52 scale[r]) >= c (``rng._draw_cuts``). So b < cut
@@ -903,17 +934,33 @@ def _run_lane(table, n, steps, seed, marks, track):
     This is the module's one loop over the draws.
     """
     if track is not None:
-        track["counts"] = np.zeros(n, dtype=np.int64)
-        track["last"] = np.zeros(n, dtype=np.int64)
+        counts = track["counts"] = np.zeros(n, dtype=np.int64)
+        last = track["last"] = np.zeros(n, dtype=np.int64)
     span = 1 if table.jump is None else _SPAN if track is None else _TRACKED_SPAN
     lanes = {1: _columns(table)}
     if span > 1:
         lanes[span] = _columns(table.jump(span))
-    plan = _draw_plan(steps, marks, span)
-    sizes = itertools.chain.from_iterable(itertools.repeat(*p) for p in plan)
-    draws = _witness_draws(seed, n, sum(count for _, count in plan), track)
-    markset, out = set(marks), {}
     state = np.full(n, table.start, dtype=np.int64)
+    markset, out = set(marks), {}
+    if table.lasts is None:
+        plan = _draw_plan(steps, marks, span)
+        sizes = itertools.chain.from_iterable(itertools.repeat(*p) for p in plan)
+        draws = _witness_draws(seed, n, sum(count for _, count in plan), track)
+    else:
+        # per live run: its trajectory, its clock and the next mark it reads
+        due = np.array([*sorted(markset), np.iinfo(np.int64).max])
+        seen = np.empty(len(markset) * n, dtype=np.int64)  # by mark, then trajectory
+        ids, clock, nxt = np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, due[0])
+
+        def live():
+            nonlocal ids, clock, nxt, state
+            going = np.flatnonzero(clock < steps)
+            if going.size < ids.size:
+                ids, clock, nxt, state = (a.take(going) for a in (ids, clock, nxt, state))
+            return ids
+
+        # a draw moves every run at least one step
+        sizes, draws = itertools.repeat(1), _witness_draws(seed, n, steps, track, live)
     refit = 1 if table.fit else steps + 1
     time = 0
     for size, b in zip(sizes, draws):
@@ -924,18 +971,37 @@ def _run_lane(table, n, steps, seed, marks, track):
             if wider is not None:
                 table = wider
                 lanes[1] = _columns(table)
+        if table.lasts is not None:
+            clock += table.lasts(b, state)
         move, (first, add0), rest = lanes[size]
         index = _under(b, first, state, add0)
         for cut, add in rest:
             index += _under(b, cut, state, add)
         state += move.take(index)
-        if track is not None:
-            at_base = np.flatnonzero(state == table.start)
-            if at_base.size:
-                track["counts"][at_base] += 1
-                track["last"][at_base] = time
-        if time in markset:
-            out[time] = table.stat(state)
+        if table.lasts is None:
+            if track is not None:
+                at_base = np.flatnonzero(state == table.start)
+                if at_base.size:
+                    counts[at_base] += 1
+                    last[at_base] = time
+            if time in markset:
+                out[time] = table.stat(state)
+        else:
+            if track is not None:
+                at_base = (state == table.start).nonzero()[0]
+                if at_base.size:
+                    at_base = at_base[clock.take(at_base) <= steps]
+                    counts[ids.take(at_base)] += 1
+                    last[ids.take(at_base)] = clock.take(at_base)
+            hit = (clock >= nxt).nonzero()[0]
+            while hit.size:  # the marks each run reached or passed, one at a time
+                at = due.searchsorted(nxt.take(hit))
+                seen.put(at * n + ids.take(hit), state.take(hit))
+                after = due.take(at + 1)
+                nxt.put(hit, after)
+                hit = hit[clock.take(hit) >= after]
+    if table.lasts is not None:
+        out = {m: table.stat(s) for m, s in zip(due.tolist(), seen.reshape(-1, n))}
     return out
 
 
@@ -1055,6 +1121,64 @@ def _halfline_table(chain, params, steps):
     return jump(1)
 
 
+def _excursion_cuts(steps):
+    """The cuts of an off-ray sojourn's length tau, the first return to 0 of
+    a symmetric +-1 walk from 1: entry n - 1, n = 1 .. (steps + 1) // 2,
+    is the least m with m 2^-52 >= P(tau <= 2n - 1) = 1 - C(2n, n)/4^n,
+    that is 2^52 - floor(C(2n, n) 2^(52 - 2n)) (Feller, Vol. 1, ch. III).
+
+    C(2n, n)/4^n, the product of (2i - 1)/(2i) over i <= n, is carried in
+    fixed point with ``_GUARD_BITS`` below the 52, each factor's product
+    floored. A floor loses less than one unit, and a factor below 1 does
+    not grow what was lost before, so after n factors the value is less
+    than n units below the exact one: its top bits are the exact floor
+    unless adding n carries into them, and then, which is rare, the floor
+    comes from ``math.comb``. So the cuts take time linear in ``steps``.
+    """
+    guard = _GUARD_BITS
+    value, floors = 1 << (_DRAW_BITS + guard), []
+    for n in range(1, (steps + 1) // 2 + 1):
+        value = value * (2 * n - 1) // (2 * n)
+        top = value >> guard
+        if (value + n) >> guard != top:
+            top = (math.comb(2 * n, n) << _DRAW_BITS) >> (2 * n)
+        floors.append(top)
+    return (1 << _DRAW_BITS) - np.array(floors, dtype=np.int64)
+
+
+def _sojourn_steps(steps):
+    """The steps a tree run's draw lasts, as ``_Table.lasts``: 1 on the ray,
+    and tau = 2i + 1 from the pending row, i the excursion cuts at or below
+    the draw b (``_excursion_cuts``).
+
+    With w = 2^52 - b, b passes cut n exactly when F_n = 2^52 - cut_n, the
+    floor of C(2n, n)/4^n 2^52, is at least w, so i counts the F_n >= w:
+    C(2i, i)/4^i >= w 2^-52 > C(2i + 2, i + 1)/4^(i + 1). By Wallis-product
+    bounds, 1/sqrt(pi (n + 1/2)) < C(2n, n)/4^n < 1/sqrt(pi (n + 1/4)) for
+    n >= 1, so 2^104/(pi w^2) lies in [i + 1/4, i + 3/2): its floor, a
+    few units in the last place away, is i or i + 1, and one comparison
+    with F at the floor gives i exactly.
+    """
+    floors = (1 << _DRAW_BITS) - _excursion_cuts(steps).astype(np.float64)
+    most = floors.size
+    floors = np.concatenate([[2.0 ** (_DRAW_BITS + 1)], floors])  # F_0 passes every w
+    top, scale = 2.0**_DRAW_BITS, 2.0 ** (2 * _DRAW_BITS) / math.pi
+    twice = np.array([2, 0])  # by row, clipped: 2 on the pending row
+
+    def lasts(b, state):
+        w = np.subtract(top, b, dtype=np.float64)
+        guess = w * w
+        np.divide(scale, guess, out=guess)
+        np.minimum(guess, most, out=guess)
+        i = guess.astype(np.int64)
+        i -= floors.take(i) < w
+        i *= twice.take(state, mode="clip")
+        i += 1
+        return i
+
+    return lasts
+
+
 def _tree_table(chain, params, steps):
     """Conditioned tree walk, projected to (agreement j, overhang m).
 
@@ -1062,17 +1186,23 @@ def _tree_table(chain, params, steps):
     so the pair (j, m) — m the depth below the last ray node — is itself a
     Markov chain: on the ray, step to the father with probability
     psi_{j-1}/(2 psi_j), to the next ray node with psi_{j+1}/(2k psi_j),
-    and off the ray with (k-1)/(2k); off the ray all weight ratios are 1,
-    leaving the symmetric up/down move of the parent. The state is
-    j + 1 - m 2^32, so it is its own row once clipped to the table: the
-    off-ray row first (every negative state), then the root 1, the ray
-    nodes 2 .. 65, and the deeper ray 66, the last.
+    and off the ray with (k-1)/(2k); off the ray psi is constant, psi_j of
+    the branch point, so all weight ratios are 1 and the overhang is the
+    parent's symmetric +-1 walk until it returns to the ray node it left
+    (as in ``green._tree_walk``). No witness statistic changes on the way,
+    neither j nor the root visits, so a draw off the ray goes to overhang 1
+    and the run's next draw takes the whole sojourn: it puts the run back on
+    its ray node tau steps later, with tau the first return time from
+    overhang 1 (``_sojourn_steps``).
 
-    Two cuts, adding 1 and 2, name the four moves. On the ray they are
-    the father's probability and that plus the next node's: a draw below
-    both goes to the father (3), below the second only to the next node
-    (2), and otherwise off the ray (0). Off it the first is 1/2, the
-    probability up toward the ray (1), and the second 0.
+    The state is j + 1 - m 2^32, so it is its own row once clipped to the
+    table: the pending row first (every negative state, m = 1), then the
+    root 1, the ray nodes 2 .. 65, and the deeper ray 66, the last. Two
+    cuts, adding 1 and 2, name the four moves. On the ray they are the
+    father's probability and that plus the next node's: a draw below both
+    goes to the father (3), below the second only to the next node (2),
+    and otherwise off the ray (0). On the pending row the first is 1, so
+    every draw goes up to the ray (1), and the second 0.
 
     psi_j = gamma + k^j - 1, with gamma = (r/(1-r)) (k-1)/k = g/h, is kept
     as its integer numerator g + (k^j - 1) h over h, so each probability is
@@ -1083,7 +1213,7 @@ def _tree_table(chain, params, steps):
     cutoff = _TABLE_CUTOFF
     psi = [g + (k**j - 1) * h for j in range(cutoff + 2)]
     root = float(params.r / k + (1 - params.r))
-    rows = [(0.5, 0.0), (0.0, root)]
+    rows = [(1.0, 0.0), (0.0, root)]
     for j in range(1, cutoff + 1):
         up = psi[j - 1] / (2 * psi[j])
         rows.append((up, up + psi[j + 1] / (2 * k * psi[j])))
@@ -1091,7 +1221,8 @@ def _tree_table(chain, params, steps):
     rows.append((up, up + 0.5))
     big = 1 << 32
     return _table(np.array(rows).T, [-big, big, 1, -1], 1,
-                  lambda s: ((s - 1) & (big - 1)).astype(np.float64), adds=(1, 2))
+                  lambda s: ((s - 1) & (big - 1)).astype(np.float64), adds=(1, 2),
+                  lasts=_sojourn_steps(steps))
 
 
 def _plane_table(chain, params, steps, reach=32):

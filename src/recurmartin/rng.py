@@ -28,7 +28,9 @@ Two drivers step every sampler on these draws, one per stopping rule:
 ``green._ensemble`` for runs absorbed at the base, ``htransform._run_lane``
 for runs stopped at a fixed horizon. Either may move a run several steps
 per draw where the law allows (``green._line_jumps`` from mark to mark,
-the line and half-line witnesses by their exact K-step laws).
+``green._tree_walk`` over each off-spine excursion, the line and
+half-line witnesses by their exact K-step laws, the tree witnesses over
+each off-ray sojourn, its length drawn by its exact law).
 """
 from __future__ import annotations
 

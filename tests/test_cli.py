@@ -31,6 +31,25 @@ def invoke_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def glued(argv, flags):
+    """``argv`` with each of ``flags`` and its value written as --flag=value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in flags:
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
+def assert_minus_values_read_as_glued(capsys, argv, flags):
+    """A value beginning with '-' after one of ``flags`` is read as a value:
+    the bytes and exit code are those of its --flag=value spelling."""
+    spaced, joined = invoke(capsys, *argv), invoke(capsys, *glued(argv, flags))
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
 class TestGreen:
     def test_exact_line_value(self, capsys):
         code, doc = invoke_json(
@@ -123,6 +142,11 @@ class TestGreen:
         assert exc.value.code == 2
         assert "--x" in capsys.readouterr().err
 
+    def test_a_state_beginning_with_a_minus_is_a_value(self, capsys):
+        assert_minus_values_read_as_glued(
+            capsys, ["green", "--chain", "z2", "--x0", "0,0", "--x", "-1,0", "--y", "2,0",
+                     "--window-radius", "6"], {"--x"})
+
 
 @pytest.mark.parametrize("radius", ["0", "-3"])
 @pytest.mark.parametrize(
@@ -180,6 +204,13 @@ class TestMartin:
         assert doc["result"]["evaluations"] == want
         assert doc["result"]["residuals"]["all_ok"] is True
         assert doc["result"]["residuals"]["balance_at_base"] == str(1 / beta0)
+
+    @pytest.mark.parametrize("argv", [
+        ["martin", "--chain", "z", "--x0", "0", "--alpha", "-inf", "--eval", "1"],
+        ["martin", "--chain", "z", "--x0", "0", "--alpha", "+inf", "--eval", "-1,2"],
+    ], ids=["alpha", "eval"])
+    def test_values_beginning_with_a_minus_are_values(self, capsys, argv):
+        assert_minus_values_read_as_glued(capsys, argv, {"--alpha", "--eval"})
 
     def test_alpha_and_mixture_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +309,20 @@ class TestSimulate:
         assert code == 0
         assert doc["result"]["final_median"] > 3.0
         assert doc["result"]["transience"]["fraction_settled_by_half"] > 0.8
+
+    def test_values_beginning_with_a_minus_are_values(self, capsys):
+        argv = ["simulate", "--chain", "z", "--x0", "0", "--trajectories", "200",
+                "--steps", "100", "--seed", "1"]
+        assert_minus_values_read_as_glued(capsys, [*argv, "--alpha", "-inf"], {"--alpha"})
+        # a negative damping is refused as r = 0 is, not as a missing value
+        for r in ("-1/2", "0"):
+            assert run([*argv, "--alpha", "+inf", "--r", r]) == 1
+            assert "damping must satisfy 0 < r < 1" in capsys.readouterr().err
+        # a long word is still an option: an unknown one is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--alpha", "+inf", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_seed_is_mandatory(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -563,8 +608,9 @@ class TestWitnessGolden:
     """Witness stdout pinned byte for byte.
 
     Each file under ``tests/golden`` is the stdout of ``python -m recurmartin``
-    with the argv below, recorded before the witness lanes became transition
-    tables. The planar runs leave the lane's first table square [-32, 32]^2.
+    with the argv below. The planar runs leave the lane's first table square
+    [-32, 32]^2; the line and half-line files were recorded with their
+    K-step draws, and the tree's with its off-ray sojourns drawn whole.
     """
 
     GOLDEN = Path(__file__).parent / "golden"

@@ -10,6 +10,7 @@ independent routes (closed form vs the damped-visit linear system) that
 must agree exactly; ensemble witnesses are smoke-checked at reduced scale
 against coarse, seed-stable expectations.
 """
+import bisect
 import gc
 import json
 import math
@@ -48,6 +49,7 @@ from recurmartin.htransform import (
     TransformParams,
     TransformedChain,
     _Table,
+    _excursion_cuts,
     _run_lane,
     _span_tails,
     _witness_draws,
@@ -1069,22 +1071,25 @@ def _with_states(table, grown=None):
     ids=["line", "halfline", "tree", "plane"],
 )
 def test_lane_runs_do_not_depend_on_the_trajectory_count(chain, params):
-    # the first 100 of 1000 runs are the runs of a 100-run ensemble: their
-    # states, base visits and last visit times agree at every mark
+    # the first 100 of 1000 and of 20,000 runs are the runs of a 100-run
+    # ensemble: their states, base visits and last visit times agree at
+    # every mark (20,000 runs draw one row per chunk, and on the tree the
+    # runs that left are dropped before every draw)
     marks, steps = [1, 37, 100, 250], 250
     for track in (False, True):
         runs = []
-        for n in (100, 1000):
+        for n in (100, 1000, 20_000):
             table, _, _ = _witness_lane(chain, params, n, steps)
             table = _with_states(table)
             tracked = {} if track else None
             runs.append((_run_lane(table, n, steps, 3, marks, tracked), tracked))
-        (small, small_track), (big, big_track) = runs
-        for t in marks:
-            assert np.array_equal(small[t], big[t][:100])
-        if track:
-            for key in ("counts", "last"):
-                assert np.array_equal(small_track[key], big_track[key][:100])
+        (small, small_track), *larger = runs
+        for big, big_track in larger:
+            for t in marks:
+                assert np.array_equal(small[t], big[t][:100])
+            if track:
+                for key in ("counts", "last"):
+                    assert np.array_equal(small_track[key], big_track[key][:100])
 
 
 def test_halfline_table_does_not_grow_with_the_horizon():
@@ -1234,31 +1239,26 @@ def test_halfline_cuts_are_those_of_the_fraction_rows(q, r):
 def test_tree_cuts_are_those_of_the_fraction_rows(k, r):
     # with gamma = r/(1-r) (k-1)/k and psi_j = gamma + k^j - 1, the ray rows
     # are the floats of the Fractions psi_{j-1}/(2 psi_j) and, added to that
-    # float, psi_{j+1}/(2k psi_j)
+    # float, psi_{j+1}/(2k psi_j); the pending row's one move is up to the ray
     params = TransformParams(ROOT, TreeRay.parse("(0)*"), r)
     gamma = params.odds * Fraction(k - 1, k)
     psi = [gamma + k**j - 1 for j in range(66)]
     up = [float(Fraction(1, 2) * psi[j - 1] / psi[j]) for j in range(1, 65)]
     ahead = [u + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j]) for j, u in enumerate(up, 1)]
-    rows = [(0.5, 0.0), (0.0, float(r / k + (1 - r))), *zip(up, ahead),
+    rows = [(1.0, 0.0), (0.0, float(r / k + (1 - r))), *zip(up, ahead),
             (1 / (2 * k), 1 / (2 * k) + 0.5)]
     table, _, _ = _witness_lane(KaryTree(k), params, 10, 10)
     assert [c.tolist() for c in table.cuts] == [_draw_cuts(col).tolist() for col in zip(*rows)]
 
 
-def _tree_reference(n, steps, seed):
-    """Tree runs stepped from their own row, with no table: yields the
-    agreement j and overhang m of every run after each step.
-
-    Each run compares u with the cumulative entries of its row in the
-    order to the father, to the next ray node, up toward the ray, down off
-    it, each entry the float expression of the transformed row: the root's
-    r/k + (1 - r), a ray node's psi_{j-1}/(2 psi_j) and that plus
-    psi_{j+1}/(2k psi_j) up to depth 64 and their limits 1/(2k) and
-    1/(2k) + 1/2 beyond, and 1/2 off the ray.
-    """
-    k, r = TREE.k, P_TREE.r
-    gamma = P_TREE.odds * Fraction(k - 1, k)
+def _tree_rows(k, r):
+    """The float entries of the conditioned tree walk's ray rows, j = 0 ..
+    65: to the father, and that plus to the next ray node. Each is the
+    float expression of the transformed row: the root's r/k + (1 - r), a
+    ray node's psi_{j-1}/(2 psi_j) and that plus psi_{j+1}/(2k psi_j) up
+    to depth 64, and their limits 1/(2k) and 1/(2k) + 1/2 beyond."""
+    params = TransformParams(ROOT, TreeRay.parse("(0)*"), r)
+    gamma = params.odds * Fraction(k - 1, k)
     psi = [gamma + k**j - 1 for j in range(66)]
     up = np.array([0.0] + [float(Fraction(1, 2) * psi[j - 1] / psi[j]) for j in range(1, 65)]
                   + [1.0 / (2 * k)])
@@ -1266,31 +1266,155 @@ def _tree_reference(n, steps, seed):
                      + [up[j] + float(Fraction(1, 2 * k) * psi[j + 1] / psi[j])
                         for j in range(1, 65)]
                      + [1.0 / (2 * k) + 0.5])
-    j, m = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for b in _witness_draws(seed, n, steps, None):
+    return up, ahead
+
+
+def _tree_reference(n, steps, seed, track):
+    """Tree runs drawn from their own row, with no table: yields the
+    agreement j, whether a run is off the ray and its clock, after each
+    draw, and with ``track`` the root visits and the last of them by
+    ``steps``.
+
+    On the ray each run compares u with the entries of its row
+    (``_tree_rows``): below the first it goes to the father, below the
+    second to the next ray node, else off the ray, one step each. Off the
+    ray it compares u with the Fractions P(tau <= 2i - 1) = 1 - C(2i, i)/4^i
+    of the first return time tau from overhang 1 and comes back to its ray
+    node 2i - 1 steps later, i the least with u below that Fraction. A run
+    whose clock reached ``steps`` draws no more.
+    """
+    up, ahead = _tree_rows(TREE.k, P_TREE.r)
+    within = [1 - Fraction(math.comb(2 * i, i), 4**i) for i in range(1, steps // 2 + 2)]
+    j, off, clock = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    counts, last = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for b in _witness_draws(seed, n, steps, track):
         u = np.ldexp(b, -52)
-        row = np.minimum(j, 65)
-        on = m == 0
+        row, going = np.minimum(j, 65), clock < steps
+        on = going & (off == 0)
         father = on & (u < up[row])
         ahead_ = on & ~father & (u < ahead[row])
-        toward = ~on & (u < 0.5)
+        tau = np.ones(n, dtype=np.int64)
+        for i in np.flatnonzero(going & (off == 1)).tolist():
+            tau[i] = 2 * bisect.bisect_right(within, Fraction(int(b[i]), 2**52)) + 1
+        clock += np.where(going, tau, 0)
         j = j - father + ahead_
-        m = m + np.where(toward, -1, np.where(father | ahead_, 0, 1))
-        yield j, m
+        back = going & (off == 1)
+        off = np.where(on & ~father & ~ahead_, 1, np.where(back, 0, off))
+        root = going & (j == 0) & (off == 0) & (clock <= steps)
+        counts += root
+        last[root] = clock[root]
+        yield j, off, clock, (counts, last)
 
 
-def test_tree_table_steps_every_run_as_its_row_does():
-    # two weighted cuts name the four moves; every run's (j, m) must equal
-    # the per-run comparison of u with its row at every step
+@pytest.mark.parametrize("track", [False, True], ids=["convergence", "transience"])
+def test_tree_table_draws_every_run_as_its_row_does(track):
+    # a run's state after every draw, agreement j and whether it is off the
+    # ray, and its clock must be the reference's: each state holds from the
+    # time after the draw before it to the time the draw ends, which the
+    # lane reads at every mark it reaches or passes (no draw leaves a state
+    # as it was, so the marks give every draw's clock)
     n, steps = 1000, 400
     table, _, _ = _witness_lane(TREE, P_TREE, n, steps)
-    states = _run_lane(_with_states(table), n, steps, 2, range(1, steps + 1), None)
-    deep = 0
-    for t, (j, m) in enumerate(_tree_reference(n, steps, 2), 1):
-        low = (states[t] - 1) & (2**32 - 1)
-        assert np.array_equal(low, j) and np.array_equal((low - states[t] + 1) >> 32, m), t
-        deep = max(deep, int(j.max()))
+    tracked = {} if track else None
+    states = _run_lane(_with_states(table), n, steps, 2, range(1, steps + 1), tracked)
+    expected = np.zeros((steps + 1, n), dtype=np.int64)
+    times, before, deep, draws = np.arange(steps + 1)[:, None], np.zeros(n, dtype=np.int64), 0, 0
+    for j, off, clock, visits in _tree_reference(n, steps, 2, tracked):
+        span = (times > before) & (times <= clock)
+        expected[span] = np.broadcast_to(j + 1 - off * 2**32, span.shape)[span]
+        before, deep, draws = clock.copy(), max(deep, int(j.max())), draws + 1
+        if before.min() >= steps:
+            break
+    for t in range(1, steps + 1):
+        assert np.array_equal(states[t], expected[t]), t
+    if track:
+        assert np.array_equal(tracked["counts"], visits[0])
+        assert np.array_equal(tracked["last"], visits[1])
+        assert visits[0].max() > 1
     assert deep > 65  # the runs reach the limit row
+    assert draws < 0.7 * steps  # a draw crosses a whole sojourn
+
+
+def test_excursion_cuts_are_the_exact_least_m_rule(monkeypatch):
+    # the least m with m 2^-52 >= 1 - C(2n, n)/4^n, for n <= 500 and near
+    # the end of a 100,000-step horizon, where the fixed-point floors have
+    # lost most; with 6 guard bits most floors past n = 64 are undecided
+    # and take the exact one
+    def least(n):
+        return math.ceil((1 - Fraction(math.comb(2 * n, n), 4**n)) * 2**52)
+
+    exact = [least(n) for n in range(1, 501)]
+    assert _excursion_cuts(1000).tolist()[:500] == exact
+    far = _excursion_cuts(100_000)
+    assert far.size == 50_000
+    assert [int(far[n - 1]) for n in (49_990, 49_999, 50_000)] == [
+        least(n) for n in (49_990, 49_999, 50_000)]
+    monkeypatch.setattr(htransform_module, "_GUARD_BITS", 6)
+    assert _excursion_cuts(1000).tolist() == exact
+
+
+def test_sojourn_steps_count_the_cuts_at_both_sides_of_every_cut():
+    # from the pending row a draw lasts 2i + 1 steps, i the cuts <= b; the
+    # float guess and one comparison on either side give i exactly for b on
+    # both sides of each cut, so everywhere between (both are monotone in b)
+    steps = 100_000
+    cuts = _excursion_cuts(steps)
+    b = np.concatenate([[0, 2**52 - 1], cuts - 1, cuts])
+    lasts = htransform_module._sojourn_steps(steps)
+    pending = np.full(b.size, 1 - 2**32)
+    assert np.array_equal(lasts(b, pending), 2 * np.searchsorted(cuts, b, side="right") + 1)
+    assert np.array_equal(lasts(b, np.ones(b.size, dtype=np.int64)), np.ones(b.size))
+
+
+def _tree_mean_agreement(k, marks):
+    """The mean agreement j at each mark, by float propagation of the
+    (j, m) chain from the root, and its standard deviation."""
+    up, ahead = _tree_rows(k, HALF)
+    top = max(marks) + 2
+    rows = np.minimum(np.arange(top), 65)
+    father, forward = up[rows], ahead[rows] - up[rows]
+    law = np.zeros((top, max(marks) + 2))  # [j, m]
+    law[0, 0] = 1.0
+    out = {}
+    for t in range(1, max(marks) + 1):
+        on, nxt = law[:, 0], np.zeros_like(law)
+        nxt[:-1, 0] += on[1:] * father[1:]
+        nxt[1:, 0] += on[:-1] * forward[:-1]
+        nxt[:, 1] += on * (1 - father - forward)
+        nxt[:, 0] += law[:, 1] / 2
+        nxt[:, 1:-1] += law[:, 2:] / 2
+        nxt[:, 2:] += law[:, 1:-1] / 2
+        law = nxt
+        if t in marks:
+            p, j = law.sum(axis=1), np.arange(top)
+            mean = float(p @ j)
+            out[t] = mean, float(np.sqrt(p @ j**2 - mean**2))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tree_sojourn_draws_keep_the_law_of_the_agreement(monkeypatch, k):
+    # the mean agreement at marks 100 and 300 of 20,000 runs lies within 4
+    # standard errors of the (j, m) chain's; the negative control, every
+    # sojourn two steps longer, fails the same gate
+    n, marks = 20_000, (100, 300)
+    exact = _tree_mean_agreement(k, marks)
+    chain, params = KaryTree(k), TransformParams(ROOT, TreeRay.parse("(0)*"), HALF)
+
+    def gaps():
+        table, _, _ = _witness_lane(chain, params, n, max(marks))
+        stats = _run_lane(table, n, max(marks), 20261021, marks, None)
+        return [abs(stats[t].mean() - exact[t][0]) / (exact[t][1] / np.sqrt(n)) for t in marks]
+
+    assert max(gaps()) < 4
+    sojourn = htransform_module._sojourn_steps
+
+    def longer(steps):
+        lasts = sojourn(steps)
+        return lambda b, state: lasts(b, state) + 2 * (state < 0)
+
+    monkeypatch.setattr(htransform_module, "_sojourn_steps", longer)
+    assert max(gaps()) > 4
 
 
 def _plane_reference(n, steps, seed):
